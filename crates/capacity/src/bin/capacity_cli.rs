@@ -20,7 +20,7 @@ use des::SimDuration;
 use faults::{FaultKind, FaultSchedule};
 use loadgen::RetryPolicy;
 use netsim::topology::nodes;
-use pbx_sim::OverloadControl;
+use overload::ControlLaw;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -228,7 +228,7 @@ fn main() {
             // Overload control: --shed-high enables PBX shedding.
             let shed_high = flag("--shed-high", 0.0);
             if shed_high > 0.0 {
-                cfg.overload = Some(OverloadControl {
+                cfg.overload_law = Some(ControlLaw::Hysteresis {
                     high_watermark: shed_high,
                     low_watermark: flag("--shed-low", (shed_high - 0.2).max(0.0)),
                     retry_after: SimDuration::from_secs_f64(flag("--retry-after", 2.0)),
@@ -294,7 +294,7 @@ fn main() {
                     nodes::SWITCH,
                 );
             }
-            let robustness = !sched.is_empty() || cfg.overload.is_some() || cfg.retry.is_some();
+            let robustness = !sched.is_empty() || cfg.overload_law.is_some() || cfg.retry.is_some();
             cfg.faults = sched;
             // --threads N runs the partitioned sharded engine (N = 0
             // means every available core); absent keeps the classic

@@ -10,7 +10,6 @@ use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{CallOutcome, HoldingDist, RetryPolicy};
 use overload::ControlLaw;
-use pbx_sim::OverloadControl;
 use serde::{Deserialize, Serialize};
 use teletraffic::Erlangs;
 use vmon::MonitorReport;
@@ -102,7 +101,8 @@ pub struct EmpiricalConfig {
     /// Silence suppression (VAD): when true, endpoints model talkspurts
     /// (≈42% activity) and suppress RTP during silence. The paper's
     /// testbed keeps this **off** ("a dialogue without moments of
-    /// idleness"); the ablation bench measures what it would have saved.
+    /// idleness"); `silence_suppression_cuts_media_volume` measures what it
+    /// would have saved.
     pub silence_suppression: bool,
     /// Capture all delivered traffic into an in-memory pcap (the
     /// Wireshark substitution made literal). Costs memory proportional to
@@ -117,14 +117,10 @@ pub struct EmpiricalConfig {
     /// Scheduled faults injected during the run (empty = the paper's
     /// healthy testbed).
     pub faults: FaultSchedule,
-    /// PBX overload control (`None` = saturate like the paper's server;
-    /// `Some` = shed with 503 + Retry-After between the watermarks).
-    pub overload: Option<OverloadControl>,
-    /// Pluggable overload-control law (the [`overload`] crate's suite).
-    /// When both this and `overload` are set, the legacy `overload`
-    /// hysteresis wins — it is the digest-pinned reference path.
-    /// Rate/window laws additionally arm a caller-side [`loadgen::Pacer`]
-    /// that obeys the PBX's `X-Overload-Control` feedback.
+    /// PBX overload-control law from the [`overload`] crate (`None` =
+    /// saturate like the paper's server). Rate/window laws additionally
+    /// arm a caller-side [`loadgen::Pacer`] that obeys the PBX's
+    /// `X-Overload-Control` feedback.
     pub overload_law: Option<ControlLaw>,
     /// UAC 503-retry behaviour (`None` = a shed call counts as blocked).
     pub retry: Option<RetryPolicy>,
@@ -168,7 +164,6 @@ impl EmpiricalConfig {
             user_pool: 100,
             max_calls_per_user: None,
             faults: FaultSchedule::new(),
-            overload: None,
             overload_law: None,
             retry: None,
             threads: None,
@@ -223,7 +218,6 @@ impl EmpiricalConfig {
             user_pool: 20,
             max_calls_per_user: None,
             faults: FaultSchedule::new(),
-            overload: None,
             overload_law: None,
             retry: None,
             threads: None,

@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn fig6_empirical_tracks_analytic_at_small_scale() {
         // Tiny sweep (3 loads × 2 reps) to keep debug-mode runtime sane;
-        // the full sweep runs in the bench.
+        // the full sweep runs in the benchmark.
         let pts = fig6(&[140.0, 200.0, 240.0], 2, 99);
         assert_eq!(pts.len(), 3);
         // At 140 E vs 165 channels there is almost no blocking.

@@ -25,8 +25,8 @@
 //! [`des::ShardedSim`]; `Sequential` is the single-threaded
 //! global-interleave reference and `Sharded { threads }` the windowed
 //! parallel executor. They are digest-identical at any thread count (see
-//! `des::shard` for the argument; `tests/parallel_determinism.rs` and
-//! `bench_parallel_json` enforce it).
+//! `des::shard` for the argument; `tests/parallel_determinism.rs`
+//! enforces it).
 
 use crate::experiment::{compute_recoveries, EmpiricalConfig, RunResult, SimOptions};
 use crate::world::{pbx_node, Ev, World};

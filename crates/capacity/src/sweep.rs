@@ -141,8 +141,8 @@ impl ProgressMeter {
 
 /// The sequential reference executor: run every task on the calling
 /// thread, in task order. [`run_sweep`] must be indistinguishable from
-/// this at any worker count — the property `bench_sweep_json` asserts
-/// fatally and `tests/sweep_determinism.rs` propchecks.
+/// this at any worker count — the property
+/// `tests/sweep_determinism.rs` propchecks.
 pub fn run_sweep_reference<T, F>(tasks: &[SweepTask], f: F) -> Vec<T>
 where
     F: Fn(SweepTask) -> T,

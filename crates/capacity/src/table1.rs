@@ -114,7 +114,7 @@ mod tests {
         }
         // Blocking appears at A ≥ 200 and grows with load. (At exactly
         // 160 E vs 165 channels the short scaled window may or may not
-        // block — the full-length run in the bench does.)
+        // block — the full-length run in the benchmark does.)
         assert!(rows[4].blocked_pct > 0.0, "A=200 must block");
         assert!(rows[5].blocked_pct > rows[4].blocked_pct * 0.8);
 

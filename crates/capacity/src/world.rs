@@ -429,14 +429,6 @@ impl World {
         Self::with_engine(config, MediaPath::default(), MediaKernel::default())
     }
 
-    /// Build a world with an explicit media-path implementation (the
-    /// per-tick reference path exists for benchmarks and A/B validation),
-    /// using the default media kernel.
-    #[must_use]
-    pub fn with_media_path(config: EmpiricalConfig, media_path: MediaPath) -> Self {
-        Self::with_engine(config, media_path, MediaKernel::default())
-    }
-
     /// Build a world with explicit media path and media kernel.
     #[must_use]
     pub fn with_engine(
@@ -465,7 +457,6 @@ impl World {
             let mut pbx_cfg = PbxConfig::evaluation_default(pbx_node(k));
             pbx_cfg.channels = config.channels;
             pbx_cfg.max_calls_per_user = config.max_calls_per_user;
-            pbx_cfg.overload = config.overload;
             pbx_cfg.overload_law = config.overload_law;
             pbx_cfg.hostname.clone_from(&hostname);
             // Shared sweep-plane precompute: the subscriber table is a

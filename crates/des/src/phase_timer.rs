@@ -51,8 +51,7 @@ const PHASES: usize = 7;
 ///
 /// `enabled` records whether the producing binary was compiled with
 /// `phase-timing`; when it is `false` every bucket is zero and consumers
-/// (the text report, the bench emitters) should omit the breakdown rather
-/// than print zeros.
+/// (the text report) should omit the breakdown rather than print zeros.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseBreakdown {
     /// Whether the breakdown was actually measured.

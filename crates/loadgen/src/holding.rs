@@ -3,8 +3,9 @@
 //! The paper's empirical method fixes `h = 120 s` ("a dialogue between
 //! end-points without moments of idleness"); the analytical model only
 //! needs the mean. Exponential and lognormal laws are provided for the
-//! sensitivity ablation — Erlang-B is famously insensitive to the holding
-//! distribution beyond its mean, and the ablation bench demonstrates it.
+//! sensitivity study — Erlang-B is famously insensitive to the holding
+//! distribution beyond its mean, and `tests/empirical_vs_analytic.rs`
+//! demonstrates it.
 
 use des::rng::Distributions;
 use des::{SimDuration, StreamRng};

@@ -28,38 +28,6 @@ use sipcore::sdp::SdpCodec;
 use sipcore::{AtomTable, Method, StatusCode};
 use std::sync::Arc;
 
-/// Overload-control watermarks (SIP server shedding à la RFC 7339).
-///
-/// The PBX watches two load signals: channel-pool occupancy
-/// (`in_use / capacity`) and the CPU model's last completed window
-/// utilisation. When either crosses `high_watermark` the PBX starts
-/// shedding *new* INVITEs with `503 Service Unavailable` + `Retry-After`;
-/// it keeps shedding until both signals fall back below `low_watermark`
-/// (hysteresis, so the control does not chatter at the threshold).
-/// In-progress calls are never touched.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverloadControl {
-    /// Engage shedding at or above this load fraction (0..1].
-    pub high_watermark: f64,
-    /// Disengage once load falls below this fraction (< high).
-    pub low_watermark: f64,
-    /// Value advertised in the 503's `Retry-After` header.
-    pub retry_after: SimDuration,
-}
-
-impl OverloadControl {
-    /// Conservative defaults: shed at 90% load, resume below 70%, ask
-    /// callers to hold off for 2 s.
-    #[must_use]
-    pub fn default_watermarks() -> Self {
-        OverloadControl {
-            high_watermark: 0.90,
-            low_watermark: 0.70,
-            retry_after: SimDuration::from_secs(2),
-        }
-    }
-}
-
 /// PBX configuration.
 #[derive(Debug, Clone)]
 pub struct PbxConfig {
@@ -84,13 +52,8 @@ pub struct PbxConfig {
     /// registrar also accepts the lightweight `Simple` scheme used by the
     /// bulk experiments (either way the directory is consulted).
     pub require_digest: bool,
-    /// Optional overload control (`None` = the paper's testbed, which
-    /// never sheds and simply saturates).
-    pub overload: Option<OverloadControl>,
-    /// Optional pluggable overload-control law from the `overload` crate.
-    /// When both this and the legacy [`PbxConfig::overload`] watermarks are
-    /// set, the legacy inline path wins (it is the reference
-    /// implementation the digest-compatibility tests compare against).
+    /// Optional overload-control law from the `overload` crate (`None` =
+    /// the paper's testbed, which never sheds and simply saturates).
     pub overload_law: Option<ControlLaw>,
 }
 
@@ -107,7 +70,6 @@ impl PbxConfig {
             dialplan: Dialplan::campus_default(),
             max_calls_per_user: None,
             require_digest: false,
-            overload: None,
             overload_law: None,
         }
     }
@@ -227,8 +189,6 @@ pub struct Pbx {
     by_pbx_port: FastMap<u16, (usize, bool)>, // port -> (call, faces_caller)
     next_port: u16,
     next_call_serial: u64,
-    /// Overload-control hysteresis state: currently shedding?
-    shedding: bool,
     /// Pluggable overload-control law (built from `config.overload_law`).
     law: Option<Box<dyn overload::OverloadControl>>,
     /// Last observed access-link media quality (loss fraction, jitter ms,
@@ -249,6 +209,8 @@ pub struct Pbx {
 }
 
 const FIRST_MEDIA_PORT: u16 = 10_000;
+/// Even ports in `FIRST_MEDIA_PORT..=u16::MAX`.
+const MEDIA_PORTS: u32 = (u16::MAX - FIRST_MEDIA_PORT) as u32 / 2 + 1;
 
 impl Pbx {
     /// Build a PBX with the given configuration and subscriber directory.
@@ -277,7 +239,6 @@ impl Pbx {
             by_pbx_port: FastMap::default(),
             next_port: FIRST_MEDIA_PORT,
             next_call_serial: 0,
-            shedding: false,
             law,
             link_quality: (0.0, 0.0, 0.0),
             nonce,
@@ -308,20 +269,8 @@ impl Pbx {
         self.calls[idx].as_ref()?.caller_invite.call_id()
     }
 
-    /// The load fraction overload control watches: the worse of channel
-    /// occupancy and the last completed CPU window.
-    #[must_use]
-    pub fn load_signal(&self) -> f64 {
-        let occupancy = if self.config.channels == 0 {
-            0.0
-        } else {
-            f64::from(self.pool.in_use()) / f64::from(self.config.channels)
-        };
-        occupancy.max(self.cpu.last_window_utilisation().unwrap_or(0.0))
-    }
-
-    /// The full signal set a pluggable control law observes: the legacy
-    /// occupancy/CPU pair plus pool headroom and link media quality.
+    /// The signal set a control law observes: channel occupancy, the last
+    /// completed CPU window, pool headroom and link media quality.
     #[must_use]
     pub fn load_signals(&self) -> LoadSignals {
         let occupancy = if self.config.channels == 0 {
@@ -349,7 +298,7 @@ impl Pbx {
     /// True while overload control is actively shedding new INVITEs.
     #[must_use]
     pub fn is_shedding(&self) -> bool {
-        self.shedding || self.law.as_ref().is_some_and(|l| l.is_shedding())
+        self.law.as_ref().is_some_and(|l| l.is_shedding())
     }
 
     /// Crash fault: the Asterisk process dies and is restarted by its
@@ -372,7 +321,6 @@ impl Pbx {
         self.by_callee_call_id.clear();
         self.by_pbx_port.clear();
         self.active_per_user.clear();
-        self.shedding = false;
         if let Some(law) = self.law.as_mut() {
             law.on_crash();
         }
@@ -559,44 +507,11 @@ impl Pbx {
             return self.on_reinvite(from, idx, &req);
         }
         // Overload control: shed *new* work before spending any routing or
-        // channel effort on it (that is the point of shedding). The legacy
-        // inline watermarks are the reference path; a pluggable law from
-        // the `overload` crate may additionally advertise feedback, which
-        // rides on this call's 100 Trying when it is admitted.
+        // channel effort on it (that is the point of shedding). A law may
+        // also advertise feedback, which rides on this call's 100 Trying
+        // when it is admitted.
         let mut admit_feedback: Option<Feedback> = None;
-        if let Some(ctl) = self.config.overload {
-            let load = self.load_signal();
-            if self.shedding {
-                if load <= ctl.low_watermark {
-                    self.shedding = false;
-                }
-            } else if load >= ctl.high_watermark {
-                self.shedding = true;
-            }
-            if self.shedding {
-                self.stats.calls_shed += 1;
-                let caller_aor = req
-                    .headers
-                    .get(&HeaderName::From)
-                    .and_then(extract_user)
-                    .unwrap_or_default();
-                self.cdr.push(CallRecord {
-                    call_id,
-                    caller: caller_aor,
-                    callee: req.uri.user.clone(),
-                    start: now,
-                    answered: None,
-                    end: Some(now),
-                    disposition: Disposition::Shed,
-                });
-                let mut resp = req.make_response(StatusCode::SERVICE_UNAVAILABLE);
-                resp.headers.push(
-                    HeaderName::RetryAfter,
-                    format!("{}", ctl.retry_after.as_secs_f64().ceil() as u64),
-                );
-                return vec![self.reply(from, resp)];
-            }
-        } else if self.law.is_some() {
+        if self.law.is_some() {
             let signals = self.load_signals();
             let decision = self
                 .law
@@ -1116,13 +1031,21 @@ impl Pbx {
         }
     }
 
+    /// Next free media port. Ports cycle through the even numbers from
+    /// [`FIRST_MEDIA_PORT`] up; once the range has wrapped, ports still
+    /// bound to a live call are skipped (teardown unbinds them).
+    ///
+    /// # Panics
+    /// If every port in the range is bound to a live call.
     fn alloc_port(&mut self) -> u16 {
-        let p = self.next_port;
-        self.next_port = self
-            .next_port
-            .checked_add(2)
-            .expect("media ports exhausted");
-        p
+        for _ in 0..MEDIA_PORTS {
+            let p = self.next_port;
+            self.next_port = p.checked_add(2).unwrap_or(FIRST_MEDIA_PORT);
+            if !self.by_pbx_port.contains_key(&p) {
+                return p;
+            }
+        }
+        panic!("media ports exhausted: all {MEDIA_PORTS} are bound to live calls");
     }
 
     fn send(&mut self, to: NodeId, msg: SipMessage) -> PbxAction {
@@ -1469,6 +1392,64 @@ mod tests {
         assert_eq!(pbx.stats().rtp_relayed, 3);
     }
 
+    /// More admit→BYE cycles than the media-port range holds: the
+    /// allocator wraps instead of panicking, and a port still bound to a
+    /// live call is never handed to another.
+    #[test]
+    fn media_ports_wrap_and_skip_live_calls() {
+        let mut pbx = pbx_with_users();
+        let admit = |pbx: &mut Pbx, cid: &str| {
+            let acts = pbx.handle_sip(
+                SimTime::from_secs(1),
+                CALLER_NODE,
+                invite(cid, "1001", "1002", 6000).into(),
+            );
+            assert_eq!(acts.len(), 2, "{cid} admitted");
+        };
+        // Two calls held across the wrap sit on the first four ports.
+        admit(&mut pbx, "held-a");
+        admit(&mut pbx, "held-b");
+        // Two ports per call, so this outruns the range by ~600 calls.
+        for i in 0..MEDIA_PORTS / 2 + 600 {
+            let cid = format!("c{i}");
+            admit(&mut pbx, &cid);
+            // Two map entries per live call: a reused live port would
+            // have overwritten one.
+            assert_eq!(
+                pbx.by_pbx_port.len(),
+                6,
+                "cycle {i}: live calls share a port"
+            );
+            let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
+                .header(HeaderName::CallId, cid)
+                .header(HeaderName::CSeq, "2 BYE");
+            let acts = pbx.handle_sip(SimTime::from_secs(2), CALLER_NODE, bye.into());
+            let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
+            pbx.handle_sip(
+                SimTime::from_secs(2),
+                CALLEE_NODE,
+                fwd.make_response(StatusCode::OK).into(),
+            );
+            assert_eq!(pbx.active_calls(), 2);
+        }
+        let mut live: Vec<u16> = pbx
+            .calls
+            .iter()
+            .flatten()
+            .flat_map(|c| [c.caller.pbx_port, c.callee.pbx_port])
+            .collect();
+        live.sort_unstable();
+        assert_eq!(
+            live,
+            [
+                FIRST_MEDIA_PORT,
+                FIRST_MEDIA_PORT + 2,
+                FIRST_MEDIA_PORT + 4,
+                FIRST_MEDIA_PORT + 6
+            ]
+        );
+    }
+
     #[test]
     fn rtp_to_unknown_port_is_dropped() {
         let mut pbx = pbx_with_users();
@@ -1756,7 +1737,7 @@ mod tests {
         let dir = Directory::with_subscribers(1000, 100);
         let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
         cfg.channels = 4;
-        cfg.overload = Some(OverloadControl {
+        cfg.overload_law = Some(ControlLaw::Hysteresis {
             high_watermark: 0.75,
             low_watermark: 0.30,
             retry_after: SimDuration::from_secs(3),
@@ -1792,59 +1773,34 @@ mod tests {
         assert_eq!(pbx.pool.in_use(), 3);
     }
 
-    /// The pluggable `Hysteresis` law must produce byte-identical actions
-    /// to the legacy inline watermarks — message for message — across
-    /// admit, shed, and release. This is the unit-level half of the
-    /// digest-compatibility guarantee (the experiment layer pins the full
-    /// run digest).
+    /// The hysteresis law end to end through the PBX: admit up to the
+    /// high watermark, shed with a bare `503 + Retry-After` (no feedback
+    /// header on the wire), release below the low watermark.
     #[test]
-    fn pluggable_hysteresis_law_replays_legacy_actions_exactly() {
-        let build = |pluggable: bool| {
-            let dir = Directory::with_subscribers(1000, 100);
-            let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
-            cfg.channels = 4;
-            if pluggable {
-                cfg.overload_law = Some(ControlLaw::Hysteresis {
-                    high_watermark: 0.75,
-                    low_watermark: 0.30,
-                    retry_after: SimDuration::from_secs(3),
-                });
-            } else {
-                cfg.overload = Some(OverloadControl {
-                    high_watermark: 0.75,
-                    low_watermark: 0.30,
-                    retry_after: SimDuration::from_secs(3),
-                });
-            }
-            let mut pbx = Pbx::new(cfg, dir);
-            for (uid, node) in [("1001", CALLER_NODE), ("1002", CALLEE_NODE)] {
-                pbx.handle_sip(SimTime::ZERO, node, register_request(uid).into());
-            }
-            pbx
-        };
-        let mut legacy = build(false);
-        let mut law = build(true);
+    fn hysteresis_law_sheds_without_feedback_then_releases() {
+        let dir = Directory::with_subscribers(1000, 100);
+        let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
+        cfg.channels = 4;
+        cfg.overload_law = Some(ControlLaw::Hysteresis {
+            high_watermark: 0.75,
+            low_watermark: 0.30,
+            retry_after: SimDuration::from_secs(3),
+        });
+        let mut pbx = Pbx::new(cfg, dir);
+        for (uid, node) in [("1001", CALLER_NODE), ("1002", CALLEE_NODE)] {
+            pbx.handle_sip(SimTime::ZERO, node, register_request(uid).into());
+        }
         // Admit three calls (reaching the high watermark), shed the
         // fourth, tear down to below the low watermark, admit again.
-        let step = |legacy: &mut Pbx, law: &mut Pbx, t: u64, node: NodeId, msg: SipMessage| {
-            let a = legacy.handle_sip(SimTime::from_secs(t), node, msg.clone());
-            let b = law.handle_sip(SimTime::from_secs(t), node, msg);
-            assert_eq!(a, b, "action divergence at t={t}");
-            a
-        };
         for cid in ["p1", "p2", "p3"] {
-            step(
-                &mut legacy,
-                &mut law,
-                1,
+            pbx.handle_sip(
+                SimTime::from_secs(1),
                 CALLER_NODE,
                 invite(cid, "1001", "1002", 6000).into(),
             );
         }
-        let acts = step(
-            &mut legacy,
-            &mut law,
-            2,
+        let acts = pbx.handle_sip(
+            SimTime::from_secs(2),
             CALLER_NODE,
             invite("p4", "1001", "1002", 6000).into(),
         );
@@ -1853,37 +1809,30 @@ mod tests {
         assert_eq!(resp.headers.get(&HeaderName::RetryAfter), Some("3"));
         assert!(
             !resp.headers.contains(&HeaderName::OverloadControl),
-            "hysteresis advertises no feedback — wire stays byte-identical"
+            "hysteresis advertises no feedback"
         );
-        assert!(legacy.is_shedding() && law.is_shedding());
+        assert!(pbx.is_shedding());
         for cid in ["p1", "p2"] {
             let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
                 .header(HeaderName::CallId, cid.to_owned())
                 .header(HeaderName::CSeq, "2 BYE");
-            let acts = step(&mut legacy, &mut law, 10, CALLER_NODE, bye.into());
+            let acts = pbx.handle_sip(SimTime::from_secs(10), CALLER_NODE, bye.into());
             let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
-            step(
-                &mut legacy,
-                &mut law,
-                10,
+            pbx.handle_sip(
+                SimTime::from_secs(10),
                 CALLEE_NODE,
                 fwd.make_response(StatusCode::OK).into(),
             );
         }
-        let acts = step(
-            &mut legacy,
-            &mut law,
-            11,
+        let acts = pbx.handle_sip(
+            SimTime::from_secs(11),
             CALLER_NODE,
             invite("p5", "1001", "1002", 6000).into(),
         );
-        assert_eq!(acts.len(), 2, "released below low watermark on both");
-        assert!(!legacy.is_shedding() && !law.is_shedding());
-        assert_eq!(legacy.stats(), law.stats());
-        assert_eq!(
-            legacy.cdr.count(Disposition::Shed),
-            law.cdr.count(Disposition::Shed)
-        );
+        assert_eq!(acts.len(), 2, "released below low watermark");
+        assert!(!pbx.is_shedding());
+        assert_eq!(pbx.stats().calls_shed, 1);
+        assert_eq!(pbx.cdr.count(Disposition::Shed), 1);
     }
 
     /// Feedback-driven laws advertise their state on the 100 Trying of
@@ -1987,7 +1936,7 @@ mod tests {
         let dir = Directory::with_subscribers(1000, 100);
         let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
         cfg.channels = 4;
-        cfg.overload = Some(OverloadControl {
+        cfg.overload_law = Some(ControlLaw::Hysteresis {
             high_watermark: 0.75,
             low_watermark: 0.30,
             retry_after: SimDuration::from_secs(2),
@@ -2039,7 +1988,7 @@ mod tests {
         let dir = Directory::with_subscribers(1000, 100);
         let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
         cfg.channels = 4;
-        cfg.overload = Some(OverloadControl {
+        cfg.overload_law = Some(ControlLaw::Hysteresis {
             high_watermark: 0.75,
             low_watermark: 0.30,
             retry_after: SimDuration::from_secs(2),

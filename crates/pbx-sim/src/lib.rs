@@ -30,7 +30,7 @@ pub mod dialplan;
 pub mod directory;
 pub mod registrar;
 
-pub use b2bua::{OverloadControl, Pbx, PbxAction, PbxConfig, PbxStats};
+pub use b2bua::{Pbx, PbxAction, PbxConfig, PbxStats};
 pub use cdr::{CallRecord, Disposition};
 pub use channels::ChannelPool;
 pub use cpu::CpuModel;

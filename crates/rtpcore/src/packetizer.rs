@@ -248,8 +248,8 @@ impl Packetizer {
     /// Scalar-reference variant of [`Self::encode_shared`]: per-sample
     /// segment-search companding from [`crate::g711::reference`] rather
     /// than the lookup tables. This is the pre-vectorization media
-    /// kernel, kept callable so `bench_media_json` can run the old and
-    /// new compute planes against each other in one binary.
+    /// kernel, kept callable as the oracle the `MediaKernel::Reference`
+    /// path and the LUT-equivalence tests compare against.
     ///
     /// # Panics
     /// If `samples.len() != SAMPLES_PER_FRAME`.
@@ -311,8 +311,8 @@ impl Packetizer {
     ///
     /// This is the large-sweep fast path: the experiment encodes real
     /// audio every Nth frame and reuses the companded bytes in between, so
-    /// headers/counts stay exact while skipping redundant DSP work (the
-    /// `ablation_rtp_fidelity` bench quantifies the saving).
+    /// headers/counts stay exact while skipping redundant DSP work
+    /// (`tests/full_stack_media.rs` asserts the counts are unchanged).
     ///
     /// # Panics
     /// If `payload.len() != SAMPLES_PER_FRAME`.

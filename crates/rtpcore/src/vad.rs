@@ -5,7 +5,7 @@
 //! direction. Real conversations alternate talkspurts and silences
 //! (classically modelled as a two-state Markov process with ~1 s talk and
 //! ~1.35 s silence means, giving ~40% activity per direction). This module
-//! provides that source so the ablation bench can quantify how much
+//! provides that source so an experiment can quantify how much
 //! headroom silence suppression would have bought the UnB deployment.
 
 use crate::packetizer::{VoiceSource, SAMPLES_PER_FRAME};

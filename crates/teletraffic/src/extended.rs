@@ -10,7 +10,7 @@
 //! ```
 //!
 //! The paper's "effective call policy" discussion (§IV) is exactly about
-//! containing this feedback loop; the ablation bench quantifies it.
+//! containing this feedback loop.
 
 use crate::erlang_b::blocking_probability;
 use crate::error::TrafficError;

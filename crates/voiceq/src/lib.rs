@@ -52,7 +52,7 @@ impl CodecProfile {
     }
 
     /// G.711 **without** concealment — markedly less loss-robust
-    /// (Bpl = 4.3); used by the ablation bench.
+    /// (Bpl = 4.3); the contrast case for the concealment tests.
     #[must_use]
     pub fn g711_no_plc() -> Self {
         CodecProfile {

@@ -26,8 +26,8 @@ fn main() {
         erlangs: offered.value(),
         servers: 1,
         // The textbook Erlang-B assumption; the paper's fixed 120 s is
-        // exercised by Table I. Erlang-B is insensitive to the choice —
-        // the ablation bench quantifies exactly that.
+        // exercised by Table I. Erlang-B is insensitive to the choice
+        // (`tests/empirical_vs_analytic.rs::holding_time_insensitivity`).
         holding: HoldingDist::Exponential(180.0),
         placement_window_s: 3600.0,
         channels: 165,
@@ -39,7 +39,6 @@ fn main() {
         user_pool: 200,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,

@@ -43,7 +43,6 @@ fn main() {
         user_pool: 50,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,

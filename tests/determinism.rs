@@ -21,7 +21,6 @@ fn cfg(seed: u64, media: MediaMode) -> EmpiricalConfig {
         user_pool: 10,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,
@@ -135,7 +134,7 @@ fn fifo_tie_break_identical_under_10k_simultaneous_events() {
 
 #[test]
 fn parallel_fig6_is_reproducible() {
-    // The rayon-parallel sweep must give identical numbers on every
+    // The work-stealing sweep must give identical numbers on every
     // invocation regardless of thread interleaving (per-run RNG streams).
     let loads = [15.0, 25.0];
     let x = capacity::figures::fig6(&loads, 2, 7);

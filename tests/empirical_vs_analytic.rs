@@ -21,7 +21,6 @@ fn sweep_config(erlangs: f64, holding: HoldingDist, channels: u32, seed: u64) ->
         user_pool: 50,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,

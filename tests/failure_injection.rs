@@ -34,7 +34,6 @@ fn zero_channel_pbx_blocks_every_call() {
         user_pool: 10,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,
@@ -66,7 +65,6 @@ fn heavy_wire_loss_degrades_mos_but_not_blocking() {
         user_pool: 10,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,

@@ -18,7 +18,6 @@ use capacity::world::pbx_node;
 use des::{SimDuration, SimTime};
 use loadgen::{HoldingDist, RetryPolicy};
 use netsim::topology::nodes;
-use pbx_sim::OverloadControl;
 
 /// Signalling-only base config with enough traffic for a readable
 /// answers-per-second signal (~5 calls/s).
@@ -145,7 +144,7 @@ fn flash_config(seed: u64) -> EmpiricalConfig {
 #[test]
 fn flash_crowd_sheds_then_retries_recover_goodput() {
     let mut with_shed = flash_config(303);
-    with_shed.overload = Some(OverloadControl {
+    with_shed.overload_law = Some(ControlLaw::Hysteresis {
         high_watermark: 0.85,
         low_watermark: 0.5,
         retry_after: SimDuration::from_secs(4),
@@ -196,7 +195,7 @@ fn flash_crowd_during_link_degrade_is_deterministic_and_recovers() {
             loss_probability: 0.02,
             ..netsim::LinkParams::fast_ethernet()
         };
-        cfg.overload = Some(OverloadControl::default_watermarks());
+        cfg.overload_law = Some(ControlLaw::hysteresis_default());
         cfg.retry = Some(RetryPolicy::default());
         cfg.faults = FaultSchedule::new()
             .at(
@@ -247,7 +246,7 @@ fn flash_crowd_during_link_degrade_is_deterministic_and_recovers() {
 fn fault_runs_are_deterministic() {
     let run = |seed: u64| {
         let mut cfg = flash_config(seed);
-        cfg.overload = Some(OverloadControl::default_watermarks());
+        cfg.overload_law = Some(ControlLaw::hysteresis_default());
         cfg.retry = Some(RetryPolicy::default());
         cfg.faults = cfg.faults.at(
             50.0,

@@ -21,7 +21,6 @@ fn media_cfg(seed: u64) -> EmpiricalConfig {
         user_pool: 10,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,

@@ -5,10 +5,9 @@
 //! response headers. These tests pin the properties the suite is built
 //! on:
 //!
-//!  1. the pluggable `Hysteresis503` law is *byte-identical* to the
-//!     legacy inline hysteresis — same actions, same wire bytes, same
-//!     [`RunResult::digest`] — so swapping the implementation cannot
-//!     silently move the physics;
+//!  1. the `Hysteresis503` law is pinned to the [`RunResult::digest`] of
+//!     the inline hysteresis it replaced, so the law cannot silently
+//!     move the physics;
 //!  2. every law runs a flash-crowd scenario deterministically and
 //!     carries traffic;
 //!  3. rate/window feedback actually reaches the caller and changes the
@@ -20,7 +19,6 @@ use asterisk_capacity::prelude::*;
 use capacity::experiment::MediaMode;
 use des::SimDuration;
 use loadgen::{HoldingDist, RetryPolicy};
-use pbx_sim::OverloadControl;
 
 /// Flash-crowd cell: a small pool driven hard enough that admission
 /// control has real work to do (mirrors `tests/fault_schedule.rs`).
@@ -47,35 +45,30 @@ fn flash_config(seed: u64) -> EmpiricalConfig {
     cfg
 }
 
+/// Digest of this cell under the inline two-watermark shed that
+/// `Hysteresis503` replaced, printed from the last commit that still
+/// carried it (the two paths were digest-equal there).
+const LEGACY_INLINE_SHED_DIGEST: u64 = 0x3858_75c2_f192_63d2;
+
 #[test]
 fn pluggable_hysteresis_digest_matches_legacy_inline_shed() {
-    let mut legacy = flash_config(303);
-    legacy.overload = Some(OverloadControl {
+    let mut cfg = flash_config(303);
+    cfg.overload_law = Some(ControlLaw::Hysteresis {
         high_watermark: 0.85,
         low_watermark: 0.5,
         retry_after: SimDuration::from_secs(4),
     });
-    let legacy_run = EmpiricalRunner::run(legacy);
+    let run = EmpiricalRunner::run(cfg);
 
-    let mut plug = flash_config(303);
-    plug.overload_law = Some(ControlLaw::Hysteresis {
-        high_watermark: 0.85,
-        low_watermark: 0.5,
-        retry_after: SimDuration::from_secs(4),
-    });
-    let plug_run = EmpiricalRunner::run(plug);
-
-    // Both engaged: this scenario exercises the shed/retry path, not
-    // just the idle fast path.
-    assert!(legacy_run.shed > 0, "legacy hysteresis engaged");
-    assert!(plug_run.shed > 0, "pluggable hysteresis engaged");
+    // Engaged: this scenario exercises the shed/retry path, not just the
+    // idle fast path.
+    assert!(run.shed > 0, "hysteresis engaged");
     // The strong claim: identical physics, down to every event count
     // and float bit pattern the digest folds.
     assert_eq!(
-        legacy_run.digest(),
-        plug_run.digest(),
-        "pluggable Hysteresis503 must replay the legacy inline shed exactly: \
-         legacy {legacy_run:?} vs pluggable {plug_run:?}"
+        run.digest(),
+        LEGACY_INLINE_SHED_DIGEST,
+        "Hysteresis503 must replay the legacy inline shed exactly: {run:?}"
     );
 }
 

@@ -101,7 +101,6 @@ fn relay_path_performs_zero_payload_copies() {
         user_pool: 50,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,
@@ -110,7 +109,7 @@ fn relay_path_performs_zero_payload_copies() {
     };
     let sched =
         Scheduler::with_kind_and_capacity(SchedulerKind::Wheel, cfg.expected_pending_events());
-    let world = World::with_media_path(cfg, MediaPath::Coalesced);
+    let world = World::new(cfg);
     let mut sim = Simulation::with_scheduler(world, sched);
     sim.world.prime(&mut sim.sched);
     sim.run_until(SimTime::from_secs(10));

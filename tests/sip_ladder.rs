@@ -26,7 +26,6 @@ fn one_call_is_thirteen_messages() {
         user_pool: 4,
         max_calls_per_user: None,
         faults: faults::FaultSchedule::new(),
-        overload: None,
         overload_law: None,
         retry: None,
         threads: None,
