@@ -16,7 +16,7 @@ use netsim::topology::{nodes, StarTopology};
 use netsim::{LinkParams, NodeId, SendOutcome};
 use overload::ControlLaw;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
-use rtpcore::packet::RtpDatagram;
+use rtpcore::packet::{RtpDatagram, RtpHeader, RTP_HEADER_LEN};
 use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES_PER_FRAME};
 use rtpcore::vad::{FrameSlot, TalkspurtSource};
 use sipcore::{AtomTable, SipMessage};
@@ -337,10 +337,29 @@ struct MediaSession {
     remote_node: NodeId,
     remote_port: u16,
     cached_payload: Arc<[u8]>,
-    frames_sent: u64,
+    /// Frames still to send from `cached_payload` before the next one
+    /// re-encodes it (frames 50, 100, … of the stream at the Table I
+    /// setting of one real encode per second).
+    refresh_in: u32,
     active: bool,
     /// Next grid-aligned emission time (coalesced path only).
     next_due: SimTime,
+}
+
+impl MediaSession {
+    /// `(local node, remote node, remote port)` of the stream.
+    fn route(&self) -> (NodeId, NodeId, u16) {
+        (self.local_node, self.remote_node, self.remote_port)
+    }
+
+    /// The packet `header` belongs to, as a frame payload: the cached
+    /// companded bytes ride along by refcount.
+    fn datagram(&self, header: RtpHeader) -> RtpDatagram {
+        RtpDatagram {
+            header,
+            payload: self.cached_payload.clone(),
+        }
+    }
 }
 
 /// Live state of the finite-source population workload: the aggregated
@@ -1105,7 +1124,9 @@ impl World {
             remote_node,
             remote_port,
             cached_payload: cached,
-            frames_sent: 1,
+            // The packet just sent was frame 0; frame `encode_every`
+            // is the first refresh.
+            refresh_in: self.media_encode_every().map_or(0, |every| every - 1),
             active: true,
             next_due: grid + FRAME_PERIOD,
         };
@@ -1162,23 +1183,27 @@ impl World {
         }
     }
 
-    /// Advance one session by one frame: returns the datagram to emit, or
-    /// `None` for a silence-suppressed slot. `scratch` is the world's
-    /// reused PCM buffer (batched kernel only); `kernel` selects how
-    /// refresh frames are synthesised and companded.
-    fn next_media_datagram(
+    /// Advance one session by one frame: the header and RTP length of the
+    /// packet to emit, or `None` for a silence-suppressed slot. The
+    /// payload the packet carries is `session.cached_payload` as this
+    /// leaves it; only callers that put real octets on a frame clone it
+    /// (see [`MediaSession::datagram`]). `scratch` is the world's reused
+    /// PCM buffer (batched kernel only); `kernel` selects how refresh
+    /// frames are synthesised and companded.
+    fn advance_session(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
         kernel: MediaKernel,
-        encode_every: u64,
-    ) -> Option<RtpDatagram> {
+        encode_every: u32,
+    ) -> Option<(RtpHeader, usize)> {
+        let refresh = session.refresh_in == 0;
         // With VAD, a silent slot advances the media clock and sends
         // nothing; the frame cadence continues.
         let talking = match &mut session.source {
             AudioSource::Continuous(_) | AudioSource::ContinuousBatched(_) => true,
             AudioSource::Talkspurt(t) => match t.next_slot() {
                 FrameSlot::Talk { samples, .. } => {
-                    if session.frames_sent.is_multiple_of(encode_every) {
+                    if refresh {
                         session.cached_payload = match kernel {
                             MediaKernel::Reference => samples
                                 .iter()
@@ -1202,7 +1227,7 @@ impl World {
         }
         // Refresh the cached payload on encode frames; the voice source
         // only advances when a frame is actually synthesised.
-        if session.frames_sent.is_multiple_of(encode_every) {
+        if refresh {
             match &mut session.source {
                 AudioSource::Continuous(voice) => {
                     let samples = voice.next_samples(SAMPLES_PER_FRAME);
@@ -1214,13 +1239,11 @@ impl World {
                 }
                 AudioSource::Talkspurt(_) => {}
             }
+            session.refresh_in = encode_every;
         }
-        // The steady-state fast path: clone an Arc, not 160 bytes.
-        let datagram = session
-            .packetizer
-            .packetize_shared(session.cached_payload.clone());
-        session.frames_sent += 1;
-        Some(datagram)
+        session.refresh_in -= 1;
+        let rtp_len = RTP_HEADER_LEN + session.cached_payload.len();
+        Some((session.packetizer.next_header(), rtp_len))
     }
 
     /// Cut-through emission for the coalesced path: chase the packet
@@ -1234,10 +1257,9 @@ impl World {
     fn emit_media_express(
         &mut self,
         now: SimTime,
-        src: NodeId,
-        pbx: NodeId,
-        pbx_port: u16,
-        datagram: &RtpDatagram,
+        (src, pbx, pbx_port): (NodeId, NodeId, u16),
+        header: &RtpHeader,
+        rtp_len: usize,
         timer: &mut PhaseTimer,
     ) {
         let Some(k) = self.pbx_index_of(pbx) else {
@@ -1246,7 +1268,7 @@ impl World {
         if self.pbx_down[k] {
             return;
         }
-        let wire_len = datagram.wire_len() + 46;
+        let wire_len = rtp_len + 46;
         let delivered = timer.measure(Phase::Relay, || {
             let sw = self.topo.next_hop(src, pbx);
             let net = &mut self.topo.network;
@@ -1280,12 +1302,8 @@ impl World {
         };
         let flow = FlowId::from_node_port(to.0, to_port);
         timer.measure(Phase::Scoring, || {
-            self.monitor.tap_rtp(
-                flow,
-                t4.as_secs_f64(),
-                t4.since(now).as_secs_f64(),
-                &datagram.header,
-            );
+            self.monitor
+                .tap_rtp(flow, t4.as_secs_f64(), t4.since(now).as_secs_f64(), header);
         });
     }
 
@@ -1315,10 +1333,10 @@ impl World {
         );
     }
 
-    fn media_encode_every(&self) -> Option<u64> {
+    fn media_encode_every(&self) -> Option<u32> {
         match self.config.media {
             MediaMode::Off => None,
-            MediaMode::PerPacket { encode_every } => Some(u64::from(encode_every.max(1))),
+            MediaMode::PerPacket { encode_every } => Some(encode_every.max(1)),
         }
     }
 
@@ -1343,19 +1361,12 @@ impl World {
             self.free_session(idx);
             return;
         }
-        let emit = timer
-            .measure(Phase::MediaEncode, || {
-                Self::next_media_datagram(session, &mut self.media_scratch, kernel, encode_every)
-            })
-            .map(|d| {
-                (
-                    session.local_node,
-                    session.remote_node,
-                    session.remote_port,
-                    d,
-                )
-            });
-        if let Some((src, dst, port, datagram)) = emit {
+        let emit = timer.measure(Phase::MediaEncode, || {
+            Self::advance_session(session, &mut self.media_scratch, kernel, encode_every)
+        });
+        if let Some((header, _)) = emit {
+            let (src, dst, port) = session.route();
+            let datagram = session.datagram(header);
             timer.measure(Phase::Relay, || {
                 self.emit_media(now, sched, src, dst, port, datagram);
             });
@@ -1390,29 +1401,20 @@ impl World {
             }
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
-                let emit = timer
-                    .measure(Phase::MediaEncode, || {
-                        Self::next_media_datagram(
-                            session,
-                            &mut self.media_scratch,
-                            kernel,
-                            encode_every,
-                        )
-                    })
-                    .map(|d| {
-                        (
-                            session.local_node,
-                            session.remote_node,
-                            session.remote_port,
-                            d,
-                        )
-                    });
-                if let Some((src, dst, port, datagram)) = emit {
+                let emit = timer.measure(Phase::MediaEncode, || {
+                    Self::advance_session(session, &mut self.media_scratch, kernel, encode_every)
+                });
+                if let Some((header, rtp_len)) = emit {
+                    let route = session.route();
                     if self.capture.is_none() {
                         // A span port needs real per-hop frames; without
-                        // one, cut straight through the network model.
-                        self.emit_media_express(now, src, dst, port, &datagram, timer);
+                        // one, cut straight through the network model —
+                        // which reads the header and the length, never
+                        // the payload.
+                        self.emit_media_express(now, route, &header, rtp_len, timer);
                     } else {
+                        let (src, dst, port) = route;
+                        let datagram = session.datagram(header);
                         timer.measure(Phase::Relay, || {
                             self.emit_media(now, sched, src, dst, port, datagram);
                         });

@@ -19,33 +19,9 @@
 //! the peak.
 
 use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// System allocator wrapper tracking live bytes and the high-water mark.
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The same busy cell over `subs` subscribers: identical offered load,
 /// channels, window and churn *rate structure* regardless of N (expiry
@@ -67,10 +43,9 @@ fn pop_cfg(subs: u64) -> EmpiricalConfig {
 /// Peak live bytes above the pre-run floor for one full run.
 fn peak_delta_for(subs: u64) -> usize {
     let cfg = pop_cfg(subs);
-    let floor = LIVE.load(Ordering::Relaxed);
-    PEAK.store(floor, Ordering::Relaxed);
+    let floor = counting_alloc::reset_peak();
     let r = EmpiricalRunner::run(cfg);
-    let peak = PEAK.load(Ordering::Relaxed);
+    let peak = counting_alloc::peak_bytes();
     assert!(r.attempted > 0, "cell places calls at N = {subs}");
     assert!(r.completed > 0, "cell completes calls at N = {subs}");
     peak.saturating_sub(floor)

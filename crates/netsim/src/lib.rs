@@ -18,7 +18,6 @@
 pub mod topology;
 
 use des::rng::Distributions;
-use des::FastMap;
 use des::{SimDuration, SimTime, StreamRng};
 use serde::{Deserialize, Serialize};
 
@@ -97,10 +96,32 @@ impl LinkParams {
             loss_probability: 0.0,
         }
     }
+
+    /// Reject parameters no wire can have, where they enter the network.
+    /// A zero, negative or non-finite bandwidth would make the
+    /// serialisation time `bytes·8 / bandwidth` infinite or NaN, which
+    /// [`SimDuration::from_secs_f64`] saturates to *zero* — an infinitely
+    /// fast link instead of a dead one.
+    ///
+    /// # Panics
+    /// If `bandwidth_bps` is not finite and positive, or
+    /// `loss_probability` is outside `[0, 1]`.
+    fn validate(&self) {
+        assert!(
+            self.bandwidth_bps.is_finite() && self.bandwidth_bps > 0.0,
+            "link bandwidth must be finite and > 0 bit/s, got {}",
+            self.bandwidth_bps
+        );
+        assert!(
+            (0.0..=1.0).contains(&self.loss_probability),
+            "link loss probability must be in [0, 1], got {}",
+            self.loss_probability
+        );
+    }
 }
 
 /// Per-link counters.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkStats {
     /// Packets accepted and (eventually) delivered.
     pub delivered: u64,
@@ -120,6 +141,36 @@ struct Link {
     /// Time at which the transmitter finishes everything queued so far.
     busy_until: SimTime,
     stats: LinkStats,
+    /// Last `(wire_bytes, serialisation time)` computed under `params`.
+    /// Every RTP frame of a run is the same size, so the steady state
+    /// re-reads this instead of dividing and rounding per packet. Exact:
+    /// the time is a pure function of the key and `params.bandwidth_bps`,
+    /// and whoever replaces `params` resets the memo ([`Link::NO_MEMO`]).
+    tx_memo: (usize, SimDuration),
+}
+
+impl Link {
+    /// Zero bytes take zero time on any valid link, so this entry is true
+    /// under every `params` — the memo needs no "empty" state.
+    const NO_MEMO: (usize, SimDuration) = (0, SimDuration::ZERO);
+
+    fn new(params: LinkParams) -> Self {
+        Link {
+            params,
+            busy_until: SimTime::ZERO,
+            stats: LinkStats::default(),
+            tx_memo: Link::NO_MEMO,
+        }
+    }
+
+    #[inline]
+    fn tx_time(&mut self, wire_bytes: usize) -> SimDuration {
+        if self.tx_memo.0 != wire_bytes {
+            let secs = wire_bytes as f64 * 8.0 / self.params.bandwidth_bps;
+            self.tx_memo = (wire_bytes, SimDuration::from_secs_f64(secs));
+        }
+        self.tx_memo.1
+    }
 }
 
 /// Outcome of offering a packet to a link.
@@ -138,10 +189,24 @@ pub enum SendOutcome {
     NoRoute,
 }
 
+/// Marks a `(from, to)` pair with no link in [`Network::index`].
+const NO_LINK: u32 = u32::MAX;
+
 /// The directed-link network.
+///
+/// Node ids are small dense integers (`0..3 + servers` in the Fig. 4
+/// star), so links live in a `Vec` in insertion order and a `side × side`
+/// table maps `(from, to)` to a position in it: the per-packet lookup is
+/// one multiply and two loads, and whole-network folds visit links in an
+/// order that does not depend on a hash.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    links: FastMap<(NodeId, NodeId), Link>,
+    links: Vec<Link>,
+    /// `index[from · side + to]` is the link's position in `links`, or
+    /// [`NO_LINK`].
+    index: Vec<u32>,
+    /// One more than the largest node id any link mentions.
+    side: usize,
 }
 
 impl Network {
@@ -151,16 +216,57 @@ impl Network {
         Network::default()
     }
 
-    /// Install a directed link.
+    #[inline]
+    fn slot(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let (from, to) = (usize::from(from.0), usize::from(to.0));
+        if from >= self.side || to >= self.side {
+            return None;
+        }
+        match self.index[from * self.side + to] {
+            NO_LINK => None,
+            at => Some(at as usize),
+        }
+    }
+
+    #[inline]
+    fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
+        self.slot(from, to).map(|at| &self.links[at])
+    }
+
+    #[inline]
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
+        self.slot(from, to).map(|at| &mut self.links[at])
+    }
+
+    /// Widen the index table to hold node ids below `side`.
+    fn grow(&mut self, side: usize) {
+        let mut index = vec![NO_LINK; side * side];
+        for from in 0..self.side {
+            index[from * side..from * side + self.side]
+                .copy_from_slice(&self.index[from * self.side..(from + 1) * self.side]);
+        }
+        self.index = index;
+        self.side = side;
+    }
+
+    /// Install a directed link; installing over an existing one replaces
+    /// it (fresh counters, idle transmitter).
+    ///
+    /// # Panics
+    /// If `params` has a non-positive or non-finite bandwidth, or a loss
+    /// probability outside `[0, 1]`.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
-        self.links.insert(
-            (from, to),
-            Link {
-                params,
-                busy_until: SimTime::ZERO,
-                stats: LinkStats::default(),
-            },
-        );
+        params.validate();
+        if let Some(link) = self.link_mut(from, to) {
+            *link = Link::new(params);
+            return;
+        }
+        let needed = usize::from(from.0.max(to.0)) + 1;
+        if needed > self.side {
+            self.grow(needed);
+        }
+        self.index[usize::from(from.0) * self.side + usize::from(to.0)] = self.links.len() as u32;
+        self.links.push(Link::new(params));
     }
 
     /// Install both directions with the same parameters.
@@ -172,7 +278,7 @@ impl Network {
     /// True if a directed link exists.
     #[must_use]
     pub fn has_link(&self, from: NodeId, to: NodeId) -> bool {
-        self.links.contains_key(&(from, to))
+        self.slot(from, to).is_some()
     }
 
     /// The smallest one-hop delay any frame can currently experience: the
@@ -186,13 +292,13 @@ impl Network {
     /// use as a synchronization horizon.
     #[must_use]
     pub fn min_latency_floor(&self) -> Option<SimDuration> {
-        self.links.values().map(|l| l.params.propagation).min()
+        self.links.iter().map(|l| l.params.propagation).min()
     }
 
     /// Current parameters of a directed link, if present.
     #[must_use]
     pub fn link_params(&self, from: NodeId, to: NodeId) -> Option<LinkParams> {
-        self.links.get(&(from, to)).map(|l| l.params)
+        self.link(from, to).map(|l| l.params)
     }
 
     /// Replace the parameters of an existing directed link at runtime —
@@ -201,15 +307,19 @@ impl Network {
     /// future packets see the new parameters. Returns the previous
     /// parameters, or `None` (and installs nothing) if the link does not
     /// exist.
+    ///
+    /// # Panics
+    /// On the parameters [`Network::add_link`] rejects.
     pub fn set_link_params(
         &mut self,
         from: NodeId,
         to: NodeId,
         params: LinkParams,
     ) -> Option<LinkParams> {
-        self.links
-            .get_mut(&(from, to))
-            .map(|l| std::mem::replace(&mut l.params, params))
+        params.validate();
+        let link = self.link_mut(from, to)?;
+        link.tx_memo = Link::NO_MEMO;
+        Some(std::mem::replace(&mut link.params, params))
     }
 
     /// [`Network::set_link_params`] applied to both directions. Returns
@@ -241,7 +351,7 @@ impl Network {
         wire_bytes: usize,
         rng: &mut StreamRng,
     ) -> SendOutcome {
-        let Some(link) = self.links.get_mut(&(from, to)) else {
+        let Some(link) = self.link_mut(from, to) else {
             return SendOutcome::NoRoute;
         };
         if link.params.loss_probability > 0.0 && rng.coin(link.params.loss_probability) {
@@ -254,7 +364,7 @@ impl Network {
             link.stats.dropped_queue += 1;
             return SendOutcome::DroppedQueueFull;
         }
-        let tx = SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / link.params.bandwidth_bps);
+        let tx = link.tx_time(wire_bytes);
         let done = start + tx;
         link.busy_until = done;
         link.stats.delivered += 1;
@@ -268,14 +378,14 @@ impl Network {
     /// Counters for a directed link.
     #[must_use]
     pub fn stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
-        self.links.get(&(from, to)).map(|l| l.stats)
+        self.link(from, to).map(|l| l.stats)
     }
 
     /// Aggregate counters over every link.
     #[must_use]
     pub fn total_stats(&self) -> LinkStats {
         let mut agg = LinkStats::default();
-        for l in self.links.values() {
+        for l in &self.links {
             agg.delivered += l.stats.delivered;
             agg.dropped_queue += l.stats.dropped_queue;
             agg.dropped_error += l.stats.dropped_error;
@@ -292,10 +402,8 @@ impl Network {
         if span <= 0.0 {
             return 0.0;
         }
-        self.links
-            .get(&(from, to))
-            .map(|l| l.stats.busy.as_secs_f64() / span)
-            .unwrap_or(0.0)
+        self.stats(from, to)
+            .map_or(0.0, |s| s.busy.as_secs_f64() / span)
     }
 }
 
@@ -495,6 +603,197 @@ mod tests {
             payload: vec![0u8; 172],
         };
         assert_eq!(p.wire_bytes(), 218, "172 RTP + 46 UDP/IP/Eth");
+    }
+
+    /// Every value the validation rejects, through both entry points.
+    #[test]
+    fn impossible_link_parameters_are_rejected() {
+        let rejected = |edit: fn(&mut LinkParams)| {
+            let mut bad = LinkParams::fast_ethernet();
+            edit(&mut bad);
+            let add = std::panic::catch_unwind(|| Network::new().add_link(A, B, bad));
+            let set = std::panic::catch_unwind(|| {
+                one_link(LinkParams::fast_ethernet()).set_link_params(A, B, bad)
+            });
+            add.is_err() && set.is_err()
+        };
+        assert!(rejected(|p| p.bandwidth_bps = 0.0), "zero bandwidth");
+        assert!(rejected(|p| p.bandwidth_bps = -1e6), "negative bandwidth");
+        assert!(rejected(|p| p.bandwidth_bps = f64::NAN), "NaN bandwidth");
+        assert!(rejected(|p| p.bandwidth_bps = f64::INFINITY), "infinite");
+        assert!(rejected(|p| p.loss_probability = -0.01), "negative loss");
+        assert!(rejected(|p| p.loss_probability = 1.01), "loss above one");
+        assert!(rejected(|p| p.loss_probability = f64::NAN), "NaN loss");
+        // The partition fault's 100 % loss is a legal wire.
+        assert!(!rejected(|p| p.loss_probability = 1.0));
+    }
+
+    #[test]
+    fn retuned_link_serialises_the_very_next_packet_at_the_new_rate() {
+        let mut params = LinkParams {
+            bandwidth_bps: 1e6,
+            propagation: SimDuration::ZERO,
+            max_queue_delay: SimDuration::from_secs(1),
+            loss_probability: 0.0,
+        };
+        let mut n = one_link(params);
+        let mut r = rng();
+        let mut send = |n: &mut Network, at_s: u64| match n.enqueue(
+            SimTime::from_secs(at_s),
+            A,
+            B,
+            1000,
+            &mut r,
+        ) {
+            SendOutcome::Delivered { at } => at.since(SimTime::from_secs(at_s)),
+            o => panic!("{o:?}"),
+        };
+        assert_eq!(send(&mut n, 0), SimDuration::from_millis(8));
+        assert_eq!(send(&mut n, 1), SimDuration::from_millis(8), "memo hit");
+        params.bandwidth_bps = 2e6;
+        n.set_link_params(A, B, params);
+        assert_eq!(send(&mut n, 2), SimDuration::from_millis(4), "same size");
+        params.bandwidth_bps = 1e6;
+        n.set_link_params(A, B, params);
+        assert_eq!(send(&mut n, 3), SimDuration::from_millis(8), "healed");
+    }
+
+    /// The map-of-links `Network` this crate shipped before the dense
+    /// tables, recomputing the serialisation time on every packet.
+    #[derive(Default)]
+    struct ModelNetwork {
+        links: std::collections::BTreeMap<(NodeId, NodeId), (LinkParams, SimTime, LinkStats)>,
+    }
+
+    impl ModelNetwork {
+        fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
+            self.links
+                .insert((from, to), (params, SimTime::ZERO, LinkStats::default()));
+        }
+
+        fn set_link_params(
+            &mut self,
+            from: NodeId,
+            to: NodeId,
+            params: LinkParams,
+        ) -> Option<LinkParams> {
+            self.links
+                .get_mut(&(from, to))
+                .map(|l| std::mem::replace(&mut l.0, params))
+        }
+
+        fn enqueue(
+            &mut self,
+            now: SimTime,
+            from: NodeId,
+            to: NodeId,
+            wire_bytes: usize,
+            rng: &mut StreamRng,
+        ) -> SendOutcome {
+            let Some((params, busy_until, stats)) = self.links.get_mut(&(from, to)) else {
+                return SendOutcome::NoRoute;
+            };
+            if params.loss_probability > 0.0 && rng.coin(params.loss_probability) {
+                stats.dropped_error += 1;
+                return SendOutcome::DroppedError;
+            }
+            let start = (*busy_until).max(now);
+            if start.since(now) > params.max_queue_delay {
+                stats.dropped_queue += 1;
+                return SendOutcome::DroppedQueueFull;
+            }
+            let tx = SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / params.bandwidth_bps);
+            *busy_until = start + tx;
+            stats.delivered += 1;
+            stats.bytes += wire_bytes as u64;
+            stats.busy = stats.busy + tx;
+            SendOutcome::Delivered {
+                at: *busy_until + params.propagation,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random build/retune/send sequences over a handful of nodes:
+        /// the dense network and the map model agree on every outcome
+        /// and every counter. Sizes repeat (memo hits), change (memo
+        /// misses) and straddle retunes (memo resets); re-adding a live
+        /// link resets it in both.
+        #[test]
+        fn dense_network_matches_map_model(
+            ops in proptest::collection::vec(
+                (0u8..10, 0u16..6, 0u16..6, 0usize..4, 0usize..4, 0u64..400),
+                1..200,
+            ),
+        ) {
+            const SIZES: [usize; 4] = [218, 218, 746, 1500];
+            let tunings = [
+                LinkParams::fast_ethernet(),
+                LinkParams::ethernet_10(),
+                LinkParams {
+                    bandwidth_bps: 3.3e6,
+                    propagation: SimDuration::from_micros(7),
+                    max_queue_delay: SimDuration::from_micros(900),
+                    loss_probability: 0.25,
+                },
+                LinkParams { loss_probability: 1.0, ..LinkParams::fast_ethernet() },
+            ];
+            let mut dense = Network::new();
+            let mut model = ModelNetwork::default();
+            let (mut rng_dense, mut rng_model) = (rng(), rng());
+            let mut now = SimTime::ZERO;
+            for (op, a, b, tuning, size, gap_us) in ops {
+                let (a, b, params) = (NodeId(a), NodeId(b), tunings[tuning]);
+                match op {
+                    0 => {
+                        dense.add_link(a, b, params);
+                        model.add_link(a, b, params);
+                    }
+                    1 => {
+                        dense.add_duplex_link(a, b, params);
+                        model.add_link(a, b, params);
+                        model.add_link(b, a, params);
+                    }
+                    2 => {
+                        let was = dense.set_link_params(a, b, params);
+                        proptest::prop_assert_eq!(was, model.set_link_params(a, b, params));
+                    }
+                    _ => {
+                        now += SimDuration::from_micros(gap_us);
+                        let got = dense.enqueue(now, a, b, SIZES[size], &mut rng_dense);
+                        let want = model.enqueue(now, a, b, SIZES[size], &mut rng_model);
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                }
+            }
+            let mut total = LinkStats::default();
+            for from in (0..6).map(NodeId) {
+                for to in (0..6).map(NodeId) {
+                    let want = model.links.get(&(from, to));
+                    proptest::prop_assert_eq!(dense.has_link(from, to), want.is_some());
+                    proptest::prop_assert_eq!(dense.link_params(from, to), want.map(|l| l.0));
+                    proptest::prop_assert_eq!(dense.stats(from, to), want.map(|l| l.2));
+                    let Some(&(_, _, want)) = want else {
+                        continue;
+                    };
+                    let until = now + SimDuration::from_secs(1);
+                    proptest::prop_assert_eq!(
+                        dense.utilisation(from, to, until).to_bits(),
+                        (want.busy.as_secs_f64() / until.as_secs_f64()).to_bits()
+                    );
+                    total.delivered += want.delivered;
+                    total.dropped_queue += want.dropped_queue;
+                    total.dropped_error += want.dropped_error;
+                    total.bytes += want.bytes;
+                    total.busy = total.busy + want.busy;
+                }
+            }
+            proptest::prop_assert_eq!(dense.total_stats(), total);
+            proptest::prop_assert_eq!(
+                dense.min_latency_floor(),
+                model.links.values().map(|l| l.0.propagation).min()
+            );
+        }
     }
 
     #[test]

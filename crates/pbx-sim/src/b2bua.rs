@@ -16,6 +16,7 @@ use crate::channels::{ChannelId, ChannelPool};
 use crate::cpu::CpuModel;
 use crate::dialplan::{Dialplan, Route};
 use crate::directory::Directory;
+use crate::ports::PortTable;
 use crate::registrar::{RegisterOutcome, Registrar};
 use des::FastMap;
 use des::{SimDuration, SimTime};
@@ -186,8 +187,7 @@ pub struct Pbx {
     calls: Vec<Option<Call>>,
     by_caller_call_id: FastMap<String, usize>,
     by_callee_call_id: FastMap<String, usize>,
-    by_pbx_port: FastMap<u16, (usize, bool)>, // port -> (call, faces_caller)
-    next_port: u16,
+    by_pbx_port: PortTable, // port -> (call, faces_caller)
     next_call_serial: u64,
     /// Pluggable overload-control law (built from `config.overload_law`).
     law: Option<Box<dyn overload::OverloadControl>>,
@@ -207,10 +207,6 @@ pub struct Pbx {
     /// Shared `c=` connection string for PBX-built SDP bodies (hostname).
     sdp_host: Arc<str>,
 }
-
-const FIRST_MEDIA_PORT: u16 = 10_000;
-/// Even ports in `FIRST_MEDIA_PORT..=u16::MAX`.
-const MEDIA_PORTS: u32 = (u16::MAX - FIRST_MEDIA_PORT) as u32 / 2 + 1;
 
 impl Pbx {
     /// Build a PBX with the given configuration and subscriber directory.
@@ -236,8 +232,7 @@ impl Pbx {
             calls: Vec::new(),
             by_caller_call_id: FastMap::default(),
             by_callee_call_id: FastMap::default(),
-            by_pbx_port: FastMap::default(),
-            next_port: FIRST_MEDIA_PORT,
+            by_pbx_port: PortTable::new(),
             next_call_serial: 0,
             law,
             link_quality: (0.0, 0.0, 0.0),
@@ -390,7 +385,7 @@ impl Pbx {
     /// the caller keeps holding the datagram and forwards it itself.
     pub fn relay_rtp(&mut self, now: SimTime, dst_port: u16) -> Option<(NodeId, u16)> {
         self.cpu.on_rtp_packet(now);
-        let Some(&(idx, faces_caller)) = self.by_pbx_port.get(&dst_port) else {
+        let Some((idx, faces_caller)) = self.by_pbx_port.get(dst_port) else {
             self.stats.rtp_dropped += 1;
             return None;
         };
@@ -621,8 +616,8 @@ impl Pbx {
 
         let serial = self.next_call_serial;
         self.next_call_serial += 1;
-        let pbx_port_for_caller = self.alloc_port();
-        let pbx_port_for_callee = self.alloc_port();
+        let pbx_port_for_caller = self.by_pbx_port.alloc();
+        let pbx_port_for_callee = self.by_pbx_port.alloc();
         let callee_call_id = format!("b2b-{serial}@{}", self.config.hostname);
 
         // Build the PBX-originated INVITE towards the callee, offering the
@@ -701,8 +696,8 @@ impl Pbx {
         }));
         self.by_caller_call_id.insert(call_id, idx);
         self.by_callee_call_id.insert(callee_call_id, idx);
-        self.by_pbx_port.insert(pbx_port_for_caller, (idx, true));
-        self.by_pbx_port.insert(pbx_port_for_callee, (idx, false));
+        self.by_pbx_port.insert(pbx_port_for_caller, idx, true);
+        self.by_pbx_port.insert(pbx_port_for_callee, idx, false);
 
         // 100 Trying to the caller + INVITE onward (the Fig. 2 ladder).
         vec![
@@ -1018,8 +1013,8 @@ impl Pbx {
             if let Some(n) = self.active_per_user.get_mut(&call.record.caller) {
                 *n = n.saturating_sub(1);
             }
-            self.by_pbx_port.remove(&call.caller.pbx_port);
-            self.by_pbx_port.remove(&call.callee.pbx_port);
+            self.by_pbx_port.remove(call.caller.pbx_port);
+            self.by_pbx_port.remove(call.callee.pbx_port);
             if let Some(cid) = call.caller_invite.call_id() {
                 self.by_caller_call_id.remove(cid);
             }
@@ -1029,23 +1024,6 @@ impl Pbx {
             record.disposition = disposition;
             self.cdr.push(record);
         }
-    }
-
-    /// Next free media port. Ports cycle through the even numbers from
-    /// [`FIRST_MEDIA_PORT`] up; once the range has wrapped, ports still
-    /// bound to a live call are skipped (teardown unbinds them).
-    ///
-    /// # Panics
-    /// If every port in the range is bound to a live call.
-    fn alloc_port(&mut self) -> u16 {
-        for _ in 0..MEDIA_PORTS {
-            let p = self.next_port;
-            self.next_port = p.checked_add(2).unwrap_or(FIRST_MEDIA_PORT);
-            if !self.by_pbx_port.contains_key(&p) {
-                return p;
-            }
-        }
-        panic!("media ports exhausted: all {MEDIA_PORTS} are bound to live calls");
     }
 
     fn send(&mut self, to: NodeId, msg: SipMessage) -> PbxAction {
@@ -1095,6 +1073,7 @@ fn extract_user(value: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::{FIRST_MEDIA_PORT, MEDIA_PORTS};
     use sipcore::message::format_via;
     use sipcore::sdp::SessionDescription;
 

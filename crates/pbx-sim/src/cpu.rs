@@ -49,6 +49,11 @@ pub struct CpuModel {
     /// capping, a noisy co-tenant — raises it; every subsequent event then
     /// costs `throttle ×` its calibrated time.
     throttle: f64,
+    /// `costs.sip_cost` and `costs.rtp_cost` times `throttle`, rounded to
+    /// the clock once per throttle change instead of once per event — the
+    /// same value either way, since both inputs are fixed in between.
+    sip_scaled: SimDuration,
+    rtp_scaled: SimDuration,
     busy_total: SimDuration,
     window_len: SimDuration,
     window_start: SimTime,
@@ -62,15 +67,19 @@ impl CpuModel {
     /// experiment to 5 s windows).
     #[must_use]
     pub fn new(costs: CpuCosts, window_len: SimDuration) -> Self {
-        CpuModel {
+        let mut cpu = CpuModel {
             costs,
             throttle: 1.0,
+            sip_scaled: SimDuration::ZERO,
+            rtp_scaled: SimDuration::ZERO,
             busy_total: SimDuration::ZERO,
             window_len,
             window_start: SimTime::ZERO,
             window_busy: SimDuration::ZERO,
             window_peaks: Vec::new(),
-        }
+        };
+        cpu.set_throttle(1.0);
+        cpu
     }
 
     /// Default-calibrated model with 5 s windows.
@@ -79,9 +88,10 @@ impl CpuModel {
         CpuModel::new(CpuCosts::default(), SimDuration::from_secs(5))
     }
 
+    /// Account one event of (already throttle-scaled) `cost` at `now`.
+    #[inline]
     fn accrue(&mut self, now: SimTime, cost: SimDuration) {
         self.roll_windows(now);
-        let cost = SimDuration::from_secs_f64(cost.as_secs_f64() * self.throttle);
         self.busy_total = self.busy_total + cost;
         self.window_busy = self.window_busy + cost;
     }
@@ -91,6 +101,9 @@ impl CpuModel {
     pub fn set_throttle(&mut self, factor: f64) {
         assert!(factor > 0.0, "throttle factor must be positive");
         self.throttle = factor;
+        let scaled = |cost: SimDuration| SimDuration::from_secs_f64(cost.as_secs_f64() * factor);
+        self.sip_scaled = scaled(self.costs.sip_cost);
+        self.rtp_scaled = scaled(self.costs.rtp_cost);
     }
 
     /// Current throttle factor.
@@ -107,6 +120,7 @@ impl CpuModel {
         self.window_peaks.last().copied()
     }
 
+    #[inline]
     fn roll_windows(&mut self, now: SimTime) {
         while now.since(self.window_start) >= self.window_len {
             let u = self.window_busy.as_secs_f64() / self.window_len.as_secs_f64()
@@ -119,12 +133,12 @@ impl CpuModel {
 
     /// Account one SIP message at time `now`.
     pub fn on_sip_message(&mut self, now: SimTime) {
-        self.accrue(now, self.costs.sip_cost);
+        self.accrue(now, self.sip_scaled);
     }
 
     /// Account one relayed RTP packet at time `now`.
     pub fn on_rtp_packet(&mut self, now: SimTime) {
-        self.accrue(now, self.costs.rtp_cost);
+        self.accrue(now, self.rtp_scaled);
     }
 
     /// Mean utilisation over `[0, until]`, including base load.
@@ -255,6 +269,27 @@ mod tests {
         let u_n = nominal.mean_utilisation(until) - base;
         let u_t = throttled.mean_utilisation(until) - base;
         assert!((u_t - 3.0 * u_n).abs() < 1e-9, "u_t={u_t} u_n={u_n}");
+    }
+
+    #[test]
+    fn throttle_change_reprices_the_very_next_event() {
+        let mut cpu = CpuModel::new(CpuCosts::default(), SimDuration::from_secs(100));
+        let now = SimTime::from_secs(1);
+        let busy_us = |cpu: &CpuModel| {
+            let share = cpu.mean_utilisation(SimTime::from_secs(1)) - CpuCosts::default().base_load;
+            (share * 1e6).round() as u64
+        };
+        cpu.on_rtp_packet(now);
+        assert_eq!(busy_us(&cpu), 19);
+        cpu.set_throttle(2.0);
+        cpu.on_rtp_packet(now);
+        assert_eq!(busy_us(&cpu), 19 + 38);
+        cpu.on_sip_message(now);
+        assert_eq!(busy_us(&cpu), 19 + 38 + 110);
+        cpu.set_throttle(1.0);
+        cpu.on_rtp_packet(now);
+        cpu.on_sip_message(now);
+        assert_eq!(busy_us(&cpu), 19 + 38 + 110 + 19 + 55);
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod channels;
 pub mod cpu;
 pub mod dialplan;
 pub mod directory;
+mod ports;
 pub mod registrar;
 
 pub use b2bua::{Pbx, PbxAction, PbxConfig, PbxStats};

@@ -145,3 +145,78 @@ fn parallel_fig6_is_reproducible() {
         assert_eq!(p.erlangs, q.erlangs);
     }
 }
+
+/// A short Table-I-shaped full-media cell on the default (coalesced,
+/// express-emission) path: 10 s of placement, 8 s calls.
+fn golden_cell(erlangs: f64) -> EmpiricalConfig {
+    EmpiricalConfig {
+        holding: HoldingDist::Fixed(8.0),
+        placement_window_s: 10.0,
+        ..EmpiricalConfig::table1(erlangs, 2015)
+    }
+}
+
+// The three digests below were printed at the commit *before* the media
+// path moved to dense tables and memoised per-packet costs. They pin the
+// default path to literals, so an optimisation that is self-consistent
+// but no longer the same simulation cannot pass.
+
+#[test]
+fn golden_digest_clean_media_cell() {
+    let r = EmpiricalRunner::run(golden_cell(40.0));
+    assert!(r.monitor.rtp_packets > 30_000, "media flowed: {r:?}");
+    assert_eq!(r.digest(), 0x37db_02fd_6c73_b892, "clean 40 E cell");
+}
+
+#[test]
+fn golden_digest_loss_ramp_media_cell() {
+    let cfg = golden_cell(200.0);
+    assert!(cfg.link_loss_probability > 0.0, "above the 160 E loss knee");
+    let r = EmpiricalRunner::run(cfg);
+    assert!(r.monitor.mean_loss > 0.0 && r.blocked > 0, "{r:?}");
+    assert_eq!(r.digest(), 0xb830_95f2_7fcf_a222, "lossy 200 E cell");
+}
+
+/// The cell that catches a stale memo: the PBX access link drops to
+/// 10 Mb/s and back, and the PBX CPU is throttled and restored, all
+/// while ~40 calls are streaming — every packet after each fault must
+/// see the new serialisation time and the new per-packet CPU cost.
+#[test]
+fn golden_digest_faulted_media_cell() {
+    use faults::FaultKind;
+    use netsim::topology::nodes;
+    let mut cfg = golden_cell(40.0);
+    cfg.faults = faults::FaultSchedule::new()
+        .at(
+            4.0,
+            FaultKind::LinkDegrade {
+                a: nodes::PBX,
+                b: nodes::SWITCH,
+                params: netsim::LinkParams::ethernet_10(),
+            },
+        )
+        .at(
+            6.0,
+            FaultKind::CpuThrottle {
+                pbx: 0,
+                factor: 2.5,
+            },
+        )
+        .at(
+            9.0,
+            FaultKind::LinkHeal {
+                a: nodes::PBX,
+                b: nodes::SWITCH,
+            },
+        )
+        .at(
+            12.0,
+            FaultKind::CpuThrottle {
+                pbx: 0,
+                factor: 1.0,
+            },
+        );
+    let r = EmpiricalRunner::run(cfg);
+    assert!(r.monitor.rtp_packets > 30_000, "media flowed: {r:?}");
+    assert_eq!(r.digest(), 0x52d0_8d82_35bb_90be, "faulted 40 E cell");
+}

@@ -4,65 +4,33 @@
 //! are companded once per `encode_every` frames and every subsequent
 //! packetization, network hop and PBX relay is a refcount bump. A counting
 //! global allocator makes that claim falsifiable: during steady-state
-//! media, no payload-sized buffer may be allocated, and total allocation
-//! traffic must be bounded by re-encodes, not by relayed packets.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+//! media, no payload-sized buffer may be allocated, total allocation
+//! traffic is the re-encodes and does not grow with relayed packets, and
+//! the two per-packet calls (`Network::enqueue`, `Pbx::relay_rtp`)
+//! allocate nothing at all.
 
 use asterisk_capacity::prelude::*;
 use capacity::experiment::MediaMode;
 use capacity::world::World;
-use des::{Scheduler, SchedulerKind, SimTime, Simulation};
+use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use loadgen::HoldingDist;
+use netsim::topology::nodes;
+use netsim::SendOutcome;
 use rtpcore::packetizer::Law;
 use rtpcore::Packetizer;
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{start_counting, stop_counting};
 
 /// A G.711 frame payload is 160 B and a serialized RTP packet is 172 B.
 /// An allocation of either size during steady-state media is a smoking
 /// gun for a payload copy (the seed code path made three per hop).
 const PAYLOAD_SIZES: [usize; 2] = [160, 172];
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static TOTAL: AtomicU64 = AtomicU64::new(0);
-static PAYLOAD_SIZED: AtomicU64 = AtomicU64::new(0);
+/// Real encodes per stream: one frame in this many.
+const ENCODE_EVERY: u32 = 50;
 
-struct CountingAlloc;
-
-// SAFETY: delegates verbatim to `System`; the counters are lock-free
-// atomics, so no allocation or reentrancy happens on the counting path.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Relaxed) {
-            TOTAL.fetch_add(1, Relaxed);
-            if PAYLOAD_SIZES.contains(&layout.size()) {
-                PAYLOAD_SIZED.fetch_add(1, Relaxed);
-            }
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn start_counting() {
-    TOTAL.store(0, Relaxed);
-    PAYLOAD_SIZED.store(0, Relaxed);
-    ENABLED.store(true, Relaxed);
-}
-
-fn stop_counting() -> (u64, u64) {
-    ENABLED.store(false, Relaxed);
-    (TOTAL.load(Relaxed), PAYLOAD_SIZED.load(Relaxed))
-}
-
-/// Both checks live in one test function: the counters are process-global
-/// and must not see a concurrent sibling test.
 #[test]
 fn relay_path_performs_zero_payload_copies() {
     // --- Part 1: the packetizer fast path allocates nothing at all. ---
@@ -72,14 +40,14 @@ fn relay_path_performs_zero_payload_copies() {
     let warmup = p.packetize_shared(cached.clone());
     drop(warmup);
 
-    start_counting();
+    start_counting(&[]);
     for _ in 0..1000 {
         let datagram = p.packetize_shared(cached.clone());
         std::hint::black_box(&datagram);
     }
-    let (total, _) = stop_counting();
     assert_eq!(
-        total, 0,
+        stop_counting().total,
+        0,
         "steady-state packetization must be a pure refcount bump"
     );
 
@@ -93,8 +61,10 @@ fn relay_path_performs_zero_payload_copies() {
         holding: HoldingDist::Fixed(30.0),
         placement_window_s: 5.0,
         channels: 20,
-        media: MediaMode::PerPacket { encode_every: 50 },
-        pickup_delay: des::SimDuration::from_millis(500),
+        media: MediaMode::PerPacket {
+            encode_every: ENCODE_EVERY,
+        },
+        pickup_delay: SimDuration::from_millis(500),
         link_loss_probability: 0.0,
         silence_suppression: false,
         capture_traffic: false,
@@ -115,9 +85,10 @@ fn relay_path_performs_zero_payload_copies() {
     sim.run_until(SimTime::from_secs(10));
     let relayed_before: u64 = sim.world.pbxes.iter().map(|p| p.stats().rtp_relayed).sum();
 
-    start_counting();
+    start_counting(&PAYLOAD_SIZES);
     sim.run_until(SimTime::from_secs(25));
-    let (total, payload_sized) = stop_counting();
+    let counts = stop_counting();
+    let (total, payload_sized) = (counts.total, counts.watched);
 
     let relayed: u64 = sim
         .world
@@ -135,11 +106,57 @@ fn relay_path_performs_zero_payload_copies() {
         "payload-sized buffers were allocated during steady-state media \
          ({payload_sized} of {total} allocations) — a copy crept back in"
     );
-    // Allocation traffic is bounded by periodic re-encodes (one shared
-    // buffer per `encode_every` frames per stream), not by packets.
+    // Allocation traffic is the periodic re-encodes — one shared buffer
+    // per stream per `ENCODE_EVERY` frames — and nothing that scales with
+    // packets: no stream loses a packet on this clean LAN, so relayed ÷
+    // ENCODE_EVERY counts the window's re-encodes to within one per stream.
+    let streams = 2 * sim.world.pbxes[0].active_calls() as u64;
+    let reencodes = relayed / u64::from(ENCODE_EVERY);
     assert!(
-        total < relayed / 5,
-        "{total} allocations for {relayed} relayed packets — the media \
-         path is allocating per packet"
+        total <= reencodes + streams,
+        "{total} allocations for {relayed} relayed packets on {streams} \
+         streams ({reencodes} re-encodes) — the media path is allocating \
+         per packet"
+    );
+
+    // --- Part 3: the two per-packet calls, alone, for 10^5 packets. ---
+    // Four star hops and the PBX's relay decision per packet, driven
+    // directly against the world the run left behind (its calls are
+    // still bridged). Paced one frame per 20 us so no queue builds, and
+    // kept inside one 5 s CPU window: closing a window pushes one
+    // utilisation sample, which is per window, not per packet.
+    let World { topo, pbxes, .. } = &mut sim.world;
+    let mut rng = des::StreamRng::seed_from_u64(7);
+    let path = [
+        nodes::SIPP_CLIENT,
+        nodes::SWITCH,
+        nodes::PBX,
+        nodes::SWITCH,
+        nodes::SIPP_SERVER,
+    ];
+    let mut relay = |now: SimTime| {
+        let mut at = now;
+        for hop in path.windows(2) {
+            match topo.network.enqueue(at, hop[0], hop[1], 218, &mut rng) {
+                SendOutcome::Delivered { at: arrival } => at = arrival,
+                other => panic!("paced RTP frame was not delivered: {other:?}"),
+            }
+        }
+        // The first call of the run holds the first two media ports.
+        pbxes[0]
+            .relay_rtp(now, 10_000)
+            .expect("the first call is still bridged");
+    };
+    let mut now = SimTime::from_secs(26);
+    relay(now);
+    start_counting(&[]);
+    for _ in 0..100_000 {
+        now += SimDuration::from_micros(20);
+        relay(now);
+    }
+    assert_eq!(
+        stop_counting().total,
+        0,
+        "Network::enqueue + Pbx::relay_rtp must not allocate"
     );
 }

@@ -11,10 +11,7 @@
 //! stages, repeated a thousand times after warmup, must perform zero
 //! heap allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use sipcore::message::{format_via, write_via_args};
@@ -24,45 +21,9 @@ use sipcore::{
     SipMessage, SipUri, WireMessage,
 };
 
-static TOTAL: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // Counting is scoped to the thread running the test: libtest's main
-    // thread wakes periodically while waiting and allocates a handful of
-    // bookkeeping objects, which must not pollute the hop count. Const
-    // initialization keeps the TLS access in the allocator reentrancy-free.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: delegates verbatim to `System`; the counter is a lock-free
-// atomic, so no allocation or reentrancy happens on the counting path.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            TOTAL.fetch_add(1, Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn start_counting() {
-    TOTAL.store(0, Relaxed);
-    COUNTING.with(|c| c.set(true));
-}
-
-fn stop_counting() -> u64 {
-    COUNTING.with(|c| c.set(false));
-    TOTAL.load(Relaxed)
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{start_counting, stop_counting};
 
 /// An in-dialog BYE — the message an established call's teardown hop
 /// carries; mid-call signalling is shaped identically (re-INVITE, ACK).
@@ -114,7 +75,7 @@ fn established_call_signalling_hop_allocates_nothing() {
         );
     }
 
-    start_counting();
+    start_counting(&[]);
     for i in 0..1000u32 {
         // Hop stage 1: the frame arrives — shared bytes, refcount bump.
         let bytes = wire.clone();
@@ -148,7 +109,7 @@ fn established_call_signalling_hop_allocates_nothing() {
         std::hint::black_box(&buf);
         pool.release(buf);
     }
-    let total = stop_counting();
+    let total = stop_counting().total;
 
     assert_eq!(
         total, 0,
@@ -166,12 +127,12 @@ fn established_call_signalling_hop_allocates_nothing() {
     // plus per-message buffers allocates every time. Counted here so the
     // zero above stays meaningful — the harness demonstrably counts this
     // exact kind of work.
-    start_counting();
+    start_counting(&[]);
     let parsed = sipcore::parse_message(&wire).expect("round-trip");
     let mut via = String::new();
     let _ = write!(via, "SIP/2.0/UDP pbx.example:5060;branch=z9hG4bKx");
     let rewire = parsed.to_wire();
-    let eager_total = stop_counting();
+    let eager_total = stop_counting().total;
     std::hint::black_box((parsed, via, rewire));
     assert!(
         eager_total > 0,
@@ -204,7 +165,7 @@ fn established_call_signalling_hop_allocates_nothing() {
         sdp_pool.release(buf);
     }
 
-    start_counting();
+    start_counting(&[]);
     for _ in 0..1000u32 {
         // INVITE leg: build the offer — structured body, shared strings.
         let offer = SdpBody::new(Arc::clone(&origin), Arc::clone(&host), 6000, SdpCodec::Pcmu);
@@ -225,7 +186,7 @@ fn established_call_signalling_hop_allocates_nothing() {
         std::hint::black_box(&buf);
         sdp_pool.release(buf);
     }
-    let sdp_total = stop_counting();
+    let sdp_total = stop_counting().total;
     assert_eq!(
         sdp_total, 0,
         "steady-state SDP negotiation hop allocated {sdp_total} times \
