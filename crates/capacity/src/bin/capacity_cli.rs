@@ -35,9 +35,9 @@ fn main() {
     };
     let seed = flag("--seed", 2015.0) as u64;
     // Sweep subcommands: --threads N caps the process-wide worker budget
-    // the sweep executor (and any nested sharded run) draws from; the
-    // numbers are identical at any value. --progress prints per-cell
-    // lines to stderr, off by default so JSON pipelines stay clean.
+    // the sweep executor draws from; the numbers are identical at any
+    // value. --progress prints per-cell lines to stderr, off by default
+    // so JSON pipelines stay clean.
     let sweep_threads = flag("--threads", 0.0) as usize;
     if sweep_threads > 0 {
         des::pool::configure(sweep_threads);
@@ -215,6 +215,14 @@ fn main() {
             }
         }
         Some("run") => {
+            // Unknown flags are otherwise ignored, which would turn the old
+            // sharded invocation into a silent single-thread run.
+            if has("--threads") {
+                eprintln!(
+                    "capacity-cli run: within-run sharding is retired; --threads sizes sweep workers on fig6/campaign/policy/farm"
+                );
+                std::process::exit(2);
+            }
             let erlangs = flag("--erlangs", 40.0);
             let mut cfg = EmpiricalConfig::table1(erlangs, seed);
             cfg.channels = flag("--channels", f64::from(cfg.channels)) as u32;
@@ -296,27 +304,7 @@ fn main() {
             }
             let robustness = !sched.is_empty() || cfg.overload_law.is_some() || cfg.retry.is_some();
             cfg.faults = sched;
-            // --threads N runs the partitioned sharded engine (N = 0
-            // means every available core); absent keeps the classic
-            // single-wheel path and its historical digests.
-            let threads = flag("--threads", -1.0);
-            let result = if threads >= 0.0 {
-                let want = threads as u32;
-                let want = if want == 0 {
-                    u32::try_from(des::pool::total()).unwrap_or(u32::MAX)
-                } else {
-                    want
-                };
-                des::pool::configure(want as usize);
-                cfg.threads = Some(want);
-                capacity::run_partitioned(
-                    cfg,
-                    capacity::SimOptions::default(),
-                    capacity::ExecMode::Sharded { threads: want },
-                )
-            } else {
-                EmpiricalRunner::run(cfg)
-            };
+            let result = EmpiricalRunner::run(cfg);
             if json || !robustness {
                 println!("{}", report::to_json(&result));
             } else {
@@ -358,9 +346,7 @@ fn main() {
             eprintln!("         [--crash-at S --restart-after S]  crash + supervised restart");
             eprintln!("         [--flash-at S --flash-mult X --flash-dur S]  arrival burst");
             eprintln!("         [--storm N]  seeded random fault storm (overrides the above)");
-            eprintln!(
-                "         [--servers K --threads N]  partitioned run on N workers (0 = all cores)"
-            );
+            eprintln!("         [--servers K]  farm of K PBXes, uniform random dispatch");
             std::process::exit(2);
         }
     }

@@ -5,7 +5,7 @@
 //! both exchange RTP for `h` seconds through the PBX, and blocking rate +
 //! voice quality are evaluated and registered.
 
-use crate::world::{Ev, MediaKernel, MediaPath, SignallingPath, World};
+use crate::world::{Ev, MediaPath, SignallingPath, World};
 use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{CallOutcome, HoldingDist, RetryPolicy};
@@ -31,21 +31,18 @@ pub enum MediaMode {
 }
 
 /// Engine options orthogonal to the experiment physics: which
-/// future-event-list backend, media-path implementation and media compute
-/// kernel drive the run. Every combination produces identical simulation
-/// outputs for its media path (enforced by `tests/determinism.rs`; the
-/// kernel is digest-invisible because payload bytes never reach the
-/// scored physics); the default is the fast triple, the alternatives are
-/// the reference implementations kept for A/B validation and
-/// benchmarking.
+/// future-event-list backend, media-path implementation and signalling
+/// transport drive the run. Every combination produces identical
+/// simulation outputs for its media path (enforced by
+/// `tests/determinism.rs`); the default is the fast triple, the
+/// alternatives are the reference implementations kept for A/B
+/// validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
     /// Future-event-list backend.
     pub scheduler: SchedulerKind,
     /// Media cadence implementation.
     pub media_path: MediaPath,
-    /// Media synthesis/companding kernel.
-    pub media_kernel: MediaKernel,
     /// Signalling transport representation (structured vs wire bytes).
     pub signalling: SignallingPath,
 }
@@ -55,22 +52,19 @@ impl Default for SimOptions {
         SimOptions {
             scheduler: SchedulerKind::Wheel,
             media_path: MediaPath::Coalesced,
-            media_kernel: MediaKernel::Batched,
             signalling: SignallingPath::Interned,
         }
     }
 }
 
 impl SimOptions {
-    /// The original implementation quadruple: global binary heap, one
-    /// event per media frame per session, scalar per-sample media kernel,
-    /// serialize-and-reparse signalling.
+    /// The original implementation triple: global binary heap, one event
+    /// per media frame per session, serialize-and-reparse signalling.
     #[must_use]
     pub fn reference() -> Self {
         SimOptions {
             scheduler: SchedulerKind::Heap,
             media_path: MediaPath::PerTick,
-            media_kernel: MediaKernel::Reference,
             signalling: SignallingPath::Reference,
         }
     }
@@ -81,9 +75,9 @@ impl SimOptions {
 pub struct EmpiricalConfig {
     /// Offered workload in Erlangs (`A`).
     pub erlangs: f64,
-    /// Number of PBX servers, calls split round-robin (1 = the paper's
-    /// testbed; >1 = the §IV server-farm alternative). Each server gets
-    /// the full `channels` pool.
+    /// Number of PBX servers, each call dispatched to a uniformly random
+    /// one (1 = the paper's testbed; >1 = the §IV server-farm
+    /// alternative). Each server gets the full `channels` pool.
     pub servers: u32,
     /// Holding-time law (`h`; the paper fixes 120 s).
     pub holding: HoldingDist,
@@ -124,11 +118,6 @@ pub struct EmpiricalConfig {
     pub overload_law: Option<ControlLaw>,
     /// UAC 503-retry behaviour (`None` = a shed call counts as blocked).
     pub retry: Option<RetryPolicy>,
-    /// Worker threads for sharded execution (`None` = the process-wide
-    /// [`des::pool`] default, available parallelism). Only consulted by
-    /// the partitioned runner ([`crate::shard::run_partitioned`]); the
-    /// classic single-wheel path ignores it.
-    pub threads: Option<u32>,
     /// Finite-source population workload (`None` = the classic fixed
     /// `user_pool` open-loop arrivals). When set, call arrivals come from
     /// the aggregated Engset engine over `subscribers` users (callers
@@ -166,7 +155,6 @@ impl EmpiricalConfig {
             faults: FaultSchedule::new(),
             overload_law: None,
             retry: None,
-            threads: None,
             population: None,
             seed,
         }
@@ -220,7 +208,6 @@ impl EmpiricalConfig {
             faults: FaultSchedule::new(),
             overload_law: None,
             retry: None,
-            threads: None,
             population: None,
             seed,
         }
@@ -624,8 +611,7 @@ pub fn run_world_with(
     opts: SimOptions,
 ) -> Simulation<World, Ev> {
     let sched = Scheduler::with_kind_and_capacity(opts.scheduler, config.expected_pending_events());
-    let world = World::with_engine(config, opts.media_path, opts.media_kernel)
-        .with_signalling(opts.signalling);
+    let world = World::with_engine(config, opts.media_path).with_signalling(opts.signalling);
     let mut sim = Simulation::with_scheduler(world, sched);
     sim.world.prime(&mut sim.sched);
     sim.run_until(horizon);
@@ -850,18 +836,6 @@ mod tests {
                     SimOptions {
                         scheduler: SchedulerKind::Wheel,
                         ..SimOptions::reference()
-                    },
-                ),
-            ),
-            // The media kernel only changes payload *bytes*, which never
-            // enter the scored physics: swapping it must be digest-exact.
-            (
-                &fast,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
-                        media_kernel: MediaKernel::Reference,
-                        ..SimOptions::default()
                     },
                 ),
             ),

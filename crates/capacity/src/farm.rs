@@ -4,9 +4,9 @@
 //! Splitting a load across k servers of N/k channels each is *worse* than
 //! one pooled server of N channels (trunking efficiency: Erlang-B is
 //! super-additive in pool size). This module measures that penalty
-//! empirically with round-robin dispatch and compares it against the
-//! analytical prediction, so a deployer can weigh "buy a bigger box"
-//! against "add more boxes + policy".
+//! empirically with uniform random (Bernoulli) dispatch and compares it
+//! against the analytical prediction, so a deployer can weigh "buy a
+//! bigger box" against "add more boxes + policy".
 
 use crate::experiment::{EmpiricalConfig, EmpiricalRunner};
 use crate::sweep::{self, ProgressMeter, SweepTask};
@@ -24,8 +24,8 @@ pub struct FarmRow {
     pub total_channels: u32,
     /// Observed steady-state blocking, %.
     pub empirical_pb_pct: f64,
-    /// Analytical prediction for round-robin split:
-    /// `B(A/k, N/k)` per server, %.
+    /// Analytical prediction for the Bernoulli split (each substream
+    /// stays Poisson): `B(A/k, N/k)` per server, %.
     pub analytic_split_pct: f64,
     /// Analytical blocking had the channels been pooled: `B(A, N_total)`, %.
     pub analytic_pooled_pct: f64,
@@ -191,7 +191,7 @@ mod tests {
     fn farm_distributes_calls_evenly() {
         let r = small_farm(2, 9);
         assert_eq!(r.per_server_peaks.len(), 2);
-        // Round-robin: both servers carry comparable peaks.
+        // Uniform dispatch: both servers carry comparable peaks.
         let (a, b) = (r.per_server_peaks[0], r.per_server_peaks[1]);
         assert!(a > 0 && b > 0);
         assert!(a.abs_diff(b) <= 4, "peaks {a} vs {b}");
@@ -215,6 +215,117 @@ mod tests {
         assert!(r.completed > 0);
         assert!(r.monitor.rtp_packets > 0);
         assert!(r.monitor.mos_mean > 4.0, "mos={}", r.monitor.mos_mean);
+    }
+
+    #[test]
+    fn crash_on_one_server_and_flash_crowd_spare_the_rest() {
+        use crate::experiment::{run_world, SimOptions};
+        use des::{SchedulerKind, SimDuration, SimTime};
+        use faults::{FaultKind, FaultSchedule};
+
+        let (crash_at, outage) = (4.0, 3.0);
+        let mut cfg = EmpiricalConfig::smoke(4242);
+        cfg.servers = 4;
+        cfg.erlangs = 40.0;
+        cfg.channels = 12;
+        cfg.user_pool = 40;
+        cfg.placement_window_s = 12.0;
+        cfg.faults = FaultSchedule::new()
+            .at(
+                crash_at,
+                FaultKind::PbxCrash {
+                    pbx: 1,
+                    restart_after: SimDuration::from_secs_f64(outage),
+                },
+            )
+            .at(
+                6.0,
+                FaultKind::FlashCrowd {
+                    rate_multiplier: 3.0,
+                    duration: SimDuration::from_secs(4),
+                },
+            );
+
+        // Interior view: the crash lands on PBX 1 alone, and while it is
+        // dark (answering nothing) each of the other three keeps answering.
+        let sim = run_world(cfg.clone(), SimTime::from_secs(40));
+        let answered_in_outage = |k: usize| {
+            let (lo, hi) = (
+                SimTime::from_secs_f64(crash_at),
+                SimTime::from_secs_f64(crash_at + outage),
+            );
+            sim.world.pbxes[k]
+                .cdr
+                .records()
+                .iter()
+                .filter(|r| r.answered.is_some_and(|t| t > lo && t < hi))
+                .count()
+        };
+        for (k, pbx) in sim.world.pbxes.iter().enumerate() {
+            assert_eq!(pbx.stats().crashes, u64::from(k == 1), "PBX {k}");
+        }
+        for k in 0..4 {
+            assert_eq!(answered_in_outage(k) == 0, k == 1, "PBX {k}");
+        }
+
+        let a = EmpiricalRunner::run(cfg.clone());
+        assert!(a.completed > 0);
+        assert_eq!(
+            a.attempted,
+            a.completed + a.blocked + a.failed + a.abandoned
+        );
+        assert_eq!(a.recoveries.len(), 1, "the crash is the one disruption");
+        assert_eq!(a.digest(), EmpiricalRunner::run(cfg.clone()).digest());
+        let heap = EmpiricalRunner::run_with(
+            cfg,
+            SimOptions {
+                scheduler: SchedulerKind::Heap,
+                ..SimOptions::default()
+            },
+        );
+        assert_eq!(a.digest(), heap.digest(), "heap ≡ wheel");
+    }
+
+    #[test]
+    fn population_spreads_calls_and_churn_over_the_farm() {
+        use crate::experiment::{run_world, MediaMode};
+
+        let mut cfg = EmpiricalConfig::smoke(31);
+        cfg.servers = 2;
+        cfg.erlangs = 12.0;
+        cfg.channels = 8;
+        cfg.media = MediaMode::Off;
+        let mut pop =
+            loadgen::PopulationConfig::for_offered_load(240, cfg.erlangs, cfg.holding.mean());
+        pop.reg_expiry_s = 30.0;
+        pop.churn_buckets = 8;
+        cfg.population = Some(pop);
+
+        // Beyond the prime's 2 × user_pool classic REGISTERs, each PBX
+        // must have seen churn re-REGISTERs (dealt `rank % servers`), and
+        // both must have bridged population calls (dispatch draw).
+        let sim = run_world(cfg.clone(), des::SimTime::from_secs(40));
+        for (k, pbx) in sim.world.pbxes.iter().enumerate() {
+            let (registered, auth_failures) = pbx.registrar.stats();
+            assert!(
+                registered > 2 * u64::from(cfg.user_pool),
+                "PBX {k}: {registered}"
+            );
+            assert_eq!(auth_failures, 0, "PBX {k}");
+            assert!(
+                pbx.cdr.records().iter().any(|r| r.answered.is_some()),
+                "PBX {k} bridged no call"
+            );
+        }
+
+        let agg = EmpiricalRunner::run(cfg.clone());
+        assert!(agg.completed > 0);
+        assert_eq!(
+            agg.attempted,
+            agg.completed + agg.blocked + agg.failed + agg.abandoned
+        );
+        cfg.population.as_mut().expect("population cell").reference = true;
+        assert_eq!(agg.digest(), EmpiricalRunner::run(cfg).digest());
     }
 
     #[test]

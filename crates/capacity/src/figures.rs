@@ -87,11 +87,10 @@ fn fig6_point(a: f64, pbs: &[f64]) -> Fig6Point {
 ///
 /// Sweeps `loads` with `replications` independent seeded runs per point.
 /// The `(load, rep)` grid fans out through the budgeted work-stealing
-/// executor ([`crate::sweep`]) — workers come from the same [`des::pool`]
-/// budget the within-run sharded engine draws on, so `--threads N` bounds
-/// the whole process — and, thanks to per-run RNG streams plus
-/// index-keyed collection, produces identical numbers at any thread
-/// count.
+/// executor ([`crate::sweep`]) — workers come from the [`des::pool`]
+/// budget, so `--threads N` bounds the whole process — and, thanks to
+/// per-run RNG streams plus index-keyed collection, produces identical
+/// numbers at any thread count.
 #[must_use]
 pub fn fig6(loads: &[f64], replications: u64, base_seed: u64) -> Vec<Fig6Point> {
     fig6_with(loads, replications, base_seed, None)

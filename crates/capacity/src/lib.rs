@@ -25,12 +25,10 @@ pub mod farm;
 pub mod figures;
 pub mod policy;
 pub mod report;
-pub mod shard;
 pub mod sweep;
 pub mod table1;
 pub mod world;
 
 pub use experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode, RunResult, SimOptions};
-pub use shard::{run_partitioned, ExecMode};
 pub use table1::{table1, Table1Row};
-pub use world::{MediaKernel, MediaPath};
+pub use world::MediaPath;

@@ -207,7 +207,6 @@ pub fn render_throughput(r: &RunResult) -> String {
             ("  scoring", r.phases.scoring_s),
             ("  sip wire parse", r.phases.sip_wire_s),
             ("  sdp parse/build", r.phases.sdp_wire_s),
-            ("  sync barrier", r.phases.sync_barrier_s),
         ] {
             let _ = writeln!(out, "{label:<28}{s:>12.3}s {:>5.1}%", pct(s));
         }

@@ -12,11 +12,10 @@
 //!   when empty, steals from the back of a victim's queue. Long cells
 //!   start first, short cells backfill, and no worker idles while work
 //!   remains.
-//! * **Budgeted** — workers come from [`des::pool::acquire`], the same
-//!   budget the within-run sharded executor ([`crate::shard`]) draws
-//!   from. A sweep cell that itself runs sharded nests cooperatively:
-//!   its inner `acquire` sees only what the sweep left free and degrades
-//!   toward inline execution rather than oversubscribing the host.
+//! * **Budgeted** — workers come from [`des::pool::acquire`]. A sweep
+//!   nested inside another's cell cooperates: its inner `acquire` sees
+//!   only what the outer sweep left free and degrades toward inline
+//!   execution rather than oversubscribing the host.
 //! * **Deterministic** — every result lands in a slot keyed by its task
 //!   index, and aggregation happens in index order after the join, so
 //!   means, CI half-widths and report text are byte-identical to the

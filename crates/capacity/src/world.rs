@@ -2,9 +2,10 @@
 //! glued to the DES engine.
 //!
 //! The paper's testbed has exactly one Asterisk server; the world also
-//! supports a farm of `servers` PBX nodes with calls split round-robin —
-//! the §IV "increasing the number of servers" alternative, measurable
-//! against the pooled single server (see `capacity::farm`).
+//! supports a farm of `servers` PBX nodes, each call dispatched to a
+//! uniformly random server (Bernoulli splitting, see `place_call`) — the
+//! §IV "increasing the number of servers" alternative, measurable against
+//! the pooled single server (see `capacity::farm`).
 
 use crate::experiment::{EmpiricalConfig, MediaMode};
 use des::{EventHandler, GenTag, Phase, PhaseTimer, Scheduler, SimDuration, SimTime, StreamRng};
@@ -49,7 +50,7 @@ pub const POP_UID_BASE: u64 = 1_000_000;
 const RETIRE_DELAY: SimDuration = SimDuration::from_secs(1);
 
 /// Seed-derivation replica index for the reference engine's private
-/// decoy stream (any fixed label distinct from the shard indices works).
+/// decoy stream (any fixed label works).
 const POP_DECOY_REP: u64 = 0xD0_1C;
 
 /// Users re-REGISTERed per churn slice event: bounds the wheel's live
@@ -94,33 +95,13 @@ pub enum MediaPath {
     Coalesced,
 }
 
-/// Which media compute kernel synthesises and compands audio frames.
-///
-/// Orthogonal to [`MediaPath`] (which decides *when* frames are emitted,
-/// this decides *how* their bytes are produced) and invisible in the
-/// physics: payload bytes never reach the monitor or the scoring path —
-/// only headers, sizes and timing do — so both kernels produce identical
-/// [`crate::experiment::RunResult::digest`] values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MediaKernel {
-    /// The original per-sample pipeline: trigonometric [`VoiceSource`]
-    /// synthesis and scalar segment-search G.711 companding. Kept as the
-    /// A/B baseline for the media benchmarks.
-    Reference,
-    /// The vectorizable pipeline: phasor-rotation [`FastVoiceSource`]
-    /// synthesis into a reused scratch buffer and table-driven G.711
-    /// companding over whole frames.
-    #[default]
-    Batched,
-}
-
 /// How SIP messages travel between the endpoints and the PBX farm.
 ///
-/// Orthogonal to [`MediaPath`]/[`MediaKernel`] and, like them, invisible
-/// in the physics: both paths put identical wire lengths on the simulated
-/// links and hand identical structured messages to the protocol engines,
-/// so they produce identical [`crate::experiment::RunResult::digest`]
-/// values (enforced in-tree by `engine_options_do_not_change_the_physics`).
+/// Orthogonal to [`MediaPath`] and, like it, invisible in the physics:
+/// both paths put identical wire lengths on the simulated links and hand
+/// identical structured messages to the protocol engines, so they produce
+/// identical [`crate::experiment::RunResult::digest`] values (enforced
+/// in-tree by `engine_options_do_not_change_the_physics`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SignallingPath {
     /// Wire-faithful: every send serializes the message to bytes
@@ -207,13 +188,6 @@ pub struct MediaKey {
 pub enum Ev {
     /// Place the next call.
     PlaceCall,
-    /// (Sharded runs) the partition driver's arrival clock ticked. Handled
-    /// by the shard wrapper in `crate::shard`, never by `World` itself.
-    ArrivalTick,
-    /// (Sharded runs) a dispatched call order reaches this partition's
-    /// PBX one control-plane hop after the driver drew it: place exactly
-    /// one call now, without consulting the local arrival process.
-    PlaceOrder,
     /// Hand a locally originated frame to the network (used to pace the
     /// registration storm so it cannot overflow the access links).
     SendFrame(Frame),
@@ -273,27 +247,10 @@ pub enum Ev {
     QualityTick,
     /// A finite-source population arrival surfaced. The stamp decides
     /// liveness: state changes since the draw leave it stale, and a stale
-    /// arrival is a logically cancelled timer — discarded on claim. In
-    /// sharded runs this is the partition driver's arrival clock instead,
-    /// intercepted in `crate::shard` and never seen by `World`.
+    /// arrival is a logically cancelled timer — discarded on claim.
     PopArrival {
         /// Generation stamp from [`loadgen::PopulationArrivals`].
         tag: GenTag,
-    },
-    /// (Sharded runs) a dispatched population call order: place one call
-    /// for this specific user with the hold the driver sampled.
-    PlaceOrderFor {
-        /// Global population rank of the caller.
-        user: u64,
-        /// Sampled holding time, nanoseconds.
-        hold_ns: u64,
-    },
-    /// (Sharded runs) the driver's open-loop estimate of a population
-    /// call's end: the user rejoins the idle set. Handled by the shard
-    /// wrapper, never by `World` itself.
-    PopCallEnded {
-        /// Global population rank of the caller.
-        user: u64,
     },
     /// One expiry-wheel tick: the bucket's contiguous rank range of the
     /// population re-REGISTERs (digest handshake), paced within the tick.
@@ -321,10 +278,8 @@ pub enum Ev {
 }
 
 enum AudioSource {
-    /// The paper's setting: continuous speech, 50 pps (reference kernel).
-    Continuous(VoiceSource),
-    /// Continuous speech via the phasor synthesiser (batched kernel).
-    ContinuousBatched(FastVoiceSource),
+    /// The paper's setting: continuous speech, 50 pps.
+    Continuous(FastVoiceSource),
     /// Silence-suppressed talkspurt model (the VAD ablation).
     Talkspurt(TalkspurtSource),
 }
@@ -369,14 +324,8 @@ impl MediaSession {
 struct PopState {
     engine: PopulationArrivals,
     churn: ChurnWheel,
-    /// In-flight population calls: UAC Call-ID → local engine rank.
+    /// In-flight population calls: UAC Call-ID → engine rank.
     call_user: HashMap<String, u64>,
-    /// Global rank of this world's local rank 0 (shard slicing).
-    first_user: u64,
-    /// Whether this world owns its arrival chain. Sequential worlds do;
-    /// shard worlds receive [`Ev::PlaceOrderFor`] from the driver and
-    /// must leave their local engine silent.
-    arrivals_armed: bool,
 }
 
 /// The complete experiment world.
@@ -407,9 +356,8 @@ pub struct World {
     placement_start: SimTime,
     placement_end: SimTime,
     media_path: MediaPath,
-    media_kernel: MediaKernel,
     signalling: SignallingPath,
-    /// Reused PCM frame buffer for the batched kernel: synthesis fills it
+    /// Reused PCM frame buffer: synthesis fills it
     /// in place, companding reads it — no per-frame sample allocation.
     media_scratch: [i16; SAMPLES_PER_FRAME],
     /// Wall-clock phase attribution (compiled out without the
@@ -442,19 +390,15 @@ pub struct World {
 
 impl World {
     /// Build a world from an experiment configuration, using the default
-    /// (coalesced) media path and (batched) media kernel.
+    /// (coalesced) media path.
     #[must_use]
     pub fn new(config: EmpiricalConfig) -> Self {
-        Self::with_engine(config, MediaPath::default(), MediaKernel::default())
+        Self::with_engine(config, MediaPath::default())
     }
 
-    /// Build a world with explicit media path and media kernel.
+    /// Build a world with an explicit media path.
     #[must_use]
-    pub fn with_engine(
-        config: EmpiricalConfig,
-        media_path: MediaPath,
-        media_kernel: MediaKernel,
-    ) -> Self {
+    pub fn with_engine(config: EmpiricalConfig, media_path: MediaPath) -> Self {
         let servers = config.servers.max(1);
         let streams = des::RngStream::new(config.seed);
         let mut link = LinkParams::fast_ethernet();
@@ -505,7 +449,7 @@ impl World {
             // are disjoint anyway).
             for pbx in &mut pbxes {
                 pbx.directory
-                    .set_synthetic_range(POP_UID_BASE + pop.first_user, pop.subscribers);
+                    .set_synthetic_range(POP_UID_BASE, pop.subscribers);
             }
             PopState {
                 engine: PopulationArrivals::new(
@@ -518,8 +462,6 @@ impl World {
                     pop.churn_buckets,
                 ),
                 call_user: HashMap::new(),
-                first_user: pop.first_user,
-                arrivals_armed: false,
             }
         });
         let rate = config.erlangs / config.holding.mean();
@@ -541,7 +483,6 @@ impl World {
             placement_end: SimTime::from_secs(1)
                 + SimDuration::from_secs_f64(config.placement_window_s),
             media_path,
-            media_kernel,
             signalling: SignallingPath::default(),
             media_scratch: [0i16; SAMPLES_PER_FRAME],
             phase_timer: PhaseTimer::new(),
@@ -596,17 +537,6 @@ impl World {
     /// Seed the initial events: registrations at t≈0, first arrival after
     /// the placement start.
     pub fn prime(&mut self, sched: &mut Scheduler<Ev>) {
-        self.prime_inner(sched, true);
-    }
-
-    /// Seed a partitioned world: registrations, faults and quality ticks,
-    /// but **no** arrival chain — a sharded run's driver owns the arrival
-    /// process and feeds this world [`Ev::PlaceOrder`]s instead.
-    pub fn prime_partitioned(&mut self, sched: &mut Scheduler<Ev>) {
-        self.prime_inner(sched, false);
-    }
-
-    fn prime_inner(&mut self, sched: &mut Scheduler<Ev>, with_arrivals: bool) {
         // Register caller and callee pools at every PBX through real
         // REGISTER messages.
         let mut reg_frames = Vec::new();
@@ -647,30 +577,22 @@ impl World {
         // start the wheel, and seed the finite-source arrival chain. The
         // classic pools above still prime — they provide the callee
         // extensions population callers dial.
-        if let Some(pop_cfg) = self.config.population.clone() {
+        if let Some(pop) = self.population.as_ref() {
+            let subscribers = pop.engine.subscribers();
+            let tick_period = pop.churn.tick_period();
             for pbx in &mut self.pbxes {
                 pbx.registrar.bulk_install(
                     SimTime::ZERO,
-                    POP_UID_BASE + pop_cfg.first_user,
-                    pop_cfg.subscribers,
+                    POP_UID_BASE,
+                    subscribers,
                     nodes::SIPP_CLIENT,
                 );
             }
-            let pop = self
-                .population
-                .as_mut()
-                .expect("built from the same config");
             // Tick 0 would re-REGISTER rank 0 at t = 0, racing the bulk
             // install it refreshes; start the wheel at tick 1.
-            sched.schedule(
-                SimTime::ZERO + pop.churn.tick_period(),
-                Ev::ChurnTick { tick: 1 },
-            );
-            if with_arrivals {
-                pop.arrivals_armed = true;
-                self.pop_draw_next(self.placement_start, sched);
-            }
-        } else if with_arrivals {
+            sched.schedule(SimTime::ZERO + tick_period, Ev::ChurnTick { tick: 1 });
+            self.pop_draw_next(self.placement_start, sched);
+        } else {
             let first = self
                 .arrivals
                 .next_after(self.placement_start, &mut self.rng_arrivals);
@@ -1062,22 +984,13 @@ impl World {
         let mut source = if self.config.silence_suppression {
             AudioSource::Talkspurt(TalkspurtSource::conversational(source_seed))
         } else {
-            match self.media_kernel {
-                MediaKernel::Reference => AudioSource::Continuous(VoiceSource::new(source_seed)),
-                MediaKernel::Batched => {
-                    AudioSource::ContinuousBatched(FastVoiceSource::new(source_seed))
-                }
-            }
+            AudioSource::Continuous(FastVoiceSource::new(source_seed))
         };
         let mut packetizer = Packetizer::new(ssrc, Law::Mu, first_seq, first_ts);
         // Pre-encode one real frame to seed the cached payload. (With VAD
         // the session may start silent; seed from a scratch voice then.)
         let cached = match &mut source {
             AudioSource::Continuous(v) => {
-                let samples = v.next_samples(SAMPLES_PER_FRAME);
-                packetizer.encode_shared_reference(&samples)
-            }
-            AudioSource::ContinuousBatched(v) => {
                 v.fill(&mut self.media_scratch);
                 packetizer.encode_shared(&self.media_scratch)
             }
@@ -1088,10 +1001,7 @@ impl World {
                         VoiceSource::new(source_seed).next_samples(SAMPLES_PER_FRAME)
                     }
                 };
-                match self.media_kernel {
-                    MediaKernel::Reference => packetizer.encode_shared_reference(&samples),
-                    MediaKernel::Batched => packetizer.encode_shared(&samples),
-                }
+                packetizer.encode_shared(&samples)
             }
         };
         let first_packet = packetizer.packetize_shared(cached.clone());
@@ -1188,33 +1098,21 @@ impl World {
     /// payload the packet carries is `session.cached_payload` as this
     /// leaves it; only callers that put real octets on a frame clone it
     /// (see [`MediaSession::datagram`]). `scratch` is the world's reused
-    /// PCM buffer (batched kernel only); `kernel` selects how refresh
-    /// frames are synthesised and companded.
+    /// PCM buffer.
     fn advance_session(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
-        kernel: MediaKernel,
         encode_every: u32,
     ) -> Option<(RtpHeader, usize)> {
         let refresh = session.refresh_in == 0;
         // With VAD, a silent slot advances the media clock and sends
         // nothing; the frame cadence continues.
         let talking = match &mut session.source {
-            AudioSource::Continuous(_) | AudioSource::ContinuousBatched(_) => true,
+            AudioSource::Continuous(_) => true,
             AudioSource::Talkspurt(t) => match t.next_slot() {
                 FrameSlot::Talk { samples, .. } => {
                     if refresh {
-                        session.cached_payload = match kernel {
-                            MediaKernel::Reference => samples
-                                .iter()
-                                .map(|&s| rtpcore::g711::reference::ulaw_encode(s))
-                                .collect(),
-                            MediaKernel::Batched => {
-                                let mut buf = vec![0u8; samples.len()];
-                                rtpcore::g711::ulaw_encode_into(&samples, &mut buf);
-                                buf.into()
-                            }
-                        };
+                        session.cached_payload = session.packetizer.encode_shared(&samples);
                     }
                     true
                 }
@@ -1228,16 +1126,9 @@ impl World {
         // Refresh the cached payload on encode frames; the voice source
         // only advances when a frame is actually synthesised.
         if refresh {
-            match &mut session.source {
-                AudioSource::Continuous(voice) => {
-                    let samples = voice.next_samples(SAMPLES_PER_FRAME);
-                    session.cached_payload = session.packetizer.encode_shared_reference(&samples);
-                }
-                AudioSource::ContinuousBatched(voice) => {
-                    voice.fill(scratch);
-                    session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
-                }
-                AudioSource::Talkspurt(_) => {}
+            if let AudioSource::Continuous(voice) = &mut session.source {
+                voice.fill(scratch);
+                session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
             }
             session.refresh_in = encode_every;
         }
@@ -1350,7 +1241,6 @@ impl World {
         let Some(encode_every) = self.media_encode_every() else {
             return;
         };
-        let kernel = self.media_kernel;
         let Some(&idx) = self.media_index.get(&key) else {
             return;
         };
@@ -1362,7 +1252,7 @@ impl World {
             return;
         }
         let emit = timer.measure(Phase::MediaEncode, || {
-            Self::advance_session(session, &mut self.media_scratch, kernel, encode_every)
+            Self::advance_session(session, &mut self.media_scratch, encode_every)
         });
         if let Some((header, _)) = emit {
             let (src, dst, port) = session.route();
@@ -1385,7 +1275,6 @@ impl World {
             self.slot_armed[slot] = false;
             return;
         };
-        let kernel = self.media_kernel;
         // Take the bucket to sidestep aliasing with `self` methods; ended
         // sessions are compacted out, survivors keep insertion order.
         let mut bucket = std::mem::take(&mut self.phase_buckets[slot]);
@@ -1402,7 +1291,7 @@ impl World {
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
                 let emit = timer.measure(Phase::MediaEncode, || {
-                    Self::advance_session(session, &mut self.media_scratch, kernel, encode_every)
+                    Self::advance_session(session, &mut self.media_scratch, encode_every)
                 });
                 if let Some((header, rtp_len)) = emit {
                     let route = session.route();
@@ -1596,33 +1485,11 @@ impl World {
         }
     }
 
-    /// Place exactly one call right now (sharded runs: an
-    /// [`Ev::PlaceOrder`] dispatched by the partition driver). Unlike
-    /// [`World::place_call`] this neither consults the arrival process nor
-    /// gates on the placement window — the driver already admitted the
-    /// order; it simply lands one control-plane hop later.
-    fn place_one(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let i = self.calls_placed % u64::from(self.config.user_pool);
-        let caller = format!("{}", 1000 + i);
-        let callee = format!("{}", 1500 + i);
-        let hold = self.config.holding.sample(&mut self.rng_holding);
-        let k = if self.uacs.len() == 1 {
-            0
-        } else {
-            use des::rng::Distributions;
-            self.rng_dispatch.below(self.uacs.len() as u64) as usize
-        };
-        let (_, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
-        self.calls_placed += 1;
-        self.process_uac_events(now, sched, k, events);
-    }
-
     // -- finite-source population workload ----------------------------------
 
-    /// Draw the next finite-source arrival and arm it. No-op when this
-    /// world does not own its arrival chain (shard worlds), when the
-    /// placement window is over, or when every subscriber is mid-call
-    /// (the next hangup re-draws).
+    /// Draw the next finite-source arrival and arm it. No-op when the
+    /// placement window is over or when every subscriber is mid-call (the
+    /// next hangup re-draws).
     fn pop_draw_next(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if now > self.placement_end {
             return;
@@ -1630,9 +1497,6 @@ impl World {
         let Some(pop) = self.population.as_mut() else {
             return;
         };
-        if !pop.arrivals_armed {
-            return;
-        }
         if let Some(a) = pop.engine.next_arrival(now, &mut self.rng_arrivals) {
             if a.at <= self.placement_end {
                 sched.schedule(a.at, Ev::PopArrival { tag: a.tag });
@@ -1652,24 +1516,15 @@ impl World {
         let Some(rank) = pop.engine.claim(tag) else {
             return;
         };
-        let global = pop.first_user + rank;
-        self.pop_place(now, sched, global, None);
+        self.pop_place(now, sched, rank);
         self.pop_draw_next(now, sched);
     }
 
-    /// Place one population call for the user of global rank `global`.
-    /// `hold` is `Some` when the sharded driver already sampled it (it
-    /// rides the placement order), `None` to sample locally.
-    fn pop_place(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-        global: u64,
-        hold: Option<SimDuration>,
-    ) {
-        let caller = format!("{}", POP_UID_BASE + global);
-        let callee = format!("{}", 1500 + global % u64::from(self.config.user_pool));
-        let hold = hold.unwrap_or_else(|| self.config.holding.sample(&mut self.rng_holding));
+    /// Place one population call for the user of rank `rank`.
+    fn pop_place(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, rank: u64) {
+        let caller = format!("{}", POP_UID_BASE + rank);
+        let callee = format!("{}", 1500 + rank % u64::from(self.config.user_pool));
+        let hold = self.config.holding.sample(&mut self.rng_holding);
         let k = if self.uacs.len() == 1 {
             0
         } else {
@@ -1686,7 +1541,7 @@ impl World {
         );
         if let Some(pop) = self.population.as_mut() {
             if !call_id.is_empty() {
-                pop.call_user.insert(call_id, global - pop.first_user);
+                pop.call_user.insert(call_id, rank);
             }
         }
         self.calls_placed += 1;
@@ -1747,11 +1602,10 @@ impl World {
             return;
         };
         let due = pop.churn.due_range(tick);
-        let first_user = pop.first_user;
         let servers = self.uacs.len() as u64;
         let end = (start + CHURN_SLICE).min(due.end);
         for rank in start..end {
-            let uid = format!("{}", POP_UID_BASE + first_user + rank);
+            let uid = format!("{}", POP_UID_BASE + rank);
             // Round-robin the auth load across the farm's client engines.
             let k = (rank % servers) as usize;
             let at = now + SimDuration::from_nanos(spacing_ns * (rank - start));
@@ -1784,10 +1638,6 @@ impl EventHandler<Ev> for World {
         let mut timer = std::mem::take(&mut self.phase_timer);
         match event {
             Ev::PlaceCall => timer.measure(Phase::Signalling, || self.place_call(at, sched)),
-            Ev::ArrivalTick => {
-                unreachable!("ArrivalTick is intercepted by the shard driver")
-            }
-            Ev::PlaceOrder => timer.measure(Phase::Signalling, || self.place_one(at, sched)),
             Ev::SendFrame(frame) => {
                 let phase = match frame.payload {
                     Payload::Sip(_) | Payload::SipWire(_) => Phase::Signalling,
@@ -1839,12 +1689,6 @@ impl EventHandler<Ev> for World {
             }),
             Ev::PopArrival { tag } => {
                 timer.measure(Phase::Signalling, || self.pop_arrival(at, sched, tag));
-            }
-            Ev::PlaceOrderFor { user, hold_ns } => timer.measure(Phase::Signalling, || {
-                self.pop_place(at, sched, user, Some(SimDuration::from_nanos(hold_ns)));
-            }),
-            Ev::PopCallEnded { .. } => {
-                unreachable!("PopCallEnded is intercepted by the shard driver")
             }
             Ev::ChurnTick { tick } => {
                 timer.measure(Phase::Signalling, || self.pop_churn(at, sched, tick));

@@ -1,13 +1,12 @@
 //! Property tests for the finite-source population engine: the
 //! aggregated O(active) arrival sampler must be draw-for-draw identical
 //! to the per-user-timer reference at small N — across both scheduler
-//! backends, and at every sharded thread width. The coupling
+//! backends. The coupling
 //! construction hands both engines the same thinned-gap and
 //! winner-ordinal draws, so any digest divergence means the fast path
 //! changed the physics, not just the bookkeeping.
 
 use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode, SimOptions};
-use capacity::shard::{run_partitioned, ExecMode};
 use des::SchedulerKind;
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -52,31 +51,6 @@ proptest! {
             a.digest(), r.digest(),
             "aggregated vs reference diverged on {:?} (seed {}, N {}, {} vs {} events)",
             scheduler, seed, subs, a.events_processed, r.events_processed
-        );
-    }
-
-    /// The partitioned population driver: the sequential global
-    /// interleave and the windowed parallel executor at a sampled
-    /// 1/2/4/8-thread width must agree bit-for-bit.
-    #[test]
-    fn sharded_population_is_digest_exact_at_every_width(
-        seed in 1u64..10_000,
-        subs in 80u64..240,
-        servers in 2u32..5,
-        threads in select(vec![1u32, 2, 4, 8]),
-    ) {
-        // Over-provision the pool so requested widths actually differ;
-        // the digest must not care how many workers the machine grants.
-        des::pool::configure(8);
-        let mut cfg = pop_cfg(seed, subs, 4.0, 30.0, 8);
-        cfg.servers = servers;
-        cfg.channels = 3 * servers;
-        let base = run_partitioned(cfg.clone(), SimOptions::default(), ExecMode::Sequential);
-        let r = run_partitioned(cfg, SimOptions::default(), ExecMode::Sharded { threads });
-        prop_assert_eq!(
-            r.digest(), base.digest(),
-            "sharded({} threads) diverged from sequential (seed {}, N {}, {} vs {} events)",
-            threads, seed, subs, r.events_processed, base.events_processed
         );
     }
 }

@@ -228,17 +228,6 @@ pub struct Scheduler<E> {
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
-    /// Sequence-stream offset: keys are `counter * stride + lane`.
-    ///
-    /// A standalone scheduler uses `lane = 0, stride = 1`, which makes the
-    /// key exactly the insertion counter (the historical behaviour).
-    /// Sharded runs give every shard its own lane with `stride = shards`,
-    /// so keys are globally unique across shards and a cross-shard event
-    /// carries the same `(time, seq)` no matter which executor delivers
-    /// it — that key equality is what makes the parallel executor
-    /// digest-exact against the sequential one.
-    lane: u64,
-    stride: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -285,62 +274,6 @@ impl<E> Scheduler<E> {
             next_seq: 0,
             now: SimTime::ZERO,
             scheduled_total: 0,
-            lane: 0,
-            stride: 1,
-        }
-    }
-
-    /// Assign this scheduler a sequence lane: keys become
-    /// `counter * stride + lane` instead of the bare counter.
-    ///
-    /// Must be called before anything is scheduled — the lane is part of
-    /// every key, and re-laning a live queue would reorder ties.
-    ///
-    /// # Panics
-    /// If events were already scheduled, `stride` is zero, or
-    /// `lane >= stride`.
-    pub fn set_seq_stream(&mut self, lane: u64, stride: u64) {
-        assert_eq!(
-            self.scheduled_total, 0,
-            "sequence lane must be set before the first schedule"
-        );
-        assert!(stride > 0 && lane < stride, "lane must lie within stride");
-        self.lane = lane;
-        self.stride = stride;
-    }
-
-    /// The `(lane, stride)` pair keys are drawn from (see
-    /// [`Scheduler::set_seq_stream`]); `(0, 1)` for a standalone
-    /// scheduler.
-    #[must_use]
-    pub fn seq_stream(&self) -> (u64, u64) {
-        (self.lane, self.stride)
-    }
-
-    /// Allocate the next sequence key without scheduling anything.
-    ///
-    /// Cross-shard sends are stamped by the *source* shard: the source
-    /// consumes one of its keys here and the destination inserts the
-    /// event with [`Scheduler::schedule_keyed`]. Because the key is fixed
-    /// at send time, the pop order at the destination is independent of
-    /// when (or on which thread) the message is delivered.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.next_seq * self.stride + self.lane;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Insert an event carrying a pre-allocated sequence key (from
-    /// [`Scheduler::alloc_seq`] on the sending scheduler). Does not
-    /// consume a local key. `at` is clamped to `now` like
-    /// [`Scheduler::schedule`].
-    pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, event: E) {
-        let at = at.max(self.now);
-        self.scheduled_total += 1;
-        let s = Scheduled { at, seq, event };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(s),
-            Backend::Wheel(wheel) => wheel.push(s),
         }
     }
 
@@ -366,7 +299,7 @@ impl<E> Scheduler<E> {
     /// panicking deep inside a long run.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.max(self.now);
-        let seq = self.next_seq * self.stride + self.lane;
+        let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
         let s = Scheduled { at, seq, event };
@@ -404,27 +337,6 @@ impl<E> Scheduler<E> {
         debug_assert!(s.at >= self.now, "event queue went back in time");
         self.now = s.at;
         Some((s.at, s.event))
-    }
-
-    /// `(time, seq)` key of the next pending event, if any.
-    ///
-    /// Mutating so the wheel backend can advance its cursor (promoting
-    /// overflow on the way) instead of scanning all buckets: after
-    /// `seek_next` the cursor bucket holds the globally minimal key,
-    /// because every other bucket and the overflow hold only events in
-    /// strictly later slots. The sharded executors lean on this to merge
-    /// per-shard queues by key without popping.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|s| (s.at, s.seq)),
-            Backend::Wheel(wheel) => {
-                if !wheel.seek_next() {
-                    return None;
-                }
-                let idx = wheel.bucket_index(wheel.cursor);
-                wheel.buckets[idx].peek().map(|s| (s.at, s.seq))
-            }
-        }
     }
 
     /// Fire time of the next pending event, if any.
@@ -773,90 +685,6 @@ mod tests {
             let n2 = sim.run_to_completion();
             assert_eq!(n2, 8);
             assert_eq!(sim.step(SimTime::MAX), StepOutcome::Exhausted);
-        }
-    }
-
-    #[test]
-    fn seq_streams_interleave_like_a_single_counter() {
-        // Two laned schedulers cross-feeding each other must pop ties in
-        // the deterministic lane-interleaved key order on both backends.
-        for kind in BOTH {
-            let mut a = Scheduler::with_kind(kind);
-            let mut b = Scheduler::with_kind(kind);
-            a.set_seq_stream(0, 2);
-            b.set_seq_stream(1, 2);
-            let t = SimTime::from_secs(1);
-            a.schedule(t, "a0"); // key 0
-            b.schedule(t, "b0"); // key 1
-            let cross = b.alloc_seq(); // key 3 (b's counter is at 1)
-            a.schedule(t, "a1"); // key 2
-            a.schedule_keyed(t, cross, "b->a");
-            let order: Vec<_> = std::iter::from_fn(|| a.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a0", "a1", "b->a"], "{kind:?}");
-            assert_eq!(b.pop().map(|(_, e)| e), Some("b0"));
-        }
-    }
-
-    #[test]
-    fn schedule_keyed_counts_and_clamps() {
-        for kind in BOTH {
-            let mut s = Scheduler::with_kind(kind);
-            s.schedule(SimTime::from_secs(5), "now-mover");
-            s.pop();
-            s.schedule_keyed(SimTime::from_secs(1), 99, "past");
-            assert_eq!(s.scheduled_total(), 2, "keyed inserts count ({kind:?})");
-            let (t, e) = s.pop().unwrap();
-            assert_eq!((t, e), (SimTime::from_secs(5), "past"), "clamped to now");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "before the first schedule")]
-    fn set_seq_stream_rejects_live_queue() {
-        let mut s = Scheduler::new();
-        s.schedule(SimTime::from_secs(1), ());
-        s.set_seq_stream(0, 2);
-    }
-
-    #[test]
-    fn peek_key_matches_pop_under_random_load() {
-        for kind in BOTH {
-            let mut s = Scheduler::with_kind(kind);
-            let mut x: u64 = 0x1234_5678_9ABC_DEF0;
-            for i in 0..3000u32 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                s.schedule(SimTime::from_nanos(x % 5_000_000_000), i);
-            }
-            while let Some(key) = s.peek_key() {
-                let (at, ev) = s.pop().expect("peeked");
-                // Recompute the expected key: seq was assigned in insert order,
-                // so just check time agreement plus monotone keys via pops.
-                assert_eq!(key.0, at, "{kind:?}");
-                let _ = ev;
-            }
-            assert!(s.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn peek_key_agrees_across_backends() {
-        let mut w = Scheduler::with_kind(SchedulerKind::Wheel);
-        let mut h = Scheduler::new();
-        let horizon_ns = WHEEL_SLOT_NS * WHEEL_SLOTS as u64;
-        for s in [&mut w, &mut h] {
-            s.schedule(SimTime::from_nanos(horizon_ns + 7), "far");
-            s.schedule(SimTime::from_nanos(42), "near");
-            s.schedule(SimTime::from_nanos(42), "near-tie");
-        }
-        loop {
-            assert_eq!(w.peek_key(), h.peek_key());
-            let (a, b) = (w.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
         }
     }
 

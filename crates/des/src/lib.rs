@@ -42,17 +42,13 @@ pub mod fastmap;
 pub mod phase_timer;
 pub mod pool;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timeseries;
 
 pub use cancel::{GenTag, Generation};
 pub use engine::{EventHandler, Scheduler, SchedulerKind, Simulation, StepOutcome};
 pub use fastmap::FastMap;
 pub use phase_timer::{Phase, PhaseBreakdown, PhaseTimer};
 pub use rng::{stream_seed, Distributions, RngStream, StreamRng};
-pub use shard::{ExecStats, ShardCtx, ShardWorld, ShardedSim};
 pub use stats::{BatchMeans, Counter, Histogram, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::TimeSeries;

@@ -36,16 +36,13 @@ pub enum Phase {
     /// reference signalling path's eager re-parse; zero on the interned
     /// path, which is the point of measuring it separately).
     SipWire = 4,
-    /// Waiting at a sharded-executor horizon barrier (workers that reach
-    /// the window end early idle here until the slowest shard arrives).
-    SyncBarrier = 5,
     /// Eager SDP body decode/rebuild on SDP-bearing hops (the reference
     /// signalling path's owned parse + serialize per INVITE/200; zero on
     /// the interned path, which cuts through with a structured body).
-    SdpWire = 6,
+    SdpWire = 5,
 }
 
-const PHASES: usize = 7;
+const PHASES: usize = 6;
 
 /// Seconds of wall clock attributed to each bucket of a run.
 ///
@@ -71,10 +68,6 @@ pub struct PhaseBreakdown {
     /// signalling path only; the interned path never serializes on the
     /// hot path, so this bucket stays zero there).
     pub sip_wire_s: f64,
-    /// Time worker threads spent blocked at sharded-run horizon barriers
-    /// (zero for sequential execution). Summed across workers, so on an
-    /// `N`-thread run it can exceed the run's wall clock.
-    pub sync_barrier_s: f64,
     /// Time eagerly parsing/rebuilding SDP bodies on SDP-bearing hops
     /// (reference signalling path only; the interned path carries a
     /// structured session description, so this bucket stays zero there).
@@ -83,7 +76,7 @@ pub struct PhaseBreakdown {
 
 impl PhaseBreakdown {
     /// Sum of the measured handler buckets (excludes the scheduler
-    /// remainder and barrier wait).
+    /// remainder).
     #[must_use]
     pub fn handler_total_s(&self) -> f64 {
         self.signalling_s
@@ -92,23 +85,6 @@ impl PhaseBreakdown {
             + self.scoring_s
             + self.sip_wire_s
             + self.sdp_wire_s
-    }
-
-    /// Fold another breakdown into this one, bucket by bucket. Sharded
-    /// runs keep one `PhaseBreakdown` per shard (each accumulated on
-    /// whatever worker ran the shard, with no cross-thread sharing) and
-    /// sum them at join time, so `--features phase-timing` reports stay
-    /// meaningful under parallel execution.
-    pub fn absorb(&mut self, other: &PhaseBreakdown) {
-        self.enabled |= other.enabled;
-        self.scheduler_s += other.scheduler_s;
-        self.signalling_s += other.signalling_s;
-        self.media_encode_s += other.media_encode_s;
-        self.relay_s += other.relay_s;
-        self.scoring_s += other.scoring_s;
-        self.sip_wire_s += other.sip_wire_s;
-        self.sync_barrier_s += other.sync_barrier_s;
-        self.sdp_wire_s += other.sdp_wire_s;
     }
 }
 
@@ -168,10 +144,9 @@ impl PhaseTimer {
                 relay_s: s(Phase::Relay),
                 scoring_s: s(Phase::Scoring),
                 sip_wire_s: s(Phase::SipWire),
-                sync_barrier_s: s(Phase::SyncBarrier),
                 sdp_wire_s: s(Phase::SdpWire),
             };
-            b.scheduler_s = (total_wall_s - b.handler_total_s() - b.sync_barrier_s).max(0.0);
+            b.scheduler_s = (total_wall_s - b.handler_total_s()).max(0.0);
             b
         }
         #[cfg(not(feature = "phase-timing"))]
@@ -209,31 +184,6 @@ mod tests {
         } else {
             assert_eq!(b, PhaseBreakdown::default());
         }
-    }
-
-    #[test]
-    fn absorb_sums_every_bucket() {
-        let a = PhaseBreakdown {
-            enabled: true,
-            scheduler_s: 1.0,
-            signalling_s: 2.0,
-            media_encode_s: 3.0,
-            relay_s: 4.0,
-            scoring_s: 5.0,
-            sip_wire_s: 6.0,
-            sync_barrier_s: 7.0,
-            sdp_wire_s: 8.0,
-        };
-        let mut total = PhaseBreakdown::default();
-        total.absorb(&a);
-        total.absorb(&a);
-        assert!(total.enabled);
-        assert_eq!(total.sync_barrier_s, 14.0);
-        assert_eq!(
-            total.handler_total_s(),
-            2.0 * (2.0 + 3.0 + 4.0 + 5.0 + 6.0 + 8.0)
-        );
-        assert_eq!(total.scheduler_s, 2.0);
     }
 
     #[test]

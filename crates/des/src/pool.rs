@@ -1,20 +1,17 @@
 //! Process-wide worker-thread budget.
 //!
-//! Parallelism in this workspace nests: the farm and Fig. 6 studies fan
-//! replications out across threads, and a sharded run ([`crate::shard`])
-//! fans a *single* replication out across per-PBX worker threads. Each
-//! layer sizing itself from `available_parallelism` alone would
-//! oversubscribe the machine quadratically (R replications × S shards
-//! threads for R×S ≫ cores). This module is the arbiter: one global
-//! budget, sized once, from which every sharded executor borrows workers
-//! and returns them when the run joins.
+//! The sweep studies (Fig. 6, campaign, farm, policy) fan replications
+//! out across threads, and sweeps can nest. Each layer sizing itself from
+//! `available_parallelism` alone would oversubscribe the machine. This
+//! module is the arbiter: one global budget, sized once, from which every
+//! executor borrows workers and returns them when it joins.
 //!
 //! The budget is advisory-but-honoured: [`acquire`] never blocks and
 //! never grants zero — a caller that finds the budget exhausted runs on
 //! its own thread (one worker), which is exactly the degradation you
 //! want when replication-level parallelism already covers the cores.
-//! Worker counts only affect wall-clock, never results: the sharded
-//! executors are digest-exact at any width, so clamping is invisible to
+//! Worker counts only affect wall-clock, never results: the sweep
+//! executor is byte-identical at any width, so clamping is invisible to
 //! science.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

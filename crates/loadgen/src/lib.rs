@@ -19,7 +19,6 @@ pub mod arrivals;
 pub mod holding;
 pub mod journal;
 pub mod population;
-pub mod scenario;
 pub mod uac;
 pub mod uas;
 
@@ -27,6 +26,5 @@ pub use arrivals::ArrivalProcess;
 pub use holding::HoldingDist;
 pub use journal::{CallOutcome, Journal, MsgDirection};
 pub use population::{Arrival, ChurnWheel, DiurnalProfile, PopulationArrivals, PopulationConfig};
-pub use scenario::{CallContext, Scenario, ScenarioOutput, ScenarioRunner, Step};
 pub use uac::{parse_retry_after, Pacer, PacerMode, RetryPolicy, Uac, UacEvent};
 pub use uas::{Uas, UasEvent};

@@ -25,7 +25,7 @@
 //!    rate, each accepted with probability `φ(t)/φ_max`. Thinning only
 //!    reads the candidate time and one uniform per candidate, so the
 //!    draw sequence — and therefore every digest — is identical across
-//!    scheduler backends and shard thread counts.
+//!    scheduler backends.
 //!
 //! 3. **A per-user reference engine** ([`PopulationConfig::reference`])
 //!    that *does* materialize every idle user's clock, for the repo's
@@ -165,11 +165,6 @@ pub struct PopulationConfig {
     /// Expiry-wheel buckets per expiry period: one churn event per
     /// bucket re-registers the bucket's contiguous rank range.
     pub churn_buckets: u32,
-    /// First global user ordinal this engine drives: the engine's local
-    /// ranks `0..subscribers` name global users `first_user ..
-    /// first_user+subscribers`. Zero for a whole-population engine;
-    /// partitioned runners hand each shard a contiguous slice.
-    pub first_user: u64,
 }
 
 impl PopulationConfig {
@@ -184,34 +179,7 @@ impl PopulationConfig {
             reference: false,
             reg_expiry_s: 3600.0,
             churn_buckets: 256,
-            first_user: 0,
         }
-    }
-
-    /// The contiguous slice of this population owned by shard `k` of
-    /// `shards`: block `k` covers global ranks `[k·N/s, (k+1)·N/s)`.
-    /// Together with [`PopulationConfig::shard_of`] this is the homing
-    /// rule partitioned runners use to split registration churn and
-    /// call placement without per-user routing tables.
-    #[must_use]
-    pub fn slice(&self, k: usize, shards: usize) -> Self {
-        let (k, shards) = (k as u64, shards.max(1) as u64);
-        // Ceiling division, so block k is exactly the preimage of
-        // `shard_of`'s ⌊r·s/N⌋ — they stay inverse even when N < s.
-        let lo = (k * self.subscribers).div_ceil(shards);
-        let hi = ((k + 1) * self.subscribers).div_ceil(shards);
-        let mut sub = self.clone();
-        sub.first_user = self.first_user + lo;
-        sub.subscribers = hi - lo;
-        sub
-    }
-
-    /// Which of `shards` contiguous blocks owns local rank `r` — the
-    /// inverse of [`PopulationConfig::slice`].
-    #[must_use]
-    pub fn shard_of(&self, rank: u64, shards: usize) -> usize {
-        debug_assert!(rank < self.subscribers);
-        ((rank as u128 * shards.max(1) as u128) / u128::from(self.subscribers)) as usize
     }
 
     /// A population sized to offer `erlangs` of busy-hour traffic given
@@ -719,22 +687,5 @@ mod tests {
         }
         let w = ChurnWheel::new(1_000_000, SimDuration::from_secs(3600), 256);
         assert!((w.steady_rate() - 277.8).abs() < 1.0, "{}", w.steady_rate());
-    }
-
-    #[test]
-    fn slices_partition_the_population_and_shard_of_inverts() {
-        for (n, shards) in [(1_000_000u64, 8usize), (97, 13), (5, 8), (64, 1)] {
-            let cfg = PopulationConfig::new(n, 0.01);
-            let mut covered = 0u64;
-            for k in 0..shards {
-                let s = cfg.slice(k, shards);
-                assert_eq!(s.first_user, covered, "contiguous slices");
-                covered += s.subscribers;
-                for r in s.first_user..s.first_user + s.subscribers {
-                    assert_eq!(cfg.shard_of(r, shards), k, "rank {r}");
-                }
-            }
-            assert_eq!(covered, n, "slices cover every rank exactly once");
-        }
     }
 }

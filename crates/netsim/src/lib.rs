@@ -281,20 +281,6 @@ impl Network {
         self.slot(from, to).is_some()
     }
 
-    /// The smallest one-hop delay any frame can currently experience: the
-    /// minimum propagation delay over all links (queueing and
-    /// serialization only add on top of it). `None` for an empty network.
-    ///
-    /// This is the physical floor under the conservative lookahead of a
-    /// sharded run: simulation partitions that only exchange traffic
-    /// through the network cannot influence each other faster than this,
-    /// so any cross-shard dispatch delay at or above the floor is safe to
-    /// use as a synchronization horizon.
-    #[must_use]
-    pub fn min_latency_floor(&self) -> Option<SimDuration> {
-        self.links.iter().map(|l| l.params.propagation).min()
-    }
-
     /// Current parameters of a directed link, if present.
     #[must_use]
     pub fn link_params(&self, from: NodeId, to: NodeId) -> Option<LinkParams> {
@@ -417,22 +403,6 @@ mod tests {
 
     const A: NodeId = NodeId(1);
     const B: NodeId = NodeId(2);
-
-    #[test]
-    fn latency_floor_is_min_propagation() {
-        let mut net = Network::new();
-        assert_eq!(net.min_latency_floor(), None);
-        let mut fast = LinkParams::fast_ethernet();
-        fast.propagation = SimDuration::from_micros(50);
-        let mut slow = LinkParams::fast_ethernet();
-        slow.propagation = SimDuration::from_millis(2);
-        net.add_duplex_link(NodeId(0), NodeId(1), slow);
-        net.add_link(NodeId(1), NodeId(2), fast);
-        assert_eq!(net.min_latency_floor(), Some(SimDuration::from_micros(50)));
-        // Faults that retune links move the floor with them.
-        net.set_link_params(NodeId(1), NodeId(2), slow);
-        assert_eq!(net.min_latency_floor(), Some(SimDuration::from_millis(2)));
-    }
 
     fn one_link(params: LinkParams) -> Network {
         let mut n = Network::new();
@@ -789,10 +759,6 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(dense.total_stats(), total);
-            proptest::prop_assert_eq!(
-                dense.min_latency_floor(),
-                model.links.values().map(|l| l.0.propagation).min()
-            );
         }
     }
 

@@ -248,8 +248,8 @@ impl Packetizer {
     /// Scalar-reference variant of [`Self::encode_shared`]: per-sample
     /// segment-search companding from [`crate::g711::reference`] rather
     /// than the lookup tables. This is the pre-vectorization media
-    /// kernel, kept callable as the oracle the `MediaKernel::Reference`
-    /// path and the LUT-equivalence tests compare against.
+    /// kernel, kept callable as the oracle the LUT-equivalence tests
+    /// compare against.
     ///
     /// # Panics
     /// If `samples.len() != SAMPLES_PER_FRAME`.

@@ -119,9 +119,7 @@ pub struct MonitorReport {
     pub mean_loss: f64,
     /// Mean observed jitter (ms) across flows.
     pub mean_jitter_ms: f64,
-    /// Number of RTP flows the loss/jitter means were taken over — the
-    /// weight [`MonitorReport::merge_all`] needs to recombine per-shard
-    /// reports without re-walking streams.
+    /// Number of RTP flows the loss/jitter means were taken over.
     pub flows: u64,
 }
 
@@ -146,65 +144,6 @@ impl MonitorReport {
             .filter(|(c, _)| **c >= 400)
             .map(|(_, n)| *n)
             .sum()
-    }
-
-    /// Combine per-shard reports into one run-level report.
-    ///
-    /// Sharded runs keep a private `Monitor` per shard (flow ids are only
-    /// unique within a shard's port space), so aggregation happens here at
-    /// report level: counters and SIP maps sum, MOS and loss/jitter means
-    /// recombine as weighted means (weights `calls_scored` and [`flows`]
-    /// respectively). All folds walk `reports` in slice order — callers
-    /// pass shards in index order, making the float sums bit-reproducible
-    /// and independent of which thread produced which report.
-    ///
-    /// [`flows`]: MonitorReport::flows
-    #[must_use]
-    pub fn merge_all(reports: &[MonitorReport]) -> MonitorReport {
-        let mut out = MonitorReport {
-            rtp_packets: 0,
-            sip_total: 0,
-            sip_requests: BTreeMap::new(),
-            sip_responses: BTreeMap::new(),
-            mos_mean: f64::NAN,
-            mos_min: f64::NAN,
-            calls_scored: 0,
-            mean_loss: 0.0,
-            mean_jitter_ms: 0.0,
-            flows: 0,
-        };
-        let mut mos_sum = 0.0;
-        let mut loss_sum = 0.0;
-        let mut jitter_sum = 0.0;
-        for r in reports {
-            out.rtp_packets += r.rtp_packets;
-            out.sip_total += r.sip_total;
-            for (m, n) in &r.sip_requests {
-                *out.sip_requests.entry(m.clone()).or_insert(0) += n;
-            }
-            for (c, n) in &r.sip_responses {
-                *out.sip_responses.entry(*c).or_insert(0) += n;
-            }
-            if r.calls_scored > 0 {
-                mos_sum += r.mos_mean * r.calls_scored as f64;
-                out.mos_min = if out.mos_min.is_nan() {
-                    r.mos_min
-                } else {
-                    out.mos_min.min(r.mos_min)
-                };
-                out.calls_scored += r.calls_scored;
-            }
-            loss_sum += r.mean_loss * r.flows as f64;
-            jitter_sum += r.mean_jitter_ms * r.flows as f64;
-            out.flows += r.flows;
-        }
-        if out.calls_scored > 0 {
-            out.mos_mean = mos_sum / out.calls_scored as f64;
-        }
-        let nflows = (out.flows as f64).max(1.0);
-        out.mean_loss = loss_sum / nflows;
-        out.mean_jitter_ms = jitter_sum / nflows;
-        out
     }
 }
 
@@ -686,44 +625,6 @@ mod tests {
         assert!(report.mos_min > 4.3);
         assert!(report.mean_loss < 1e-12);
         assert!(report.mean_jitter_ms < 0.1);
-    }
-
-    #[test]
-    fn merge_all_recombines_shard_reports() {
-        let mut shards = Vec::new();
-        for k in 0..3u16 {
-            let mut mon = Monitor::new();
-            let flow = FlowId::from_node_port(1, 20_000 + k);
-            mon.register_flow(flow, &format!("call-{k}"));
-            feed_clean_stream(&mut mon, flow, 200);
-            shards.push(mon.report());
-        }
-        // One whole-run monitor over the same three flows as the oracle.
-        let mut all = Monitor::new();
-        for k in 0..3u16 {
-            let flow = FlowId::from_node_port(1, 20_000 + k);
-            all.register_flow(flow, &format!("call-{k}"));
-            feed_clean_stream(&mut all, flow, 200);
-        }
-        let oracle = all.report();
-        let merged = MonitorReport::merge_all(&shards);
-        assert_eq!(merged.rtp_packets, oracle.rtp_packets);
-        assert_eq!(merged.calls_scored, oracle.calls_scored);
-        assert_eq!(merged.flows, oracle.flows);
-        assert!((merged.mos_mean - oracle.mos_mean).abs() < 1e-9);
-        assert!((merged.mos_min - oracle.mos_min).abs() < 1e-9);
-        assert!((merged.mean_jitter_ms - oracle.mean_jitter_ms).abs() < 1e-9);
-        assert!((merged.mean_loss - oracle.mean_loss).abs() < 1e-12);
-
-        // Empty shards contribute nothing and don't poison the means.
-        shards.push(Monitor::new().report());
-        let with_empty = MonitorReport::merge_all(&shards);
-        assert_eq!(with_empty.calls_scored, merged.calls_scored);
-        assert!((with_empty.mos_mean - merged.mos_mean).abs() < 1e-9);
-        // No shards at all: NaN MOS, zeroed counters, like an idle monitor.
-        let none = MonitorReport::merge_all(&[]);
-        assert!(none.mos_mean.is_nan());
-        assert_eq!(none.flows, 0);
     }
 
     #[test]

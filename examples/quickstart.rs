@@ -45,7 +45,6 @@ fn main() {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed: 2015,
     };

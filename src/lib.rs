@@ -19,8 +19,8 @@
 //!   Fig. 4.
 //! * [`pbx_sim`] — the Asterisk stand-in: a B2BUA with a finite channel
 //!   pool, registrar/directory auth, CDRs, RTP relay, and a CPU-cost model.
-//! * [`loadgen`] — the SIPp stand-in: scenario-driven UAC/UAS agents with
-//!   Poisson arrivals.
+//! * [`loadgen`] — the SIPp stand-in: UAC/UAS agents with Poisson
+//!   arrivals.
 //! * [`vmon`] — the VoIPmonitor/Wireshark stand-in: passive RTP analysis,
 //!   MOS estimation and SIP message accounting.
 //! * [`capacity`] — the experiment harness that regenerates the paper's

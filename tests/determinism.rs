@@ -23,7 +23,6 @@ fn cfg(seed: u64, media: MediaMode) -> EmpiricalConfig {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed,
     }

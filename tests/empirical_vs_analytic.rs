@@ -23,7 +23,6 @@ fn sweep_config(erlangs: f64, holding: HoldingDist, channels: u32, seed: u64) ->
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed,
     }

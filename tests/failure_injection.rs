@@ -36,7 +36,6 @@ fn zero_channel_pbx_blocks_every_call() {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed: 5,
     };
@@ -67,7 +66,6 @@ fn heavy_wire_loss_degrades_mos_but_not_blocking() {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed: 21,
     };

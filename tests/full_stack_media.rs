@@ -23,7 +23,6 @@ fn media_cfg(seed: u64) -> EmpiricalConfig {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed,
     }

@@ -73,7 +73,6 @@ fn relay_path_performs_zero_payload_copies() {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed: 7,
     };

@@ -28,7 +28,6 @@ fn one_call_is_thirteen_messages() {
         faults: faults::FaultSchedule::new(),
         overload_law: None,
         retry: None,
-        threads: None,
         population: None,
         seed: 11,
     };
