@@ -22,6 +22,7 @@ use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES
 use rtpcore::vad::{FrameSlot, TalkspurtSource};
 use sipcore::{AtomTable, SipMessage};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use vmon::{FlowId, Monitor};
 
@@ -542,7 +543,7 @@ impl World {
         let mut reg_frames = Vec::new();
         for k in 0..self.pbxes.len() {
             let pbx = pbx_node(k as u32);
-            let host = self.uacs[k].pbx_host.clone();
+            let host = self.uacs[k].pbx_host().to_owned();
             for i in 0..self.config.user_pool {
                 let caller_uid = format!("{}", 1000 + i);
                 for ev in self.uacs[k].register(&caller_uid) {
@@ -692,7 +693,7 @@ impl World {
         }
         self.pbx_down[k] = false;
         let node = pbx_node(pbx);
-        let host = self.uacs[k].pbx_host.clone();
+        let host = self.uacs[k].pbx_host().to_owned();
         let mut reg_frames = Vec::new();
         for i in 0..self.config.user_pool {
             let caller_uid = format!("{}", 1000 + i);
@@ -1604,8 +1605,10 @@ impl World {
         let due = pop.churn.due_range(tick);
         let servers = self.uacs.len() as u64;
         let end = (start + CHURN_SLICE).min(due.end);
+        let mut uid = String::with_capacity(20);
         for rank in start..end {
-            let uid = format!("{}", POP_UID_BASE + rank);
+            uid.clear();
+            let _ = write!(uid, "{}", POP_UID_BASE + rank);
             // Round-robin the auth load across the farm's client engines.
             let k = (rank % servers) as usize;
             let at = now + SimDuration::from_nanos(spacing_ns * (rank - start));

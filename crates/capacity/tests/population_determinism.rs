@@ -54,3 +54,36 @@ proptest! {
         );
     }
 }
+
+/// Golden digest of one small population cell on the default path
+/// (10 000 subscribers, 20 E, seed 2015), printed at the commit before
+/// the digest-registration path was rebuilt: every REGISTER, 401 and 200
+/// of the churn keeps its instant and its size.
+///
+/// `RunResult::digest` folds message and event *totals*, and a 403 costs
+/// what a 200 costs, so the literal alone cannot tell "everyone
+/// registered" from "everyone was refused" (mutation-checked, see
+/// EXPERIMENTS.md). The per-status counts and the conservation checks
+/// pinned beside it can.
+#[test]
+fn golden_digest_population_cell() {
+    let cfg = EmpiricalConfig::population_scale(10_000, 20.0, 2015);
+    let r = EmpiricalRunner::run(cfg.clone());
+    assert_eq!(r.digest(), 0xd577_c88c_dfba_861a, "{r:?}");
+    assert_eq!(r.monitor.sip_response_count(401), 468);
+    assert_eq!(r.monitor.sip_response_count(200), 704);
+    assert_eq!(r.monitor.sip_response_count(403), 0);
+
+    let horizon = des::SimTime::from_secs_f64(r.sim_seconds);
+    let world = capacity::experiment::run_world(cfg, horizon).world;
+    let confirmed: u64 = world.uacs.iter().map(|u| u.registrations_confirmed).sum();
+    assert_eq!(
+        confirmed,
+        world.monitor.sip_response_count(401),
+        "every challenge was answered and accepted"
+    );
+    assert_eq!(world.monitor.sip_response_count(403), 0);
+    let (registered, auth_failures) = world.pbxes[0].registrar.stats();
+    assert_eq!(auth_failures, 0);
+    assert!(registered >= confirmed);
+}

@@ -15,8 +15,9 @@ use crate::journal::{CallOutcome, Journal, MsgDirection};
 use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
 use overload::Feedback;
+use sipcore::auth::{digest_response, CredentialsView, DigestChallenge, HexDigest};
 use sipcore::headers::HeaderName;
-use sipcore::message::{format_via, Request, SipMessage};
+use sipcore::message::{format_via, write_via_args, Request, SipMessage};
 use sipcore::sdp::wire::SdpBody;
 use sipcore::sdp::SdpCodec;
 use sipcore::{AtomTable, Method, SipUri, StatusCode};
@@ -262,14 +263,21 @@ struct UacCall {
     shed_retries: u32,
 }
 
+/// The uid inside a digest registration's `dreg-<uid>-<tag>` Call-ID.
+fn digest_registration_uid(call_id: &str) -> Option<&str> {
+    let (uid, _tag) = call_id.strip_prefix("dreg-")?.rsplit_once('-')?;
+    Some(uid)
+}
+
 /// The UAC engine: many concurrent calls from one generator host.
 pub struct Uac {
     /// This generator's node.
     pub node: NodeId,
     /// The PBX node all signalling goes to.
     pub pbx_node: NodeId,
-    /// PBX hostname for request URIs.
-    pub pbx_host: String,
+    /// PBX hostname for request URIs (fixed: the REGISTER caches below
+    /// are derived from it).
+    pbx_host: String,
     /// Instance tag embedded in Call-IDs — lets several UAC engines share
     /// one host (e.g. one engine per PBX in a server-farm experiment)
     /// while keeping their dialogs distinguishable.
@@ -285,9 +293,16 @@ pub struct Uac {
     calls: FastMap<String, UacCall>,
     /// Shed calls waiting out their backoff, keyed by the shed Call-ID.
     pending_retries: FastMap<String, PendingRetry>,
-    /// Registrations awaiting completion (digest flow): call-id → (uid,
-    /// next CSeq to use on the authenticated retry).
-    pending_registrations: FastMap<String, (String, u32)>,
+    /// Registrations awaiting completion (digest flow): call-id → next
+    /// CSeq to use on the authenticated retry. The uid is read back out
+    /// of the `dreg-<uid>-<tag>` Call-ID ([`digest_registration_uid`]).
+    pending_registrations: FastMap<String, u32>,
+    /// `sip:<pbx_host>`, the Request-URI of every REGISTER, and
+    /// `HA2 = MD5("REGISTER:" + that)` — per engine, not per user.
+    register_uri: String,
+    register_ha2: HexDigest,
+    /// Reused buffer for the password of the registration being answered.
+    secret: String,
     /// Registrations confirmed with a 200.
     pub registrations_confirmed: u64,
     next_serial: u64,
@@ -309,10 +324,14 @@ impl Uac {
     /// Like [`Uac::new`] with an explicit Call-ID instance tag.
     #[must_use]
     pub fn with_tag(node: NodeId, pbx_node: NodeId, pbx_host: &str, tag: u32) -> Self {
+        let register_uri = format!("sip:{pbx_host}");
         Uac {
             node,
             pbx_node,
             pbx_host: pbx_host.to_owned(),
+            register_ha2: sipcore::auth::ha2("REGISTER", &register_uri),
+            register_uri,
+            secret: String::new(),
             tag,
             journal: Journal::new(),
             retry_policy: None,
@@ -328,6 +347,12 @@ impl Uac {
             sdp_origins: AtomTable::new(),
             sdp_host: Arc::from("sipp-client"),
         }
+    }
+
+    /// PBX hostname used in request URIs.
+    #[must_use]
+    pub fn pbx_host(&self) -> &str {
+        &self.pbx_host
     }
 
     /// Number of calls not yet terminally resolved.
@@ -372,8 +397,7 @@ impl Uac {
     pub fn register_digest(&mut self, uid: &str) -> Vec<UacEvent> {
         let call_id = format!("dreg-{uid}-{}", self.tag);
         let req = self.build_register(uid, &call_id, 1, None);
-        self.pending_registrations
-            .insert(call_id, (uid.to_owned(), 2));
+        self.pending_registrations.insert(call_id, 2);
         vec![self.send(req.into())]
     }
 
@@ -384,17 +408,15 @@ impl Uac {
         cseq: u32,
         authorization: Option<String>,
     ) -> Request {
-        let mut req = Request::new(Method::Register, SipUri::server(&self.pbx_host))
-            .header(
-                HeaderName::Via,
-                format_via("uac", 5060, &format!("z9hG4bKdr{uid}{cseq}")),
-            )
-            .header(
-                HeaderName::From,
-                format!("<sip:{uid}@{}>;tag=reg", self.pbx_host),
-            )
-            .header(HeaderName::To, format!("<sip:{uid}@{}>", self.pbx_host))
-            .header(HeaderName::CallId, call_id.to_owned())
+        let host = self.pbx_host.as_str();
+        // 37 fixed bytes + uid + up to 10 CSeq digits, written in place.
+        let mut via = String::with_capacity(48 + uid.len());
+        write_via_args(&mut via, "uac", 5060, format_args!("z9hG4bKdr{uid}{cseq}"));
+        let mut req = Request::new(Method::Register, SipUri::server(host))
+            .header(HeaderName::Via, via)
+            .header(HeaderName::From, format!("<sip:{uid}@{host}>;tag=reg"))
+            .header(HeaderName::To, format!("<sip:{uid}@{host}>"))
+            .header(HeaderName::CallId, call_id)
             .header(HeaderName::CSeq, format!("{cseq} REGISTER"))
             .header(HeaderName::Expires, "3600");
         if let Some(auth) = authorization {
@@ -406,32 +428,41 @@ impl Uac {
     /// Handle a response to a pending digest registration. Returns `None`
     /// when the response does not belong to one.
     fn on_register_response(&mut self, resp: &sipcore::Response) -> Option<Vec<UacEvent>> {
-        let call_id = resp.call_id()?.to_owned();
-        let (uid, next_cseq) = self.pending_registrations.get(&call_id)?.clone();
+        let call_id = resp.call_id()?;
+        let next_cseq = self.pending_registrations.get_mut(call_id)?;
         if resp.status == StatusCode::UNAUTHORIZED {
+            let cseq = *next_cseq;
+            *next_cseq += 1;
+            let uid = digest_registration_uid(call_id)?;
             let www = resp.headers.get(&HeaderName::WwwAuthenticate)?;
-            let challenge = sipcore::auth::DigestChallenge::parse(www)?;
-            let uri = format!("sip:{}", self.pbx_host);
-            let creds = sipcore::auth::DigestCredentials::answer(
-                &challenge,
-                &uid,
-                &format!("pw-{uid}"),
-                "REGISTER",
-                &uri,
+            let challenge = DigestChallenge::parse(www)?;
+            // The directory's `pw-<uid>` convention, in a reused buffer.
+            self.secret.clear();
+            self.secret.push_str("pw-");
+            self.secret.push_str(uid);
+            let response = digest_response(
+                uid,
+                &challenge.realm,
+                &self.secret,
+                &challenge.nonce,
+                &self.register_ha2,
             );
-            self.pending_registrations
-                .insert(call_id.clone(), (uid.clone(), next_cseq + 1));
-            let req = self.build_register(&uid, &call_id, next_cseq, Some(creds.to_header_value()));
+            let authorization = CredentialsView {
+                username: uid,
+                realm: &challenge.realm,
+                nonce: &challenge.nonce,
+                uri: &self.register_uri,
+                response: response.as_str(),
+            }
+            .to_header_value();
+            let req = self.build_register(uid, call_id, cseq, Some(authorization));
             return Some(vec![self.send(req.into())]);
         }
         if resp.status.is_success() {
-            self.pending_registrations.remove(&call_id);
+            self.pending_registrations.remove(call_id);
             self.registrations_confirmed += 1;
-            return Some(vec![]);
-        }
-        if resp.status.is_error() {
-            self.pending_registrations.remove(&call_id);
-            return Some(vec![]);
+        } else if resp.status.is_error() {
+            self.pending_registrations.remove(call_id);
         }
         Some(vec![])
     }

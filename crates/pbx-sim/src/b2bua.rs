@@ -22,11 +22,12 @@ use des::FastMap;
 use des::{SimDuration, SimTime};
 use netsim::NodeId;
 use overload::{ControlLaw, Feedback, LoadSignals};
+use sipcore::auth::{CredentialsView, DigestChallenge, HexDigest};
 use sipcore::headers::{tag_of, with_tag, HeaderName};
 use sipcore::message::{write_via_args, Request, Response, SipMessage};
 use sipcore::sdp::wire::{SdpBody, SdpSummary};
 use sipcore::sdp::SdpCodec;
-use sipcore::{AtomTable, Method, StatusCode};
+use sipcore::{AtomTable, Method, SipUri, StatusCode};
 use std::sync::Arc;
 
 /// PBX configuration.
@@ -199,6 +200,17 @@ pub struct Pbx {
     /// server rotates nonces; a deterministic constant suffices here and
     /// keeps the MD5 off the REGISTER hot path).
     nonce: String,
+    /// The `WWW-Authenticate` value every 401 carries: realm = hostname
+    /// plus the nonce above, so it is as constant as they are.
+    challenge: String,
+    /// The registrar's own URI, `sip:<hostname>`, as REGISTERs address it
+    /// and, rendered, as their digests quote it.
+    registrar_uri: SipUri,
+    registrar_uri_str: String,
+    /// `HA2 = MD5("REGISTER:sip:<hostname>")` — per registrar, not per
+    /// user; covers exactly the credentials whose `uri` is
+    /// `registrar_uri_str`.
+    register_ha2: HexDigest,
     /// Interner for SDP endpoint strings seen in offers/answers — after
     /// warmup every summary is allocation-free.
     sdp_atoms: AtomTable,
@@ -218,6 +230,14 @@ impl Pbx {
             "nonce-{}",
             sipcore::auth::md5_hex(config.hostname.as_bytes())
         );
+        let challenge = DigestChallenge {
+            realm: config.hostname.clone(),
+            nonce: nonce.clone(),
+        }
+        .to_header_value();
+        let registrar_uri = SipUri::server(&config.hostname);
+        let registrar_uri_str = registrar_uri.to_string();
+        let register_ha2 = sipcore::auth::ha2("REGISTER", &registrar_uri_str);
         let law = config.overload_law.map(ControlLaw::build);
         let sdp_host: Arc<str> = Arc::from(config.hostname.as_str());
         Pbx {
@@ -237,6 +257,10 @@ impl Pbx {
             law,
             link_quality: (0.0, 0.0, 0.0),
             nonce,
+            challenge,
+            registrar_uri,
+            registrar_uri_str,
+            register_ha2,
             sdp_atoms: AtomTable::new(),
             sdp_origin: Arc::from("asterisk"),
             sdp_host,
@@ -416,27 +440,34 @@ impl Pbx {
 
         // Digest credentials are accepted in either mode; when
         // `require_digest` is on they are the only way in.
-        if let Some(creds) = auth.and_then(sipcore::auth::DigestCredentials::parse) {
-            // `password_of` covers both materialized entries and the
-            // synthetic population range (derived secrets, no stored rows).
-            let password = self.directory.password_of(&creds.username);
-            let ok = password.as_deref().is_some_and(|pw| {
-                creds.realm == self.config.hostname
-                    && creds.verify(pw, "REGISTER", self.digest_nonce())
-            });
-            if !ok {
+        if let Some(creds) = auth.and_then(CredentialsView::parse) {
+            // RFC 2617 §3.2.2.5: the digest must cover this request's
+            // Request-URI. A REGISTER to the registrar's own URI — all
+            // generated traffic — costs a string compare and the cached
+            // HA2; any other Request-URI is rendered and hashed.
+            let (uri_ok, ha2) = if req.uri == self.registrar_uri {
+                (creds.uri == self.registrar_uri_str, self.register_ha2)
+            } else {
+                (
+                    creds.uri == req.uri.to_string(),
+                    sipcore::auth::ha2("REGISTER", creds.uri),
+                )
+            };
+            if !uri_ok || creds.realm != self.config.hostname {
                 return vec![self.error_reply(from, req, StatusCode::FORBIDDEN)];
             }
-            // The password already checked out; bind through the
-            // registrar (which re-binds against the directory).
-            let pw = password.expect("checked above");
-            return match self.registrar.register(
+            // The directory lends the secret (stored, or derived on the
+            // stack for the synthetic population range) to the response
+            // check; HA1 is computed on the fly and never stored.
+            let nonce = &self.nonce;
+            let outcome = self.registrar.register_with(
                 &mut self.directory,
                 now,
-                &creds.username,
-                &pw,
+                creds.username,
                 from,
-            ) {
+                |pw| creds.verify_with_ha2(pw, &ha2, nonce),
+            );
+            return match outcome {
                 RegisterOutcome::Ok => vec![self.reply(from, req.make_response(StatusCode::OK))],
                 RegisterOutcome::AuthFailed => {
                     vec![self.error_reply(from, req, StatusCode::FORBIDDEN)]
@@ -444,35 +475,20 @@ impl Pbx {
             };
         }
 
-        if self.config.require_digest {
-            // Challenge: 401 with a fresh-enough nonce.
-            let challenge = sipcore::auth::DigestChallenge {
-                realm: self.config.hostname.clone(),
-                nonce: self.nonce.clone(),
-            };
+        // No usable credentials: the 401 carries a digest challenge even
+        // when digest is not *required*, so a digest-capable client (the
+        // population churn path) can complete REGISTER → 401 →
+        // REGISTER+digest in either mode.
+        let simple = if self.config.require_digest {
+            None
+        } else {
+            auth.and_then(parse_simple_auth)
+        };
+        let Some((uid, password)) = simple else {
             let mut resp = req.make_response(StatusCode::UNAUTHORIZED);
             resp.headers
-                .push(HeaderName::WwwAuthenticate, challenge.to_header_value());
+                .push(HeaderName::WwwAuthenticate, self.challenge.as_str());
             return vec![self.reply(from, resp)];
-        }
-
-        let (uid, password) = match auth.map(parse_simple_auth) {
-            Some(Some(pair)) => pair,
-            _ => {
-                // No usable credentials: the 401 carries a digest
-                // challenge even when digest is not *required*, so a
-                // digest-capable client (the population churn path) can
-                // complete REGISTER → 401 → REGISTER+digest in either
-                // mode.
-                let challenge = sipcore::auth::DigestChallenge {
-                    realm: self.config.hostname.clone(),
-                    nonce: self.nonce.clone(),
-                };
-                let mut resp = req.make_response(StatusCode::UNAUTHORIZED);
-                resp.headers
-                    .push(HeaderName::WwwAuthenticate, challenge.to_header_value());
-                return vec![self.reply(from, resp)];
-            }
         };
         match self
             .registrar
@@ -483,11 +499,6 @@ impl Pbx {
                 vec![self.error_reply(from, req, StatusCode::FORBIDDEN)]
             }
         }
-    }
-
-    /// The registrar's current digest nonce (cached at construction).
-    fn digest_nonce(&self) -> &str {
-        &self.nonce
     }
 
     fn on_invite(&mut self, now: SimTime, from: NodeId, req: Request) -> Vec<PbxAction> {

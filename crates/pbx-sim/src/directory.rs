@@ -118,33 +118,28 @@ impl Directory {
             .is_ok_and(|u| u >= base && u - base < count)
     }
 
-    /// The password for `uid` — explicit entry first, then the synthetic
-    /// rule. The digest-auth verification path, which needs the cleartext
-    /// secret to check the response hash.
-    #[must_use]
-    pub fn password_of(&self, uid: &str) -> Option<String> {
-        if let Some(e) = self.find_by_uid(uid) {
-            return e.attrs.get("userPassword").cloned();
-        }
-        self.synthetic_covers(uid).then(|| format!("pw-{uid}"))
-    }
-
-    /// Bind by uid instead of DN: `None` when no such user exists (no bind
-    /// attempted — mirrors the registrar's historical lookup-then-bind
-    /// sequence), otherwise the counted [`BindResult`]. Synthetic-range
-    /// users authenticate against the derived password without touching
-    /// the entry store.
-    pub fn bind_uid(&mut self, uid: &str, password: &str) -> Option<BindResult> {
-        if let Some(dn) = self.uid_index.get(uid) {
-            let dn = dn.clone();
-            return Some(self.bind(&dn, password));
-        }
-        if !self.synthetic_covers(uid) {
+    /// Bind by uid instead of DN, with a caller-supplied proof: the
+    /// directory lends the stored secret to `proof` (password equality for
+    /// a simple bind, the RFC 2617 response check for digest) and counts
+    /// the outcome.
+    /// `None` when no such user exists (no bind attempted — mirrors the
+    /// registrar's historical lookup-then-bind sequence). Explicit entries
+    /// come first, then the synthetic rule, whose `pw-<uid>` secret is
+    /// assembled on the stack: nothing is stored or allocated per user.
+    pub fn bind_uid(&mut self, uid: &str, proof: impl FnOnce(&str) -> bool) -> Option<BindResult> {
+        let ok = if let Some(entry) = self.find_by_uid(uid) {
+            entry.attrs.get("userPassword").is_some_and(|pw| proof(pw))
+        } else if self.synthetic_covers(uid) {
+            // A covered uid is a canonical decimal u64: at most 20 digits.
+            let mut secret = [0u8; 3 + 20];
+            let len = 3 + uid.len();
+            secret[..3].copy_from_slice(b"pw-");
+            secret[3..len].copy_from_slice(uid.as_bytes());
+            proof(std::str::from_utf8(&secret[..len]).expect("ASCII digits"))
+        } else {
             return None;
-        }
+        };
         self.binds_attempted += 1;
-        // Compare without allocating the expected password: "pw-" + uid.
-        let ok = password.strip_prefix("pw-").is_some_and(|rest| rest == uid);
         if ok {
             Some(BindResult::Success)
         } else {
@@ -247,6 +242,22 @@ impl Directory {
 mod tests {
     use super::*;
 
+    /// Simple bind by uid: the lent secret must equal `password`.
+    fn bind_password(dir: &mut Directory, uid: &str, password: &str) -> Option<BindResult> {
+        dir.bind_uid(uid, |secret| secret == password)
+    }
+
+    /// The secret the directory lends a proof for `uid` (on a clone, so
+    /// the bind counters under test stay put).
+    fn lent_secret(dir: &Directory, uid: &str) -> Option<String> {
+        let mut seen = None;
+        dir.clone().bind_uid(uid, |secret| {
+            seen = Some(secret.to_owned());
+            true
+        })?;
+        seen
+    }
+
     #[test]
     fn populated_directory_shape() {
         let dir = Directory::with_subscribers(1000, 50);
@@ -288,22 +299,22 @@ mod tests {
         assert_eq!(dir.len(), 1_000_000);
         assert!(!dir.is_empty());
         // Same observable auth behaviour as with_subscribers, no rows.
-        assert_eq!(dir.password_of("1500000"), Some("pw-1500000".to_owned()));
+        assert_eq!(lent_secret(&dir, "1500000"), Some("pw-1500000".to_owned()));
         assert_eq!(
-            dir.bind_uid("1500000", "pw-1500000"),
+            bind_password(&mut dir, "1500000", "pw-1500000"),
             Some(BindResult::Success)
         );
         assert_eq!(
-            dir.bind_uid("1500000", "wrong"),
+            bind_password(&mut dir, "1500000", "wrong"),
             Some(BindResult::InvalidCredentials)
         );
         // Outside the range / malformed spellings: no such user, and no
         // bind attempt is charged (the historical lookup-then-bind shape).
-        assert_eq!(dir.bind_uid("999999", "pw-999999"), None);
-        assert_eq!(dir.bind_uid("2000000", "pw-2000000"), None);
-        assert_eq!(dir.bind_uid("+1500000", "pw-+1500000"), None);
-        assert_eq!(dir.bind_uid("01500000", "pw-01500000"), None);
-        assert_eq!(dir.password_of("2000000"), None);
+        assert_eq!(bind_password(&mut dir, "999999", "pw-999999"), None);
+        assert_eq!(bind_password(&mut dir, "2000000", "pw-2000000"), None);
+        assert_eq!(bind_password(&mut dir, "+1500000", "pw-+1500000"), None);
+        assert_eq!(bind_password(&mut dir, "01500000", "pw-01500000"), None);
+        assert_eq!(lent_secret(&dir, "2000000"), None);
         assert_eq!(dir.bind_stats(), (2, 1));
         assert!(dir.find_by_uid("1500000").is_none(), "no materialized row");
     }
@@ -311,12 +322,19 @@ mod tests {
     #[test]
     fn bind_uid_matches_the_lookup_then_bind_sequence_for_entries() {
         let mut dir = Directory::with_subscribers(1000, 5);
-        assert_eq!(dir.bind_uid("1002", "pw-1002"), Some(BindResult::Success));
         assert_eq!(
-            dir.bind_uid("1002", "nope"),
+            bind_password(&mut dir, "1002", "pw-1002"),
+            Some(BindResult::Success)
+        );
+        assert_eq!(
+            bind_password(&mut dir, "1002", "nope"),
             Some(BindResult::InvalidCredentials)
         );
-        assert_eq!(dir.bind_uid("9999", "pw-9999"), None, "unknown: no bind");
+        assert_eq!(
+            bind_password(&mut dir, "9999", "pw-9999"),
+            None,
+            "unknown: no bind"
+        );
         assert_eq!(dir.bind_stats(), (2, 1));
         // Explicit entries win over an overlapping synthetic range.
         let mut both = Directory::with_subscribers(1000, 5);
@@ -325,8 +343,11 @@ mod tests {
         e.attrs
             .insert("userPassword".to_owned(), "custom".to_owned());
         both.add(e);
-        assert_eq!(both.password_of("1002"), Some("custom".to_owned()));
-        assert_eq!(both.bind_uid("1002", "custom"), Some(BindResult::Success));
+        assert_eq!(lent_secret(&both, "1002"), Some("custom".to_owned()));
+        assert_eq!(
+            bind_password(&mut both, "1002", "custom"),
+            Some(BindResult::Success)
+        );
     }
 
     #[test]
@@ -350,15 +371,15 @@ mod tests {
         e.attrs
             .insert("userPassword".to_owned(), "changed".to_owned());
         mutated.add(e);
-        assert_eq!(mutated.password_of("1000"), Some("changed".to_owned()));
+        assert_eq!(lent_secret(&mutated, "1000"), Some("changed".to_owned()));
         assert_eq!(
-            Directory::shared_subscribers(1000, 50).password_of("1000"),
+            lent_secret(&Directory::shared_subscribers(1000, 50), "1000"),
             Some("pw-1000".to_owned()),
             "prototype unaffected by a clone's mutation"
         );
         // Bind accounting never touches the shared rows.
         let mut binder = Directory::shared_subscribers(1000, 50);
-        binder.bind_uid("1001", "pw-1001");
+        bind_password(&mut binder, "1001", "pw-1001");
         assert!(Arc::ptr_eq(&binder.entries, &other.entries));
     }
 

@@ -120,7 +120,21 @@ impl Registrar {
         password: &str,
         node: NodeId,
     ) -> RegisterOutcome {
-        match dir.bind_uid(uid, password) {
+        self.register_with(dir, now, uid, node, |secret| secret == password)
+    }
+
+    /// Process a REGISTER for `uid`, binding it to `node` when `proof`
+    /// accepts the directory's secret for that user (see
+    /// [`Directory::bind_uid`]).
+    pub fn register_with(
+        &mut self,
+        dir: &mut Directory,
+        now: SimTime,
+        uid: &str,
+        node: NodeId,
+        proof: impl FnOnce(&str) -> bool,
+    ) -> RegisterOutcome {
+        match dir.bind_uid(uid, proof) {
             Some(BindResult::Success) => {
                 let expires_at = now + self.default_expiry;
                 // Population fast path: an 8-byte store, no key

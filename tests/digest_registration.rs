@@ -62,6 +62,17 @@ fn describe(msg: &SipMessage) -> String {
     }
 }
 
+/// The status of the single response the PBX sent.
+fn status_of(acts: &[PbxAction]) -> StatusCode {
+    match acts {
+        [PbxAction::SendSip {
+            msg: SipMessage::Response(r),
+            ..
+        }] => r.status,
+        other => panic!("{other:?}"),
+    }
+}
+
 #[test]
 fn digest_handshake_registers_the_user() {
     let mut pbx = digest_pbx();
@@ -130,15 +141,7 @@ fn wrong_password_fails_digest() {
         .clone()
         .header(HeaderName::Authorization, creds.to_header_value());
     let acts = pbx.handle_sip(SimTime::ZERO, CLIENT, retry.into());
-    match &acts[0] {
-        PbxAction::SendSip {
-            msg: SipMessage::Response(r),
-            ..
-        } => {
-            assert_eq!(r.status, StatusCode::FORBIDDEN);
-        }
-        other => panic!("{other:?}"),
-    }
+    assert_eq!(status_of(&acts), StatusCode::FORBIDDEN);
     assert!(pbx.registrar.is_empty());
 }
 
@@ -172,13 +175,49 @@ fn digest_replay_against_other_realm_fails() {
     .header(HeaderName::CSeq, "1 REGISTER")
     .header(HeaderName::Authorization, creds.to_header_value());
     let acts = other_pbx.handle_sip(SimTime::ZERO, CLIENT, reg.into());
-    match &acts[0] {
-        PbxAction::SendSip {
-            msg: SipMessage::Response(r),
-            ..
-        } => {
-            assert_eq!(r.status, StatusCode::FORBIDDEN);
-        }
-        other => panic!("{other:?}"),
-    }
+    assert_eq!(status_of(&acts), StatusCode::FORBIDDEN);
+}
+
+#[test]
+fn digest_uri_must_match_the_request_uri() {
+    // RFC 2617 §3.2.2.5: a digest computed over one URI must not
+    // authorize a request for another, even with the right password.
+    let mut pbx = digest_pbx();
+    let register = |request_uri: sipcore::SipUri, digest_uri: &str, call_id: &str| {
+        let challenge = sipcore::auth::DigestChallenge {
+            realm: "pbx.unb.br".to_owned(),
+            nonce: format!("nonce-{}", sipcore::auth::md5_hex(b"pbx.unb.br")),
+        };
+        let creds = sipcore::auth::DigestCredentials::answer(
+            &challenge, "1004", "pw-1004", "REGISTER", digest_uri,
+        );
+        sipcore::Request::new(sipcore::Method::Register, request_uri)
+            .header(HeaderName::From, "<sip:1004@pbx.unb.br>;tag=r")
+            .header(HeaderName::To, "<sip:1004@pbx.unb.br>")
+            .header(HeaderName::CallId, call_id)
+            .header(HeaderName::CSeq, "2 REGISTER")
+            .header(HeaderName::Authorization, creds.to_header_value())
+    };
+    let registrar = || sipcore::SipUri::server("pbx.unb.br");
+
+    // Digest over another URI, request to the registrar: refused.
+    let req = register(registrar(), "sip:elsewhere.example.org", "uri-1");
+    let acts = pbx.handle_sip(SimTime::ZERO, CLIENT, req.into());
+    assert_eq!(status_of(&acts), StatusCode::FORBIDDEN);
+    // Digest over the registrar's URI, request to another URI: refused
+    // (the cached HA2 must not vouch for a request it does not cover).
+    let req = register(registrar().with_port(5070), "sip:pbx.unb.br", "uri-2");
+    let acts = pbx.handle_sip(SimTime::ZERO, CLIENT, req.into());
+    assert_eq!(status_of(&acts), StatusCode::FORBIDDEN);
+    assert!(pbx.registrar.is_empty());
+
+    // Matching URIs authenticate: the registrar's own (cached HA2) and
+    // any other spelling the request itself uses (HA2 computed).
+    let req = register(registrar().with_port(5070), "sip:pbx.unb.br:5070", "uri-3");
+    let acts = pbx.handle_sip(SimTime::ZERO, CLIENT, req.into());
+    assert_eq!(status_of(&acts), StatusCode::OK);
+    let req = register(registrar(), "sip:pbx.unb.br", "uri-4");
+    let acts = pbx.handle_sip(SimTime::ZERO, CLIENT, req.into());
+    assert_eq!(status_of(&acts), StatusCode::OK);
+    assert_eq!(pbx.registrar.stats(), (2, 0));
 }
