@@ -20,6 +20,7 @@ use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
 use rtpcore::packet::{RtpDatagram, RtpHeader, RTP_HEADER_LEN};
 use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES_PER_FRAME};
 use rtpcore::vad::{FrameSlot, TalkspurtSource};
+use sipcore::message::Decimal;
 use sipcore::{AtomTable, SipMessage};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -145,8 +146,10 @@ fn reparse_sdp_body(mut msg: SipMessage) -> SipMessage {
 /// What travels inside a network frame.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    /// A SIP message (wire length precomputed).
-    Sip(SipMessage),
+    /// A SIP message (wire length precomputed). Boxed: a message is ~180
+    /// bytes inline, and every slot of the event wheel — pre-seeded for
+    /// 16 384 events — is as wide as the widest [`Ev`].
+    Sip(Box<SipMessage>),
     /// A SIP message as raw wire bytes (the [`SignallingPath::Reference`]
     /// form; shared so hops clone a refcount, not the bytes).
     SipWire(Arc<[u8]>),
@@ -765,7 +768,7 @@ impl World {
                     src,
                     dst: to,
                     wire_len,
-                    payload: Payload::Sip(msg),
+                    payload: Payload::Sip(Box::new(msg)),
                 }
             }
             SignallingPath::Reference => {
@@ -782,6 +785,9 @@ impl World {
 
     /// Which UAC engine owns a Call-ID on the client host.
     fn uac_index_for(&self, call_id: &str) -> usize {
+        if self.uacs.len() == 1 {
+            return 0;
+        }
         let tag = if let Some(rest) = call_id.strip_prefix("uac-") {
             rest.split('-').next().and_then(|t| t.parse::<u32>().ok())
         } else {
@@ -821,25 +827,23 @@ impl World {
                         self.answers_per_sec.resize(second + 1, 0);
                     }
                     self.answers_per_sec[second] += 1;
-                    sched.schedule(
-                        now + hangup_after,
-                        Ev::Hangup {
-                            call_id: call_id.clone(),
-                        },
-                    );
                     // The caller hears the flow delivered to its own port.
                     self.monitor.register_flow(
                         FlowId::from_node_port(nodes::SIPP_CLIENT.0, local_rtp_port),
                         &call_id,
                     );
-                    if self.config.media != MediaMode::Off {
+                    // The hangup timer takes the Call-ID; only a media
+                    // session needs a second copy.
+                    let media_key = (self.config.media != MediaMode::Off).then(|| MediaKey {
+                        call: call_id.clone(),
+                        caller_side: true,
+                    });
+                    sched.schedule(now + hangup_after, Ev::Hangup { call_id });
+                    if let Some(key) = media_key {
                         self.start_media(
                             now,
                             sched,
-                            MediaKey {
-                                call: call_id,
-                                caller_side: true,
-                            },
+                            key,
                             nodes::SIPP_CLIENT,
                             remote_node,
                             remote_rtp_port,
@@ -847,10 +851,7 @@ impl World {
                     }
                 }
                 UacEvent::Ended { call_id, .. } => {
-                    self.stop_media(&MediaKey {
-                        call: call_id.clone(),
-                        caller_side: true,
-                    });
+                    self.stop_media(&call_id, true);
                     // Population mode: the caller idles again and the
                     // call's monitor state is queued for retirement.
                     self.pop_call_over(now, sched, call_id);
@@ -898,11 +899,10 @@ impl World {
                         .pbxes
                         .iter()
                         .find_map(|p| p.peer_call_id(&call_id))
-                        .unwrap_or(call_id.as_str())
-                        .to_owned();
+                        .unwrap_or(call_id.as_str());
                     self.monitor.register_flow(
                         FlowId::from_node_port(nodes::SIPP_SERVER.0, local_rtp_port),
-                        &owner,
+                        owner,
                     );
                     if self.config.media != MediaMode::Off {
                         self.start_media(
@@ -918,12 +918,7 @@ impl World {
                         );
                     }
                 }
-                UasEvent::Ended { call_id } => {
-                    self.stop_media(&MediaKey {
-                        call: call_id,
-                        caller_side: false,
-                    });
-                }
+                UasEvent::Ended { call_id } => self.stop_media(&call_id, false),
             }
         }
     }
@@ -1075,8 +1070,16 @@ impl World {
         }
     }
 
-    fn stop_media(&mut self, key: &MediaKey) {
-        if let Some(&idx) = self.media_index.get(key) {
+    fn stop_media(&mut self, call: &str, caller_side: bool) {
+        // No session was ever started (media off): no key worth building.
+        if self.media_index.is_empty() {
+            return;
+        }
+        let key = MediaKey {
+            call: call.to_owned(),
+            caller_side,
+        };
+        if let Some(&idx) = self.media_index.get(&key) {
             if let Some(s) = self.sessions[idx].as_mut() {
                 s.active = false;
             }
@@ -1390,7 +1393,7 @@ impl World {
         }
         match frame.payload {
             Payload::Sip(msg) => timer.measure(Phase::Signalling, || {
-                self.handle_sip_delivery(now, sched, frame.src, frame.dst, msg);
+                self.handle_sip_delivery(now, sched, frame.src, frame.dst, *msg);
             }),
             Payload::SipWire(bytes) => {
                 // The reference path's per-delivery cost, attributed to its
@@ -1462,8 +1465,7 @@ impl World {
     fn place_call(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if now <= self.placement_end {
             let i = self.calls_placed % u64::from(self.config.user_pool);
-            let caller = format!("{}", 1000 + i);
-            let callee = format!("{}", 1500 + i);
+            let (caller, callee) = (Decimal::new(1000 + i), Decimal::new(1500 + i));
             let hold = self.config.holding.sample(&mut self.rng_holding);
             // Uniform random dispatch across the farm — the discipline a
             // DNS SRV pool gives you. (Random, not round-robin: Bernoulli
@@ -1523,8 +1525,8 @@ impl World {
 
     /// Place one population call for the user of rank `rank`.
     fn pop_place(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, rank: u64) {
-        let caller = format!("{}", POP_UID_BASE + rank);
-        let callee = format!("{}", 1500 + rank % u64::from(self.config.user_pool));
+        let caller = Decimal::new(POP_UID_BASE + rank);
+        let callee = Decimal::new(1500 + rank % u64::from(self.config.user_pool));
         let hold = self.config.holding.sample(&mut self.rng_holding);
         let k = if self.uacs.len() == 1 {
             0
@@ -1662,10 +1664,7 @@ impl EventHandler<Ev> for World {
             Ev::MediaTick(key) => self.on_media_tick(at, sched, key, &mut timer),
             Ev::MediaFrame { slot } => self.on_media_frame(at, sched, slot, &mut timer),
             Ev::Hangup { call_id } => timer.measure(Phase::Signalling, || {
-                self.stop_media(&MediaKey {
-                    call: call_id.clone(),
-                    caller_side: true,
-                });
+                self.stop_media(&call_id, true);
                 let idx = self.uac_index_for(&call_id);
                 let events = self.uacs[idx].hangup(at, &call_id);
                 self.process_uac_events(at, sched, idx, events);

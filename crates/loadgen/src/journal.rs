@@ -5,8 +5,7 @@
 //! percentages come straight out of a [`Journal`].
 
 use serde::{Deserialize, Serialize};
-use sipcore::{Method, SipMessage, StatusCode};
-use std::collections::BTreeMap;
+use sipcore::{Method, SipMessage, SipTally, StatusCode};
 
 /// Final outcome of one attempted call, from the generator's standpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,18 +33,16 @@ pub enum MsgDirection {
 }
 
 /// The accounting ledger.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Journal {
     /// Calls attempted (INVITEs placed; a retried call counts once).
     pub attempted: u64,
     /// Retry INVITEs sent after a 503 + Retry-After.
     pub retries: u64,
-    /// Outcome tallies.
-    outcomes: BTreeMap<String, u64>,
-    /// SIP request counts by method name (sent + received).
-    requests: BTreeMap<String, u64>,
-    /// SIP response counts by status code (sent + received).
-    responses: BTreeMap<u16, u64>,
+    /// Outcome tallies, indexed by `CallOutcome as usize`.
+    outcomes: [u64; CallOutcome::Abandoned as usize + 1],
+    /// SIP messages by method and status code (sent + received).
+    sip: SipTally,
     /// RTP packets sent by this side.
     pub rtp_sent: u64,
     /// RTP packets received by this side.
@@ -66,16 +63,13 @@ impl Journal {
 
     /// Record a call outcome.
     pub fn call_finished(&mut self, outcome: CallOutcome) {
-        *self.outcomes.entry(format!("{outcome:?}")).or_insert(0) += 1;
+        self.outcomes[outcome as usize] += 1;
     }
 
     /// Count of calls with the given outcome.
     #[must_use]
     pub fn outcome_count(&self, outcome: CallOutcome) -> u64 {
-        self.outcomes
-            .get(&format!("{outcome:?}"))
-            .copied()
-            .unwrap_or(0)
+        self.outcomes[outcome as usize]
     }
 
     /// Observed blocking probability: blocked / attempted.
@@ -89,60 +83,41 @@ impl Journal {
 
     /// Record one SIP message passing this agent (either direction).
     pub fn count_sip(&mut self, msg: &SipMessage, _dir: MsgDirection) {
-        match msg {
-            SipMessage::Request(r) => {
-                *self
-                    .requests
-                    .entry(r.method.as_str().to_owned())
-                    .or_insert(0) += 1;
-            }
-            SipMessage::Response(r) => {
-                *self.responses.entry(r.status.0).or_insert(0) += 1;
-            }
-        }
+        self.sip.count(msg);
     }
 
     /// Requests counted for a method.
     #[must_use]
     pub fn request_count(&self, method: Method) -> u64 {
-        self.requests.get(method.as_str()).copied().unwrap_or(0)
+        self.sip.requests(method)
     }
 
     /// Responses counted for a status code.
     #[must_use]
     pub fn response_count(&self, status: StatusCode) -> u64 {
-        self.responses.get(&status.0).copied().unwrap_or(0)
+        self.sip.responses(status)
     }
 
     /// Total error-class (≥400) responses counted.
     #[must_use]
     pub fn error_responses(&self) -> u64 {
-        self.responses
-            .iter()
-            .filter(|(code, _)| **code >= 400)
-            .map(|(_, n)| *n)
-            .sum()
+        self.sip.error_responses()
     }
 
     /// Total SIP messages counted.
     #[must_use]
     pub fn total_sip(&self) -> u64 {
-        self.requests.values().sum::<u64>() + self.responses.values().sum::<u64>()
+        self.sip.total()
     }
 
     /// Merge another journal (e.g. UAC + UAS sides).
     pub fn merge(&mut self, other: &Journal) {
         self.attempted += other.attempted;
         self.retries += other.retries;
-        for (k, v) in &other.outcomes {
-            *self.outcomes.entry(k.clone()).or_insert(0) += v;
+        for (mine, theirs) in self.outcomes.iter_mut().zip(other.outcomes) {
+            *mine += theirs;
         }
-        for (k, v) in &other.requests {
-            *self.requests.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.responses {
-            *self.responses.entry(*k).or_insert(0) += v;
-        }
+        self.sip.merge(&other.sip);
         self.rtp_sent += other.rtp_sent;
         self.rtp_received += other.rtp_received;
     }

@@ -16,8 +16,8 @@ use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
 use overload::Feedback;
 use sipcore::auth::{digest_response, CredentialsView, DigestChallenge, HexDigest};
-use sipcore::headers::HeaderName;
-use sipcore::message::{format_via, write_via_args, Request, SipMessage};
+use sipcore::headers::{HeaderMap, HeaderName};
+use sipcore::message::{Decimal, Request, SipMessage, SDP_HEADERS_ROOM};
 use sipcore::sdp::wire::SdpBody;
 use sipcore::sdp::SdpCodec;
 use sipcore::{AtomTable, Method, SipUri, StatusCode};
@@ -374,20 +374,26 @@ impl Uac {
     /// Build and send a REGISTER for `uid` (password per the directory's
     /// `pw-<uid>` convention).
     pub fn register(&mut self, uid: &str) -> Vec<UacEvent> {
-        let req = Request::new(Method::Register, SipUri::server(&self.pbx_host))
-            .header(
-                HeaderName::Via,
-                format_via("uac", 5060, &format!("z9hG4bKr{uid}")),
-            )
-            .header(
-                HeaderName::From,
-                format!("<sip:{uid}@{}>;tag=reg", self.pbx_host),
-            )
-            .header(HeaderName::To, format!("<sip:{uid}@{}>", self.pbx_host))
-            .header(HeaderName::CallId, format!("reg-{uid}-{}", self.tag))
-            .header(HeaderName::CSeq, "1 REGISTER")
-            .header(HeaderName::Authorization, format!("Simple {uid} pw-{uid}"))
-            .header(HeaderName::Expires, "3600");
+        let host = self.pbx_host.as_str();
+        let mut req = Request::new(Method::Register, SipUri::server(host));
+        req.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP uac:5060;branch=z9hG4bKr", uid],
+                ),
+                (HeaderName::From, &["<sip:", uid, "@", host, ">;tag=reg"]),
+                (HeaderName::To, &["<sip:", uid, "@", host, ">"]),
+                (
+                    HeaderName::CallId,
+                    &["reg-", uid, "-", &Decimal::new(self.tag.into())],
+                ),
+                (HeaderName::CSeq, &["1 REGISTER"]),
+                (HeaderName::Authorization, &["Simple ", uid, " pw-", uid]),
+                (HeaderName::Expires, &["3600"]),
+            ],
+            (0, 0),
+        );
         vec![self.send(req.into())]
     }
 
@@ -395,7 +401,7 @@ impl Uac {
     /// REGISTER without credentials and answer the 401 challenge when it
     /// arrives (handled in [`Uac::on_sip`]).
     pub fn register_digest(&mut self, uid: &str) -> Vec<UacEvent> {
-        let call_id = format!("dreg-{uid}-{}", self.tag);
+        let call_id = ["dreg-", uid, "-", &Decimal::new(self.tag.into())].concat();
         let req = self.build_register(uid, &call_id, 1, None);
         self.pending_registrations.insert(call_id, 2);
         vec![self.send(req.into())]
@@ -406,21 +412,29 @@ impl Uac {
         uid: &str,
         call_id: &str,
         cseq: u32,
-        authorization: Option<String>,
+        authorization: Option<&CredentialsView<'_>>,
     ) -> Request {
         let host = self.pbx_host.as_str();
-        // 37 fixed bytes + uid + up to 10 CSeq digits, written in place.
-        let mut via = String::with_capacity(48 + uid.len());
-        write_via_args(&mut via, "uac", 5060, format_args!("z9hG4bKdr{uid}{cseq}"));
-        let mut req = Request::new(Method::Register, SipUri::server(host))
-            .header(HeaderName::Via, via)
-            .header(HeaderName::From, format!("<sip:{uid}@{host}>;tag=reg"))
-            .header(HeaderName::To, format!("<sip:{uid}@{host}>"))
-            .header(HeaderName::CallId, call_id)
-            .header(HeaderName::CSeq, format!("{cseq} REGISTER"))
-            .header(HeaderName::Expires, "3600");
-        if let Some(auth) = authorization {
-            req.headers.push(HeaderName::Authorization, auth);
+        let cseq = Decimal::new(cseq.into());
+        let authorization = authorization.map(CredentialsView::header_value_parts);
+        let auth_bytes = authorization.iter().flatten().map(|part| part.len()).sum();
+        let mut req = Request::new(Method::Register, SipUri::server(host));
+        req.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP uac:5060;branch=z9hG4bKdr", uid, &cseq],
+                ),
+                (HeaderName::From, &["<sip:", uid, "@", host, ">;tag=reg"]),
+                (HeaderName::To, &["<sip:", uid, "@", host, ">"]),
+                (HeaderName::CallId, &[call_id]),
+                (HeaderName::CSeq, &[&cseq, " REGISTER"]),
+                (HeaderName::Expires, &["3600"]),
+            ],
+            (usize::from(authorization.is_some()), auth_bytes),
+        );
+        if let Some(parts) = authorization {
+            req.headers.push_parts(HeaderName::Authorization, &parts);
         }
         req
     }
@@ -453,9 +467,8 @@ impl Uac {
                 nonce: &challenge.nonce,
                 uri: &self.register_uri,
                 response: response.as_str(),
-            }
-            .to_header_value();
-            let req = self.build_register(uid, call_id, cseq, Some(authorization));
+            };
+            let req = self.build_register(uid, call_id, cseq, Some(&authorization));
             return Some(vec![self.send(req.into())]);
         }
         if resp.status.is_success() {
@@ -599,7 +612,8 @@ impl Uac {
     ) -> (String, Vec<UacEvent>) {
         let serial = self.next_serial;
         self.next_serial += 1;
-        let call_id = format!("uac-{}-{serial}", self.tag);
+        let serial = Decimal::new(serial);
+        let call_id = ["uac-", &Decimal::new(self.tag.into()), "-", &serial].concat();
         let local_rtp_port = self.next_port;
         self.next_port = self.next_port.wrapping_add(2).max(20_000);
         // Structured offer: the origin string is interned (the caller pool
@@ -612,28 +626,32 @@ impl Uac {
             local_rtp_port,
             SdpCodec::Pcmu,
         );
-        let invite = Request::new(Method::Invite, SipUri::new(callee_ext, &self.pbx_host))
-            .header(
-                HeaderName::Via,
-                format_via("sipp-client", 5060, &format!("z9hG4bKinv{serial}")),
-            )
-            .header(
-                HeaderName::From,
-                format!("<sip:{caller_uid}@{}>;tag=uac{serial}", self.pbx_host),
-            )
-            .header(
-                HeaderName::To,
-                format!("<sip:{callee_ext}@{}>", self.pbx_host),
-            )
-            .header(HeaderName::CallId, call_id.clone())
-            .header(HeaderName::CSeq, "1 INVITE")
-            .header(HeaderName::MaxForwards, "70")
-            .header(HeaderName::UserAgent, "loadgen-uac (SIPp-compatible)")
-            .with_sdp(sdp);
+        let host = self.pbx_host.as_str();
+        let mut invite = Request::new(Method::Invite, SipUri::new(callee_ext, host));
+        invite.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP sipp-client:5060;branch=z9hG4bKinv", &serial],
+                ),
+                (
+                    HeaderName::From,
+                    &["<sip:", caller_uid, "@", host, ">;tag=uac", &serial],
+                ),
+                (HeaderName::To, &["<sip:", callee_ext, "@", host, ">"]),
+                (HeaderName::CallId, &[&call_id]),
+                (HeaderName::CSeq, &["1 INVITE"]),
+                (HeaderName::MaxForwards, &["70"]),
+                (HeaderName::UserAgent, &["loadgen-uac (SIPp-compatible)"]),
+            ],
+            SDP_HEADERS_ROOM,
+        );
+        let invite = invite.with_sdp(sdp);
         self.calls.insert(
             call_id.clone(),
             UacCall {
                 state: UacState::Inviting,
+                // An exact-size copy: this one lives as long as the call.
                 invite: invite.clone(),
                 local_rtp_port,
                 hold,
@@ -655,29 +673,21 @@ impl Uac {
             return vec![];
         }
         call.state = UacState::ByeSent;
-        let bye = Request::new(Method::Bye, call.invite.uri.clone())
-            .header(
-                HeaderName::Via,
-                format_via("sipp-client", 5060, &format!("z9hG4bKbye-{call_id}")),
-            )
-            .header(
-                HeaderName::From,
-                call.invite
-                    .headers
-                    .get(&HeaderName::From)
-                    .unwrap_or("<sip:uac>")
-                    .to_owned(),
-            )
-            .header(
-                HeaderName::To,
-                call.invite
-                    .headers
-                    .get(&HeaderName::To)
-                    .unwrap_or("<sip:uas>")
-                    .to_owned(),
-            )
-            .header(HeaderName::CallId, call_id.to_owned())
-            .header(HeaderName::CSeq, "2 BYE");
+        let copied = |name, fallback| call.invite.headers.get(&name).unwrap_or(fallback);
+        let mut bye = Request::new(Method::Bye, call.invite.uri.clone());
+        bye.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP sipp-client:5060;branch=z9hG4bKbye-", call_id],
+                ),
+                (HeaderName::From, &[copied(HeaderName::From, "<sip:uac>")]),
+                (HeaderName::To, &[copied(HeaderName::To, "<sip:uas>")]),
+                (HeaderName::CallId, &[call_id]),
+                (HeaderName::CSeq, &["2 BYE"]),
+            ],
+            (0, 0),
+        );
         vec![self.send(bye.into())]
     }
 
@@ -700,10 +710,10 @@ impl Uac {
         if resp.cseq_method() == Some(Method::Register) {
             return self.on_register_response(&resp).unwrap_or_default();
         }
-        let Some(call_id) = resp.call_id().map(str::to_owned) else {
+        let Some(call_id) = resp.call_id() else {
             return vec![];
         };
-        let Some(call) = self.calls.get_mut(&call_id) else {
+        let Some(call) = self.calls.get_mut(call_id) else {
             return vec![];
         };
         match resp.cseq_method() {
@@ -718,11 +728,11 @@ impl Uac {
                     let remote_rtp_port = resp.body.sdp_audio_port().unwrap_or(0);
                     let local_rtp_port = call.local_rtp_port;
                     let hold = call.hold;
-                    let ack = self.build_ack(&call_id);
+                    let ack = self.build_ack(call_id);
                     return vec![
                         self.send(ack.into()),
                         UacEvent::Answered {
-                            call_id,
+                            call_id: call_id.to_owned(),
                             local_rtp_port,
                             remote_node: self.pbx_node,
                             remote_rtp_port,
@@ -741,8 +751,9 @@ impl Uac {
                                     .get(&HeaderName::RetryAfter)
                                     .and_then(parse_retry_after);
                                 let delay = policy.delay(retry_no, retry_after);
-                                let ack = self.build_ack(&call_id);
-                                let call = self.calls.remove(&call_id).expect("looked up above");
+                                let ack = self.build_ack(call_id);
+                                let (call_id, call) =
+                                    self.calls.remove_entry(call_id).expect("looked up above");
                                 self.pending_retries.insert(
                                     call_id.clone(),
                                     PendingRetry {
@@ -766,8 +777,8 @@ impl Uac {
                         }
                         _ => CallOutcome::Failed,
                     };
-                    let ack = self.build_ack(&call_id);
-                    self.calls.remove(&call_id);
+                    let ack = self.build_ack(call_id);
+                    let (call_id, _) = self.calls.remove_entry(call_id).expect("looked up above");
                     self.journal.call_finished(outcome);
                     let mut evs = vec![self.send(ack.into()), UacEvent::Ended { call_id, outcome }];
                     evs.extend(self.pacer_note_terminal(now));
@@ -777,7 +788,7 @@ impl Uac {
             }
             Some(Method::Bye) if resp.status.is_final() => {
                 let shed_retries = call.shed_retries;
-                self.calls.remove(&call_id);
+                let (call_id, _) = self.calls.remove_entry(call_id).expect("looked up above");
                 let outcome = if shed_retries > 0 {
                     CallOutcome::ShedThenOk
                 } else {
@@ -834,34 +845,23 @@ impl Uac {
     }
 
     fn build_ack(&self, call_id: &str) -> Request {
-        let call = &self.calls[call_id];
-        Request::new(Method::Ack, call.invite.uri.clone())
-            .header(
-                HeaderName::Via,
-                call.invite
-                    .headers
-                    .get(&HeaderName::Via)
-                    .unwrap_or("SIP/2.0/UDP uac")
-                    .to_owned(),
-            )
-            .header(HeaderName::CallId, call_id.to_owned())
-            .header(HeaderName::CSeq, "1 ACK")
-            .header(
-                HeaderName::From,
-                call.invite
-                    .headers
-                    .get(&HeaderName::From)
-                    .unwrap_or("<sip:uac>")
-                    .to_owned(),
-            )
-            .header(
-                HeaderName::To,
-                call.invite
-                    .headers
-                    .get(&HeaderName::To)
-                    .unwrap_or("<sip:uas>")
-                    .to_owned(),
-            )
+        let invite = &self.calls[call_id].invite;
+        let copied = |name, fallback| invite.headers.get(&name).unwrap_or(fallback);
+        let mut ack = Request::new(Method::Ack, invite.uri.clone());
+        ack.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &[copied(HeaderName::Via, "SIP/2.0/UDP uac")],
+                ),
+                (HeaderName::CallId, &[call_id]),
+                (HeaderName::CSeq, &["1 ACK"]),
+                (HeaderName::From, &[copied(HeaderName::From, "<sip:uac>")]),
+                (HeaderName::To, &[copied(HeaderName::To, "<sip:uas>")]),
+            ],
+            (0, 0),
+        );
+        ack
     }
 
     fn send(&mut self, msg: SipMessage) -> UacEvent {

@@ -7,8 +7,7 @@
 use crate::journal::{Journal, MsgDirection};
 use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
-use sipcore::headers::{with_tag, HeaderName};
-use sipcore::message::{Request, SipMessage};
+use sipcore::message::{Decimal, Request, Response, SipMessage};
 use sipcore::sdp::wire::SdpBody;
 use sipcore::sdp::SdpCodec;
 use sipcore::{Method, StatusCode};
@@ -122,46 +121,39 @@ impl Uas {
     }
 
     fn on_invite(&mut self, now: SimTime, from: NodeId, req: Request) -> Vec<UasEvent> {
-        let Some(call_id) = req.call_id().map(str::to_owned) else {
+        let Some(call_id) = req.call_id() else {
             return vec![];
         };
-        if self.calls.contains_key(&call_id) {
+        if self.calls.contains_key(call_id) {
             return vec![]; // retransmission: absorb
         }
+        let call_id = call_id.to_owned();
         // Lazy view over the offer: port and codec straight off the wire,
         // no owned parse (and direct field reads on a structured body).
         let remote_rtp_port = req.body.sdp_audio_port().unwrap_or(0);
         let codec = req.body.sdp_codec().unwrap_or(SdpCodec::Pcmu);
         let local_rtp_port = self.next_port;
         self.next_port = self.next_port.wrapping_add(2).max(30_000);
-        let tag = format!("uas{}", self.next_tag);
+        let to_tag = ["uas", &Decimal::new(self.next_tag)].concat();
         self.next_tag += 1;
 
-        let mut ringing = req.make_response(StatusCode::RINGING);
-        let to = ringing
-            .headers
-            .get(&HeaderName::To)
-            .unwrap_or("<sip:uas>")
-            .to_owned();
-        ringing.headers.set(HeaderName::To, with_tag(&to, &tag));
-
-        self.calls.insert(
-            call_id.clone(),
-            UasCall {
-                state: UasState::Ringing,
-                invite: req,
-                peer: from,
-                local_rtp_port,
-                remote_rtp_port,
-                codec,
-                to_tag: tag,
-            },
-        );
-
+        let ringing = req.make_response_tagged(StatusCode::RINGING, &to_tag);
+        let mut call = UasCall {
+            state: UasState::Ringing,
+            invite: req,
+            peer: from,
+            local_rtp_port,
+            remote_rtp_port,
+            codec,
+            to_tag,
+        };
         let mut events = vec![self.send(from, ringing.into())];
         if self.pickup_delay == SimDuration::ZERO {
-            events.extend(self.answer(now, &call_id));
+            let ok = Self::answer_ok(&self.sdp_host, &mut call);
+            events.push(self.send(from, ok.into()));
+            self.calls.insert(call_id, call);
         } else {
+            self.calls.insert(call_id.clone(), call);
             events.push(UasEvent::AnswerDue {
                 call_id,
                 at: now + self.pickup_delay,
@@ -170,8 +162,8 @@ impl Uas {
         events
     }
 
-    /// Emit the 200 OK for a ringing call (immediately from
-    /// [`Uas::on_sip`] or later when the world's pickup timer fires).
+    /// Emit the 200 OK for a ringing call when the world's pickup timer
+    /// fires (with no pickup delay [`Uas::on_sip`] has already sent it).
     pub fn answer(&mut self, _now: SimTime, call_id: &str) -> Vec<UasEvent> {
         let Some(call) = self.calls.get_mut(call_id) else {
             return vec![];
@@ -179,32 +171,32 @@ impl Uas {
         if call.state != UasState::Ringing {
             return vec![];
         }
-        call.state = UasState::AnswerSent;
-        // Echo the offered codec in the answer; the body stays structured
-        // (two refcount bumps), serialized only if the path needs wire.
-        let sdp = SdpBody::new(
-            Arc::clone(&self.sdp_host),
-            Arc::clone(&self.sdp_host),
-            call.local_rtp_port,
-            call.codec,
-        );
-        let mut ok = call.invite.make_response(StatusCode::OK);
-        let to = ok
-            .headers
-            .get(&HeaderName::To)
-            .unwrap_or("<sip:uas>")
-            .to_owned();
-        ok.headers.set(HeaderName::To, with_tag(&to, &call.to_tag));
-        let ok = ok.with_sdp(sdp);
+        let ok = Self::answer_ok(&self.sdp_host, call);
         let peer = call.peer;
         vec![self.send(peer, ok.into())]
     }
 
+    /// Answer a ringing call: its 200 OK with the SDP answer.
+    fn answer_ok(sdp_host: &Arc<str>, call: &mut UasCall) -> Response {
+        call.state = UasState::AnswerSent;
+        // Echo the offered codec in the answer; the body stays structured
+        // (two refcount bumps), serialized only if the path needs wire.
+        let sdp = SdpBody::new(
+            Arc::clone(sdp_host),
+            Arc::clone(sdp_host),
+            call.local_rtp_port,
+            call.codec,
+        );
+        call.invite
+            .make_response_tagged(StatusCode::OK, &call.to_tag)
+            .with_sdp(sdp)
+    }
+
     fn on_ack(&mut self, req: &Request) -> Vec<UasEvent> {
-        let Some(call_id) = req.call_id().map(str::to_owned) else {
+        let Some(call_id) = req.call_id() else {
             return vec![];
         };
-        let Some(call) = self.calls.get_mut(&call_id) else {
+        let Some(call) = self.calls.get_mut(call_id) else {
             return vec![];
         };
         if call.state != UasState::AnswerSent {
@@ -212,7 +204,7 @@ impl Uas {
         }
         call.state = UasState::Confirmed;
         vec![UasEvent::MediaReady {
-            call_id,
+            call_id: call_id.to_owned(),
             local_rtp_port: call.local_rtp_port,
             remote_node: call.peer,
             remote_rtp_port: call.remote_rtp_port,
@@ -220,16 +212,12 @@ impl Uas {
     }
 
     fn on_bye(&mut self, req: &Request) -> Vec<UasEvent> {
-        let Some(call_id) = req.call_id().map(str::to_owned) else {
+        // Unknown call: nothing to answer to (no peer).
+        let Some((call_id, call)) = req.call_id().and_then(|c| self.calls.remove_entry(c)) else {
             return vec![];
         };
         let ok = req.make_response(StatusCode::OK);
-        match self.calls.remove(&call_id) {
-            Some(call) => {
-                vec![self.send(call.peer, ok.into()), UasEvent::Ended { call_id }]
-            }
-            None => vec![], // unknown call: nothing to answer to (no peer)
-        }
+        vec![self.send(call.peer, ok.into()), UasEvent::Ended { call_id }]
     }
 
     fn on_cancel(&mut self, req: &Request) -> Vec<UasEvent> {
@@ -254,6 +242,7 @@ impl Uas {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sipcore::headers::HeaderName;
     use sipcore::message::format_via;
     use sipcore::sdp::SessionDescription;
     use sipcore::SipUri;
@@ -267,7 +256,7 @@ mod tests {
             .header(HeaderName::Via, format_via("pbx", 5060, "z9hG4bKx"))
             .header(HeaderName::From, "<sip:1001@pbx.unb.br>;tag=pbx")
             .header(HeaderName::To, "<sip:2001@pbx.unb.br>")
-            .header(HeaderName::CallId, call_id.to_owned())
+            .header(HeaderName::CallId, call_id)
             .header(HeaderName::CSeq, "1 INVITE")
             .with_body("application/sdp", sdp.to_body())
     }
@@ -354,7 +343,7 @@ mod tests {
         let mut u = Uas::new(UAS_NODE, SimDuration::ZERO);
         u.on_sip(SimTime::ZERO, PBX_NODE, invite("c3").into());
         let ack = Request::new(Method::Ack, SipUri::new("2001", "pbx.unb.br"))
-            .header(HeaderName::CallId, "c3".to_owned())
+            .header(HeaderName::CallId, "c3")
             .header(HeaderName::CSeq, "1 ACK");
         let evs = u.on_sip(SimTime::ZERO, PBX_NODE, ack.clone().into());
         assert_eq!(
@@ -375,7 +364,7 @@ mod tests {
         let mut u = Uas::new(UAS_NODE, SimDuration::ZERO);
         u.on_sip(SimTime::ZERO, PBX_NODE, invite("c4").into());
         let bye = Request::new(Method::Bye, SipUri::new("2001", "pbx.unb.br"))
-            .header(HeaderName::CallId, "c4".to_owned())
+            .header(HeaderName::CallId, "c4")
             .header(HeaderName::CSeq, "2 BYE");
         let evs = u.on_sip(SimTime::from_secs(100), PBX_NODE, bye.into());
         assert_eq!(evs.len(), 2);
@@ -392,7 +381,7 @@ mod tests {
         assert_eq!(u.open_calls(), 0);
         // BYE for unknown call produces nothing.
         let bye2 = Request::new(Method::Bye, SipUri::new("2001", "pbx.unb.br"))
-            .header(HeaderName::CallId, "ghost".to_owned())
+            .header(HeaderName::CallId, "ghost")
             .header(HeaderName::CSeq, "2 BYE");
         assert!(u.on_sip(SimTime::ZERO, PBX_NODE, bye2.into()).is_empty());
     }
@@ -402,7 +391,7 @@ mod tests {
         let mut u = Uas::new(UAS_NODE, SimDuration::from_secs(30));
         u.on_sip(SimTime::ZERO, PBX_NODE, invite("c5").into());
         let cancel = Request::new(Method::Cancel, SipUri::new("2001", "pbx.unb.br"))
-            .header(HeaderName::CallId, "c5".to_owned())
+            .header(HeaderName::CallId, "c5")
             .header(HeaderName::CSeq, "1 CANCEL");
         let evs = u.on_sip(SimTime::from_secs(1), PBX_NODE, cancel.into());
         assert_eq!(evs.len(), 2);

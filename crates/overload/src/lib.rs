@@ -76,14 +76,22 @@ pub enum Feedback {
     Window(u32),
 }
 
+/// The `X-Overload-Control` header value, so a builder can write it in
+/// place (`write!(buf, "{feedback}")`).
+impl core::fmt::Display for Feedback {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Feedback::Rate(r) => write!(f, "rate={r:.3}"),
+            Feedback::Window(w) => write!(f, "win={w}"),
+        }
+    }
+}
+
 impl Feedback {
     /// Encode as an `X-Overload-Control` header value.
     #[must_use]
     pub fn to_header_value(&self) -> String {
-        match self {
-            Feedback::Rate(r) => format!("rate={r:.3}"),
-            Feedback::Window(w) => format!("win={w}"),
-        }
+        self.to_string()
     }
 
     /// Parse an `X-Overload-Control` header value. Tolerant of surrounding

@@ -23,11 +23,12 @@ use des::{SimDuration, SimTime};
 use netsim::NodeId;
 use overload::{ControlLaw, Feedback, LoadSignals};
 use sipcore::auth::{CredentialsView, DigestChallenge, HexDigest};
-use sipcore::headers::{tag_of, with_tag, HeaderName};
-use sipcore::message::{write_via_args, Request, Response, SipMessage};
+use sipcore::headers::{HeaderMap, HeaderName};
+use sipcore::message::{Decimal, Request, Response, SipMessage, SDP_HEADERS_ROOM};
 use sipcore::sdp::wire::{SdpBody, SdpSummary};
 use sipcore::sdp::SdpCodec;
 use sipcore::{AtomTable, Method, SipUri, StatusCode};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// PBX configuration.
@@ -487,12 +488,12 @@ impl Pbx {
         let Some((uid, password)) = simple else {
             let mut resp = req.make_response(StatusCode::UNAUTHORIZED);
             resp.headers
-                .push(HeaderName::WwwAuthenticate, self.challenge.as_str());
+                .push(HeaderName::WwwAuthenticate, &self.challenge);
             return vec![self.reply(from, resp)];
         };
         match self
             .registrar
-            .register(&mut self.directory, now, &uid, &password, from)
+            .register(&mut self.directory, now, uid, password, from)
         {
             RegisterOutcome::Ok => vec![self.reply(from, req.make_response(StatusCode::OK))],
             RegisterOutcome::AuthFailed => {
@@ -546,13 +547,13 @@ impl Pbx {
                 let retry_after = decision
                     .retry_after
                     .unwrap_or_else(|| SimDuration::from_secs(2));
-                resp.headers.push(
-                    HeaderName::RetryAfter,
-                    format!("{}", retry_after.as_secs_f64().ceil() as u64),
-                );
+                let seconds = retry_after.as_secs_f64().ceil() as u64;
+                resp.headers
+                    .push(HeaderName::RetryAfter, Decimal::new(seconds));
                 if let Some(fb) = decision.feedback {
-                    resp.headers
-                        .push(HeaderName::OverloadControl, fb.to_header_value());
+                    resp.headers.push_with(HeaderName::OverloadControl, |b| {
+                        let _ = write!(b, "{fb}");
+                    });
                 }
                 return vec![self.reply(from, resp)];
             }
@@ -562,11 +563,11 @@ impl Pbx {
             .get(&HeaderName::From)
             .and_then(extract_user)
             .unwrap_or_default();
-        let extension = req.uri.user.clone();
+        let extension = req.uri.user.as_str();
         let mut record = CallRecord {
             call_id: call_id.clone(),
             caller: caller_aor,
-            callee: extension.clone(),
+            callee: extension.to_owned(),
             start: now,
             answered: None,
             end: None,
@@ -574,9 +575,9 @@ impl Pbx {
         };
 
         // Route the dialled extension.
-        let callee_node = match self.config.dialplan.route(&extension) {
+        let callee_node = match self.config.dialplan.route(extension) {
             Some(Route::LocalSubscriber) => {
-                match self.registrar.lookup(now, &extension) {
+                match self.registrar.lookup(now, extension) {
                     Some(binding) => binding.node,
                     None if self.config.require_registration => {
                         record.end = Some(now);
@@ -629,7 +630,9 @@ impl Pbx {
         self.next_call_serial += 1;
         let pbx_port_for_caller = self.by_pbx_port.alloc();
         let pbx_port_for_callee = self.by_pbx_port.alloc();
-        let callee_call_id = format!("b2b-{serial}@{}", self.config.hostname);
+        let host = self.config.hostname.as_str();
+        let serial = Decimal::new(serial);
+        let callee_call_id = ["b2b-", &serial, "@", host].concat();
 
         // Build the PBX-originated INVITE towards the callee, offering the
         // PBX's own media port (the relay behaviour of Asterisk). The body
@@ -641,48 +644,45 @@ impl Pbx {
             pbx_port_for_callee,
             offer_codec,
         );
-        let mut via = String::with_capacity(64);
-        write_via_args(
-            &mut via,
-            &self.config.hostname,
-            5060,
-            format_args!("z9hG4bKpbx{serial}"),
+        let mut out_invite = Request::new(Method::Invite, SipUri::new(extension, host));
+        out_invite.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbx", &serial],
+                ),
+                (
+                    HeaderName::From,
+                    &["<sip:", &record.caller, "@", host, ">;tag=pbxout", &serial],
+                ),
+                (HeaderName::To, &["<sip:", extension, "@", host, ">"]),
+                (HeaderName::CallId, &[&callee_call_id]),
+                (HeaderName::CSeq, &["1 INVITE"]),
+                (HeaderName::MaxForwards, &["69"]),
+                (
+                    HeaderName::UserAgent,
+                    &["pbx-sim (Asterisk-compatible B2BUA)"],
+                ),
+            ],
+            SDP_HEADERS_ROOM,
         );
-        let out_invite = Request::new(
-            Method::Invite,
-            sipcore::SipUri::new(&extension, &self.config.hostname),
-        )
-        .header(HeaderName::Via, via)
-        .header(
-            HeaderName::From,
-            format!(
-                "<sip:{}@{}>;tag=pbxout{serial}",
-                record.caller, self.config.hostname
-            ),
-        )
-        .header(
-            HeaderName::To,
-            format!("<sip:{extension}@{}>", self.config.hostname),
-        )
-        .header(HeaderName::CallId, callee_call_id.clone())
-        .header(HeaderName::CSeq, "1 INVITE")
-        .header(HeaderName::MaxForwards, "69")
-        .header(HeaderName::UserAgent, "pbx-sim (Asterisk-compatible B2BUA)")
-        .with_sdp(sdp);
+        let out_invite = out_invite.with_sdp(sdp);
 
-        *self
-            .active_per_user
-            .entry(record.caller.clone())
-            .or_insert(0) += 1;
+        match self.active_per_user.get_mut(&record.caller) {
+            Some(active) => *active += 1,
+            None => {
+                self.active_per_user.insert(record.caller.clone(), 1);
+            }
+        }
         let idx = self.calls.len();
-        let pbx_tag = format!("pbxuas{serial}");
+        let pbx_tag = ["pbxuas", &serial].concat();
         // Build the 100 Trying before the INVITE moves into the call slot
         // (the stored original serves every later caller-facing response).
         let mut trying = req.make_response(StatusCode::TRYING);
         if let Some(fb) = admit_feedback {
-            trying
-                .headers
-                .push(HeaderName::OverloadControl, fb.to_header_value());
+            trying.headers.push_with(HeaderName::OverloadControl, |b| {
+                let _ = write!(b, "{fb}");
+            });
         }
         self.calls.push(Some(Call {
             channel,
@@ -765,30 +765,25 @@ impl Pbx {
             return vec![];
         };
         // Forward the ACK on the callee leg to complete its handshake.
-        let mut via = String::with_capacity(64);
-        write_via_args(
-            &mut via,
-            &self.config.hostname,
-            5060,
-            format_args!("z9hG4bKpbxack{idx}"),
-        );
-        let ack = Request::new(
-            Method::Ack,
-            sipcore::SipUri::new(&call.record.callee, &self.config.hostname),
-        )
-        .header(HeaderName::Via, via)
-        .header(HeaderName::CallId, call.callee_call_id.clone())
-        .header(HeaderName::CSeq, "1 ACK")
-        .header(
-            HeaderName::From,
-            format!(
-                "<sip:{}@{}>;tag=pbxout",
-                call.record.caller, self.config.hostname
-            ),
-        )
-        .header(
-            HeaderName::To,
-            format!("<sip:{}@{}>", call.record.callee, self.config.hostname),
+        let host = self.config.hostname.as_str();
+        let (caller, callee) = (call.record.caller.as_str(), call.record.callee.as_str());
+        let slot = Decimal::new(idx as u64);
+        let mut ack = Request::new(Method::Ack, SipUri::new(callee, host));
+        ack.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbxack", &slot],
+                ),
+                (HeaderName::CallId, &[&call.callee_call_id]),
+                (HeaderName::CSeq, &["1 ACK"]),
+                (
+                    HeaderName::From,
+                    &["<sip:", caller, "@", host, ">;tag=pbxout"],
+                ),
+                (HeaderName::To, &["<sip:", callee, "@", host, ">"]),
+            ],
+            (0, 0),
         );
         let to = call.callee.node;
         vec![self.send(to, ack.into())]
@@ -814,40 +809,35 @@ impl Pbx {
         call.bye_from_caller = from_caller;
         // Forward the BYE to the other leg (Fig. 2: BYE is forwarded, the
         // 200 comes back through us).
-        let (other_node, other_call_id) = if from_caller {
-            (call.callee.node, call.callee_call_id.clone())
+        let (other_node, other_user, other_call_id) = if from_caller {
+            (
+                call.callee.node,
+                call.record.callee.as_str(),
+                call.callee_call_id.as_str(),
+            )
         } else {
             (
                 call.caller.node,
-                call.caller_invite.call_id().unwrap_or("").to_owned(),
+                call.record.caller.as_str(),
+                call.caller_invite.call_id().unwrap_or(""),
             )
         };
-        let mut via = String::with_capacity(64);
-        write_via_args(
-            &mut via,
-            &self.config.hostname,
-            5060,
-            format_args!("z9hG4bKpbxbye{idx}"),
+        let host = self.config.hostname.as_str();
+        let slot = Decimal::new(idx as u64);
+        let mut bye = Request::new(Method::Bye, SipUri::new(other_user, host));
+        bye.headers = HeaderMap::from_parts(
+            [
+                (
+                    HeaderName::Via,
+                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbxbye", &slot],
+                ),
+                (HeaderName::CallId, &[other_call_id]),
+                (HeaderName::CSeq, &["2 BYE"]),
+                (HeaderName::From, &["<sip:pbx@", host, ">;tag=pbxbye"]),
+                (HeaderName::To, &["<sip:peer>"]),
+            ],
+            (0, 0),
         );
-        let bye = Request::new(
-            Method::Bye,
-            sipcore::SipUri::new(
-                if from_caller {
-                    &call.record.callee
-                } else {
-                    &call.record.caller
-                },
-                &self.config.hostname,
-            ),
-        )
-        .header(HeaderName::Via, via)
-        .header(HeaderName::CallId, other_call_id)
-        .header(HeaderName::CSeq, "2 BYE")
-        .header(
-            HeaderName::From,
-            format!("<sip:pbx@{}>;tag=pbxbye", self.config.hostname),
-        )
-        .header(HeaderName::To, "<sip:peer>".to_owned());
         vec![self.send(other_node, bye.into())]
     }
 
@@ -977,18 +967,13 @@ impl Pbx {
         };
         let (hangup_node, ok) = if call.bye_from_caller {
             // Caller hung up; 200 goes back to the caller leg.
-            let mut ok = call.caller_invite.make_response(StatusCode::OK);
+            let invite = &call.caller_invite;
+            let mut ok = invite.make_response_tagged(StatusCode::OK, &call.pbx_tag);
             ok.headers.set(HeaderName::CSeq, "2 BYE");
-            let to = ok
-                .headers
-                .get(&HeaderName::To)
-                .unwrap_or("<sip:peer>")
-                .to_owned();
-            ok.headers.set(HeaderName::To, with_tag(&to, &call.pbx_tag));
             (call.caller.node, ok)
         } else {
             let ok = Response::new(StatusCode::OK)
-                .header(HeaderName::CallId, call.callee_call_id.clone())
+                .header(HeaderName::CallId, &call.callee_call_id)
                 .header(HeaderName::CSeq, "2 BYE");
             (call.callee.node, ok)
         };
@@ -1001,20 +986,11 @@ impl Pbx {
     /// Build a caller-facing response derived from the stored INVITE.
     fn caller_response(&mut self, idx: usize, status: StatusCode) -> Response {
         let call = self.calls[idx].as_ref().expect("live call");
-        let mut resp = call.caller_invite.make_response(status);
-        let to = resp
-            .headers
-            .get(&HeaderName::To)
-            .unwrap_or("<sip:peer>")
-            .to_owned();
-        if tag_of(&to).is_none() {
-            resp.headers
-                .set(HeaderName::To, with_tag(&to, &call.pbx_tag));
-        }
-        resp.headers.push(
-            HeaderName::Contact,
-            format!("<sip:{}:5060>", self.config.hostname),
-        );
+        let invite = &call.caller_invite;
+        let mut resp = invite.make_response_tagged(status, &call.pbx_tag);
+        let host = self.config.hostname.as_str();
+        resp.headers
+            .push_parts(HeaderName::Contact, &["<sip:", host, ":5060>"]);
         resp
     }
 
@@ -1063,14 +1039,12 @@ impl Pbx {
 }
 
 /// Parse `Simple <uid> <password>` authorization values.
-fn parse_simple_auth(value: &str) -> Option<(String, String)> {
+fn parse_simple_auth(value: &str) -> Option<(&str, &str)> {
     let mut parts = value.split_whitespace();
     if parts.next()? != "Simple" {
         return None;
     }
-    let uid = parts.next()?.to_owned();
-    let password = parts.next()?.to_owned();
-    Some((uid, password))
+    Some((parts.next()?, parts.next()?))
 }
 
 /// Extract the user part from a From/To header value.
@@ -1139,7 +1113,7 @@ mod tests {
                 format!("<sip:{from_uid}@pbx.unb.br>;tag=c{call_id}"),
             )
             .header(HeaderName::To, format!("<sip:{to_ext}@pbx.unb.br>"))
-            .header(HeaderName::CallId, call_id.to_owned())
+            .header(HeaderName::CallId, call_id)
             .header(HeaderName::CSeq, "1 INVITE")
             .with_body("application/sdp", sdp.to_body())
     }
@@ -1191,7 +1165,7 @@ mod tests {
 
         // Caller ACKs; PBX forwards it to the callee.
         let ack = Request::new(Method::Ack, sipcore::SipUri::new("1002", "pbx.unb.br"))
-            .header(HeaderName::CallId, call_id.to_owned())
+            .header(HeaderName::CallId, call_id)
             .header(HeaderName::CSeq, "1 ACK");
         let acts = pbx.handle_sip(SimTime::from_secs(3), CALLER_NODE, ack.into());
         assert_eq!(acts.len(), 1);
@@ -1273,7 +1247,7 @@ mod tests {
         establish_call(&mut pbx, "ladder");
         // Teardown: caller BYE -> forwarded; callee 200 -> forwarded.
         let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
-            .header(HeaderName::CallId, "ladder".to_owned())
+            .header(HeaderName::CallId, "ladder")
             .header(HeaderName::CSeq, "2 BYE");
         let acts = pbx.handle_sip(SimTime::from_secs(120), CALLER_NODE, bye.into());
         let fwd_bye = sip_of(&acts[0]).as_request().unwrap().clone();
@@ -1303,7 +1277,7 @@ mod tests {
         let mut pbx = pbx_with_users();
         establish_call(&mut pbx, "cdr-test");
         let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
-            .header(HeaderName::CallId, "cdr-test".to_owned())
+            .header(HeaderName::CallId, "cdr-test")
             .header(HeaderName::CSeq, "2 BYE");
         let acts = pbx.handle_sip(SimTime::from_secs(123), CALLER_NODE, bye.into());
         let fwd_bye = sip_of(&acts[0]).as_request().unwrap().clone();
@@ -1561,7 +1535,7 @@ mod tests {
             invite("cx", "1001", "1002", 6000).into(),
         );
         let cancel = Request::new(Method::Cancel, sipcore::SipUri::new("1002", "pbx.unb.br"))
-            .header(HeaderName::CallId, "cx".to_owned())
+            .header(HeaderName::CallId, "cx")
             .header(HeaderName::CSeq, "1 CANCEL");
         let acts = pbx.handle_sip(SimTime::from_secs(2), CALLER_NODE, cancel.into());
         assert_eq!(acts.len(), 3, "200-CANCEL, 487-INVITE, CANCEL onward");
@@ -1584,7 +1558,7 @@ mod tests {
         // The callee leg's call-id is the b2b one.
         let callee_cid = "b2b-0@pbx.unb.br";
         let bye = Request::new(Method::Bye, sipcore::SipUri::new("1001", "pbx.unb.br"))
-            .header(HeaderName::CallId, callee_cid.to_owned())
+            .header(HeaderName::CallId, callee_cid)
             .header(HeaderName::CSeq, "2 BYE");
         let acts = pbx.handle_sip(SimTime::from_secs(100), CALLEE_NODE, bye.into());
         let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
@@ -1632,7 +1606,7 @@ mod tests {
     fn options_keepalive_gets_200() {
         let mut pbx = pbx_with_users();
         let opt = Request::new(Method::Options, sipcore::SipUri::server("pbx.unb.br"))
-            .header(HeaderName::CallId, "opt1".to_owned())
+            .header(HeaderName::CallId, "opt1")
             .header(HeaderName::CSeq, "1 OPTIONS");
         let acts = pbx.handle_sip(SimTime::ZERO, CALLER_NODE, opt.into());
         assert_eq!(
@@ -1705,7 +1679,7 @@ mod tests {
         );
         // ...but after hanging up, a new call is admitted.
         let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
-            .header(HeaderName::CallId, "seq1".to_owned())
+            .header(HeaderName::CallId, "seq1")
             .header(HeaderName::CSeq, "2 BYE");
         let acts = pbx.handle_sip(SimTime::from_secs(100), CALLER_NODE, bye.into());
         let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
@@ -1804,7 +1778,7 @@ mod tests {
         assert!(pbx.is_shedding());
         for cid in ["p1", "p2"] {
             let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
-                .header(HeaderName::CallId, cid.to_owned())
+                .header(HeaderName::CallId, cid)
                 .header(HeaderName::CSeq, "2 BYE");
             let acts = pbx.handle_sip(SimTime::from_secs(10), CALLER_NODE, bye.into());
             let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
@@ -1952,7 +1926,7 @@ mod tests {
         // controller only re-evaluates on the next INVITE.
         for cid in ["h1", "h2"] {
             let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
-                .header(HeaderName::CallId, cid.to_owned())
+                .header(HeaderName::CallId, cid)
                 .header(HeaderName::CSeq, "2 BYE");
             let acts = pbx.handle_sip(SimTime::from_secs(10), CALLER_NODE, bye.into());
             let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
@@ -2003,7 +1977,7 @@ mod tests {
         // Drop one call: occupancy 0.5 is between the watermarks, so the
         // controller keeps shedding (hysteresis).
         let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
-            .header(HeaderName::CallId, "m1".to_owned())
+            .header(HeaderName::CallId, "m1")
             .header(HeaderName::CSeq, "2 BYE");
         let acts = pbx.handle_sip(SimTime::from_secs(10), CALLER_NODE, bye.into());
         let fwd = sip_of(&acts[0]).as_request().unwrap().clone();

@@ -232,10 +232,26 @@ impl<'a> CredentialsView<'a> {
     /// Serialize as an `Authorization` header value.
     #[must_use]
     pub fn to_header_value(&self) -> String {
-        format!(
-            "Digest username=\"{}\", realm=\"{}\", nonce=\"{}\", uri=\"{}\", response=\"{}\", algorithm=MD5",
-            self.username, self.realm, self.nonce, self.uri, self.response
-        )
+        self.header_value_parts().concat()
+    }
+
+    /// The `Authorization` header value as the pieces it concatenates —
+    /// for [`crate::HeaderMap::push_parts`], which writes it in place.
+    #[must_use]
+    pub fn header_value_parts(&self) -> [&'a str; 11] {
+        [
+            "Digest username=\"",
+            self.username,
+            "\", realm=\"",
+            self.realm,
+            "\", nonce=\"",
+            self.nonce,
+            "\", uri=\"",
+            self.uri,
+            "\", response=\"",
+            self.response,
+            "\", algorithm=MD5",
+        ]
     }
 
     /// Server-side check against a precomputed `HA2`: does this

@@ -175,10 +175,7 @@ mod tests {
     #[test]
     fn uac_dialog_id_from_response() {
         let req = invite();
-        let mut resp = req.make_response(StatusCode::OK);
-        let to = resp.headers.get(&HeaderName::To).unwrap().to_owned();
-        resp.headers
-            .set(HeaderName::To, crate::headers::with_tag(&to, "totag"));
+        let resp = req.make_response_tagged(StatusCode::OK, "totag");
         let id = DialogId::from_response_uac(&resp).unwrap();
         assert_eq!(id.call_id, "cid-dialog");
         assert_eq!(id.local_tag, "fromtag");
@@ -197,10 +194,7 @@ mod tests {
     fn uac_and_uas_views_are_mirrored() {
         let req = invite();
         let uas = DialogId::from_request_uas(&req).unwrap();
-        let mut resp = req.make_response(StatusCode::OK);
-        let to = resp.headers.get(&HeaderName::To).unwrap().to_owned();
-        resp.headers
-            .set(HeaderName::To, crate::headers::with_tag(&to, "totag"));
+        let resp = req.make_response_tagged(StatusCode::OK, "totag");
         let uac = DialogId::from_response_uac(&resp).unwrap();
         assert_eq!(uac.call_id, uas.call_id);
         assert_eq!(uac.local_tag, uas.remote_tag);

@@ -136,10 +136,32 @@ impl core::fmt::Display for HeaderName {
     }
 }
 
+/// First reservation of a map its builder did not size: room for any
+/// message of the call ladder (an INVITE is nine headers and ≈ 180 value
+/// bytes; a 401 with its challenge ≈ 200), so a message assembled header
+/// by header — every response, and anything built with
+/// [`crate::Request::header`] — allocates twice, not once per header.
+/// Requests that outlive their transaction are built exact-size by
+/// [`HeaderMap::from_parts`] instead.
+const FIRST_HEADERS: usize = 10;
+const FIRST_VALUE_BYTES: usize = 256;
+
 /// An insertion-ordered multimap of headers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// All values live back to back in one text arena and each header is a
+/// `(name, start, end)` span into it, so a message costs two allocations
+/// however many headers it carries, a copy is two `memcpy`s, and a builder
+/// can write a value in place ([`HeaderMap::push_with`]) instead of
+/// formatting a `String` and moving it in.
+#[derive(Clone, Default)]
 pub struct HeaderMap {
-    entries: Vec<(HeaderName, String)>,
+    /// Value text in the order it was written. Replacing or removing a
+    /// header leaves its old bytes behind, dead — only `entries` says what
+    /// is live, so nothing may read `buf` as a whole.
+    buf: String,
+    /// `(name, start, end)` of each header's value in `buf`, in header
+    /// order.
+    entries: Vec<(HeaderName, u32, u32)>,
 }
 
 impl HeaderMap {
@@ -149,31 +171,91 @@ impl HeaderMap {
         HeaderMap::default()
     }
 
+    /// A map of `headers`, each value the concatenation of its parts, in
+    /// an arena sized exactly for them plus `room`: the `(headers, value
+    /// bytes)` the caller is about to add (a body's Content-Type and
+    /// Content-Length, say). This is how the engines build a request — a
+    /// table of headers, every value written once, nothing formatted.
+    #[must_use]
+    pub fn from_parts<const N: usize>(
+        headers: [(HeaderName, &[&str]); N],
+        room: (usize, usize),
+    ) -> Self {
+        let text = headers.iter().flat_map(|(_, parts)| parts.iter());
+        let bytes: usize = text.map(|part| part.len()).sum();
+        let mut map = HeaderMap {
+            buf: String::with_capacity(bytes + room.1),
+            entries: Vec::with_capacity(N + room.0),
+        };
+        for (name, parts) in headers {
+            map.push_parts(name, parts);
+        }
+        map
+    }
+
+    fn value(&self, &(_, start, end): &(HeaderName, u32, u32)) -> &str {
+        &self.buf[start as usize..end as usize]
+    }
+
+    /// Let `write` append one value's text to the arena; returns its span.
+    fn write_value(&mut self, write: impl FnOnce(&mut String)) -> (u32, u32) {
+        if self.entries.capacity() == 0 {
+            self.entries.reserve(FIRST_HEADERS);
+        }
+        if self.buf.capacity() == 0 {
+            self.buf.reserve(FIRST_VALUE_BYTES);
+        }
+        let start = self.buf.len();
+        write(&mut self.buf);
+        // Every earlier span ends at or before `start`: holding this keeps
+        // them all in bounds whatever `write` did.
+        assert!(self.buf.len() >= start, "a value writer may only append");
+        let offset = |n: usize| u32::try_from(n).expect("header arena under 4 GiB");
+        (offset(start), offset(self.buf.len()))
+    }
+
     /// Append a header (keeps existing occurrences).
-    pub fn push(&mut self, name: HeaderName, value: impl Into<String>) {
-        self.entries.push((name, value.into()));
+    pub fn push(&mut self, name: HeaderName, value: impl AsRef<str>) {
+        self.push_with(name, |buf| buf.push_str(value.as_ref()));
+    }
+
+    /// Append a header whose value `write` appends to the arena it is
+    /// handed — the value is written once, where it will live. `write`
+    /// must only append.
+    pub fn push_with(&mut self, name: HeaderName, write: impl FnOnce(&mut String)) {
+        let (start, end) = self.write_value(write);
+        self.entries.push((name, start, end));
+    }
+
+    /// Append a header whose value is the concatenation of `parts`.
+    pub fn push_parts(&mut self, name: HeaderName, parts: &[&str]) {
+        self.push_with(name, |buf| parts.iter().for_each(|part| buf.push_str(part)));
     }
 
     /// Replace all occurrences of `name` with a single value (appends if
     /// absent).
-    pub fn set(&mut self, name: HeaderName, value: impl Into<String>) {
-        let value = value.into();
+    pub fn set(&mut self, name: HeaderName, value: impl AsRef<str>) {
+        self.set_with(name, |buf| buf.push_str(value.as_ref()));
+    }
+
+    /// [`HeaderMap::set`] with the value written in place, as in
+    /// [`HeaderMap::push_with`].
+    pub fn set_with(&mut self, name: HeaderName, write: impl FnOnce(&mut String)) {
+        let (start, end) = self.write_value(write);
         let mut kept = false;
-        self.entries.retain_mut(|(n, v)| {
-            if *n == name {
-                if kept {
-                    false
-                } else {
-                    kept = true;
-                    *v = value.clone();
-                    true
-                }
-            } else {
-                true
+        self.entries.retain_mut(|entry| {
+            if entry.0 != name {
+                return true;
             }
+            if kept {
+                return false;
+            }
+            kept = true;
+            (entry.1, entry.2) = (start, end);
+            true
         });
         if !kept {
-            self.entries.push((name, value));
+            self.entries.push((name, start, end));
         }
     }
 
@@ -182,28 +264,30 @@ impl HeaderMap {
     pub fn get(&self, name: &HeaderName) -> Option<&str> {
         self.entries
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+            .find(|entry| entry.0 == *name)
+            .map(|entry| self.value(entry))
     }
 
     /// All values for `name`, in order.
     pub fn get_all<'a>(&'a self, name: &'a HeaderName) -> impl Iterator<Item = &'a str> + 'a {
         self.entries
             .iter()
-            .filter(move |(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+            .filter(move |entry| entry.0 == *name)
+            .map(|entry| self.value(entry))
     }
 
     /// Remove the **first** occurrence of `name`, returning its value.
     /// (Used to pop the top Via when routing a response.)
     pub fn remove_first(&mut self, name: &HeaderName) -> Option<String> {
-        let idx = self.entries.iter().position(|(n, _)| n == name)?;
-        Some(self.entries.remove(idx).1)
+        let idx = self.entries.iter().position(|entry| entry.0 == *name)?;
+        let entry = self.entries.remove(idx);
+        Some(self.value(&entry).to_owned())
     }
 
     /// Insert at the front (used to push a Via when forwarding a request).
-    pub fn push_front(&mut self, name: HeaderName, value: impl Into<String>) {
-        self.entries.insert(0, (name, value.into()));
+    pub fn push_front(&mut self, name: HeaderName, value: impl AsRef<str>) {
+        let (start, end) = self.write_value(|buf| buf.push_str(value.as_ref()));
+        self.entries.insert(0, (name, start, end));
     }
 
     /// Number of header fields (counting repeats).
@@ -220,13 +304,58 @@ impl HeaderMap {
 
     /// Iterate all (name, value) pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (&HeaderName, &str)> {
-        self.entries.iter().map(|(n, v)| (n, v.as_str()))
+        self.entries
+            .iter()
+            .map(|entry| (&entry.0, self.value(entry)))
     }
 
     /// True if any occurrence of `name` exists.
     #[must_use]
     pub fn contains(&self, name: &HeaderName) -> bool {
-        self.entries.iter().any(|(n, _)| n == name)
+        self.entries.iter().any(|entry| entry.0 == *name)
+    }
+}
+
+/// Two maps are equal when they hold the same `(name, value)` sequence;
+/// where the text sits in each arena (and what dead bytes surround it) is
+/// not part of the value.
+impl PartialEq for HeaderMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for HeaderMap {}
+
+impl core::fmt::Debug for HeaderMap {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The serialized form: the `(name, value)` list the map logically is, in
+/// the shape the one-`String`-per-header storage derived — never arena
+/// offsets.
+#[derive(Serialize, Deserialize)]
+struct Entries {
+    entries: Vec<(HeaderName, String)>,
+}
+
+impl Serialize for HeaderMap {
+    fn to_value(&self) -> serde::Value {
+        let pairs = self.iter().map(|(n, v)| (n.clone(), v.to_owned()));
+        let entries = pairs.collect();
+        Entries { entries }.to_value()
+    }
+}
+
+impl Deserialize for HeaderMap {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let mut map = HeaderMap::new();
+        for (name, value) in Entries::from_value(v)?.entries {
+            map.push(name, value);
+        }
+        Ok(map)
     }
 }
 
@@ -246,29 +375,6 @@ pub fn tag_of(header_value: &str) -> Option<&str> {
         }
     }
     None
-}
-
-/// Append (or replace) a `tag=` parameter on a From/To header value.
-#[must_use]
-pub fn with_tag(header_value: &str, tag: &str) -> String {
-    match tag_of(header_value) {
-        Some(_) => {
-            // Replace existing tag.
-            let parts: Vec<&str> = header_value.split(';').collect();
-            let mut out = String::with_capacity(header_value.len());
-            out.push_str(parts[0]);
-            for part in &parts[1..] {
-                out.push(';');
-                if part.trim().starts_with("tag=") {
-                    out.push_str(&format!("tag={tag}"));
-                } else {
-                    out.push_str(part);
-                }
-            }
-            out
-        }
-        None => format!("{header_value};tag={tag}"),
-    }
 }
 
 #[cfg(test)]
@@ -386,6 +492,159 @@ mod tests {
         assert!(h.remove_first(&HeaderName::Expires).is_none());
     }
 
+    /// The storage `HeaderMap` had before the arena — one `String` per
+    /// header, in a `Vec` — kept as the model the arena is checked against.
+    #[derive(Debug, Clone, Default)]
+    struct Model(Vec<(HeaderName, String)>);
+
+    impl Model {
+        fn set(&mut self, name: HeaderName, value: &str) {
+            let mut kept = false;
+            self.0.retain_mut(|(n, v)| {
+                if *n != name {
+                    return true;
+                }
+                if !kept {
+                    value.clone_into(v);
+                }
+                !std::mem::replace(&mut kept, true)
+            });
+            if !kept {
+                self.0.push((name, value.to_owned()));
+            }
+        }
+
+        fn remove_first(&mut self, name: &HeaderName) -> Option<String> {
+            let idx = self.0.iter().position(|(n, _)| n == name)?;
+            Some(self.0.remove(idx).1)
+        }
+
+        /// What a 200 OK carrying these headers and no body serializes to.
+        fn wire(&self) -> Vec<u8> {
+            let mut out = String::from("SIP/2.0 200 OK\r\n");
+            for (name, value) in &self.0 {
+                out += &format!("{name}: {value}\r\n");
+            }
+            (out + "\r\n").into_bytes()
+        }
+    }
+
+    fn names() -> Vec<HeaderName> {
+        vec![
+            HeaderName::Via,
+            HeaderName::To,
+            HeaderName::ContentLength,
+            HeaderName::Other("X-Custom".to_owned()),
+            HeaderName::Other("x-custom".to_owned()),
+        ]
+    }
+
+    /// Every read the map offers answers as the model does.
+    fn assert_agrees(map: &HeaderMap, model: &Model) {
+        let pairs: Vec<_> = model.0.iter().map(|(n, v)| (n, v.as_str())).collect();
+        assert_eq!(map.iter().collect::<Vec<_>>(), pairs);
+        assert_eq!(map.len(), model.0.len());
+        assert_eq!(map.is_empty(), model.0.is_empty());
+        for name in names() {
+            let all = model.0.iter().filter(|(n, _)| *n == name);
+            let all: Vec<_> = all.map(|(_, v)| v.as_str()).collect();
+            assert_eq!(map.get_all(&name).collect::<Vec<_>>(), all);
+            assert_eq!(map.get(&name), all.first().copied());
+            assert_eq!(map.contains(&name), !all.is_empty());
+        }
+        // Equality is logical: a map freshly built from the same pairs has
+        // another arena layout (no dead bytes) and must still compare equal.
+        let mut fresh = HeaderMap::new();
+        for (name, value) in &model.0 {
+            fresh.push(name.clone(), value);
+        }
+        assert_eq!(*map, fresh);
+        let resp = crate::Response {
+            status: crate::StatusCode::OK,
+            headers: map.clone(),
+            body: crate::Body::empty(),
+        };
+        assert_eq!(resp.to_wire(), model.wire());
+        assert_eq!(resp.wire_len(), model.wire().len());
+    }
+
+    proptest::proptest! {
+        /// Random edit sequences: after every step the arena answers
+        /// exactly as one-`String`-per-header storage would.
+        #[test]
+        fn arena_matches_vec_of_strings_model(
+            ops in proptest::collection::vec((0u8..7, 0usize..5, "[ -~]{0,24}"), 1..60),
+        ) {
+            let (mut map, mut model) = (HeaderMap::new(), Model::default());
+            for (op, name, value) in ops {
+                let name = names().swap_remove(name);
+                match op {
+                    0 | 1 => {
+                        map.push(name.clone(), &value);
+                        model.0.push((name, value));
+                    }
+                    2 => {
+                        map.set(name.clone(), &value);
+                        model.set(name, &value);
+                    }
+                    3 => {
+                        // Written in two pieces, as the in-place builders do.
+                        let (head, tail) = value.split_at(value.len() / 2);
+                        map.set_with(name.clone(), |buf| {
+                            buf.push_str(head);
+                            buf.push_str(tail);
+                        });
+                        model.set(name, &value);
+                    }
+                    4 => {
+                        map.push_front(name.clone(), &value);
+                        model.0.insert(0, (name, value));
+                    }
+                    5 => proptest::prop_assert_eq!(
+                        map.remove_first(&name),
+                        model.remove_first(&name)
+                    ),
+                    _ => map = map.clone(),
+                }
+                assert_agrees(&map, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn set_then_clone_compares_equal_and_round_trips_serde() {
+        let mut h = HeaderMap::new();
+        h.push(HeaderName::Via, "one");
+        h.push(HeaderName::Other("X-Custom".to_owned()), "né");
+        h.push(HeaderName::Via, "two");
+        h.set(HeaderName::Via, "only");
+        h.set(HeaderName::To, "");
+        let model = Model(vec![
+            (HeaderName::Via, "only".to_owned()),
+            (HeaderName::Other("X-Custom".to_owned()), "né".to_owned()),
+            (HeaderName::To, String::new()),
+        ]);
+        assert_agrees(&h, &model);
+        assert_eq!(h.clone(), h);
+        // The serialized shape is the model's derived one, not arena offsets.
+        let value = h.to_value();
+        let entries = ("entries".to_owned(), model.0.to_value());
+        assert_eq!(value, serde::Value::Map(vec![entries]));
+        assert_eq!(HeaderMap::from_value(&value).unwrap(), h);
+    }
+
+    #[test]
+    fn a_value_larger_than_any_reservation() {
+        let big = "x".repeat(70_000);
+        let mut h = HeaderMap::new();
+        h.push(HeaderName::CallId, "small");
+        h.push(HeaderName::Other("X-Big".to_owned()), &big);
+        h.push(HeaderName::CSeq, "1 INVITE");
+        assert_eq!(h.get(&HeaderName::Other("X-Big".to_owned())), Some(&*big));
+        assert_eq!(h.get(&HeaderName::CSeq), Some("1 INVITE"));
+        assert_eq!(h.clone(), h);
+    }
+
     #[test]
     fn contains_and_iter() {
         let mut h = HeaderMap::new();
@@ -398,15 +657,9 @@ mod tests {
     }
 
     #[test]
-    fn tag_extraction_and_injection() {
+    fn tag_extraction() {
         assert_eq!(tag_of("<sip:a@x>;tag=77"), Some("77"));
         assert_eq!(tag_of("<sip:a@x>"), None);
         assert_eq!(tag_of("<sip:a@x;tag=inner-uri-not-counted>"), None);
-        let v = with_tag("<sip:a@x>", "99");
-        assert_eq!(tag_of(&v), Some("99"));
-        // Replacing an existing tag.
-        let v2 = with_tag(&v, "55");
-        assert_eq!(tag_of(&v2), Some("55"));
-        assert!(!v2.contains("tag=99"));
     }
 }

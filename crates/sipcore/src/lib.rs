@@ -14,6 +14,7 @@
 //!   semantics, T1-based retransmission and absorption of retransmits
 //!   ([`transaction`]);
 //! * dialog identification and tracking ([`dialog`]);
+//! * per-method / per-status message counting ([`tally`]);
 //! * a minimal SDP body builder/parser ([`sdp`]) sufficient to negotiate a
 //!   G.711 μ-law audio stream;
 //! * zero-allocation hot-path support: a deterministic string interner
@@ -39,6 +40,7 @@ pub mod parse;
 pub mod pool;
 pub mod sdp;
 pub mod status;
+pub mod tally;
 pub mod transaction;
 pub mod txmgr;
 pub mod uri;
@@ -53,5 +55,6 @@ pub use parse::{parse_message, ParseError};
 pub use pool::BufferPool;
 pub use sdp::wire::{SdpBody, SdpSummary, SdpView};
 pub use status::StatusCode;
+pub use tally::SipTally;
 pub use uri::SipUri;
 pub use wire::WireMessage;

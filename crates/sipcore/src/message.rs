@@ -1,6 +1,6 @@
 //! SIP request/response model and wire serialization.
 
-use crate::headers::{HeaderMap, HeaderName};
+use crate::headers::{tag_of, HeaderMap, HeaderName};
 use crate::method::Method;
 use crate::sdp::wire::{SdpBody, SdpView};
 use crate::sdp::SdpCodec;
@@ -226,7 +226,7 @@ impl Request {
 
     /// Builder: add a header.
     #[must_use]
-    pub fn header(mut self, name: HeaderName, value: impl Into<String>) -> Self {
+    pub fn header(mut self, name: HeaderName, value: impl AsRef<str>) -> Self {
         self.headers.push(name, value);
         self
     }
@@ -234,9 +234,7 @@ impl Request {
     /// Builder: set the body and its Content-Type/Content-Length headers.
     #[must_use]
     pub fn with_body(mut self, content_type: &str, body: Vec<u8>) -> Self {
-        self.headers.set(HeaderName::ContentType, content_type);
-        self.headers
-            .set(HeaderName::ContentLength, body.len().to_string());
+        describe_body(&mut self.headers, content_type, body.len());
         self.body = Body::Bytes(body);
         self
     }
@@ -246,9 +244,7 @@ impl Request {
     /// form exists only if the message is later written to the wire.
     #[must_use]
     pub fn with_sdp(mut self, sdp: SdpBody) -> Self {
-        self.headers.set(HeaderName::ContentType, "application/sdp");
-        self.headers
-            .set(HeaderName::ContentLength, sdp.len().to_string());
+        describe_body(&mut self.headers, "application/sdp", sdp.len());
         self.body = Body::Sdp(sdp);
         self
     }
@@ -316,6 +312,20 @@ impl Request {
     /// §8.2.6.
     #[must_use]
     pub fn make_response(&self, status: StatusCode) -> Response {
+        self.response(status, None)
+    }
+
+    /// [`Request::make_response`] as a UAS creating the dialog: a To
+    /// header that carries no tag yet gets `;tag=<to_tag>` (RFC 3261
+    /// §8.2.6.2), written as the value is copied.
+    #[must_use]
+    pub fn make_response_tagged(&self, status: StatusCode, to_tag: &str) -> Response {
+        self.response(status, Some(to_tag))
+    }
+
+    fn response(&self, status: StatusCode, to_tag: Option<&str>) -> Response {
+        // Every value goes arena to arena; the arena is the map's first
+        // reservation, which holds a response and what a UAS adds to it.
         let mut r = Response::new(status);
         for via in self.headers.get_all(&HeaderName::Via) {
             r.headers.push(HeaderName::Via, via);
@@ -326,11 +336,15 @@ impl Request {
             HeaderName::CallId,
             HeaderName::CSeq,
         ] {
-            if let Some(v) = self.headers.get(&name) {
-                r.headers.push(name, v);
+            let Some(value) = self.headers.get(&name) else {
+                continue;
+            };
+            match to_tag.filter(|_| name == HeaderName::To && tag_of(value).is_none()) {
+                Some(tag) => r.headers.push_parts(name, &[value, ";tag=", tag]),
+                None => r.headers.push(name, value),
             }
         }
-        r.headers.set(HeaderName::ContentLength, "0");
+        r.headers.push(HeaderName::ContentLength, "0");
         r
     }
 }
@@ -348,7 +362,7 @@ impl Response {
 
     /// Builder: add a header.
     #[must_use]
-    pub fn header(mut self, name: HeaderName, value: impl Into<String>) -> Self {
+    pub fn header(mut self, name: HeaderName, value: impl AsRef<str>) -> Self {
         self.headers.push(name, value);
         self
     }
@@ -356,9 +370,7 @@ impl Response {
     /// Builder: set the body and its Content-Type/Content-Length headers.
     #[must_use]
     pub fn with_body(mut self, content_type: &str, body: Vec<u8>) -> Self {
-        self.headers.set(HeaderName::ContentType, content_type);
-        self.headers
-            .set(HeaderName::ContentLength, body.len().to_string());
+        describe_body(&mut self.headers, content_type, body.len());
         self.body = Body::Bytes(body);
         self
     }
@@ -368,9 +380,7 @@ impl Response {
     /// form exists only if the message is later written to the wire.
     #[must_use]
     pub fn with_sdp(mut self, sdp: SdpBody) -> Self {
-        self.headers.set(HeaderName::ContentType, "application/sdp");
-        self.headers
-            .set(HeaderName::ContentLength, sdp.len().to_string());
+        describe_body(&mut self.headers, "application/sdp", sdp.len());
         self.body = Body::Sdp(sdp);
         self
     }
@@ -538,6 +548,64 @@ impl From<Response> for SipMessage {
     }
 }
 
+/// `n` in decimal, on the stack: a number as a header value, or as one
+/// part of one, without `core::fmt` and without a `String`.
+#[derive(Debug, Clone, Copy)]
+pub struct Decimal {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl Decimal {
+    /// Render `n`.
+    #[must_use]
+    pub fn new(mut n: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return Decimal { digits, start };
+            }
+        }
+    }
+}
+
+impl core::ops::Deref for Decimal {
+    type Target = str;
+    fn deref(&self) -> &str {
+        core::str::from_utf8(&self.digits[self.start..]).expect("ASCII digits")
+    }
+}
+
+impl AsRef<str> for Decimal {
+    fn as_ref(&self) -> &str {
+        self
+    }
+}
+
+/// Room for what [`Request::with_sdp`] adds to a request's headers:
+/// `Content-Type: application/sdp` and a Content-Length of up to five
+/// digits. For [`HeaderMap::from_parts`].
+pub const SDP_HEADERS_ROOM: (usize, usize) = (2, 20);
+
+/// Content-Type and Content-Length for a body of `len` bytes: pushed
+/// straight on when the message has neither yet (a request under
+/// construction), replaced where they stand otherwise (a response, whose
+/// [`Request::make_response`] wrote `Content-Length: 0`).
+fn describe_body(headers: &mut HeaderMap, content_type: &str, len: usize) {
+    let len = Decimal::new(len as u64);
+    if headers.contains(&HeaderName::ContentType) || headers.contains(&HeaderName::ContentLength) {
+        headers.set(HeaderName::ContentType, content_type);
+        headers.set(HeaderName::ContentLength, len);
+    } else {
+        headers.push(HeaderName::ContentType, content_type);
+        headers.push(HeaderName::ContentLength, len);
+    }
+}
+
 /// Extract the `branch=` parameter from a Via header value.
 #[must_use]
 pub fn branch_of(via_value: &str) -> Option<&str> {
@@ -683,6 +751,31 @@ mod tests {
         );
         assert_eq!(resp.top_via_branch(), Some("z9hG4bKabc"));
         assert_eq!(resp.headers.get(&HeaderName::ContentLength), Some("0"));
+    }
+
+    #[test]
+    fn tagged_response_adds_a_to_tag_only_when_there_is_none() {
+        let resp = invite().make_response_tagged(StatusCode::RINGING, "uas7");
+        let to = resp.headers.get(&HeaderName::To);
+        assert_eq!(to, Some("<sip:bob@pbx>;tag=uas7"));
+        // Mid-dialog: the To already names the dialog; it is echoed as is.
+        let mut reinvite = invite();
+        reinvite.headers.set(HeaderName::To, "<sip:bob@pbx>;tag=d1");
+        let resp = reinvite.make_response_tagged(StatusCode::OK, "uas8");
+        let to = resp.headers.get(&HeaderName::To);
+        assert_eq!(to, Some("<sip:bob@pbx>;tag=d1"));
+        assert_eq!(
+            resp.headers.len(),
+            6,
+            "Via, From, To, Call-ID, CSeq, length"
+        );
+    }
+
+    #[test]
+    fn decimal_renders_like_display() {
+        for n in [0, 7, 10, 132, 65_535, 1_000_000, u64::MAX] {
+            assert_eq!(&*Decimal::new(n), n.to_string());
+        }
     }
 
     #[test]

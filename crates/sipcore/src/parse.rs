@@ -88,7 +88,7 @@ pub fn parse_message(buf: &[u8]) -> Result<SipMessage, ParseError> {
         if name.is_empty() {
             return Err(ParseError::MalformedHeader(line.to_owned()));
         }
-        headers.push(HeaderName::from_wire(name), value.trim().to_owned());
+        headers.push(HeaderName::from_wire(name), value.trim());
     }
 
     // Validate declared body length when present.

@@ -774,10 +774,7 @@ mod tests {
     #[test]
     fn ack_builder_copies_the_right_headers() {
         let inv = invite();
-        let mut resp = inv.make_response(StatusCode::BUSY_HERE);
-        let to = resp.headers.get(&HeaderName::To).unwrap().to_owned();
-        resp.headers
-            .set(HeaderName::To, crate::headers::with_tag(&to, "remote"));
+        let resp = inv.make_response_tagged(StatusCode::BUSY_HERE, "remote");
         let ack = build_non2xx_ack(&inv, &resp);
         assert_eq!(ack.method, Method::Ack);
         assert_eq!(ack.uri, inv.uri);

@@ -24,6 +24,7 @@ use des::Welford;
 use rtpcore::jitter::{JitterEstimator, SequenceTracker};
 use rtpcore::packet::RtpHeader;
 use serde::{Deserialize, Serialize};
+use sipcore::{Method, SipTally, StatusCode};
 use std::collections::BTreeMap;
 use voiceq::{CodecProfile, EModelInputs};
 
@@ -153,7 +154,8 @@ impl MonitorReport {
 /// on every delivered RTP packet); every aggregation over it sorts the
 /// flow ids first so floating-point summation order — and therefore every
 /// reported statistic — stays bit-reproducible across runs and processes.
-/// The low-rate SIP maps are ordered (`BTreeMap`).
+/// SIP messages are counted in an indexed [`SipTally`]; the report's SIP
+/// maps are ordered (`BTreeMap`).
 ///
 /// Call-ids are interned to `u32` handles when a flow is registered, so
 /// nothing on or after the packet path ever hashes or compares a `String`:
@@ -180,8 +182,9 @@ pub struct Monitor {
     /// [`Monitor::retire_call`]; empty (and digest-invisible) unless
     /// retirement is used.
     retired: RetiredCalls,
-    sip_requests: BTreeMap<String, u64>,
-    sip_responses: BTreeMap<u16, u64>,
+    /// SIP messages by method and status code; folded into the report's
+    /// ordered maps only in [`Monitor::report`].
+    sip: SipTally,
     rtp_packets: u64,
 }
 
@@ -255,22 +258,7 @@ impl Monitor {
 
     /// Observe one delivered SIP message.
     pub fn tap_sip(&mut self, msg: &sipcore::SipMessage) {
-        match msg {
-            sipcore::SipMessage::Request(r) => {
-                // get_mut first: the entry API would allocate a key String
-                // per observed message, and the method set is tiny.
-                let token = r.method.as_str();
-                match self.sip_requests.get_mut(token) {
-                    Some(n) => *n += 1,
-                    None => {
-                        self.sip_requests.insert(token.to_owned(), 1);
-                    }
-                }
-            }
-            sipcore::SipMessage::Response(r) => {
-                *self.sip_responses.entry(r.status.0).or_insert(0) += 1;
-            }
-        }
+        self.sip.count(msg);
     }
 
     /// Observe one delivered RTP packet on `flow`, arriving at wall time
@@ -325,23 +313,19 @@ impl Monitor {
     /// SIP request count for a method token.
     #[must_use]
     pub fn sip_request_count(&self, method: &str) -> u64 {
-        self.sip_requests.get(method).copied().unwrap_or(0)
+        Method::from_token(method).map_or(0, |m| self.sip.requests(m))
     }
 
     /// SIP response count for a status code.
     #[must_use]
     pub fn sip_response_count(&self, code: u16) -> u64 {
-        self.sip_responses.get(&code).copied().unwrap_or(0)
+        self.sip.responses(StatusCode(code))
     }
 
     /// Total error-class responses observed.
     #[must_use]
     pub fn sip_error_count(&self) -> u64 {
-        self.sip_responses
-            .iter()
-            .filter(|(c, _)| **c >= 400)
-            .map(|(_, n)| *n)
-            .sum()
+        self.sip.error_responses()
     }
 
     /// The streams of one interned call, in flow-id order, restricted to
@@ -482,10 +466,13 @@ impl Monitor {
             / nflows;
         MonitorReport {
             rtp_packets: self.rtp_packets,
-            sip_total: self.sip_requests.values().sum::<u64>()
-                + self.sip_responses.values().sum::<u64>(),
-            sip_requests: self.sip_requests.clone(),
-            sip_responses: self.sip_responses.clone(),
+            sip_total: self.sip.total(),
+            sip_requests: self
+                .sip
+                .by_method()
+                .map(|(method, n)| (method.as_str().to_owned(), n))
+                .collect(),
+            sip_responses: self.sip.by_status().collect(),
             mos_mean: mos.mean(),
             mos_min: mos.min(),
             calls_scored: mos.count(),
@@ -593,8 +580,8 @@ mod tests {
     #[test]
     fn sip_accounting() {
         let mut mon = Monitor::new();
-        let invite = Request::new(Method::Invite, SipUri::new("a", "h"))
-            .header(HeaderName::CallId, "x".to_owned());
+        let invite =
+            Request::new(Method::Invite, SipUri::new("a", "h")).header(HeaderName::CallId, "x");
         mon.tap_sip(&invite.clone().into());
         mon.tap_sip(&invite.into());
         mon.tap_sip(&Response::new(StatusCode::TRYING).into());
