@@ -22,7 +22,11 @@ pub enum MediaMode {
     Off,
     /// Every RTP packet is generated, relayed and scored. `encode_every`
     /// controls how often real G.711 encoding runs (1 = every frame;
-    /// 50 = once a second per stream, headers/counts still exact).
+    /// 50 = once a second per stream, headers/counts still exact) —
+    /// wherever payload bytes are observable: under `capture_traffic`
+    /// (they reach the pcap) and on the per-tick reference path. A
+    /// default run with no span port reads only headers, so it advances
+    /// the same refresh schedule and encodes nothing.
     PerPacket {
         /// Encode real audio every Nth frame; intervening frames reuse
         /// the cached companded payload.

@@ -14,7 +14,7 @@ use loadgen::{
     ArrivalProcess, ChurnWheel, Pacer, PopulationArrivals, Uac, UacEvent, Uas, UasEvent,
 };
 use netsim::topology::{nodes, StarTopology};
-use netsim::{LinkParams, NodeId, SendOutcome};
+use netsim::{LinkId, LinkParams, Network, NodeId, SendOutcome};
 use overload::ControlLaw;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
 use rtpcore::packet::{RtpDatagram, RtpHeader, RTP_HEADER_LEN};
@@ -25,13 +25,17 @@ use sipcore::{AtomTable, SipMessage};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use vmon::{FlowId, Monitor};
+use vmon::{FlowId, Monitor, StreamHandle};
 
 /// Media frame period.
 const FRAME_PERIOD: SimDuration = SimDuration::from_millis(20);
 
 /// Frame period in nanoseconds.
 const FRAME_NS: u64 = 20_000_000;
+
+/// Simulated on-wire size of every RTP frame: header, one 20 ms G.711
+/// payload, and the UDP/IP/Ethernet overhead every frame carries.
+const RTP_WIRE_LEN: usize = RTP_HEADER_LEN + SAMPLES_PER_FRAME + 46;
 
 /// Phase sub-slots per frame period for the coalesced media path. Each
 /// session keeps its own 20 ms cadence; its *phase within the period* is
@@ -117,6 +121,25 @@ pub enum SignallingPath {
     /// and parses nothing.
     #[default]
     Interned,
+}
+
+/// Offer one RTP frame to each of `links` in turn, starting at `at`: when
+/// it comes off the last one, or `None` if a link dropped it (later links
+/// then never see it — no counter, no loss draw).
+fn chase_rtp_frame(
+    net: &mut Network,
+    links: [LinkId; 2],
+    mut at: SimTime,
+    rng: &mut StreamRng,
+) -> Option<SimTime> {
+    for link in links {
+        let SendOutcome::Delivered { at: next } = net.enqueue_on(link, at, RTP_WIRE_LEN, rng)
+        else {
+            return None;
+        };
+        at = next;
+    }
+    Some(at)
 }
 
 /// Node number of PBX `k` in the farm.
@@ -288,6 +311,31 @@ enum AudioSource {
     Talkspurt(TalkspurtSource),
 }
 
+/// What a stream's packets cross to reach its PBX — fixed for the life
+/// of the stream, resolved once in `start_media`.
+#[derive(Clone, Copy)]
+struct UpRoute {
+    /// Endpoint → switch, switch → PBX.
+    links: [LinkId; 2],
+    /// The PBX's index in the farm.
+    pbx: usize,
+}
+
+/// Where the PBX relayed a stream's last packet, and everything that is
+/// constant while it keeps answering that: the express path re-resolves
+/// it whenever [`Pbx::relay_rtp`] names a different `(node, port)`.
+#[derive(Clone, Copy)]
+struct DownRoute {
+    to: NodeId,
+    port: u16,
+    /// PBX → switch, switch → `to`.
+    links: [LinkId; 2],
+    /// The monitor's stream for flow `(to, port)`, learned from the first
+    /// packet *delivered* there — so a stream exists no earlier than its
+    /// first tap, exactly as by name.
+    stream: Option<StreamHandle>,
+}
+
 struct MediaSession {
     key: MediaKey,
     packetizer: Packetizer,
@@ -295,6 +343,10 @@ struct MediaSession {
     local_node: NodeId,
     remote_node: NodeId,
     remote_port: u16,
+    /// `None` if the star cannot reach `remote_node` as a PBX: the
+    /// express path then sends nothing.
+    up: Option<UpRoute>,
+    down: Option<DownRoute>,
     cached_payload: Arc<[u8]>,
     /// Frames still to send from `cached_payload` before the next one
     /// re-encodes it (frames 50, 100, … of the stream at the Table I
@@ -361,6 +413,16 @@ pub struct World {
     placement_end: SimTime,
     media_path: MediaPath,
     signalling: SignallingPath,
+    /// Whether anything can read an RTP payload's bytes: a span port
+    /// (`capture`) writes them to the pcap, and the per-tick reference
+    /// path always carries real audio. Fixed for the run. When false,
+    /// streams still advance every clock and counter but no frame is
+    /// synthesised or companded; they all carry `unobserved_payload`.
+    payload_observed: bool,
+    /// One frame of μ-law silence standing in for every payload nobody
+    /// can read: the per-hop first packet of a stream needs 160 bytes to
+    /// have a wire length.
+    unobserved_payload: Arc<[u8]>,
     /// Reused PCM frame buffer: synthesis fills it
     /// in place, companding reads it — no per-frame sample allocation.
     media_scratch: [i16; SAMPLES_PER_FRAME],
@@ -488,6 +550,8 @@ impl World {
                 + SimDuration::from_secs_f64(config.placement_window_s),
             media_path,
             signalling: SignallingPath::default(),
+            payload_observed: config.capture_traffic || media_path == MediaPath::PerTick,
+            unobserved_payload: Arc::from([0xFF; SAMPLES_PER_FRAME]),
             media_scratch: [0i16; SAMPLES_PER_FRAME],
             phase_timer: PhaseTimer::new(),
             sessions: Vec::new(),
@@ -985,20 +1049,29 @@ impl World {
         let mut packetizer = Packetizer::new(ssrc, Law::Mu, first_seq, first_ts);
         // Pre-encode one real frame to seed the cached payload. (With VAD
         // the session may start silent; seed from a scratch voice then.)
-        let cached = match &mut source {
-            AudioSource::Continuous(v) => {
-                v.fill(&mut self.media_scratch);
-                packetizer.encode_shared(&self.media_scratch)
+        let cached = if self.payload_observed {
+            match &mut source {
+                AudioSource::Continuous(v) => {
+                    v.fill(&mut self.media_scratch);
+                    packetizer.encode_shared(&self.media_scratch)
+                }
+                AudioSource::Talkspurt(t) => {
+                    let samples = match t.next_slot() {
+                        FrameSlot::Talk { samples, .. } => samples,
+                        FrameSlot::Silence => {
+                            VoiceSource::new(source_seed).next_samples(SAMPLES_PER_FRAME)
+                        }
+                    };
+                    packetizer.encode_shared(&samples)
+                }
             }
-            AudioSource::Talkspurt(t) => {
-                let samples = match t.next_slot() {
-                    FrameSlot::Talk { samples, .. } => samples,
-                    FrameSlot::Silence => {
-                        VoiceSource::new(source_seed).next_samples(SAMPLES_PER_FRAME)
-                    }
-                };
-                packetizer.encode_shared(&samples)
+        } else {
+            // Nobody can read the bytes: the talkspurt state machine
+            // still takes its first step, no audio is synthesised for it.
+            if let AudioSource::Talkspurt(t) = &mut source {
+                t.next_slot();
             }
+            self.unobserved_payload.clone()
         };
         let first_packet = packetizer.packetize_shared(cached.clone());
         // Send the first packet right away.
@@ -1029,6 +1102,11 @@ impl World {
             local_node,
             remote_node,
             remote_port,
+            up: self.pbx_index_of(remote_node).and_then(|pbx| {
+                let links = self.topo.two_hop_route(local_node, remote_node)?;
+                Some(UpRoute { links, pbx })
+            }),
+            down: None,
             cached_payload: cached,
             // The packet just sent was frame 0; frame `encode_every`
             // is the first refresh.
@@ -1097,17 +1175,21 @@ impl World {
         }
     }
 
-    /// Advance one session by one frame: the header and RTP length of the
-    /// packet to emit, or `None` for a silence-suppressed slot. The
-    /// payload the packet carries is `session.cached_payload` as this
-    /// leaves it; only callers that put real octets on a frame clone it
-    /// (see [`MediaSession::datagram`]). `scratch` is the world's reused
-    /// PCM buffer.
+    /// Advance one session by one frame: the header of the packet to
+    /// emit, or `None` for a silence-suppressed slot. The payload the
+    /// packet carries is `session.cached_payload` as this leaves it; only
+    /// callers that put real octets on a frame clone it (see
+    /// [`MediaSession::datagram`]). On a refresh frame the payload is
+    /// re-synthesised and re-companded only if `observed` (see
+    /// `World::payload_observed`); sequence, timestamp, refresh countdown
+    /// and talkspurt state move identically either way. `scratch` is the
+    /// world's reused PCM buffer.
     fn advance_session(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
         encode_every: u32,
-    ) -> Option<(RtpHeader, usize)> {
+        observed: bool,
+    ) -> Option<RtpHeader> {
         let refresh = session.refresh_in == 0;
         // With VAD, a silent slot advances the media clock and sends
         // nothing; the frame cadence continues.
@@ -1115,7 +1197,7 @@ impl World {
             AudioSource::Continuous(_) => true,
             AudioSource::Talkspurt(t) => match t.next_slot() {
                 FrameSlot::Talk { samples, .. } => {
-                    if refresh {
+                    if refresh && observed {
                         session.cached_payload = session.packetizer.encode_shared(&samples);
                     }
                     true
@@ -1131,14 +1213,15 @@ impl World {
         // only advances when a frame is actually synthesised.
         if refresh {
             if let AudioSource::Continuous(voice) = &mut session.source {
-                voice.fill(scratch);
-                session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
+                if observed {
+                    voice.fill(scratch);
+                    session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
+                }
             }
             session.refresh_in = encode_every;
         }
         session.refresh_in -= 1;
-        let rtp_len = RTP_HEADER_LEN + session.cached_payload.len();
-        Some((session.packetizer.next_header(), rtp_len))
+        Some(session.packetizer.next_header())
     }
 
     /// Cut-through emission for the coalesced path: chase the packet
@@ -1149,56 +1232,55 @@ impl World {
     /// stats match the hop-by-hop reference to within emission-order
     /// serialization ties; the per-tick path keeps the event-per-hop
     /// model as the faithful reference.
+    ///
+    /// What a packet looks up is what can change under it: whether its
+    /// PBX is up, and what [`Pbx::relay_rtp`] answers (which also accrues
+    /// the relay's CPU and counts). Links and the monitor stream are
+    /// reached through the handles session `idx` carries.
     fn emit_media_express(
         &mut self,
         now: SimTime,
-        (src, pbx, pbx_port): (NodeId, NodeId, u16),
+        idx: usize,
         header: &RtpHeader,
-        rtp_len: usize,
         timer: &mut PhaseTimer,
     ) {
-        let Some(k) = self.pbx_index_of(pbx) else {
+        let Some(session) = self.sessions[idx].as_mut() else {
             return;
         };
-        if self.pbx_down[k] {
+        let Some(up) = session.up else { return };
+        if self.pbx_down[up.pbx] {
             return;
         }
-        let wire_len = rtp_len + 46;
-        let delivered = timer.measure(Phase::Relay, || {
-            let sw = self.topo.next_hop(src, pbx);
-            let net = &mut self.topo.network;
-            let SendOutcome::Delivered { at: t1 } =
-                net.enqueue(now, src, sw, wire_len, &mut self.rng_network)
-            else {
-                return None;
-            };
-            let SendOutcome::Delivered { at: t2 } =
-                net.enqueue(t1, sw, pbx, wire_len, &mut self.rng_network)
-            else {
-                return None;
-            };
-            let (to, to_port) = self.pbxes[k].relay_rtp(now, pbx_port)?;
-            let sw_back = self.topo.next_hop(pbx, to);
-            let net = &mut self.topo.network;
-            let SendOutcome::Delivered { at: t3 } =
-                net.enqueue(t2, pbx, sw_back, wire_len, &mut self.rng_network)
-            else {
-                return None;
-            };
-            let SendOutcome::Delivered { at: t4 } =
-                net.enqueue(t3, sw_back, to, wire_len, &mut self.rng_network)
-            else {
-                return None;
-            };
-            Some((to, to_port, t4))
+        let arrival = timer.measure(Phase::Relay, || {
+            let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
+            let at_pbx = chase_rtp_frame(net, up.links, now, rng)?;
+            let (to, port) = self.pbxes[up.pbx].relay_rtp(now, session.remote_port)?;
+            if session.down.is_none_or(|d| (d.to, d.port) != (to, port)) {
+                // First relayed packet, or the far leg moved (early-media
+                // race, re-INVITE, crash and restart).
+                let links = self.topo.two_hop_route(session.remote_node, to)?;
+                session.down = Some(DownRoute {
+                    to,
+                    port,
+                    links,
+                    stream: None,
+                });
+            }
+            let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
+            chase_rtp_frame(net, session.down.as_ref()?.links, at_pbx, rng)
         });
-        let Some((to, to_port, t4)) = delivered else {
+        let (Some(arrival), Some(down)) = (arrival, session.down.as_mut()) else {
             return;
         };
-        let flow = FlowId::from_node_port(to.0, to_port);
         timer.measure(Phase::Scoring, || {
-            self.monitor
-                .tap_rtp(flow, t4.as_secs_f64(), t4.since(now).as_secs_f64(), header);
+            let (arrival_s, delay_s) = (arrival.as_secs_f64(), arrival.since(now).as_secs_f64());
+            match down.stream {
+                Some(stream) => self.monitor.tap_rtp_on(stream, arrival_s, delay_s, header),
+                None => {
+                    let flow = FlowId::from_node_port(down.to.0, down.port);
+                    down.stream = Some(self.monitor.tap_rtp(flow, arrival_s, delay_s, header));
+                }
+            }
         });
     }
 
@@ -1256,9 +1338,10 @@ impl World {
             return;
         }
         let emit = timer.measure(Phase::MediaEncode, || {
-            Self::advance_session(session, &mut self.media_scratch, encode_every)
+            let observed = self.payload_observed;
+            Self::advance_session(session, &mut self.media_scratch, encode_every, observed)
         });
-        if let Some((header, _)) = emit {
+        if let Some(header) = emit {
             let (src, dst, port) = session.route();
             let datagram = session.datagram(header);
             timer.measure(Phase::Relay, || {
@@ -1295,18 +1378,17 @@ impl World {
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
                 let emit = timer.measure(Phase::MediaEncode, || {
-                    Self::advance_session(session, &mut self.media_scratch, encode_every)
+                    let observed = self.payload_observed;
+                    Self::advance_session(session, &mut self.media_scratch, encode_every, observed)
                 });
-                if let Some((header, rtp_len)) = emit {
-                    let route = session.route();
+                if let Some(header) = emit {
                     if self.capture.is_none() {
                         // A span port needs real per-hop frames; without
                         // one, cut straight through the network model —
-                        // which reads the header and the length, never
-                        // the payload.
-                        self.emit_media_express(now, route, &header, rtp_len, timer);
+                        // which reads the header, never the payload.
+                        self.emit_media_express(now, idx, &header, timer);
                     } else {
-                        let (src, dst, port) = route;
+                        let (src, dst, port) = session.route();
                         let datagram = session.datagram(header);
                         timer.measure(Phase::Relay, || {
                             self.emit_media(now, sched, src, dst, port, datagram);

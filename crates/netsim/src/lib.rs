@@ -192,6 +192,19 @@ pub enum SendOutcome {
 /// Marks a `(from, to)` pair with no link in [`Network::index`].
 const NO_LINK: u32 = u32::MAX;
 
+/// A directed link of one [`Network`], resolved once by
+/// [`Network::link_id`] so a caller that sends many packets down the same
+/// wire can skip the `(from, to)` lookup ([`Network::enqueue_on`]).
+///
+/// An id is the link's position in the network's link list, which never
+/// shrinks or reorders: [`Network::add_link`] over an existing pair
+/// replaces the link in place and [`Network::set_link_params`] keeps the
+/// slot, so an id stays valid — and keeps naming the same `(from, to)`
+/// wire — for the life of the network, across every degrade, partition
+/// and heal. It means nothing to any other network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LinkId(u32);
+
 /// The directed-link network.
 ///
 /// Node ids are small dense integers (`0..3 + servers` in the Fig. 4
@@ -216,26 +229,29 @@ impl Network {
         Network::default()
     }
 
+    /// The handle of the directed link `from → to`, if one is installed.
     #[inline]
-    fn slot(&self, from: NodeId, to: NodeId) -> Option<usize> {
+    #[must_use]
+    pub fn link_id(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
         let (from, to) = (usize::from(from.0), usize::from(to.0));
         if from >= self.side || to >= self.side {
             return None;
         }
         match self.index[from * self.side + to] {
             NO_LINK => None,
-            at => Some(at as usize),
+            at => Some(LinkId(at)),
         }
     }
 
     #[inline]
     fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        self.slot(from, to).map(|at| &self.links[at])
+        self.link_id(from, to).map(|id| &self.links[id.0 as usize])
     }
 
     #[inline]
     fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
-        self.slot(from, to).map(|at| &mut self.links[at])
+        self.link_id(from, to)
+            .map(|id| &mut self.links[id.0 as usize])
     }
 
     /// Widen the index table to hold node ids below `side`.
@@ -278,7 +294,7 @@ impl Network {
     /// True if a directed link exists.
     #[must_use]
     pub fn has_link(&self, from: NodeId, to: NodeId) -> bool {
-        self.slot(from, to).is_some()
+        self.link_id(from, to).is_some()
     }
 
     /// Current parameters of a directed link, if present.
@@ -325,7 +341,8 @@ impl Network {
         Some((fwd, rev))
     }
 
-    /// Offer `wire_bytes` from `from` to `to` at time `now`.
+    /// Offer `wire_bytes` from `from` to `to` at time `now`: the by-name
+    /// entry to [`Network::enqueue_on`].
     ///
     /// On acceptance, returns the arrival time at `to` (queueing +
     /// serialization + propagation). The caller schedules the arrival.
@@ -337,9 +354,27 @@ impl Network {
         wire_bytes: usize,
         rng: &mut StreamRng,
     ) -> SendOutcome {
-        let Some(link) = self.link_mut(from, to) else {
-            return SendOutcome::NoRoute;
-        };
+        match self.link_id(from, to) {
+            Some(link) => self.enqueue_on(link, now, wire_bytes, rng),
+            None => SendOutcome::NoRoute,
+        }
+    }
+
+    /// Offer `wire_bytes` to the link `link` names at time `now`; never
+    /// [`SendOutcome::NoRoute`].
+    ///
+    /// # Panics
+    /// If `link` came from a different network with more links than this
+    /// one.
+    #[inline]
+    pub fn enqueue_on(
+        &mut self,
+        link: LinkId,
+        now: SimTime,
+        wire_bytes: usize,
+        rng: &mut StreamRng,
+    ) -> SendOutcome {
+        let link = &mut self.links[link.0 as usize];
         if link.params.loss_probability > 0.0 && rng.coin(link.params.loss_probability) {
             link.stats.dropped_error += 1;
             return SendOutcome::DroppedError;
@@ -628,6 +663,33 @@ mod tests {
         assert_eq!(send(&mut n, 3), SimDuration::from_millis(8), "healed");
     }
 
+    #[test]
+    fn link_id_survives_retune_re_add_and_growth() {
+        let mut n = one_link(LinkParams::fast_ethernet());
+        let id = n.link_id(A, B).expect("installed");
+        assert_eq!(n.link_id(B, A), None, "directed");
+        let mut r = rng();
+        // Degrade, partition, heal: the slot stays, the id keeps naming it.
+        let mut cut = LinkParams::fast_ethernet();
+        cut.loss_probability = 1.0;
+        n.set_link_params(A, B, cut);
+        assert_eq!(
+            n.enqueue_on(id, SimTime::ZERO, 218, &mut r),
+            SendOutcome::DroppedError
+        );
+        n.set_link_params(A, B, LinkParams::ethernet_10());
+        // Re-adding over the pair replaces in place; a link to a far node
+        // regrows the index table. Neither moves the slot.
+        n.add_link(A, B, LinkParams::fast_ethernet());
+        n.add_link(NodeId(9), A, LinkParams::fast_ethernet());
+        assert_eq!(n.link_id(A, B), Some(id));
+        let by_id = n.enqueue_on(id, SimTime::from_secs(1), 218, &mut r);
+        let by_name =
+            one_link(LinkParams::fast_ethernet()).enqueue(SimTime::from_secs(1), A, B, 218, &mut r);
+        assert_eq!(by_id, by_name);
+        assert_eq!(n.stats(A, B).unwrap().delivered, 1, "fresh counters");
+    }
+
     /// The map-of-links `Network` this crate shipped before the dense
     /// tables, recomputing the serialisation time on every packet.
     #[derive(Default)]
@@ -688,7 +750,9 @@ mod tests {
         /// the dense network and the map model agree on every outcome
         /// and every counter. Sizes repeat (memo hits), change (memo
         /// misses) and straddle retunes (memo resets); re-adding a live
-        /// link resets it in both.
+        /// link resets it in both. Half the sends go through a
+        /// [`LinkId`] resolved the first time the pair was seen and held
+        /// from then on — across every later retune and re-add.
         #[test]
         fn dense_network_matches_map_model(
             ops in proptest::collection::vec(
@@ -711,6 +775,7 @@ mod tests {
             let mut dense = Network::new();
             let mut model = ModelNetwork::default();
             let (mut rng_dense, mut rng_model) = (rng(), rng());
+            let mut held = std::collections::BTreeMap::new();
             let mut now = SimTime::ZERO;
             for (op, a, b, tuning, size, gap_us) in ops {
                 let (a, b, params) = (NodeId(a), NodeId(b), tunings[tuning]);
@@ -730,11 +795,26 @@ mod tests {
                     }
                     _ => {
                         now += SimDuration::from_micros(gap_us);
-                        let got = dense.enqueue(now, a, b, SIZES[size], &mut rng_dense);
+                        let id = dense.link_id(a, b);
+                        if let Some(id) = id {
+                            proptest::prop_assert_eq!(*held.entry((a, b)).or_insert(id), id);
+                        }
+                        let got = match held.get(&(a, b)) {
+                            Some(&id) if op % 2 == 0 => {
+                                dense.enqueue_on(id, now, SIZES[size], &mut rng_dense)
+                            }
+                            _ => dense.enqueue(now, a, b, SIZES[size], &mut rng_dense),
+                        };
                         let want = model.enqueue(now, a, b, SIZES[size], &mut rng_model);
                         proptest::prop_assert_eq!(got, want);
                     }
                 }
+            }
+            for (&(a, b), &id) in &held {
+                let want = model.links[&(a, b)];
+                let link = &dense.links[id.0 as usize];
+                proptest::prop_assert_eq!(link.busy_until, want.1);
+                proptest::prop_assert_eq!((link.params, link.stats), (want.0, want.2));
             }
             let mut total = LinkStats::default();
             for from in (0..6).map(NodeId) {

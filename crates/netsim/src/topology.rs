@@ -1,6 +1,6 @@
 //! Canned topologies — the paper's Fig. 4 star in particular.
 
-use crate::{LinkParams, Network, NodeId};
+use crate::{LinkId, LinkParams, Network, NodeId};
 use des::SimTime;
 
 /// The Fig. 4 testbed: SIP call-generator client, SIP call-generator
@@ -65,6 +65,20 @@ impl StarTopology {
         }
     }
 
+    /// The two links a packet crosses from `from` to `to` by way of
+    /// [`StarTopology::next_hop`] — host → switch → host in the star —
+    /// resolved once for a sender that will use them many times
+    /// ([`Network::enqueue_on`]). `None` when either link is missing,
+    /// which includes every pair joined by a direct link.
+    #[must_use]
+    pub fn two_hop_route(&self, from: NodeId, to: NodeId) -> Option<[LinkId; 2]> {
+        let via = self.next_hop(from, to);
+        Some([
+            self.network.link_id(from, via)?,
+            self.network.link_id(via, to)?,
+        ])
+    }
+
     /// End-to-end path between two hosts.
     #[must_use]
     pub fn path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
@@ -118,6 +132,46 @@ mod tests {
             nodes::SWITCH
         );
         assert_eq!(topo.next_hop(nodes::SWITCH, nodes::PBX), nodes::PBX);
+    }
+
+    #[test]
+    fn two_hop_route_names_the_links_next_hop_would_take() {
+        let mut topo = StarTopology::fig4_testbed();
+        let route = topo
+            .two_hop_route(nodes::SIPP_CLIENT, nodes::PBX)
+            .expect("host to host");
+        let net = &topo.network;
+        assert_eq!(
+            route.map(Some),
+            [
+                net.link_id(nodes::SIPP_CLIENT, nodes::SWITCH),
+                net.link_id(nodes::SWITCH, nodes::PBX)
+            ]
+        );
+        // A directly linked pair (host → switch) is one hop, not two.
+        assert_eq!(topo.two_hop_route(nodes::PBX, nodes::SWITCH), None);
+        assert_eq!(topo.two_hop_route(nodes::PBX, NodeId(77)), None);
+        // Chasing a packet down the route is chasing it hop by hop.
+        let mut by_route = topo.clone();
+        let (mut rng_a, mut rng_b) = (StreamRng::seed_from_u64(3), StreamRng::seed_from_u64(3));
+        let mut at = SimTime::from_millis(7);
+        for link in route {
+            match by_route.network.enqueue_on(link, at, 218, &mut rng_a) {
+                crate::SendOutcome::Delivered { at: next } => at = next,
+                other => panic!("{other:?}"),
+            }
+        }
+        let mut want = SimTime::from_millis(7);
+        for (from, to) in [
+            (nodes::SIPP_CLIENT, nodes::SWITCH),
+            (nodes::SWITCH, nodes::PBX),
+        ] {
+            match topo.network.enqueue(want, from, to, 218, &mut rng_b) {
+                crate::SendOutcome::Delivered { at: next } => want = next,
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(at, want);
     }
 
     #[test]

@@ -12,11 +12,20 @@ use serde::{Deserialize, Serialize};
 /// `D(i,j) = (Rj − Ri) − (Sj − Si)` (arrival clock minus media timestamp,
 /// both in timestamp units); jitter is the exponentially smoothed mean of
 /// `|D|`: `J += (|D| − J)/16`.
+///
+/// The 32-bit media timestamp wraps (senders start it at a random value,
+/// so a two-minute G.711 stream crosses 2³² about once in 4 500 calls);
+/// it is unwrapped to a 64-bit extended timestamp before the subtraction,
+/// so a wrap is 160 units like any other frame, not −2³².
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct JitterEstimator {
     jitter_units: f64,
     last_transit: Option<f64>,
     clock_hz: f64,
+    /// The last packet's timestamp, extended: the first packet's value as
+    /// is, then moved by each packet's signed 32-bit distance from its
+    /// predecessor. Its low 32 bits are the last raw timestamp.
+    ext_timestamp: i64,
 }
 
 impl JitterEstimator {
@@ -27,13 +36,23 @@ impl JitterEstimator {
             jitter_units: 0.0,
             last_transit: None,
             clock_hz,
+            ext_timestamp: 0,
         }
     }
 
     /// Record a packet arriving at wall time `arrival_s` (seconds) carrying
     /// media timestamp `rtp_timestamp` (clock units).
     pub fn record(&mut self, arrival_s: f64, rtp_timestamp: u32) {
-        let transit = arrival_s * self.clock_hz - f64::from(rtp_timestamp);
+        self.ext_timestamp = match self.last_transit {
+            None => i64::from(rtp_timestamp),
+            Some(_) => {
+                let step = rtp_timestamp.wrapping_sub(self.ext_timestamp as u32) as i32;
+                self.ext_timestamp + i64::from(step)
+            }
+        };
+        // Until a stream wraps, `ext_timestamp` *is* the raw timestamp and
+        // this is the expression it always was, bit for bit.
+        let transit = arrival_s * self.clock_hz - self.ext_timestamp as f64;
         if let Some(prev) = self.last_transit {
             let d = (transit - prev).abs();
             self.jitter_units += (d - self.jitter_units) / 16.0;
@@ -260,6 +279,61 @@ mod tests {
             "jitter={}",
             j.jitter_ms()
         );
+    }
+
+    #[test]
+    fn paced_stream_across_the_timestamp_wrap_has_no_jitter() {
+        // Perfect 20 ms pacing, 160 units a frame, starting 100 frames
+        // short of 2^32. Without unwrapping, the frame after the wrap read
+        // as 2^32 units (about 149 hours) early and reported 33 554 432 ms.
+        let mut j = JitterEstimator::new(8000.0);
+        let first = 0u32.wrapping_sub(100 * 160 + 7);
+        let mut worst: f64 = 0.0;
+        for i in 0..400u32 {
+            j.record(5.0 + f64::from(i) * 0.020, first.wrapping_add(i * 160));
+            worst = worst.max(j.jitter_ms());
+        }
+        assert!(worst < 0.001, "worst jitter across the wrap: {worst} ms");
+        // Backwards across the wrap too: a reordered pair straddling it
+        // is one frame out of place, not 2^32 units.
+        let mut j = JitterEstimator::new(8000.0);
+        j.record(0.000, u32::MAX - 200);
+        j.record(0.020, 119); // 320 units later, wrapped
+        j.record(0.040, u32::MAX - 40); // the frame in between, late
+        assert!(
+            j.jitter_ms() < 5.0,
+            "reorder over the wrap: {}",
+            j.jitter_ms()
+        );
+    }
+
+    #[test]
+    fn non_wrapping_trajectory_is_pinned_bit_for_bit() {
+        // A stream that never wraps must fold exactly as it did before
+        // timestamps were unwrapped: literals printed by the estimator
+        // that subtracted `f64::from(rtp_timestamp)` directly. Starts
+        // above 2^31 so a signed reading of the first timestamp would show.
+        let mut j = JitterEstimator::new(8000.0);
+        let mut lcg = 0x2015u64;
+        let mut bits = Vec::new();
+        for i in 0..1000u32 {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let late_s = (lcg >> 40) as f64 * 1e-9; // up to ~17 ms
+            j.record(
+                1.25 + f64::from(i) * 0.020 + late_s,
+                3_000_000_000 + i * 160,
+            );
+            if (i + 1) % 250 == 0 {
+                bits.push(j.jitter_units().to_bits());
+            }
+        }
+        let pinned = [
+            0x4042_3ab6_b176_2c31,
+            0x4043_8af0_33fa_2515,
+            0x4049_c662_9980_dee0,
+            0x4041_86a9_8899_5612u64,
+        ];
+        assert_eq!(bits, pinned, "{bits:#x?}");
     }
 
     #[test]

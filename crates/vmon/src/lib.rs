@@ -99,6 +99,29 @@ impl StreamStats {
     }
 }
 
+/// A flow resolved to its stream slot by [`Monitor::tap_rtp`], so the
+/// packets that follow can fold without the flow-table probe
+/// ([`Monitor::tap_rtp_on`]).
+///
+/// A handle may outlive its stream ([`Monitor::retire_call`] frees the
+/// slot for the next flow): it carries the flow it was resolved for, and
+/// a slot that no longer holds that flow sends the packet back through
+/// the probe — never into the new tenant's statistics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamHandle {
+    flow: FlowId,
+    slot: u32,
+}
+
+/// One entry of the monitor's stream slab.
+#[derive(Debug, Clone)]
+struct StreamSlot {
+    /// The flow whose statistics live here; `None` while the slot waits
+    /// on the free list.
+    flow: Option<FlowId>,
+    stats: StreamStats,
+}
+
 /// Aggregate monitor report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonitorReport {
@@ -150,12 +173,14 @@ impl MonitorReport {
 
 /// The passive monitor.
 ///
-/// The per-packet flow table is a deterministic [`FastMap`] (it is probed
-/// on every delivered RTP packet); every aggregation over it sorts the
-/// flow ids first so floating-point summation order — and therefore every
-/// reported statistic — stays bit-reproducible across runs and processes.
-/// SIP messages are counted in an indexed [`SipTally`]; the report's SIP
-/// maps are ordered (`BTreeMap`).
+/// Per-flow statistics live in a slab; a deterministic [`FastMap`] maps a
+/// flow to its slot, and a sender that keeps the [`StreamHandle`] of its
+/// first packet skips even that probe. Slab order is allocation order,
+/// not flow order, so every aggregation over the streams sorts by flow id
+/// first: floating-point summation order — and therefore every reported
+/// statistic — stays bit-reproducible across runs and processes. SIP
+/// messages are counted in an indexed [`SipTally`]; the report's SIP maps
+/// are ordered (`BTreeMap`).
 ///
 /// Call-ids are interned to `u32` handles when a flow is registered, so
 /// nothing on or after the packet path ever hashes or compares a `String`:
@@ -166,7 +191,13 @@ impl MonitorReport {
 /// every registered flow per call.
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
-    streams: FastMap<FlowId, StreamStats>,
+    /// Stream slab; a slot is live while its `flow` is `Some`.
+    streams: Vec<StreamSlot>,
+    /// Flow → live slot in `streams`.
+    stream_index: FastMap<FlowId, u32>,
+    /// Slots freed by [`Monitor::retire_call`], reused before the slab
+    /// grows.
+    free_streams: Vec<u32>,
     /// Interned call-id names, indexed by handle.
     call_names: Vec<String>,
     /// Call-id → handle; only touched at registration and report time.
@@ -186,6 +217,62 @@ pub struct Monitor {
     /// ordered maps only in [`Monitor::report`].
     sip: SipTally,
     rtp_packets: u64,
+}
+
+/// What one call's streams (in flow-id order) say about its quality: the
+/// inputs of its E-model score and the columns of its CSV row.
+struct CallQuality {
+    /// Mean loss fraction over the call's directions.
+    loss: f64,
+    /// Worst interarrival jitter over the call's directions (ms).
+    jitter_ms: f64,
+    /// Mean one-way delay over the call's directions (ms).
+    delay_ms: f64,
+    /// Worst observed burstiness across the call's directions: clumped
+    /// loss defeats concealment, and the E-model penalises it.
+    burst_ratio: f64,
+}
+
+impl CallQuality {
+    /// `None` for a call none of whose flows has carried media.
+    fn of(flows: &[&StreamStats]) -> Option<Self> {
+        if flows.is_empty() {
+            return None;
+        }
+        let n = flows.len() as f64;
+        Some(CallQuality {
+            loss: flows.iter().map(|f| f.loss()).sum::<f64>() / n,
+            jitter_ms: flows.iter().map(|f| f.jitter_ms()).fold(0.0, f64::max),
+            delay_ms: flows.iter().map(|f| f.mean_delay_ms()).sum::<f64>() / n,
+            burst_ratio: flows.iter().map(|f| f.burst_ratio()).fold(1.0, f64::max),
+        })
+    }
+
+    /// E-model MOS of the call.
+    fn mos(&self) -> f64 {
+        voiceq::estimate_mos(&EModelInputs {
+            network_delay_ms: self.delay_ms,
+            // An adaptive jitter buffer sized at twice the observed jitter,
+            // floored at two packet times — the common deployment rule.
+            jitter_buffer_ms: (2.0 * self.jitter_ms).max(40.0),
+            packet_loss: self.loss,
+            burst_ratio: self.burst_ratio,
+            codec: CodecProfile::g711(),
+            advantage: 0.0,
+        })
+    }
+
+    /// One [`Monitor::per_call_csv`] row.
+    fn write_csv_row(&self, out: &mut String, call_id: &str) {
+        use std::fmt::Write as _;
+        let (loss, jitter, delay, burst) =
+            (self.loss, self.jitter_ms, self.delay_ms, self.burst_ratio);
+        let mos = self.mos();
+        let _ = writeln!(
+            out,
+            "{call_id},{loss:.6},{jitter:.3},{delay:.3},{burst:.3},{mos:.3}"
+        );
+    }
 }
 
 /// Accumulated statistics of calls already retired: their contribution
@@ -261,11 +348,57 @@ impl Monitor {
         self.sip.count(msg);
     }
 
+    /// The slot holding `flow`'s statistics, opened (on a recycled slot
+    /// if one is free) when the flow has none.
+    fn resolve(&mut self, flow: FlowId) -> StreamHandle {
+        let (streams, free) = (&mut self.streams, &mut self.free_streams);
+        let slot = *self.stream_index.entry(flow).or_insert_with(|| {
+            if let Some(slot) = free.pop() {
+                streams[slot as usize].flow = Some(flow);
+                return slot;
+            }
+            streams.push(StreamSlot {
+                flow: Some(flow),
+                stats: StreamStats::default(),
+            });
+            u32::try_from(streams.len() - 1).expect("fewer than 2^32 streams")
+        });
+        StreamHandle { flow, slot }
+    }
+
     /// Observe one delivered RTP packet on `flow`, arriving at wall time
-    /// `arrival_s` having spent `delay_s` in the network.
-    pub fn tap_rtp(&mut self, flow: FlowId, arrival_s: f64, delay_s: f64, header: &RtpHeader) {
+    /// `arrival_s` having spent `delay_s` in the network: the by-name
+    /// entry to [`Monitor::tap_rtp_on`]. The first packet of a flow opens
+    /// its stream. Returns the handle the packet was folded under.
+    pub fn tap_rtp(
+        &mut self,
+        flow: FlowId,
+        arrival_s: f64,
+        delay_s: f64,
+        header: &RtpHeader,
+    ) -> StreamHandle {
+        let handle = self.resolve(flow);
+        self.tap_rtp_on(handle, arrival_s, delay_s, header);
+        handle
+    }
+
+    /// [`Monitor::tap_rtp`] for a flow already resolved: no probe while
+    /// the handle's slot still holds its flow, the by-name path (probe,
+    /// and a fresh stream if the old one was retired) once it does not.
+    #[inline]
+    pub fn tap_rtp_on(
+        &mut self,
+        handle: StreamHandle,
+        arrival_s: f64,
+        delay_s: f64,
+        header: &RtpHeader,
+    ) {
+        let slot = match self.streams.get(handle.slot as usize) {
+            Some(s) if s.flow == Some(handle.flow) => handle.slot,
+            _ => self.resolve(handle.flow).slot,
+        };
         self.rtp_packets += 1;
-        let s = self.streams.entry(flow).or_default();
+        let s = &mut self.streams[slot as usize].stats;
         s.packets += 1;
         s.tracker.record(header.sequence);
         s.jitter.record(arrival_s, header.timestamp);
@@ -275,28 +408,32 @@ impl Monitor {
     /// Statistics of one flow, if observed.
     #[must_use]
     pub fn stream(&self, flow: FlowId) -> Option<&StreamStats> {
-        self.streams.get(&flow)
+        let &slot = self.stream_index.get(&flow)?;
+        Some(&self.streams[slot as usize].stats)
+    }
+
+    /// Every live stream, sorted by flow id — the one order float folds
+    /// over streams may use.
+    fn streams_by_flow(&self) -> Vec<&StreamStats> {
+        let mut live: Vec<&StreamSlot> = self.streams.iter().filter(|s| s.flow.is_some()).collect();
+        live.sort_unstable_by_key(|s| s.flow);
+        live.into_iter().map(|s| &s.stats).collect()
     }
 
     /// Aggregate `(loss fraction, jitter ms, mean one-way delay ms)` over
     /// every stream that has carried media — the live link-quality signal
     /// the MOS-aware admission law samples. Streams are folded in flow-id
-    /// order so the floating-point sums are independent of hash-map
-    /// iteration order (determinism across runs and platforms).
+    /// order so the floating-point sums are independent of slab order
+    /// (determinism across runs and platforms).
     #[must_use]
     pub fn link_quality(&self) -> (f64, f64, f64) {
-        let mut flows: Vec<(&FlowId, &StreamStats)> = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.packets() > 0)
-            .collect();
+        let flows = self.streams_by_flow();
         if flows.is_empty() {
             return (0.0, 0.0, 0.0);
         }
-        flows.sort_by_key(|(id, _)| **id);
         let n = flows.len() as f64;
         let (mut loss, mut jitter, mut delay) = (0.0, 0.0, 0.0);
-        for (_, s) in flows {
+        for s in flows {
             loss += s.loss();
             jitter += s.jitter_ms();
             delay += s.mean_delay_ms();
@@ -333,32 +470,12 @@ impl Monitor {
     fn call_streams(&self, handle: u32) -> Vec<&StreamStats> {
         self.call_flows[handle as usize]
             .iter()
-            .filter_map(|flow| self.streams.get(flow))
+            .filter_map(|&flow| self.stream(flow))
             .collect()
     }
 
     fn call_mos_by_handle(&self, handle: u32) -> Option<f64> {
-        let flows = self.call_streams(handle);
-        if flows.is_empty() {
-            return None;
-        }
-        let n = flows.len() as f64;
-        let loss = flows.iter().map(|f| f.loss()).sum::<f64>() / n;
-        let delay_ms = flows.iter().map(|f| f.mean_delay_ms()).sum::<f64>() / n;
-        let jitter_ms = flows.iter().map(|f| f.jitter_ms()).fold(0.0, f64::max);
-        // Worst observed burstiness across the call's directions: clumped
-        // loss defeats concealment, and the E-model penalises it.
-        let burst_ratio = flows.iter().map(|f| f.burst_ratio()).fold(1.0, f64::max);
-        Some(voiceq::estimate_mos(&EModelInputs {
-            network_delay_ms: delay_ms,
-            // An adaptive jitter buffer sized at twice the observed jitter,
-            // floored at two packet times — the common deployment rule.
-            jitter_buffer_ms: (2.0 * jitter_ms).max(40.0),
-            packet_loss: loss,
-            burst_ratio,
-            codec: CodecProfile::g711(),
-            advantage: 0.0,
-        }))
+        CallQuality::of(&self.call_streams(handle)).map(|q| q.mos())
     }
 
     /// E-model MOS for one call, combining all of its registered flows.
@@ -373,24 +490,12 @@ impl Monitor {
     /// `call_id,loss,jitter_ms,delay_ms,burst_ratio,mos`, calls sorted by id.
     #[must_use]
     pub fn per_call_csv(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("call_id,loss,jitter_ms,delay_ms,burst_ratio,mos\n");
         // `call_handles` iterates in lexicographic call-id order.
         for (call_id, &handle) in &self.call_handles {
-            let flows = self.call_streams(handle);
-            if flows.is_empty() {
-                continue;
+            if let Some(q) = CallQuality::of(&self.call_streams(handle)) {
+                q.write_csv_row(&mut out, call_id);
             }
-            let n = flows.len() as f64;
-            let loss = flows.iter().map(|f| f.loss()).sum::<f64>() / n;
-            let jitter = flows.iter().map(|f| f.jitter_ms()).fold(0.0, f64::max);
-            let delay = flows.iter().map(|f| f.mean_delay_ms()).sum::<f64>() / n;
-            let burst = flows.iter().map(|f| f.burst_ratio()).fold(1.0, f64::max);
-            let mos = self.call_mos_by_handle(handle).unwrap_or(f64::NAN);
-            let _ = writeln!(
-                out,
-                "{call_id},{loss:.6},{jitter:.3},{delay:.3},{burst:.3},{mos:.3}"
-            );
         }
         out
     }
@@ -419,7 +524,11 @@ impl Monitor {
         let flows = std::mem::take(&mut self.call_flows[handle as usize]);
         for flow in flows {
             self.flow_call.remove(&flow);
-            if let Some(s) = self.streams.remove(&flow) {
+            if let Some(slot) = self.stream_index.remove(&flow) {
+                let freed = &mut self.streams[slot as usize];
+                let s = std::mem::take(&mut freed.stats);
+                freed.flow = None;
+                self.free_streams.push(slot);
                 self.retired.loss_sum += s.loss();
                 self.retired.jitter_sum += s.jitter_ms();
                 self.retired.flows += 1;
@@ -451,19 +560,17 @@ impl Monitor {
                 }
             }
         }
-        // Hash-map iteration order is arbitrary: sort before folding
-        // floats so the sums are bit-reproducible. Retired flows
-        // contribute their accumulated sums (exactly 0.0 when retirement
-        // is unused, leaving the legacy arithmetic bit-identical).
-        let mut flows: Vec<(&FlowId, &StreamStats)> = self.streams.iter().collect();
-        flows.sort_unstable_by_key(|(id, _)| **id);
+        // Slab order is arbitrary: fold floats in flow-id order so the
+        // sums are bit-reproducible. Retired flows contribute their
+        // accumulated sums (exactly 0.0 when retirement is unused,
+        // leaving the legacy arithmetic bit-identical).
+        let flows = self.streams_by_flow();
         let total_flows = self.retired.flows + flows.len() as u64;
         let nflows = total_flows.max(1) as f64;
         let mean_loss =
-            (self.retired.loss_sum + flows.iter().map(|(_, s)| s.loss()).sum::<f64>()) / nflows;
-        let mean_jitter = (self.retired.jitter_sum
-            + flows.iter().map(|(_, s)| s.jitter_ms()).sum::<f64>())
-            / nflows;
+            (self.retired.loss_sum + flows.iter().map(|s| s.loss()).sum::<f64>()) / nflows;
+        let mean_jitter =
+            (self.retired.jitter_sum + flows.iter().map(|s| s.jitter_ms()).sum::<f64>()) / nflows;
         MonitorReport {
             rtp_packets: self.rtp_packets,
             sip_total: self.sip.total(),
@@ -708,7 +815,9 @@ mod tests {
         }
         assert_eq!(mon.call_names.len(), 1, "one slot, recycled 100 times");
         assert_eq!(mon.free_calls.len(), 1);
-        assert!(mon.streams.is_empty(), "per-flow stats freed");
+        assert!(mon.stream_index.is_empty(), "per-flow stats freed");
+        assert_eq!(mon.streams.len(), 1, "one stream slot, recycled too");
+        assert_eq!(mon.free_streams, [0]);
         assert!(mon.flow_call.is_empty());
         let r = mon.report();
         assert_eq!(r.calls_scored, 100);
@@ -725,6 +834,230 @@ mod tests {
         let r = mon.report();
         assert_eq!(r.calls_scored, 0);
         assert_eq!(r.flows, 0, "flow never carried media");
+    }
+
+    /// The monitor as it was before the slab: streams in an ordered map
+    /// keyed by flow, calls found by scanning an ordered flow → call map.
+    /// Scores through the same [`CallQuality`] arithmetic, so any
+    /// disagreement is about *which* stream a packet was folded into or
+    /// the order streams were visited in.
+    #[derive(Default)]
+    struct ModelMonitor {
+        streams: BTreeMap<FlowId, StreamStats>,
+        flow_call: BTreeMap<FlowId, String>,
+        calls: std::collections::BTreeSet<String>,
+        retired: RetiredCalls,
+        rtp_packets: u64,
+    }
+
+    impl ModelMonitor {
+        fn register_flow(&mut self, flow: FlowId, call: &str) {
+            self.flow_call.insert(flow, call.to_owned());
+            self.calls.insert(call.to_owned());
+        }
+
+        fn tap_rtp(&mut self, flow: FlowId, arrival_s: f64, delay_s: f64, header: &RtpHeader) {
+            self.rtp_packets += 1;
+            let s = self.streams.entry(flow).or_default();
+            s.packets += 1;
+            s.tracker.record(header.sequence);
+            s.jitter.record(arrival_s, header.timestamp);
+            s.delay.record(delay_s);
+        }
+
+        fn call_quality(&self, call: &str) -> Option<CallQuality> {
+            let flows: Vec<&StreamStats> = self
+                .flow_call
+                .iter()
+                .filter(|(_, c)| *c == call)
+                .filter_map(|(flow, _)| self.streams.get(flow))
+                .collect();
+            CallQuality::of(&flows)
+        }
+
+        fn retire_call(&mut self, call: &str) -> bool {
+            if !self.calls.remove(call) {
+                return false;
+            }
+            if let Some(q) = self.call_quality(call) {
+                self.retired.mos.record(q.mos());
+            }
+            let flows: Vec<FlowId> = self
+                .flow_call
+                .iter()
+                .filter(|(_, c)| *c == call)
+                .map(|(&flow, _)| flow)
+                .collect();
+            for flow in flows {
+                self.flow_call.remove(&flow);
+                if let Some(s) = self.streams.remove(&flow) {
+                    self.retired.loss_sum += s.loss();
+                    self.retired.jitter_sum += s.jitter_ms();
+                    self.retired.flows += 1;
+                }
+            }
+            true
+        }
+
+        /// `(rtp_packets, calls_scored, flows)` and the bit patterns of
+        /// `(mos_mean, mos_min, mean_loss, mean_jitter_ms)`.
+        fn report(&self) -> ([u64; 3], [u64; 4]) {
+            let mut mos = self.retired.mos;
+            let mut scored = std::collections::BTreeSet::new();
+            for call in self.flow_call.values() {
+                if scored.insert(call) {
+                    if let Some(q) = self.call_quality(call) {
+                        mos.record(q.mos());
+                    }
+                }
+            }
+            let flows = self.retired.flows + self.streams.len() as u64;
+            let n = flows.max(1) as f64;
+            let loss = self.retired.loss_sum + self.streams.values().map(|s| s.loss()).sum::<f64>();
+            let jitter =
+                self.retired.jitter_sum + self.streams.values().map(|s| s.jitter_ms()).sum::<f64>();
+            (
+                [self.rtp_packets, mos.count(), flows],
+                [mos.mean(), mos.min(), loss / n, jitter / n].map(f64::to_bits),
+            )
+        }
+
+        fn link_quality(&self) -> [u64; 3] {
+            let n = self.streams.len() as f64;
+            if self.streams.is_empty() {
+                return [0.0f64; 3].map(f64::to_bits);
+            }
+            let (mut loss, mut jitter, mut delay) = (0.0, 0.0, 0.0);
+            for s in self.streams.values() {
+                loss += s.loss();
+                jitter += s.jitter_ms();
+                delay += s.mean_delay_ms();
+            }
+            [loss / n, jitter / n, delay / n].map(f64::to_bits)
+        }
+
+        fn per_call_csv(&self) -> String {
+            let mut out = String::from("call_id,loss,jitter_ms,delay_ms,burst_ratio,mos\n");
+            for call in &self.calls {
+                if let Some(q) = self.call_quality(call) {
+                    q.write_csv_row(&mut out, call);
+                }
+            }
+            out
+        }
+    }
+
+    /// What the tests can read of one stream, floats as bit patterns.
+    fn stream_bits(s: Option<&StreamStats>) -> Option<(u64, [u64; 4])> {
+        s.map(|s| {
+            let floats = [s.loss(), s.jitter_ms(), s.mean_delay_ms(), s.burst_ratio()];
+            (s.packets(), floats.map(f64::to_bits))
+        })
+    }
+
+    proptest::proptest! {
+        /// Random registration, media, retirement and port re-binding over
+        /// six ports and four call-ids. Half the packets go through
+        /// handles, each kept from the flow's first by-name tap and never
+        /// refreshed — across retirements of its call and across other
+        /// flows moving into its freed slot. After every step the slab
+        /// monitor and the map model agree on the report, the link-quality
+        /// fold, every stream and the per-call table.
+        #[test]
+        fn monitor_slab_matches_map_model(
+            ops in proptest::collection::vec(
+                (0u8..12, 0usize..6, 0usize..4, 1u16..4, 0u32..9),
+                1..250,
+            ),
+        ) {
+            const CALLS: [&str; 4] = ["uac-0-1", "uac-0-2", "b2b-7", "uac-0-10"];
+            let flows: Vec<FlowId> = (0..6u16)
+                .map(|p| FlowId::from_node_port(1 + p % 2, 20_000 + 2 * p))
+                .collect();
+            let mut slab = Monitor::new();
+            let mut model = ModelMonitor::default();
+            let mut held: [Option<StreamHandle>; 6] = [None; 6];
+            let mut next = [(0u16, 0u32); 6];
+            let mut now_s = 0.0;
+            for (op, p, c, seq_step, late_ms) in ops {
+                let (flow, call) = (flows[p], CALLS[c]);
+                match op {
+                    0 | 1 => {
+                        slab.register_flow(flow, call);
+                        model.register_flow(flow, call);
+                    }
+                    2 => proptest::prop_assert_eq!(
+                        slab.retire_call(call),
+                        model.retire_call(call)
+                    ),
+                    _ => {
+                        // Sequence gaps are losses; lateness is jitter.
+                        let (seq, ts) = &mut next[p];
+                        *seq = seq.wrapping_add(seq_step);
+                        *ts = ts.wrapping_add(160 * u32::from(seq_step));
+                        now_s += 0.02;
+                        let delay_s = 0.000_3 + f64::from(late_ms) * 1e-3;
+                        let h = header(*seq, *ts);
+                        match held[p] {
+                            Some(handle) if op % 2 == 0 => {
+                                slab.tap_rtp_on(handle, now_s + delay_s, delay_s, &h);
+                            }
+                            _ => {
+                                let handle = slab.tap_rtp(flow, now_s + delay_s, delay_s, &h);
+                                held[p].get_or_insert(handle);
+                            }
+                        }
+                        model.tap_rtp(flow, now_s + delay_s, delay_s, &h);
+                    }
+                }
+                let r = slab.report();
+                let got = (
+                    [r.rtp_packets, r.calls_scored, r.flows],
+                    [r.mos_mean, r.mos_min, r.mean_loss, r.mean_jitter_ms].map(f64::to_bits),
+                );
+                proptest::prop_assert_eq!(got, model.report());
+                let (loss, jitter, delay) = slab.link_quality();
+                proptest::prop_assert_eq!(
+                    [loss, jitter, delay].map(f64::to_bits),
+                    model.link_quality()
+                );
+                for &flow in &flows {
+                    proptest::prop_assert_eq!(
+                        stream_bits(slab.stream(flow)),
+                        stream_bits(model.streams.get(&flow))
+                    );
+                }
+                proptest::prop_assert_eq!(slab.per_call_csv(), model.per_call_csv());
+            }
+            // The slab never outgrows the flows that were live at once.
+            proptest::prop_assert!(slab.streams.len() <= flows.len());
+        }
+    }
+
+    #[test]
+    fn stale_handle_never_folds_into_the_slots_next_tenant() {
+        let mut mon = Monitor::new();
+        let (old, new) = (
+            FlowId::from_node_port(1, 20_000),
+            FlowId::from_node_port(2, 30_000),
+        );
+        mon.register_flow(old, "first");
+        let stale = mon.tap_rtp(old, 0.001, 0.001, &header(0, 0));
+        assert!(mon.retire_call("first"));
+        // The next flow moves into the freed slot...
+        mon.register_flow(new, "second");
+        let fresh = mon.tap_rtp(new, 0.021, 0.001, &header(0, 0));
+        assert_eq!(fresh.slot, stale.slot);
+        // ...and a packet under the retired flow's handle opens a stream
+        // of its own, exactly as a by-name tap would.
+        mon.tap_rtp_on(stale, 0.041, 0.001, &header(1, 160));
+        assert_eq!(mon.stream(new).unwrap().packets(), 1);
+        assert_eq!(mon.stream(old).unwrap().packets(), 1);
+        assert_eq!(mon.streams.len(), 2);
+        // A handle made up for a slot that was never allocated probes too.
+        let wild = StreamHandle { slot: 99, ..stale };
+        mon.tap_rtp_on(wild, 0.061, 0.001, &header(2, 320));
+        assert_eq!(mon.stream(old).unwrap().packets(), 2);
     }
 
     #[test]
