@@ -5,10 +5,10 @@
 //! both exchange RTP for `h` seconds through the PBX, and blocking rate +
 //! voice quality are evaluated and registered.
 
-use crate::world::{Ev, MediaPath, SignallingPath, World};
+use crate::world::{Ev, World};
 use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use faults::{FaultKind, FaultSchedule};
-use loadgen::{CallOutcome, HoldingDist, RetryPolicy};
+use loadgen::{CallOutcome, HoldingDist, Pacer, RetryPolicy};
 use overload::ControlLaw;
 use serde::{Deserialize, Serialize};
 use teletraffic::Erlangs;
@@ -23,10 +23,10 @@ pub enum MediaMode {
     /// Every RTP packet is generated, relayed and scored. `encode_every`
     /// controls how often real G.711 encoding runs (1 = every frame;
     /// 50 = once a second per stream, headers/counts still exact) —
-    /// wherever payload bytes are observable: under `capture_traffic`
-    /// (they reach the pcap) and on the per-tick reference path. A
-    /// default run with no span port reads only headers, so it advances
-    /// the same refresh schedule and encodes nothing.
+    /// where payload bytes are observable: under `capture_traffic` (they
+    /// reach the pcap). A default run with no span port reads only
+    /// headers, so it advances the same refresh schedule and encodes
+    /// nothing.
     PerPacket {
         /// Encode real audio every Nth frame; intervening frames reuse
         /// the cached companded payload.
@@ -34,42 +34,19 @@ pub enum MediaMode {
     },
 }
 
-/// Engine options orthogonal to the experiment physics: which
-/// future-event-list backend, media-path implementation and signalling
-/// transport drive the run. Every combination produces identical
-/// simulation outputs for its media path (enforced by
-/// `tests/determinism.rs`); the default is the fast triple, the
-/// alternatives are the reference implementations kept for A/B
-/// validation.
+/// Names the future-event-list backend every run uses. No function takes
+/// one: [`run_world`] reads the default, and the benchmark's scheduler
+/// replay reads the same field so it prices the backend the runs are on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
     /// Future-event-list backend.
     pub scheduler: SchedulerKind,
-    /// Media cadence implementation.
-    pub media_path: MediaPath,
-    /// Signalling transport representation (structured vs wire bytes).
-    pub signalling: SignallingPath,
 }
 
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             scheduler: SchedulerKind::Wheel,
-            media_path: MediaPath::Coalesced,
-            signalling: SignallingPath::Interned,
-        }
-    }
-}
-
-impl SimOptions {
-    /// The original implementation triple: global binary heap, one event
-    /// per media frame per session, serialize-and-reparse signalling.
-    #[must_use]
-    pub fn reference() -> Self {
-        SimOptions {
-            scheduler: SchedulerKind::Heap,
-            media_path: MediaPath::PerTick,
-            signalling: SignallingPath::Reference,
         }
     }
 }
@@ -128,8 +105,9 @@ pub struct EmpiricalConfig {
     /// `1_000_000 + u`), registration churn runs as a steady state on the
     /// expiry wheel, and per-call monitor state is retired after hangup —
     /// the million-subscriber mode. The classic pool still primes (it
-    /// provides the callee extensions), and flash-crowd faults plus
-    /// pacer-arming overload laws are unsupported in this mode.
+    /// provides the callee extensions); flash-crowd faults and
+    /// pacer-arming overload laws are rejected by
+    /// [`EmpiricalConfig::validate`].
     pub population: Option<loadgen::PopulationConfig>,
     /// Master RNG seed: a run is a pure function of this value.
     pub seed: u64,
@@ -172,6 +150,48 @@ impl EmpiricalConfig {
             link_loss_probability: 0.0,
             ..EmpiricalConfig::table1(erlangs, seed)
         }
+    }
+
+    /// The caller-side pacer the overload law arms: rate and window laws
+    /// pace the UAC, which starts wide open and tightens as
+    /// `X-Overload-Control` values arrive; every other law arms none.
+    #[must_use]
+    pub(crate) fn pacer(&self) -> Option<Pacer> {
+        match self.overload_law {
+            Some(ControlLaw::RateBased { max_rate_cps, .. }) => Some(Pacer::rate(max_rate_cps)),
+            Some(ControlLaw::WindowBased { max_window, .. }) => Some(Pacer::window(max_window)),
+            _ => None,
+        }
+    }
+
+    /// Reject feature combinations the world cannot compose, where the
+    /// configuration enters it ([`World::new`]). Both involve the
+    /// finite-source population: a paced UAC may defer an INVITE, and the
+    /// deferred call has no Call-ID yet to tie its user's busy mark to —
+    /// the user would never idle again; a flash crowd scales the
+    /// open-loop arrival process, which population mode never reads.
+    ///
+    /// # Panics
+    /// If `population` is set together with a pacer-arming overload law
+    /// or with a [`FaultKind::FlashCrowd`] in `faults`.
+    pub fn validate(&self) {
+        if self.population.is_none() {
+            return;
+        }
+        assert!(
+            self.pacer().is_none(),
+            "population × caller-side pacing is unsupported: {:?} arms a UAC pacer",
+            self.overload_law
+        );
+        assert!(
+            !self
+                .faults
+                .events()
+                .iter()
+                .any(|e| matches!(e.kind, FaultKind::FlashCrowd { .. })),
+            "population × FlashCrowd is unsupported: a flash crowd scales the open-loop \
+             arrival rate, which population mode never reads"
+        );
     }
 
     /// Rough estimate of concurrently pending scheduler events, used to
@@ -462,18 +482,9 @@ pub fn compute_recoveries(
 pub struct EmpiricalRunner;
 
 impl EmpiricalRunner {
-    /// Execute one run to completion and collect the results (default
-    /// engine options: timing-wheel scheduler, coalesced media path).
+    /// Execute one run to completion and collect the results.
     #[must_use]
     pub fn run(config: EmpiricalConfig) -> RunResult {
-        Self::run_with(config, SimOptions::default())
-    }
-
-    /// Execute one run with explicit engine options. Physics outputs are
-    /// independent of `opts.scheduler`; `opts.media_path` selects between
-    /// the coalesced and per-tick media implementations.
-    #[must_use]
-    pub fn run_with(config: EmpiricalConfig, opts: SimOptions) -> RunResult {
         let erlangs = config.erlangs;
         let channels = config.channels;
         // Horizon: placement + longest plausible holding + teardown slack.
@@ -490,7 +501,7 @@ impl EmpiricalRunner {
         let horizon = SimTime::from_secs_f64(horizon_s);
 
         let started = std::time::Instant::now();
-        let mut sim = run_world_with(config, horizon, opts);
+        let mut sim = run_world(config, horizon);
         let wall_clock_s = started.elapsed().as_secs_f64();
         let end = sim.now();
         let events_processed = sim.events_processed();
@@ -597,26 +608,17 @@ impl EmpiricalRunner {
     }
 }
 
-/// Convenience: run a scaled Table-I-shaped experiment and return both the
-/// simulation and its result (used by integration tests needing interior
-/// access).
+/// Run `config` to `horizon` and return the simulation itself, for callers
+/// that need interior access (integration tests, the capture example):
+/// the scheduler is pre-sized from
+/// [`EmpiricalConfig::expected_pending_events`], primed and driven.
 #[must_use]
 pub fn run_world(config: EmpiricalConfig, horizon: SimTime) -> Simulation<World, Ev> {
-    run_world_with(config, horizon, SimOptions::default())
-}
-
-/// [`run_world`] with explicit engine options: the scheduler is pre-sized
-/// from [`EmpiricalConfig::expected_pending_events`], primed and driven to
-/// `horizon`.
-#[must_use]
-pub fn run_world_with(
-    config: EmpiricalConfig,
-    horizon: SimTime,
-    opts: SimOptions,
-) -> Simulation<World, Ev> {
-    let sched = Scheduler::with_kind_and_capacity(opts.scheduler, config.expected_pending_events());
-    let world = World::with_engine(config, opts.media_path).with_signalling(opts.signalling);
-    let mut sim = Simulation::with_scheduler(world, sched);
+    let sched = Scheduler::with_kind_and_capacity(
+        SimOptions::default().scheduler,
+        config.expected_pending_events(),
+    );
+    let mut sim = Simulation::with_scheduler(World::new(config), sched);
     sim.world.prime(&mut sim.sched);
     sim.run_until(horizon);
     sim
@@ -668,28 +670,6 @@ mod tests {
             "outcome conservation"
         );
         assert!(r.failed == 0, "no failures expected: {r:?}");
-    }
-
-    #[test]
-    fn population_reference_engine_is_digest_identical() {
-        // The per-user-timer reference consumes the same shared draws as
-        // the aggregated sampler (and asserts the superposition argument
-        // internally on every arrival), so flipping it on cannot move the
-        // physics digest — on either scheduler backend.
-        let agg = EmpiricalRunner::run(pop_smoke(7));
-        let mut ref_cfg = pop_smoke(7);
-        ref_cfg.population.as_mut().unwrap().reference = true;
-        let refe = EmpiricalRunner::run(ref_cfg.clone());
-        assert!(agg.attempted > 0);
-        assert_eq!(agg.digest(), refe.digest(), "reference vs aggregated");
-        let heap = EmpiricalRunner::run_with(
-            ref_cfg,
-            SimOptions {
-                scheduler: SchedulerKind::Heap,
-                ..SimOptions::default()
-            },
-        );
-        assert_eq!(agg.digest(), heap.digest(), "backend-independent");
     }
 
     #[test]
@@ -812,62 +792,6 @@ mod tests {
         assert_eq!(a.digest(), b.digest(), "wall clock is not physics");
         b.completed += 1;
         assert_ne!(a.digest(), b.digest(), "counts are physics");
-    }
-
-    #[test]
-    fn engine_options_do_not_change_the_physics() {
-        // All four scheduler/media-path pairings run the same experiment;
-        // scheduler choice must be invisible in the outputs, and the two
-        // media paths must agree on everything except event bookkeeping.
-        let cfg = || EmpiricalConfig::smoke(21);
-        let fast = EmpiricalRunner::run_with(cfg(), SimOptions::default());
-        let reference = EmpiricalRunner::run_with(cfg(), SimOptions::reference());
-        for (a, b) in [
-            (
-                &fast,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
-                        scheduler: SchedulerKind::Heap,
-                        ..SimOptions::default()
-                    },
-                ),
-            ),
-            (
-                &reference,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
-                        scheduler: SchedulerKind::Wheel,
-                        ..SimOptions::reference()
-                    },
-                ),
-            ),
-            // The signalling path only changes the in-memory transport of
-            // messages between nodes — the analytic wire length equals the
-            // serialized length exactly — so swapping it is digest-exact.
-            (
-                &fast,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
-                        signalling: SignallingPath::Reference,
-                        ..SimOptions::default()
-                    },
-                ),
-            ),
-        ] {
-            assert_eq!(a.digest(), b.digest(), "engine option leaked");
-        }
-        // Across media paths the signalling plane is identical and the
-        // media plane statistically equivalent (phase quantisation shifts
-        // emission by ≤312 µs; per-packet spacing is unchanged).
-        assert_eq!(fast.attempted, reference.attempted);
-        assert_eq!(fast.completed, reference.completed);
-        assert_eq!(fast.blocked, reference.blocked);
-        assert!((fast.monitor.mos_mean - reference.monitor.mos_mean).abs() < 0.05);
-        let ratio = fast.monitor.rtp_packets as f64 / reference.monitor.rtp_packets as f64;
-        assert!((ratio - 1.0).abs() < 0.02, "rtp volume ratio {ratio}");
     }
 
     #[test]

@@ -31,4 +31,3 @@ pub mod world;
 
 pub use experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode, RunResult, SimOptions};
 pub use table1::{table1, Table1Row};
-pub use world::MediaPath;

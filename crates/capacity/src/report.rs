@@ -205,8 +205,6 @@ pub fn render_throughput(r: &RunResult) -> String {
             ("  media encode", r.phases.media_encode_s),
             ("  relay", r.phases.relay_s),
             ("  scoring", r.phases.scoring_s),
-            ("  sip wire parse", r.phases.sip_wire_s),
-            ("  sdp parse/build", r.phases.sdp_wire_s),
         ] {
             let _ = writeln!(out, "{label:<28}{s:>12.3}s {:>5.1}%", pct(s));
         }

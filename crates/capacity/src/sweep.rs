@@ -138,25 +138,15 @@ impl ProgressMeter {
     }
 }
 
-/// The sequential reference executor: run every task on the calling
-/// thread, in task order. [`run_sweep`] must be indistinguishable from
-/// this at any worker count — the property
-/// `tests/sweep_determinism.rs` propchecks.
-pub fn run_sweep_reference<T, F>(tasks: &[SweepTask], f: F) -> Vec<T>
-where
-    F: Fn(SweepTask) -> T,
-{
-    tasks.iter().map(|&t| f(t)).collect()
-}
-
 /// Run every task, borrowing up to `tasks.len()` workers from the
 /// [`des::pool`] budget, and return results **in task order**.
 ///
 /// Scheduling is dynamic (longest-expected-first deal, work stealing),
 /// but each result is written to the slot keyed by its task index, so
 /// the returned vector — and anything folded from it in order — is
-/// byte-identical to [`run_sweep_reference`] regardless of thread count
-/// or completion order.
+/// byte-identical to `tasks.iter().map(f)` on one thread regardless of
+/// thread count or completion order (`tests/sweep_determinism.rs`
+/// propchecks exactly that).
 pub fn run_sweep<T, F>(tasks: &[SweepTask], f: F) -> Vec<T>
 where
     T: Send + Sync,
@@ -447,7 +437,7 @@ mod tests {
         let _guard = des::pool::test_guard();
         let ts = tasks(5, 4);
         let f = |t: SweepTask| t.cell as u64 * 1000 + t.rep * 7 + t.cost;
-        let want = run_sweep_reference(&ts, f);
+        let want: Vec<u64> = ts.iter().map(|&t| f(t)).collect();
         for w in [1usize, 2, 4, 8] {
             des::pool::configure(w);
             assert_eq!(run_sweep(&ts, f), want, "width {w}");

@@ -10,9 +10,7 @@
 use crate::experiment::{EmpiricalConfig, MediaMode};
 use des::{EventHandler, GenTag, Phase, PhaseTimer, Scheduler, SimDuration, SimTime, StreamRng};
 use faults::FaultKind;
-use loadgen::{
-    ArrivalProcess, ChurnWheel, Pacer, PopulationArrivals, Uac, UacEvent, Uas, UasEvent,
-};
+use loadgen::{ArrivalProcess, ChurnWheel, PopulationArrivals, Uac, UacEvent, Uas, UasEvent};
 use netsim::topology::{nodes, StarTopology};
 use netsim::{LinkId, LinkParams, Network, NodeId, SendOutcome};
 use overload::ControlLaw;
@@ -37,7 +35,7 @@ const FRAME_NS: u64 = 20_000_000;
 /// payload, and the UDP/IP/Ethernet overhead every frame carries.
 const RTP_WIRE_LEN: usize = RTP_HEADER_LEN + SAMPLES_PER_FRAME + 46;
 
-/// Phase sub-slots per frame period for the coalesced media path. Each
+/// Phase sub-slots per frame period of the media cadence. Each
 /// session keeps its own 20 ms cadence; its *phase within the period* is
 /// quantised to one of these slots so one recurring `MediaFrame` event per
 /// non-empty slot drives every session sharing that phase.
@@ -54,10 +52,6 @@ pub const POP_UID_BASE: u64 = 1_000_000;
 /// state is folded and freed — long enough for every tail packet of the
 /// call to land and be scored first.
 const RETIRE_DELAY: SimDuration = SimDuration::from_secs(1);
-
-/// Seed-derivation replica index for the reference engine's private
-/// decoy stream (any fixed label works).
-const POP_DECOY_REP: u64 = 0xD0_1C;
 
 /// Users re-REGISTERed per churn slice event: bounds the wheel's live
 /// frame state to O(slice) no matter how large the population bucket.
@@ -89,40 +83,6 @@ fn shared_origin_atoms(user_pool: u32) -> AtomTable {
         .clone()
 }
 
-/// How per-session media cadence is driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MediaPath {
-    /// One `MediaTick` event per session per 20 ms frame — the reference
-    /// implementation: O(calls × frames) event-queue pushes.
-    PerTick,
-    /// One `MediaFrame` event per occupied phase slot per 20 ms frame,
-    /// iterating a slab-indexed session list — O(frames) pushes.
-    #[default]
-    Coalesced,
-}
-
-/// How SIP messages travel between the endpoints and the PBX farm.
-///
-/// Orthogonal to [`MediaPath`] and, like it, invisible in the physics:
-/// both paths put identical wire lengths on the simulated links and hand
-/// identical structured messages to the protocol engines, so they produce
-/// identical [`crate::experiment::RunResult::digest`] values (enforced
-/// in-tree by `engine_options_do_not_change_the_physics`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SignallingPath {
-    /// Wire-faithful: every send serializes the message to bytes
-    /// ([`Payload::SipWire`]) and every delivery re-parses them eagerly —
-    /// what a stack doing real UDP I/O pays per hop. Kept as the A/B
-    /// baseline for the signalling benchmarks.
-    Reference,
-    /// Structured cut-through: the typed message rides the frame as-is,
-    /// its on-wire size computed analytically (`SipMessage::wire_len`,
-    /// exactly the serialized length); steady-state call flow serializes
-    /// and parses nothing.
-    #[default]
-    Interned,
-}
-
 /// Offer one RTP frame to each of `links` in turn, starting at `at`: when
 /// it comes off the last one, or `None` if a link dropped it (later links
 /// then never see it — no counter, no loss draw).
@@ -148,24 +108,6 @@ pub fn pbx_node(k: u32) -> NodeId {
     NodeId(3 + k as u16)
 }
 
-/// Reference-path eager SDP materialisation: parse the delivered body into
-/// an owned [`sipcore::sdp::SessionDescription`] and serialize it straight
-/// back. The rebuilt bytes are byte-identical (the builder/parser
-/// round-trip invariant), so the run digest cannot move — but the parse,
-/// the owned strings and the fresh body vector are real per-hop work, and
-/// they land in the [`Phase::SdpWire`] bucket.
-fn reparse_sdp_body(mut msg: SipMessage) -> SipMessage {
-    let body = msg.body_mut();
-    if let Some(bytes) = body.as_bytes() {
-        if !bytes.is_empty() {
-            if let Some(sdp) = sipcore::sdp::SessionDescription::parse(bytes) {
-                *body = sipcore::Body::Bytes(sdp.to_body());
-            }
-        }
-    }
-    msg
-}
-
 /// What travels inside a network frame.
 #[derive(Debug, Clone)]
 pub enum Payload {
@@ -173,9 +115,6 @@ pub enum Payload {
     /// bytes inline, and every slot of the event wheel — pre-seeded for
     /// 16 384 events — is as wide as the widest [`Ev`].
     Sip(Box<SipMessage>),
-    /// A SIP message as raw wire bytes (the [`SignallingPath::Reference`]
-    /// form; shared so hops clone a refcount, not the bytes).
-    SipWire(Arc<[u8]>),
     /// An RTP datagram addressed to a UDP port.
     Rtp {
         /// Destination media port.
@@ -225,10 +164,8 @@ pub enum Ev {
         /// The frame.
         frame: Frame,
     },
-    /// Generate the next media frame of a session (the per-tick path).
-    MediaTick(MediaKey),
-    /// Emit the due frame for every session in one phase sub-slot (the
-    /// coalesced path): recurs every 20 ms while the slot is occupied.
+    /// Emit the due frame for every session in one phase sub-slot: recurs
+    /// every 20 ms while the slot is occupied.
     MediaFrame {
         /// Phase sub-slot index (`0..SUB_SLOTS`).
         slot: usize,
@@ -353,7 +290,7 @@ struct MediaSession {
     /// setting of one real encode per second).
     refresh_in: u32,
     active: bool,
-    /// Next grid-aligned emission time (coalesced path only).
+    /// Next grid-aligned emission time.
     next_due: SimTime,
 }
 
@@ -375,8 +312,7 @@ impl MediaSession {
 
 /// Live state of the finite-source population workload: the aggregated
 /// arrival engine, the churn wheel, and the call-id → rank map that turns
-/// a hangup back into an idle user. Everything here is O(active calls)
-/// (plus the engine's optional reference table at small N).
+/// a hangup back into an idle user. Everything here is O(active calls).
 struct PopState {
     engine: PopulationArrivals,
     churn: ChurnWheel,
@@ -411,17 +347,12 @@ pub struct World {
     rng_retry: StreamRng,
     placement_start: SimTime,
     placement_end: SimTime,
-    media_path: MediaPath,
-    signalling: SignallingPath,
-    /// Whether anything can read an RTP payload's bytes: a span port
-    /// (`capture`) writes them to the pcap, and the per-tick reference
-    /// path always carries real audio. Fixed for the run. When false,
-    /// streams still advance every clock and counter but no frame is
-    /// synthesised or companded; they all carry `unobserved_payload`.
-    payload_observed: bool,
     /// One frame of μ-law silence standing in for every payload nobody
-    /// can read: the per-hop first packet of a stream needs 160 bytes to
-    /// have a wire length.
+    /// can read. Only a span port (`capture`) reads RTP payload bytes;
+    /// without one, streams still advance every clock and counter but no
+    /// frame is synthesised or companded, and they all carry this — the
+    /// per-hop first packet of a stream needs 160 bytes to have a wire
+    /// length.
     unobserved_payload: Arc<[u8]>,
     /// Reused PCM frame buffer: synthesis fills it
     /// in place, companding reads it — no per-frame sample allocation.
@@ -435,8 +366,8 @@ pub struct World {
     /// Key → slab index (point lookups only — never iterated, so the
     /// HashMap cannot perturb determinism).
     media_index: HashMap<MediaKey, usize>,
-    /// Per-phase-slot session lists for the coalesced path; emission order
-    /// within a slot is insertion order.
+    /// Per-phase-slot session lists; emission order within a slot is
+    /// insertion order.
     phase_buckets: Vec<Vec<usize>>,
     /// Whether a recurring `MediaFrame` event is pending for each slot.
     slot_armed: Vec<bool>,
@@ -455,16 +386,14 @@ pub struct World {
 }
 
 impl World {
-    /// Build a world from an experiment configuration, using the default
-    /// (coalesced) media path.
+    /// Build a world from an experiment configuration.
+    ///
+    /// # Panics
+    /// If the configuration combines features the world cannot compose
+    /// (see [`EmpiricalConfig::validate`]).
     #[must_use]
     pub fn new(config: EmpiricalConfig) -> Self {
-        Self::with_engine(config, MediaPath::default())
-    }
-
-    /// Build a world with an explicit media path.
-    #[must_use]
-    pub fn with_engine(config: EmpiricalConfig, media_path: MediaPath) -> Self {
+        config.validate();
         let servers = config.servers.max(1);
         let streams = des::RngStream::new(config.seed);
         let mut link = LinkParams::fast_ethernet();
@@ -497,13 +426,7 @@ impl World {
             let mut uac = Uac::with_tag(nodes::SIPP_CLIENT, pbx_node(k), &hostname, k);
             uac.preseed_sdp_origins(shared_origin_atoms(config.user_pool));
             uac.retry_policy = config.retry;
-            // Feedback-driven laws pace the caller side: the pacer starts
-            // wide open and tightens as X-Overload-Control values arrive.
-            uac.pacer = match config.overload_law {
-                Some(ControlLaw::RateBased { max_rate_cps, .. }) => Some(Pacer::rate(max_rate_cps)),
-                Some(ControlLaw::WindowBased { max_window, .. }) => Some(Pacer::window(max_window)),
-                _ => None,
-            };
+            uac.pacer = config.pacer();
             uacs.push(uac);
         }
 
@@ -518,10 +441,8 @@ impl World {
                     .set_synthetic_range(POP_UID_BASE, pop.subscribers);
             }
             PopState {
-                engine: PopulationArrivals::new(
-                    pop,
-                    des::rng::stream_seed(config.seed, POP_DECOY_REP),
-                ),
+                // The second argument is unused (a frozen call shape).
+                engine: PopulationArrivals::new(pop, 0),
                 churn: ChurnWheel::new(
                     pop.subscribers,
                     SimDuration::from_secs_f64(pop.reg_expiry_s),
@@ -548,9 +469,6 @@ impl World {
             placement_start: SimTime::from_secs(1),
             placement_end: SimTime::from_secs(1)
                 + SimDuration::from_secs_f64(config.placement_window_s),
-            media_path,
-            signalling: SignallingPath::default(),
-            payload_observed: config.capture_traffic || media_path == MediaPath::PerTick,
             unobserved_payload: Arc::from([0xFF; SAMPLES_PER_FRAME]),
             media_scratch: [0i16; SAMPLES_PER_FRAME],
             phase_timer: PhaseTimer::new(),
@@ -566,14 +484,6 @@ impl World {
             population,
             config,
         }
-    }
-
-    /// Select the signalling-plane implementation (builder style; the
-    /// default is the interned cut-through path).
-    #[must_use]
-    pub fn with_signalling(mut self, signalling: SignallingPath) -> Self {
-        self.signalling = signalling;
-        self
     }
 
     /// Calls placed so far.
@@ -819,31 +729,17 @@ impl World {
         }
     }
 
-    /// Package a SIP message for the network according to the configured
-    /// signalling path. On the interned path the on-wire size comes from
-    /// the analytic `wire_len` — no serialization; on the reference path
-    /// the message is serialized here, once, and travels as shared bytes.
+    /// Package a SIP message for the network: the typed message rides the
+    /// frame as-is and its on-wire size comes from the analytic
+    /// `wire_len` — exactly the serialized length, with no serialization.
     fn sip_frame(&self, src: NodeId, to: NodeId, msg: SipMessage) -> Frame {
-        match self.signalling {
-            SignallingPath::Interned => {
-                let wire_len = msg.wire_len() + 46;
-                debug_assert_eq!(wire_len, msg.to_wire().len() + 46, "analytic length exact");
-                Frame {
-                    src,
-                    dst: to,
-                    wire_len,
-                    payload: Payload::Sip(Box::new(msg)),
-                }
-            }
-            SignallingPath::Reference => {
-                let bytes: Arc<[u8]> = msg.to_wire().into();
-                Frame {
-                    src,
-                    dst: to,
-                    wire_len: bytes.len() + 46,
-                    payload: Payload::SipWire(bytes),
-                }
-            }
+        let wire_len = msg.wire_len() + 46;
+        debug_assert_eq!(wire_len, msg.to_wire().len() + 46, "analytic length exact");
+        Frame {
+            src,
+            dst: to,
+            wire_len,
+            payload: Payload::Sip(Box::new(msg)),
         }
     }
 
@@ -1049,7 +945,7 @@ impl World {
         let mut packetizer = Packetizer::new(ssrc, Law::Mu, first_seq, first_ts);
         // Pre-encode one real frame to seed the cached payload. (With VAD
         // the session may start silent; seed from a scratch voice then.)
-        let cached = if self.payload_observed {
+        let cached = if self.capture.is_some() {
             match &mut source {
                 AudioSource::Continuous(v) => {
                     v.fill(&mut self.media_scratch);
@@ -1090,9 +986,9 @@ impl World {
                 },
             },
         );
-        // Follow-up frames fire on the session's own 20 ms cadence; the
-        // coalesced path quantises the cadence phase to a sub-slot grid so
-        // one recurring event drives every session sharing the phase.
+        // Follow-up frames fire on the session's own 20 ms cadence, its
+        // phase quantised to a sub-slot grid so one recurring event drives
+        // every session sharing the phase.
         let slot = ((now.as_nanos() % FRAME_NS) / SUB_NS) as usize;
         let grid = SimTime::from_nanos(now.as_nanos() / FRAME_NS * FRAME_NS + slot as u64 * SUB_NS);
         let session = MediaSession {
@@ -1126,25 +1022,20 @@ impl World {
         };
         if let Some(old) = self.media_index.insert(key.clone(), idx) {
             // A reused Call-ID (shed-then-retried call): the stale session
-            // stops; its bucket/tick entry sweeps it out lazily.
+            // stops; its bucket entry sweeps it out lazily.
             if let Some(s) = self.sessions[old].as_mut() {
                 s.active = false;
             }
         }
-        match self.media_path {
-            MediaPath::PerTick => sched.schedule(now + FRAME_PERIOD, Ev::MediaTick(key)),
-            MediaPath::Coalesced => {
-                self.phase_buckets[slot].push(idx);
-                if !self.slot_armed[slot] {
-                    self.slot_armed[slot] = true;
-                    // The slot's grid time next period — exactly when this
-                    // session's second packet is due. If the slot is already
-                    // armed, its pending event fires at that same grid time
-                    // (one grid point per slot per period), so the new
-                    // session is picked up without an extra event.
-                    sched.schedule(grid + FRAME_PERIOD, Ev::MediaFrame { slot });
-                }
-            }
+        self.phase_buckets[slot].push(idx);
+        if !self.slot_armed[slot] {
+            self.slot_armed[slot] = true;
+            // The slot's grid time next period — exactly when this
+            // session's second packet is due. If the slot is already
+            // armed, its pending event fires at that same grid time
+            // (one grid point per slot per period), so the new
+            // session is picked up without an extra event.
+            sched.schedule(grid + FRAME_PERIOD, Ev::MediaFrame { slot });
         }
     }
 
@@ -1180,10 +1071,10 @@ impl World {
     /// packet carries is `session.cached_payload` as this leaves it; only
     /// callers that put real octets on a frame clone it (see
     /// [`MediaSession::datagram`]). On a refresh frame the payload is
-    /// re-synthesised and re-companded only if `observed` (see
-    /// `World::payload_observed`); sequence, timestamp, refresh countdown
-    /// and talkspurt state move identically either way. `scratch` is the
-    /// world's reused PCM buffer.
+    /// re-synthesised and re-companded only if `observed` (a span port is
+    /// attached); sequence, timestamp, refresh countdown and talkspurt
+    /// state move identically either way. `scratch` is the world's reused
+    /// PCM buffer.
     fn advance_session(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
@@ -1224,14 +1115,14 @@ impl World {
         Some(session.packetizer.next_header())
     }
 
-    /// Cut-through emission for the coalesced path: chase the packet
-    /// across all four link legs at emission time, resolve the PBX relay
-    /// inline and tap the monitor with the computed arrival instant — no
-    /// per-packet events at all. Every link still serializes the frame
-    /// (busy-until, queueing, loss draws), so delays, drops and link
-    /// stats match the hop-by-hop reference to within emission-order
-    /// serialization ties; the per-tick path keeps the event-per-hop
-    /// model as the faithful reference.
+    /// Cut-through emission for runs without a span port: chase the
+    /// packet across all four link legs at emission time, resolve the PBX
+    /// relay inline and tap the monitor with the computed arrival instant
+    /// — no per-packet events at all. Every link still serializes the
+    /// frame (busy-until, queueing, loss draws), so delays, drops and
+    /// link stats match per-hop emission to within emission-order
+    /// serialization ties; a captured run (`emit_media`, one event per
+    /// hop) is where every frame really visits every node.
     ///
     /// What a packet looks up is what can change under it: whether its
     /// PBX is up, and what [`Pbx::relay_rtp`] answers (which also accrues
@@ -1317,40 +1208,6 @@ impl World {
         }
     }
 
-    fn on_media_tick(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-        key: MediaKey,
-        timer: &mut PhaseTimer,
-    ) {
-        let Some(encode_every) = self.media_encode_every() else {
-            return;
-        };
-        let Some(&idx) = self.media_index.get(&key) else {
-            return;
-        };
-        let Some(session) = self.sessions[idx].as_mut() else {
-            return;
-        };
-        if !session.active {
-            self.free_session(idx);
-            return;
-        }
-        let emit = timer.measure(Phase::MediaEncode, || {
-            let observed = self.payload_observed;
-            Self::advance_session(session, &mut self.media_scratch, encode_every, observed)
-        });
-        if let Some(header) = emit {
-            let (src, dst, port) = session.route();
-            let datagram = session.datagram(header);
-            timer.measure(Phase::Relay, || {
-                self.emit_media(now, sched, src, dst, port, datagram);
-            });
-        }
-        sched.schedule(now + FRAME_PERIOD, Ev::MediaTick(key));
-    }
-
     fn on_media_frame(
         &mut self,
         now: SimTime,
@@ -1362,6 +1219,8 @@ impl World {
             self.slot_armed[slot] = false;
             return;
         };
+        // Only a span port reads payload bytes or needs per-hop frames.
+        let observed = self.capture.is_some();
         // Take the bucket to sidestep aliasing with `self` methods; ended
         // sessions are compacted out, survivors keep insertion order.
         let mut bucket = std::mem::take(&mut self.phase_buckets[slot]);
@@ -1378,21 +1237,19 @@ impl World {
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
                 let emit = timer.measure(Phase::MediaEncode, || {
-                    let observed = self.payload_observed;
                     Self::advance_session(session, &mut self.media_scratch, encode_every, observed)
                 });
                 if let Some(header) = emit {
-                    if self.capture.is_none() {
-                        // A span port needs real per-hop frames; without
-                        // one, cut straight through the network model —
-                        // which reads the header, never the payload.
-                        self.emit_media_express(now, idx, &header, timer);
-                    } else {
+                    if observed {
                         let (src, dst, port) = session.route();
                         let datagram = session.datagram(header);
                         timer.measure(Phase::Relay, || {
                             self.emit_media(now, sched, src, dst, port, datagram);
                         });
+                    } else {
+                        // Cut straight through the network model, which
+                        // reads the header, never the payload.
+                        self.emit_media_express(now, idx, &header, timer);
                     }
                 }
             }
@@ -1459,7 +1316,6 @@ impl World {
             // needs real octets; the relay path never does.
             let (dst_port, payload) = match &frame.payload {
                 Payload::Sip(msg) => (5060u16, msg.to_wire()),
-                Payload::SipWire(bytes) => (5060u16, bytes.to_vec()),
                 Payload::Rtp {
                     dst_port, datagram, ..
                 } => (*dst_port, datagram.encode()),
@@ -1477,27 +1333,6 @@ impl World {
             Payload::Sip(msg) => timer.measure(Phase::Signalling, || {
                 self.handle_sip_delivery(now, sched, frame.src, frame.dst, *msg);
             }),
-            Payload::SipWire(bytes) => {
-                // The reference path's per-delivery cost, attributed to its
-                // own bucket so the signalling benchmark can separate wire
-                // decode from protocol work. (Not nested inside the
-                // Signalling measure: PhaseTimer does not nest.)
-                let msg = timer.measure(Phase::SipWire, || {
-                    sipcore::parse_message(&bytes)
-                        .expect("reference-path bytes come from to_wire and always re-parse")
-                });
-                // The reference path also materialises every SDP body
-                // eagerly: parse to an owned description, serialize back.
-                // Byte-identical by the builder/parser round-trip
-                // invariant, so physics are unchanged — but the work (and
-                // its allocations) is real and lands in its own bucket.
-                // The interned path never does this; endpoints read
-                // structured bodies or lazy views instead.
-                let msg = timer.measure(Phase::SdpWire, || reparse_sdp_body(msg));
-                timer.measure(Phase::Signalling, || {
-                    self.handle_sip_delivery(now, sched, frame.src, frame.dst, msg);
-                });
-            }
             Payload::Rtp {
                 dst_port,
                 datagram,
@@ -1616,18 +1451,11 @@ impl World {
             use des::rng::Distributions;
             self.rng_dispatch.below(self.uacs.len() as u64) as usize
         };
+        // No pacer is armed in population mode (`EmpiricalConfig::validate`),
+        // so the INVITE is never deferred and the Call-ID is always real.
         let (call_id, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
-        // A pacer that defers the INVITE returns no Call-ID, which would
-        // orphan the busy bookkeeping — population mode does not support
-        // pacer-arming overload laws.
-        debug_assert!(
-            !call_id.is_empty(),
-            "population mode is incompatible with caller-side pacing"
-        );
         if let Some(pop) = self.population.as_mut() {
-            if !call_id.is_empty() {
-                pop.call_user.insert(call_id, rank);
-            }
+            pop.call_user.insert(call_id, rank);
         }
         self.calls_placed += 1;
         self.process_uac_events(now, sched, k, events);
@@ -1727,7 +1555,7 @@ impl EventHandler<Ev> for World {
             Ev::PlaceCall => timer.measure(Phase::Signalling, || self.place_call(at, sched)),
             Ev::SendFrame(frame) => {
                 let phase = match frame.payload {
-                    Payload::Sip(_) | Payload::SipWire(_) => Phase::Signalling,
+                    Payload::Sip(_) => Phase::Signalling,
                     Payload::Rtp { .. } => Phase::Relay,
                 };
                 timer.measure(phase, || self.send_frame(at, sched, frame));
@@ -1737,13 +1565,12 @@ impl EventHandler<Ev> for World {
                     self.deliver(at, sched, frame, &mut timer);
                 } else {
                     let phase = match frame.payload {
-                        Payload::Sip(_) | Payload::SipWire(_) => Phase::Signalling,
+                        Payload::Sip(_) => Phase::Signalling,
                         Payload::Rtp { .. } => Phase::Relay,
                     };
                     timer.measure(phase, || self.forward_frame(at, sched, node, frame));
                 }
             }
-            Ev::MediaTick(key) => self.on_media_tick(at, sched, key, &mut timer),
             Ev::MediaFrame { slot } => self.on_media_frame(at, sched, slot, &mut timer),
             Ev::Hangup { call_id } => timer.measure(Phase::Signalling, || {
                 self.stop_media(&call_id, true);

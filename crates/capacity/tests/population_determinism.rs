@@ -1,18 +1,12 @@
-//! Property tests for the finite-source population engine: the
-//! aggregated O(active) arrival sampler must be draw-for-draw identical
-//! to the per-user-timer reference at small N — across both scheduler
-//! backends. The coupling
-//! construction hands both engines the same thinned-gap and
-//! winner-ordinal draws, so any digest divergence means the fast path
-//! changed the physics, not just the bookkeeping.
+//! The finite-source population engine inside whole runs: random small
+//! cells are reproducible and conserve their calls, and two cells are
+//! pinned to literals. The sampler itself is checked against its set
+//! model and for uniformity in `loadgen::population`'s unit tests.
 
-use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode, SimOptions};
-use des::SchedulerKind;
+use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode};
 use proptest::prelude::*;
-use proptest::sample::select;
 
-/// Small-N population cell cheap enough for the O(N)-per-arrival
-/// reference engine and for debug-build proptest cases.
+/// Small-N population cell cheap enough for debug-build proptest cases.
 fn pop_cfg(seed: u64, subs: u64, erlangs: f64, expiry_s: f64, buckets: u32) -> EmpiricalConfig {
     let mut cfg = EmpiricalConfig::smoke(seed);
     cfg.media = MediaMode::Off;
@@ -26,33 +20,68 @@ fn pop_cfg(seed: u64, subs: u64, erlangs: f64, expiry_s: f64, buckets: u32) -> E
 }
 
 proptest! {
-    /// Aggregated vs reference engine on a sampled future-event-list
-    /// backend: two runs, one digest. Across the 64 cases both backends
-    /// see dozens of randomized cells each.
+    /// Two runs of one random cell, one digest; every attempt ends in
+    /// exactly one outcome.
     #[test]
-    fn aggregated_matches_reference_on_both_backends(
+    fn population_cells_are_reproducible_and_conserved(
         seed in 1u64..10_000,
         subs in 60u64..300,
         erlangs in 2.0f64..6.0,
         expiry in 20.0f64..80.0,
         buckets in 4u32..16,
-        scheduler in select(vec![SchedulerKind::Wheel, SchedulerKind::Heap]),
     ) {
-        let agg = pop_cfg(seed, subs, erlangs, expiry, buckets);
-        let mut rf = agg.clone();
-        rf.population.as_mut().expect("population cell").reference = true;
-        let opts = SimOptions { scheduler, ..SimOptions::default() };
-        let a = EmpiricalRunner::run_with(agg, opts);
-        let r = EmpiricalRunner::run_with(rf, opts);
+        let cfg = pop_cfg(seed, subs, erlangs, expiry, buckets);
+        let a = EmpiricalRunner::run(cfg.clone());
+        let b = EmpiricalRunner::run(cfg);
         // No liveness assert: a short low-rate window occasionally draws
-        // zero arrivals, and the engines must agree on empty cells too
-        // (liveness itself is pinned by the experiment-level smoke tests).
-        prop_assert_eq!(
-            a.digest(), r.digest(),
-            "aggregated vs reference diverged on {:?} (seed {}, N {}, {} vs {} events)",
-            scheduler, seed, subs, a.events_processed, r.events_processed
-        );
+        // zero arrivals (liveness itself is pinned by the experiment-level
+        // smoke tests).
+        prop_assert_eq!(a.digest(), b.digest(), "seed {}, N {}", seed, subs);
+        prop_assert_eq!(a.attempted, a.completed + a.blocked + a.failed + a.abandoned);
     }
+}
+
+/// A paced UAC may defer an INVITE, and a deferred population call has no
+/// Call-ID to hang its user's busy mark on: rejected where the
+/// configuration enters the world, in every build profile.
+#[test]
+#[should_panic(expected = "population × caller-side pacing")]
+fn population_with_a_pacer_arming_law_is_rejected() {
+    let mut cfg = pop_cfg(7, 100, 4.0, 30.0, 8);
+    cfg.overload_law = Some(overload::ControlLaw::rate_based_for(2.0));
+    let _ = capacity::world::World::new(cfg);
+}
+
+/// A flash crowd scales the open-loop arrival rate, which population mode
+/// never reads: it used to be silently ignored.
+#[test]
+#[should_panic(expected = "population × FlashCrowd")]
+fn population_with_a_flash_crowd_is_rejected() {
+    let mut cfg = pop_cfg(7, 100, 4.0, 30.0, 8);
+    cfg.faults = faults::FaultSchedule::new().at(
+        3.0,
+        faults::FaultKind::FlashCrowd {
+            rate_multiplier: 3.0,
+            duration: des::SimDuration::from_secs(2),
+        },
+    );
+    let _ = capacity::world::World::new(cfg);
+}
+
+/// Hysteresis sheds at the PBX and arms no pacer, so it composes with a
+/// population: the cell gets past `validate` (in `World::new`), sheds,
+/// and every attempt ends in exactly one outcome.
+#[test]
+fn population_with_hysteresis_runs_and_conserves() {
+    let mut cfg = pop_cfg(7, 200, 12.0, 30.0, 8);
+    cfg.placement_window_s = 30.0;
+    cfg.overload_law = Some(overload::ControlLaw::hysteresis_default());
+    let r = EmpiricalRunner::run(cfg);
+    assert!(r.completed > 0 && r.shed > 0, "{r:?}");
+    assert_eq!(
+        r.attempted,
+        r.completed + r.blocked + r.failed + r.abandoned
+    );
 }
 
 /// Golden digest of one small population cell on the default path

@@ -4,11 +4,12 @@
 //! future-event-list backends:
 //!
 //! * **Heap** — a binary max-heap wrapped so that the *earliest* time pops
-//!   first. This is the reference implementation: small, obviously correct,
-//!   and the baseline every optimisation is validated against.
-//! * **Wheel** — a hierarchical timing wheel: a ring of near-term buckets
-//!   (each [`WHEEL_SLOT_NS`] wide, [`WHEEL_SLOTS`] of them, ≈2 s of
-//!   horizon) plus an overflow heap for far-future events. Scheduling into
+//!   first. Small and obviously correct: the model the wheel's pop order
+//!   is tested against. No simulation run is on it.
+//! * **Wheel** — what every run is on. A hierarchical timing wheel: a
+//!   ring of near-term buckets (each [`WHEEL_SLOT_NS`] wide,
+//!   [`WHEEL_SLOTS`] of them, ≈2 s of horizon) plus an overflow heap for
+//!   far-future events. Scheduling into
 //!   the near term touches a bucket-local heap of a handful of events
 //!   instead of a global heap of thousands, which is what makes the
 //!   media-saturated capacity runs cheap. Overflow events are promoted
@@ -19,7 +20,7 @@
 //! stable `(time, seq)` tie-break is what makes runs reproducible: a SIP
 //! 200-OK scheduled before an RTP packet at the same instant is always
 //! delivered first, and the two backends produce bit-identical pop orders
-//! (enforced by `tests/determinism.rs`).
+//! (enforced by this module's tests and `tests/determinism.rs`).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

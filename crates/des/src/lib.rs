@@ -9,10 +9,10 @@
 //!   streams mean a run is a pure function of its seed. Parallel parameter
 //!   sweeps (the work-stealing executor in the `capacity` crate) therefore
 //!   reproduce bit-identical journals regardless of thread scheduling.
-//! * **Throughput** — a future-event list with two interchangeable
-//!   backends (a reference `BinaryHeap` and a hierarchical timing wheel
-//!   with far-future overflow, selected via [`SchedulerKind`]), no
-//!   per-event boxing for the common case, and O(1) statistics
+//! * **Throughput** — a hierarchical timing wheel with far-future overflow
+//!   as the future-event list of every run (the `BinaryHeap` backend beside
+//!   it is the model the tests compare pop order against, [`SchedulerKind`]),
+//!   no per-event boxing for the common case, and O(1) statistics
 //!   accumulators; an A = 240 Erlang Table-I cell pushes ~9 million RTP
 //!   packet events through the queue in well under a second in release
 //!   builds.

@@ -32,17 +32,9 @@ pub enum Phase {
     Relay = 2,
     /// Monitor taps: per-packet RTP statistics and SIP accounting.
     Scoring = 3,
-    /// Decoding SIP wire bytes back into structured messages (the
-    /// reference signalling path's eager re-parse; zero on the interned
-    /// path, which is the point of measuring it separately).
-    SipWire = 4,
-    /// Eager SDP body decode/rebuild on SDP-bearing hops (the reference
-    /// signalling path's owned parse + serialize per INVITE/200; zero on
-    /// the interned path, which cuts through with a structured body).
-    SdpWire = 5,
 }
 
-const PHASES: usize = 6;
+const PHASES: usize = 4;
 
 /// Seconds of wall clock attributed to each bucket of a run.
 ///
@@ -64,14 +56,6 @@ pub struct PhaseBreakdown {
     pub relay_s: f64,
     /// Time scoring packets in the monitor.
     pub scoring_s: f64,
-    /// Time re-parsing SIP wire bytes into messages (reference
-    /// signalling path only; the interned path never serializes on the
-    /// hot path, so this bucket stays zero there).
-    pub sip_wire_s: f64,
-    /// Time eagerly parsing/rebuilding SDP bodies on SDP-bearing hops
-    /// (reference signalling path only; the interned path carries a
-    /// structured session description, so this bucket stays zero there).
-    pub sdp_wire_s: f64,
 }
 
 impl PhaseBreakdown {
@@ -79,12 +63,7 @@ impl PhaseBreakdown {
     /// remainder).
     #[must_use]
     pub fn handler_total_s(&self) -> f64 {
-        self.signalling_s
-            + self.media_encode_s
-            + self.relay_s
-            + self.scoring_s
-            + self.sip_wire_s
-            + self.sdp_wire_s
+        self.signalling_s + self.media_encode_s + self.relay_s + self.scoring_s
     }
 }
 
@@ -143,8 +122,6 @@ impl PhaseTimer {
                 media_encode_s: s(Phase::MediaEncode),
                 relay_s: s(Phase::Relay),
                 scoring_s: s(Phase::Scoring),
-                sip_wire_s: s(Phase::SipWire),
-                sdp_wire_s: s(Phase::SdpWire),
             };
             b.scheduler_s = (total_wall_s - b.handler_total_s()).max(0.0);
             b

@@ -25,40 +25,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u16);
 
-/// Traffic class of a packet (affects nothing in the FIFO model but lets
-/// the monitor and stats tell flows apart cheaply).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TrafficClass {
-    /// SIP signalling datagram.
-    Sip,
-    /// RTP media datagram.
-    Rtp,
-    /// RTCP report datagram.
-    Rtcp,
-}
-
-/// A packet in flight: source, destination, class and opaque payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
-    /// Originating node.
-    pub src: NodeId,
-    /// Final destination node.
-    pub dst: NodeId,
-    /// Traffic class.
-    pub class: TrafficClass,
-    /// Wire bytes (SIP text or RTP datagram).
-    pub payload: Vec<u8>,
-}
-
-impl Packet {
-    /// Total simulated wire length: payload + UDP/IP/Ethernet overhead
-    /// (8 + 20 + 18 = 46 bytes, to keep serialization times honest).
-    #[must_use]
-    pub fn wire_bytes(&self) -> usize {
-        self.payload.len() + 46
-    }
-}
-
 /// Parameters of one directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkParams {
@@ -597,17 +563,6 @@ mod tests {
         let tot = n.total_stats();
         assert_eq!(tot.delivered, 10);
         assert_eq!(tot.bytes, 10_000);
-    }
-
-    #[test]
-    fn packet_wire_overhead() {
-        let p = Packet {
-            src: A,
-            dst: B,
-            class: TrafficClass::Rtp,
-            payload: vec![0u8; 172],
-        };
-        assert_eq!(p.wire_bytes(), 218, "172 RTP + 46 UDP/IP/Eth");
     }
 
     /// Every value the validation rejects, through both entry points.

@@ -10,8 +10,7 @@
 //! * [`packetizer`] — sample-block framing plus a speech-band signal
 //!   synthesizer standing in for a microphone;
 //! * [`jitter`] — the RFC 3550 §6.4.1 interarrival-jitter estimator and
-//!   §A.1-style sequence-number bookkeeping (loss, reorder, duplicates);
-//! * [`rtcp`] — sender/receiver report subset used by the monitor.
+//!   §A.1-style sequence-number bookkeeping (loss, reorder, duplicates).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +21,6 @@ pub mod packet;
 pub mod packetizer;
 pub mod playout;
 pub mod plc;
-pub mod rtcp;
 pub mod vad;
 
 pub use g711::{alaw_decode, alaw_encode, ulaw_decode, ulaw_encode};

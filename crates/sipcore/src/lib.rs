@@ -13,7 +13,6 @@
 //! * client/server transaction state machines with the RFC's timer
 //!   semantics, T1-based retransmission and absorption of retransmits
 //!   ([`transaction`]);
-//! * dialog identification and tracking ([`dialog`]);
 //! * per-method / per-status message counting ([`tally`]);
 //! * a minimal SDP body builder/parser ([`sdp`]) sufficient to negotiate a
 //!   G.711 μ-law audio stream;
@@ -32,7 +31,6 @@
 
 pub mod atoms;
 pub mod auth;
-pub mod dialog;
 pub mod headers;
 pub mod message;
 pub mod method;
@@ -47,7 +45,6 @@ pub mod uri;
 pub mod wire;
 
 pub use atoms::{Atom, AtomTable};
-pub use dialog::{Dialog, DialogId, DialogKey, DialogState};
 pub use headers::{HeaderMap, HeaderName};
 pub use message::{Body, Request, Response, SipMessage};
 pub use method::Method;

@@ -13,13 +13,13 @@ pub const SIP_VERSION: &str = "SIP/2.0";
 
 /// A SIP message body.
 ///
-/// The interned signalling path carries SDP-bearing messages with the
-/// structured [`Body::Sdp`] form — analytic length, shared endpoint
-/// strings, serialized only if a consumer materializes the wire. The
-/// reference path (and anything parsed off the wire) carries raw
-/// [`Body::Bytes`]. The SDP accessors answer over both forms — direct
-/// field reads on `Sdp`, a lazy zero-allocation [`SdpView`] scan on
-/// `Bytes` — so endpoints never see which path delivered the message.
+/// The engines build SDP-bearing messages with the structured
+/// [`Body::Sdp`] form — analytic length, shared endpoint strings,
+/// serialized only if a consumer materializes the wire. Anything parsed
+/// off the wire carries raw [`Body::Bytes`]. The SDP accessors answer
+/// over both forms — direct field reads on `Sdp`, a lazy zero-allocation
+/// [`SdpView`] scan on `Bytes` — so endpoints never see whether a message
+/// was built or parsed.
 ///
 /// Cross-form equality compares serialized bytes, so a structured body
 /// and the bytes it would produce are the same body.

@@ -5,8 +5,8 @@
 //! together with the supporting machinery one needs to actually dimension a
 //! PBX — traffic-unit conversions (Eq. 1), inverse solvers ("how many
 //! channels for this load and target blocking?"), and the neighbouring
-//! models (Erlang-C, Engset, extended Erlang-B with retries) that a
-//! practitioner reaches for when the pure-loss assumptions do not hold.
+//! loss models (Engset, extended Erlang-B with retries) that a practitioner
+//! reaches for when the infinite-source, no-retry assumptions do not hold.
 //!
 //! All formulas are computed with numerically stable recurrences — no
 //! factorials are ever materialised, so loads of tens of thousands of
@@ -29,7 +29,6 @@
 
 pub mod engset;
 pub mod erlang_b;
-pub mod erlang_c;
 pub mod error;
 pub mod extended;
 pub mod overflow;
@@ -37,6 +36,5 @@ pub mod units;
 
 pub use engset::{engset_blocking, engset_blocking_large};
 pub use erlang_b::{blocking_probability, channels_for, load_for, BlockingCurve};
-pub use erlang_c::wait_probability;
 pub use error::TrafficError;
 pub use units::{CallRate, Erlangs, HoldingTime};

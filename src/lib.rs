@@ -6,12 +6,12 @@
 //! The workspace implements the paper end-to-end:
 //!
 //! * [`teletraffic`] — the analytical side: Erlang-B (the paper's Eq. 2),
-//!   Erlang-C, Engset, extended Erlang-B, and traffic-unit conversions.
+//!   Engset, extended Erlang-B, and traffic-unit conversions.
 //! * [`des`] — a deterministic discrete-event simulation engine with RNG
 //!   streams and a statistics toolkit.
-//! * [`sipcore`] — SIP messages, parsing/serialization, transactions and
-//!   dialogs (RFC 3261 subset).
-//! * [`rtpcore`] — RTP/RTCP, real G.711 μ-law/A-law codecs, packetization
+//! * [`sipcore`] — SIP messages, parsing/serialization and transactions
+//!   (RFC 3261 subset).
+//! * [`rtpcore`] — RTP, real G.711 μ-law/A-law codecs, packetization
 //!   and RFC 3550 jitter estimation.
 //! * [`voiceq`] — the ITU-T G.107 E-model mapping network impairments to
 //!   MOS scores.
@@ -57,9 +57,8 @@ pub use voiceq;
 pub mod prelude {
     pub use capacity::{
         self,
-        experiment::{EmpiricalConfig, EmpiricalRunner, SimOptions},
+        experiment::{EmpiricalConfig, EmpiricalRunner},
         figures, table1,
-        world::MediaPath,
     };
     pub use des;
     pub use faults::{self, FaultKind, FaultSchedule};

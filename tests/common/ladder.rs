@@ -10,7 +10,8 @@ use des::{SimDuration, SimTime};
 use loadgen::{Uac, UacEvent, Uas, UasEvent};
 use netsim::NodeId;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
-use sipcore::SipMessage;
+use sipcore::sdp::SessionDescription;
+use sipcore::{parse_message, Body, SipMessage};
 use std::collections::VecDeque;
 
 pub const CLIENT: NodeId = NodeId(1);
@@ -22,12 +23,32 @@ pub const PBX_NODE: NodeId = NodeId(3);
 pub const CALLER: &str = "1000";
 pub const CALLEE: &str = "1500";
 
+/// What a stack doing real UDP I/O would hand its engine: `msg`
+/// serialized and parsed back, its SDP body rebuilt from an owned
+/// [`SessionDescription`].
+fn over_the_wire(msg: &SipMessage) -> SipMessage {
+    let mut msg = parse_message(&msg.to_wire()).expect("engines emit parseable SIP");
+    let body = msg.body_mut();
+    let sdp = body
+        .as_bytes()
+        .filter(|bytes| !bytes.is_empty())
+        .and_then(SessionDescription::parse);
+    if let Some(sdp) = sdp {
+        *body = Body::Bytes(sdp.to_body());
+    }
+    msg
+}
+
 /// UAC ↔ PBX ↔ UAS with messages handed over directly.
 pub struct Ladder {
     pub uac: Uac,
     pub uas: Uas,
     pub pbx: Pbx,
     pub now: SimTime,
+    /// Hand each engine [`over_the_wire`] of a message instead of the
+    /// message: the engines must behave the same on what a parser gives
+    /// them as on what a builder gave their peer.
+    pub reparse: bool,
     in_flight: VecDeque<(NodeId, NodeId, SipMessage)>,
     /// Messages delivered so far.
     pub delivered: u64,
@@ -51,6 +72,7 @@ impl Ladder {
             uas: Uas::new(SERVER, SimDuration::ZERO),
             pbx: Pbx::new(config, Directory::shared_subscribers(1000, 1000)),
             now: SimTime::ZERO,
+            reparse: false,
             in_flight: VecDeque::new(),
             delivered: 0,
             wire: None,
@@ -90,6 +112,11 @@ impl Ladder {
     pub fn run(&mut self) {
         while let Some((from, to, msg)) = self.in_flight.pop_front() {
             self.delivered += 1;
+            let msg = if self.reparse {
+                over_the_wire(&msg)
+            } else {
+                msg
+            };
             if let Some(wire) = &mut self.wire {
                 wire.extend_from_slice(&msg.to_wire());
             }

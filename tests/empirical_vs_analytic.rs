@@ -65,7 +65,7 @@ fn observed_blocking_matches_erlang_b() {
 fn holding_time_insensitivity() {
     let a = 24.0;
     let channels = 24;
-    let run_with = |holding: HoldingDist| -> f64 {
+    let blocking_with = |holding: HoldingDist| -> f64 {
         let mut blocked = 0u64;
         let mut attempted = 0u64;
         for seed in 0..4u64 {
@@ -75,9 +75,9 @@ fn holding_time_insensitivity() {
         }
         blocked as f64 / attempted as f64
     };
-    let fixed = run_with(HoldingDist::Fixed(30.0));
-    let expo = run_with(HoldingDist::Exponential(30.0));
-    let lognormal = run_with(HoldingDist::Lognormal {
+    let fixed = blocking_with(HoldingDist::Fixed(30.0));
+    let expo = blocking_with(HoldingDist::Exponential(30.0));
+    let lognormal = blocking_with(HoldingDist::Lognormal {
         mean: 30.0,
         sd: 20.0,
     });

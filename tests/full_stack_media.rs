@@ -103,3 +103,27 @@ fn cpu_cost_scales_with_media_volume() {
         without.cpu_mean
     );
 }
+
+#[test]
+fn express_and_per_hop_emission_agree_on_a_clean_lan() {
+    // The one place the two emission paths meet. Without a span port a
+    // packet is chased across its four links at emission time; with one
+    // (`capture_traffic`) it takes one event per hop so the capture sees
+    // every frame. Loss-free, both must carry the same calls, the same
+    // signalling and the same packets; only serialization ties within an
+    // instant may order differently, which moves jitter by microseconds.
+    let express = EmpiricalRunner::run(media_cfg(33));
+    let per_hop = EmpiricalRunner::run(EmpiricalConfig {
+        capture_traffic: true,
+        ..media_cfg(33)
+    });
+    assert!(express.completed >= 10, "{express:?}");
+    assert!(per_hop.events_processed > 3 * express.events_processed);
+    assert_eq!(express.attempted, per_hop.attempted);
+    assert_eq!(express.completed, per_hop.completed);
+    assert_eq!(express.blocked, per_hop.blocked);
+    assert_eq!(express.monitor.sip_total, per_hop.monitor.sip_total);
+    assert_eq!(express.monitor.rtp_packets, per_hop.monitor.rtp_packets);
+    let (a, b) = (express.monitor.mos_mean, per_hop.monitor.mos_mean);
+    assert!((a - b).abs() < 0.01, "MOS {a} express vs {b} per hop");
+}

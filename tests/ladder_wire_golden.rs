@@ -9,13 +9,20 @@
 //! the header arena and the in-place builders landed (PR 17), so they are
 //! what `format!` used to produce.
 //!
+//! Every scenario runs twice: once handing each engine the message its
+//! peer built, once handing it `parse_message(to_wire())` of that message
+//! (SDP body rebuilt through `SessionDescription`). Both must record the
+//! same bytes and leave the same PBX counters — the engines cannot tell a
+//! parsed message from a built one, and a message survives the wire
+//! byte for byte.
+//!
 //! The hysteresis law advertises no feedback, so `X-Overload-Control` (on
 //! the 100 Trying and on the 503) is pinned by a sixth scenario under the
 //! rate-based law.
 
 use loadgen::{Pacer, RetryPolicy};
 use overload::ControlLaw;
-use pbx_sim::PbxConfig;
+use pbx_sim::{PbxConfig, PbxStats};
 
 #[path = "common/ladder.rs"]
 mod ladder;
@@ -27,27 +34,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Hash, message count and a readable dump of what was recorded.
-fn recorded(ladder: &Ladder) -> (u64, u64) {
+/// What one scenario leaves behind: `(hash, messages)` of the recorded
+/// wire bytes, and the PBX's counters.
+type Outcome = ((u64, u64), PbxStats);
+
+/// The outcome of a finished scenario (and a readable dump on request).
+fn recorded(ladder: &Ladder) -> Outcome {
     let wire = ladder.wire.as_deref().expect("recording");
     if std::env::var_os("LADDER_WIRE_DUMP").is_some() {
         eprintln!("{}", String::from_utf8_lossy(wire));
     }
-    (fnv1a(wire), ladder.delivered)
+    ((fnv1a(wire), ladder.delivered), ladder.pbx.stats())
 }
 
-fn config(channels: u32, law: Option<ControlLaw>) -> PbxConfig {
+/// The three engines around a PBX with `channels` channels under `law`.
+fn ladder(channels: u32, law: Option<ControlLaw>, reparse: bool) -> Ladder {
     let mut config = PbxConfig::evaluation_default(PBX_NODE);
     config.channels = channels;
     config.overload_law = law;
-    config
+    let mut ladder = Ladder::new(config);
+    ladder.reparse = reparse;
+    ladder
 }
 
 /// One call shed with 503 while another holds the only channel, then
 /// retried once the channel is free: admitted ladder, INVITE/503/ACK,
 /// teardown, the retry's full ladder, its teardown.
-fn shed_then_retry(law: ControlLaw, pacer: Option<Pacer>) -> (u64, u64) {
-    let mut l = Ladder::new(config(1, Some(law)));
+fn shed_then_retry(law: ControlLaw, pacer: Option<Pacer>, reparse: bool) -> Outcome {
+    let mut l = ladder(1, Some(law), reparse);
     l.uac.retry_policy = Some(RetryPolicy::default());
     l.uac.pacer = pacer;
     l.record();
@@ -62,11 +76,12 @@ fn shed_then_retry(law: ControlLaw, pacer: Option<Pacer>) -> (u64, u64) {
     recorded(&l)
 }
 
-#[test]
-fn ladder_wire_bytes_match_the_golden_hashes() {
+/// The six scenarios, each engine handed its peer's message as built
+/// (`reparse` false) or as parsed back from the wire (true).
+fn scenarios(reparse: bool) -> [Outcome; 6] {
     // (a) One admitted call: the paper's 13-message Fig. 2 ladder — the
     // 124th call, so every serial the builders write has three digits.
-    let mut l = Ladder::new(config(165, None));
+    let mut l = ladder(165, None, reparse);
     for _ in 0..123 {
         l.place();
         l.hang_up();
@@ -78,20 +93,24 @@ fn ladder_wire_bytes_match_the_golden_hashes() {
     let admitted = recorded(&l);
 
     // (b) No free channel: INVITE / 486 / ACK.
-    let mut l = Ladder::new(config(0, None));
+    let mut l = ladder(0, None, reparse);
     l.record();
     l.place();
     let busy = recorded(&l);
 
     // (c) Hysteresis shed: 503 + Retry-After, then the retry.
-    let hysteresis = shed_then_retry(ControlLaw::hysteresis_default(), None);
+    let hysteresis = shed_then_retry(ControlLaw::hysteresis_default(), None, reparse);
 
     // (c') Rate-based shed: X-Overload-Control on the 100 Trying of the
     // admitted call and beside Retry-After on the 503, then the retry.
-    let rate_based = shed_then_retry(ControlLaw::rate_based_for(10.0), Some(Pacer::rate(11.0)));
+    let rate_based = shed_then_retry(
+        ControlLaw::rate_based_for(10.0),
+        Some(Pacer::rate(11.0)),
+        reparse,
+    );
 
     // (d) One `Simple` REGISTER and its 200.
-    let mut l = Ladder::new(config(165, None));
+    let mut l = ladder(165, None, reparse);
     l.record();
     let events = l.uac.register(CALLER);
     l.absorb_uac(events);
@@ -99,7 +118,7 @@ fn ladder_wire_bytes_match_the_golden_hashes() {
     let simple_register = recorded(&l);
 
     // (e) One digest REGISTER → 401 → REGISTER + Authorization → 200.
-    let mut l = Ladder::new(config(165, None));
+    let mut l = ladder(165, None, reparse);
     l.record();
     let events = l.uac.register_digest(CALLER);
     l.absorb_uac(events);
@@ -107,17 +126,26 @@ fn ladder_wire_bytes_match_the_golden_hashes() {
     assert_eq!(l.uac.registrations_confirmed, 1);
     let digest_register = recorded(&l);
 
-    let got = [
-        ("admitted", admitted),
-        ("busy", busy),
-        ("hysteresis", hysteresis),
-        ("rate_based", rate_based),
-        ("simple_register", simple_register),
-        ("digest_register", digest_register),
+    [
+        admitted,
+        busy,
+        hysteresis,
+        rate_based,
+        simple_register,
+        digest_register,
+    ]
+}
+
+#[test]
+fn ladder_wire_bytes_match_the_golden_hashes() {
+    const NAMES: [&str; 6] = [
+        "admitted",
+        "busy",
+        "hysteresis",
+        "rate_based",
+        "simple_register",
+        "digest_register",
     ];
-    for (name, (hash, msgs)) in got {
-        eprintln!("{name}: ({hash:#018x}, {msgs})");
-    }
     let want: [(u64, u64); 6] = [
         (0x6bf3_a6e5_c4c0_b196, 13),
         (0xd3dc_b34e_1a76_ca20, 3),
@@ -126,7 +154,17 @@ fn ladder_wire_bytes_match_the_golden_hashes() {
         (0xd5d5_9a2b_b161_43c0, 2),
         (0x9e66_7f6b_a1e7_2f99, 4),
     ];
-    for ((name, got), want) in got.into_iter().zip(want) {
-        assert_eq!(got, want, "{name}: wire bytes (FNV-1a, messages) moved");
+    let (built, parsed) = (scenarios(false), scenarios(true));
+    for (i, name) in NAMES.into_iter().enumerate() {
+        let (hash, msgs) = built[i].0;
+        eprintln!("{name}: ({hash:#018x}, {msgs})");
+        assert_eq!(
+            built[i].0, want[i],
+            "{name}: wire bytes (FNV-1a, messages) moved"
+        );
+        assert_eq!(
+            parsed[i], built[i],
+            "{name}: the engines told a parsed message from a built one"
+        );
     }
 }

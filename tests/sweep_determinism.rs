@@ -7,7 +7,7 @@
 //! physics are perturbed by a mid-window fault schedule.
 
 use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode};
-use capacity::sweep::{mean_ci, run_sweep, run_sweep_reference, SweepTask};
+use capacity::sweep::{mean_ci, run_sweep, SweepTask};
 use faults::{FaultKind, FaultSchedule};
 use proptest::prelude::*;
 use proptest::sample::select;
@@ -43,8 +43,8 @@ fn sweep_cfg(seed: u64, erlangs: f64, faulted: bool) -> EmpiricalConfig {
 
 proptest! {
     /// Pure-function workload: the parallel executor must return the
-    /// exact `Vec` the sequential reference produces, at every pool
-    /// width, and independently of the cost model — costs only steer
+    /// exact `Vec` a sequential `map` over the tasks produces, at every
+    /// pool width, and independently of the cost model — costs only steer
     /// scheduling (hence completion order), never results. Rotating the
     /// costs across tasks forces a different longest-expected-first
     /// deal and a different steal pattern on the same task set.
@@ -64,7 +64,7 @@ proptest! {
             }))
             .collect();
         let work = |t: SweepTask| mix(seed ^ ((t.cell as u64) << 40) ^ t.rep);
-        let expect = run_sweep_reference(&tasks, work);
+        let expect: Vec<u64> = tasks.iter().map(|&t| work(t)).collect();
 
         let _g = des::pool::test_guard();
         des::pool::configure(width);
@@ -106,7 +106,7 @@ proptest! {
             let r = EmpiricalRunner::run(cfg);
             (r.digest(), r.observed_pb)
         };
-        let reference = run_sweep_reference(&tasks, work);
+        let reference: Vec<(u64, f64)> = tasks.iter().map(|&t| work(t)).collect();
 
         let _g = des::pool::test_guard();
         des::pool::configure(width);
