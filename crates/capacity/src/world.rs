@@ -111,14 +111,11 @@ pub fn pbx_node(k: u32) -> NodeId {
 /// What travels inside a network frame.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    /// A SIP message (wire length precomputed). Boxed: a message is ~180
-    /// bytes inline, and every slot of the event wheel — pre-seeded for
-    /// 16 384 events — is as wide as the widest [`Ev`].
-    Sip(Box<SipMessage>),
-    /// An RTP datagram addressed to a UDP port.
+    /// A SIP message (wire length precomputed), inline: the frame that
+    /// carries it is the one allocation it costs.
+    Sip(SipMessage),
+    /// An RTP datagram.
     Rtp {
-        /// Destination media port.
-        dst_port: u16,
         /// The datagram; its payload is shared, so relaying it through the
         /// PBX clones a refcount, never the media bytes.
         datagram: RtpDatagram,
@@ -127,13 +124,16 @@ pub enum Payload {
     },
 }
 
-/// A frame in flight between nodes.
+/// A frame in flight between nodes. Events carry it boxed (see [`Ev`]):
+/// one allocation where it is emitted, a pointer at every hop after.
 #[derive(Debug, Clone)]
 pub struct Frame {
     /// Origin node.
     pub src: NodeId,
     /// Final destination node.
     pub dst: NodeId,
+    /// Destination UDP port (5060 for SIP, the media port for RTP).
+    pub dst_port: u16,
     /// Simulated on-wire size (payload + UDP/IP/Ethernet overhead).
     pub wire_len: usize,
     /// Contents.
@@ -149,20 +149,22 @@ pub struct MediaKey {
     pub caller_side: bool,
 }
 
-/// World events.
+/// World events. An event is a handle: every slot of the event wheel is
+/// as wide as the widest variant and each pop copies one, so anything
+/// wider than 32 bytes rides behind one pointer.
 #[derive(Debug, Clone)]
 pub enum Ev {
     /// Place the next call.
     PlaceCall,
     /// Hand a locally originated frame to the network (used to pace the
     /// registration storm so it cannot overflow the access links).
-    SendFrame(Frame),
+    SendFrame(Box<Frame>),
     /// A frame arrives at a node (per hop).
     HopArrive {
         /// Node the frame just reached.
         at: NodeId,
         /// The frame.
-        frame: Frame,
+        frame: Box<Frame>,
     },
     /// Emit the due frame for every session in one phase sub-slot: recurs
     /// every 20 ms while the slot is occupied.
@@ -240,6 +242,8 @@ pub enum Ev {
         call_id: String,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 enum AudioSource {
     /// The paper's setting: continuous speech, 50 pps.
@@ -698,7 +702,7 @@ impl World {
 
     // -- plumbing -----------------------------------------------------------
 
-    fn send_frame(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, frame: Frame) {
+    fn send_frame(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, frame: Box<Frame>) {
         let hop = self.topo.next_hop(frame.src, frame.dst);
         match self
             .topo
@@ -717,7 +721,7 @@ impl World {
         now: SimTime,
         sched: &mut Scheduler<Ev>,
         via: NodeId,
-        frame: Frame,
+        frame: Box<Frame>,
     ) {
         let hop = self.topo.next_hop(via, frame.dst);
         if let SendOutcome::Delivered { at } =
@@ -732,15 +736,16 @@ impl World {
     /// Package a SIP message for the network: the typed message rides the
     /// frame as-is and its on-wire size comes from the analytic
     /// `wire_len` — exactly the serialized length, with no serialization.
-    fn sip_frame(&self, src: NodeId, to: NodeId, msg: SipMessage) -> Frame {
+    fn sip_frame(&self, src: NodeId, to: NodeId, msg: SipMessage) -> Box<Frame> {
         let wire_len = msg.wire_len() + 46;
         debug_assert_eq!(wire_len, msg.to_wire().len() + 46, "analytic length exact");
-        Frame {
+        Box::new(Frame {
             src,
             dst: to,
+            dst_port: 5060,
             wire_len,
-            payload: Payload::Sip(Box::new(msg)),
-        }
+            payload: Payload::Sip(msg),
+        })
     }
 
     /// Which UAC engine owns a Call-ID on the client host.
@@ -903,23 +908,7 @@ impl World {
                     to,
                     to_port,
                     datagram,
-                } => {
-                    let wire_len = datagram.wire_len() + 46;
-                    self.send_frame(
-                        now,
-                        sched,
-                        Frame {
-                            src,
-                            dst: to,
-                            wire_len,
-                            payload: Payload::Rtp {
-                                dst_port: to_port,
-                                datagram,
-                                sent_at: now,
-                            },
-                        },
-                    );
-                }
+                } => self.emit_media(now, sched, src, to, to_port, datagram),
             }
         }
     }
@@ -971,20 +960,13 @@ impl World {
         };
         let first_packet = packetizer.packetize_shared(cached.clone());
         // Send the first packet right away.
-        let wire_len = first_packet.wire_len() + 46;
-        self.send_frame(
+        self.emit_media(
             now,
             sched,
-            Frame {
-                src: local_node,
-                dst: remote_node,
-                wire_len,
-                payload: Payload::Rtp {
-                    dst_port: remote_port,
-                    datagram: first_packet,
-                    sent_at: now,
-                },
-            },
+            local_node,
+            remote_node,
+            remote_port,
+            first_packet,
         );
         // Follow-up frames fire on the session's own 20 ms cadence, its
         // phase quantised to a sub-slot grid so one recurring event drives
@@ -1020,7 +1002,7 @@ impl World {
                 self.sessions.len() - 1
             }
         };
-        if let Some(old) = self.media_index.insert(key.clone(), idx) {
+        if let Some(old) = self.media_index.insert(key, idx) {
             // A reused Call-ID (shed-then-retried call): the stale session
             // stops; its bucket entry sweeps it out lazily.
             if let Some(s) = self.sessions[old].as_mut() {
@@ -1188,16 +1170,16 @@ impl World {
         self.send_frame(
             now,
             sched,
-            Frame {
+            Box::new(Frame {
                 src,
                 dst,
+                dst_port: port,
                 wire_len,
                 payload: Payload::Rtp {
-                    dst_port: port,
                     datagram,
                     sent_at: now,
                 },
-            },
+            }),
         );
     }
 
@@ -1302,70 +1284,64 @@ impl World {
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
-        frame: Frame,
+        mut frame: Box<Frame>,
         timer: &mut PhaseTimer,
     ) {
         // A crashed PBX is dark: frames reach its NIC and die there.
-        if let Some(k) = self.pbx_index_of(frame.dst) {
-            if self.pbx_down[k] {
-                return;
-            }
+        let pbx = self.pbx_index_of(frame.dst);
+        if pbx.is_some_and(|k| self.pbx_down[k]) {
+            return;
         }
         if let Some(cap) = &mut self.capture {
             // The only place RTP wire bytes are materialised: a span port
             // needs real octets; the relay path never does.
-            let (dst_port, payload) = match &frame.payload {
-                Payload::Sip(msg) => (5060u16, msg.to_wire()),
-                Payload::Rtp {
-                    dst_port, datagram, ..
-                } => (*dst_port, datagram.encode()),
+            let payload = match &frame.payload {
+                Payload::Sip(msg) => msg.to_wire(),
+                Payload::Rtp { datagram, .. } => datagram.encode(),
             };
             cap.capture(vmon::pcap::CapturedPacket {
                 timestamp_us: now.as_nanos() / 1_000,
                 src_node: frame.src.0,
                 dst_node: frame.dst.0,
-                src_port: dst_port, // symmetric port model
-                dst_port,
+                src_port: frame.dst_port, // symmetric port model
+                dst_port: frame.dst_port,
                 payload,
             });
         }
-        match frame.payload {
-            Payload::Sip(msg) => timer.measure(Phase::Signalling, || {
-                self.handle_sip_delivery(now, sched, frame.src, frame.dst, *msg);
+        match *frame {
+            Frame {
+                src,
+                dst,
+                payload: Payload::Sip(msg),
+                ..
+            } => timer.measure(Phase::Signalling, || {
+                self.handle_sip_delivery(now, sched, src, dst, msg);
             }),
-            Payload::Rtp {
+            Frame {
+                dst,
                 dst_port,
-                datagram,
-                sent_at,
+                payload:
+                    Payload::Rtp {
+                        ref datagram,
+                        sent_at,
+                    },
+                ..
             } => {
-                if let Some(k) = self.pbx_index_of(frame.dst) {
-                    // Route-only relay: the datagram is forwarded as-is
-                    // (payload refcount bump), keeping the original
-                    // emission time so endpoints see true mouth-to-ear
-                    // delay. No action Vec, no byte copy, no re-parse.
+                if let Some(k) = pbx {
+                    // Route-only relay: the frame it arrived in goes back
+                    // out readdressed, keeping the original emission time
+                    // so endpoints see true mouth-to-ear delay. No action
+                    // Vec, no byte copy, no re-parse, no new frame.
                     timer.measure(Phase::Relay, || {
                         if let Some((to, to_port)) = self.pbxes[k].relay_rtp(now, dst_port) {
-                            let wire_len = datagram.wire_len() + 46;
-                            self.send_frame(
-                                now,
-                                sched,
-                                Frame {
-                                    src: frame.dst,
-                                    dst: to,
-                                    wire_len,
-                                    payload: Payload::Rtp {
-                                        dst_port: to_port,
-                                        datagram,
-                                        sent_at,
-                                    },
-                                },
-                            );
+                            (frame.src, frame.dst, frame.dst_port) = (dst, to, to_port);
+                            self.send_frame(now, sched, frame);
                         }
                     });
                 } else {
                     // Delivered to an endpoint: the monitor scores it off
                     // the decoded header riding with the datagram.
-                    let flow = FlowId::from_node_port(frame.dst.0, dst_port);
+                    let flow = FlowId::from_node_port(dst.0, dst_port);
                     timer.measure(Phase::Scoring, || {
                         self.monitor.tap_rtp(
                             flow,

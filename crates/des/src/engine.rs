@@ -13,7 +13,9 @@
 //!   the near term touches a bucket-local heap of a handful of events
 //!   instead of a global heap of thousands, which is what makes the
 //!   media-saturated capacity runs cheap. Overflow events are promoted
-//!   into their bucket when the cursor reaches their slot.
+//!   into their bucket when the cursor reaches their slot. An occupancy
+//!   bitmap (one bit per bucket) finds the next non-empty bucket, so a
+//!   sparse timeline costs per event, not per empty slot.
 //!
 //! Either way, simultaneous events pop in scheduling (FIFO) order thanks to
 //! a monotonically increasing sequence number shared by both backends. This
@@ -74,16 +76,88 @@ pub enum SchedulerKind {
     Wheel,
 }
 
+/// One wheel bucket: a binary min-heap on `(at, seq)` over a `Vec`.
+///
+/// Not `BinaryHeap`: a bucket holds a handful of events, and `std`'s
+/// `pop` stays out of line, so every event would be copied out through
+/// its `Option` and again into the scheduler's on the way to the handler.
+/// These three inline into the run loop. `(at, seq)` keys are unique, so
+/// any correct heap pops in the same order; the heap *backend* stays on
+/// `std`'s as the independent model this one is tested against.
+struct Bucket<E>(Vec<Scheduled<E>>);
+
+impl<E> Bucket<E> {
+    #[inline]
+    fn key(&self, i: usize) -> (SimTime, u64) {
+        (self.0[i].at, self.0[i].seq)
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<&Scheduled<E>> {
+        self.0.first()
+    }
+
+    #[inline]
+    fn push(&mut self, s: Scheduled<E>) {
+        self.0.push(s);
+        let mut i = self.0.len() - 1;
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.key(parent) <= self.key(i) {
+                break;
+            }
+            self.0.swap(parent, i);
+            i = parent;
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Scheduled<E>> {
+        let last = self.0.pop()?;
+        let Some(root) = self.0.first_mut() else {
+            return Some(last);
+        };
+        let top = std::mem::replace(root, last);
+        let (mut i, n) = (0, self.0.len());
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.key(right) < self.key(left) {
+                right
+            } else {
+                left
+            };
+            if self.key(i) <= self.key(child) {
+                break;
+            }
+            self.0.swap(i, child);
+            i = child;
+        }
+        Some(top)
+    }
+}
+
+/// Words in the wheel's occupancy bitmap.
+const OCC_WORDS: usize = WHEEL_SLOTS / 64;
+
 /// Hierarchical timing wheel: near-term bucket ring + far-future overflow.
 ///
-/// Invariants (checked by the cross-backend determinism tests):
+/// Invariants (the model proptest walks the wheel after every operation;
+/// the cross-backend determinism tests check the last):
 /// * every bucket holds only events whose absolute slot lies in
 ///   `[cursor, cursor + WHEEL_SLOTS)`;
 /// * overflow events always have `slot > cursor` (promotion happens the
 ///   moment the cursor arrives at a slot, before anything pops from it);
+/// * bit `i` of `occupied` is set exactly when bucket `i` is non-empty;
 /// * `(time, seq)` orders pops exactly like the global heap.
 struct TimingWheel<E> {
-    buckets: Vec<BinaryHeap<Scheduled<E>>>,
+    buckets: Vec<Bucket<E>>,
+    /// One bit per bucket, so the seek for the next event reads at most
+    /// `OCC_WORDS + 1` words however many empty slots lie in between.
+    occupied: [u64; OCC_WORDS],
     overflow: BinaryHeap<Scheduled<E>>,
     /// Absolute slot index the wheel has drained up to.
     cursor: u64,
@@ -91,10 +165,19 @@ struct TimingWheel<E> {
     wheel_len: usize,
     /// Total pending events (buckets + overflow).
     len: usize,
+    /// Occupancy words read by `next_bucket_slot` (the seek-cost gate).
+    #[cfg(test)]
+    probes: std::cell::Cell<u64>,
 }
 
+#[inline]
 fn slot_of(at: SimTime) -> u64 {
     at.as_nanos() / WHEEL_SLOT_NS
+}
+
+#[inline]
+fn bucket_index(abs_slot: u64) -> usize {
+    (abs_slot % WHEEL_SLOTS as u64) as usize
 }
 
 impl<E> TimingWheel<E> {
@@ -102,23 +185,32 @@ impl<E> TimingWheel<E> {
         TimingWheel {
             // Seed every bucket with a minimal capacity so the steady
             // state never pays a first-push allocation as the cursor
-            // sweeps into previously untouched slots (~3 MB once, versus
-            // thousands of one-off allocations spread over early
-            // revolutions).
+            // sweeps into previously untouched slots (16 384 event slots
+            // once, versus thousands of one-off allocations spread over
+            // early revolutions).
             buckets: (0..WHEEL_SLOTS)
-                .map(|_| BinaryHeap::with_capacity(4))
+                .map(|_| Bucket(Vec::with_capacity(4)))
                 .collect(),
+            occupied: [0; OCC_WORDS],
             overflow: BinaryHeap::new(),
             cursor: 0,
             wheel_len: 0,
             len: 0,
+            #[cfg(test)]
+            probes: std::cell::Cell::new(0),
         }
     }
 
-    fn bucket_index(&self, abs_slot: u64) -> usize {
-        (abs_slot % WHEEL_SLOTS as u64) as usize
+    /// Put `s` in the bucket of absolute slot `slot`.
+    #[inline]
+    fn push_bucket(&mut self, slot: u64, s: Scheduled<E>) {
+        let idx = bucket_index(slot);
+        self.buckets[idx].push(s);
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+        self.wheel_len += 1;
     }
 
+    #[inline]
     fn push(&mut self, s: Scheduled<E>) {
         // Events behind the cursor (the clock trails the cursor after a
         // horizon stop) are clamped into the cursor bucket; (time, seq)
@@ -126,9 +218,7 @@ impl<E> TimingWheel<E> {
         let slot = slot_of(s.at).max(self.cursor);
         self.len += 1;
         if slot < self.cursor + WHEEL_SLOTS as u64 {
-            let idx = self.bucket_index(slot);
-            self.buckets[idx].push(s);
-            self.wheel_len += 1;
+            self.push_bucket(slot, s);
         } else {
             self.overflow.push(s);
         }
@@ -136,47 +226,68 @@ impl<E> TimingWheel<E> {
 
     /// Move overflow events whose slot the cursor has reached into their
     /// bucket so they merge into the (time, seq) order.
+    #[inline]
     fn promote_due(&mut self) {
         while let Some(top) = self.overflow.peek() {
             if slot_of(top.at) > self.cursor {
                 break;
             }
             let s = self.overflow.pop().expect("peeked overflow entry");
-            let idx = self.bucket_index(slot_of(s.at));
-            self.buckets[idx].push(s);
-            self.wheel_len += 1;
+            self.push_bucket(slot_of(s.at), s);
         }
     }
 
-    /// Absolute slot of the next non-empty bucket at or after the cursor.
+    /// Absolute slot of the next non-empty bucket at or after the cursor:
+    /// the first set occupancy bit in ring order from the cursor's.
+    #[inline]
     fn next_bucket_slot(&self) -> Option<u64> {
         if self.wheel_len == 0 {
             return None;
         }
-        (0..WHEEL_SLOTS as u64)
-            .map(|off| self.cursor + off)
-            .find(|&slot| !self.buckets[self.bucket_index(slot)].is_empty())
+        let cursor_idx = bucket_index(self.cursor);
+        let (first_word, first_bit) = (cursor_idx / 64, cursor_idx % 64);
+        // The cursor's word is read twice: its bits from the cursor up
+        // first, the ones below (a full revolution ahead) last.
+        let below = (1u64 << first_bit) - 1;
+        (0..=OCC_WORDS).find_map(|k| {
+            #[cfg(test)]
+            self.probes.set(self.probes.get() + 1);
+            let word = self.occupied[(first_word + k) % OCC_WORDS];
+            let word = match k {
+                0 => word & !below,
+                OCC_WORDS => word & below,
+                _ => word,
+            };
+            // Word `k` of the scan starts `64 * k - first_bit` slots ahead.
+            (word != 0)
+                .then(|| self.cursor + (64 * k + word.trailing_zeros() as usize - first_bit) as u64)
+        })
     }
 
     /// Advance the cursor to the slot holding the next event (promoting
     /// overflow on arrival). Returns false when nothing is pending.
+    #[inline]
     fn seek_next(&mut self) -> bool {
         if self.len == 0 {
             return false;
         }
         loop {
             self.promote_due();
-            if !self.buckets[self.bucket_index(self.cursor)].is_empty() {
+            if self.buckets[bucket_index(self.cursor)].peek().is_some() {
                 return true;
             }
             let wheel_next = self.next_bucket_slot();
             let over_next = self.overflow.peek().map(|s| slot_of(s.at));
-            self.cursor = match (wheel_next, over_next) {
+            let next = match (wheel_next, over_next) {
                 (Some(w), Some(o)) => w.min(o),
                 (Some(w), None) => w,
                 (None, Some(o)) => o,
                 (None, None) => return false,
             };
+            // The cursor's bucket is empty, so a stale occupancy bit is
+            // the one way to stand still — and then to spin here forever.
+            debug_assert!(next > self.cursor, "seek did not advance");
+            self.cursor = next;
         }
     }
 
@@ -185,7 +296,7 @@ impl<E> TimingWheel<E> {
         let over = self.overflow.peek().map(|s| (s.at, s.seq));
         let wheel = self
             .next_bucket_slot()
-            .and_then(|slot| self.buckets[self.bucket_index(slot)].peek())
+            .and_then(|slot| self.buckets[bucket_index(slot)].peek())
             .map(|s| (s.at, s.seq));
         match (wheel, over) {
             (Some(w), Some(o)) => Some(w.min(o)),
@@ -194,15 +305,20 @@ impl<E> TimingWheel<E> {
     }
 
     /// Pop the next event if it fires at or before `horizon`.
+    #[inline]
     fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
         if !self.seek_next() {
             return None;
         }
-        let idx = self.bucket_index(self.cursor);
-        if self.buckets[idx].peek().map(|s| s.at) > Some(horizon) {
+        let idx = bucket_index(self.cursor);
+        let bucket = &mut self.buckets[idx];
+        if bucket.peek()?.at > horizon {
             return None;
         }
-        let s = self.buckets[idx].pop().expect("seek found an event");
+        let s = bucket.pop()?;
+        if bucket.peek().is_none() {
+            self.occupied[idx / 64] &= !(1 << (idx % 64));
+        }
         self.wheel_len -= 1;
         self.len -= 1;
         Some(s)
@@ -210,8 +326,9 @@ impl<E> TimingWheel<E> {
 
     fn clear(&mut self) {
         for b in &mut self.buckets {
-            b.clear();
+            b.0.clear();
         }
+        self.occupied = [0; OCC_WORDS];
         self.overflow.clear();
         self.wheel_len = 0;
         self.len = 0;
@@ -470,6 +587,7 @@ impl<W: EventHandler<E>, E> Simulation<W, E> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
 
     const BOTH: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Wheel];
 
@@ -639,6 +757,135 @@ mod tests {
             }
         }
         assert!(popped > 5000);
+    }
+
+    /// Walk the whole wheel: every bucket's occupancy bit says whether it
+    /// holds anything, every resident event sits in the bucket of its
+    /// (cursor-clamped) slot inside the horizon, overflow lies strictly
+    /// ahead of the cursor, and the two lengths count what is there.
+    fn assert_wheel_consistent<E>(s: &Scheduler<E>) {
+        let Backend::Wheel(w) = &s.backend else {
+            panic!("not a wheel scheduler");
+        };
+        let mut resident = 0;
+        for (i, b) in w.buckets.iter().enumerate() {
+            let bit = w.occupied[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(bit, !b.0.is_empty(), "occupancy bit of bucket {i}");
+            resident += b.0.len();
+            for e in &b.0 {
+                let slot = slot_of(e.at).max(w.cursor);
+                assert!(slot < w.cursor + WHEEL_SLOTS as u64, "beyond the horizon");
+                assert_eq!(bucket_index(slot), i, "event in the wrong bucket");
+            }
+        }
+        assert!(w.overflow.iter().all(|e| slot_of(e.at) > w.cursor));
+        assert_eq!(w.wheel_len, resident);
+        assert_eq!(w.len, resident + w.overflow.len());
+    }
+
+    proptest! {
+        /// The wheel against the heap model over arbitrary interleavings
+        /// of schedule / bounded pop / peek / clear, on timelines from
+        /// dense (gap 0) to sparse (three revolutions between events).
+        #[test]
+        fn wheel_matches_heap_model_over_op_sequences(
+            ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..300),
+        ) {
+            const REV_NS: u64 = WHEEL_SLOT_NS * WHEEL_SLOTS as u64;
+            let mut w = Scheduler::with_kind(SchedulerKind::Wheel);
+            let mut h = Scheduler::new();
+            let mut id = 0u32;
+            for (op, x) in ops {
+                match op {
+                    // Schedule ahead of the clock. After a horizon stop the
+                    // cursor sits at the refused event's slot, ahead of the
+                    // clock, so the two short gaps also land *behind the
+                    // cursor* (the clamp in `push`).
+                    0..=5 => {
+                        let gap = match op {
+                            0 => 0,
+                            1 => x % WHEEL_SLOT_NS,
+                            2 | 3 => x % (3 * REV_NS),
+                            4 => REV_NS - WHEEL_SLOT_NS + x % (2 * WHEEL_SLOT_NS),
+                            _ => REV_NS + x % (100 * REV_NS),
+                        };
+                        let at = w.now() + SimDuration::from_nanos(gap);
+                        w.schedule(at, id);
+                        h.schedule(at, id);
+                        id += 1;
+                    }
+                    // Bounded pop; sometimes re-schedule into the bucket
+                    // being drained.
+                    6..=9 => {
+                        let horizon = w.now() + SimDuration::from_nanos(x % (2 * REV_NS));
+                        let peek = w.peek_time();
+                        let popped = w.pop_at_or_before(horizon);
+                        prop_assert_eq!(popped, h.pop_at_or_before(horizon));
+                        prop_assert_eq!(
+                            popped.map(|(t, _)| t),
+                            peek.filter(|&t| t <= horizon)
+                        );
+                        if let (Some((t, _)), true) = (popped, x % 3 == 0) {
+                            let at = t + SimDuration::from_nanos(x % (WHEEL_SLOT_NS / 4));
+                            w.schedule(at, id);
+                            h.schedule(at, id);
+                            id += 1;
+                        }
+                    }
+                    10 => {
+                        let peek = w.peek_time();
+                        let popped = w.pop();
+                        prop_assert_eq!(popped, h.pop());
+                        prop_assert_eq!(popped.map(|(t, _)| t), peek);
+                    }
+                    _ => {
+                        if x % 4 == 0 {
+                            w.clear();
+                            h.clear();
+                        }
+                    }
+                }
+                prop_assert_eq!(w.peek_time(), h.peek_time());
+                prop_assert_eq!(w.len(), h.len());
+                prop_assert_eq!(w.now(), h.now());
+                assert_wheel_consistent(&w);
+            }
+            loop {
+                let peek = w.peek_time();
+                let popped = w.pop();
+                prop_assert_eq!(popped, h.pop());
+                prop_assert_eq!(popped.map(|(t, _)| t), peek);
+                assert_wheel_consistent(&w);
+                if popped.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_hold_model_seeks_by_occupancy_words() {
+        // One event re-scheduled 1 s ahead on every pop: 1 907 empty slots
+        // between events, all inside the horizon, so every pop seeks across
+        // the ring (the next `PlaceCall` of a signalling-only cell). The
+        // seek may read each occupancy word once, never each slot.
+        let mut s = Scheduler::with_kind(SchedulerKind::Wheel);
+        s.schedule(SimTime::from_secs(1), ());
+        let probes = |s: &Scheduler<()>| match &s.backend {
+            Backend::Wheel(w) => w.probes.get(),
+            Backend::Heap(_) => unreachable!("built on the wheel"),
+        };
+        for _ in 0..1000 {
+            let before = probes(&s);
+            let (t, ()) = s.pop().expect("the hold model never drains");
+            let read = probes(&s) - before;
+            assert!(
+                read <= OCC_WORDS as u64,
+                "{read} occupancy words for one pop"
+            );
+            s.schedule(t + SimDuration::from_secs(1), ());
+        }
+        assert!(probes(&s) >= 1000, "every pop after the first had to seek");
     }
 
     /// A world that multiplies: every event spawns `n-1` follow-ups.

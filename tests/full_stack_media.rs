@@ -3,8 +3,12 @@
 
 use asterisk_capacity::prelude::*;
 use capacity::experiment::MediaMode;
-use des::SimDuration;
+use capacity::world::{Ev, World};
+use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use loadgen::HoldingDist;
+use netsim::topology::nodes;
+use std::collections::BTreeMap;
+use vmon::{FlowId, Monitor};
 
 fn media_cfg(seed: u64) -> EmpiricalConfig {
     EmpiricalConfig {
@@ -126,4 +130,69 @@ fn express_and_per_hop_emission_agree_on_a_clean_lan() {
     assert_eq!(express.monitor.rtp_packets, per_hop.monitor.rtp_packets);
     let (a, b) = (express.monitor.mos_mean, per_hop.monitor.mos_mean);
     assert!((a - b).abs() < 0.01, "MOS {a} express vs {b} per hop");
+}
+
+/// Packets received so far on every flow either endpoint host has seen.
+fn packets_by_flow(monitor: &Monitor) -> BTreeMap<FlowId, u64> {
+    [nodes::SIPP_CLIENT, nodes::SIPP_SERVER]
+        .into_iter()
+        .flat_map(|node| (0..=u16::MAX).map(move |port| FlowId::from_node_port(node.0, port)))
+        .filter_map(|flow| Some((flow, monitor.stream(flow)?.packets())))
+        .collect()
+}
+
+#[test]
+fn media_slots_re_arm_after_every_slot_has_emptied() {
+    // Streams share one recurring `MediaFrame` event per phase slot; when
+    // a slot's last stream ends the event finds it empty and the slot must
+    // disarm, or the next stream to land there sees "armed", schedules
+    // nothing and sends its first packet only. Two bursts of 4-s calls,
+    // 8 s apart: in between, every slot of the first burst has emptied.
+    const HOLD_S: f64 = 4.0;
+    const CALLS_PER_BURST: u64 = 16;
+    let cfg = EmpiricalConfig {
+        // The world's own arrival chain stays silent (first arrival after
+        // ~10^6 s): the test places the calls.
+        erlangs: 1e-6,
+        holding: HoldingDist::Fixed(HOLD_S),
+        channels: 2 * CALLS_PER_BURST as u32,
+        ..media_cfg(37)
+    };
+    let sched =
+        Scheduler::with_kind_and_capacity(SchedulerKind::Wheel, cfg.expected_pending_events());
+    let mut sim = Simulation::with_scheduler(World::new(cfg), sched);
+    sim.world.prime(&mut sim.sched);
+    for burst_s in [2, 10] {
+        // 1.3 ms apart: the burst spreads over many 312.5-us phase slots,
+        // and both bursts land on the same ones.
+        for i in 0..CALLS_PER_BURST {
+            let at = SimTime::from_secs(burst_s) + SimDuration::from_micros(1300 * i);
+            sim.sched.schedule(at, Ev::PlaceCall);
+        }
+    }
+
+    sim.run_until(SimTime::from_secs(7));
+    let first_burst = packets_by_flow(&sim.world.monitor);
+    assert_eq!(first_burst.len() as u64, 2 * CALLS_PER_BURST);
+    sim.run_until(SimTime::from_millis(9_900));
+    assert_eq!(
+        packets_by_flow(&sim.world.monitor),
+        first_burst,
+        "no stream is live between the bursts"
+    );
+
+    sim.run_until(SimTime::from_secs(16));
+    let all = packets_by_flow(&sim.world.monitor);
+    let second_burst: Vec<_> = all
+        .iter()
+        .filter(|(flow, _)| !first_burst.contains_key(flow))
+        .collect();
+    assert_eq!(second_burst.len() as u64, 2 * CALLS_PER_BURST);
+    for (flow, &packets) in second_burst {
+        let per_call_second = packets as f64 / HOLD_S;
+        assert!(
+            (per_call_second - 50.0).abs() <= 1.0,
+            "{flow:?} of the second burst received {packets} packets in {HOLD_S} s"
+        );
+    }
 }
