@@ -22,8 +22,73 @@ use loadgen::RetryPolicy;
 use netsim::topology::nodes;
 use overload::ControlLaw;
 
+/// Every flag the parser reads is named here, one with a value by an
+/// upper-case placeholder after it: [`usage_flag`] answers from this text,
+/// so a flag cannot be accepted without being documented.
+const USAGE: &str = "\
+usage: capacity-cli <fig3|table1|fig6|fig7|policy|farm|campaign|scale|run> [--json] [--seed S]
+  table1 [--scale X]        scale<1 runs a shortened experiment
+  fig6   [--reps R]         replications per sweep point
+         [--smoke]          CI-scale grid (3 loads, 2 reps)
+         [--ci-target P]    adaptive reps until the 95% CI half-width <= P pp
+         [--max-reps R]     per-point budget for --ci-target
+  sweeps (fig6/campaign/policy/farm) also take [--threads N] (worker budget)
+         and [--progress]   per-cell progress lines on stderr
+  fig7   [--population P] [--channels N]
+  policy [--erlangs A] [--users U] [--reps R]   per-user call-limit study
+  farm   [--erlangs A] [--channels N] [--reps R]  pooled vs split servers
+  campaign [--smoke] [--channels N --window S]  overload-control law sweep
+  scale  [--smoke] [--subs N --erlangs A --channels C]  population-scale cell
+  run    [--erlangs A]      one empirical run, JSON details
+         [--channels N --holding S --window S]  pool / call / window overrides
+         [--shed-high W --shed-low W --retry-after S]  PBX overload control
+         [--retry-max N --retry-base S --retry-cap S]  UAC 503 retry
+         [--partition-at S --heal-at S]  cut/heal the PBX uplink
+         [--crash-at S --restart-after S]  crash + supervised restart
+         [--flash-at S --flash-mult X --flash-dur S]  arrival burst
+         [--storm N]  seeded random fault storm (overrides the above)
+         [--servers K]  farm of K PBXes, uniform random dispatch";
+
+/// Whether [`USAGE`] names `flag` and, if so, whether it takes a value.
+fn usage_flag(flag: &str) -> Option<bool> {
+    let mut words = USAGE
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|w| !w.is_empty());
+    words.find(|w| *w == flag)?;
+    Some(
+        words
+            .next()
+            .is_some_and(|w| w.bytes().all(|b| b.is_ascii_uppercase())),
+    )
+}
+
+/// A command line the parser will not guess at: one line, exit status 2.
+fn reject(message: &str) -> ! {
+    eprintln!("capacity-cli: {message}");
+    std::process::exit(2);
+}
+
+/// Print `value` as JSON under `--json`, as the text `render` gives otherwise.
+fn emit<T: serde::Serialize>(json: bool, value: &T, render: impl FnOnce(&T) -> String) {
+    if json {
+        println!("{}", report::to_json(value));
+    } else {
+        print!("{}", render(value));
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A typo must not run the defaults: every flag is one the usage text
+    // names, and a flag that takes a value is followed by a number.
+    for (i, arg) in args.iter().enumerate().filter(|(_, a)| a.starts_with("--")) {
+        let value = args.get(i + 1).and_then(|v| v.parse::<f64>().ok());
+        match usage_flag(arg) {
+            None => reject(&format!("unknown flag {arg}")),
+            Some(true) if value.is_none() => reject(&format!("{arg} needs a numeric value")),
+            Some(_) => {}
+        }
+    }
     let json = args.iter().any(|a| a == "--json");
     let has = |name: &str| args.iter().any(|a| a == name);
     let flag = |name: &str, default: f64| -> f64 {
@@ -47,11 +112,7 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("fig3") => {
             let curves = figures::fig3(260);
-            if json {
-                println!("{}", report::to_json(&curves));
-            } else {
-                print!("{}", report::render_fig3(&curves, 10));
-            }
+            emit(json, &curves, |c| report::render_fig3(c, 10));
         }
         Some("table1") => {
             let scale = flag("--scale", 1.0);
@@ -60,11 +121,7 @@ fn main() {
             } else {
                 table1::table1_scaled(seed, scale)
             };
-            if json {
-                println!("{}", report::to_json(&rows));
-            } else {
-                print!("{}", report::render_table1(&rows));
-            }
+            emit(json, &rows, |r| report::render_table1(r));
         }
         Some("fig6") => {
             // --smoke shrinks the sweep to a CI-scale grid; --ci-target
@@ -94,21 +151,13 @@ fn main() {
                 let meter = ProgressMeter::new(loads.len(), loads.len() as u64 * reps, progress);
                 figures::fig6_with(&loads, reps, seed, Some(&meter))
             };
-            if json {
-                println!("{}", report::to_json(&points));
-            } else {
-                print!("{}", report::render_fig6(&points));
-            }
+            emit(json, &points, |p| report::render_fig6(p));
         }
         Some("fig7") => {
             let pop = flag("--population", 8000.0) as u64;
             let channels = flag("--channels", 165.0) as u32;
             let curves = figures::fig7(pop, channels);
-            if json {
-                println!("{}", report::to_json(&curves));
-            } else {
-                print!("{}", report::render_fig7(&curves, 5));
-            }
+            emit(json, &curves, |c| report::render_fig7(c, 5));
         }
         Some("campaign") => {
             let smoke = args.iter().any(|a| a == "--smoke");
@@ -128,11 +177,7 @@ fn main() {
             let cells = cc.algorithms(1.0).len() * cc.multipliers.len();
             let meter = ProgressMeter::new(cells, cells as u64, progress);
             let result = capacity::campaign::run_campaign_with(&cc, Some(&meter));
-            if json {
-                println!("{}", report::to_json(&result));
-            } else {
-                print!("{}", capacity::campaign::render_campaign(&result));
-            }
+            emit(json, &result, capacity::campaign::render_campaign);
         }
         Some("policy") => {
             let erlangs = flag("--erlangs", 220.0);
@@ -142,11 +187,7 @@ fn main() {
             let meter =
                 ProgressMeter::new(limits.len(), limits.len() as u64 * reps.max(1), progress);
             let rows = policy::policy_study_with(erlangs, users, &limits, reps, seed, Some(&meter));
-            if json {
-                println!("{}", report::to_json(&rows));
-            } else {
-                print!("{}", policy::render_policy(&rows));
-            }
+            emit(json, &rows, |r| policy::render_policy(r));
         }
         Some("farm") => {
             let erlangs = flag("--erlangs", 150.0);
@@ -156,11 +197,7 @@ fn main() {
             let meter =
                 ProgressMeter::new(layouts.len(), layouts.len() as u64 * reps.max(1), progress);
             let rows = farm::farm_study_with(erlangs, total, &layouts, reps, seed, Some(&meter));
-            if json {
-                println!("{}", report::to_json(&rows));
-            } else {
-                print!("{}", farm::render_farm(erlangs, &rows));
-            }
+            emit(json, &rows, |r| farm::render_farm(erlangs, r));
         }
         Some("scale") => {
             // Population-scale cell: finite-source arrivals over N
@@ -183,10 +220,7 @@ fn main() {
                 pop.churn_buckets = 16;
             }
             cfg.channels = flag("--channels", f64::from(cfg.channels)) as u32;
-            let result = EmpiricalRunner::run(cfg.clone());
-            if json {
-                println!("{}", report::to_json(&result));
-            } else {
+            emit(json, &EmpiricalRunner::run(cfg.clone()), |result| {
                 let engset = teletraffic::engset::engset_blocking_for_load_large(
                     subs,
                     cfg.channels,
@@ -195,33 +229,30 @@ fn main() {
                 .unwrap_or(f64::NAN);
                 let pop = cfg.population.as_ref().expect("population cell");
                 let wheel_rate = subs as f64 / pop.reg_expiry_s;
-                println!("population-scale cell: N = {subs}, peak offered = {erlangs:.1} E");
-                println!(
-                    "  calls: attempted {}  completed {}  blocked {}  (Pb {:.4})",
-                    result.attempted, result.completed, result.blocked, result.observed_pb
-                );
-                println!(
-                    "  steady-state Pb {:.4} | Engset(N={subs}) {:.4} | Erlang-B {:.4}",
-                    result.steady_pb, engset, result.analytic_pb
-                );
-                println!(
-                    "  churn: {wheel_rate:.1} re-REGISTER/s steady | SIP messages {}",
-                    result.monitor.sip_total
-                );
-                println!(
-                    "  engine: {} events, {:.0} events/s, {:.2} s wall",
-                    result.events_processed, result.events_per_sec, result.wall_clock_s
-                );
-            }
+                format!(
+                    "population-scale cell: N = {subs}, peak offered = {erlangs:.1} E\n  \
+                     calls: attempted {}  completed {}  blocked {}  (Pb {:.4})\n  \
+                     steady-state Pb {:.4} | Engset(N={subs}) {engset:.4} | Erlang-B {:.4}\n  \
+                     churn: {wheel_rate:.1} re-REGISTER/s steady | SIP messages {}\n  \
+                     engine: {} events, {:.0} events/s, {:.2} s wall\n",
+                    result.attempted,
+                    result.completed,
+                    result.blocked,
+                    result.observed_pb,
+                    result.steady_pb,
+                    result.analytic_pb,
+                    result.monitor.sip_total,
+                    result.events_processed,
+                    result.events_per_sec,
+                    result.wall_clock_s
+                )
+            });
         }
         Some("run") => {
-            // Unknown flags are otherwise ignored, which would turn the old
-            // sharded invocation into a silent single-thread run.
+            // A known flag, but not here: the old sharded invocation must
+            // not become a silent single-thread run.
             if has("--threads") {
-                eprintln!(
-                    "capacity-cli run: within-run sharding is retired; --threads sizes sweep workers on fig6/campaign/policy/farm"
-                );
-                std::process::exit(2);
+                reject("run: within-run sharding is retired; --threads sizes sweep workers on fig6/campaign/policy/farm");
             }
             let erlangs = flag("--erlangs", 40.0);
             let mut cfg = EmpiricalConfig::table1(erlangs, seed);
@@ -304,49 +335,12 @@ fn main() {
             }
             let robustness = !sched.is_empty() || cfg.overload_law.is_some() || cfg.retry.is_some();
             cfg.faults = sched;
-            let result = EmpiricalRunner::run(cfg);
-            if json || !robustness {
-                println!("{}", report::to_json(&result));
-            } else {
-                print!("{}", report::render_robustness(&result));
-                print!("{}", report::render_throughput(&result));
-            }
+            emit(json || !robustness, &EmpiricalRunner::run(cfg), |r| {
+                report::render_robustness(r) + &report::render_throughput(r)
+            });
         }
         _ => {
-            eprintln!(
-                "usage: capacity-cli <fig3|table1|fig6|fig7|policy|farm|campaign|scale|run> [--json] [--seed S]"
-            );
-            eprintln!("  table1 [--scale X]        scale<1 runs a shortened experiment");
-            eprintln!("  fig6   [--reps R]         replications per sweep point");
-            eprintln!("         [--smoke]          CI-scale grid (3 loads, 2 reps)");
-            eprintln!(
-                "         [--ci-target P]    adaptive reps until the 95% CI half-width <= P pp"
-            );
-            eprintln!("         [--max-reps R]     per-point budget for --ci-target");
-            eprintln!(
-                "  sweeps (fig6/campaign/policy/farm) also take [--threads N] (worker budget)"
-            );
-            eprintln!("         and [--progress]   per-cell progress lines on stderr");
-            eprintln!("  fig7   [--population P] [--channels N]");
-            eprintln!("  policy [--erlangs A] [--users U]   per-user call-limit study");
-            eprintln!("  farm   [--erlangs A] [--channels N] [--reps R]  pooled vs split servers");
-            eprintln!("  campaign [--smoke] [--channels N --window S]  overload-control law sweep");
-            eprintln!(
-                "  scale  [--smoke] [--subs N --erlangs A --channels C]  population-scale cell"
-            );
-            eprintln!("  run    [--erlangs A]      one empirical run, JSON details");
-            eprintln!(
-                "         [--channels N --holding S --window S]  pool / call / window overrides"
-            );
-            eprintln!(
-                "         [--shed-high W --shed-low W --retry-after S]  PBX overload control"
-            );
-            eprintln!("         [--retry-max N --retry-base S --retry-cap S]  UAC 503 retry");
-            eprintln!("         [--partition-at S --heal-at S]  cut/heal the PBX uplink");
-            eprintln!("         [--crash-at S --restart-after S]  crash + supervised restart");
-            eprintln!("         [--flash-at S --flash-mult X --flash-dur S]  arrival burst");
-            eprintln!("         [--storm N]  seeded random fault storm (overrides the above)");
-            eprintln!("         [--servers K]  farm of K PBXes, uniform random dispatch");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }

@@ -17,8 +17,8 @@
 //! ([`teletraffic::erlang_b::load_for`]). Sweeping multipliers of that
 //! anchor makes curves comparable across pool sizes.
 
-use crate::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode};
-use crate::sweep::{self, ProgressMeter, SweepTask};
+use crate::experiment::{EmpiricalConfig, MediaMode};
+use crate::sweep::{self, ProgressMeter};
 use des::SimDuration;
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{HoldingDist, RetryPolicy};
@@ -201,51 +201,38 @@ pub fn run_campaign_with(cc: &CampaignConfig, progress: Option<&ProgressMeter>) 
         .unwrap_or(f64::from(cc.channels));
     let algorithms = cc.algorithms(engineered);
     let n_mult = cc.multipliers.len();
-    // One task per grid cell, flat index ai·n_mult + mi; heavier
-    // multipliers cost proportionally more events, which the cost model
-    // picks up from the cell's own config.
-    let tasks: Vec<SweepTask> = algorithms
-        .iter()
-        .enumerate()
-        .flat_map(|(ai, (_, law))| {
-            cc.multipliers.iter().enumerate().map(move |(mi, &m)| {
-                let cost = sweep::run_cost(&cell_config(cc, engineered * m, *law));
-                SweepTask {
-                    cell: ai * n_mult + mi,
-                    rep: 0,
-                    cost,
-                }
-            })
-        })
-        .collect();
-    let points = sweep::run_sweep_with(
-        &tasks,
-        |t| {
-            let (ai, mi) = (t.cell / n_mult, t.cell % n_mult);
-            let m = cc.multipliers[mi];
-            let erlangs = engineered * m;
-            let mut cfg = cell_config(cc, erlangs, algorithms[ai].1);
+    // One grid cell per (algorithm, multiplier), flat index ai·n_mult + mi,
+    // one replication each; heavier multipliers cost proportionally more
+    // events, which the cost model picks up from the cell's own config.
+    let offered = |cell: usize| engineered * cc.multipliers[cell % n_mult];
+    let mut points = sweep::run_grid(
+        algorithms.len() * n_mult,
+        1,
+        cc.seed,
+        |cell, _, _| {
+            let (ai, mi) = (cell / n_mult, cell % n_mult);
+            let mut cfg = cell_config(cc, offered(cell), algorithms[ai].1);
             // Decorrelate cells without losing reproducibility: the cell
             // seed is a pure function of the campaign seed and the
             // cell's grid position.
             cfg.seed = des::stream_seed(cc.seed, (ai * 1000 + mi) as u64);
-            let r = EmpiricalRunner::run(cfg);
-            CampaignPoint {
-                multiplier: m,
-                offered_erlangs: erlangs,
-                offered_cps: erlangs / cc.holding_s,
-                goodput_cps: r.goodput as f64 / cc.placement_window_s,
-                attempted: r.attempted,
-                goodput: r.goodput,
-                shed: r.shed,
-                blocked: r.blocked,
-                shed_then_ok: r.shed_then_ok,
-                digest: r.digest(),
-            }
+            cfg
+        },
+        |cell, r| CampaignPoint {
+            multiplier: cc.multipliers[cell % n_mult],
+            offered_erlangs: offered(cell),
+            offered_cps: offered(cell) / cc.holding_s,
+            goodput_cps: r.goodput as f64 / cc.placement_window_s,
+            attempted: r.attempted,
+            goodput: r.goodput,
+            shed: r.shed,
+            blocked: r.blocked,
+            shed_then_ok: r.shed_then_ok,
+            digest: r.digest(),
         },
         progress,
-    );
-    let mut points = points.into_iter();
+    )
+    .into_iter();
     let curves = algorithms
         .iter()
         .map(|(name, _)| AlgorithmCurve {

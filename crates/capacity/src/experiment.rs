@@ -217,23 +217,12 @@ impl EmpiricalConfig {
     #[must_use]
     pub fn smoke(seed: u64) -> Self {
         EmpiricalConfig {
-            erlangs: 4.0,
-            servers: 1,
             holding: HoldingDist::Fixed(10.0),
             placement_window_s: 20.0,
             channels: 5,
             media: MediaMode::PerPacket { encode_every: 25 },
-            pickup_delay: SimDuration::ZERO,
-            link_loss_probability: 0.0,
-            silence_suppression: false,
-            capture_traffic: false,
             user_pool: 20,
-            max_calls_per_user: None,
-            faults: FaultSchedule::new(),
-            overload_law: None,
-            retry: None,
-            population: None,
-            seed,
+            ..EmpiricalConfig::table1(4.0, seed)
         }
     }
 

@@ -8,8 +8,8 @@
 //! against the analytical prediction, so a deployer can weigh "buy a
 //! bigger box" against "add more boxes + policy".
 
-use crate::experiment::{EmpiricalConfig, EmpiricalRunner};
-use crate::sweep::{self, ProgressMeter, SweepTask};
+use crate::experiment::EmpiricalConfig;
+use crate::sweep::{self, ProgressMeter};
 use serde::{Deserialize, Serialize};
 use teletraffic::{blocking_probability, Erlangs};
 
@@ -70,35 +70,20 @@ pub fn farm_study_with(
     progress: Option<&ProgressMeter>,
 ) -> Vec<FarmRow> {
     let reps = reps.max(1);
-    // Cell-major task order: runs for layout `c` are the contiguous
-    // slice [c·reps, (c+1)·reps), already in replication order.
-    let tasks: Vec<SweepTask> = layouts
-        .iter()
-        .enumerate()
-        .flat_map(|(cell, &servers)| {
-            let cost = sweep::run_cost(&farm_cfg(erlangs, servers, total_channels / servers, 0));
-            (0..reps).map(move |rep| SweepTask { cell, rep, cost })
-        })
-        .collect();
-    let all_runs = sweep::run_sweep_with(
-        &tasks,
-        |t| {
-            let servers = layouts[t.cell];
-            EmpiricalRunner::run(farm_cfg(
-                erlangs,
-                servers,
-                total_channels / servers,
-                des::stream_seed(seed, t.rep),
-            ))
-        },
+    let all_runs = sweep::run_grid(
+        layouts.len(),
+        reps,
+        seed,
+        |cell, _, seed| farm_cfg(erlangs, layouts[cell], total_channels / layouts[cell], seed),
+        |_, run| run,
         progress,
     );
     layouts
         .iter()
         .enumerate()
         .map(|(cell, &servers)| {
+            let runs = sweep::grid_row(&all_runs, reps, cell);
             let channels_each = total_channels / servers;
-            let runs = &all_runs[cell * reps as usize..(cell + 1) * reps as usize];
             let mean_pb = runs.iter().map(|r| r.steady_pb).sum::<f64>() / runs.len() as f64;
             let busiest_peak = runs.iter().map(|r| r.peak_channels).max().unwrap_or(0);
             // Random dispatch splits the Poisson stream into k thinned
@@ -152,6 +137,7 @@ pub fn render_farm(erlangs: f64, rows: &[FarmRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::EmpiricalRunner;
 
     /// Small-system version of the study (fast in debug builds).
     fn small_farm(servers: u32, seed: u64) -> crate::experiment::RunResult {

@@ -2,7 +2,7 @@
 //! fault-recovery timeline used by the robustness experiments.
 
 use crate::experiment::{run_world, EmpiricalConfig, EmpiricalRunner};
-use crate::sweep::{self, AdaptivePolicy, ProgressMeter, SweepTask};
+use crate::sweep::{self, AdaptivePolicy, ProgressMeter};
 use des::SimTime;
 use serde::{Deserialize, Serialize};
 use teletraffic::{blocking_probability, Erlangs};
@@ -104,31 +104,18 @@ pub fn fig6_with(
     base_seed: u64,
     progress: Option<&ProgressMeter>,
 ) -> Vec<Fig6Point> {
-    // Cell-major task order: samples for load `c` are the contiguous
-    // slice [c·R, (c+1)·R), already in replication order.
-    let tasks: Vec<SweepTask> = loads
-        .iter()
-        .enumerate()
-        .flat_map(|(cell, &a)| {
-            let cost = sweep::run_cost(&fig6_cfg(a, 0));
-            (0..replications).map(move |rep| SweepTask { cell, rep, cost })
-        })
-        .collect();
-    let pbs = sweep::run_sweep_with(
-        &tasks,
-        |t| {
-            let cfg = fig6_cfg(loads[t.cell], des::stream_seed(base_seed, t.rep));
-            EmpiricalRunner::run(cfg).steady_pb * 100.0
-        },
+    let pbs = sweep::run_grid(
+        loads.len(),
+        replications,
+        base_seed,
+        |cell, _, seed| fig6_cfg(loads[cell], seed),
+        |_, run| run.steady_pb * 100.0,
         progress,
     );
     loads
         .iter()
         .enumerate()
-        .map(|(cell, &a)| {
-            let r = replications as usize;
-            fig6_point(a, &pbs[cell * r..(cell + 1) * r])
-        })
+        .map(|(cell, &a)| fig6_point(a, sweep::grid_row(&pbs, replications, cell)))
         .collect()
 }
 

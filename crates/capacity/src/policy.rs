@@ -7,8 +7,8 @@
 //! measure how channel blocking, policy refusals and carried traffic
 //! trade off.
 
-use crate::experiment::{EmpiricalConfig, EmpiricalRunner};
-use crate::sweep::{self, ProgressMeter, SweepTask};
+use crate::experiment::EmpiricalConfig;
+use crate::sweep::{self, ProgressMeter};
 use serde::{Deserialize, Serialize};
 
 /// Result of one policy setting.
@@ -67,33 +67,19 @@ pub fn policy_study_with(
     progress: Option<&ProgressMeter>,
 ) -> Vec<PolicyRow> {
     let reps = reps.max(1);
-    // Cell-major task order: runs for ceiling `c` are the contiguous
-    // slice [c·reps, (c+1)·reps), already in replication order.
-    let tasks: Vec<SweepTask> = limits
-        .iter()
-        .enumerate()
-        .flat_map(|(cell, &limit)| {
-            let cost = sweep::run_cost(&policy_cfg(erlangs, user_pool, limit, 0));
-            (0..reps).map(move |rep| SweepTask { cell, rep, cost })
-        })
-        .collect();
-    let all_runs = sweep::run_sweep_with(
-        &tasks,
-        |t| {
-            EmpiricalRunner::run(policy_cfg(
-                erlangs,
-                user_pool,
-                limits[t.cell],
-                des::stream_seed(seed, t.rep),
-            ))
-        },
+    let all_runs = sweep::run_grid(
+        limits.len(),
+        reps,
+        seed,
+        |cell, _, seed| policy_cfg(erlangs, user_pool, limits[cell], seed),
+        |_, run| run,
         progress,
     );
     limits
         .iter()
         .enumerate()
         .map(|(cell, &limit)| {
-            let runs = &all_runs[cell * reps as usize..(cell + 1) * reps as usize];
+            let runs = sweep::grid_row(&all_runs, reps, cell);
             let n = runs.len() as f64;
             let mean = |f: &dyn Fn(&crate::experiment::RunResult) -> f64| -> f64 {
                 runs.iter().map(f).sum::<f64>() / n

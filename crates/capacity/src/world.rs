@@ -7,42 +7,29 @@
 //! §IV "increasing the number of servers" alternative, measurable against
 //! the pooled single server (see `capacity::farm`).
 
+mod media;
+
 use crate::experiment::{EmpiricalConfig, MediaMode};
 use des::{EventHandler, GenTag, Phase, PhaseTimer, Scheduler, SimDuration, SimTime, StreamRng};
 use faults::FaultKind;
 use loadgen::{ArrivalProcess, ChurnWheel, PopulationArrivals, Uac, UacEvent, Uas, UasEvent};
+use media::{DownRoute, MediaPlane, UpRoute, FRAME_PERIOD};
 use netsim::topology::{nodes, StarTopology};
 use netsim::{LinkId, LinkParams, Network, NodeId, SendOutcome};
 use overload::ControlLaw;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
 use rtpcore::packet::{RtpDatagram, RtpHeader, RTP_HEADER_LEN};
-use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES_PER_FRAME};
-use rtpcore::vad::{FrameSlot, TalkspurtSource};
+use rtpcore::packetizer::SAMPLES_PER_FRAME;
 use sipcore::message::Decimal;
 use sipcore::{AtomTable, SipMessage};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
-use vmon::{FlowId, Monitor, StreamHandle};
-
-/// Media frame period.
-const FRAME_PERIOD: SimDuration = SimDuration::from_millis(20);
-
-/// Frame period in nanoseconds.
-const FRAME_NS: u64 = 20_000_000;
+use std::ops::Range;
+use vmon::{FlowId, Monitor};
 
 /// Simulated on-wire size of every RTP frame: header, one 20 ms G.711
 /// payload, and the UDP/IP/Ethernet overhead every frame carries.
 const RTP_WIRE_LEN: usize = RTP_HEADER_LEN + SAMPLES_PER_FRAME + 46;
-
-/// Phase sub-slots per frame period of the media cadence. Each
-/// session keeps its own 20 ms cadence; its *phase within the period* is
-/// quantised to one of these slots so one recurring `MediaFrame` event per
-/// non-empty slot drives every session sharing that phase.
-const SUB_SLOTS: usize = 64;
-
-/// Width of one phase sub-slot (312.5 µs).
-const SUB_NS: u64 = FRAME_NS / SUB_SLOTS as u64;
 
 /// First uid of the finite-source population: caller of global rank `u`
 /// is `POP_UID_BASE + u`, safely above the classic 1000/1500 pools.
@@ -140,13 +127,28 @@ pub struct Frame {
     pub payload: Payload,
 }
 
-/// Key of one unidirectional media session.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MediaKey {
-    /// Owning call id (UAC-side or UAS/b2b-side, per `caller_side`).
-    pub call: String,
-    /// True for the caller-side stream.
-    pub caller_side: bool,
+/// Package a SIP message for the network: the typed message rides the
+/// frame as-is and its on-wire size comes from the analytic `wire_len` —
+/// exactly the serialized length, with no serialization.
+fn sip_frame(src: NodeId, to: NodeId, msg: SipMessage) -> Box<Frame> {
+    let wire_len = msg.wire_len() + 46;
+    debug_assert_eq!(wire_len, msg.to_wire().len() + 46, "analytic length exact");
+    Box::new(Frame {
+        src,
+        dst: to,
+        dst_port: 5060,
+        wire_len,
+        payload: Payload::Sip(msg),
+    })
+}
+
+/// The frames a REGISTER builder's `events` put on the wire at `src`, for
+/// callers that pace them instead of sending at once.
+fn register_frames(src: NodeId, events: Vec<UacEvent>) -> impl Iterator<Item = Box<Frame>> {
+    events.into_iter().filter_map(move |ev| match ev {
+        UacEvent::SendSip { to, msg } => Some(sip_frame(src, to, msg)),
+        _ => None,
+    })
 }
 
 /// World events. An event is a handle: every slot of the event wheel is
@@ -156,10 +158,10 @@ pub struct MediaKey {
 pub enum Ev {
     /// Place the next call.
     PlaceCall,
-    /// Hand a locally originated frame to the network (used to pace the
-    /// registration storm so it cannot overflow the access links).
-    SendFrame(Box<Frame>),
-    /// A frame arrives at a node (per hop).
+    /// A frame is at a node (per hop): delivered if the node is its
+    /// destination, forwarded otherwise. A locally originated frame paced
+    /// onto the wire later (the registration storm, churn) is one waiting
+    /// at its own source.
     HopArrive {
         /// Node the frame just reached.
         at: NodeId,
@@ -169,7 +171,7 @@ pub enum Ev {
     /// Emit the due frame for every session in one phase sub-slot: recurs
     /// every 20 ms while the slot is occupied.
     MediaFrame {
-        /// Phase sub-slot index (`0..SUB_SLOTS`).
+        /// Phase sub-slot index.
         slot: usize,
     },
     /// The caller's holding time elapsed: hang up.
@@ -184,20 +186,14 @@ pub enum Ev {
     },
     /// Fire fault `idx` of the configured [`faults::FaultSchedule`].
     Fault(usize),
-    /// A crashed PBX's supervisor restart completes; endpoints re-REGISTER.
-    PbxRestart {
-        /// Server index within the farm.
-        pbx: u32,
-    },
+    /// The timed effect of fault `idx` ends: a crashed PBX's supervisor
+    /// restart completes (endpoints re-REGISTER), a flash crowd's arrival
+    /// rate divides back down. What ends is read from the schedule.
+    FaultEnd(usize),
     /// A shed call's backoff elapsed: re-INVITE it.
     UacRetry {
         /// The shed attempt's Call-ID.
         call_id: String,
-    },
-    /// A flash crowd ends: divide the arrival rate back down.
-    FlashCrowdEnd {
-        /// The multiplier the matching [`FaultKind::FlashCrowd`] applied.
-        rate_multiplier: f64,
     },
     /// A UAC pacer's next-allowed instant arrived: release one deferred
     /// INVITE (armed only when a rate-mode [`loadgen::Pacer`] defers).
@@ -245,71 +241,13 @@ pub enum Ev {
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
-enum AudioSource {
-    /// The paper's setting: continuous speech, 50 pps.
-    Continuous(FastVoiceSource),
-    /// Silence-suppressed talkspurt model (the VAD ablation).
-    Talkspurt(TalkspurtSource),
-}
-
-/// What a stream's packets cross to reach its PBX — fixed for the life
-/// of the stream, resolved once in `start_media`.
-#[derive(Clone, Copy)]
-struct UpRoute {
-    /// Endpoint → switch, switch → PBX.
-    links: [LinkId; 2],
-    /// The PBX's index in the farm.
-    pbx: usize,
-}
-
-/// Where the PBX relayed a stream's last packet, and everything that is
-/// constant while it keeps answering that: the express path re-resolves
-/// it whenever [`Pbx::relay_rtp`] names a different `(node, port)`.
-#[derive(Clone, Copy)]
-struct DownRoute {
-    to: NodeId,
-    port: u16,
-    /// PBX → switch, switch → `to`.
-    links: [LinkId; 2],
-    /// The monitor's stream for flow `(to, port)`, learned from the first
-    /// packet *delivered* there — so a stream exists no earlier than its
-    /// first tap, exactly as by name.
-    stream: Option<StreamHandle>,
-}
-
-struct MediaSession {
-    key: MediaKey,
-    packetizer: Packetizer,
-    source: AudioSource,
-    local_node: NodeId,
-    remote_node: NodeId,
-    remote_port: u16,
-    /// `None` if the star cannot reach `remote_node` as a PBX: the
-    /// express path then sends nothing.
-    up: Option<UpRoute>,
-    down: Option<DownRoute>,
-    cached_payload: Arc<[u8]>,
-    /// Frames still to send from `cached_payload` before the next one
-    /// re-encodes it (frames 50, 100, … of the stream at the Table I
-    /// setting of one real encode per second).
-    refresh_in: u32,
-    active: bool,
-    /// Next grid-aligned emission time.
-    next_due: SimTime,
-}
-
-impl MediaSession {
-    /// `(local node, remote node, remote port)` of the stream.
-    fn route(&self) -> (NodeId, NodeId, u16) {
-        (self.local_node, self.remote_node, self.remote_port)
-    }
-
-    /// The packet `header` belongs to, as a frame payload: the cached
-    /// companded bytes ride along by refcount.
-    fn datagram(&self, header: RtpHeader) -> RtpDatagram {
-        RtpDatagram {
-            header,
-            payload: self.cached_payload.clone(),
+impl Ev {
+    /// `frame` waiting at its own source, to be put on the wire when the
+    /// event fires.
+    fn departure(frame: Box<Frame>) -> Ev {
+        Ev::HopArrive {
+            at: frame.src,
+            frame,
         }
     }
 }
@@ -346,35 +284,15 @@ pub struct World {
     rng_arrivals: StreamRng,
     rng_holding: StreamRng,
     rng_network: StreamRng,
-    rng_media: StreamRng,
     rng_dispatch: StreamRng,
     rng_retry: StreamRng,
     placement_start: SimTime,
     placement_end: SimTime,
-    /// One frame of μ-law silence standing in for every payload nobody
-    /// can read. Only a span port (`capture`) reads RTP payload bytes;
-    /// without one, streams still advance every clock and counter but no
-    /// frame is synthesised or companded, and they all carry this — the
-    /// per-hop first packet of a stream needs 160 bytes to have a wire
-    /// length.
-    unobserved_payload: Arc<[u8]>,
-    /// Reused PCM frame buffer: synthesis fills it
-    /// in place, companding reads it — no per-frame sample allocation.
-    media_scratch: [i16; SAMPLES_PER_FRAME],
     /// Wall-clock phase attribution (compiled out without the
     /// `phase-timing` feature; see [`des::PhaseTimer`]).
     phase_timer: PhaseTimer,
-    /// Slab of media sessions; `None` slots are free for reuse.
-    sessions: Vec<Option<MediaSession>>,
-    free_sessions: Vec<usize>,
-    /// Key → slab index (point lookups only — never iterated, so the
-    /// HashMap cannot perturb determinism).
-    media_index: HashMap<MediaKey, usize>,
-    /// Per-phase-slot session lists; emission order within a slot is
-    /// insertion order.
-    phase_buckets: Vec<Vec<usize>>,
-    /// Whether a recurring `MediaFrame` event is pending for each slot.
-    slot_armed: Vec<bool>,
+    /// Media sessions and their frame cadence.
+    media: MediaPlane,
     calls_placed: u64,
     /// Healthy parameters every star link started with — what
     /// [`FaultKind::LinkHeal`] restores.
@@ -467,20 +385,13 @@ impl World {
             rng_arrivals: streams.stream("arrivals"),
             rng_holding: streams.stream("holding"),
             rng_network: streams.stream("network"),
-            rng_media: streams.stream("media"),
             rng_dispatch: streams.stream("dispatch"),
             rng_retry: streams.stream("retry"),
             placement_start: SimTime::from_secs(1),
             placement_end: SimTime::from_secs(1)
                 + SimDuration::from_secs_f64(config.placement_window_s),
-            unobserved_payload: Arc::from([0xFF; SAMPLES_PER_FRAME]),
-            media_scratch: [0i16; SAMPLES_PER_FRAME],
             phase_timer: PhaseTimer::new(),
-            sessions: Vec::new(),
-            free_sessions: Vec::new(),
-            media_index: HashMap::new(),
-            phase_buckets: vec![Vec::new(); SUB_SLOTS],
-            slot_armed: vec![false; SUB_SLOTS],
+            media: MediaPlane::new(&config, streams.stream("media")),
             calls_placed: 0,
             baseline_link: link,
             pbx_down: vec![false; servers as usize],
@@ -490,22 +401,10 @@ impl World {
         }
     }
 
-    /// Calls placed so far.
-    #[must_use]
-    pub fn calls_placed(&self) -> u64 {
-        self.calls_placed
-    }
-
     /// End of the placement window.
     #[must_use]
     pub fn placement_end(&self) -> SimTime {
         self.placement_end
-    }
-
-    /// Number of PBX servers.
-    #[must_use]
-    pub fn servers(&self) -> u32 {
-        self.pbxes.len() as u32
     }
 
     /// Fold the accumulated phase timings into a breakdown of
@@ -519,41 +418,7 @@ impl World {
     /// Seed the initial events: registrations at t≈0, first arrival after
     /// the placement start.
     pub fn prime(&mut self, sched: &mut Scheduler<Ev>) {
-        // Register caller and callee pools at every PBX through real
-        // REGISTER messages.
-        let mut reg_frames = Vec::new();
-        for k in 0..self.pbxes.len() {
-            let pbx = pbx_node(k as u32);
-            let host = self.uacs[k].pbx_host().to_owned();
-            for i in 0..self.config.user_pool {
-                let caller_uid = format!("{}", 1000 + i);
-                for ev in self.uacs[k].register(&caller_uid) {
-                    if let UacEvent::SendSip { to, msg } = ev {
-                        reg_frames.push(self.sip_frame(nodes::SIPP_CLIENT, to, msg));
-                    }
-                }
-                // Callee registrations originate from the server node;
-                // reuse the UAC message builder via a scratch instance.
-                let callee_uid = format!("{}", 1500 + i);
-                let mut scratch = Uac::with_tag(nodes::SIPP_SERVER, pbx, &host, 9000 + k as u32);
-                for ev in scratch.register(&callee_uid) {
-                    if let UacEvent::SendSip { to, msg } = ev {
-                        reg_frames.push(self.sip_frame(nodes::SIPP_SERVER, to, msg));
-                    }
-                }
-            }
-        }
-        // Pace the registration storm: real endpoints register over
-        // seconds, not in one wire-melting burst; pacing also keeps the
-        // access-link queues (5 ms budget) from tail-dropping REGISTERs
-        // for the later servers of a farm.
-        let spacing_ns = (900_000_000u64 / (reg_frames.len() as u64).max(1)).min(1_000_000);
-        for (i, frame) in reg_frames.into_iter().enumerate() {
-            sched.schedule(
-                SimTime::from_nanos(spacing_ns * i as u64),
-                Ev::SendFrame(frame),
-            );
-        }
+        self.registration_storm(SimTime::ZERO, sched, 0..self.pbxes.len());
         // Population mode: install the subscriber bindings in bulk (the
         // steady state is the expiry wheel's churn, not a prime storm),
         // start the wheel, and seed the finite-source arrival chain. The
@@ -607,22 +472,6 @@ impl World {
         self.pbx_down.get(k).copied().unwrap_or(false)
     }
 
-    fn scale_arrival_rate(&mut self, factor: f64) {
-        match &mut self.arrivals {
-            ArrivalProcess::Poisson { rate } | ArrivalProcess::Deterministic { rate } => {
-                *rate *= factor;
-            }
-            ArrivalProcess::Mmpp {
-                rate_low,
-                rate_high,
-                ..
-            } => {
-                *rate_low *= factor;
-                *rate_high *= factor;
-            }
-        }
-    }
-
     fn apply_fault(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, idx: usize) {
         let Some(event) = self.config.faults.events().get(idx) else {
             return;
@@ -645,7 +494,7 @@ impl World {
                 if k < self.pbxes.len() && !self.pbx_down[k] {
                     self.pbxes[k].crash(now);
                     self.pbx_down[k] = true;
-                    sched.schedule(now + restart_after, Ev::PbxRestart { pbx });
+                    sched.schedule(now + restart_after, Ev::FaultEnd(idx));
                 }
             }
             FaultKind::CpuThrottle { pbx, factor } => {
@@ -657,65 +506,68 @@ impl World {
                 rate_multiplier,
                 duration,
             } => {
-                self.scale_arrival_rate(rate_multiplier);
-                sched.schedule(now + duration, Ev::FlashCrowdEnd { rate_multiplier });
+                self.arrivals.scale_rate(rate_multiplier);
+                sched.schedule(now + duration, Ev::FaultEnd(idx));
             }
         }
     }
 
-    /// The supervisor brought PBX `pbx` back: mark it reachable and replay
-    /// the registration storm (bindings died with the process), paced like
-    /// [`World::prime`]'s but compressed — endpoints notice the outage
-    /// quickly and re-REGISTER within about a second.
-    fn restart_pbx(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, pbx: u32) {
-        let k = pbx as usize;
-        if k >= self.pbxes.len() {
-            return;
-        }
-        self.pbx_down[k] = false;
-        let node = pbx_node(pbx);
-        let host = self.uacs[k].pbx_host().to_owned();
-        let mut reg_frames = Vec::new();
-        for i in 0..self.config.user_pool {
-            let caller_uid = format!("{}", 1000 + i);
-            for ev in self.uacs[k].register(&caller_uid) {
-                if let UacEvent::SendSip { to, msg } = ev {
-                    reg_frames.push(self.sip_frame(nodes::SIPP_CLIENT, to, msg));
-                }
+    /// The timed effect of fault `idx` is over (armed by [`Self::apply_fault`],
+    /// so the PBX index was checked there).
+    fn end_fault(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, idx: usize) {
+        match self.config.faults.events()[idx].kind {
+            // The supervisor brought the PBX back: mark it reachable and
+            // replay the registration storm (bindings died with the
+            // process) — endpoints notice the outage quickly and
+            // re-REGISTER within about a second.
+            FaultKind::PbxCrash { pbx, .. } => {
+                let k = pbx as usize;
+                self.pbx_down[k] = false;
+                self.registration_storm(now, sched, k..k + 1);
             }
-            let callee_uid = format!("{}", 1500 + i);
-            let mut scratch = Uac::with_tag(nodes::SIPP_SERVER, node, &host, 9000 + pbx);
-            for ev in scratch.register(&callee_uid) {
-                if let UacEvent::SendSip { to, msg } = ev {
-                    reg_frames.push(self.sip_frame(nodes::SIPP_SERVER, to, msg));
-                }
+            FaultKind::FlashCrowd {
+                rate_multiplier, ..
+            } => self.arrivals.scale_rate(1.0 / rate_multiplier),
+            _ => {}
+        }
+    }
+
+    /// REGISTER the classic caller and callee pools at each of `pbxes`
+    /// through real REGISTER messages, paced from `start`: real endpoints
+    /// register over seconds, not in one wire-melting burst; pacing also
+    /// keeps the access-link queues (5 ms budget) from tail-dropping
+    /// REGISTERs for the later servers of a farm.
+    fn registration_storm(
+        &mut self,
+        start: SimTime,
+        sched: &mut Scheduler<Ev>,
+        pbxes: Range<usize>,
+    ) {
+        let mut frames = Vec::new();
+        for k in pbxes {
+            // Callee registrations originate from the server node; reuse
+            // the UAC message builder via a scratch instance.
+            let (node, host) = (pbx_node(k as u32), self.uacs[k].pbx_host());
+            let mut callee_side = Uac::with_tag(nodes::SIPP_SERVER, node, host, 9000 + k as u32);
+            for i in 0..self.config.user_pool {
+                let caller = self.uacs[k].register(&format!("{}", 1000 + i));
+                frames.extend(register_frames(nodes::SIPP_CLIENT, caller));
+                let callee = callee_side.register(&format!("{}", 1500 + i));
+                frames.extend(register_frames(nodes::SIPP_SERVER, callee));
             }
         }
-        let spacing_ns = (900_000_000u64 / (reg_frames.len() as u64).max(1)).min(1_000_000);
-        for (i, frame) in reg_frames.into_iter().enumerate() {
-            sched.schedule(
-                now + SimDuration::from_nanos(spacing_ns * i as u64),
-                Ev::SendFrame(frame),
-            );
+        let spacing_ns = (900_000_000u64 / (frames.len() as u64).max(1)).min(1_000_000);
+        for (i, frame) in frames.into_iter().enumerate() {
+            let at = start + SimDuration::from_nanos(spacing_ns * i as u64);
+            sched.schedule(at, Ev::departure(frame));
         }
     }
 
     // -- plumbing -----------------------------------------------------------
 
-    fn send_frame(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, frame: Box<Frame>) {
-        let hop = self.topo.next_hop(frame.src, frame.dst);
-        match self
-            .topo
-            .network
-            .enqueue(now, frame.src, hop, frame.wire_len, &mut self.rng_network)
-        {
-            SendOutcome::Delivered { at } => sched.schedule(at, Ev::HopArrive { at: hop, frame }),
-            // Dropped anywhere: the packet simply never arrives; receivers
-            // observe the gap.
-            SendOutcome::DroppedQueueFull | SendOutcome::DroppedError | SendOutcome::NoRoute => {}
-        }
-    }
-
+    /// Put `frame`, now at node `via` (its source, or a hop on the way),
+    /// onto the link towards its destination. Dropped anywhere, it simply
+    /// never arrives; receivers observe the gap.
     fn forward_frame(
         &mut self,
         now: SimTime,
@@ -731,21 +583,6 @@ impl World {
         {
             sched.schedule(at, Ev::HopArrive { at: hop, frame })
         }
-    }
-
-    /// Package a SIP message for the network: the typed message rides the
-    /// frame as-is and its on-wire size comes from the analytic
-    /// `wire_len` — exactly the serialized length, with no serialization.
-    fn sip_frame(&self, src: NodeId, to: NodeId, msg: SipMessage) -> Box<Frame> {
-        let wire_len = msg.wire_len() + 46;
-        debug_assert_eq!(wire_len, msg.to_wire().len() + 46, "analytic length exact");
-        Box::new(Frame {
-            src,
-            dst: to,
-            dst_port: 5060,
-            wire_len,
-            payload: Payload::Sip(msg),
-        })
     }
 
     /// Which UAC engine owns a Call-ID on the client host.
@@ -777,8 +614,8 @@ impl World {
         for ev in events {
             match ev {
                 UacEvent::SendSip { to, msg } => {
-                    let frame = self.sip_frame(nodes::SIPP_CLIENT, to, msg);
-                    self.send_frame(now, sched, frame);
+                    let frame = sip_frame(nodes::SIPP_CLIENT, to, msg);
+                    self.forward_frame(now, sched, frame.src, frame);
                 }
                 UacEvent::Answered {
                     call_id,
@@ -799,24 +636,15 @@ impl World {
                     );
                     // The hangup timer takes the Call-ID; only a media
                     // session needs a second copy.
-                    let media_key = (self.config.media != MediaMode::Off).then(|| MediaKey {
-                        call: call_id.clone(),
-                        caller_side: true,
-                    });
+                    let media_call = (self.config.media != MediaMode::Off).then(|| call_id.clone());
                     sched.schedule(now + hangup_after, Ev::Hangup { call_id });
-                    if let Some(key) = media_key {
-                        self.start_media(
-                            now,
-                            sched,
-                            key,
-                            nodes::SIPP_CLIENT,
-                            remote_node,
-                            remote_rtp_port,
-                        );
+                    if let Some(call) = media_call {
+                        let route = (nodes::SIPP_CLIENT, remote_node, remote_rtp_port);
+                        self.start_media(now, sched, call, route);
                     }
                 }
                 UacEvent::Ended { call_id, .. } => {
-                    self.stop_media(&call_id, true);
+                    self.media.stop(&call_id, nodes::SIPP_CLIENT);
                     // Population mode: the caller idles again and the
                     // call's monitor state is queued for retirement.
                     self.pop_call_over(now, sched, call_id);
@@ -847,8 +675,8 @@ impl World {
         for ev in events {
             match ev {
                 UasEvent::SendSip { to, msg } => {
-                    let frame = self.sip_frame(nodes::SIPP_SERVER, to, msg);
-                    self.send_frame(now, sched, frame);
+                    let frame = sip_frame(nodes::SIPP_SERVER, to, msg);
+                    self.forward_frame(now, sched, frame.src, frame);
                 }
                 UasEvent::AnswerDue { call_id, at } => {
                     sched.schedule(at, Ev::UasAnswer { call_id });
@@ -870,20 +698,11 @@ impl World {
                         owner,
                     );
                     if self.config.media != MediaMode::Off {
-                        self.start_media(
-                            now,
-                            sched,
-                            MediaKey {
-                                call: call_id,
-                                caller_side: false,
-                            },
-                            nodes::SIPP_SERVER,
-                            remote_node,
-                            remote_rtp_port,
-                        );
+                        let route = (nodes::SIPP_SERVER, remote_node, remote_rtp_port);
+                        self.start_media(now, sched, call_id, route);
                     }
                 }
-                UasEvent::Ended { call_id } => self.stop_media(&call_id, false),
+                UasEvent::Ended { call_id } => self.media.stop(&call_id, nodes::SIPP_SERVER),
             }
         }
     }
@@ -898,8 +717,8 @@ impl World {
         for act in actions {
             match act {
                 PbxAction::SendSip { to, msg } => {
-                    let frame = self.sip_frame(src, to, msg);
-                    self.send_frame(now, sched, frame);
+                    let frame = sip_frame(src, to, msg);
+                    self.forward_frame(now, sched, frame.src, frame);
                 }
                 // The world relays RTP via the allocation-free
                 // `Pbx::relay_rtp` fast path in `deliver`; this arm only
@@ -908,193 +727,30 @@ impl World {
                     to,
                     to_port,
                     datagram,
-                } => self.emit_media(now, sched, src, to, to_port, datagram),
+                } => self.emit_media(now, sched, (src, to, to_port), datagram),
             }
         }
     }
 
+    /// Open the media stream of `call` along `route` (local node, remote
+    /// node, remote port) and send its first packet right away; follow-up
+    /// frames fire on the cadence [`MediaPlane`] keeps.
     fn start_media(
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
-        key: MediaKey,
-        local_node: NodeId,
-        remote_node: NodeId,
-        remote_port: u16,
+        call: String,
+        route: (NodeId, NodeId, u16),
     ) {
-        let ssrc = self.rng_media.next_raw() as u32;
-        let first_seq = (self.rng_media.next_raw() & 0xFFFF) as u16;
-        let first_ts = self.rng_media.next_raw() as u32;
-        let source_seed = self.rng_media.next_raw();
-        let mut source = if self.config.silence_suppression {
-            AudioSource::Talkspurt(TalkspurtSource::conversational(source_seed))
-        } else {
-            AudioSource::Continuous(FastVoiceSource::new(source_seed))
-        };
-        let mut packetizer = Packetizer::new(ssrc, Law::Mu, first_seq, first_ts);
-        // Pre-encode one real frame to seed the cached payload. (With VAD
-        // the session may start silent; seed from a scratch voice then.)
-        let cached = if self.capture.is_some() {
-            match &mut source {
-                AudioSource::Continuous(v) => {
-                    v.fill(&mut self.media_scratch);
-                    packetizer.encode_shared(&self.media_scratch)
-                }
-                AudioSource::Talkspurt(t) => {
-                    let samples = match t.next_slot() {
-                        FrameSlot::Talk { samples, .. } => samples,
-                        FrameSlot::Silence => {
-                            VoiceSource::new(source_seed).next_samples(SAMPLES_PER_FRAME)
-                        }
-                    };
-                    packetizer.encode_shared(&samples)
-                }
-            }
-        } else {
-            // Nobody can read the bytes: the talkspurt state machine
-            // still takes its first step, no audio is synthesised for it.
-            if let AudioSource::Talkspurt(t) = &mut source {
-                t.next_slot();
-            }
-            self.unobserved_payload.clone()
-        };
-        let first_packet = packetizer.packetize_shared(cached.clone());
-        // Send the first packet right away.
-        self.emit_media(
-            now,
-            sched,
-            local_node,
-            remote_node,
-            remote_port,
-            first_packet,
-        );
-        // Follow-up frames fire on the session's own 20 ms cadence, its
-        // phase quantised to a sub-slot grid so one recurring event drives
-        // every session sharing the phase.
-        let slot = ((now.as_nanos() % FRAME_NS) / SUB_NS) as usize;
-        let grid = SimTime::from_nanos(now.as_nanos() / FRAME_NS * FRAME_NS + slot as u64 * SUB_NS);
-        let session = MediaSession {
-            key: key.clone(),
-            packetizer,
-            source,
-            local_node,
-            remote_node,
-            remote_port,
-            up: self.pbx_index_of(remote_node).and_then(|pbx| {
-                let links = self.topo.two_hop_route(local_node, remote_node)?;
-                Some(UpRoute { links, pbx })
-            }),
-            down: None,
-            cached_payload: cached,
-            // The packet just sent was frame 0; frame `encode_every`
-            // is the first refresh.
-            refresh_in: self.media_encode_every().map_or(0, |every| every - 1),
-            active: true,
-            next_due: grid + FRAME_PERIOD,
-        };
-        let idx = match self.free_sessions.pop() {
-            Some(free) => {
-                self.sessions[free] = Some(session);
-                free
-            }
-            None => {
-                self.sessions.push(Some(session));
-                self.sessions.len() - 1
-            }
-        };
-        if let Some(old) = self.media_index.insert(key, idx) {
-            // A reused Call-ID (shed-then-retried call): the stale session
-            // stops; its bucket entry sweeps it out lazily.
-            if let Some(s) = self.sessions[old].as_mut() {
-                s.active = false;
-            }
+        let up = self.pbx_index_of(route.1).and_then(|pbx| {
+            let links = self.topo.two_hop_route(route.0, route.1)?;
+            Some(UpRoute { links, pbx })
+        });
+        let (first_packet, arm) = self.media.start(now, call, route, up);
+        self.emit_media(now, sched, route, first_packet);
+        if let Some((at, slot)) = arm {
+            sched.schedule(at, Ev::MediaFrame { slot });
         }
-        self.phase_buckets[slot].push(idx);
-        if !self.slot_armed[slot] {
-            self.slot_armed[slot] = true;
-            // The slot's grid time next period — exactly when this
-            // session's second packet is due. If the slot is already
-            // armed, its pending event fires at that same grid time
-            // (one grid point per slot per period), so the new
-            // session is picked up without an extra event.
-            sched.schedule(grid + FRAME_PERIOD, Ev::MediaFrame { slot });
-        }
-    }
-
-    fn stop_media(&mut self, call: &str, caller_side: bool) {
-        // No session was ever started (media off): no key worth building.
-        if self.media_index.is_empty() {
-            return;
-        }
-        let key = MediaKey {
-            call: call.to_owned(),
-            caller_side,
-        };
-        if let Some(&idx) = self.media_index.get(&key) {
-            if let Some(s) = self.sessions[idx].as_mut() {
-                s.active = false;
-            }
-        }
-    }
-
-    /// Drop slab entry `idx`, clearing its key mapping unless the key has
-    /// already been re-bound to a newer session.
-    fn free_session(&mut self, idx: usize) {
-        if let Some(s) = self.sessions[idx].take() {
-            if self.media_index.get(&s.key) == Some(&idx) {
-                self.media_index.remove(&s.key);
-            }
-            self.free_sessions.push(idx);
-        }
-    }
-
-    /// Advance one session by one frame: the header of the packet to
-    /// emit, or `None` for a silence-suppressed slot. The payload the
-    /// packet carries is `session.cached_payload` as this leaves it; only
-    /// callers that put real octets on a frame clone it (see
-    /// [`MediaSession::datagram`]). On a refresh frame the payload is
-    /// re-synthesised and re-companded only if `observed` (a span port is
-    /// attached); sequence, timestamp, refresh countdown and talkspurt
-    /// state move identically either way. `scratch` is the world's reused
-    /// PCM buffer.
-    fn advance_session(
-        session: &mut MediaSession,
-        scratch: &mut [i16; SAMPLES_PER_FRAME],
-        encode_every: u32,
-        observed: bool,
-    ) -> Option<RtpHeader> {
-        let refresh = session.refresh_in == 0;
-        // With VAD, a silent slot advances the media clock and sends
-        // nothing; the frame cadence continues.
-        let talking = match &mut session.source {
-            AudioSource::Continuous(_) => true,
-            AudioSource::Talkspurt(t) => match t.next_slot() {
-                FrameSlot::Talk { samples, .. } => {
-                    if refresh && observed {
-                        session.cached_payload = session.packetizer.encode_shared(&samples);
-                    }
-                    true
-                }
-                FrameSlot::Silence => false,
-            },
-        };
-        if !talking {
-            session.packetizer.skip_frame();
-            return None;
-        }
-        // Refresh the cached payload on encode frames; the voice source
-        // only advances when a frame is actually synthesised.
-        if refresh {
-            if let AudioSource::Continuous(voice) = &mut session.source {
-                if observed {
-                    voice.fill(scratch);
-                    session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
-                }
-            }
-            session.refresh_in = encode_every;
-        }
-        session.refresh_in -= 1;
-        Some(session.packetizer.next_header())
     }
 
     /// Cut-through emission for runs without a span port: chase the
@@ -1117,9 +773,8 @@ impl World {
         header: &RtpHeader,
         timer: &mut PhaseTimer,
     ) {
-        let Some(session) = self.sessions[idx].as_mut() else {
-            return;
-        };
+        let session = self.media.session_mut(idx);
+        let (_, remote_node, remote_port) = session.route;
         let Some(up) = session.up else { return };
         if self.pbx_down[up.pbx] {
             return;
@@ -1127,11 +782,11 @@ impl World {
         let arrival = timer.measure(Phase::Relay, || {
             let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
             let at_pbx = chase_rtp_frame(net, up.links, now, rng)?;
-            let (to, port) = self.pbxes[up.pbx].relay_rtp(now, session.remote_port)?;
+            let (to, port) = self.pbxes[up.pbx].relay_rtp(now, remote_port)?;
             if session.down.is_none_or(|d| (d.to, d.port) != (to, port)) {
                 // First relayed packet, or the far leg moved (early-media
                 // race, re-INVITE, crash and restart).
-                let links = self.topo.two_hop_route(session.remote_node, to)?;
+                let links = self.topo.two_hop_route(remote_node, to)?;
                 session.down = Some(DownRoute {
                     to,
                     port,
@@ -1157,39 +812,30 @@ impl World {
         });
     }
 
+    /// Per-hop emission of one RTP packet along `(src, dst, dst port)`.
     fn emit_media(
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
-        src: NodeId,
-        dst: NodeId,
-        port: u16,
+        (src, dst, dst_port): (NodeId, NodeId, u16),
         datagram: RtpDatagram,
     ) {
         let wire_len = datagram.wire_len() + 46;
-        self.send_frame(
-            now,
-            sched,
-            Box::new(Frame {
-                src,
-                dst,
-                dst_port: port,
-                wire_len,
-                payload: Payload::Rtp {
-                    datagram,
-                    sent_at: now,
-                },
-            }),
-        );
+        let frame = Box::new(Frame {
+            src,
+            dst,
+            dst_port,
+            wire_len,
+            payload: Payload::Rtp {
+                datagram,
+                sent_at: now,
+            },
+        });
+        self.forward_frame(now, sched, src, frame);
     }
 
-    fn media_encode_every(&self) -> Option<u32> {
-        match self.config.media {
-            MediaMode::Off => None,
-            MediaMode::PerPacket { encode_every } => Some(encode_every.max(1)),
-        }
-    }
-
+    /// One frame event of `slot`: every session due there emits its packet,
+    /// and the event recurs one period on while the slot holds sessions.
     fn on_media_frame(
         &mut self,
         now: SimTime,
@@ -1197,54 +843,23 @@ impl World {
         slot: usize,
         timer: &mut PhaseTimer,
     ) {
-        let Some(encode_every) = self.media_encode_every() else {
-            self.slot_armed[slot] = false;
-            return;
-        };
-        // Only a span port reads payload bytes or needs per-hop frames.
-        let observed = self.capture.is_some();
-        // Take the bucket to sidestep aliasing with `self` methods; ended
-        // sessions are compacted out, survivors keep insertion order.
-        let mut bucket = std::mem::take(&mut self.phase_buckets[slot]);
-        let mut keep = 0;
-        for i in 0..bucket.len() {
-            let idx = bucket[i];
-            let Some(session) = self.sessions[idx].as_mut() else {
-                continue;
-            };
-            if !session.active {
-                self.free_session(idx);
-                continue;
-            }
-            if session.next_due <= now {
-                session.next_due += FRAME_PERIOD;
-                let emit = timer.measure(Phase::MediaEncode, || {
-                    Self::advance_session(session, &mut self.media_scratch, encode_every, observed)
+        while let Some((idx, header)) =
+            timer.measure(Phase::MediaEncode, || self.media.next_due(now, slot))
+        {
+            // Only a span port reads payload bytes or needs per-hop frames.
+            if self.capture.is_some() {
+                let session = self.media.session_mut(idx);
+                let (route, datagram) = (session.route, session.datagram(header));
+                timer.measure(Phase::Relay, || {
+                    self.emit_media(now, sched, route, datagram)
                 });
-                if let Some(header) = emit {
-                    if observed {
-                        let (src, dst, port) = session.route();
-                        let datagram = session.datagram(header);
-                        timer.measure(Phase::Relay, || {
-                            self.emit_media(now, sched, src, dst, port, datagram);
-                        });
-                    } else {
-                        // Cut straight through the network model, which
-                        // reads the header, never the payload.
-                        self.emit_media_express(now, idx, &header, timer);
-                    }
-                }
+            } else {
+                // Cut straight through the network model, which reads
+                // the header, never the payload.
+                self.emit_media_express(now, idx, &header, timer);
             }
-            // Sessions with next_due > now joined after this event was
-            // scheduled; they start on the next period.
-            bucket[keep] = idx;
-            keep += 1;
         }
-        bucket.truncate(keep);
-        self.phase_buckets[slot] = bucket;
-        if self.phase_buckets[slot].is_empty() {
-            self.slot_armed[slot] = false;
-        } else {
+        if self.media.armed(slot) {
             sched.schedule(now + FRAME_PERIOD, Ev::MediaFrame { slot });
         }
     }
@@ -1335,7 +950,7 @@ impl World {
                     timer.measure(Phase::Relay, || {
                         if let Some((to, to_port)) = self.pbxes[k].relay_rtp(now, dst_port) {
                             (frame.src, frame.dst, frame.dst_port) = (dst, to, to_port);
-                            self.send_frame(now, sched, frame);
+                            self.forward_frame(now, sched, dst, frame);
                         }
                     });
                 } else {
@@ -1355,25 +970,38 @@ impl World {
         }
     }
 
+    /// Place one call from uid `caller` to extension `callee` and return
+    /// its Call-ID.
+    fn start_call(
+        &mut self,
+        now: SimTime,
+        sched: &mut Scheduler<Ev>,
+        caller: u64,
+        callee: u64,
+    ) -> String {
+        let hold = self.config.holding.sample(&mut self.rng_holding);
+        // Uniform random dispatch across the farm — the discipline a
+        // DNS SRV pool gives you. (Random, not round-robin: Bernoulli
+        // splitting keeps each substream Poisson, so the per-server
+        // Erlang-B comparison in `farm` is exact; round-robin would
+        // smooth the substreams and flatter the split layouts.)
+        let k = if self.uacs.len() == 1 {
+            0
+        } else {
+            use des::rng::Distributions;
+            self.rng_dispatch.below(self.uacs.len() as u64) as usize
+        };
+        let (caller, callee) = (Decimal::new(caller), Decimal::new(callee));
+        let (call_id, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
+        self.calls_placed += 1;
+        self.process_uac_events(now, sched, k, events);
+        call_id
+    }
+
     fn place_call(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if now <= self.placement_end {
             let i = self.calls_placed % u64::from(self.config.user_pool);
-            let (caller, callee) = (Decimal::new(1000 + i), Decimal::new(1500 + i));
-            let hold = self.config.holding.sample(&mut self.rng_holding);
-            // Uniform random dispatch across the farm — the discipline a
-            // DNS SRV pool gives you. (Random, not round-robin: Bernoulli
-            // splitting keeps each substream Poisson, so the per-server
-            // Erlang-B comparison in `farm` is exact; round-robin would
-            // smooth the substreams and flatter the split layouts.)
-            let k = if self.uacs.len() == 1 {
-                0
-            } else {
-                use des::rng::Distributions;
-                self.rng_dispatch.below(self.uacs.len() as u64) as usize
-            };
-            let (_, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
-            self.calls_placed += 1;
-            self.process_uac_events(now, sched, k, events);
+            self.start_call(now, sched, 1000 + i, 1500 + i);
             let next = self.arrivals.next_after(now, &mut self.rng_arrivals);
             if next <= self.placement_end {
                 sched.schedule(next, Ev::PlaceCall);
@@ -1418,23 +1046,13 @@ impl World {
 
     /// Place one population call for the user of rank `rank`.
     fn pop_place(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, rank: u64) {
-        let caller = Decimal::new(POP_UID_BASE + rank);
-        let callee = Decimal::new(1500 + rank % u64::from(self.config.user_pool));
-        let hold = self.config.holding.sample(&mut self.rng_holding);
-        let k = if self.uacs.len() == 1 {
-            0
-        } else {
-            use des::rng::Distributions;
-            self.rng_dispatch.below(self.uacs.len() as u64) as usize
-        };
+        let callee = 1500 + rank % u64::from(self.config.user_pool);
         // No pacer is armed in population mode (`EmpiricalConfig::validate`),
         // so the INVITE is never deferred and the Call-ID is always real.
-        let (call_id, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
+        let call_id = self.start_call(now, sched, POP_UID_BASE + rank, callee);
         if let Some(pop) = self.population.as_mut() {
             pop.call_user.insert(call_id, rank);
         }
-        self.calls_placed += 1;
-        self.process_uac_events(now, sched, k, events);
     }
 
     /// A population call reached a terminal outcome: the caller rejoins
@@ -1501,11 +1119,8 @@ impl World {
             let k = (rank % servers) as usize;
             let at = now + SimDuration::from_nanos(spacing_ns * (rank - start));
             let events = self.uacs[k].register_digest(&uid);
-            for ev in events {
-                if let UacEvent::SendSip { to, msg } = ev {
-                    let frame = self.sip_frame(nodes::SIPP_CLIENT, to, msg);
-                    sched.schedule(at, Ev::SendFrame(frame));
-                }
+            for frame in register_frames(nodes::SIPP_CLIENT, events) {
+                sched.schedule(at, Ev::departure(frame));
             }
         }
         if end < due.end {
@@ -1529,13 +1144,6 @@ impl EventHandler<Ev> for World {
         let mut timer = std::mem::take(&mut self.phase_timer);
         match event {
             Ev::PlaceCall => timer.measure(Phase::Signalling, || self.place_call(at, sched)),
-            Ev::SendFrame(frame) => {
-                let phase = match frame.payload {
-                    Payload::Sip(_) => Phase::Signalling,
-                    Payload::Rtp { .. } => Phase::Relay,
-                };
-                timer.measure(phase, || self.send_frame(at, sched, frame));
-            }
             Ev::HopArrive { at: node, frame } => {
                 if node == frame.dst {
                     self.deliver(at, sched, frame, &mut timer);
@@ -1549,7 +1157,7 @@ impl EventHandler<Ev> for World {
             }
             Ev::MediaFrame { slot } => self.on_media_frame(at, sched, slot, &mut timer),
             Ev::Hangup { call_id } => timer.measure(Phase::Signalling, || {
-                self.stop_media(&call_id, true);
+                self.media.stop(&call_id, nodes::SIPP_CLIENT);
                 let idx = self.uac_index_for(&call_id);
                 let events = self.uacs[idx].hangup(at, &call_id);
                 self.process_uac_events(at, sched, idx, events);
@@ -1559,17 +1167,14 @@ impl EventHandler<Ev> for World {
                 self.process_uas_events(at, sched, events);
             }),
             Ev::Fault(idx) => self.apply_fault(at, sched, idx),
-            Ev::PbxRestart { pbx } => {
-                timer.measure(Phase::Signalling, || self.restart_pbx(at, sched, pbx));
+            Ev::FaultEnd(idx) => {
+                timer.measure(Phase::Signalling, || self.end_fault(at, sched, idx));
             }
             Ev::UacRetry { call_id } => timer.measure(Phase::Signalling, || {
                 let idx = self.uac_index_for(&call_id);
                 let events = self.uacs[idx].retry_call(at, &call_id);
                 self.process_uac_events(at, sched, idx, events);
             }),
-            Ev::FlashCrowdEnd { rate_multiplier } => {
-                self.scale_arrival_rate(1.0 / rate_multiplier);
-            }
             Ev::PacerWake { uac } => timer.measure(Phase::Signalling, || {
                 let events = self.uacs[uac].pacer_wake(at);
                 self.process_uac_events(at, sched, uac, events);

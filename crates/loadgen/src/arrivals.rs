@@ -65,6 +65,24 @@ impl ArrivalProcess {
         }
     }
 
+    /// Multiply the arrival rate by `factor` from the next draw on (a
+    /// flash crowd starting, or ending with `1 / factor`).
+    pub fn scale_rate(&mut self, factor: f64) {
+        match self {
+            ArrivalProcess::Poisson { rate } | ArrivalProcess::Deterministic { rate } => {
+                *rate *= factor;
+            }
+            ArrivalProcess::Mmpp {
+                rate_low,
+                rate_high,
+                ..
+            } => {
+                *rate_low *= factor;
+                *rate_high *= factor;
+            }
+        }
+    }
+
     /// Time of the next arrival strictly after `now`.
     pub fn next_after(&mut self, now: SimTime, rng: &mut StreamRng) -> SimTime {
         match self {

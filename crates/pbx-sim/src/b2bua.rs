@@ -41,8 +41,6 @@ pub struct PbxConfig {
     pub channels: u32,
     /// Hostname used in Via/Contact headers.
     pub hostname: String,
-    /// Require REGISTER authentication before accepting calls.
-    pub require_registration: bool,
     /// Registration lifetime granted.
     pub registration_expiry: SimDuration,
     /// Dialplan.
@@ -68,7 +66,6 @@ impl PbxConfig {
             node,
             channels: 165,
             hostname: "pbx.unb.br".to_owned(),
-            require_registration: true,
             registration_expiry: SimDuration::from_secs(3600),
             dialplan: Dialplan::campus_default(),
             max_calls_per_user: None,
@@ -274,10 +271,11 @@ impl Pbx {
         self.stats
     }
 
-    /// Number of live bridged calls.
+    /// Number of live bridged calls, read off the live Call-ID index
+    /// (`calls` keeps a slot for every call ever placed).
     #[must_use]
     pub fn active_calls(&self) -> usize {
-        self.calls.iter().flatten().count()
+        self.by_caller_call_id.len()
     }
 
     /// Map a PBX-originated (callee-leg) Call-ID back to the caller-leg
@@ -576,17 +574,14 @@ impl Pbx {
 
         // Route the dialled extension.
         let callee_node = match self.config.dialplan.route(extension) {
-            Some(Route::LocalSubscriber) => {
-                match self.registrar.lookup(now, extension) {
-                    Some(binding) => binding.node,
-                    None if self.config.require_registration => {
-                        record.end = Some(now);
-                        self.cdr.push(record);
-                        return vec![self.error_reply(from, &req, StatusCode::NOT_FOUND)];
-                    }
-                    None => from, // registration-less mode: loop back to sender's peer is meaningless, refuse
+            Some(Route::LocalSubscriber) => match self.registrar.lookup(now, extension) {
+                Some(binding) => binding.node,
+                None => {
+                    record.end = Some(now);
+                    self.cdr.push(record);
+                    return vec![self.error_reply(from, &req, StatusCode::NOT_FOUND)];
                 }
-            }
+            },
             Some(Route::Trunk(_)) | Some(Route::Deny) | None => {
                 record.end = Some(now);
                 self.cdr.push(record);
@@ -870,7 +865,7 @@ impl Pbx {
         self.close_call(now, idx, Disposition::NoAnswer);
         vec![
             self.reply(caller_node, ok),
-            self.reply_error_counted(caller_node, invite_487),
+            self.reply(caller_node, invite_487),
             self.send(callee_node, cancel_out.into()),
         ]
     }
@@ -948,7 +943,7 @@ impl Pbx {
                     .header(HeaderName::CSeq, "1 ACK");
                     vec![
                         self.send(callee_node, ack.into()),
-                        self.reply_error_counted(caller_node, fwd),
+                        self.reply(caller_node, fwd),
                     ]
                 } else {
                     vec![] // other provisionals absorbed
@@ -1027,10 +1022,6 @@ impl Pbx {
             to,
             msg: resp.into(),
         }
-    }
-
-    fn reply_error_counted(&mut self, to: NodeId, resp: Response) -> PbxAction {
-        self.reply(to, resp)
     }
 
     fn error_reply(&mut self, to: NodeId, req: &Request, status: StatusCode) -> PbxAction {
@@ -1592,6 +1583,42 @@ mod tests {
         pbx.finish(SimTime::from_secs(200));
         assert_eq!(pbx.cdr.count(Disposition::InProgress), 1);
         assert_eq!(pbx.active_calls(), 0);
+    }
+
+    #[test]
+    fn active_calls_is_the_live_index() {
+        // The O(1) answer equals a scan of the never-shrinking call slab
+        // after every step that opens or closes a call.
+        fn check(pbx: &Pbx, want: usize) {
+            let scanned = pbx.calls.iter().filter(|c| c.is_some()).count();
+            assert_eq!((pbx.active_calls(), scanned), (want, want));
+        }
+        let mut pbx = pbx_with_users();
+        check(&pbx, 0);
+        let placed = invite("placed", "1001", "1002", 6200);
+        pbx.handle_sip(SimTime::from_secs(1), CALLER_NODE, placed.into());
+        check(&pbx, 1);
+        establish_call(&mut pbx, "answered");
+        check(&pbx, 2);
+        let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
+            .header(HeaderName::CallId, "answered")
+            .header(HeaderName::CSeq, "2 BYE");
+        let acts = pbx.handle_sip(SimTime::from_secs(9), CALLER_NODE, bye.into());
+        let bye_ok = sip_of(&acts[0])
+            .as_request()
+            .unwrap()
+            .make_response(StatusCode::OK);
+        pbx.handle_sip(SimTime::from_secs(9), CALLEE_NODE, bye_ok.into());
+        check(&pbx, 1);
+        pbx.crash(SimTime::from_secs(10));
+        check(&pbx, 0);
+        for (uid, node) in [("1001", CALLER_NODE), ("1002", CALLEE_NODE)] {
+            pbx.handle_sip(SimTime::from_secs(11), node, register_request(uid).into());
+        }
+        establish_call(&mut pbx, "after-restart");
+        check(&pbx, 1);
+        pbx.finish(SimTime::from_secs(20));
+        check(&pbx, 0);
     }
 
     #[test]

@@ -122,6 +122,34 @@ fn pbx_crash_flushes_state_and_reconverges_after_restart() {
     assert!(sum(45, 60) > 20, "re-converged: {}", sum(45, 60));
 }
 
+#[test]
+fn restarted_pbx_holds_the_bindings_of_a_freshly_primed_one() {
+    // One registration storm serves `prime` and the supervisor restart:
+    // after either, every caller and callee of the pool is bound to the
+    // host it registered from.
+    let mut crashing = base_config(303);
+    crashing.faults = FaultSchedule::new().at(
+        5.0,
+        FaultKind::PbxCrash {
+            pbx: 0,
+            restart_after: SimDuration::from_secs(3),
+        },
+    );
+    let at = SimTime::from_secs(12);
+    let mut restarted = run_world(crashing, at);
+    let mut primed = run_world(base_config(303), at);
+    assert_eq!(restarted.world.pbxes[0].stats().crashes, 1);
+    let pool = u64::from(primed.world.config.user_pool);
+    for uid in (1000..1000 + pool).chain(1500..1500 + pool) {
+        let uid = uid.to_string();
+        let node_of = |pbx: &mut pbx_sim::Pbx| pbx.registrar.lookup(at, &uid).map(|b| b.node);
+        let primed_at = node_of(&mut primed.world.pbxes[0]);
+        assert!(primed_at.is_some(), "{uid} bound by prime");
+        let restarted_at = node_of(&mut restarted.world.pbxes[0]);
+        assert_eq!(restarted_at, primed_at, "{uid} after the restart");
+    }
+}
+
 /// Flash-crowd scenario shared by the shedding-on and shedding-off runs.
 fn flash_config(seed: u64) -> EmpiricalConfig {
     let mut cfg = EmpiricalConfig::smoke(seed);
