@@ -265,11 +265,24 @@ fn main() {
             cfg.servers = flag("--servers", f64::from(cfg.servers)) as u32;
 
             // Overload control: --shed-high enables PBX shedding.
+            // Load is capped at 1, and the watermarks must leave a dead band
+            // or the law engages and releases on alternate INVITEs.
             let shed_high = flag("--shed-high", 0.0);
             if shed_high > 0.0 {
+                let shed_low = flag("--shed-low", (shed_high - 0.2).max(0.0));
+                if shed_high > 1.0 {
+                    reject(&format!(
+                        "--shed-high {shed_high} is above 1: load never reaches it"
+                    ));
+                }
+                if shed_low >= shed_high {
+                    reject(&format!(
+                        "--shed-low {shed_low} must be below --shed-high {shed_high}"
+                    ));
+                }
                 cfg.overload_law = Some(ControlLaw::Hysteresis {
                     high_watermark: shed_high,
-                    low_watermark: flag("--shed-low", (shed_high - 0.2).max(0.0)),
+                    low_watermark: shed_low,
                     retry_after: SimDuration::from_secs_f64(flag("--retry-after", 2.0)),
                 });
             }

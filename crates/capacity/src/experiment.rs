@@ -37,18 +37,10 @@ pub enum MediaMode {
 /// Names the future-event-list backend every run uses. No function takes
 /// one: [`run_world`] reads the default, and the benchmark's scheduler
 /// replay reads the same field so it prices the backend the runs are on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimOptions {
-    /// Future-event-list backend.
+    /// Future-event-list backend (`SchedulerKind::default()`, the wheel).
     pub scheduler: SchedulerKind,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            scheduler: SchedulerKind::Wheel,
-        }
-    }
 }
 
 /// Configuration for one empirical run.

@@ -66,13 +66,14 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which future-event-list backend a [`Scheduler`] uses.
+/// Which future-event-list backend a [`Scheduler`] uses. The default is
+/// the wheel every run uses; the heap is the model tests compare it with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Global binary heap — the reference implementation.
-    #[default]
     Heap,
     /// Hierarchical timing wheel with overflow heap — the fast path.
+    #[default]
     Wheel,
 }
 
@@ -355,10 +356,10 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// An empty heap-backed scheduler at time zero (the reference backend).
+    /// An empty scheduler at time zero on the default backend.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_kind(SchedulerKind::Heap)
+        Self::with_kind(SchedulerKind::default())
     }
 
     /// An empty scheduler on the chosen backend.
@@ -367,11 +368,11 @@ impl<E> Scheduler<E> {
         Self::with_kind_and_capacity(kind, 0)
     }
 
-    /// An empty heap-backed scheduler with pre-reserved capacity for `cap`
-    /// events.
+    /// An empty scheduler on the default backend, pre-sized for roughly
+    /// `cap` concurrently pending events.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_kind_and_capacity(SchedulerKind::Heap, cap)
+        Self::with_kind_and_capacity(SchedulerKind::default(), cap)
     }
 
     /// An empty scheduler on the chosen backend, pre-sized for roughly
@@ -526,7 +527,7 @@ pub struct Simulation<W, E> {
 }
 
 impl<W: EventHandler<E>, E> Simulation<W, E> {
-    /// Build a simulation around an initial world (heap scheduler).
+    /// Build a simulation around an initial world (default scheduler).
     pub fn new(world: W) -> Self {
         Self::with_scheduler(world, Scheduler::new())
     }
@@ -654,6 +655,7 @@ mod tests {
 
     #[test]
     fn bookkeeping() {
+        assert_eq!(Scheduler::<u8>::new().kind(), SchedulerKind::Wheel);
         for kind in BOTH {
             let mut s = Scheduler::<u8>::with_kind_and_capacity(kind, 16);
             assert!(s.is_empty());
@@ -697,7 +699,7 @@ mod tests {
         // exactly with near-term events scheduled later for the same times.
         let horizon_ns = WHEEL_SLOT_NS * WHEEL_SLOTS as u64;
         let mut w = Scheduler::with_kind(SchedulerKind::Wheel);
-        let mut h = Scheduler::new();
+        let mut h = Scheduler::with_kind(SchedulerKind::Heap);
         for s in [&mut w, &mut h] {
             // Beyond the horizon at insert time: lands in overflow.
             s.schedule(SimTime::from_nanos(horizon_ns + 5), "far-first");
@@ -728,7 +730,7 @@ mod tests {
         // Mixed near/far/simultaneous churn: both backends must agree on
         // every (time, seq) pop, including re-scheduling during the drain.
         let mut w = Scheduler::with_kind(SchedulerKind::Wheel);
-        let mut h = Scheduler::new();
+        let mut h = Scheduler::with_kind(SchedulerKind::Heap);
         let mut x: u64 = 0x9E3779B97F4A7C15;
         let mut next = move || {
             x ^= x << 13;
@@ -793,7 +795,7 @@ mod tests {
         ) {
             const REV_NS: u64 = WHEEL_SLOT_NS * WHEEL_SLOTS as u64;
             let mut w = Scheduler::with_kind(SchedulerKind::Wheel);
-            let mut h = Scheduler::new();
+            let mut h = Scheduler::with_kind(SchedulerKind::Heap);
             let mut id = 0u32;
             for (op, x) in ops {
                 match op {

@@ -86,21 +86,17 @@ pub fn parse_retry_after(value: &str) -> Option<SimDuration> {
     v.parse::<u64>().ok().map(SimDuration::from_secs)
 }
 
-/// A call waiting out its backoff before re-INVITE.
+/// One logical call: who calls whom and for how long once answered. It
+/// waits in the pacer queue before its first INVITE, rides on the live
+/// call while an INVITE is out, and is parked while a shed call waits out
+/// its backoff; every retry is the same intent with one more shed.
 #[derive(Debug, Clone)]
-struct PendingRetry {
+struct CallIntent {
     caller: String,
     callee: String,
     hold: SimDuration,
+    /// How many times this logical call has been shed and retried.
     shed_retries: u32,
-}
-
-/// A call intent deferred by the pacer (not yet INVITEd).
-#[derive(Debug, Clone)]
-struct QueuedCall {
-    caller: String,
-    callee: String,
-    hold: SimDuration,
 }
 
 /// Which upstream throttling law the pacer enforces.
@@ -131,7 +127,7 @@ pub struct Pacer {
     next_allowed: SimTime,
     /// A `PacerWake` is already outstanding.
     wake_armed: bool,
-    queue: VecDeque<QueuedCall>,
+    queue: VecDeque<CallIntent>,
 }
 
 impl Pacer {
@@ -256,11 +252,7 @@ struct UacCall {
     state: UacState,
     invite: Request,
     local_rtp_port: u16,
-    hold: SimDuration,
-    caller: String,
-    callee: String,
-    /// How many times this logical call has been shed and retried.
-    shed_retries: u32,
+    intent: CallIntent,
 }
 
 /// The uid inside a digest registration's `dreg-<uid>-<tag>` Call-ID.
@@ -292,7 +284,7 @@ pub struct Uac {
     pub pacer: Option<Pacer>,
     calls: FastMap<String, UacCall>,
     /// Shed calls waiting out their backoff, keyed by the shed Call-ID.
-    pending_retries: FastMap<String, PendingRetry>,
+    pending_retries: FastMap<String, CallIntent>,
     /// Registrations awaiting completion (digest flow): call-id → next
     /// CSeq to use on the authenticated retry. The uid is read back out
     /// of the `dreg-<uid>-<tag>` Call-ID ([`digest_registration_uid`]).
@@ -493,43 +485,36 @@ impl Uac {
         hold: SimDuration,
     ) -> (String, Vec<UacEvent>) {
         self.journal.call_attempted();
+        let intent = CallIntent {
+            caller: caller_uid.to_owned(),
+            callee: callee_ext.to_owned(),
+            hold,
+            shed_retries: 0,
+        };
         if let Some(pacer) = self.pacer.as_mut() {
+            // Over the allowance, or behind intents already waiting (FIFO):
+            // defer. A rate pacer arms one wake for when the next may go.
+            let over_allowance = match pacer.mode {
+                PacerMode::Rate => now < pacer.next_allowed,
+                PacerMode::Window => pacer.in_flight >= pacer.window,
+            };
+            if over_allowance || !pacer.queue.is_empty() {
+                pacer.queue.push_back(intent);
+                let mut evs = Vec::new();
+                if pacer.mode == PacerMode::Rate && !pacer.wake_armed {
+                    pacer.wake_armed = true;
+                    evs.push(UacEvent::PacerWake {
+                        at: pacer.next_allowed.max(now),
+                    });
+                }
+                return (String::new(), evs);
+            }
             match pacer.mode {
-                PacerMode::Rate => {
-                    if now < pacer.next_allowed || !pacer.queue.is_empty() {
-                        pacer.queue.push_back(QueuedCall {
-                            caller: caller_uid.to_owned(),
-                            callee: callee_ext.to_owned(),
-                            hold,
-                        });
-                        let mut evs = Vec::new();
-                        if !pacer.wake_armed {
-                            pacer.wake_armed = true;
-                            let at = if pacer.next_allowed > now {
-                                pacer.next_allowed
-                            } else {
-                                now
-                            };
-                            evs.push(UacEvent::PacerWake { at });
-                        }
-                        return (String::new(), evs);
-                    }
-                    pacer.next_allowed = now + pacer.spacing();
-                }
-                PacerMode::Window => {
-                    if pacer.in_flight >= pacer.window || !pacer.queue.is_empty() {
-                        pacer.queue.push_back(QueuedCall {
-                            caller: caller_uid.to_owned(),
-                            callee: callee_ext.to_owned(),
-                            hold,
-                        });
-                        return (String::new(), Vec::new());
-                    }
-                    pacer.in_flight += 1;
-                }
+                PacerMode::Rate => pacer.next_allowed = now + pacer.spacing(),
+                PacerMode::Window => pacer.in_flight += 1,
             }
         }
-        self.place_invite(now, caller_uid, callee_ext, hold, 0)
+        self.place_invite(intent)
     }
 
     /// Release rate-paced intents that have become eligible (driven by a
@@ -552,7 +537,7 @@ impl Uac {
         if more_queued {
             pacer.wake_armed = true;
         }
-        let (_, mut evs) = self.place_invite(now, &next.caller, &next.callee, next.hold, 0);
+        let (_, mut evs) = self.place_invite(next);
         if more_queued {
             evs.push(UacEvent::PacerWake { at: rearm_at });
         }
@@ -561,7 +546,7 @@ impl Uac {
 
     /// Window mode: one open call reached a terminal state — free its slot
     /// and release queued intents that now fit.
-    fn pacer_note_terminal(&mut self, now: SimTime) -> Vec<UacEvent> {
+    fn pacer_note_terminal(&mut self) -> Vec<UacEvent> {
         let mut release = Vec::new();
         match self.pacer.as_mut() {
             Some(pacer) if pacer.mode == PacerMode::Window => {
@@ -577,8 +562,8 @@ impl Uac {
             _ => return vec![],
         }
         let mut out = Vec::new();
-        for q in release {
-            let (_, evs) = self.place_invite(now, &q.caller, &q.callee, q.hold, 0);
+        for intent in release {
+            let (_, evs) = self.place_invite(intent);
             out.extend(evs);
         }
         out
@@ -587,29 +572,17 @@ impl Uac {
     /// Re-INVITE a call previously shed with 503, after its backoff has
     /// elapsed (driven by a [`UacEvent::RetryAfter`]). `call_id` is the
     /// *shed* attempt's Call-ID; the retry gets a fresh one.
-    pub fn retry_call(&mut self, now: SimTime, call_id: &str) -> Vec<UacEvent> {
-        let Some(pending) = self.pending_retries.remove(call_id) else {
+    pub fn retry_call(&mut self, _now: SimTime, call_id: &str) -> Vec<UacEvent> {
+        let Some(intent) = self.pending_retries.remove(call_id) else {
             return vec![];
         };
         self.journal.retries += 1;
-        let (_, evs) = self.place_invite(
-            now,
-            &pending.caller,
-            &pending.callee,
-            pending.hold,
-            pending.shed_retries,
-        );
-        evs
+        self.place_invite(intent).1
     }
 
-    fn place_invite(
-        &mut self,
-        _now: SimTime,
-        caller_uid: &str,
-        callee_ext: &str,
-        hold: SimDuration,
-        shed_retries: u32,
-    ) -> (String, Vec<UacEvent>) {
+    /// INVITE `intent` now: a fresh Call-ID, media port and offer.
+    fn place_invite(&mut self, intent: CallIntent) -> (String, Vec<UacEvent>) {
+        let (caller_uid, callee_ext) = (intent.caller.as_str(), intent.callee.as_str());
         let serial = self.next_serial;
         self.next_serial += 1;
         let serial = Decimal::new(serial);
@@ -654,10 +627,7 @@ impl Uac {
                 // An exact-size copy: this one lives as long as the call.
                 invite: invite.clone(),
                 local_rtp_port,
-                hold,
-                caller: caller_uid.to_owned(),
-                callee: callee_ext.to_owned(),
-                shed_retries,
+                intent,
             },
         );
         let ev = self.send(invite.into());
@@ -692,7 +662,7 @@ impl Uac {
     }
 
     /// Handle an inbound SIP message.
-    pub fn on_sip(&mut self, now: SimTime, msg: SipMessage) -> Vec<UacEvent> {
+    pub fn on_sip(&mut self, _now: SimTime, msg: SipMessage) -> Vec<UacEvent> {
         self.journal.count_sip(&msg, MsgDirection::Received);
         let SipMessage::Response(resp) = msg else {
             return vec![]; // the UAC never receives requests in this scenario
@@ -727,7 +697,7 @@ impl Uac {
                     // (or a field read when the answer stayed structured).
                     let remote_rtp_port = resp.body.sdp_audio_port().unwrap_or(0);
                     let local_rtp_port = call.local_rtp_port;
-                    let hold = call.hold;
+                    let hold = call.intent.hold;
                     let ack = self.build_ack(call_id);
                     return vec![
                         self.send(ack.into()),
@@ -742,52 +712,46 @@ impl Uac {
                 }
                 if resp.status.is_error() {
                     // A 503 shed may be retried rather than closed.
-                    if resp.status == StatusCode::SERVICE_UNAVAILABLE {
-                        if let Some(policy) = self.retry_policy {
-                            let retry_no = call.shed_retries;
-                            if retry_no < policy.max_retries {
-                                let retry_after = resp
-                                    .headers
-                                    .get(&HeaderName::RetryAfter)
-                                    .and_then(parse_retry_after);
-                                let delay = policy.delay(retry_no, retry_after);
-                                let ack = self.build_ack(call_id);
-                                let (call_id, call) =
-                                    self.calls.remove_entry(call_id).expect("looked up above");
-                                self.pending_retries.insert(
-                                    call_id.clone(),
-                                    PendingRetry {
-                                        caller: call.caller,
-                                        callee: call.callee,
-                                        hold: call.hold,
-                                        shed_retries: retry_no + 1,
-                                    },
-                                );
-                                return vec![
-                                    self.send(ack.into()),
-                                    UacEvent::RetryAfter { call_id, delay },
-                                ];
-                            }
+                    let retry_no = call.intent.shed_retries;
+                    let retry_delay = match self.retry_policy {
+                        Some(policy)
+                            if resp.status == StatusCode::SERVICE_UNAVAILABLE
+                                && retry_no < policy.max_retries =>
+                        {
+                            let retry_after = resp
+                                .headers
+                                .get(&HeaderName::RetryAfter)
+                                .and_then(parse_retry_after);
+                            Some(policy.delay(retry_no, retry_after))
                         }
+                        _ => None,
+                    };
+                    // ACK the failure; this attempt is over either way.
+                    let ack = self.build_ack(call_id);
+                    let (call_id, call) =
+                        self.calls.remove_entry(call_id).expect("looked up above");
+                    let ack = self.send(ack.into());
+                    if let Some(delay) = retry_delay {
+                        let mut intent = call.intent;
+                        intent.shed_retries += 1;
+                        self.pending_retries.insert(call_id.clone(), intent);
+                        return vec![ack, UacEvent::RetryAfter { call_id, delay }];
                     }
-                    // ACK the failure and close the attempt.
                     let outcome = match resp.status {
                         StatusCode::BUSY_HERE | StatusCode::SERVICE_UNAVAILABLE => {
                             CallOutcome::Blocked
                         }
                         _ => CallOutcome::Failed,
                     };
-                    let ack = self.build_ack(call_id);
-                    let (call_id, _) = self.calls.remove_entry(call_id).expect("looked up above");
                     self.journal.call_finished(outcome);
-                    let mut evs = vec![self.send(ack.into()), UacEvent::Ended { call_id, outcome }];
-                    evs.extend(self.pacer_note_terminal(now));
+                    let mut evs = vec![ack, UacEvent::Ended { call_id, outcome }];
+                    evs.extend(self.pacer_note_terminal());
                     return evs;
                 }
                 vec![]
             }
             Some(Method::Bye) if resp.status.is_final() => {
-                let shed_retries = call.shed_retries;
+                let shed_retries = call.intent.shed_retries;
                 let (call_id, _) = self.calls.remove_entry(call_id).expect("looked up above");
                 let outcome = if shed_retries > 0 {
                     CallOutcome::ShedThenOk
@@ -796,7 +760,7 @@ impl Uac {
                 };
                 self.journal.call_finished(outcome);
                 let mut evs = vec![UacEvent::Ended { call_id, outcome }];
-                evs.extend(self.pacer_note_terminal(now));
+                evs.extend(self.pacer_note_terminal());
                 evs
             }
             _ => vec![],
@@ -812,32 +776,18 @@ impl Uac {
     /// Close the books: any call still open — including shed calls whose
     /// backoff never elapsed — is abandoned.
     pub fn finish(&mut self) -> Vec<UacEvent> {
-        let mut out = Vec::new();
-        for (call_id, _) in std::mem::take(&mut self.calls) {
-            self.journal.call_finished(CallOutcome::Abandoned);
-            out.push(UacEvent::Ended {
-                call_id,
-                outcome: CallOutcome::Abandoned,
-            });
-        }
-        for (call_id, _) in std::mem::take(&mut self.pending_retries) {
-            self.journal.call_finished(CallOutcome::Abandoned);
-            out.push(UacEvent::Ended {
-                call_id,
-                outcome: CallOutcome::Abandoned,
-            });
-        }
+        let live = std::mem::take(&mut self.calls).into_keys();
+        let backed_off = std::mem::take(&mut self.pending_retries).into_keys();
         // Pacer-deferred intents never even got an INVITE: abandoned too
         // (they were counted as attempts when offered).
-        let deferred = self
-            .pacer
-            .as_mut()
-            .map(|p| std::mem::take(&mut p.queue))
-            .unwrap_or_default();
-        for (i, _) in deferred.into_iter().enumerate() {
+        let deferred = self.pacer.as_mut().map_or(0, |p| p.queue.drain(..).count());
+        let tag = self.tag;
+        let queued = (0..deferred).map(|i| format!("uac-{tag}-queued{i}"));
+        let mut out = Vec::new();
+        for call_id in live.chain(backed_off).chain(queued) {
             self.journal.call_finished(CallOutcome::Abandoned);
             out.push(UacEvent::Ended {
-                call_id: format!("uac-{}-queued{i}", self.tag),
+                call_id,
                 outcome: CallOutcome::Abandoned,
             });
         }

@@ -114,8 +114,7 @@ impl Uas {
         match req.method {
             Method::Invite => self.on_invite(now, from, req),
             Method::Ack => self.on_ack(&req),
-            Method::Bye => self.on_bye(&req),
-            Method::Cancel => self.on_cancel(&req),
+            Method::Bye | Method::Cancel => self.on_teardown(&req),
             _ => vec![],
         }
     }
@@ -211,26 +210,15 @@ impl Uas {
         }]
     }
 
-    fn on_bye(&mut self, req: &Request) -> Vec<UasEvent> {
+    /// A BYE, or a CANCEL before the answer: either way the call is over.
+    /// Remove it, answer 200 to its peer and report it ended.
+    fn on_teardown(&mut self, req: &Request) -> Vec<UasEvent> {
         // Unknown call: nothing to answer to (no peer).
         let Some((call_id, call)) = req.call_id().and_then(|c| self.calls.remove_entry(c)) else {
             return vec![];
         };
         let ok = req.make_response(StatusCode::OK);
         vec![self.send(call.peer, ok.into()), UasEvent::Ended { call_id }]
-    }
-
-    fn on_cancel(&mut self, req: &Request) -> Vec<UasEvent> {
-        let Some(call_id) = req.call_id().map(str::to_owned) else {
-            return vec![];
-        };
-        match self.calls.remove(&call_id) {
-            Some(call) => {
-                let ok = req.make_response(StatusCode::OK);
-                vec![self.send(call.peer, ok.into()), UasEvent::Ended { call_id }]
-            }
-            None => vec![],
-        }
     }
 
     fn send(&mut self, to: NodeId, msg: SipMessage) -> UasEvent {

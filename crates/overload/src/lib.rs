@@ -1,32 +1,38 @@
-//! Pluggable SIP overload-control laws.
+//! SIP overload-control laws.
 //!
 //! Beyond the Erlang-B knee the interesting question is not how many calls
-//! fit but how gracefully the server sheds the rest. This crate extracts the
-//! B2BUA's admission decision behind an [`OverloadControl`] trait and ships
-//! the algorithm families compared by Hong et al. (*A Comparative Study of
-//! SIP Overload Control Algorithms*) plus the MOS-predictive 3D-CAC idea of
-//! Narikiyo et al.:
+//! fit but how gracefully the server sheds the rest. This crate is the
+//! B2BUA's admission decision. A [`ControlLaw`] names one of the algorithm
+//! families compared by Hong et al. (*A Comparative Study of SIP Overload
+//! Control Algorithms*), or the MOS-predictive 3D-CAC idea of Narikiyo et
+//! al., with its parameters; [`ControlLaw::build`] turns it into the one
+//! stateful [`Law`] that decides every INVITE:
 //!
-//! * [`Hysteresis503`] — the local two-watermark shed from PR 1, kept
+//! * [`ControlLaw::Hysteresis`] — the local two-watermark shed, kept
 //!   digest-compatible as the default law (no feedback headers, byte-exact
 //!   `503 + Retry-After` behaviour);
-//! * [`RateBased`] — the server advertises a maximum upstream call rate in
-//!   response feedback; the upstream UAC paces INVITEs to that rate;
-//! * [`WindowBased`] — the server advertises a call window (max concurrent
-//!   calls the upstream may hold open); the UAC queues beyond it;
-//! * [`SignalBased`] — a local queue-delay estimator: sheds when the
-//!   estimated signalling delay crosses a threshold, with hysteresis;
-//! * [`MosCac`] — 3D-CAC admission: predicts the MOS a new call would see
-//!   from the currently observed link loss/jitter/delay (via the `voiceq`
-//!   E-model) and rejects calls that would land below the floor, even when
-//!   free channels remain.
+//! * [`ControlLaw::RateBased`] — the server advertises a maximum upstream
+//!   call rate in response feedback; the upstream UAC paces INVITEs to that
+//!   rate;
+//! * [`ControlLaw::WindowBased`] — the server advertises a call window (max
+//!   concurrent calls the upstream may hold open); the UAC queues beyond it;
+//! * [`ControlLaw::SignalBased`] — a local queue-delay estimator: sheds when
+//!   the estimated signalling delay crosses a threshold, with hysteresis;
+//! * [`ControlLaw::MosCac`] — 3D-CAC admission: predicts the MOS a new call
+//!   would see from the currently observed link loss/jitter/delay
+//!   ([`predict_mos`], the `voiceq` E-model) and rejects calls that would
+//!   land below the floor, even when free channels remain.
+//!
+//! The set is closed — the PBX is the only caller and the campaign sweeps
+//! exactly these five — so it is one enum matched in one place, not a
+//! trait behind a box.
 //!
 //! The feedback wire format is one ad-hoc header, `X-Overload-Control`,
 //! valued `rate=<calls-per-sec>` or `win=<max-open-calls>`; see
 //! [`Feedback`]. Servers attach it to `100 Trying` (closing the loop once
 //! per admitted call) and to `503` rejects. Laws that emit no feedback
-//! leave every message byte-identical to the pre-trait code path, which is
-//! what keeps [`Hysteresis503`] digest-compatible.
+//! leave every message byte-identical to the inline shed they replaced,
+//! which is what keeps [`ControlLaw::Hysteresis`] digest-compatible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -124,58 +130,6 @@ pub struct Decision {
     /// Feedback to advertise upstream: attached to the `100 Trying` when
     /// admitting, to the `503` when rejecting.
     pub feedback: Option<Feedback>,
-}
-
-impl Decision {
-    /// Plain admission, no feedback.
-    #[must_use]
-    pub fn admit() -> Decision {
-        Decision {
-            admit: true,
-            retry_after: None,
-            feedback: None,
-        }
-    }
-
-    /// Rejection with a `Retry-After`, no feedback.
-    #[must_use]
-    pub fn reject(retry_after: SimDuration) -> Decision {
-        Decision {
-            admit: false,
-            retry_after: Some(retry_after),
-            feedback: None,
-        }
-    }
-
-    /// Attach feedback to an existing decision.
-    #[must_use]
-    pub fn with_feedback(mut self, fb: Feedback) -> Decision {
-        self.feedback = Some(fb);
-        self
-    }
-}
-
-/// An overload-control law: observes load signals on each new INVITE and
-/// decides admit/reject, optionally advertising feedback upstream.
-///
-/// Laws are stateful (hysteresis flags, EWMA estimators) and deterministic:
-/// the same observation sequence always yields the same decisions, which is
-/// what lets the experiment layer pin run digests per law.
-pub trait OverloadControl: core::fmt::Debug + Send {
-    /// Stable algorithm name, used in campaign artifacts.
-    fn name(&self) -> &'static str;
-
-    /// Decide admission for one new INVITE under the given signals.
-    fn on_invite(&mut self, signals: &LoadSignals) -> Decision;
-
-    /// True while the law is actively shedding (for stats/reporting).
-    fn is_shedding(&self) -> bool {
-        false
-    }
-
-    /// Reset transient state after a server crash (mirrors the legacy
-    /// behaviour of clearing the shedding flag on `Pbx::crash`).
-    fn on_crash(&mut self) {}
 }
 
 /// Plain-data law selector: `Copy` configuration the experiment layer can
@@ -311,121 +265,158 @@ impl ControlLaw {
     }
 
     /// Instantiate the stateful law.
+    ///
+    /// # Panics
+    /// On a `WindowBased` law whose `min_window` exceeds its `max_window`
+    /// (the advertised window could not be clamped between them).
     #[must_use]
-    pub fn build(self) -> Box<dyn OverloadControl> {
-        match self {
+    pub fn build(self) -> Law {
+        if let ControlLaw::WindowBased {
+            max_window,
+            min_window,
+            ..
+        } = self
+        {
+            assert!(
+                min_window <= max_window,
+                "window law: min_window {min_window} > max_window {max_window}"
+            );
+        }
+        Law {
+            params: self,
+            shedding: false,
+            delay_est_ms: 0.0,
+        }
+    }
+}
+
+/// A built overload-control law: observes load signals on each new INVITE
+/// and decides admit/reject, optionally advertising feedback upstream.
+///
+/// Laws are stateful (hysteresis flags, an EWMA estimator) and
+/// deterministic: the same observation sequence always yields the same
+/// decisions, which is what lets the experiment layer pin run digests per
+/// law.
+#[derive(Debug, Clone)]
+pub struct Law {
+    params: ControlLaw,
+    /// Hysteresis, signal-based and MOS laws: rejecting new INVITEs. The
+    /// feedback laws never set it (they reject only on pool exhaustion).
+    shedding: bool,
+    /// Signal-based law: the smoothed delay estimate, ms.
+    delay_est_ms: f64,
+}
+
+impl Law {
+    /// Stable algorithm name, used in campaign artifacts.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.params.name()
+    }
+
+    /// Decide admission for one new INVITE under the given signals.
+    pub fn on_invite(&mut self, signals: &LoadSignals) -> Decision {
+        let load = signals.load();
+        let (admit, retry_after, feedback) = match self.params {
+            // The two-watermark shed, verbatim: engage at `load >=
+            // high_watermark`, release only at `load <= low_watermark`,
+            // reject with `503 + Retry-After` while engaged, advertise
+            // nothing.
             ControlLaw::Hysteresis {
                 high_watermark,
                 low_watermark,
                 retry_after,
-            } => Box::new(Hysteresis503::new(
-                high_watermark,
-                low_watermark,
-                retry_after,
-            )),
+            } => {
+                self.shedding = hysteresis(self.shedding, load, high_watermark, low_watermark);
+                (!self.shedding, retry_after, None)
+            }
+            // Hong et al.'s "rate-based" family: every response advertises
+            // the call rate the upstream should not exceed; the server
+            // itself only rejects when the channel pool is exhausted
+            // (converting the 486 the pool would produce into a 503 the
+            // upstream backs off from).
             ControlLaw::RateBased {
                 target_load,
                 max_rate_cps,
                 min_rate_cps,
                 retry_after,
-            } => Box::new(RateBased {
-                target_load,
-                max_rate_cps,
-                min_rate_cps,
-                retry_after,
-            }),
+            } => {
+                let rate = (max_rate_cps * feedback_scale(load, target_load)).max(min_rate_cps);
+                let fb = Feedback::Rate(rate);
+                (signals.free_channels > 0, retry_after, Some(fb))
+            }
+            // The "window-based" family: every response advertises the
+            // number of calls the upstream may hold open; rejection only on
+            // pool exhaustion, as for the rate law.
             ControlLaw::WindowBased {
                 target_load,
                 max_window,
                 min_window,
                 retry_after,
-            } => Box::new(WindowBased {
-                target_load,
-                max_window,
-                min_window,
-                retry_after,
-            }),
+            } => {
+                let scale = feedback_scale(load, target_load);
+                let win =
+                    ((f64::from(max_window) * scale).floor() as u32).clamp(min_window, max_window);
+                let fb = Feedback::Window(win);
+                (signals.free_channels > 0, retry_after, Some(fb))
+            }
+            // Queueing delay from utilisation by an M/M/1-shaped law
+            // `d = service · u/(1−u)`, EWMA-smoothed across INVITEs, shed
+            // with hysteresis (release at half the target).
             ControlLaw::SignalBased {
                 target_delay_ms,
                 service_ms,
                 ewma_alpha,
                 retry_after,
-            } => Box::new(SignalBased {
-                target_delay_ms,
-                service_ms,
-                ewma_alpha,
-                retry_after,
-                delay_est_ms: 0.0,
-                shedding: false,
-            }),
+            } => {
+                let u = load.clamp(0.0, 0.99);
+                let instant = service_ms * u / (1.0 - u);
+                self.delay_est_ms = ewma_alpha * instant + (1.0 - ewma_alpha) * self.delay_est_ms;
+                let release = 0.5 * target_delay_ms;
+                self.shedding =
+                    hysteresis(self.shedding, self.delay_est_ms, target_delay_ms, release);
+                (!self.shedding, retry_after, None)
+            }
+            // 3D-CAC: the plain free-channel check, plus a rejection of any
+            // admission whose predicted MOS lands below the floor.
             ControlLaw::MosCac {
                 min_mos,
                 retry_after,
-            } => Box::new(MosCac {
-                min_mos,
-                retry_after,
-                shedding: false,
-            }),
-        }
-    }
-}
-
-/// The PR 1 two-watermark shed, verbatim: engage at `load >=
-/// high_watermark`, release only at `load <= low_watermark`, reject with
-/// `503 + Retry-After` while engaged. Emits no feedback, so its wire
-/// behaviour is byte-identical to the pre-trait inline code.
-#[derive(Debug, Clone)]
-pub struct Hysteresis503 {
-    high_watermark: f64,
-    low_watermark: f64,
-    retry_after: SimDuration,
-    shedding: bool,
-}
-
-impl Hysteresis503 {
-    /// A fresh (non-shedding) hysteresis law.
-    #[must_use]
-    pub fn new(high_watermark: f64, low_watermark: f64, retry_after: SimDuration) -> Hysteresis503 {
-        Hysteresis503 {
-            high_watermark,
-            low_watermark,
-            retry_after,
-            shedding: false,
-        }
-    }
-}
-
-impl OverloadControl for Hysteresis503 {
-    fn name(&self) -> &'static str {
-        "hysteresis503"
-    }
-
-    fn on_invite(&mut self, signals: &LoadSignals) -> Decision {
-        let load = signals.load();
-        // Exactly the legacy ordering: release is evaluated first while
-        // shedding (so a sample at the low watermark exits), engagement
-        // only when not shedding. A plateau between the watermarks changes
-        // nothing — no flapping.
-        if self.shedding {
-            if load <= self.low_watermark {
-                self.shedding = false;
+            } => {
+                self.shedding = signals.free_channels == 0 || predict_mos(signals) < min_mos;
+                (!self.shedding, retry_after, None)
             }
-        } else if load >= self.high_watermark {
-            self.shedding = true;
-        }
-        if self.shedding {
-            Decision::reject(self.retry_after)
-        } else {
-            Decision::admit()
+        };
+        Decision {
+            admit,
+            retry_after: (!admit).then_some(retry_after),
+            feedback,
         }
     }
 
-    fn is_shedding(&self) -> bool {
+    /// True while the law is actively shedding (for stats/reporting).
+    #[must_use]
+    pub fn is_shedding(&self) -> bool {
         self.shedding
     }
 
-    fn on_crash(&mut self) {
+    /// Reset transient state after a server crash: the shed flag and the
+    /// delay estimator start again from an idle server.
+    pub fn on_crash(&mut self) {
         self.shedding = false;
+        self.delay_est_ms = 0.0;
+    }
+}
+
+/// Two-threshold hysteresis on `level`. While shedding, only release is
+/// evaluated (inclusive, so a sample at `release_at` exits); otherwise only
+/// engagement (at `level >= engage_at`). A plateau between the thresholds
+/// changes nothing — no flapping.
+fn hysteresis(shedding: bool, level: f64, engage_at: f64, release_at: f64) -> bool {
+    if shedding && level <= release_at {
+        false
+    } else {
+        shedding || level >= engage_at
     }
 }
 
@@ -439,168 +430,20 @@ fn feedback_scale(load: f64, target: f64) -> f64 {
     ((1.0 - load) / span).clamp(0.0, 1.0)
 }
 
-/// Rate-feedback law (Hong et al. "rate-based" family): every response
-/// advertises the call rate the upstream should not exceed; the server
-/// itself only rejects when the channel pool is exhausted (converting the
-/// 486 the pool would produce into a 503 the upstream backs off from).
-#[derive(Debug, Clone)]
-pub struct RateBased {
-    target_load: f64,
-    max_rate_cps: f64,
-    min_rate_cps: f64,
-    retry_after: SimDuration,
-}
-
-impl OverloadControl for RateBased {
-    fn name(&self) -> &'static str {
-        "rate_based"
-    }
-
-    fn on_invite(&mut self, signals: &LoadSignals) -> Decision {
-        let scale = feedback_scale(signals.load(), self.target_load);
-        let rate = (self.max_rate_cps * scale).max(self.min_rate_cps);
-        let fb = Feedback::Rate(rate);
-        if signals.free_channels == 0 {
-            Decision::reject(self.retry_after).with_feedback(fb)
-        } else {
-            Decision::admit().with_feedback(fb)
-        }
-    }
-}
-
-/// Window-feedback law (Hong et al. "window-based" family): every response
-/// advertises the number of calls the upstream may hold open; rejection
-/// only on pool exhaustion, as for [`RateBased`].
-#[derive(Debug, Clone)]
-pub struct WindowBased {
-    target_load: f64,
-    max_window: u32,
-    min_window: u32,
-    retry_after: SimDuration,
-}
-
-impl OverloadControl for WindowBased {
-    fn name(&self) -> &'static str {
-        "window_based"
-    }
-
-    fn on_invite(&mut self, signals: &LoadSignals) -> Decision {
-        let scale = feedback_scale(signals.load(), self.target_load);
-        let win = ((f64::from(self.max_window) * scale).floor() as u32)
-            .clamp(self.min_window, self.max_window);
-        let fb = Feedback::Window(win);
-        if signals.free_channels == 0 {
-            Decision::reject(self.retry_after).with_feedback(fb)
-        } else {
-            Decision::admit().with_feedback(fb)
-        }
-    }
-}
-
-/// Local signal-based law: estimates queueing delay from utilisation with
-/// an M/M/1-shaped law `d = service · u/(1−u)`, EWMA-smoothed across
-/// INVITEs, and sheds with hysteresis (release at half the target).
-#[derive(Debug, Clone)]
-pub struct SignalBased {
-    target_delay_ms: f64,
-    service_ms: f64,
-    ewma_alpha: f64,
-    retry_after: SimDuration,
-    delay_est_ms: f64,
-    shedding: bool,
-}
-
-impl SignalBased {
-    /// Current smoothed delay estimate, ms.
-    #[must_use]
-    pub fn delay_estimate_ms(&self) -> f64 {
-        self.delay_est_ms
-    }
-}
-
-impl OverloadControl for SignalBased {
-    fn name(&self) -> &'static str {
-        "signal_based"
-    }
-
-    fn on_invite(&mut self, signals: &LoadSignals) -> Decision {
-        let u = signals.load().clamp(0.0, 0.99);
-        let instant = self.service_ms * u / (1.0 - u);
-        self.delay_est_ms = self.ewma_alpha * instant + (1.0 - self.ewma_alpha) * self.delay_est_ms;
-        if self.shedding {
-            if self.delay_est_ms <= 0.5 * self.target_delay_ms {
-                self.shedding = false;
-            }
-        } else if self.delay_est_ms >= self.target_delay_ms {
-            self.shedding = true;
-        }
-        if self.shedding {
-            Decision::reject(self.retry_after)
-        } else {
-            Decision::admit()
-        }
-    }
-
-    fn is_shedding(&self) -> bool {
-        self.shedding
-    }
-
-    fn on_crash(&mut self) {
-        self.delay_est_ms = 0.0;
-        self.shedding = false;
-    }
-}
-
-/// MOS-predictive CAC (Narikiyo et al. 3D-CAC): predicts the MOS a new
-/// call would experience from currently observed link loss/jitter/delay
-/// and rejects admissions that would land below `min_mos`, in addition to
-/// the plain free-channel check. Uses the same E-model configuration as
-/// the `vmon` per-call scorer (G.711 + PLC, jitter buffer sized at
+/// The MOS a new call would experience under the given link signals (the
+/// 3D-CAC prediction). Uses the same E-model configuration as the `vmon`
+/// per-call scorer (G.711 + PLC, jitter buffer sized at
 /// `max(2·jitter, 40 ms)`).
-#[derive(Debug, Clone)]
-pub struct MosCac {
-    min_mos: f64,
-    retry_after: SimDuration,
-    shedding: bool,
-}
-
-impl MosCac {
-    /// Predicted MOS under the given link signals.
-    #[must_use]
-    pub fn predict_mos(signals: &LoadSignals) -> f64 {
-        estimate_mos(&EModelInputs {
-            network_delay_ms: signals.link_delay_ms,
-            jitter_buffer_ms: (2.0 * signals.link_jitter_ms).max(40.0),
-            packet_loss: signals.link_loss,
-            burst_ratio: 1.0,
-            codec: CodecProfile::g711(),
-            advantage: 0.0,
-        })
-    }
-}
-
-impl OverloadControl for MosCac {
-    fn name(&self) -> &'static str {
-        "mos_cac"
-    }
-
-    fn on_invite(&mut self, signals: &LoadSignals) -> Decision {
-        let predicted = MosCac::predict_mos(signals);
-        self.shedding = signals.free_channels == 0 || predicted < self.min_mos;
-        if self.shedding {
-            Decision::reject(self.retry_after)
-        } else {
-            Decision::admit()
-        }
-    }
-
-    fn is_shedding(&self) -> bool {
-        self.shedding
-    }
-
-    fn on_crash(&mut self) {
-        self.shedding = false;
-    }
+#[must_use]
+pub fn predict_mos(signals: &LoadSignals) -> f64 {
+    estimate_mos(&EModelInputs {
+        network_delay_ms: signals.link_delay_ms,
+        jitter_buffer_ms: (2.0 * signals.link_jitter_ms).max(40.0),
+        packet_loss: signals.link_loss,
+        burst_ratio: 1.0,
+        codec: CodecProfile::g711(),
+        advantage: 0.0,
+    })
 }
 
 #[cfg(test)]
@@ -623,7 +466,12 @@ mod tests {
     /// and a plateau between the watermarks never flaps.
     #[test]
     fn hysteresis_engages_high_releases_low_no_plateau_flapping() {
-        let mut law = Hysteresis503::new(0.75, 0.30, SimDuration::from_secs(3));
+        let mut law = ControlLaw::Hysteresis {
+            high_watermark: 0.75,
+            low_watermark: 0.30,
+            retry_after: SimDuration::from_secs(3),
+        }
+        .build();
 
         // Below high watermark: admits, not shedding.
         assert!(law.on_invite(&signals(0.5, 0.0, 2)).admit);
@@ -716,6 +564,20 @@ mod tests {
         assert_eq!(d.feedback, Some(Feedback::Window(1)));
     }
 
+    /// An inverted window is refused when the law is built, not by
+    /// `u32::clamp` at the first INVITE.
+    #[test]
+    #[should_panic(expected = "min_window 5 > max_window 4")]
+    fn window_law_with_min_above_max_is_refused_at_build() {
+        let _ = ControlLaw::WindowBased {
+            target_load: 0.85,
+            max_window: 4,
+            min_window: 5,
+            retry_after: SimDuration::from_secs(2),
+        }
+        .build();
+    }
+
     #[test]
     fn signal_law_sheds_on_sustained_delay_and_recovers() {
         let mut law = ControlLaw::signal_based_default().build();
@@ -762,7 +624,7 @@ mod tests {
             link_jitter_ms: 60.0,
             link_delay_ms: 150.0,
         };
-        assert!(MosCac::predict_mos(&lossy) < 3.5);
+        assert!(predict_mos(&lossy) < 3.5);
         assert!(!law.on_invite(&lossy).admit);
         assert!(law.is_shedding());
         law.on_crash();
@@ -792,5 +654,83 @@ mod tests {
         for law in laws {
             assert_eq!(law.build().name(), law.name());
         }
+    }
+
+    /// Step `i` of the pinned trace: load ramps 0 → 1.2 → 0 over 400
+    /// steps, free channels (of 10) fall to 0 around the peak, and the
+    /// link is lossy over steps 60..140, while channels are still free.
+    fn trace_signals(i: u32) -> LoadSignals {
+        let load = 1.2 * (1.0 - (f64::from(i) - 200.0).abs() / 200.0);
+        let occupancy = load.min(1.0);
+        let lossy = (60..140).contains(&i);
+        LoadSignals {
+            occupancy,
+            cpu: 0.9 * load,
+            free_channels: ((1.0 - occupancy) * 10.0).round() as u32,
+            link_loss: if lossy { 0.15 } else { 0.001 },
+            link_jitter_ms: if lossy { 60.0 } else { 2.0 },
+            link_delay_ms: if lossy { 150.0 } else { 1.0 },
+        }
+    }
+
+    /// Every law's decisions over one fixed 400-step sequence (a crash at
+    /// step 200), folded with FNV-1a over (admit, `Retry-After` ns,
+    /// feedback bits, shedding) per step. The literals were printed before
+    /// the five law structs were folded into one `Law`; whole runs pin the
+    /// laws only through `overload_suite` and the campaign fold.
+    /// `cargo test -p overload decision_traces -- --nocapture` prints them.
+    #[test]
+    fn decision_traces_are_pinned() {
+        let laws = [
+            ControlLaw::hysteresis_default(),
+            ControlLaw::Hysteresis {
+                high_watermark: 0.75,
+                low_watermark: 0.30,
+                retry_after: SimDuration::from_secs(3),
+            },
+            ControlLaw::rate_based_for(10.0),
+            ControlLaw::window_based_for(10),
+            ControlLaw::signal_based_default(),
+            ControlLaw::mos_cac_default(),
+        ];
+        let folds: Vec<u64> = laws
+            .iter()
+            .map(|params| {
+                let mut law = params.build();
+                let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+                let mut fold = |v: u64| {
+                    for b in v.to_le_bytes() {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                };
+                for step in 0..400 {
+                    if step == 200 {
+                        law.on_crash();
+                    }
+                    let d = law.on_invite(&trace_signals(step));
+                    fold(u64::from(d.admit));
+                    fold(d.retry_after.map_or(u64::MAX, SimDuration::as_nanos));
+                    fold(match d.feedback {
+                        None => 0,
+                        Some(Feedback::Rate(r)) => r.to_bits(),
+                        Some(Feedback::Window(w)) => 1 << 32 | u64::from(w),
+                    });
+                    fold(u64::from(law.is_shedding()));
+                }
+                hash
+            })
+            .collect();
+        println!("decision trace folds: {folds:#018x?}");
+        assert_eq!(
+            folds,
+            [
+                0x3660_0e11_1166_7299,
+                0x8246_f9ed_6f21_a879,
+                0xb210_3413_99eb_7bc7,
+                0xb252_0297_92da_b387,
+                0xd3ac_f410_bfb6_6409,
+                0xd9a2_8a9a_60ae_c1c9,
+            ]
+        );
     }
 }

@@ -188,8 +188,8 @@ pub struct Pbx {
     by_callee_call_id: FastMap<String, usize>,
     by_pbx_port: PortTable, // port -> (call, faces_caller)
     next_call_serial: u64,
-    /// Pluggable overload-control law (built from `config.overload_law`).
-    law: Option<Box<dyn overload::OverloadControl>>,
+    /// Overload-control law (built from `config.overload_law`).
+    law: Option<overload::Law>,
     /// Last observed access-link media quality (loss fraction, jitter ms,
     /// one-way delay ms) — fed by the world's quality ticks, consumed by
     /// MOS-predictive admission. Zero until the first observation.
@@ -316,7 +316,7 @@ impl Pbx {
     /// True while overload control is actively shedding new INVITEs.
     #[must_use]
     pub fn is_shedding(&self) -> bool {
-        self.law.as_ref().is_some_and(|l| l.is_shedding())
+        self.law.as_ref().is_some_and(overload::Law::is_shedding)
     }
 
     /// Crash fault: the Asterisk process dies and is restarted by its
@@ -335,10 +335,7 @@ impl Pbx {
         }
         self.pool.flush(now);
         self.registrar.clear();
-        self.by_caller_call_id.clear();
-        self.by_callee_call_id.clear();
-        self.by_pbx_port.clear();
-        self.active_per_user.clear();
+        self.clear_call_indices();
         if let Some(law) = self.law.as_mut() {
             law.on_crash();
         }
@@ -357,6 +354,12 @@ impl Pbx {
                 self.cdr.push(record);
             }
         }
+        self.clear_call_indices();
+    }
+
+    /// Forget every index into the call slots — Call-IDs, media ports and
+    /// per-user counts — once the slots themselves have been emptied.
+    fn clear_call_indices(&mut self) {
         self.by_caller_call_id.clear();
         self.by_callee_call_id.clear();
         self.by_pbx_port.clear();
@@ -439,7 +442,7 @@ impl Pbx {
 
         // Digest credentials are accepted in either mode; when
         // `require_digest` is on they are the only way in.
-        if let Some(creds) = auth.and_then(CredentialsView::parse) {
+        let outcome = if let Some(creds) = auth.and_then(CredentialsView::parse) {
             // RFC 2617 §3.2.2.5: the digest must cover this request's
             // Request-URI. A REGISTER to the registrar's own URI — all
             // generated traffic — costs a string compare and the cached
@@ -453,64 +456,68 @@ impl Pbx {
                 )
             };
             if !uri_ok || creds.realm != self.config.hostname {
-                return vec![self.error_reply(from, req, StatusCode::FORBIDDEN)];
+                RegisterOutcome::AuthFailed
+            } else {
+                // The directory lends the secret (stored, or derived on the
+                // stack for the synthetic population range) to the response
+                // check; HA1 is computed on the fly and never stored.
+                let nonce = &self.nonce;
+                self.registrar
+                    .register_with(&mut self.directory, now, creds.username, from, |pw| {
+                        creds.verify_with_ha2(pw, &ha2, nonce)
+                    })
             }
-            // The directory lends the secret (stored, or derived on the
-            // stack for the synthetic population range) to the response
-            // check; HA1 is computed on the fly and never stored.
-            let nonce = &self.nonce;
-            let outcome = self.registrar.register_with(
-                &mut self.directory,
-                now,
-                creds.username,
-                from,
-                |pw| creds.verify_with_ha2(pw, &ha2, nonce),
-            );
-            return match outcome {
-                RegisterOutcome::Ok => vec![self.reply(from, req.make_response(StatusCode::OK))],
-                RegisterOutcome::AuthFailed => {
-                    vec![self.error_reply(from, req, StatusCode::FORBIDDEN)]
-                }
-            };
-        }
-
-        // No usable credentials: the 401 carries a digest challenge even
-        // when digest is not *required*, so a digest-capable client (the
-        // population churn path) can complete REGISTER → 401 →
-        // REGISTER+digest in either mode.
-        let simple = if self.config.require_digest {
-            None
         } else {
-            auth.and_then(parse_simple_auth)
+            // No usable credentials: the 401 carries a digest challenge
+            // even when digest is not *required*, so a digest-capable
+            // client (the population churn path) can complete REGISTER →
+            // 401 → REGISTER+digest in either mode.
+            let simple = if self.config.require_digest {
+                None
+            } else {
+                auth.and_then(parse_simple_auth)
+            };
+            let Some((uid, password)) = simple else {
+                let mut resp = req.make_response(StatusCode::UNAUTHORIZED);
+                resp.headers
+                    .push(HeaderName::WwwAuthenticate, &self.challenge);
+                return vec![self.reply(from, resp)];
+            };
+            self.registrar
+                .register(&mut self.directory, now, uid, password, from)
         };
-        let Some((uid, password)) = simple else {
-            let mut resp = req.make_response(StatusCode::UNAUTHORIZED);
-            resp.headers
-                .push(HeaderName::WwwAuthenticate, &self.challenge);
-            return vec![self.reply(from, resp)];
+        let status = match outcome {
+            RegisterOutcome::Ok => StatusCode::OK,
+            RegisterOutcome::AuthFailed => StatusCode::FORBIDDEN,
         };
-        match self
-            .registrar
-            .register(&mut self.directory, now, uid, password, from)
-        {
-            RegisterOutcome::Ok => vec![self.reply(from, req.make_response(StatusCode::OK))],
-            RegisterOutcome::AuthFailed => {
-                vec![self.error_reply(from, req, StatusCode::FORBIDDEN)]
-            }
-        }
+        vec![self.reply(from, req.make_response(status))]
     }
 
     fn on_invite(&mut self, now: SimTime, from: NodeId, req: Request) -> Vec<PbxAction> {
-        let Some(call_id) = req.call_id().map(str::to_owned) else {
+        let Some(call_id) = req.call_id() else {
             return vec![self.error_reply(from, &req, StatusCode::BAD_REQUEST)];
         };
         // A second INVITE on a known caller Call-ID is either a
         // retransmission (absorb; the 100/180 path will have been
         // retransmitted by the network layer if needed) or a mid-dialog
         // re-INVITE renegotiating media — dispatch on CSeq and state.
-        if let Some(&idx) = self.by_caller_call_id.get(&call_id) {
+        if let Some(&idx) = self.by_caller_call_id.get(call_id) {
             return self.on_reinvite(from, idx, &req);
         }
+        let extension = req.uri.user.as_str();
+        let record = CallRecord {
+            call_id: call_id.to_owned(),
+            caller: req
+                .headers
+                .get(&HeaderName::From)
+                .and_then(extract_user)
+                .unwrap_or_default(),
+            callee: extension.to_owned(),
+            start: now,
+            answered: None,
+            end: None,
+            disposition: Disposition::Failed,
+        };
         // Overload control: shed *new* work before spending any routing or
         // channel effort on it (that is the point of shedding). A law may
         // also advertise feedback, which rides on this call's 100 Trying
@@ -523,24 +530,7 @@ impl Pbx {
                 .as_mut()
                 .expect("law presence checked above")
                 .on_invite(&signals);
-            if decision.admit {
-                admit_feedback = decision.feedback;
-            } else {
-                self.stats.calls_shed += 1;
-                let caller_aor = req
-                    .headers
-                    .get(&HeaderName::From)
-                    .and_then(extract_user)
-                    .unwrap_or_default();
-                self.cdr.push(CallRecord {
-                    call_id,
-                    caller: caller_aor,
-                    callee: req.uri.user.clone(),
-                    start: now,
-                    answered: None,
-                    end: Some(now),
-                    disposition: Disposition::Shed,
-                });
+            if !decision.admit {
                 let mut resp = req.make_response(StatusCode::SERVICE_UNAVAILABLE);
                 let retry_after = decision
                     .retry_after
@@ -553,40 +543,20 @@ impl Pbx {
                         let _ = write!(b, "{fb}");
                     });
                 }
-                return vec![self.reply(from, resp)];
+                return self.refuse(now, from, record, Disposition::Shed, resp);
             }
+            admit_feedback = decision.feedback;
         }
-        let caller_aor = req
-            .headers
-            .get(&HeaderName::From)
-            .and_then(extract_user)
-            .unwrap_or_default();
-        let extension = req.uri.user.as_str();
-        let mut record = CallRecord {
-            call_id: call_id.clone(),
-            caller: caller_aor,
-            callee: extension.to_owned(),
-            start: now,
-            answered: None,
-            end: None,
-            disposition: Disposition::Failed,
-        };
 
-        // Route the dialled extension.
-        let callee_node = match self.config.dialplan.route(extension) {
-            Some(Route::LocalSubscriber) => match self.registrar.lookup(now, extension) {
-                Some(binding) => binding.node,
-                None => {
-                    record.end = Some(now);
-                    self.cdr.push(record);
-                    return vec![self.error_reply(from, &req, StatusCode::NOT_FOUND)];
-                }
-            },
-            Some(Route::Trunk(_)) | Some(Route::Deny) | None => {
-                record.end = Some(now);
-                self.cdr.push(record);
-                return vec![self.error_reply(from, &req, StatusCode::NOT_FOUND)];
-            }
+        // Route the dialled extension: only a registered local subscriber
+        // is reachable.
+        let binding = match self.config.dialplan.route(extension) {
+            Some(Route::LocalSubscriber) => self.registrar.lookup(now, extension),
+            Some(Route::Trunk(_) | Route::Deny) | None => None,
+        };
+        let Some(callee_node) = binding.map(|b| b.node) else {
+            let resp = req.make_response(StatusCode::NOT_FOUND);
+            return self.refuse(now, from, record, Disposition::Failed, resp);
         };
 
         // Call policy: per-user concurrent-call ceiling (paper §IV).
@@ -597,22 +567,18 @@ impl Pbx {
                 .copied()
                 .unwrap_or(0);
             if active >= limit {
-                self.stats.calls_policy_refused += 1;
-                record.disposition = Disposition::PolicyRefused;
-                record.end = Some(now);
-                self.cdr.push(record);
-                return vec![self.error_reply(from, &req, StatusCode::FORBIDDEN)];
+                let resp = req.make_response(StatusCode::FORBIDDEN);
+                return self.refuse(now, from, record, Disposition::PolicyRefused, resp);
             }
         }
 
         // Admission control: the finite channel pool.
         let Some(channel) = self.pool.allocate(now) else {
-            self.stats.calls_blocked += 1;
-            record.disposition = Disposition::Blocked;
-            record.end = Some(now);
-            self.cdr.push(record);
-            return vec![self.error_reply(from, &req, StatusCode::BUSY_HERE)];
+            let resp = req.make_response(StatusCode::BUSY_HERE);
+            return self.refuse(now, from, record, Disposition::Blocked, resp);
         };
+        // Admitted: the Call-ID also keys the live-call index.
+        let caller_call_id = record.call_id.clone();
 
         // Caller's media coordinates and codec from its SDP offer. A
         // structured `Body::Sdp` answers from its fields; a wire body gets
@@ -679,6 +645,7 @@ impl Pbx {
                 let _ = write!(b, "{fb}");
             });
         }
+        self.by_caller_call_id.insert(caller_call_id, idx);
         self.calls.push(Some(Call {
             channel,
             state: CallState::Inviting,
@@ -700,7 +667,6 @@ impl Pbx {
             caller_sdp,
             codec: offer_codec,
         }));
-        self.by_caller_call_id.insert(call_id, idx);
         self.by_callee_call_id.insert(callee_call_id, idx);
         self.by_pbx_port.insert(pbx_port_for_caller, idx, true);
         self.by_pbx_port.insert(pbx_port_for_callee, idx, false);
@@ -735,16 +701,7 @@ impl Pbx {
         }
         // Later responses (and the BYE 200) must echo the current CSeq.
         call.caller_invite = req.clone();
-        let pbx_port = call.caller.pbx_port;
-        let codec = call.codec;
-        let ok = self
-            .caller_response(idx, StatusCode::OK)
-            .with_sdp(SdpBody::new(
-                Arc::clone(&self.sdp_origin),
-                Arc::clone(&self.sdp_host),
-                pbx_port,
-                codec,
-            ));
+        let ok = self.caller_ok_with_sdp(idx);
         vec![self.reply(from, ok)]
     }
 
@@ -903,9 +860,7 @@ impl Pbx {
                 } else if resp.status.is_success() {
                     // Callee answered: learn its media port and the codec
                     // it accepted, bridge, relay a 200 whose caller-facing
-                    // SDP advertises the *negotiated* codec (not a
-                    // hardcoded PCMU — an A-law call stays A-law end to
-                    // end).
+                    // SDP advertises the *negotiated* codec.
                     if let Some(port) = resp.body.sdp_audio_port() {
                         call.callee.rtp_port = port;
                     }
@@ -915,16 +870,7 @@ impl Pbx {
                     call.state = CallState::Answered;
                     call.record.answered = Some(now);
                     let caller_node = call.caller.node;
-                    let pbx_port = call.caller.pbx_port;
-                    let codec = call.codec;
-                    let fwd = self
-                        .caller_response(idx, StatusCode::OK)
-                        .with_sdp(SdpBody::new(
-                            Arc::clone(&self.sdp_origin),
-                            Arc::clone(&self.sdp_host),
-                            pbx_port,
-                            codec,
-                        ));
+                    let fwd = self.caller_ok_with_sdp(idx);
                     vec![self.reply(caller_node, fwd)]
                 } else if resp.status.is_error() {
                     // Callee refused: ACK the error (non-2xx), relay it,
@@ -979,7 +925,7 @@ impl Pbx {
     // -- helpers ---------------------------------------------------------
 
     /// Build a caller-facing response derived from the stored INVITE.
-    fn caller_response(&mut self, idx: usize, status: StatusCode) -> Response {
+    fn caller_response(&self, idx: usize, status: StatusCode) -> Response {
         let call = self.calls[idx].as_ref().expect("live call");
         let invite = &call.caller_invite;
         let mut resp = invite.make_response_tagged(status, &call.pbx_tag);
@@ -987,6 +933,43 @@ impl Pbx {
         resp.headers
             .push_parts(HeaderName::Contact, &["<sip:", host, ":5060>"]);
         resp
+    }
+
+    /// The caller-facing 200 (the callee's answer relayed, or a re-INVITE's
+    /// reply), its SDP advertising the PBX's caller-facing port and the
+    /// call's negotiated codec (not a hardcoded PCMU — an A-law call stays
+    /// A-law end to end).
+    fn caller_ok_with_sdp(&self, idx: usize) -> Response {
+        let call = self.calls[idx].as_ref().expect("live call");
+        let sdp = SdpBody::new(
+            Arc::clone(&self.sdp_origin),
+            Arc::clone(&self.sdp_host),
+            call.caller.pbx_port,
+            call.codec,
+        );
+        self.caller_response(idx, StatusCode::OK).with_sdp(sdp)
+    }
+
+    /// Refuse a new INVITE with `resp`: file its CDR as `disposition`,
+    /// ended now, and bump the one counter that disposition has.
+    fn refuse(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        mut record: CallRecord,
+        disposition: Disposition,
+        resp: Response,
+    ) -> Vec<PbxAction> {
+        match disposition {
+            Disposition::Shed => self.stats.calls_shed += 1,
+            Disposition::PolicyRefused => self.stats.calls_policy_refused += 1,
+            Disposition::Blocked => self.stats.calls_blocked += 1,
+            _ => {}
+        }
+        record.end = Some(now);
+        record.disposition = disposition;
+        self.cdr.push(record);
+        vec![self.reply(from, resp)]
     }
 
     fn close_call(&mut self, now: SimTime, idx: usize, disposition: Disposition) {
@@ -1443,6 +1426,9 @@ mod tests {
         assert_eq!(pbx.stats().calls_blocked, 1);
         assert_eq!(pbx.stats().sip_errors_sent, 1);
         assert_eq!(pbx.cdr.count(Disposition::Blocked), 1);
+        // A refused call's record ends when it is refused.
+        let refused = pbx.cdr.records().last().unwrap();
+        assert_eq!(refused.end, Some(SimTime::from_secs(2)));
         assert!(
             (pbx.cdr.blocking_probability() - 1.0).abs() < 1e-12,
             "1 of 1 completed attempts blocked so far"
