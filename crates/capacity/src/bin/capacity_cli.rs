@@ -13,7 +13,7 @@
 //! Append `--json` to any subcommand for machine-readable output.
 
 use capacity::experiment::{EmpiricalConfig, EmpiricalRunner};
-use capacity::sweep::{AdaptivePolicy, ProgressMeter};
+use capacity::sweep::{self, AdaptivePolicy};
 use capacity::world::pbx_node;
 use capacity::{farm, figures, policy, report, table1};
 use des::SimDuration;
@@ -32,7 +32,7 @@ usage: capacity-cli <fig3|table1|fig6|fig7|policy|farm|campaign|scale|run> [--js
          [--smoke]          CI-scale grid (3 loads, 2 reps)
          [--ci-target P]    adaptive reps until the 95% CI half-width <= P pp
          [--max-reps R]     per-point budget for --ci-target
-  sweeps (fig6/campaign/policy/farm) also take [--threads N] (worker budget)
+  sweeps (fig6/campaign/policy/farm) also take [--threads N] (worker threads)
          and [--progress]   per-cell progress lines on stderr
   fig7   [--population P] [--channels N]
   policy [--erlangs A] [--users U] [--reps R]   per-user call-limit study
@@ -98,16 +98,24 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
+    // A count is a whole number >= 1: `--reps 0` would print a NaN table,
+    // `--reps 2.5` would run 2 and `--threads -3` would mean every core.
+    let count = |name: &str, default: u64| -> u64 {
+        let v = flag(name, default as f64);
+        if v < 1.0 || v.fract() != 0.0 {
+            reject(&format!("{name} {v} must be a whole number >= 1"));
+        }
+        v as u64
+    };
     let seed = flag("--seed", 2015.0) as u64;
-    // Sweep subcommands: --threads N caps the process-wide worker budget
-    // the sweep executor draws from; the numbers are identical at any
-    // value. --progress prints per-cell lines to stderr, off by default
-    // so JSON pipelines stay clean.
-    let sweep_threads = flag("--threads", 0.0) as usize;
-    if sweep_threads > 0 {
-        des::pool::configure(sweep_threads);
+    // Sweep subcommands: --threads N sets how many threads the sweep
+    // executor runs on; the numbers are identical at any value.
+    // --progress prints per-cell lines to stderr, off by default so JSON
+    // pipelines stay clean.
+    if has("--threads") {
+        des::pool::configure(count("--threads", 1) as usize);
     }
-    let progress = has("--progress");
+    sweep::show_progress(has("--progress"));
 
     match args.first().map(String::as_str) {
         Some("fig3") => {
@@ -133,23 +141,21 @@ fn main() {
             } else {
                 figures::fig6_default_loads()
             };
-            let reps = flag("--reps", if smoke { 2.0 } else { 5.0 }) as u64;
+            let reps = count("--reps", if smoke { 2 } else { 5 });
+            let max_reps = count("--max-reps", reps.max(2) * 16);
+            if max_reps < reps {
+                reject(&format!("--max-reps {max_reps} must be >= --reps {reps}"));
+            }
             let ci_target = flag("--ci-target", 0.0);
             let points = if ci_target > 0.0 {
                 let policy = AdaptivePolicy {
                     ci_target,
                     min_reps: reps.max(2),
-                    max_reps: flag("--max-reps", (reps.max(2) * 16) as f64) as u64,
+                    max_reps,
                 };
-                let meter = ProgressMeter::for_adaptive(
-                    loads.len(),
-                    loads.len() as u64 * policy.max_reps,
-                    progress,
-                );
-                figures::fig6_adaptive(&loads, policy, seed, Some(&meter))
+                figures::fig6_adaptive(&loads, policy, seed)
             } else {
-                let meter = ProgressMeter::new(loads.len(), loads.len() as u64 * reps, progress);
-                figures::fig6_with(&loads, reps, seed, Some(&meter))
+                figures::fig6(&loads, reps, seed)
             };
             emit(json, &points, |p| report::render_fig6(p));
         }
@@ -174,29 +180,22 @@ fn main() {
             if window > 0.0 {
                 cc.placement_window_s = window;
             }
-            let cells = cc.algorithms(1.0).len() * cc.multipliers.len();
-            let meter = ProgressMeter::new(cells, cells as u64, progress);
-            let result = capacity::campaign::run_campaign_with(&cc, Some(&meter));
+            let result = capacity::campaign::run_campaign(&cc);
             emit(json, &result, capacity::campaign::render_campaign);
         }
         Some("policy") => {
             let erlangs = flag("--erlangs", 220.0);
             let users = flag("--users", 60.0) as u32;
-            let reps = flag("--reps", 3.0) as u64;
+            let reps = count("--reps", 3);
             let limits = [None, Some(4), Some(3), Some(2), Some(1)];
-            let meter =
-                ProgressMeter::new(limits.len(), limits.len() as u64 * reps.max(1), progress);
-            let rows = policy::policy_study_with(erlangs, users, &limits, reps, seed, Some(&meter));
+            let rows = policy::policy_study(erlangs, users, &limits, reps, seed);
             emit(json, &rows, |r| policy::render_policy(r));
         }
         Some("farm") => {
             let erlangs = flag("--erlangs", 150.0);
             let total = flag("--channels", 164.0) as u32;
-            let reps = flag("--reps", 5.0) as u64;
-            let layouts = [1, 2, 4];
-            let meter =
-                ProgressMeter::new(layouts.len(), layouts.len() as u64 * reps.max(1), progress);
-            let rows = farm::farm_study_with(erlangs, total, &layouts, reps, seed, Some(&meter));
+            let reps = count("--reps", 5);
+            let rows = farm::farm_study(erlangs, total, &[1, 2, 4], reps, seed);
             emit(json, &rows, |r| farm::render_farm(erlangs, r));
         }
         Some("scale") => {

@@ -18,7 +18,7 @@
 //! anchor makes curves comparable across pool sizes.
 
 use crate::experiment::{EmpiricalConfig, MediaMode};
-use crate::sweep::{self, ProgressMeter};
+use crate::sweep;
 use des::SimDuration;
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{HoldingDist, RetryPolicy};
@@ -182,18 +182,11 @@ fn cell_config(cc: &CampaignConfig, erlangs: f64, law: Option<ControlLaw>) -> Em
 }
 
 /// Run the campaign: every algorithm × every multiplier, the whole grid
-/// fanned out through the budgeted work-stealing executor
-/// ([`crate::sweep`]), each cell a pure function of `(seed, algorithm,
-/// multiplier)` collected back into curve order.
+/// fanned out through the shared-cursor executor ([`crate::sweep`]),
+/// each cell a pure function of `(seed, algorithm, multiplier)` collected
+/// back into curve order.
 #[must_use]
 pub fn run_campaign(cc: &CampaignConfig) -> CampaignResult {
-    run_campaign_with(cc, None)
-}
-
-/// [`run_campaign`] with optional progress reporting (the CLI's
-/// `--progress`).
-#[must_use]
-pub fn run_campaign_with(cc: &CampaignConfig, progress: Option<&ProgressMeter>) -> CampaignResult {
     // Engineered capacity is the same Newton solve for every cell of
     // every campaign at this pool size — memoized process-wide.
     let engineered = teletraffic::erlang_b::shared_load_for(cc.channels, 0.01)
@@ -230,7 +223,6 @@ pub fn run_campaign_with(cc: &CampaignConfig, progress: Option<&ProgressMeter>) 
             shed_then_ok: r.shed_then_ok,
             digest: r.digest(),
         },
-        progress,
     )
     .into_iter();
     let curves = algorithms

@@ -9,7 +9,7 @@
 //! bigger box" against "add more boxes + policy".
 
 use crate::experiment::EmpiricalConfig;
-use crate::sweep::{self, ProgressMeter};
+use crate::sweep;
 use serde::{Deserialize, Serialize};
 use teletraffic::{blocking_probability, Erlangs};
 
@@ -45,8 +45,8 @@ fn farm_cfg(erlangs: f64, servers: u32, channels_each: u32, seed: u64) -> Empiri
 /// Compare farm layouts carrying the same offered load with the same
 /// total channel count: 1×N, 2×N/2, … — the trunking-efficiency study.
 /// Blocking is averaged over `reps` independent replications per layout;
-/// the `(layout, rep)` grid fans out through the budgeted work-stealing
-/// executor ([`crate::sweep`]).
+/// the `(layout, rep)` grid fans out through the shared-cursor executor
+/// ([`crate::sweep`]).
 #[must_use]
 pub fn farm_study(
     erlangs: f64,
@@ -55,20 +55,6 @@ pub fn farm_study(
     reps: u64,
     seed: u64,
 ) -> Vec<FarmRow> {
-    farm_study_with(erlangs, total_channels, layouts, reps, seed, None)
-}
-
-/// [`farm_study`] with optional progress reporting (the CLI's
-/// `--progress`).
-#[must_use]
-pub fn farm_study_with(
-    erlangs: f64,
-    total_channels: u32,
-    layouts: &[u32],
-    reps: u64,
-    seed: u64,
-    progress: Option<&ProgressMeter>,
-) -> Vec<FarmRow> {
     let reps = reps.max(1);
     let all_runs = sweep::run_grid(
         layouts.len(),
@@ -76,7 +62,6 @@ pub fn farm_study_with(
         seed,
         |cell, _, seed| farm_cfg(erlangs, layouts[cell], total_channels / layouts[cell], seed),
         |_, run| run,
-        progress,
     );
     layouts
         .iter()

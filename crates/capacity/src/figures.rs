@@ -2,7 +2,7 @@
 //! fault-recovery timeline used by the robustness experiments.
 
 use crate::experiment::{run_world, EmpiricalConfig, EmpiricalRunner};
-use crate::sweep::{self, AdaptivePolicy, ProgressMeter};
+use crate::sweep::{self, AdaptivePolicy};
 use des::SimTime;
 use serde::{Deserialize, Serialize};
 use teletraffic::{blocking_probability, Erlangs};
@@ -86,31 +86,18 @@ fn fig6_point(a: f64, pbs: &[f64]) -> Fig6Point {
 /// Fig. 6 — empirical blocking vs the Erlang-B curves for N = 160/165/170.
 ///
 /// Sweeps `loads` with `replications` independent seeded runs per point.
-/// The `(load, rep)` grid fans out through the budgeted work-stealing
-/// executor ([`crate::sweep`]) — workers come from the [`des::pool`]
-/// budget, so `--threads N` bounds the whole process — and, thanks to
+/// The `(load, rep)` grid fans out through the shared-cursor executor
+/// ([`crate::sweep`]) on [`des::pool::total`] threads and, thanks to
 /// per-run RNG streams plus index-keyed collection, produces identical
 /// numbers at any thread count.
 #[must_use]
 pub fn fig6(loads: &[f64], replications: u64, base_seed: u64) -> Vec<Fig6Point> {
-    fig6_with(loads, replications, base_seed, None)
-}
-
-/// [`fig6`] with optional progress reporting (the CLI's `--progress`).
-#[must_use]
-pub fn fig6_with(
-    loads: &[f64],
-    replications: u64,
-    base_seed: u64,
-    progress: Option<&ProgressMeter>,
-) -> Vec<Fig6Point> {
     let pbs = sweep::run_grid(
         loads.len(),
         replications,
         base_seed,
         |cell, _, seed| fig6_cfg(loads[cell], seed),
         |_, run| run.steady_pb * 100.0,
-        progress,
     );
     loads
         .iter()
@@ -121,32 +108,22 @@ pub fn fig6_with(
 
 /// Adaptive-replication Fig. 6: every load point starts at
 /// `policy.min_reps` replications and keeps spending — through the same
-/// budgeted executor — until its 95% CI half-width (in percentage
+/// executor — until its 95% CI half-width (in percentage
 /// points) reaches `policy.ci_target` or the point exhausts
 /// `policy.max_reps`. Replication `r` of a load always runs seed
 /// `stream_seed(base_seed, r)`, so the sample sets (and hence every
 /// reported number) are a pure function of `(loads, policy, base_seed)`
 /// at any worker count.
 #[must_use]
-pub fn fig6_adaptive(
-    loads: &[f64],
-    policy: AdaptivePolicy,
-    base_seed: u64,
-    progress: Option<&ProgressMeter>,
-) -> Vec<Fig6Point> {
+pub fn fig6_adaptive(loads: &[f64], policy: AdaptivePolicy, base_seed: u64) -> Vec<Fig6Point> {
     let costs: Vec<u64> = loads
         .iter()
         .map(|&a| sweep::run_cost(&fig6_cfg(a, 0)))
         .collect();
-    let estimates = sweep::adaptive_sweep(
-        &costs,
-        policy,
-        |cell, rep| {
-            let cfg = fig6_cfg(loads[cell], des::stream_seed(base_seed, rep));
-            EmpiricalRunner::run(cfg).steady_pb * 100.0
-        },
-        progress,
-    );
+    let estimates = sweep::adaptive_sweep(&costs, policy, |cell, rep| {
+        let cfg = fig6_cfg(loads[cell], des::stream_seed(base_seed, rep));
+        EmpiricalRunner::run(cfg).steady_pb * 100.0
+    });
     loads
         .iter()
         .zip(&estimates)
@@ -295,7 +272,7 @@ mod tests {
             max_reps: 4,
         };
         let fixed = fig6(&[140.0, 240.0], 2, 99);
-        let adaptive = fig6_adaptive(&[140.0, 240.0], policy, 99, None);
+        let adaptive = fig6_adaptive(&[140.0, 240.0], policy, 99);
         assert_eq!(fixed.len(), adaptive.len());
         for (f, a) in fixed.iter().zip(&adaptive) {
             assert_eq!(f.empirical_pb_pct.to_bits(), a.empirical_pb_pct.to_bits());

@@ -12,7 +12,7 @@
 //!   swept 0.5×–4× past engineered capacity under a flash crowd;
 //! * [`mod@table1`] — the six-workload sweep reproducing the paper's Table I;
 //! * [`figures`] — series builders for Figures 3, 6 and 7;
-//! * [`sweep`] — the budgeted work-stealing executor every sweep
+//! * [`sweep`] — the shared-cursor executor every sweep
 //!   (figures, campaign, farm, policy) fans out through;
 //! * [`report`] — text/JSON renderers for all of the above.
 

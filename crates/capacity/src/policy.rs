@@ -8,7 +8,7 @@
 //! trade off.
 
 use crate::experiment::EmpiricalConfig;
-use crate::sweep::{self, ProgressMeter};
+use crate::sweep;
 use serde::{Deserialize, Serialize};
 
 /// Result of one policy setting.
@@ -33,7 +33,8 @@ pub struct PolicyRow {
 /// concurrent calls). Each ceiling is measured over `reps` independent
 /// replications (decorrelated via [`des::stream_seed`]) and the
 /// percentages averaged, so adjacent rows differ by policy effect rather
-/// than a single seed's arrival luck.
+/// than a single seed's arrival luck. The `(ceiling, rep)` grid fans out
+/// through the shared-cursor executor ([`crate::sweep`]).
 #[must_use]
 pub fn policy_study(
     erlangs: f64,
@@ -42,30 +43,6 @@ pub fn policy_study(
     reps: u64,
     seed: u64,
 ) -> Vec<PolicyRow> {
-    policy_study_with(erlangs, user_pool, limits, reps, seed, None)
-}
-
-/// The configuration one policy replication runs.
-fn policy_cfg(erlangs: f64, user_pool: u32, limit: Option<u32>, seed: u64) -> EmpiricalConfig {
-    let mut cfg = EmpiricalConfig::signalling_only(erlangs, seed);
-    cfg.user_pool = user_pool;
-    cfg.max_calls_per_user = limit;
-    cfg.placement_window_s = 600.0;
-    cfg
-}
-
-/// [`policy_study`] with optional progress reporting (the CLI's
-/// `--progress`); the `(ceiling, rep)` grid fans out through the
-/// budgeted work-stealing executor ([`crate::sweep`]).
-#[must_use]
-pub fn policy_study_with(
-    erlangs: f64,
-    user_pool: u32,
-    limits: &[Option<u32>],
-    reps: u64,
-    seed: u64,
-    progress: Option<&ProgressMeter>,
-) -> Vec<PolicyRow> {
     let reps = reps.max(1);
     let all_runs = sweep::run_grid(
         limits.len(),
@@ -73,7 +50,6 @@ pub fn policy_study_with(
         seed,
         |cell, _, seed| policy_cfg(erlangs, user_pool, limits[cell], seed),
         |_, run| run,
-        progress,
     );
     limits
         .iter()
@@ -96,6 +72,15 @@ pub fn policy_study_with(
             }
         })
         .collect()
+}
+
+/// The configuration one policy replication runs.
+fn policy_cfg(erlangs: f64, user_pool: u32, limit: Option<u32>, seed: u64) -> EmpiricalConfig {
+    let mut cfg = EmpiricalConfig::signalling_only(erlangs, seed);
+    cfg.user_pool = user_pool;
+    cfg.max_calls_per_user = limit;
+    cfg.placement_window_s = 600.0;
+    cfg
 }
 
 /// Render the study as a text table.

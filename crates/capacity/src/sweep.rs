@@ -1,25 +1,20 @@
-//! The sweep plane: a budgeted work-stealing executor for campaign-scale
+//! The sweep plane: one shared-cursor executor for campaign-scale
 //! studies.
 //!
 //! The paper's headline artifacts are *sweeps* — Fig. 6 blocking-vs-load
 //! over replications, the §V capacity-planning grids — and a sweep is a
 //! bag of independent `(cell, replication)` tasks, each a pure function
-//! of its indexed seed. This module schedules that bag onto worker
-//! threads borrowed from the process-wide [`des::pool`] budget:
+//! of its indexed seed. This module runs that bag on
+//! `min(`[`des::pool::total`]`(), tasks)` threads, the caller among them:
 //!
-//! * **Work stealing** — tasks are dealt longest-expected-first onto
-//!   per-worker deques; a worker pops its own queue from the front and,
-//!   when empty, steals from the back of a victim's queue. Long cells
-//!   start first, short cells backfill, and no worker idles while work
-//!   remains.
-//! * **Budgeted** — workers come from [`des::pool::acquire`]. A sweep
-//!   nested inside another's cell cooperates: its inner `acquire` sees
-//!   only what the outer sweep left free and degrades toward inline
-//!   execution rather than oversubscribing the host.
+//! * **Longest first** — the task indices are sorted by expected cost,
+//!   largest first, and every worker claims the next index from one
+//!   shared atomic cursor. Long cells start first, short cells backfill,
+//!   and no worker idles while work remains (greedy list scheduling).
 //! * **Deterministic** — every result lands in a slot keyed by its task
 //!   index, and aggregation happens in index order after the join, so
 //!   means, CI half-widths and report text are byte-identical to the
-//!   sequential reference at any worker count and any completion order.
+//!   sequential `map` at any worker count and any completion order.
 //!
 //! The executor pairs with the shared immutable precompute hosted around
 //! the workspace ([`teletraffic::erlang_b::shared_curve`], the
@@ -31,9 +26,8 @@
 //! has already converged.
 
 use crate::experiment::{EmpiricalConfig, EmpiricalRunner, RunResult};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// One schedulable unit of a sweep: replication `rep` of sweep cell
 /// `cell`, with an expected-work estimate used for longest-first
@@ -63,87 +57,24 @@ pub fn run_cost(cfg: &EmpiricalConfig) -> u64 {
     cfg.expected_pending_events() as u64 * window
 }
 
-/// Progress accounting for a long sweep, printed to **stderr** (stdout
-/// stays clean for `--json` pipelines) and only when enabled — the
-/// `--progress` CLI flag. All counters are atomic: workers update them
-/// concurrently, lines are whole `eprintln!` calls.
-#[derive(Debug)]
-pub struct ProgressMeter {
-    enabled: bool,
-    /// When true, [`run_sweep_with`] announces a cell as done the moment
-    /// its tasks drain from the current batch (the fixed-replication
-    /// case). Adaptive sweeps set this false and announce convergence
-    /// themselves — a drained batch is not a converged cell there.
-    announce_batch_cells: bool,
-    cells_total: usize,
-    cells_done: AtomicUsize,
-    reps_spent: AtomicU64,
-    reps_budget: u64,
+/// Whether sweeps print per-cell progress lines (the `--progress` CLI
+/// flag). Off by default.
+static SHOW_PROGRESS: AtomicBool = AtomicBool::new(false);
+
+/// Print one **stderr** line per finished sweep cell from now on (stdout
+/// stays clean for `--json` pipelines): [`run_sweep`] announces a cell
+/// when its last task in the batch lands, [`adaptive_sweep`] when the
+/// stopping rule retires it. Lines never change a result.
+pub fn show_progress(on: bool) {
+    SHOW_PROGRESS.store(on, Ordering::Relaxed);
 }
 
-impl ProgressMeter {
-    /// A meter over `cells_total` cells with a total replication budget
-    /// of `reps_budget`; `enabled: false` makes every method a no-op
-    /// print-wise (counters still track).
-    #[must_use]
-    pub fn new(cells_total: usize, reps_budget: u64, enabled: bool) -> Self {
-        ProgressMeter {
-            enabled,
-            announce_batch_cells: true,
-            cells_total,
-            cells_done: AtomicUsize::new(0),
-            reps_spent: AtomicU64::new(0),
-            reps_budget,
-        }
-    }
-
-    /// Like [`ProgressMeter::new`] but cells are announced by the
-    /// adaptive driver on convergence, not by batch drain.
-    #[must_use]
-    pub fn for_adaptive(cells_total: usize, reps_budget: u64, enabled: bool) -> Self {
-        ProgressMeter {
-            announce_batch_cells: false,
-            ..ProgressMeter::new(cells_total, reps_budget, enabled)
-        }
-    }
-
-    /// Record one finished replication.
-    pub fn note_rep(&self) {
-        self.reps_spent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record (and, when enabled, print) one finished cell.
-    pub fn cell_done(&self, cell: usize) {
-        let done = self.cells_done.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.enabled {
-            eprintln!(
-                "sweep: cell {cell} done — {done}/{} cells, {}/{} reps",
-                self.cells_total,
-                self.reps_spent.load(Ordering::Relaxed),
-                self.reps_budget
-            );
-        }
-    }
-
-    /// Replications spent so far.
-    #[must_use]
-    pub fn reps_spent(&self) -> u64 {
-        self.reps_spent.load(Ordering::Relaxed)
-    }
-
-    /// Cells recorded done so far.
-    #[must_use]
-    pub fn cells_done(&self) -> usize {
-        self.cells_done.load(Ordering::Relaxed)
-    }
-}
-
-/// Run every task, borrowing up to `tasks.len()` workers from the
-/// [`des::pool`] budget, and return results **in task order**.
+/// Run every task on up to [`des::pool::total`] threads and return
+/// results **in task order**.
 ///
-/// Scheduling is dynamic (longest-expected-first deal, work stealing),
-/// but each result is written to the slot keyed by its task index, so
-/// the returned vector — and anything folded from it in order — is
+/// Tasks are claimed longest-expected-first from one shared cursor, but
+/// each result is written to the slot keyed by its task index, so the
+/// returned vector — and anything folded from it in order — is
 /// byte-identical to `tasks.iter().map(f)` on one thread regardless of
 /// thread count or completion order (`tests/sweep_determinism.rs`
 /// propchecks exactly that).
@@ -152,116 +83,71 @@ where
     T: Send + Sync,
     F: Fn(SweepTask) -> T + Sync,
 {
-    run_sweep_with(tasks, f, None)
+    execute(tasks, f, SHOW_PROGRESS.load(Ordering::Relaxed))
 }
 
-/// [`run_sweep`] with optional progress accounting.
-pub fn run_sweep_with<T, F>(tasks: &[SweepTask], f: F, progress: Option<&ProgressMeter>) -> Vec<T>
+/// [`run_sweep`], announcing each cell's last landed task when `announce`.
+fn execute<T, F>(tasks: &[SweepTask], f: F, announce: bool) -> Vec<T>
 where
     T: Send + Sync,
     F: Fn(SweepTask) -> T + Sync,
 {
     let n = tasks.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Per-cell outstanding-task counts for the batch, so the meter can
-    // announce a cell the moment its last replication lands.
-    let cells = tasks.iter().map(|t| t.cell).max().unwrap_or(0) + 1;
-    let mut left = vec![0usize; cells];
-    for t in tasks {
-        left[t.cell] += 1;
-    }
-    let outstanding: Vec<AtomicUsize> = left.into_iter().map(AtomicUsize::new).collect();
-    let finish = |t: SweepTask| {
-        if let Some(m) = progress {
-            m.note_rep();
-            if outstanding[t.cell].fetch_sub(1, Ordering::Relaxed) == 1 && m.announce_batch_cells {
-                m.cell_done(t.cell);
+    // Per-cell tasks still outstanding in this batch, counted only when
+    // the cells are announced.
+    let mut counts = Vec::new();
+    if announce {
+        for t in tasks {
+            if counts.len() <= t.cell {
+                counts.resize(t.cell + 1, 0);
             }
+            counts[t.cell] += 1;
         }
+    }
+    let cells = counts.iter().filter(|&&c| c > 0).count();
+    let left: Vec<AtomicUsize> = counts.into_iter().map(AtomicUsize::new).collect();
+    let cells_done = AtomicUsize::new(0);
+    let run = |t: SweepTask| {
+        let r = f(t);
+        if announce && left[t.cell].fetch_sub(1, Ordering::Relaxed) == 1 {
+            let done = cells_done.fetch_add(1, Ordering::Relaxed) + 1;
+            eprintln!("sweep: cell {} done — {done}/{cells} cells", t.cell);
+        }
+        r
     };
 
-    let permit = des::pool::acquire(n.min(des::pool::total()));
-    let workers = permit.workers().min(n);
+    let workers = des::pool::total().min(n);
     if workers <= 1 {
-        // Budget exhausted (or a one-task sweep): run inline. This is
-        // exactly the sequential reference plus progress accounting.
-        return tasks
-            .iter()
-            .map(|&t| {
-                let r = f(t);
-                finish(t);
-                r
-            })
-            .collect();
+        return tasks.iter().map(|&t| run(t)).collect();
     }
-
-    // Longest-expected-first order, index-tiebroken so the deal is a
+    // Longest-expected-first, index-tiebroken so the claim order is a
     // pure function of the task list.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(tasks[i].cost), i));
-    // Deal round-robin onto per-worker deques: worker w starts with the
-    // w-th, (w+workers)-th, … longest tasks, so initial loads balance
-    // even if no steal ever happens.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| {
-            Mutex::new(
-                order
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .copied()
-                    .collect::<VecDeque<usize>>(),
-            )
-        })
-        .collect();
+    // Relaxed: the cursor publishes no data. Each slot's `OnceLock` and
+    // the scope's join order the results.
+    let cursor = AtomicUsize::new(0);
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-
-    let worker = |w: usize| {
-        loop {
-            // Own queue first (front: the longest still-undone task this
-            // worker was dealt)…
-            let mut task = queues[w].lock().expect("sweep queue").pop_front();
-            if task.is_none() {
-                // …then steal from the back of the first non-empty
-                // victim, scanning in a fixed ring order from w+1.
-                for v in 1..workers {
-                    let victim = (w + v) % workers;
-                    if let Some(i) = queues[victim].lock().expect("sweep queue").pop_back() {
-                        task = Some(i);
-                        break;
-                    }
-                }
-            }
-            let Some(i) = task else { break };
-            let t = tasks[i];
-            let r = f(t);
-            slots[i]
-                .set(r)
-                .map_err(|_| "sweep slot")
-                .expect("one owner");
-            finish(t);
+    let worker = || {
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let stored = slots[i].set(run(tasks[i])).is_ok();
+            assert!(stored, "sweep task {i} claimed twice");
         }
     };
-
     std::thread::scope(|s| {
-        for w in 1..workers {
-            s.spawn(move || worker(w));
+        for _ in 1..workers {
+            s.spawn(worker);
         }
-        // The calling thread is worker 0 — the budget's "caller runs
-        // inline" degradation, generalized.
-        worker(0);
+        // The calling thread is worker 0.
+        worker();
     });
-    drop(permit);
-
     slots
         .into_iter()
         .map(|c| c.into_inner().expect("every task ran"))
         .collect()
 }
 
-/// Run a `cells × reps` study grid through [`run_sweep_with`]: one
+/// Run a `cells × reps` study grid through [`run_sweep`]: one
 /// [`EmpiricalRunner::run`] of `config(cell, rep, seed)` per task, folded
 /// by `measure(cell, result)` on the worker that ran it. Replication `rep`
 /// is handed `seed = stream_seed(base_seed, rep)` (a caller with its own
@@ -272,14 +158,7 @@ where
 /// contiguous slice [`grid_row`] returns, in replication order, at any
 /// worker count. (One flat vector on purpose: regrouping into a `Vec` per
 /// cell left `overload_campaign`'s resident set 0.7 MiB higher.)
-pub fn run_grid<T, C, M>(
-    cells: usize,
-    reps: u64,
-    base_seed: u64,
-    config: C,
-    measure: M,
-    progress: Option<&ProgressMeter>,
-) -> Vec<T>
+pub fn run_grid<T, C, M>(cells: usize, reps: u64, base_seed: u64, config: C, measure: M) -> Vec<T>
 where
     T: Send + Sync,
     C: Fn(usize, u64, u64) -> EmpiricalConfig + Sync,
@@ -293,7 +172,7 @@ where
         })
         .collect();
     let run = |t: SweepTask| measure(t.cell, EmpiricalRunner::run(cfg(t.cell, t.rep)));
-    run_sweep_with(&tasks, run, progress)
+    run_sweep(&tasks, run)
 }
 
 /// Cell `cell`'s measurements in a [`run_grid`] result of `reps`
@@ -305,8 +184,10 @@ pub fn grid_row<T>(results: &[T], reps: u64, cell: usize) -> &[T] {
 }
 
 /// Mean and 95% CI half-width over `samples` (index order, so the fold
-/// is bitwise-deterministic). The half-width is `NaN` below two samples
-/// — the same convention Fig. 6 has always used.
+/// is bitwise-deterministic). The half-width is the normal approximation
+/// `1.96 · s/√n` (z = 1.96 at every `n`; Student's t would be 2.776 at
+/// n = 5), and `NaN` below two samples — the same convention Fig. 6 has
+/// always used.
 #[must_use]
 pub fn mean_ci(samples: &[f64]) -> (f64, f64) {
     if samples.is_empty() {
@@ -389,12 +270,7 @@ pub struct CellEstimate {
 /// `sample(cell, rep)` must be a pure function of its arguments (derive
 /// the run seed with [`des::stream_seed`] from the sweep seed and a
 /// cell-indexed stream).
-pub fn adaptive_sweep<F>(
-    cell_costs: &[u64],
-    policy: AdaptivePolicy,
-    sample: F,
-    progress: Option<&ProgressMeter>,
-) -> Vec<CellEstimate>
+pub fn adaptive_sweep<F>(cell_costs: &[u64], policy: AdaptivePolicy, sample: F) -> Vec<CellEstimate>
 where
     F: Fn(usize, u64) -> f64 + Sync,
 {
@@ -410,6 +286,7 @@ where
         .collect();
     // (cell, batch size) still in play this round.
     let mut active: Vec<(usize, u64)> = (0..n_cells).map(|c| (c, policy.min_reps)).collect();
+    let mut stopped = 0;
     while !active.is_empty() {
         let mut tasks = Vec::new();
         for &(cell, batch) in &active {
@@ -422,7 +299,7 @@ where
                 });
             }
         }
-        let results = run_sweep_with(&tasks, |t| sample(t.cell, t.rep), progress);
+        let results = execute(&tasks, |t| sample(t.cell, t.rep), false);
         // Tasks were built cell-ascending, rep-ascending; appending in
         // task order keeps every samples vector in replication order.
         for (t, s) in tasks.iter().zip(results) {
@@ -435,14 +312,18 @@ where
             est.mean = mean;
             est.ci_half_width = hw;
             let spent = est.samples.len() as u64;
-            if hw.is_finite() && hw <= policy.ci_target {
-                est.converged = true;
-                if let Some(m) = progress {
-                    m.cell_done(cell);
-                }
-            } else if spent >= policy.max_reps {
-                if let Some(m) = progress {
-                    m.cell_done(cell);
+            est.converged = hw.is_finite() && hw <= policy.ci_target;
+            if est.converged || spent >= policy.max_reps {
+                stopped += 1;
+                if SHOW_PROGRESS.load(Ordering::Relaxed) {
+                    let why = if est.converged {
+                        "converged"
+                    } else {
+                        "at budget"
+                    };
+                    eprintln!(
+                        "sweep: cell {cell} {why} after {spent} reps — {stopped}/{n_cells} cells"
+                    );
                 }
             } else {
                 // Double down, but never past the budget: half the spent
@@ -463,13 +344,16 @@ where
 mod tests {
     use super::*;
 
+    /// Costs rise with the cell index, so the longest-first claim order
+    /// runs against task order and a result filed by claim position
+    /// instead of task index cannot pass.
     fn tasks(n: usize, reps: u64) -> Vec<SweepTask> {
         (0..n)
             .flat_map(|cell| {
                 (0..reps).map(move |rep| SweepTask {
                     cell,
                     rep,
-                    cost: (n - cell) as u64,
+                    cost: cell as u64,
                 })
             })
             .collect()
@@ -494,17 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_counts_reps_and_cells() {
-        let _guard = des::pool::test_guard();
-        des::pool::configure(2);
-        let ts = tasks(3, 2);
-        let meter = ProgressMeter::new(3, 6, false);
-        let _ = run_sweep_with(&ts, |t| t.rep, Some(&meter));
-        assert_eq!(meter.reps_spent(), 6);
-        assert_eq!(meter.cells_done(), 3);
-    }
-
-    #[test]
     fn grid_rows_are_cell_major_and_seeded_by_replication() {
         let _guard = des::pool::test_guard();
         // A tiny signalling-only cell whose offered load names (cell, rep).
@@ -518,7 +391,7 @@ mod tests {
         };
         for width in [1, 4] {
             des::pool::configure(width);
-            let got = run_grid(3, 2, 77, config, |cell, run| (cell, run.erlangs), None);
+            let got = run_grid(3, 2, 77, config, |cell, run| (cell, run.erlangs));
             for cell in 0..3 {
                 let first = (10 * cell + 1) as f64;
                 let want = [(cell, first), (cell, first + 1.0)];
@@ -551,20 +424,15 @@ mod tests {
         };
         // Cell 0: constant statistic — converges at min_reps with hw 0.
         // Cell 1: alternating ±10 — can never reach hw ≤ 0.5 by rep 12.
-        let est = adaptive_sweep(
-            &[10, 10],
-            policy,
-            |cell, rep| {
-                if cell == 0 {
-                    42.0
-                } else if rep % 2 == 0 {
-                    10.0
-                } else {
-                    -10.0
-                }
-            },
-            None,
-        );
+        let est = adaptive_sweep(&[10, 10], policy, |cell, rep| {
+            if cell == 0 {
+                42.0
+            } else if rep % 2 == 0 {
+                10.0
+            } else {
+                -10.0
+            }
+        });
         assert_eq!(est[0].samples.len(), 3);
         assert!(est[0].converged && est[0].ci_half_width <= 0.5);
         assert!((est[0].mean - 42.0).abs() < 1e-12);
@@ -587,10 +455,10 @@ mod tests {
             x as f64 / 100.0
         };
         des::pool::configure(1);
-        let seq = adaptive_sweep(&[3, 2, 1], policy, sample, None);
+        let seq = adaptive_sweep(&[3, 2, 1], policy, sample);
         for w in [2usize, 4, 8] {
             des::pool::configure(w);
-            let par = adaptive_sweep(&[3, 2, 1], policy, sample, None);
+            let par = adaptive_sweep(&[3, 2, 1], policy, sample);
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.samples, b.samples, "width {w}");
                 assert_eq!(a.mean.to_bits(), b.mean.to_bits());

@@ -49,3 +49,72 @@ fn shed_watermarks_are_checked() {
     let valid = cli(&[&["run", "--shed-high", "0.9", "--json"], &small[..]].concat());
     assert_eq!(valid.status.code(), Some(0));
 }
+
+/// Counts are whole numbers >= 1 and the replication budget covers the
+/// minimum: a zero, a fraction or a negative used to run something else.
+#[test]
+fn sweep_counts_are_checked() {
+    for (args, message) in [
+        (
+            &["fig6", "--reps", "0"][..],
+            "--reps 0 must be a whole number >= 1",
+        ),
+        (
+            &["fig6", "--reps", "2.5"],
+            "--reps 2.5 must be a whole number >= 1",
+        ),
+        (
+            &["fig6", "--threads", "-3"],
+            "--threads -3 must be a whole number >= 1",
+        ),
+        (
+            &["policy", "--reps", "0"],
+            "--reps 0 must be a whole number >= 1",
+        ),
+        (
+            &["fig6", "--max-reps", "0"],
+            "--max-reps 0 must be a whole number >= 1",
+        ),
+        (
+            &["fig6", "--ci-target", "1", "--reps", "5", "--max-reps", "1"],
+            "--max-reps 1 must be >= --reps 5",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+}
+
+/// `--progress` writes one stderr line per finished cell and leaves
+/// stdout byte-identical; without it stderr stays empty.
+#[test]
+fn progress_lines_go_to_stderr_only() {
+    let args = ["fig6", "--smoke", "--json", "--threads", "2"];
+    let quiet = cli(&args);
+    let loud = cli(&[&args[..], &["--progress"]].concat());
+    assert_eq!(quiet.status.code(), Some(0));
+    assert_eq!(loud.status.code(), Some(0));
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    assert_eq!(
+        text(&loud.stdout),
+        text(&quiet.stdout),
+        "--progress changed stdout"
+    );
+    assert!(
+        quiet.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&quiet.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&loud.stderr);
+    let mut cells: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("sweep: cell "))
+        .map(|rest| rest.split(' ').next().unwrap_or(""))
+        .collect();
+    cells.sort_unstable();
+    assert_eq!(cells, ["0", "1", "2"], "one line per smoke cell: {stderr}");
+}

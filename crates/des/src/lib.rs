@@ -7,7 +7,7 @@
 //! * **Determinism** — integer nanosecond timestamps, a stable FIFO
 //!   tie-break for simultaneous events, and splittable counter-based RNG
 //!   streams mean a run is a pure function of its seed. Parallel parameter
-//!   sweeps (the work-stealing executor in the `capacity` crate) therefore
+//!   sweeps (the shared-cursor executor in the `capacity` crate) therefore
 //!   reproduce bit-identical journals regardless of thread scheduling.
 //! * **Throughput** — a hierarchical timing wheel with far-future overflow
 //!   as the future-event list of every run (the `BinaryHeap` backend beside

@@ -127,7 +127,7 @@ fn fifo_tie_break_identical_under_10k_simultaneous_events() {
 
 #[test]
 fn parallel_fig6_is_reproducible() {
-    // The work-stealing sweep must give identical numbers on every
+    // The shared-cursor sweep must give identical numbers on every
     // invocation regardless of thread interleaving (per-run RNG streams).
     let loads = [15.0, 25.0];
     let x = capacity::figures::fig6(&loads, 2, 7);

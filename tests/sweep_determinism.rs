@@ -1,10 +1,12 @@
 //! Property tests for the campaign-scale sweep executor: aggregation
 //! (per-cell means, CI half-widths, report ordering) must be
 //! bit-identical across 1/2/4/8 executor workers and across task
-//! completion orders. The executor keys every result slot by task
-//! index, so neither the pool width nor the steal/completion schedule
-//! may leak into what the caller observes — including for cells whose
-//! physics are perturbed by a mid-window fault schedule.
+//! completion orders. Workers claim tasks longest-first from one shared
+//! cursor and the executor keys every result slot by task index, so
+//! neither the worker count nor the claim/completion schedule may leak
+//! into what the caller observes — including for cells whose physics are
+//! perturbed by a mid-window fault schedule, and for two sweeps running
+//! at once.
 
 use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode};
 use capacity::sweep::{mean_ci, run_sweep, SweepTask};
@@ -47,7 +49,7 @@ proptest! {
     /// pool width, and independently of the cost model — costs only steer
     /// scheduling (hence completion order), never results. Rotating the
     /// costs across tasks forces a different longest-expected-first
-    /// deal and a different steal pattern on the same task set.
+    /// claim order on the same task set.
     #[test]
     fn executor_results_are_independent_of_width_and_completion_order(
         seed in 0u64..1_000_000,
@@ -128,4 +130,44 @@ proptest! {
         };
         prop_assert_eq!(render(&parallel), render(&reference));
     }
+}
+
+/// Two sweeps started at once from two threads (a barrier releases both)
+/// share the worker count but nothing else: each returns exactly its own
+/// sequential `map`.
+#[test]
+fn concurrent_sweeps_each_return_their_sequential_map() {
+    let grid = |cells: usize, reps: u64, salt: u64| -> Vec<SweepTask> {
+        (0..cells)
+            .flat_map(|cell| {
+                (0..reps).map(move |rep| SweepTask {
+                    cell,
+                    rep,
+                    cost: mix(salt ^ ((cell as u64) << 32) ^ rep) % 1_000,
+                })
+            })
+            .collect()
+    };
+    let (a, b) = (grid(7, 5, 1), grid(4, 9, 2));
+    let work_a = |t: SweepTask| mix(0xa ^ ((t.cell as u64) << 40) ^ t.rep);
+    let work_b = |t: SweepTask| (t.cell, mix(0xb ^ t.rep ^ t.cost));
+    let want_a: Vec<u64> = a.iter().map(|&t| work_a(t)).collect();
+    let want_b: Vec<(usize, u64)> = b.iter().map(|&t| work_b(t)).collect();
+
+    let _g = des::pool::test_guard();
+    des::pool::configure(4);
+    let start = std::sync::Barrier::new(2);
+    let (got_a, got_b) = std::thread::scope(|s| {
+        let ha = s.spawn(|| {
+            start.wait();
+            run_sweep(&a, work_a)
+        });
+        let hb = s.spawn(|| {
+            start.wait();
+            run_sweep(&b, work_b)
+        });
+        (ha.join().unwrap(), hb.join().unwrap())
+    });
+    assert_eq!(got_a, want_a);
+    assert_eq!(got_b, want_b);
 }
