@@ -73,6 +73,7 @@ fn shared_origin_atoms(user_pool: u32) -> AtomTable {
 /// Offer one RTP frame to each of `links` in turn, starting at `at`: when
 /// it comes off the last one, or `None` if a link dropped it (later links
 /// then never see it — no counter, no loss draw).
+#[inline]
 fn chase_rtp_frame(
     net: &mut Network,
     links: [LinkId; 2],

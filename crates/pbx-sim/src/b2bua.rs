@@ -136,9 +136,8 @@ enum CallState {
 #[derive(Debug, Clone)]
 struct Leg {
     node: NodeId,
-    /// Media port the endpoint advertised in its SDP (0 = not yet known).
-    rtp_port: u16,
-    /// PBX media port facing this leg (endpoints send RTP here).
+    /// PBX media port facing this leg (endpoints send RTP here). Where the
+    /// PBX relays that media lives in the port table, not here.
     pbx_port: u16,
 }
 
@@ -186,7 +185,7 @@ pub struct Pbx {
     calls: Vec<Option<Call>>,
     by_caller_call_id: FastMap<String, usize>,
     by_callee_call_id: FastMap<String, usize>,
-    by_pbx_port: PortTable, // port -> (call, faces_caller)
+    by_pbx_port: PortTable, // port -> far leg's (node, rtp port)
     next_call_serial: u64,
     /// Overload-control law (built from `config.overload_law`).
     law: Option<overload::Law>,
@@ -409,30 +408,21 @@ impl Pbx {
     /// the destination `(node, port)` for the opposite leg, or `None` when
     /// the packet is dropped. This is the allocation-free relay fast path —
     /// the caller keeps holding the datagram and forwards it itself.
+    #[inline]
     pub fn relay_rtp(&mut self, now: SimTime, dst_port: u16) -> Option<(NodeId, u16)> {
         self.cpu.on_rtp_packet(now);
-        let Some((idx, faces_caller)) = self.by_pbx_port.get(dst_port) else {
-            self.stats.rtp_dropped += 1;
-            return None;
-        };
-        let Some(call) = self.calls[idx].as_ref() else {
-            self.stats.rtp_dropped += 1;
-            return None;
-        };
-        // Media arriving on the caller-facing port goes to the callee leg
-        // and vice versa.
-        let out_leg = if faces_caller {
-            &call.callee
-        } else {
-            &call.caller
-        };
-        if out_leg.rtp_port == 0 {
-            // Other side's SDP not seen yet (early media race): drop.
-            self.stats.rtp_dropped += 1;
-            return None;
+        match self.by_pbx_port.get(dst_port) {
+            // RTP port 0: the far leg's SDP is not seen yet (early-media
+            // race), so there is nowhere to send it.
+            Some(target) if target.1 != 0 => {
+                self.stats.rtp_relayed += 1;
+                Some(target)
+            }
+            _ => {
+                self.stats.rtp_dropped += 1;
+                None
+            }
         }
-        self.stats.rtp_relayed += 1;
-        Some((out_leg.node, out_leg.rtp_port))
     }
 
     // -- request handlers ---------------------------------------------------
@@ -651,12 +641,10 @@ impl Pbx {
             state: CallState::Inviting,
             caller: Leg {
                 node: from,
-                rtp_port: caller_rtp_port,
                 pbx_port: pbx_port_for_caller,
             },
             callee: Leg {
                 node: callee_node,
-                rtp_port: 0,
                 pbx_port: pbx_port_for_callee,
             },
             caller_invite: req,
@@ -668,8 +656,11 @@ impl Pbx {
             codec: offer_codec,
         }));
         self.by_callee_call_id.insert(callee_call_id, idx);
-        self.by_pbx_port.insert(pbx_port_for_caller, idx, true);
-        self.by_pbx_port.insert(pbx_port_for_callee, idx, false);
+        // Media from the caller goes to the callee, whose port its 200
+        // will name; media from the callee goes back to the caller's offer.
+        self.by_pbx_port.bind(pbx_port_for_caller, callee_node, 0);
+        self.by_pbx_port
+            .bind(pbx_port_for_callee, from, caller_rtp_port);
 
         // 100 Trying to the caller + INVITE onward (the Fig. 2 ladder).
         vec![
@@ -695,7 +686,8 @@ impl Pbx {
             return vec![];
         }
         if let Some(summary) = SdpSummary::of_body(&req.body, &mut self.sdp_atoms) {
-            call.caller.rtp_port = summary.audio_port;
+            self.by_pbx_port
+                .learn(call.callee.pbx_port, summary.audio_port);
             call.caller_sdp = Some(summary);
             call.codec = summary.codec;
         }
@@ -862,7 +854,7 @@ impl Pbx {
                     // it accepted, bridge, relay a 200 whose caller-facing
                     // SDP advertises the *negotiated* codec.
                     if let Some(port) = resp.body.sdp_audio_port() {
-                        call.callee.rtp_port = port;
+                        self.by_pbx_port.learn(call.caller.pbx_port, port);
                     }
                     if let Some(codec) = resp.body.sdp_codec() {
                         call.codec = codec;

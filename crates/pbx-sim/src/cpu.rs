@@ -137,6 +137,7 @@ impl CpuModel {
     }
 
     /// Account one relayed RTP packet at time `now`.
+    #[inline]
     pub fn on_rtp_packet(&mut self, now: SimTime) {
         self.accrue(now, self.rtp_scaled);
     }

@@ -79,42 +79,31 @@ impl Dialplan {
     }
 }
 
-/// Match one Asterisk-style pattern against an extension.
+/// Match one Asterisk-style pattern against an extension, walking both
+/// a character at a time (no allocation: every INVITE tries each rule).
 #[must_use]
 pub fn pattern_matches(pattern: &str, ext: &str) -> bool {
-    let pat: Vec<char> = pattern.chars().collect();
-    let ext_bytes: Vec<char> = ext.chars().collect();
-    let mut pi = 0;
-    let mut ei = 0;
-    while pi < pat.len() {
-        match pat[pi] {
-            '.' => {
-                // One-or-more of anything; must be the final pattern char.
-                return pi == pat.len() - 1 && ei < ext_bytes.len();
-            }
-            class @ ('X' | 'Z' | 'N') => {
-                let Some(&c) = ext_bytes.get(ei) else {
-                    return false;
-                };
-                let ok = match class {
-                    'X' => c.is_ascii_digit(),
-                    'Z' => ('1'..='9').contains(&c),
-                    _ => ('2'..='9').contains(&c),
-                };
-                if !ok {
-                    return false;
-                }
-            }
-            lit => {
-                if ext_bytes.get(ei) != Some(&lit) {
-                    return false;
-                }
-            }
+    let mut pat = pattern.chars();
+    let mut ext = ext.chars();
+    while let Some(p) = pat.next() {
+        if p == '.' {
+            // One-or-more of anything; must be the final pattern char.
+            return pat.next().is_none() && ext.next().is_some();
         }
-        pi += 1;
-        ei += 1;
+        let Some(c) = ext.next() else {
+            return false;
+        };
+        let ok = match p {
+            'X' => c.is_ascii_digit(),
+            'Z' => ('1'..='9').contains(&c),
+            'N' => ('2'..='9').contains(&c),
+            lit => c == lit,
+        };
+        if !ok {
+            return false;
+        }
     }
-    ei == ext_bytes.len()
+    ext.next().is_none()
 }
 
 #[cfg(test)]
@@ -151,6 +140,21 @@ mod tests {
         assert!(!pattern_matches("0.", "16133072000"));
         // '.' mid-pattern is invalid and never matches.
         assert!(!pattern_matches("0.1", "0x1"));
+    }
+
+    #[test]
+    fn non_ascii_is_matched_by_character() {
+        // Classes take ASCII digits only, not other scripts' digits.
+        assert!(!pattern_matches("1XXX", "1٢٣٤"));
+        assert!(!pattern_matches("XXXX", "12é4"));
+        // Literals and lengths count characters, not bytes.
+        assert!(pattern_matches("1ñ", "1ñ"));
+        assert!(!pattern_matches("é", "e"));
+        assert!(!pattern_matches("XX", "1é"));
+        assert!(!pattern_matches("XXX", "1é"), "é is one character");
+        assert!(pattern_matches("0.", "0ß"));
+        assert!(!pattern_matches("ñ.", "ñ"), ". needs one more character");
+        assert!(pattern_matches("ñ.", "ñü"));
     }
 
     #[test]

@@ -84,8 +84,14 @@ pub struct SequenceTracker {
     reordered: u64,
     /// Extended seqs seen recently, for dup detection. Used as a circular
     /// buffer once full: `seen_head` is the oldest entry, overwritten next.
+    /// The `pending` newest seqs are not in it yet.
     seen_window: Vec<u64>,
     seen_head: usize,
+    /// Length of the in-order run ending at `highest_ext` whose seqs are
+    /// still owed to `seen_window`: the run is contiguous, so its values
+    /// are known without storing them, and only a packet that leaves the
+    /// fast path needs the window written.
+    pending: u64,
     /// Number of distinct loss gaps observed (runs of missing packets).
     gap_count: u64,
     /// Total packets missing across those gaps at observation time.
@@ -103,27 +109,39 @@ impl SequenceTracker {
 
     /// Record a received sequence number. Returns `true` if the packet is
     /// new (not a duplicate).
+    #[inline]
     pub fn record(&mut self, seq: u16) -> bool {
-        let ext = match self.base_seq {
-            None => {
-                self.base_seq = Some(seq);
-                self.highest_ext = u64::from(seq);
-                let e = self.highest_ext;
-                self.received = 1;
-                self.push_seen(e);
-                return true;
-            }
-            Some(_) => self.extend(seq),
-        };
-        // In-order fast path: the common case on a healthy stream. A
-        // packet beyond the highest extended seq cannot be in the dup
-        // window (every entry is ≤ highest), so skip the window scan.
-        if ext == self.highest_ext + 1 {
-            self.push_seen(ext);
-            self.received += 1;
-            self.highest_ext = ext;
+        if self.base_seq.is_none() {
+            self.base_seq = Some(seq);
+            self.highest_ext = u64::from(seq);
+            self.received = 1;
+            self.pending = 1;
             return true;
         }
+        // In-order fast path: the common case on a healthy stream. The
+        // 16-bit successor of the highest seq extends to `highest + 1`
+        // (every other reading is 2^16 away), which cannot be in the dup
+        // window (every entry is ≤ highest): count it and owe the window.
+        if seq == (self.highest_ext as u16).wrapping_add(1) {
+            self.received += 1;
+            self.highest_ext += 1;
+            self.pending += 1;
+            return true;
+        }
+        self.record_out_of_order(seq)
+    }
+
+    /// [`SequenceTracker::record`] for a packet that is not the next in
+    /// order: settle the window, then judge the packet against it.
+    fn record_out_of_order(&mut self, seq: u16) -> bool {
+        // The window keeps the last `DUP_WINDOW` seqs, so an older part of
+        // the run would only be overwritten by its newer part.
+        let owed = self.pending.min(DUP_WINDOW as u64);
+        for ext in self.highest_ext + 1 - owed..=self.highest_ext {
+            self.push_seen(ext);
+        }
+        self.pending = 0;
+        let ext = self.extend(seq);
         if self.seen_window.contains(&ext) {
             self.duplicates += 1;
             return false;
@@ -131,11 +149,10 @@ impl SequenceTracker {
         self.push_seen(ext);
         self.received += 1;
         if ext > self.highest_ext {
-            if ext > self.highest_ext + 1 {
-                // A run of missing packets between highest and this one.
-                self.gap_count += 1;
-                self.gap_lost += ext - self.highest_ext - 1;
-            }
+            // A run of missing packets between highest and this one (the
+            // next in order took the fast path).
+            self.gap_count += 1;
+            self.gap_lost += ext - self.highest_ext - 1;
             self.highest_ext = ext;
         } else {
             self.reordered += 1;
@@ -465,7 +482,90 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The tracker before its in-order fast path: every packet is
+    /// extended three ways and written to the window. Runs on the same
+    /// fields, leaving `pending` at 0, so the accessors read both alike.
+    fn reference_record(t: &mut SequenceTracker, seq: u16) -> bool {
+        let ext = match t.base_seq {
+            None => {
+                t.base_seq = Some(seq);
+                t.highest_ext = u64::from(seq);
+                let e = t.highest_ext;
+                t.received = 1;
+                t.push_seen(e);
+                return true;
+            }
+            Some(_) => t.extend(seq),
+        };
+        if ext == t.highest_ext + 1 {
+            t.push_seen(ext);
+            t.received += 1;
+            t.highest_ext = ext;
+            return true;
+        }
+        if t.seen_window.contains(&ext) {
+            t.duplicates += 1;
+            return false;
+        }
+        t.push_seen(ext);
+        t.received += 1;
+        if ext > t.highest_ext {
+            if ext > t.highest_ext + 1 {
+                t.gap_count += 1;
+                t.gap_lost += ext - t.highest_ext - 1;
+            }
+            t.highest_ext = ext;
+        } else {
+            t.reordered += 1;
+        }
+        true
+    }
+
     proptest! {
+        /// The fast path is invisible: on in-order runs longer than the
+        /// window, loss gaps, duplicates and late packets inside and
+        /// outside it, and the 16-bit wrap, every verdict and counter
+        /// matches the tracker that writes the window on every packet.
+        #[test]
+        fn fast_path_matches_reference_tracker(
+            near_wrap in any::<bool>(),
+            first in any::<u16>(),
+            steps in proptest::collection::vec((0u8..10, any::<u16>()), 1..60),
+        ) {
+            let (mut fast, mut reference) = (SequenceTracker::new(), SequenceTracker::new());
+            let mut next = if near_wrap { u16::MAX - first % 300 } else { first };
+            let mut seqs = Vec::new();
+            for (kind, raw) in steps {
+                seqs.clear();
+                match kind {
+                    // An in-order run, often longer than the window.
+                    0..=3 => {
+                        let n = 1 + raw % 200;
+                        seqs.extend((0..n).map(|i| next.wrapping_add(i)));
+                        next = next.wrapping_add(n);
+                    }
+                    // A loss gap.
+                    4 | 5 => next = next.wrapping_add(1 + raw % 100),
+                    // A duplicate or a late packet at the 64-entry window's
+                    // edge (after an in-order run: the oldest entry, or one
+                    // beyond it), then anywhere inside or outside it.
+                    6 => seqs.push(next.wrapping_sub(63 + raw % 3)),
+                    7 | 8 => seqs.push(next.wrapping_sub(1 + raw % 140)),
+                    // Any sequence number at all.
+                    _ => seqs.push(raw),
+                }
+                for &seq in &seqs {
+                    prop_assert_eq!(fast.record(seq), reference_record(&mut reference, seq), "seq {}", seq);
+                    prop_assert_eq!(fast.received(), reference.received());
+                    prop_assert_eq!(fast.expected(), reference.expected());
+                    prop_assert_eq!(fast.lost(), reference.lost());
+                    prop_assert_eq!(fast.duplicates(), reference.duplicates());
+                    prop_assert_eq!(fast.reordered(), reference.reordered());
+                    prop_assert_eq!(fast.burst_ratio().to_bits(), reference.burst_ratio().to_bits());
+                }
+            }
+        }
+
         /// received + lost == expected whenever no duplicates are involved
         /// and arrivals are a subset of a contiguous range.
         #[test]

@@ -7,7 +7,7 @@
 //! (`Uac::start_call` … the BYE's 200). With one heap `String` per header
 //! it cost 215 allocations here (≈ 103 PBX + 64 UAC + 35 UAS by the
 //! benchmark's split); with arena headers and in-place builders it costs
-//! 73: two per message's headers, two per Request-URI, the event `Vec`s,
+//! 71: two per message's headers, two per Request-URI, the event `Vec`s,
 //! and the per-call keys, tags and records the engines must own.
 
 use pbx_sim::{Disposition, PbxConfig};
@@ -20,8 +20,8 @@ use counting_alloc::{start_counting, stop_counting};
 mod ladder;
 use ladder::{Ladder, PBX_NODE};
 
-/// Allocations per admitted ladder across the three engines (73 measured).
-const BUDGET: f64 = 80.0;
+/// Allocations per admitted ladder across the three engines (71 measured).
+const BUDGET: f64 = 78.0;
 
 #[test]
 fn admitted_call_allocations_are_bounded() {

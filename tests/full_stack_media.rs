@@ -81,6 +81,23 @@ fn pbx_relays_media_without_loss_on_a_clean_lan() {
 }
 
 #[test]
+fn relay_conserves_rtp_on_a_loss_free_table1_cell() {
+    // Every packet an endpoint received went through a PBX relay, and on
+    // a loss-free cell every relayed packet arrived: a port whose target
+    // was never learned, or was cleared early, shows as a drop or a gap.
+    let cfg = EmpiricalConfig::table1(40.0, 2015);
+    assert_eq!(cfg.link_loss_probability, 0.0, "below Table I's loss ramp");
+    // The runner's horizon: placement, the 120 s hold, teardown slack.
+    let horizon = SimTime::from_secs_f64(1.0 + cfg.placement_window_s + 130.0 + 5.0);
+    let sim = capacity::experiment::run_world(cfg, horizon);
+    let stats = sim.world.pbxes.iter().map(|p| p.stats());
+    let (relayed, dropped) = stats.fold((0, 0), |(r, d), s| (r + s.rtp_relayed, d + s.rtp_dropped));
+    assert!(relayed > 100_000, "a Table I cell carries media: {relayed}");
+    assert_eq!(relayed, sim.world.monitor.rtp_packets());
+    assert_eq!(dropped, 0);
+}
+
+#[test]
 fn media_stops_after_hangup() {
     // With h = 12 s calls and a 30 s placement window the run drains; no
     // media session survives to the horizon (no runaway ticks).
