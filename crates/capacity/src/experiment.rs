@@ -5,10 +5,11 @@
 //! both exchange RTP for `h` seconds through the PBX, and blocking rate +
 //! voice quality are evaluated and registered.
 
-use crate::world::{Ev, World};
+use crate::world::{star_hosts, Ev, World};
 use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{CallOutcome, HoldingDist, Pacer, RetryPolicy};
+use netsim::topology::nodes;
 use overload::ControlLaw;
 use serde::{Deserialize, Serialize};
 use teletraffic::Erlangs;
@@ -156,17 +157,43 @@ impl EmpiricalConfig {
         }
     }
 
-    /// Reject feature combinations the world cannot compose, where the
-    /// configuration enters it ([`World::new`]). Both involve the
-    /// finite-source population: a paced UAC may defer an INVITE, and the
+    /// Reject configurations the world cannot run as written, where the
+    /// configuration enters it ([`World::new`]).
+    ///
+    /// Every fault must aim inside the farm: a crash or throttle at a
+    /// server index below `servers`, a link fault at one of the star's
+    /// links (the switch and one of the two SIPp hosts or a PBX). Anything
+    /// else would silently run as a healthy testbed.
+    ///
+    /// The finite-source population composes with neither caller-side
+    /// pacing nor a flash crowd: a paced UAC may defer an INVITE, and the
     /// deferred call has no Call-ID yet to tie its user's busy mark to —
     /// the user would never idle again; a flash crowd scales the
     /// open-loop arrival process, which population mode never reads.
     ///
     /// # Panics
-    /// If `population` is set together with a pacer-arming overload law
-    /// or with a [`FaultKind::FlashCrowd`] in `faults`.
+    /// If a fault aims outside the farm, or if `population` is set
+    /// together with a pacer-arming overload law or with a
+    /// [`FaultKind::FlashCrowd`] in `faults`.
     pub fn validate(&self) {
+        let servers = self.servers.max(1);
+        let host = |n| star_hosts(servers).any(|h| h == n);
+        let star_link = |a, b| (a == nodes::SWITCH && host(b)) || (b == nodes::SWITCH && host(a));
+        for event in self.faults.events() {
+            let in_farm = match event.kind {
+                FaultKind::LinkDegrade { a, b, .. }
+                | FaultKind::LinkPartition { a, b }
+                | FaultKind::LinkHeal { a, b } => star_link(a, b),
+                FaultKind::PbxCrash { pbx, .. } | FaultKind::CpuThrottle { pbx, .. } => {
+                    pbx < servers
+                }
+                FaultKind::FlashCrowd { .. } => true,
+            };
+            assert!(
+                in_farm,
+                "fault aimed outside the {servers}-server farm: {event:?}"
+            );
+        }
         if self.population.is_none() {
             return;
         }
@@ -307,11 +334,6 @@ pub struct RunResult {
     pub wall_clock_s: f64,
     /// Events processed per wall-clock second (excluded from the digest).
     pub events_per_sec: f64,
-    /// Wall-clock attribution per subsystem phase (all-zero with
-    /// `enabled: false` unless the binary was built with the
-    /// `phase-timing` feature). Host-dependent — excluded from the
-    /// digest like the other wall-clock fields.
-    pub phases: des::PhaseBreakdown,
     /// Calls shed by PBX overload control (503 + Retry-After).
     pub shed: u64,
     /// UAC re-INVITEs sent after a shed (backoff retries).
@@ -578,7 +600,6 @@ impl EmpiricalRunner {
             } else {
                 0.0
             },
-            phases: world.phase_breakdown(wall_clock_s),
             shed,
             retries,
             shed_then_ok,
@@ -673,6 +694,78 @@ mod tests {
             churning.completed, quiet.completed,
             "churn is load, not physics"
         );
+    }
+
+    /// A two-server farm whose schedule holds the one fault `kind`.
+    fn farm_with_fault(kind: FaultKind) -> EmpiricalConfig {
+        let mut cfg = EmpiricalConfig::smoke(1);
+        cfg.servers = 2;
+        cfg.faults = FaultSchedule::new().at(5.0, kind);
+        cfg
+    }
+
+    #[test]
+    fn faults_on_every_star_link_and_server_are_accepted() {
+        let mut cfg = farm_with_fault(FaultKind::PbxCrash {
+            pbx: 1,
+            restart_after: SimDuration::from_secs(1),
+        });
+        for (a, b) in star_hosts(2).map(|host| (host, nodes::SWITCH)) {
+            cfg.faults = cfg.faults.at(6.0, FaultKind::LinkPartition { a, b });
+            cfg.faults = cfg.faults.at(7.0, FaultKind::LinkHeal { a: b, b: a });
+        }
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault aimed outside the 2-server farm")]
+    fn a_link_degrade_off_the_star_is_rejected() {
+        farm_with_fault(FaultKind::LinkDegrade {
+            a: nodes::SIPP_CLIENT,
+            b: crate::world::pbx_node(0),
+            params: netsim::LinkParams::fast_ethernet(),
+        })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault aimed outside the 2-server farm")]
+    fn a_link_partition_of_a_missing_pbx_is_rejected() {
+        farm_with_fault(FaultKind::LinkPartition {
+            a: crate::world::pbx_node(2),
+            b: nodes::SWITCH,
+        })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault aimed outside the 2-server farm")]
+    fn a_link_heal_of_a_missing_pbx_is_rejected() {
+        farm_with_fault(FaultKind::LinkHeal {
+            a: nodes::SWITCH,
+            b: crate::world::pbx_node(5),
+        })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault aimed outside the 2-server farm")]
+    fn a_crash_of_a_missing_pbx_is_rejected() {
+        farm_with_fault(FaultKind::PbxCrash {
+            pbx: 2,
+            restart_after: SimDuration::from_secs(1),
+        })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault aimed outside the 2-server farm")]
+    fn a_throttle_of_a_missing_pbx_is_rejected() {
+        farm_with_fault(FaultKind::CpuThrottle {
+            pbx: 7,
+            factor: 2.0,
+        })
+        .validate();
     }
 
     #[test]

@@ -175,6 +175,34 @@ mod tests {
     }
 
     #[test]
+    fn every_uac_gets_the_signalling_of_its_own_calls() {
+        use crate::experiment::{run_world, MediaMode};
+        use loadgen::CallOutcome;
+
+        // A clean signalling-only farm drains long before this horizon,
+        // so every call ends in its own UAC's journal. A response, a
+        // hangup or a retry handed to the wrong UAC leaves the owner's
+        // call hanging: abandoned at `finish`.
+        let mut cfg = EmpiricalConfig::smoke(8);
+        cfg.servers = 3;
+        cfg.erlangs = 9.0;
+        cfg.channels = 12;
+        cfg.media = MediaMode::Off;
+        let mut sim = run_world(cfg.clone(), des::SimTime::from_secs(600));
+        let mut attempted = 0;
+        for (k, uac) in sim.world.uacs.iter_mut().enumerate() {
+            let _ = uac.finish();
+            let journal = &uac.journal;
+            assert!(journal.attempted > 0, "UAC {k} placed no call");
+            for outcome in [CallOutcome::Failed, CallOutcome::Abandoned] {
+                assert_eq!(journal.outcome_count(outcome), 0, "UAC {k}: {outcome:?}");
+            }
+            attempted += journal.attempted;
+        }
+        assert_eq!(attempted, EmpiricalRunner::run(cfg).attempted);
+    }
+
+    #[test]
     fn farm_media_also_works() {
         // Full media through a 2-server farm: packets relay correctly and
         // MOS is scored per call regardless of which server bridged it.

@@ -190,25 +190,6 @@ pub fn render_throughput(r: &RunResult) -> String {
         0.0
     };
     let _ = writeln!(out, "{:<28}{:>13.0}x", "Real-time speedup", speedup);
-    if r.phases.enabled {
-        let _ = writeln!(out, "Wall-clock phase breakdown");
-        let pct = |s: f64| {
-            if r.wall_clock_s > 0.0 {
-                100.0 * s / r.wall_clock_s
-            } else {
-                0.0
-            }
-        };
-        for (label, s) in [
-            ("  scheduler/dispatch", r.phases.scheduler_s),
-            ("  signalling", r.phases.signalling_s),
-            ("  media encode", r.phases.media_encode_s),
-            ("  relay", r.phases.relay_s),
-            ("  scoring", r.phases.scoring_s),
-        ] {
-            let _ = writeln!(out, "{label:<28}{s:>12.3}s {:>5.1}%", pct(s));
-        }
-    }
     out
 }
 

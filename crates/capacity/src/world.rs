@@ -10,7 +10,7 @@
 mod media;
 
 use crate::experiment::{EmpiricalConfig, MediaMode};
-use des::{EventHandler, GenTag, Phase, PhaseTimer, Scheduler, SimDuration, SimTime, StreamRng};
+use des::{EventHandler, GenTag, Scheduler, SimDuration, SimTime, StreamRng};
 use faults::FaultKind;
 use loadgen::{ArrivalProcess, ChurnWheel, PopulationArrivals, Uac, UacEvent, Uas, UasEvent};
 use media::{DownRoute, MediaPlane, UpRoute, FRAME_PERIOD};
@@ -96,6 +96,13 @@ pub fn pbx_node(k: u32) -> NodeId {
     NodeId(3 + k as u16)
 }
 
+/// The hosts the switch links to in a farm of `servers` PBXes.
+pub(crate) fn star_hosts(servers: u32) -> impl Iterator<Item = NodeId> {
+    [nodes::SIPP_CLIENT, nodes::SIPP_SERVER]
+        .into_iter()
+        .chain((0..servers).map(pbx_node))
+}
+
 /// What travels inside a network frame.
 #[derive(Debug, Clone)]
 pub enum Payload {
@@ -179,6 +186,8 @@ pub enum Ev {
     Hangup {
         /// UAC-side call id.
         call_id: String,
+        /// UAC index within the farm (`u32`, so `Ev` stays 32 bytes).
+        uac: u32,
     },
     /// The UAS's pickup delay elapsed: answer.
     UasAnswer {
@@ -195,12 +204,14 @@ pub enum Ev {
     UacRetry {
         /// The shed attempt's Call-ID.
         call_id: String,
+        /// UAC index within the farm (`u32`, so `Ev` stays 32 bytes).
+        uac: u32,
     },
     /// A UAC pacer's next-allowed instant arrived: release one deferred
     /// INVITE (armed only when a rate-mode [`loadgen::Pacer`] defers).
     PacerWake {
-        /// UAC index within the farm.
-        uac: usize,
+        /// UAC index within the farm (`u32`, so `Ev` stays 32 bytes).
+        uac: u32,
     },
     /// Periodic link-quality sampling feeding MOS-aware admission: folds
     /// the monitor's per-stream stats into (loss, jitter, delay) and hands
@@ -289,9 +300,6 @@ pub struct World {
     rng_retry: StreamRng,
     placement_start: SimTime,
     placement_end: SimTime,
-    /// Wall-clock phase attribution (compiled out without the
-    /// `phase-timing` feature; see [`des::PhaseTimer`]).
-    phase_timer: PhaseTimer,
     /// Media sessions and their frame cadence.
     media: MediaPlane,
     calls_placed: u64,
@@ -321,10 +329,7 @@ impl World {
         let streams = des::RngStream::new(config.seed);
         let mut link = LinkParams::fast_ethernet();
         link.loss_probability = config.link_loss_probability;
-        let mut hosts = vec![nodes::SIPP_CLIENT, nodes::SIPP_SERVER];
-        for k in 0..servers {
-            hosts.push(pbx_node(k));
-        }
+        let hosts: Vec<NodeId> = star_hosts(servers).collect();
         let topo = StarTopology::new(nodes::SWITCH, &hosts, link);
 
         let mut pbxes = Vec::with_capacity(servers as usize);
@@ -391,7 +396,6 @@ impl World {
             placement_start: SimTime::from_secs(1),
             placement_end: SimTime::from_secs(1)
                 + SimDuration::from_secs_f64(config.placement_window_s),
-            phase_timer: PhaseTimer::new(),
             media: MediaPlane::new(&config, streams.stream("media")),
             calls_placed: 0,
             baseline_link: link,
@@ -406,14 +410,6 @@ impl World {
     #[must_use]
     pub fn placement_end(&self) -> SimTime {
         self.placement_end
-    }
-
-    /// Fold the accumulated phase timings into a breakdown of
-    /// `total_wall_s` (the run's wall clock); all-zero with `enabled:
-    /// false` when the `phase-timing` feature is compiled out.
-    #[must_use]
-    pub fn phase_breakdown(&self, total_wall_s: f64) -> des::PhaseBreakdown {
-        self.phase_timer.breakdown(total_wall_s)
     }
 
     /// Seed the initial events: registrations at t≈0, first arrival after
@@ -474,10 +470,8 @@ impl World {
     }
 
     fn apply_fault(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, idx: usize) {
-        let Some(event) = self.config.faults.events().get(idx) else {
-            return;
-        };
-        match event.kind.clone() {
+        // `validate` checked that every fault aims inside the farm.
+        match self.config.faults.events()[idx].kind.clone() {
             FaultKind::LinkDegrade { a, b, params } => {
                 self.topo.network.set_duplex_link_params(a, b, params);
             }
@@ -492,16 +486,14 @@ impl World {
             }
             FaultKind::PbxCrash { pbx, restart_after } => {
                 let k = pbx as usize;
-                if k < self.pbxes.len() && !self.pbx_down[k] {
+                if !self.pbx_down[k] {
                     self.pbxes[k].crash(now);
                     self.pbx_down[k] = true;
                     sched.schedule(now + restart_after, Ev::FaultEnd(idx));
                 }
             }
             FaultKind::CpuThrottle { pbx, factor } => {
-                if let Some(p) = self.pbxes.get_mut(pbx as usize) {
-                    p.cpu.set_throttle(factor);
-                }
+                self.pbxes[pbx as usize].cpu.set_throttle(factor);
             }
             FaultKind::FlashCrowd {
                 rate_multiplier,
@@ -513,8 +505,7 @@ impl World {
         }
     }
 
-    /// The timed effect of fault `idx` is over (armed by [`Self::apply_fault`],
-    /// so the PBX index was checked there).
+    /// The timed effect of fault `idx` is over (armed by [`Self::apply_fault`]).
     fn end_fault(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, idx: usize) {
         match self.config.faults.events()[idx].kind {
             // The supervisor brought the PBX back: mark it reachable and
@@ -586,37 +577,29 @@ impl World {
         }
     }
 
-    /// Which UAC engine owns a Call-ID on the client host.
-    fn uac_index_for(&self, call_id: &str) -> usize {
-        if self.uacs.len() == 1 {
-            return 0;
-        }
-        let tag = if let Some(rest) = call_id.strip_prefix("uac-") {
-            rest.split('-').next().and_then(|t| t.parse::<u32>().ok())
-        } else {
-            call_id
-                .rsplit('-')
-                .next()
-                .and_then(|t| t.parse::<u32>().ok())
-        };
-        match tag {
-            Some(t) if (t as usize) < self.uacs.len() => t as usize,
-            _ => 0,
-        }
+    /// Put a SIP message from `src` on the wire towards `to`.
+    fn send_sip(
+        &mut self,
+        now: SimTime,
+        sched: &mut Scheduler<Ev>,
+        src: NodeId,
+        to: NodeId,
+        msg: SipMessage,
+    ) {
+        self.forward_frame(now, sched, src, sip_frame(src, to, msg));
     }
 
     fn process_uac_events(
         &mut self,
         now: SimTime,
         sched: &mut Scheduler<Ev>,
-        uac: usize,
+        uac: u32,
         events: Vec<UacEvent>,
     ) {
         for ev in events {
             match ev {
                 UacEvent::SendSip { to, msg } => {
-                    let frame = sip_frame(nodes::SIPP_CLIENT, to, msg);
-                    self.forward_frame(now, sched, frame.src, frame);
+                    self.send_sip(now, sched, nodes::SIPP_CLIENT, to, msg);
                 }
                 UacEvent::Answered {
                     call_id,
@@ -638,7 +621,7 @@ impl World {
                     // The hangup timer takes the Call-ID; only a media
                     // session needs a second copy.
                     let media_call = (self.config.media != MediaMode::Off).then(|| call_id.clone());
-                    sched.schedule(now + hangup_after, Ev::Hangup { call_id });
+                    sched.schedule(now + hangup_after, Ev::Hangup { call_id, uac });
                     if let Some(call) = media_call {
                         let route = (nodes::SIPP_CLIENT, remote_node, remote_rtp_port);
                         self.start_media(now, sched, call, route);
@@ -658,7 +641,7 @@ impl World {
                     let jitter = SimDuration::from_secs_f64(
                         delay.as_secs_f64() * 0.1 * self.rng_retry.unit_f64(),
                     );
-                    sched.schedule(now + delay + jitter, Ev::UacRetry { call_id });
+                    sched.schedule(now + delay + jitter, Ev::UacRetry { call_id, uac });
                 }
                 UacEvent::PacerWake { at } => {
                     sched.schedule(at, Ev::PacerWake { uac });
@@ -676,8 +659,7 @@ impl World {
         for ev in events {
             match ev {
                 UasEvent::SendSip { to, msg } => {
-                    let frame = sip_frame(nodes::SIPP_SERVER, to, msg);
-                    self.forward_frame(now, sched, frame.src, frame);
+                    self.send_sip(now, sched, nodes::SIPP_SERVER, to, msg);
                 }
                 UasEvent::AnswerDue { call_id, at } => {
                     sched.schedule(at, Ev::UasAnswer { call_id });
@@ -717,10 +699,7 @@ impl World {
     ) {
         for act in actions {
             match act {
-                PbxAction::SendSip { to, msg } => {
-                    let frame = sip_frame(src, to, msg);
-                    self.forward_frame(now, sched, frame.src, frame);
-                }
+                PbxAction::SendSip { to, msg } => self.send_sip(now, sched, src, to, msg),
                 // The world relays RTP via the allocation-free
                 // `Pbx::relay_rtp` fast path in `deliver`; this arm only
                 // exists for completeness of the action protocol.
@@ -766,51 +745,41 @@ impl World {
     /// What a packet looks up is what can change under it: whether its
     /// PBX is up, and what [`Pbx::relay_rtp`] answers (which also accrues
     /// the relay's CPU and counts). Links and the monitor stream are
-    /// reached through the handles session `idx` carries.
-    fn emit_media_express(
-        &mut self,
-        now: SimTime,
-        idx: usize,
-        header: &RtpHeader,
-        timer: &mut PhaseTimer,
-    ) {
+    /// reached through the handles session `idx` carries. `None` where
+    /// the packet dies: a dark PBX, a link drop, no relay target yet.
+    fn emit_media_express(&mut self, now: SimTime, idx: usize, header: &RtpHeader) -> Option<()> {
         let session = self.media.session_mut(idx);
         let (_, remote_node, remote_port) = session.route;
-        let Some(up) = session.up else { return };
+        let up = session.up?;
         if self.pbx_down[up.pbx] {
-            return;
+            return None;
         }
-        let arrival = timer.measure(Phase::Relay, || {
-            let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
-            let at_pbx = chase_rtp_frame(net, up.links, now, rng)?;
-            let (to, port) = self.pbxes[up.pbx].relay_rtp(now, remote_port)?;
-            if session.down.is_none_or(|d| (d.to, d.port) != (to, port)) {
-                // First relayed packet, or the far leg moved (early-media
-                // race, re-INVITE, crash and restart).
-                let links = self.topo.two_hop_route(remote_node, to)?;
-                session.down = Some(DownRoute {
-                    to,
-                    port,
-                    links,
-                    stream: None,
-                });
+        let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
+        let at_pbx = chase_rtp_frame(net, up.links, now, rng)?;
+        let (to, port) = self.pbxes[up.pbx].relay_rtp(now, remote_port)?;
+        if session.down.is_none_or(|d| (d.to, d.port) != (to, port)) {
+            // First relayed packet, or the far leg moved (early-media
+            // race, re-INVITE, crash and restart).
+            let links = self.topo.two_hop_route(remote_node, to)?;
+            session.down = Some(DownRoute {
+                to,
+                port,
+                links,
+                stream: None,
+            });
+        }
+        let down = session.down.as_mut()?;
+        let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
+        let arrival = chase_rtp_frame(net, down.links, at_pbx, rng)?;
+        let (arrival_s, delay_s) = (arrival.as_secs_f64(), arrival.since(now).as_secs_f64());
+        match down.stream {
+            Some(stream) => self.monitor.tap_rtp_on(stream, arrival_s, delay_s, header),
+            None => {
+                let flow = FlowId::from_node_port(down.to.0, down.port);
+                down.stream = Some(self.monitor.tap_rtp(flow, arrival_s, delay_s, header));
             }
-            let (net, rng) = (&mut self.topo.network, &mut self.rng_network);
-            chase_rtp_frame(net, session.down.as_ref()?.links, at_pbx, rng)
-        });
-        let (Some(arrival), Some(down)) = (arrival, session.down.as_mut()) else {
-            return;
-        };
-        timer.measure(Phase::Scoring, || {
-            let (arrival_s, delay_s) = (arrival.as_secs_f64(), arrival.since(now).as_secs_f64());
-            match down.stream {
-                Some(stream) => self.monitor.tap_rtp_on(stream, arrival_s, delay_s, header),
-                None => {
-                    let flow = FlowId::from_node_port(down.to.0, down.port);
-                    down.stream = Some(self.monitor.tap_rtp(flow, arrival_s, delay_s, header));
-                }
-            }
-        });
+        }
+        Some(())
     }
 
     /// Per-hop emission of one RTP packet along `(src, dst, dst port)`.
@@ -837,27 +806,17 @@ impl World {
 
     /// One frame event of `slot`: every session due there emits its packet,
     /// and the event recurs one period on while the slot holds sessions.
-    fn on_media_frame(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-        slot: usize,
-        timer: &mut PhaseTimer,
-    ) {
-        while let Some((idx, header)) =
-            timer.measure(Phase::MediaEncode, || self.media.next_due(now, slot))
-        {
+    fn on_media_frame(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, slot: usize) {
+        while let Some((idx, header)) = self.media.next_due(now, slot) {
             // Only a span port reads payload bytes or needs per-hop frames.
             if self.capture.is_some() {
                 let session = self.media.session_mut(idx);
                 let (route, datagram) = (session.route, session.datagram(header));
-                timer.measure(Phase::Relay, || {
-                    self.emit_media(now, sched, route, datagram)
-                });
+                self.emit_media(now, sched, route, datagram);
             } else {
                 // Cut straight through the network model, which reads
                 // the header, never the payload.
-                self.emit_media_express(now, idx, &header, timer);
+                self.emit_media_express(now, idx, &header);
             }
         }
         if self.media.armed(slot) {
@@ -884,25 +843,19 @@ impl World {
             let actions = self.pbxes[k].handle_sip(now, src, msg);
             self.process_pbx_actions(now, sched, dst, actions);
         } else if dst == nodes::SIPP_CLIENT {
-            let idx = msg
-                .call_id()
-                .map(|cid| self.uac_index_for(cid))
-                .unwrap_or(0);
-            let events = self.uacs[idx].on_sip(now, msg);
-            self.process_uac_events(now, sched, idx, events);
+            // UAC k talks only to PBX k.
+            let k = self
+                .pbx_index_of(src)
+                .expect("only a PBX signals the client host");
+            let events = self.uacs[k].on_sip(now, msg);
+            self.process_uac_events(now, sched, k as u32, events);
         } else if dst == nodes::SIPP_SERVER {
             let events = self.uas.on_sip(now, src, msg);
             self.process_uas_events(now, sched, events);
         }
     }
 
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-        mut frame: Box<Frame>,
-        timer: &mut PhaseTimer,
-    ) {
+    fn deliver(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, mut frame: Box<Frame>) {
         // A crashed PBX is dark: frames reach its NIC and die there.
         let pbx = self.pbx_index_of(frame.dst);
         if pbx.is_some_and(|k| self.pbx_down[k]) {
@@ -930,9 +883,7 @@ impl World {
                 dst,
                 payload: Payload::Sip(msg),
                 ..
-            } => timer.measure(Phase::Signalling, || {
-                self.handle_sip_delivery(now, sched, src, dst, msg);
-            }),
+            } => self.handle_sip_delivery(now, sched, src, dst, msg),
             Frame {
                 dst,
                 dst_port,
@@ -948,24 +899,19 @@ impl World {
                     // out readdressed, keeping the original emission time
                     // so endpoints see true mouth-to-ear delay. No action
                     // Vec, no byte copy, no re-parse, no new frame.
-                    timer.measure(Phase::Relay, || {
-                        if let Some((to, to_port)) = self.pbxes[k].relay_rtp(now, dst_port) {
-                            (frame.src, frame.dst, frame.dst_port) = (dst, to, to_port);
-                            self.forward_frame(now, sched, dst, frame);
-                        }
-                    });
+                    if let Some((to, to_port)) = self.pbxes[k].relay_rtp(now, dst_port) {
+                        (frame.src, frame.dst, frame.dst_port) = (dst, to, to_port);
+                        self.forward_frame(now, sched, dst, frame);
+                    }
                 } else {
                     // Delivered to an endpoint: the monitor scores it off
                     // the decoded header riding with the datagram.
-                    let flow = FlowId::from_node_port(dst.0, dst_port);
-                    timer.measure(Phase::Scoring, || {
-                        self.monitor.tap_rtp(
-                            flow,
-                            now.as_secs_f64(),
-                            now.since(sent_at).as_secs_f64(),
-                            &datagram.header,
-                        );
-                    });
+                    self.monitor.tap_rtp(
+                        FlowId::from_node_port(dst.0, dst_port),
+                        now.as_secs_f64(),
+                        now.since(sent_at).as_secs_f64(),
+                        &datagram.header,
+                    );
                 }
             }
         }
@@ -995,7 +941,7 @@ impl World {
         let (caller, callee) = (Decimal::new(caller), Decimal::new(callee));
         let (call_id, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
         self.calls_placed += 1;
-        self.process_uac_events(now, sched, k, events);
+        self.process_uac_events(now, sched, k as u32, events);
         call_id
     }
 
@@ -1139,66 +1085,46 @@ impl World {
 
 impl EventHandler<Ev> for World {
     fn handle(&mut self, at: SimTime, event: Ev, sched: &mut Scheduler<Ev>) {
-        // Lift the timer out of `self` so measured closures can borrow the
-        // world freely; its accumulations are written back at the end.
-        // With `phase-timing` off the timer is a ZST and this is free.
-        let mut timer = std::mem::take(&mut self.phase_timer);
         match event {
-            Ev::PlaceCall => timer.measure(Phase::Signalling, || self.place_call(at, sched)),
+            Ev::PlaceCall => self.place_call(at, sched),
             Ev::HopArrive { at: node, frame } => {
                 if node == frame.dst {
-                    self.deliver(at, sched, frame, &mut timer);
+                    self.deliver(at, sched, frame);
                 } else {
-                    let phase = match frame.payload {
-                        Payload::Sip(_) => Phase::Signalling,
-                        Payload::Rtp { .. } => Phase::Relay,
-                    };
-                    timer.measure(phase, || self.forward_frame(at, sched, node, frame));
+                    self.forward_frame(at, sched, node, frame);
                 }
             }
-            Ev::MediaFrame { slot } => self.on_media_frame(at, sched, slot, &mut timer),
-            Ev::Hangup { call_id } => timer.measure(Phase::Signalling, || {
+            Ev::MediaFrame { slot } => self.on_media_frame(at, sched, slot),
+            Ev::Hangup { call_id, uac } => {
                 self.media.stop(&call_id, nodes::SIPP_CLIENT);
-                let idx = self.uac_index_for(&call_id);
-                let events = self.uacs[idx].hangup(at, &call_id);
-                self.process_uac_events(at, sched, idx, events);
-            }),
-            Ev::UasAnswer { call_id } => timer.measure(Phase::Signalling, || {
+                let events = self.uacs[uac as usize].hangup(at, &call_id);
+                self.process_uac_events(at, sched, uac, events);
+            }
+            Ev::UasAnswer { call_id } => {
                 let events = self.uas.answer(at, &call_id);
                 self.process_uas_events(at, sched, events);
-            }),
+            }
             Ev::Fault(idx) => self.apply_fault(at, sched, idx),
-            Ev::FaultEnd(idx) => {
-                timer.measure(Phase::Signalling, || self.end_fault(at, sched, idx));
-            }
-            Ev::UacRetry { call_id } => timer.measure(Phase::Signalling, || {
-                let idx = self.uac_index_for(&call_id);
-                let events = self.uacs[idx].retry_call(at, &call_id);
-                self.process_uac_events(at, sched, idx, events);
-            }),
-            Ev::PacerWake { uac } => timer.measure(Phase::Signalling, || {
-                let events = self.uacs[uac].pacer_wake(at);
+            Ev::FaultEnd(idx) => self.end_fault(at, sched, idx),
+            Ev::UacRetry { call_id, uac } => {
+                let events = self.uacs[uac as usize].retry_call(at, &call_id);
                 self.process_uac_events(at, sched, uac, events);
-            }),
-            Ev::PopArrival { tag } => {
-                timer.measure(Phase::Signalling, || self.pop_arrival(at, sched, tag));
             }
-            Ev::ChurnTick { tick } => {
-                timer.measure(Phase::Signalling, || self.pop_churn(at, sched, tick));
+            Ev::PacerWake { uac } => {
+                let events = self.uacs[uac as usize].pacer_wake(at);
+                self.process_uac_events(at, sched, uac, events);
             }
+            Ev::PopArrival { tag } => self.pop_arrival(at, sched, tag),
+            Ev::ChurnTick { tick } => self.pop_churn(at, sched, tick),
             Ev::ChurnSlice {
                 tick,
                 start,
                 spacing_ns,
-            } => {
-                timer.measure(Phase::Signalling, || {
-                    self.pop_churn_slice(at, sched, tick, start, spacing_ns);
-                });
-            }
-            Ev::RetireCall { call_id } => timer.measure(Phase::Scoring, || {
+            } => self.pop_churn_slice(at, sched, tick, start, spacing_ns),
+            Ev::RetireCall { call_id } => {
                 self.monitor.retire_call(&call_id);
-            }),
-            Ev::QualityTick => timer.measure(Phase::Scoring, || {
+            }
+            Ev::QualityTick => {
                 let (loss, jitter_ms, delay_ms) = self.monitor.link_quality();
                 for pbx in &mut self.pbxes {
                     pbx.observe_link_quality(loss, jitter_ms, delay_ms);
@@ -1211,8 +1137,7 @@ impl EventHandler<Ev> for World {
                 if busy {
                     sched.schedule(at + SimDuration::from_secs(1), Ev::QualityTick);
                 }
-            }),
+            }
         }
-        self.phase_timer = timer;
     }
 }

@@ -17,6 +17,11 @@
 //!   packet events through the queue in well under a second in release
 //!   builds.
 //!
+//! Beside the engine the crate holds the RNG streams ([`rng`]), the
+//! process-wide sweep worker count ([`pool`]) and the statistics toolkit
+//! ([`stats`]). It times nothing: where a run's wall clock goes is
+//! measured from outside, by the benchmark's per-layer trace.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +44,6 @@
 pub mod cancel;
 pub mod engine;
 pub mod fastmap;
-pub mod phase_timer;
 pub mod pool;
 pub mod rng;
 pub mod stats;
@@ -48,7 +52,6 @@ pub mod time;
 pub use cancel::{GenTag, Generation};
 pub use engine::{EventHandler, Scheduler, SchedulerKind, Simulation, StepOutcome};
 pub use fastmap::FastMap;
-pub use phase_timer::{Phase, PhaseBreakdown, PhaseTimer};
 pub use rng::{stream_seed, Distributions, RngStream, StreamRng};
 pub use stats::{BatchMeans, Counter, Histogram, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
