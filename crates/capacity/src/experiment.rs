@@ -515,7 +515,7 @@ impl EmpiricalRunner {
         }
         let mut journal = loadgen::Journal::new();
         for uac in &mut world.uacs {
-            let _ = uac.finish();
+            uac.finish();
             journal.merge(&uac.journal);
         }
 
@@ -645,6 +645,40 @@ mod tests {
         assert!(r.monitor.rtp_packets > 0, "media flowed");
         assert!(r.monitor.mos_mean > 4.0, "clean LAN scores high MOS");
         assert!(r.cpu_mean > 0.0 && r.cpu_mean < 1.0);
+    }
+
+    /// Each count has one source, and the two run ledgers agree: the
+    /// monitor's SIP rows (Table I) and the UAC journals' outcomes. On a
+    /// clean cell (no link loss, faults or pacer) every attempt and retry
+    /// sends the PBX an INVITE, which it forwards unless it answers with
+    /// an error; each leg ACKs its final response once; each conversation
+    /// ends with one BYE per leg.
+    #[test]
+    fn sip_rows_reconcile_with_the_outcome_journal() {
+        let mut shedding = EmpiricalConfig::signalling_only(220.0, 9);
+        shedding.overload_law = Some(ControlLaw::hysteresis_default());
+        shedding.retry = Some(RetryPolicy::default());
+        let cells = [
+            EmpiricalConfig::smoke(42),
+            EmpiricalConfig::signalling_only(200.0, 7),
+            shedding,
+        ];
+        let runs = cells.map(|cfg| {
+            assert_eq!(cfg.link_loss_probability, 0.0);
+            assert!(cfg.faults.is_empty() && cfg.pacer().is_none());
+            EmpiricalRunner::run(cfg)
+        });
+        for r in &runs {
+            let rows = &r.monitor;
+            let invites = 2 * (r.attempted + r.retries) - rows.sip_error_count();
+            assert_eq!(rows.sip_request_count("INVITE"), invites, "{r:?}");
+            assert_eq!(rows.sip_request_count("ACK"), invites, "{r:?}");
+            assert_eq!(rows.sip_request_count("BYE"), 2 * r.goodput, "{r:?}");
+            assert!(r.goodput > 0, "{r:?}");
+        }
+        // The shedding cell exercises the error and retry terms.
+        let shed = &runs[2];
+        assert!(shed.retries > 0 && shed.monitor.sip_error_count() > 0);
     }
 
     /// A small finite-source population cell: 200 subscribers offering

@@ -191,7 +191,7 @@ mod tests {
         let mut sim = run_world(cfg.clone(), des::SimTime::from_secs(600));
         let mut attempted = 0;
         for (k, uac) in sim.world.uacs.iter_mut().enumerate() {
-            let _ = uac.finish();
+            uac.finish();
             let journal = &uac.journal;
             assert!(journal.attempted > 0, "UAC {k} placed no call");
             for outcome in [CallOutcome::Failed, CallOutcome::Abandoned] {

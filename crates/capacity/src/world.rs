@@ -233,7 +233,7 @@ pub enum Ev {
         tick: u64,
     },
     /// One bounded chunk of a churn tick's due range: at most
-    /// [`CHURN_SLICE`] users re-REGISTER per slice event, so live frame
+    /// `CHURN_SLICE` (64) users re-REGISTER per slice event, so live frame
     /// state stays O(slice) instead of O(population / buckets).
     ChurnSlice {
         /// The tick whose due range is being walked.

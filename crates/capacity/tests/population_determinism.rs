@@ -106,12 +106,13 @@ fn golden_digest_population_cell() {
     let horizon = des::SimTime::from_secs_f64(r.sim_seconds);
     let world = capacity::experiment::run_world(cfg, horizon).world;
     let confirmed: u64 = world.uacs.iter().map(|u| u.registrations_confirmed).sum();
+    let tapped = world.monitor.report();
     assert_eq!(
         confirmed,
-        world.monitor.sip_response_count(401),
+        tapped.sip_response_count(401),
         "every challenge was answered and accepted"
     );
-    assert_eq!(world.monitor.sip_response_count(403), 0);
+    assert_eq!(tapped.sip_response_count(403), 0);
     let (registered, auth_failures) = world.pbxes[0].registrar.stats();
     assert_eq!(auth_failures, 0);
     assert!(registered >= confirmed);

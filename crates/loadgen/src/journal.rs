@@ -1,11 +1,12 @@
-//! Per-run accounting: call outcomes and SIP message counts.
+//! Per-run call accounting: attempts, retries and outcomes.
 //!
-//! This is the ledger behind the paper's Table I rows — INVITE / 100 TRY /
-//! RING / OK / ACK / BYE / error-message counts plus blocked-call
-//! percentages come straight out of a [`Journal`].
+//! This is SIPp's side of the run — how many calls were placed and how
+//! each ended, the source of blocked-call percentages and goodput. It
+//! counts no messages: Table I's INVITE / 100 TRY / RING / OK / ACK / BYE
+//! rows come from the passive monitor (`vmon::MonitorReport`), the tap
+//! the paper reads them from.
 
 use serde::{Deserialize, Serialize};
-use sipcore::{Method, SipMessage, SipTally, StatusCode};
 
 /// Final outcome of one attempted call, from the generator's standpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,15 +24,6 @@ pub enum CallOutcome {
     Abandoned,
 }
 
-/// Whether a counted message was sent or received by the instrumented side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MsgDirection {
-    /// Message left this agent.
-    Sent,
-    /// Message arrived at this agent.
-    Received,
-}
-
 /// The accounting ledger.
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
@@ -41,12 +33,6 @@ pub struct Journal {
     pub retries: u64,
     /// Outcome tallies, indexed by `CallOutcome as usize`.
     outcomes: [u64; CallOutcome::Abandoned as usize + 1],
-    /// SIP messages by method and status code (sent + received).
-    sip: SipTally,
-    /// RTP packets sent by this side.
-    pub rtp_sent: u64,
-    /// RTP packets received by this side.
-    pub rtp_received: u64,
 }
 
 impl Journal {
@@ -81,52 +67,19 @@ impl Journal {
         self.outcome_count(CallOutcome::Blocked) as f64 / self.attempted as f64
     }
 
-    /// Record one SIP message passing this agent (either direction).
-    pub fn count_sip(&mut self, msg: &SipMessage, _dir: MsgDirection) {
-        self.sip.count(msg);
-    }
-
-    /// Requests counted for a method.
-    #[must_use]
-    pub fn request_count(&self, method: Method) -> u64 {
-        self.sip.requests(method)
-    }
-
-    /// Responses counted for a status code.
-    #[must_use]
-    pub fn response_count(&self, status: StatusCode) -> u64 {
-        self.sip.responses(status)
-    }
-
-    /// Total error-class (≥400) responses counted.
-    #[must_use]
-    pub fn error_responses(&self) -> u64 {
-        self.sip.error_responses()
-    }
-
-    /// Total SIP messages counted.
-    #[must_use]
-    pub fn total_sip(&self) -> u64 {
-        self.sip.total()
-    }
-
-    /// Merge another journal (e.g. UAC + UAS sides).
+    /// Merge another journal (one per UAC of a farm).
     pub fn merge(&mut self, other: &Journal) {
         self.attempted += other.attempted;
         self.retries += other.retries;
         for (mine, theirs) in self.outcomes.iter_mut().zip(other.outcomes) {
             *mine += theirs;
         }
-        self.sip.merge(&other.sip);
-        self.rtp_sent += other.rtp_sent;
-        self.rtp_received += other.rtp_received;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sipcore::{Request, Response, SipUri};
 
     #[test]
     fn outcome_accounting() {
@@ -152,40 +105,6 @@ mod tests {
     #[test]
     fn empty_journal_blocking_zero() {
         assert_eq!(Journal::new().blocking_probability(), 0.0);
-        assert_eq!(Journal::new().total_sip(), 0);
-    }
-
-    #[test]
-    fn sip_message_tallies() {
-        let mut j = Journal::new();
-        let invite = Request::new(Method::Invite, SipUri::new("a", "h"));
-        let bye = Request::new(Method::Bye, SipUri::new("a", "h"));
-        j.count_sip(&invite.clone().into(), MsgDirection::Sent);
-        j.count_sip(&invite.into(), MsgDirection::Received);
-        j.count_sip(&bye.into(), MsgDirection::Sent);
-        j.count_sip(
-            &Response::new(StatusCode::TRYING).into(),
-            MsgDirection::Received,
-        );
-        j.count_sip(
-            &Response::new(StatusCode::OK).into(),
-            MsgDirection::Received,
-        );
-        j.count_sip(
-            &Response::new(StatusCode::BUSY_HERE).into(),
-            MsgDirection::Received,
-        );
-        j.count_sip(
-            &Response::new(StatusCode::SERVICE_UNAVAILABLE).into(),
-            MsgDirection::Received,
-        );
-        assert_eq!(j.request_count(Method::Invite), 2);
-        assert_eq!(j.request_count(Method::Bye), 1);
-        assert_eq!(j.request_count(Method::Ack), 0);
-        assert_eq!(j.response_count(StatusCode::TRYING), 1);
-        assert_eq!(j.response_count(StatusCode::OK), 1);
-        assert_eq!(j.error_responses(), 2);
-        assert_eq!(j.total_sip(), 7);
     }
 
     #[test]
@@ -194,20 +113,13 @@ mod tests {
         let mut b = Journal::new();
         a.call_attempted();
         a.call_finished(CallOutcome::Completed);
-        a.rtp_sent = 100;
         b.call_attempted();
         b.call_finished(CallOutcome::Blocked);
-        b.rtp_received = 50;
-        b.count_sip(
-            &Request::new(Method::Invite, SipUri::new("a", "h")).into(),
-            MsgDirection::Sent,
-        );
+        b.retries = 2;
         a.merge(&b);
         assert_eq!(a.attempted, 2);
         assert_eq!(a.outcome_count(CallOutcome::Completed), 1);
         assert_eq!(a.outcome_count(CallOutcome::Blocked), 1);
-        assert_eq!(a.rtp_sent, 100);
-        assert_eq!(a.rtp_received, 50);
-        assert_eq!(a.request_count(Method::Invite), 1);
+        assert_eq!(a.retries, 2);
     }
 }

@@ -9,8 +9,10 @@
 //! * [`holding`] — fixed / exponential / lognormal holding-time laws;
 //! * [`uac`] — the caller state machine (INVITE → ACK → … → BYE);
 //! * [`uas`] — the callee state machine (180 → 200 → wait BYE);
-//! * [`journal`] — per-run accounting of attempts, outcomes and SIP
-//!   message counts (the raw material of the paper's Table I).
+//! * [`journal`] — per-run accounting of attempts, retries and call
+//!   outcomes (SIPp's view of a run). Table I's SIP message rows are not
+//!   counted here: they come from the passive monitor,
+//!   `vmon::MonitorReport`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +26,7 @@ pub mod uas;
 
 pub use arrivals::ArrivalProcess;
 pub use holding::HoldingDist;
-pub use journal::{CallOutcome, Journal, MsgDirection};
+pub use journal::{CallOutcome, Journal};
 pub use population::{Arrival, ChurnWheel, DiurnalProfile, PopulationArrivals, PopulationConfig};
 pub use uac::{parse_retry_after, Pacer, PacerMode, RetryPolicy, Uac, UacEvent};
 pub use uas::{Uas, UasEvent};

@@ -11,7 +11,7 @@
 //! more sheds is journalled [`CallOutcome::ShedThenOk`] so goodput under
 //! overload control can be compared honestly against uncontrolled runs.
 
-use crate::journal::{CallOutcome, Journal, MsgDirection};
+use crate::journal::{CallOutcome, Journal};
 use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
 use overload::Feedback;
@@ -663,7 +663,6 @@ impl Uac {
 
     /// Handle an inbound SIP message.
     pub fn on_sip(&mut self, _now: SimTime, msg: SipMessage) -> Vec<UacEvent> {
-        self.journal.count_sip(&msg, MsgDirection::Received);
         let SipMessage::Response(resp) = msg else {
             return vec![]; // the UAC never receives requests in this scenario
         };
@@ -773,25 +772,18 @@ impl Uac {
         self.pending_retries.len()
     }
 
-    /// Close the books: any call still open — including shed calls whose
-    /// backoff never elapsed — is abandoned.
-    pub fn finish(&mut self) -> Vec<UacEvent> {
-        let live = std::mem::take(&mut self.calls).into_keys();
-        let backed_off = std::mem::take(&mut self.pending_retries).into_keys();
-        // Pacer-deferred intents never even got an INVITE: abandoned too
-        // (they were counted as attempts when offered).
+    /// Close the books: journal every call still open as abandoned —
+    /// shed calls whose backoff never elapsed, and pacer-deferred intents
+    /// that never sent an INVITE (they were counted as attempts when
+    /// offered), included.
+    pub fn finish(&mut self) {
         let deferred = self.pacer.as_mut().map_or(0, |p| p.queue.drain(..).count());
-        let tag = self.tag;
-        let queued = (0..deferred).map(|i| format!("uac-{tag}-queued{i}"));
-        let mut out = Vec::new();
-        for call_id in live.chain(backed_off).chain(queued) {
+        let open = self.calls.len() + self.pending_retries.len() + deferred;
+        self.calls.clear();
+        self.pending_retries.clear();
+        for _ in 0..open {
             self.journal.call_finished(CallOutcome::Abandoned);
-            out.push(UacEvent::Ended {
-                call_id,
-                outcome: CallOutcome::Abandoned,
-            });
         }
-        out
     }
 
     fn build_ack(&self, call_id: &str) -> Request {
@@ -814,8 +806,7 @@ impl Uac {
         ack
     }
 
-    fn send(&mut self, msg: SipMessage) -> UacEvent {
-        self.journal.count_sip(&msg, MsgDirection::Sent);
+    fn send(&self, msg: SipMessage) -> UacEvent {
         UacEvent::SendSip {
             to: self.pbx_node,
             msg,
@@ -1009,8 +1000,7 @@ mod tests {
         let mut u = uac();
         u.start_call(SimTime::ZERO, "1001", "2001", SimDuration::from_secs(1));
         u.start_call(SimTime::ZERO, "1002", "2002", SimDuration::from_secs(1));
-        let evs = u.finish();
-        assert_eq!(evs.len(), 2);
+        u.finish();
         assert_eq!(u.journal.outcome_count(CallOutcome::Abandoned), 2);
         assert_eq!(u.open_calls(), 0);
     }
@@ -1161,8 +1151,7 @@ mod tests {
             respond(&invite, StatusCode::SERVICE_UNAVAILABLE, None).into(),
         );
         assert_eq!(u.pending_retry_count(), 1);
-        let evs = u.finish();
-        assert_eq!(evs.len(), 1);
+        u.finish();
         assert_eq!(u.journal.outcome_count(CallOutcome::Abandoned), 1);
         assert_eq!(u.pending_retry_count(), 0);
     }
@@ -1355,23 +1344,9 @@ mod tests {
         u.start_call(SimTime::ZERO, "1001", "2001", SimDuration::from_secs(10));
         u.start_call(SimTime::ZERO, "1002", "2002", SimDuration::from_secs(10));
         assert_eq!(u.pacer.as_ref().unwrap().queued(), 1);
-        let evs = u.finish();
+        u.finish();
         // One open call + one deferred intent, both abandoned.
-        assert_eq!(evs.len(), 2);
         assert_eq!(u.journal.outcome_count(CallOutcome::Abandoned), 2);
         assert_eq!(u.pacer.as_ref().unwrap().queued(), 0);
-    }
-
-    #[test]
-    fn journal_counts_both_directions() {
-        let mut u = uac();
-        let (_, evs) = u.start_call(SimTime::ZERO, "1001", "2001", SimDuration::from_secs(1));
-        let invite = sip_of(&evs[0]).as_request().unwrap().clone();
-        u.on_sip(
-            SimTime::ZERO,
-            respond(&invite, StatusCode::TRYING, None).into(),
-        );
-        assert_eq!(u.journal.request_count(Method::Invite), 1);
-        assert_eq!(u.journal.response_count(StatusCode::TRYING), 1);
     }
 }

@@ -4,7 +4,6 @@
 //! SDP answer (after an optional pickup delay), absorb the ACK, stream
 //! media, and answer the BYE with 200.
 
-use crate::journal::{Journal, MsgDirection};
 use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
 use sipcore::message::{Decimal, Request, Response, SipMessage};
@@ -74,8 +73,6 @@ pub struct Uas {
     pub node: NodeId,
     /// Time between 180 and 200 (0 = answer immediately, the SIPp default).
     pub pickup_delay: SimDuration,
-    /// Accounting ledger.
-    pub journal: Journal,
     calls: FastMap<String, UasCall>,
     next_port: u16,
     next_tag: u64,
@@ -91,7 +88,6 @@ impl Uas {
         Uas {
             node,
             pickup_delay,
-            journal: Journal::new(),
             calls: FastMap::default(),
             next_port: 30_000,
             next_tag: 0,
@@ -107,7 +103,6 @@ impl Uas {
 
     /// Handle an inbound SIP message from `from`.
     pub fn on_sip(&mut self, now: SimTime, from: NodeId, msg: SipMessage) -> Vec<UasEvent> {
-        self.journal.count_sip(&msg, MsgDirection::Received);
         let SipMessage::Request(req) = msg else {
             return vec![]; // (200-to-BYE when we hang up is not modelled here)
         };
@@ -146,10 +141,10 @@ impl Uas {
             codec,
             to_tag,
         };
-        let mut events = vec![self.send(from, ringing.into())];
+        let mut events = vec![send(from, ringing)];
         if self.pickup_delay == SimDuration::ZERO {
             let ok = Self::answer_ok(&self.sdp_host, &mut call);
-            events.push(self.send(from, ok.into()));
+            events.push(send(from, ok));
             self.calls.insert(call_id, call);
         } else {
             self.calls.insert(call_id.clone(), call);
@@ -171,8 +166,7 @@ impl Uas {
             return vec![];
         }
         let ok = Self::answer_ok(&self.sdp_host, call);
-        let peer = call.peer;
-        vec![self.send(peer, ok.into())]
+        vec![send(call.peer, ok)]
     }
 
     /// Answer a ringing call: its 200 OK with the SDP answer.
@@ -218,12 +212,15 @@ impl Uas {
             return vec![];
         };
         let ok = req.make_response(StatusCode::OK);
-        vec![self.send(call.peer, ok.into()), UasEvent::Ended { call_id }]
+        vec![send(call.peer, ok), UasEvent::Ended { call_id }]
     }
+}
 
-    fn send(&mut self, to: NodeId, msg: SipMessage) -> UasEvent {
-        self.journal.count_sip(&msg, MsgDirection::Sent);
-        UasEvent::SendSip { to, msg }
+/// Hand `msg` to the world for transmission to `to`.
+fn send(to: NodeId, msg: impl Into<SipMessage>) -> UasEvent {
+    UasEvent::SendSip {
+        to,
+        msg: msg.into(),
     }
 }
 

@@ -38,7 +38,7 @@
 #![warn(missing_docs)]
 
 use des::SimDuration;
-use voiceq::{estimate_mos, CodecProfile, EModelInputs};
+use voiceq::{estimate_mos, EModelInputs};
 
 /// Load observations offered to a control law on each admission decision.
 ///
@@ -431,19 +431,16 @@ fn feedback_scale(load: f64, target: f64) -> f64 {
 }
 
 /// The MOS a new call would experience under the given link signals (the
-/// 3D-CAC prediction). Uses the same E-model configuration as the `vmon`
-/// per-call scorer (G.711 + PLC, jitter buffer sized at
-/// `max(2·jitter, 40 ms)`).
+/// 3D-CAC prediction): the `vmon` per-call scorer's E-model rule
+/// ([`EModelInputs::measured_g711`]) with random (non-bursty) loss.
 #[must_use]
 pub fn predict_mos(signals: &LoadSignals) -> f64 {
-    estimate_mos(&EModelInputs {
-        network_delay_ms: signals.link_delay_ms,
-        jitter_buffer_ms: (2.0 * signals.link_jitter_ms).max(40.0),
-        packet_loss: signals.link_loss,
-        burst_ratio: 1.0,
-        codec: CodecProfile::g711(),
-        advantage: 0.0,
-    })
+    estimate_mos(&EModelInputs::measured_g711(
+        signals.link_delay_ms,
+        signals.link_jitter_ms,
+        signals.link_loss,
+        1.0,
+    ))
 }
 
 #[cfg(test)]
@@ -604,6 +601,26 @@ mod tests {
             }
         }
         assert!(recovered, "signal law must release once the queue drains");
+        assert!(!law.is_shedding());
+    }
+
+    #[test]
+    fn crash_resets_the_signal_law_delay_estimate() {
+        let mut law = ControlLaw::signal_based_default().build();
+        for _ in 0..50 {
+            law.on_invite(&signals(0.999, 0.999, 1));
+        }
+        assert!(law.is_shedding());
+        assert!(
+            (law.delay_est_ms - 198.0).abs() < 0.1,
+            "{}",
+            law.delay_est_ms
+        );
+        law.on_crash();
+        // A fresh estimator reads 0.3 · 98 ms at load 0.98 and admits; a
+        // stale one would read 0.3 · 98 + 0.7 · 198 ≈ 168 ms, over the
+        // 150 ms budget, and shed.
+        assert!(law.on_invite(&signals(0.98, 0.98, 1)).admit);
         assert!(!law.is_shedding());
     }
 

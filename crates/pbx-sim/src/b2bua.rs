@@ -453,7 +453,7 @@ impl Pbx {
                 // check; HA1 is computed on the fly and never stored.
                 let nonce = &self.nonce;
                 self.registrar
-                    .register_with(&mut self.directory, now, creds.username, from, |pw| {
+                    .register_with(&self.directory, now, creds.username, from, |pw| {
                         creds.verify_with_ha2(pw, &ha2, nonce)
                     })
             }
@@ -474,7 +474,7 @@ impl Pbx {
                 return vec![self.reply(from, resp)];
             };
             self.registrar
-                .register(&mut self.directory, now, uid, password, from)
+                .register(&self.directory, now, uid, password, from)
         };
         let status = match outcome {
             RegisterOutcome::Ok => StatusCode::OK,

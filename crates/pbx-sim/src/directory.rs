@@ -2,8 +2,8 @@
 //!
 //! The UnB deployment authenticates SIP users and records calls against an
 //! LDAP server (paper §II-A). The evaluation only needs the directory's
-//! behaviour — bind (credential check) and attribute search — so this is a
-//! small hierarchical-DN store rather than a wire-protocol server.
+//! behaviour — a bind (credential check) by uid — so this is a small
+//! uid-keyed store rather than a wire-protocol server.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -25,31 +25,26 @@ pub enum BindResult {
     Success,
     /// Entry exists but the password is wrong.
     InvalidCredentials,
-    /// No such DN.
-    NoSuchObject,
 }
 
 /// The in-memory directory.
 ///
-/// The entry store and uid index live behind `Arc`s with copy-on-write
-/// semantics: cloning a directory is two refcount bumps, and the deep
-/// copy happens only if the clone later mutates its rows ([`Directory::add`]).
-/// Read paths and bind accounting never trigger the copy, so a sweep
-/// can stamp out one subscriber table per replication from a shared
-/// prototype ([`Directory::shared_subscribers`]) at O(1) cost instead of
-/// re-materializing `count` entries × four attributes every run.
+/// The entry store lives behind an `Arc` with copy-on-write semantics:
+/// cloning a directory is one refcount bump, and the deep copy happens
+/// only if the clone later mutates its rows ([`Directory::add`]). A bind
+/// only reads, so a sweep can stamp out one subscriber table per
+/// replication from a shared prototype ([`Directory::shared_subscribers`])
+/// at O(1) cost instead of re-materializing `count` entries × four
+/// attributes every run.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
+    /// Entries keyed by their `uid` attribute.
     entries: Arc<HashMap<String, DirEntry>>,
-    /// Index: uid attribute -> DN, for fast subscriber lookup.
-    uid_index: Arc<HashMap<String, String>>,
     /// Population-scale subscriber range `(base, count)` whose entries are
     /// derived on demand (`uid ∈ base..base+count`, password `pw-<uid>`)
     /// instead of materialized — O(1) memory for 10⁶ subscribers. Explicit
     /// entries always take precedence.
     synthetic: Option<(u64, u64)>,
-    binds_attempted: u64,
-    binds_failed: u64,
 }
 
 impl Directory {
@@ -118,15 +113,14 @@ impl Directory {
             .is_ok_and(|u| u >= base && u - base < count)
     }
 
-    /// Bind by uid instead of DN, with a caller-supplied proof: the
-    /// directory lends the stored secret to `proof` (password equality for
-    /// a simple bind, the RFC 2617 response check for digest) and counts
-    /// the outcome.
-    /// `None` when no such user exists (no bind attempted — mirrors the
-    /// registrar's historical lookup-then-bind sequence). Explicit entries
-    /// come first, then the synthetic rule, whose `pw-<uid>` secret is
-    /// assembled on the stack: nothing is stored or allocated per user.
-    pub fn bind_uid(&mut self, uid: &str, proof: impl FnOnce(&str) -> bool) -> Option<BindResult> {
+    /// Bind by uid, with a caller-supplied proof: the directory lends the
+    /// stored secret to `proof` (password equality for a simple bind, the
+    /// RFC 2617 response check for digest). `None` when no such user
+    /// exists. Explicit entries come first, then the synthetic rule, whose
+    /// `pw-<uid>` secret is assembled on the stack: nothing is stored or
+    /// allocated per user. The registrar counts the outcomes
+    /// ([`crate::Registrar::stats`]).
+    pub fn bind_uid(&self, uid: &str, proof: impl FnOnce(&str) -> bool) -> Option<BindResult> {
         let ok = if let Some(entry) = self.find_by_uid(uid) {
             entry.attrs.get("userPassword").is_some_and(|pw| proof(pw))
         } else if self.synthetic_covers(uid) {
@@ -139,34 +133,35 @@ impl Directory {
         } else {
             return None;
         };
-        self.binds_attempted += 1;
-        if ok {
-            Some(BindResult::Success)
+        Some(if ok {
+            BindResult::Success
         } else {
-            self.binds_failed += 1;
-            Some(BindResult::InvalidCredentials)
-        }
+            BindResult::InvalidCredentials
+        })
     }
 
-    /// Insert or replace an entry. The first mutation after a cheap
-    /// clone pays the copy-on-write (both maps are deep-copied once);
-    /// further mutations are ordinary map inserts.
+    /// Insert, or replace the entry with the same uid. The first mutation
+    /// after a cheap clone pays the copy-on-write (the map is deep-copied
+    /// once); further mutations are ordinary map inserts.
+    ///
+    /// # Panics
+    /// If the entry has no `uid` attribute: no bind could reach it.
     pub fn add(&mut self, entry: DirEntry) {
-        if let Some(uid) = entry.attrs.get("uid") {
-            Arc::make_mut(&mut self.uid_index).insert(uid.clone(), entry.dn.clone());
-        }
-        Arc::make_mut(&mut self.entries).insert(entry.dn.clone(), entry);
+        let uid = entry
+            .attrs
+            .get("uid")
+            .expect("a directory entry names its uid");
+        Arc::make_mut(&mut self.entries).insert(uid.clone(), entry);
     }
 
     /// A clone of the process-wide shared prototype for
     /// `with_subscribers(base, count)` — built cold exactly once per
-    /// distinct `(base, count)`, then handed out as two `Arc` bumps per
+    /// distinct `(base, count)`, then handed out as one `Arc` bump per
     /// call. Observationally identical to [`Directory::with_subscribers`]
-    /// (fresh bind counters, no synthetic range, same rows); only the
-    /// setup cost differs. This is the sweep plane's answer to the
-    /// dominant per-replication setup item: every PBX in every
-    /// replication of a campaign wants the same 1000-subscriber campus
-    /// table.
+    /// (no synthetic range, same rows); only the setup cost differs. This
+    /// is the sweep plane's answer to the dominant per-replication setup
+    /// item: every PBX in every replication of a campaign wants the same
+    /// 1000-subscriber campus table.
     #[must_use]
     pub fn shared_subscribers(base: u32, count: u32) -> Self {
         use std::sync::{Mutex, OnceLock};
@@ -193,48 +188,10 @@ impl Directory {
         self.len() == 0
     }
 
-    /// Simple bind: check `password` against the entry's `userPassword`.
-    pub fn bind(&mut self, dn: &str, password: &str) -> BindResult {
-        self.binds_attempted += 1;
-        match self.entries.get(dn) {
-            None => {
-                self.binds_failed += 1;
-                BindResult::NoSuchObject
-            }
-            Some(e) => {
-                if e.attrs.get("userPassword").map(String::as_str) == Some(password) {
-                    BindResult::Success
-                } else {
-                    self.binds_failed += 1;
-                    BindResult::InvalidCredentials
-                }
-            }
-        }
-    }
-
-    /// Search by uid (the registrar's hot path).
+    /// The explicit entry for `uid` (the synthetic range has none).
     #[must_use]
     pub fn find_by_uid(&self, uid: &str) -> Option<&DirEntry> {
-        let dn = self.uid_index.get(uid)?;
-        self.entries.get(dn)
-    }
-
-    /// Search by arbitrary attribute equality (linear; admin paths only).
-    #[must_use]
-    pub fn search(&self, attr: &str, value: &str) -> Vec<&DirEntry> {
-        let mut hits: Vec<&DirEntry> = self
-            .entries
-            .values()
-            .filter(|e| e.attrs.get(attr).map(String::as_str) == Some(value))
-            .collect();
-        hits.sort_by(|a, b| a.dn.cmp(&b.dn));
-        hits
-    }
-
-    /// (attempted, failed) bind counters.
-    #[must_use]
-    pub fn bind_stats(&self) -> (u64, u64) {
-        (self.binds_attempted, self.binds_failed)
+        self.entries.get(uid)
     }
 }
 
@@ -243,15 +200,14 @@ mod tests {
     use super::*;
 
     /// Simple bind by uid: the lent secret must equal `password`.
-    fn bind_password(dir: &mut Directory, uid: &str, password: &str) -> Option<BindResult> {
+    fn bind_password(dir: &Directory, uid: &str, password: &str) -> Option<BindResult> {
         dir.bind_uid(uid, |secret| secret == password)
     }
 
-    /// The secret the directory lends a proof for `uid` (on a clone, so
-    /// the bind counters under test stay put).
+    /// The secret the directory lends a proof for `uid`.
     fn lent_secret(dir: &Directory, uid: &str) -> Option<String> {
         let mut seen = None;
-        dir.clone().bind_uid(uid, |secret| {
+        dir.bind_uid(uid, |secret| {
             seen = Some(secret.to_owned());
             true
         })?;
@@ -260,7 +216,7 @@ mod tests {
 
     #[test]
     fn populated_directory_shape() {
-        let dir = Directory::with_subscribers(1000, 50);
+        let mut dir = Directory::with_subscribers(1000, 50);
         assert_eq!(dir.len(), 50);
         assert!(!dir.is_empty());
         let e = dir.find_by_uid("1001").unwrap();
@@ -268,74 +224,52 @@ mod tests {
         assert!(e.dn.contains("uid=1001"));
         assert!(dir.find_by_uid("999").is_none());
         assert!(dir.find_by_uid("1050").is_none(), "range is exclusive");
-    }
-
-    #[test]
-    fn bind_outcomes() {
-        let mut dir = Directory::with_subscribers(1000, 5);
-        let dn = "uid=1002,ou=people,dc=unb,dc=br";
-        assert_eq!(dir.bind(dn, "pw-1002"), BindResult::Success);
-        assert_eq!(dir.bind(dn, "wrong"), BindResult::InvalidCredentials);
-        assert_eq!(dir.bind("uid=zzz,dc=x", "pw"), BindResult::NoSuchObject);
-        assert_eq!(dir.bind_stats(), (3, 2));
-    }
-
-    #[test]
-    fn search_by_attribute() {
-        let mut dir = Directory::with_subscribers(1000, 3);
-        let hits = dir.search("objectClass", "sipUser");
-        assert_eq!(hits.len(), 3);
-        assert!(hits.windows(2).all(|w| w[0].dn <= w[1].dn), "sorted");
-        assert!(dir.search("objectClass", "printer").is_empty());
         // Replacing an entry updates rather than duplicates.
         let e = dir.find_by_uid("1000").unwrap().clone();
         dir.add(e);
-        assert_eq!(dir.len(), 3);
+        assert_eq!(dir.len(), 50);
     }
 
     #[test]
     fn synthetic_range_behaves_like_materialized_subscribers() {
-        let mut dir = Directory::with_synthetic_range(1_000_000, 1_000_000);
+        let dir = Directory::with_synthetic_range(1_000_000, 1_000_000);
         assert_eq!(dir.len(), 1_000_000);
         assert!(!dir.is_empty());
         // Same observable auth behaviour as with_subscribers, no rows.
         assert_eq!(lent_secret(&dir, "1500000"), Some("pw-1500000".to_owned()));
         assert_eq!(
-            bind_password(&mut dir, "1500000", "pw-1500000"),
+            bind_password(&dir, "1500000", "pw-1500000"),
             Some(BindResult::Success)
         );
         assert_eq!(
-            bind_password(&mut dir, "1500000", "wrong"),
+            bind_password(&dir, "1500000", "wrong"),
             Some(BindResult::InvalidCredentials)
         );
-        // Outside the range / malformed spellings: no such user, and no
-        // bind attempt is charged (the historical lookup-then-bind shape).
-        assert_eq!(bind_password(&mut dir, "999999", "pw-999999"), None);
-        assert_eq!(bind_password(&mut dir, "2000000", "pw-2000000"), None);
-        assert_eq!(bind_password(&mut dir, "+1500000", "pw-+1500000"), None);
-        assert_eq!(bind_password(&mut dir, "01500000", "pw-01500000"), None);
+        // Outside the range / malformed spellings: no such user.
+        assert_eq!(bind_password(&dir, "999999", "pw-999999"), None);
+        assert_eq!(bind_password(&dir, "2000000", "pw-2000000"), None);
+        assert_eq!(bind_password(&dir, "+1500000", "pw-+1500000"), None);
+        assert_eq!(bind_password(&dir, "01500000", "pw-01500000"), None);
         assert_eq!(lent_secret(&dir, "2000000"), None);
-        assert_eq!(dir.bind_stats(), (2, 1));
         assert!(dir.find_by_uid("1500000").is_none(), "no materialized row");
     }
 
     #[test]
     fn bind_uid_matches_the_lookup_then_bind_sequence_for_entries() {
-        let mut dir = Directory::with_subscribers(1000, 5);
+        let dir = Directory::with_subscribers(1000, 5);
         assert_eq!(
-            bind_password(&mut dir, "1002", "pw-1002"),
+            bind_password(&dir, "1002", "pw-1002"),
             Some(BindResult::Success)
         );
         assert_eq!(
-            bind_password(&mut dir, "1002", "nope"),
+            bind_password(&dir, "1002", "nope"),
             Some(BindResult::InvalidCredentials)
         );
         assert_eq!(
-            bind_password(&mut dir, "9999", "pw-9999"),
+            bind_password(&dir, "9999", "pw-9999"),
             None,
             "unknown: no bind"
         );
-        assert_eq!(dir.bind_stats(), (2, 1));
         // Explicit entries win over an overlapping synthetic range.
         let mut both = Directory::with_subscribers(1000, 5);
         both.set_synthetic_range(0, 10_000);
@@ -345,7 +279,7 @@ mod tests {
         both.add(e);
         assert_eq!(lent_secret(&both, "1002"), Some("custom".to_owned()));
         assert_eq!(
-            bind_password(&mut both, "1002", "custom"),
+            bind_password(&both, "1002", "custom"),
             Some(BindResult::Success)
         );
     }
@@ -360,7 +294,6 @@ mod tests {
             let c = cold.find_by_uid(&uid.to_string()).unwrap();
             assert_eq!(s, c, "uid {uid}");
         }
-        assert_eq!(shared.bind_stats(), (0, 0), "fresh counters");
         // Two shared clones alias the same rows…
         let other = Directory::shared_subscribers(1000, 50);
         assert!(Arc::ptr_eq(&shared.entries, &other.entries));
@@ -377,10 +310,6 @@ mod tests {
             Some("pw-1000".to_owned()),
             "prototype unaffected by a clone's mutation"
         );
-        // Bind accounting never touches the shared rows.
-        let mut binder = Directory::shared_subscribers(1000, 50);
-        bind_password(&mut binder, "1001", "pw-1001");
-        assert!(Arc::ptr_eq(&binder.entries, &other.entries));
     }
 
     #[test]
@@ -388,6 +317,5 @@ mod tests {
         let dir = Directory::new();
         assert!(dir.is_empty());
         assert!(dir.find_by_uid("1").is_none());
-        assert!(dir.search("uid", "1").is_empty());
     }
 }

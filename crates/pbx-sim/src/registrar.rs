@@ -114,7 +114,7 @@ impl Registrar {
     /// Process a REGISTER for `uid` with `password`, binding it to `node`.
     pub fn register(
         &mut self,
-        dir: &mut Directory,
+        dir: &Directory,
         now: SimTime,
         uid: &str,
         password: &str,
@@ -128,7 +128,7 @@ impl Registrar {
     /// [`Directory::bind_uid`]).
     pub fn register_with(
         &mut self,
-        dir: &mut Directory,
+        dir: &Directory,
         now: SimTime,
         uid: &str,
         node: NodeId,
@@ -230,8 +230,8 @@ mod tests {
 
     #[test]
     fn register_and_lookup() {
-        let (mut reg, mut dir) = setup();
-        let out = reg.register(&mut dir, SimTime::ZERO, "1003", "pw-1003", NodeId(5));
+        let (mut reg, dir) = setup();
+        let out = reg.register(&dir, SimTime::ZERO, "1003", "pw-1003", NodeId(5));
         assert_eq!(out, RegisterOutcome::Ok);
         let b = reg.lookup(SimTime::from_secs(10), "1003").unwrap();
         assert_eq!(b.node, NodeId(5));
@@ -241,8 +241,8 @@ mod tests {
 
     #[test]
     fn wrong_password_rejected() {
-        let (mut reg, mut dir) = setup();
-        let out = reg.register(&mut dir, SimTime::ZERO, "1003", "nope", NodeId(5));
+        let (mut reg, dir) = setup();
+        let out = reg.register(&dir, SimTime::ZERO, "1003", "nope", NodeId(5));
         assert_eq!(out, RegisterOutcome::AuthFailed);
         assert!(reg.lookup(SimTime::ZERO, "1003").is_none());
         assert_eq!(reg.stats(), (0, 1));
@@ -250,16 +250,16 @@ mod tests {
 
     #[test]
     fn unknown_user_rejected() {
-        let (mut reg, mut dir) = setup();
-        let out = reg.register(&mut dir, SimTime::ZERO, "9999", "pw-9999", NodeId(5));
+        let (mut reg, dir) = setup();
+        let out = reg.register(&dir, SimTime::ZERO, "9999", "pw-9999", NodeId(5));
         assert_eq!(out, RegisterOutcome::AuthFailed);
         assert!(reg.is_empty());
     }
 
     #[test]
     fn bindings_expire() {
-        let (mut reg, mut dir) = setup();
-        reg.register(&mut dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
+        let (mut reg, dir) = setup();
+        reg.register(&dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
         assert!(reg.lookup(SimTime::from_secs(3599), "1001").is_some());
         assert!(reg.lookup(SimTime::from_secs(3600), "1001").is_none());
         assert_eq!(reg.len(), 0, "expired binding pruned");
@@ -267,28 +267,22 @@ mod tests {
 
     #[test]
     fn clear_loses_bindings_but_keeps_counters() {
-        let (mut reg, mut dir) = setup();
-        reg.register(&mut dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
-        reg.register(&mut dir, SimTime::ZERO, "1002", "pw-1002", NodeId(3));
+        let (mut reg, dir) = setup();
+        reg.register(&dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
+        reg.register(&dir, SimTime::ZERO, "1002", "pw-1002", NodeId(3));
         assert_eq!(reg.clear(), 2);
         assert!(reg.is_empty());
         assert!(reg.lookup(SimTime::from_secs(1), "1001").is_none());
         assert_eq!(reg.stats(), (2, 0), "history survives the crash");
         // Re-registration works afterwards.
-        reg.register(
-            &mut dir,
-            SimTime::from_secs(2),
-            "1001",
-            "pw-1001",
-            NodeId(2),
-        );
+        reg.register(&dir, SimTime::from_secs(2), "1001", "pw-1001", NodeId(2));
         assert!(reg.lookup(SimTime::from_secs(3), "1001").is_some());
     }
 
     #[test]
     fn bulk_install_registers_a_population_without_a_storm() {
         let mut reg = Registrar::new(SimDuration::from_secs(3600));
-        let mut dir = Directory::with_synthetic_range(1_000_000, 1_000_000);
+        let dir = Directory::with_synthetic_range(1_000_000, 1_000_000);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 1_000_000, NodeId(3));
         assert_eq!(reg.len(), 1_000_000);
         let b = reg.lookup(SimTime::from_secs(10), "1234567").unwrap();
@@ -298,7 +292,7 @@ mod tests {
         assert!(reg.lookup(SimTime::from_secs(3600), "1234567").is_none());
         // Churn refresh rides the numeric fast path (same map-free slot).
         let out = reg.register(
-            &mut dir,
+            &dir,
             SimTime::from_secs(3000),
             "1234567",
             "pw-1234567",
@@ -315,14 +309,14 @@ mod tests {
     #[test]
     fn population_crash_clears_expiries_but_keeps_the_table() {
         let mut reg = Registrar::new(SimDuration::from_secs(3600));
-        let mut dir = Directory::with_synthetic_range(1_000_000, 100);
+        let dir = Directory::with_synthetic_range(1_000_000, 100);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 100, NodeId(3));
         assert_eq!(reg.clear(), 100);
         assert!(reg.lookup(SimTime::from_secs(1), "1000050").is_none());
         assert_eq!(reg.len(), 100, "slots survive; registrations do not");
         // Churn re-registers the user after the crash.
         reg.register(
-            &mut dir,
+            &dir,
             SimTime::from_secs(5),
             "1000050",
             "pw-1000050",
@@ -345,7 +339,7 @@ mod tests {
             .collect(),
         });
         reg.bulk_install(SimTime::ZERO, 1_000_000, 10, NodeId(9));
-        reg.register(&mut dir, SimTime::ZERO, "1003", "pw-1003", NodeId(5));
+        reg.register(&dir, SimTime::ZERO, "1003", "pw-1003", NodeId(5));
         assert_eq!(reg.len(), 11);
         assert_eq!(
             reg.lookup(SimTime::from_secs(1), "1003").unwrap().node,
@@ -359,15 +353,9 @@ mod tests {
 
     #[test]
     fn re_registration_refreshes() {
-        let (mut reg, mut dir) = setup();
-        reg.register(&mut dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
-        reg.register(
-            &mut dir,
-            SimTime::from_secs(3000),
-            "1001",
-            "pw-1001",
-            NodeId(7),
-        );
+        let (mut reg, dir) = setup();
+        reg.register(&dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
+        reg.register(&dir, SimTime::from_secs(3000), "1001", "pw-1001", NodeId(7));
         let b = reg.lookup(SimTime::from_secs(4000), "1001").unwrap();
         assert_eq!(b.node, NodeId(7), "newest binding wins");
         assert_eq!(reg.len(), 1);

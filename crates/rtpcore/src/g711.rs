@@ -10,14 +10,15 @@
 //!
 //! The public entry points are table-driven: a 64 Ki `u8` encode LUT and
 //! a 256-entry `i16` decode LUT per law, all built at compile time from
-//! the scalar algorithm in [`reference`]. A table lookup replaces the
-//! segment search and branch chain of the scalar code, which matters on
-//! the full-media path where every 20 ms frame is 160 companding
-//! operations per direction. The [`ulaw_encode_into`]-style slice kernels
+//! the scalar algorithm in [`reference`](mod@reference). A table lookup
+//! replaces the segment search and branch chain of the scalar code, which
+//! matters on the full-media path where every 20 ms frame is 160
+//! companding operations per direction. The [`ulaw_encode_into`]-style slice kernels
 //! compand whole frames into caller buffers with no per-sample call
 //! overhead and no allocation; the `*_slice` helpers keep the old
 //! allocating signatures on top of them. Exhaustive tests check every
-//! `i16` (encode) and every code byte (decode) against [`reference`].
+//! `i16` (encode) and every code byte (decode) against
+//! [`reference`](mod@reference).
 
 /// Branch-free scalar reference implementation.
 ///

@@ -24,9 +24,9 @@ use des::Welford;
 use rtpcore::jitter::{JitterEstimator, SequenceTracker};
 use rtpcore::packet::RtpHeader;
 use serde::{Deserialize, Serialize};
-use sipcore::{Method, SipTally, StatusCode};
+use sipcore::SipTally;
 use std::collections::BTreeMap;
-use voiceq::{CodecProfile, EModelInputs};
+use voiceq::EModelInputs;
 
 /// Identifies one unidirectional media flow as observed at its receiver.
 /// The experiment layer builds it from (destination node, destination
@@ -190,8 +190,8 @@ impl MonitorReport {
 /// not flow order, so every aggregation over the streams sorts by flow id
 /// first: floating-point summation order — and therefore every reported
 /// statistic — stays bit-reproducible across runs and processes. SIP
-/// messages are counted in an indexed [`SipTally`]; the report's SIP maps
-/// are ordered (`BTreeMap`).
+/// messages are counted in an indexed [`SipTally`], read only through
+/// [`Monitor::report`], whose SIP maps are ordered (`BTreeMap`).
 ///
 /// Call-ids are interned to `u32` handles when a flow is registered, so
 /// nothing on or after the packet path ever hashes or compares a `String`:
@@ -209,13 +209,11 @@ pub struct Monitor {
     /// Slots freed by [`Monitor::retire_call`], reused before the slab
     /// grows.
     free_streams: Vec<u32>,
-    /// Interned call-id names, indexed by handle.
-    call_names: Vec<String>,
     /// Call-id → handle; only touched at registration and report time.
     call_handles: BTreeMap<String, u32>,
     /// Flow → interned call handle.
     flow_call: FastMap<FlowId, u32>,
-    /// Per-call flow lists, sorted by flow id.
+    /// Per-call flow lists, sorted by flow id, indexed by call handle.
     call_flows: Vec<Vec<FlowId>>,
     /// Retired call-handle slots awaiting reuse (see
     /// [`Monitor::retire_call`]).
@@ -261,16 +259,12 @@ impl CallQuality {
 
     /// E-model MOS of the call.
     fn mos(&self) -> f64 {
-        voiceq::estimate_mos(&EModelInputs {
-            network_delay_ms: self.delay_ms,
-            // An adaptive jitter buffer sized at twice the observed jitter,
-            // floored at two packet times — the common deployment rule.
-            jitter_buffer_ms: (2.0 * self.jitter_ms).max(40.0),
-            packet_loss: self.loss,
-            burst_ratio: self.burst_ratio,
-            codec: CodecProfile::g711(),
-            advantage: 0.0,
-        })
+        voiceq::estimate_mos(&EModelInputs::measured_g711(
+            self.delay_ms,
+            self.jitter_ms,
+            self.loss,
+            self.burst_ratio,
+        ))
     }
 
     /// One [`Monitor::per_call_csv`] row.
@@ -330,15 +324,10 @@ impl Monitor {
                 // Recycle a retired call's slot before growing the table:
                 // under steady churn with retirement the live table stays
                 // O(active calls) rather than O(calls ever observed).
-                let h = if let Some(slot) = self.free_calls.pop() {
-                    call_id.clone_into(&mut self.call_names[slot as usize]);
-                    slot
-                } else {
-                    let h = u32::try_from(self.call_names.len()).expect("fewer than 2^32 calls");
-                    self.call_names.push(call_id.to_owned());
+                let h = self.free_calls.pop().unwrap_or_else(|| {
                     self.call_flows.push(Vec::new());
-                    h
-                };
+                    u32::try_from(self.call_flows.len() - 1).expect("fewer than 2^32 calls")
+                });
                 self.call_handles.insert(call_id.to_owned(), h);
                 h
             }
@@ -456,24 +445,6 @@ impl Monitor {
         self.rtp_packets
     }
 
-    /// SIP request count for a method token.
-    #[must_use]
-    pub fn sip_request_count(&self, method: &str) -> u64 {
-        Method::from_token(method).map_or(0, |m| self.sip.requests(m))
-    }
-
-    /// SIP response count for a status code.
-    #[must_use]
-    pub fn sip_response_count(&self, code: u16) -> u64 {
-        self.sip.responses(StatusCode(code))
-    }
-
-    /// Total error-class responses observed.
-    #[must_use]
-    pub fn sip_error_count(&self) -> u64 {
-        self.sip.error_responses()
-    }
-
     /// The streams of one interned call, in flow-id order, restricted to
     /// flows that have actually carried media.
     fn call_streams(&self, handle: u32) -> Vec<&StreamStats> {
@@ -543,7 +514,6 @@ impl Monitor {
                 self.retired.flows += 1;
             }
         }
-        self.call_names[handle as usize].clear();
         self.free_calls.push(handle);
         true
     }
@@ -561,7 +531,7 @@ impl Monitor {
         let mut flow_handles: Vec<(FlowId, u32)> =
             self.flow_call.iter().map(|(&f, &h)| (f, h)).collect();
         flow_handles.sort_unstable_by_key(|&(f, _)| f);
-        let mut scored = vec![false; self.call_names.len()];
+        let mut scored = vec![false; self.call_flows.len()];
         for (_, handle) in flow_handles {
             if !std::mem::replace(&mut scored[handle as usize], true) {
                 if let Some(m) = self.call_mos_by_handle(handle) {
@@ -704,12 +674,12 @@ mod tests {
         mon.tap_sip(&Response::new(StatusCode::RINGING).into());
         mon.tap_sip(&Response::new(StatusCode::OK).into());
         mon.tap_sip(&Response::new(StatusCode::BUSY_HERE).into());
-        assert_eq!(mon.sip_request_count("INVITE"), 2);
-        assert_eq!(mon.sip_request_count("BYE"), 0);
-        assert_eq!(mon.sip_response_count(100), 1);
-        assert_eq!(mon.sip_response_count(180), 1);
-        assert_eq!(mon.sip_error_count(), 1);
         let report = mon.report();
+        assert_eq!(report.sip_request_count("INVITE"), 2);
+        assert_eq!(report.sip_request_count("BYE"), 0);
+        assert_eq!(report.sip_response_count(100), 1);
+        assert_eq!(report.sip_response_count(180), 1);
+        assert_eq!(report.sip_error_count(), 1);
         assert_eq!(report.sip_total, 6);
     }
 
@@ -822,7 +792,7 @@ mod tests {
             feed_clean_stream(&mut mon, flow, 50);
             assert!(mon.retire_call(&call));
         }
-        assert_eq!(mon.call_names.len(), 1, "one slot, recycled 100 times");
+        assert_eq!(mon.call_flows.len(), 1, "one slot, recycled 100 times");
         assert_eq!(mon.free_calls.len(), 1);
         assert!(mon.stream_index.is_empty(), "per-flow stats freed");
         assert_eq!(mon.streams.len(), 1, "one stream slot, recycled too");

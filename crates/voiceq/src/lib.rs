@@ -105,6 +105,25 @@ impl EModelInputs {
         }
     }
 
+    /// Inputs for a measured G.711 (with PLC) call on a fixed network
+    /// (advantage 0): mean one-way `delay_ms`, interarrival `jitter_ms`,
+    /// `loss` fraction and `burst_ratio`. The receiver is assumed to run
+    /// an adaptive jitter buffer sized at twice the observed jitter,
+    /// floored at two packet times (`max(2·jitter, 40 ms)`) — the common
+    /// deployment rule, and the one both the monitor's per-call score and
+    /// MOS-aware admission use.
+    #[must_use]
+    pub fn measured_g711(delay_ms: f64, jitter_ms: f64, loss: f64, burst_ratio: f64) -> Self {
+        EModelInputs {
+            network_delay_ms: delay_ms,
+            jitter_buffer_ms: (2.0 * jitter_ms).max(40.0),
+            packet_loss: loss,
+            burst_ratio,
+            codec: CodecProfile::g711(),
+            advantage: 0.0,
+        }
+    }
+
     /// Total one-way mouth-to-ear delay `Ta` in milliseconds.
     #[must_use]
     pub fn total_delay_ms(&self) -> f64 {
@@ -346,6 +365,19 @@ mod tests {
         let clamped_r = r_factor(&inputs);
         inputs.advantage = 20.0;
         assert!((clamped_r - r_factor(&inputs)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn measured_call_sizes_its_jitter_buffer_from_jitter() {
+        // Quiet network: the 40 ms floor (two packet times) holds.
+        let quiet = EModelInputs::measured_g711(0.5, 5.0, 0.0, 1.0);
+        assert_eq!(quiet, EModelInputs::ideal_g711());
+        // Jittery network: the buffer grows to twice the jitter.
+        let jittery = EModelInputs::measured_g711(20.0, 35.0, 0.01, 2.0);
+        assert_eq!(jittery.jitter_buffer_ms, 70.0);
+        assert_eq!(jittery.advantage, 0.0);
+        assert_eq!(jittery.codec, CodecProfile::g711());
+        assert!(estimate_mos(&jittery) < estimate_mos(&quiet));
     }
 
     #[test]

@@ -78,14 +78,12 @@ fn main() {
     );
 
     // --- 4. What a listener would score --------------------------------------
-    let inputs = EModelInputs {
-        network_delay_ms: base_delay * 1000.0,
-        jitter_buffer_ms: (2.0 * jitter.jitter_ms()).max(40.0),
-        packet_loss: tracker.loss_fraction(),
-        burst_ratio: 1.0,
-        codec: CodecProfile::g711(),
-        advantage: 0.0,
-    };
+    let inputs = EModelInputs::measured_g711(
+        base_delay * 1000.0,
+        jitter.jitter_ms(),
+        tracker.loss_fraction(),
+        1.0,
+    );
     let r = voiceq::r_factor(&inputs);
     println!("\nE-model verdict:");
     println!("  R-factor : {r:.1}");
