@@ -107,6 +107,10 @@ fn main() {
         }
         v as u64
     };
+    // An offered load of zero or less has no arrival process to draw from.
+    if has("--erlangs") && flag("--erlangs", 0.0) <= 0.0 {
+        reject(&format!("--erlangs {} must be > 0", flag("--erlangs", 0.0)));
+    }
     let seed = flag("--seed", 2015.0) as u64;
     // Sweep subcommands: --threads N sets how many threads the sweep
     // executor runs on; the numbers are identical at any value.
@@ -160,10 +164,10 @@ fn main() {
             emit(json, &points, |p| report::render_fig6(p));
         }
         Some("fig7") => {
-            let pop = flag("--population", 8000.0) as u64;
+            let pop = count("--population", 8000);
             let channels = flag("--channels", 165.0) as u32;
             let curves = figures::fig7(pop, channels);
-            emit(json, &curves, |c| report::render_fig7(c, 5));
+            emit(json, &curves, |c| report::render_fig7(c, pop, channels, 5));
         }
         Some("campaign") => {
             let smoke = args.iter().any(|a| a == "--smoke");
@@ -203,7 +207,7 @@ fn main() {
             // subscribers with registration churn, closed against the
             // log-space Engset analytics.
             let smoke = args.iter().any(|a| a == "--smoke");
-            let subs = flag("--subs", if smoke { 20_000.0 } else { 1_000_000.0 }) as u64;
+            let subs = count("--subs", if smoke { 20_000 } else { 1_000_000 });
             let erlangs = flag("--erlangs", if smoke { 20.0 } else { 150.0 });
             let mut cfg = EmpiricalConfig::population_scale(subs, erlangs, seed);
             if smoke {
@@ -261,7 +265,7 @@ fn main() {
                 cfg.holding = loadgen::HoldingDist::Fixed(holding);
             }
             cfg.placement_window_s = flag("--window", cfg.placement_window_s);
-            cfg.servers = flag("--servers", f64::from(cfg.servers)) as u32;
+            cfg.servers = count("--servers", u64::from(cfg.servers)) as u32;
 
             // Overload control: --shed-high enables PBX shedding.
             // Load is capped at 1, and the watermarks must leave a dead band

@@ -23,7 +23,7 @@ use des::SimDuration;
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{HoldingDist, RetryPolicy};
 use overload::ControlLaw;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Campaign-wide knobs; the per-cell physics comes from
 /// [`EmpiricalConfig::smoke`] scaled by these.
@@ -105,7 +105,7 @@ impl CampaignConfig {
 }
 
 /// One swept point of one algorithm's curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CampaignPoint {
     /// Offered load as a multiple of engineered capacity.
     pub multiplier: f64,
@@ -131,7 +131,7 @@ pub struct CampaignPoint {
 }
 
 /// The goodput-vs-offered-load curve of one algorithm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AlgorithmCurve {
     /// Algorithm name (`"none"` or a [`ControlLaw::name`]).
     pub algorithm: String,
@@ -140,7 +140,7 @@ pub struct AlgorithmCurve {
 }
 
 /// A complete campaign result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CampaignResult {
     /// Channel pool of the server under test.
     pub channels: u32,

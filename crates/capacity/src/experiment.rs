@@ -11,7 +11,7 @@ use faults::{FaultKind, FaultSchedule};
 use loadgen::{CallOutcome, HoldingDist, Pacer, RetryPolicy};
 use netsim::topology::nodes;
 use overload::ControlLaw;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use teletraffic::Erlangs;
 use vmon::MonitorReport;
 
@@ -266,7 +266,7 @@ impl EmpiricalConfig {
 /// The baseline is the mean answers/second over the ten seconds before
 /// the fault; recovery is the first post-fault second whose trailing
 /// 5-second mean answer rate is back within 5% of that baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultRecovery {
     /// When the fault fired, in seconds.
     pub fault_at_s: f64,
@@ -286,7 +286,7 @@ pub struct FaultRecovery {
 }
 
 /// Results of one empirical run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunResult {
     /// Offered workload in Erlangs.
     pub erlangs: f64,

@@ -10,11 +10,11 @@
 
 use crate::experiment::EmpiricalConfig;
 use crate::sweep;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use teletraffic::{blocking_probability, Erlangs};
 
 /// One farm configuration's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FarmRow {
     /// Number of servers.
     pub servers: u32,

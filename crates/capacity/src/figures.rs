@@ -38,7 +38,7 @@ pub fn fig3(max_channels: u32) -> Vec<Fig3Curve> {
 }
 
 /// One point of the Fig. 6 comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig6Point {
     /// Offered load in Erlangs.
     pub erlangs: f64,
@@ -138,7 +138,7 @@ pub fn fig6_default_loads() -> Vec<f64> {
 }
 
 /// One curve of Fig. 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig7Curve {
     /// Mean call duration in minutes.
     pub duration_min: f64,

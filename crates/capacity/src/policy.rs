@@ -9,10 +9,10 @@
 
 use crate::experiment::EmpiricalConfig;
 use crate::sweep;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of one policy setting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PolicyRow {
     /// Per-user ceiling (`None` = unlimited).
     pub limit: Option<u32>,

@@ -98,11 +98,16 @@ pub fn render_fig6(points: &[Fig6Point]) -> String {
 
 /// Render the Fig. 7 curves.
 #[must_use]
-pub fn render_fig7(curves: &[Fig7Curve], sample_every: usize) -> String {
+pub fn render_fig7(
+    curves: &[Fig7Curve],
+    population: u64,
+    channels: u32,
+    sample_every: usize,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Figure 7: blocking vs calling population share (8000 users, N=165)"
+        "Figure 7: blocking vs calling population share ({population} users, N={channels})"
     );
     let _ = write!(out, "{:>6}", "pop%");
     for c in curves {
@@ -259,8 +264,9 @@ mod tests {
     #[test]
     fn fig7_rendering() {
         let curves = figures::fig7(8000, 165);
-        let text = render_fig7(&curves, 10);
-        assert!(text.contains("Figure 7"));
+        let text = render_fig7(&curves, 8000, 165, 10);
+        assert!(text
+            .starts_with("Figure 7: blocking vs calling population share (8000 users, N=165)\n"));
         assert!(text.contains("2.0min"));
         assert!(text.contains("3.0min"));
     }

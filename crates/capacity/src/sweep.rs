@@ -220,18 +220,6 @@ pub struct AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// A policy targeting `ci_target`, with the Fig. 6 defaults for the
-    /// replication bounds (5 minimum — the classic fixed count — and a
-    /// 16× budget cap).
-    #[must_use]
-    pub fn targeting(ci_target: f64) -> Self {
-        AdaptivePolicy {
-            ci_target,
-            min_reps: 5,
-            max_reps: 80,
-        }
-    }
-
     fn clamped(self) -> Self {
         let min_reps = self.min_reps.max(2);
         AdaptivePolicy {

@@ -50,10 +50,11 @@ fn shed_watermarks_are_checked() {
     assert_eq!(valid.status.code(), Some(0));
 }
 
-/// Counts are whole numbers >= 1 and the replication budget covers the
-/// minimum: a zero, a fraction or a negative used to run something else.
+/// Counts are whole numbers >= 1, the replication budget covers the
+/// minimum and an offered load is positive: a zero, a fraction or a
+/// negative used to run something else, panic or print a table of zeros.
 #[test]
-fn sweep_counts_are_checked() {
+fn counts_and_offered_load_are_checked() {
     for (args, message) in [
         (
             &["fig6", "--reps", "0"][..],
@@ -78,6 +79,24 @@ fn sweep_counts_are_checked() {
         (
             &["fig6", "--ci-target", "1", "--reps", "5", "--max-reps", "1"],
             "--max-reps 1 must be >= --reps 5",
+        ),
+        (
+            &["run", "--servers", "0"],
+            "--servers 0 must be a whole number >= 1",
+        ),
+        (
+            &["run", "--servers", "1.5"],
+            "--servers 1.5 must be a whole number >= 1",
+        ),
+        (&["run", "--erlangs", "0"], "--erlangs 0 must be > 0"),
+        (&["scale", "--erlangs", "-5"], "--erlangs -5 must be > 0"),
+        (
+            &["scale", "--subs", "0"],
+            "--subs 0 must be a whole number >= 1",
+        ),
+        (
+            &["fig7", "--population", "0"],
+            "--population 0 must be a whole number >= 1",
         ),
     ] {
         let out = cli(args);
@@ -117,4 +136,16 @@ fn progress_lines_go_to_stderr_only() {
         .collect();
     cells.sort_unstable();
     assert_eq!(cells, ["0", "1", "2"], "one line per smoke cell: {stderr}");
+}
+
+/// The Fig. 7 title names the population and pool the curves were
+/// computed for, not the paper's defaults.
+#[test]
+fn fig7_title_names_its_population_and_pool() {
+    let out = cli(&["fig7", "--population", "2000", "--channels", "100"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).lines().next(),
+        Some("Figure 7: blocking vs calling population share (2000 users, N=100)")
+    );
 }

@@ -21,17 +21,15 @@
 //! deliberately tiny so any other subsystem with a "latest schedule
 //! wins" timer can adopt the same discipline.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing generation counter for stale-timer
 /// detection. `Copy`-cheap stamps, O(1) cancel, no scheduler support
 /// needed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Generation(u64);
 
 /// The stamp a [`Generation`] issues; carry it inside the scheduled
 /// event and check it when the event surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GenTag(u64);
 
 impl Generation {

@@ -7,8 +7,8 @@
 //!   first. Small and obviously correct: the model the wheel's pop order
 //!   is tested against. No simulation run is on it.
 //! * **Wheel** — what every run is on. A hierarchical timing wheel: a
-//!   ring of near-term buckets (each [`WHEEL_SLOT_NS`] wide,
-//!   [`WHEEL_SLOTS`] of them, ≈2 s of horizon) plus an overflow heap for
+//!   ring of near-term buckets (each `WHEEL_SLOT_NS` wide,
+//!   `WHEEL_SLOTS` of them, ≈2 s of horizon) plus an overflow heap for
 //!   far-future events. Scheduling into
 //!   the near term touches a bucket-local heap of a handful of events
 //!   instead of a global heap of thousands, which is what makes the
@@ -31,12 +31,12 @@ use std::collections::BinaryHeap;
 /// Width of one near-term wheel bucket in nanoseconds (≈0.52 ms — finer
 /// than the 20 ms media frame period, coarser than LAN hop latencies, so
 /// in-flight packets land a few buckets ahead of the cursor).
-pub const WHEEL_SLOT_NS: u64 = 1 << 19;
+const WHEEL_SLOT_NS: u64 = 1 << 19;
 
 /// Number of near-term buckets; the wheel horizon is
 /// `WHEEL_SLOT_NS × WHEEL_SLOTS` ≈ 2.1 s. Hangups (120 s holding times),
 /// registration expiries and scheduled faults overflow to the far heap.
-pub const WHEEL_SLOTS: usize = 4096;
+const WHEEL_SLOTS: usize = 4096;
 
 /// A pending event: fire time, insertion sequence, payload.
 struct Scheduled<E> {
@@ -293,6 +293,7 @@ impl<E> TimingWheel<E> {
     }
 
     /// Fire key of the next event without mutating the wheel.
+    #[cfg(test)]
     fn next_key(&self) -> Option<(SimTime, u64)> {
         let over = self.overflow.peek().map(|s| (s.at, s.seq));
         let wheel = self
@@ -346,7 +347,6 @@ pub struct Scheduler<E> {
     backend: Backend<E>,
     next_seq: u64,
     now: SimTime,
-    scheduled_total: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -392,7 +392,6 @@ impl<E> Scheduler<E> {
             backend,
             next_seq: 0,
             now: SimTime::ZERO,
-            scheduled_total: 0,
         }
     }
 
@@ -420,17 +419,11 @@ impl<E> Scheduler<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         let s = Scheduled { at, seq, event };
         match &mut self.backend {
             Backend::Heap(heap) => heap.push(s),
             Backend::Wheel(wheel) => wheel.push(s),
         }
-    }
-
-    /// Schedule `event` after a delay from now.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, event: E) {
-        self.schedule(self.now + delay, event);
     }
 
     /// Pop the next event, advancing the clock to its fire time.
@@ -442,7 +435,7 @@ impl<E> Scheduler<E> {
     /// advancing the clock to its fire time. A single call replaces the
     /// peek-then-pop sequence the event loop used to make; on the wheel
     /// backend the peek would cost a bucket scan, so the fused form is
-    /// what [`Simulation::step`] and `run_until` drive.
+    /// what [`Simulation::run_until`] drives.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         let s = match &mut self.backend {
             Backend::Heap(heap) => {
@@ -458,9 +451,10 @@ impl<E> Scheduler<E> {
         Some((s.at, s.event))
     }
 
-    /// Fire time of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
+    /// Fire time of the next pending event, if any: the probe the
+    /// wheel-vs-heap model test compares after every operation.
+    #[cfg(test)]
+    fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
             Backend::Heap(heap) => heap.peek().map(|s| s.at),
             Backend::Wheel(wheel) => wheel.next_key().map(|(at, _)| at),
@@ -482,12 +476,6 @@ impl<E> Scheduler<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled (throughput accounting).
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
     /// Drop all pending events without changing the clock.
     pub fn clear(&mut self) {
         match &mut self.backend {
@@ -502,18 +490,6 @@ pub trait EventHandler<E> {
     /// Handle `event` firing at time `at`; schedule any follow-up events on
     /// `sched`.
     fn handle(&mut self, at: SimTime, event: E, sched: &mut Scheduler<E>);
-}
-
-/// Outcome of driving a [`Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// An event was processed.
-    Progressed,
-    /// The event queue is empty.
-    Exhausted,
-    /// The time horizon was reached (the next event lies beyond it and
-    /// remains queued).
-    HorizonReached,
 }
 
 /// Couples a [`Scheduler`] with an [`EventHandler`] world and drives the
@@ -542,19 +518,6 @@ impl<W: EventHandler<E>, E> Simulation<W, E> {
         }
     }
 
-    /// Process a single event, honouring an optional time horizon.
-    pub fn step(&mut self, horizon: SimTime) -> StepOutcome {
-        match self.sched.pop_at_or_before(horizon) {
-            Some((at, ev)) => {
-                self.world.handle(at, ev, &mut self.sched);
-                self.events_processed += 1;
-                StepOutcome::Progressed
-            }
-            None if self.sched.is_empty() => StepOutcome::Exhausted,
-            None => StepOutcome::HorizonReached,
-        }
-    }
-
     /// Run until the queue empties or the horizon passes; returns the number
     /// of events processed by this call.
     pub fn run_until(&mut self, horizon: SimTime) -> u64 {
@@ -564,11 +527,6 @@ impl<W: EventHandler<E>, E> Simulation<W, E> {
             self.events_processed += 1;
         }
         self.events_processed - start
-    }
-
-    /// Run to queue exhaustion.
-    pub fn run_to_completion(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
     }
 
     /// Current simulation time.
@@ -642,18 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        for kind in BOTH {
-            let mut s = Scheduler::with_kind(kind);
-            s.schedule(SimTime::from_secs(2), "first");
-            s.pop();
-            s.schedule_in(SimDuration::from_secs(3), "second");
-            let (t, _) = s.pop().unwrap();
-            assert_eq!(t, SimTime::from_secs(5), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn bookkeeping() {
         assert_eq!(Scheduler::<u8>::new().kind(), SchedulerKind::Wheel);
         for kind in BOTH {
@@ -663,11 +609,9 @@ mod tests {
             s.schedule(SimTime::from_secs(1), 1);
             s.schedule(SimTime::from_secs(2), 2);
             assert_eq!(s.len(), 2);
-            assert_eq!(s.scheduled_total(), 2);
             assert_eq!(s.peek_time(), Some(SimTime::from_secs(1)));
             s.clear();
             assert!(s.is_empty());
-            assert_eq!(s.scheduled_total(), 2, "clear keeps the total");
         }
     }
 
@@ -907,7 +851,7 @@ mod tests {
     fn simulation_drives_cascades() {
         let mut sim = Simulation::new(Spawner { fired: vec![] });
         sim.sched.schedule(SimTime::from_secs(1), 3u32);
-        let n = sim.run_to_completion();
+        let n = sim.run_until(SimTime::MAX);
         assert_eq!(n, 4);
         assert_eq!(sim.events_processed(), 4);
         assert_eq!(
@@ -929,12 +873,12 @@ mod tests {
             sim.sched.schedule(SimTime::from_secs(1), 10u32);
             let n = sim.run_until(SimTime::from_secs(3));
             assert_eq!(n, 3, "events at t=1,2,3 ({kind:?})");
-            assert_eq!(sim.step(SimTime::from_secs(3)), StepOutcome::HorizonReached);
+            assert_eq!(sim.run_until(SimTime::from_secs(3)), 0, "horizon reached");
             assert_eq!(sim.sched.len(), 1, "t=4 event still queued");
             // Extending the horizon resumes.
-            let n2 = sim.run_to_completion();
+            let n2 = sim.run_until(SimTime::MAX);
             assert_eq!(n2, 8);
-            assert_eq!(sim.step(SimTime::MAX), StepOutcome::Exhausted);
+            assert!(sim.sched.is_empty(), "exhausted");
         }
     }
 

@@ -50,8 +50,8 @@ pub mod stats;
 pub mod time;
 
 pub use cancel::{GenTag, Generation};
-pub use engine::{EventHandler, Scheduler, SchedulerKind, Simulation, StepOutcome};
+pub use engine::{EventHandler, Scheduler, SchedulerKind, Simulation};
 pub use fastmap::FastMap;
 pub use rng::{stream_seed, Distributions, RngStream, StreamRng};
-pub use stats::{BatchMeans, Counter, Histogram, TimeWeighted, Welford};
+pub use stats::{BatchMeans, Histogram, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};

@@ -5,42 +5,9 @@
 //! guidance this workspace follows.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
-
-/// A simple monotone counter.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    #[must_use]
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,
@@ -99,12 +66,6 @@ impl Welford {
         }
     }
 
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (∞ when empty).
     #[must_use]
     pub fn min(&self) -> f64 {
@@ -140,7 +101,7 @@ impl Welford {
 
 /// Time-weighted average of a piecewise-constant signal (e.g. number of
 /// busy channels, queue depth, CPU utilisation).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimeWeighted {
     last_t: SimTime,
     last_v: f64,
@@ -212,7 +173,7 @@ impl TimeWeighted {
 }
 
 /// Fixed-width bucket histogram with overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     width: f64,
@@ -313,7 +274,7 @@ impl Histogram {
 ///
 /// Observations are grouped into fixed-size batches; the batch means are
 /// treated as approximately i.i.d. normal, yielding a Student-t interval.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchMeans {
     batch_size: u64,
     in_batch: u64,
@@ -399,15 +360,6 @@ mod tests {
     use crate::rng::{Distributions, StreamRng};
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.incr();
-        c.add(3);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn welford_matches_direct_computation() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let mut w = Welford::new();
@@ -420,7 +372,6 @@ mod tests {
         assert!((w.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 9.0);
-        assert!((w.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

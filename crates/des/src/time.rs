@@ -4,18 +4,12 @@
 //! ordering platform-dependent; an unsigned 64-bit nanosecond counter gives
 //! ~584 years of range, exact arithmetic, and a total order.
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulation clock (nanoseconds since time zero).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulation time (nanoseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -130,12 +124,6 @@ impl SimDuration {
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Fractional milliseconds.
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Integer multiplication.
@@ -257,7 +245,6 @@ mod tests {
         assert!((t.as_secs_f64() - 123.456789).abs() < 1e-9);
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500000s");
         assert_eq!(format!("{}", SimDuration::from_millis(20)), "0.020000s");
-        assert!((SimDuration::from_millis(20).as_millis_f64() - 20.0).abs() < 1e-12);
     }
 
     #[test]

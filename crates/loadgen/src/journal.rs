@@ -6,10 +6,8 @@
 //! rows come from the passive monitor (`vmon::MonitorReport`), the tap
 //! the paper reads them from.
 
-use serde::{Deserialize, Serialize};
-
 /// Final outcome of one attempted call, from the generator's standpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallOutcome {
     /// Answered and completed with a normal BYE handshake.
     Completed,

@@ -5,7 +5,7 @@
 //! the UAS scenario (ring, answer, wait for the BYE). This crate implements
 //! both scenario engines plus the stochastic machinery around them:
 //!
-//! * [`arrivals`] — Poisson / deterministic / MMPP call arrival processes;
+//! * [`arrivals`] — the Poisson call arrival process;
 //! * [`holding`] — fixed / exponential / lognormal holding-time laws;
 //! * [`uac`] — the caller state machine (INVITE → ACK → … → BYE);
 //! * [`uas`] — the callee state machine (180 → 200 → wait BYE);
@@ -28,5 +28,5 @@ pub use arrivals::ArrivalProcess;
 pub use holding::HoldingDist;
 pub use journal::{CallOutcome, Journal};
 pub use population::{Arrival, ChurnWheel, DiurnalProfile, PopulationArrivals, PopulationConfig};
-pub use uac::{parse_retry_after, Pacer, PacerMode, RetryPolicy, Uac, UacEvent};
+pub use uac::{Pacer, RetryPolicy, Uac, UacEvent};
 pub use uas::{Uas, UasEvent};

@@ -33,13 +33,12 @@
 
 use des::rng::Distributions;
 use des::{GenTag, Generation, SimDuration, SimTime, StreamRng};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant daily (or any-period) arrival-rate profile.
 ///
 /// Segment `k` of `n` covers `[k·P/n, (k+1)·P/n)` of each period `P` and
 /// scales the per-user call rate by `multipliers[k]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     multipliers: Vec<f64>,
     period_s: f64,
@@ -83,7 +82,7 @@ impl DiurnalProfile {
     /// traffic. Peak multiplier is 1.0 so `per_user_rate` reads directly
     /// as the busy-hour rate.
     #[must_use]
-    pub fn campus_day() -> Self {
+    fn campus_day() -> Self {
         DiurnalProfile::new(
             86_400.0,
             vec![
@@ -95,7 +94,7 @@ impl DiurnalProfile {
         )
     }
 
-    /// Like [`DiurnalProfile::campus_day`] but compressed into
+    /// The stylized campus day compressed into
     /// `period_s` seconds — a whole synthetic "day" inside a short
     /// simulation window, so smoke runs and benches still exercise the
     /// thinning sampler across rate changes.
@@ -106,7 +105,7 @@ impl DiurnalProfile {
 
     /// The rate multiplier in force at simulation time `t`.
     #[must_use]
-    pub fn multiplier_at(&self, t: SimTime) -> f64 {
+    fn multiplier_at(&self, t: SimTime) -> f64 {
         let phase = (t.as_secs_f64() / self.period_s).fract();
         // `fract` of a non-negative finite value is in [0, 1); the index
         // is clamped anyway against the = 1.0 rounding corner.
@@ -117,19 +116,13 @@ impl DiurnalProfile {
 
     /// The largest multiplier — the thinning envelope `φ_max`.
     #[must_use]
-    pub fn max_multiplier(&self) -> f64 {
+    fn max_multiplier(&self) -> f64 {
         self.multipliers.iter().fold(0.0_f64, |a, &b| a.max(b))
-    }
-
-    /// The profile period in seconds.
-    #[must_use]
-    pub fn period_s(&self) -> f64 {
-        self.period_s
     }
 }
 
 /// Configuration of a finite-source population workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopulationConfig {
     /// Total subscriber population `N`.
     pub subscribers: u64,
@@ -245,9 +238,10 @@ impl PopulationArrivals {
         self.busy.len() as u64
     }
 
-    /// Is this stamp still the live schedule?
-    #[must_use]
-    pub fn is_live(&self, tag: GenTag) -> bool {
+    /// Is this stamp still the live schedule? (The staleness test's probe;
+    /// [`PopulationArrivals::claim`] makes the same check.)
+    #[cfg(test)]
+    fn is_live(&self, tag: GenTag) -> bool {
         self.generation.is_current(tag)
     }
 
@@ -346,7 +340,7 @@ impl PopulationArrivals {
 /// stagger, which is both what deployed fleets converge to and the
 /// reason the wheel needs no per-user state: tick `t` of the wheel owes
 /// exactly the contiguous rank range [`ChurnWheel::due_range`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnWheel {
     count: u64,
     buckets: u32,
@@ -380,12 +374,6 @@ impl ChurnWheel {
         let lo = b * self.count / u64::from(self.buckets);
         let hi = (b + 1) * self.count / u64::from(self.buckets);
         lo..hi
-    }
-
-    /// Expected re-REGISTERs per second across the whole homed set.
-    #[must_use]
-    pub fn steady_rate(&self) -> f64 {
-        self.count as f64 / (self.tick_ns as f64 * f64::from(self.buckets) / 1e9)
     }
 }
 
@@ -633,7 +621,5 @@ mod tests {
             // Next period wraps to the same partition.
             assert_eq!(w.due_range(u64::from(buckets)), w.due_range(0));
         }
-        let w = ChurnWheel::new(1_000_000, SimDuration::from_secs(3600), 256);
-        assert!((w.steady_rate() - 277.8).abs() < 1.0, "{}", w.steady_rate());
     }
 }

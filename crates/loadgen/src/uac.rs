@@ -80,7 +80,7 @@ impl RetryPolicy {
 /// `18000;duration=3600` and `120 (I'm in a meeting)`): take the leading
 /// integer, ignore parameters and comments, reject anything else.
 #[must_use]
-pub fn parse_retry_after(value: &str) -> Option<SimDuration> {
+fn parse_retry_after(value: &str) -> Option<SimDuration> {
     let v = value.split(';').next().unwrap_or("");
     let v = v.split('(').next().unwrap_or("").trim();
     v.parse::<u64>().ok().map(SimDuration::from_secs)
@@ -101,7 +101,7 @@ struct CallIntent {
 
 /// Which upstream throttling law the pacer enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacerMode {
+enum PacerMode {
     /// Space INVITEs at least `1/rate` apart (rate-based feedback).
     Rate,
     /// Cap the number of concurrently open calls (window-based feedback).
@@ -179,18 +179,6 @@ impl Pacer {
     #[must_use]
     pub fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Current advertised rate (calls/sec).
-    #[must_use]
-    pub fn rate_cps(&self) -> f64 {
-        self.rate_cps
-    }
-
-    /// Current advertised window (max open calls).
-    #[must_use]
-    pub fn window_size(&self) -> u32 {
-        self.window
     }
 }
 
@@ -766,12 +754,6 @@ impl Uac {
         }
     }
 
-    /// Shed calls currently waiting out a backoff.
-    #[must_use]
-    pub fn pending_retry_count(&self) -> usize {
-        self.pending_retries.len()
-    }
-
     /// Close the books: journal every call still open as abandoned —
     /// shed calls whose backoff never elapsed, and pacer-deferred intents
     /// that never sent an INVITE (they were counted as attempts when
@@ -1051,7 +1033,7 @@ mod tests {
             other => panic!("expected RetryAfter, got {other:?}"),
         }
         assert_eq!(u.open_calls(), 0);
-        assert_eq!(u.pending_retry_count(), 1);
+        assert_eq!(u.pending_retries.len(), 1);
         assert_eq!(
             u.journal.outcome_count(CallOutcome::Blocked),
             0,
@@ -1119,7 +1101,7 @@ mod tests {
             }
         );
         assert_eq!(u.journal.outcome_count(CallOutcome::Blocked), 1);
-        assert_eq!(u.pending_retry_count(), 0);
+        assert_eq!(u.pending_retries.len(), 0);
     }
 
     #[test]
@@ -1150,10 +1132,10 @@ mod tests {
             SimTime::ZERO,
             respond(&invite, StatusCode::SERVICE_UNAVAILABLE, None).into(),
         );
-        assert_eq!(u.pending_retry_count(), 1);
+        assert_eq!(u.pending_retries.len(), 1);
         u.finish();
         assert_eq!(u.journal.outcome_count(CallOutcome::Abandoned), 1);
-        assert_eq!(u.pending_retry_count(), 0);
+        assert_eq!(u.pending_retries.len(), 0);
     }
 
     /// Satellite: Retry-After tolerance. Params and comments are ignored,
@@ -1289,12 +1271,12 @@ mod tests {
             .headers
             .push(HeaderName::OverloadControl, "rate=1.000");
         u.on_sip(SimTime::ZERO, trying.into());
-        assert!((u.pacer.as_ref().unwrap().rate_cps() - 1.0).abs() < 1e-9);
+        assert!((u.pacer.as_ref().unwrap().rate_cps - 1.0).abs() < 1e-9);
         // Malformed feedback is ignored.
         let mut bad = respond(&invite, StatusCode::TRYING, None);
         bad.headers.push(HeaderName::OverloadControl, "rate=???");
         u.on_sip(SimTime::ZERO, bad.into());
-        assert!((u.pacer.as_ref().unwrap().rate_cps() - 1.0).abs() < 1e-9);
+        assert!((u.pacer.as_ref().unwrap().rate_cps - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1327,7 +1309,7 @@ mod tests {
         let mut resp = respond(&invite1, StatusCode::TRYING, None);
         resp.headers.push(HeaderName::OverloadControl, "win=1");
         u.on_sip(SimTime::from_secs(1), resp.into());
-        assert_eq!(u.pacer.as_ref().unwrap().window_size(), 1);
+        assert_eq!(u.pacer.as_ref().unwrap().window, 1);
         let (cid4, evs4) = u.start_call(
             SimTime::from_secs(2),
             "1004",

@@ -19,14 +19,13 @@ pub mod topology;
 
 use des::rng::Distributions;
 use des::{SimDuration, SimTime, StreamRng};
-use serde::{Deserialize, Serialize};
 
 /// A node on the network (host or switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u16);
 
 /// Parameters of one directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Bandwidth in bits per second.
     pub bandwidth_bps: f64,
@@ -87,7 +86,7 @@ impl LinkParams {
 }
 
 /// Per-link counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets accepted and (eventually) delivered.
     pub delivered: u64,
@@ -163,9 +162,9 @@ const NO_LINK: u32 = u32::MAX;
 /// wire can skip the `(from, to)` lookup ([`Network::enqueue_on`]).
 ///
 /// An id is the link's position in the network's link list, which never
-/// shrinks or reorders: [`Network::add_link`] over an existing pair
-/// replaces the link in place and [`Network::set_link_params`] keeps the
-/// slot, so an id stays valid — and keeps naming the same `(from, to)`
+/// shrinks or reorders: [`Network::add_duplex_link`] over an existing
+/// pair replaces the links in place and [`Network::set_duplex_link_params`]
+/// keeps the slots, so an id stays valid — and keeps naming the same `(from, to)`
 /// wire — for the life of the network, across every degrade, partition
 /// and heal. It means nothing to any other network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -237,7 +236,7 @@ impl Network {
     /// # Panics
     /// If `params` has a non-positive or non-finite bandwidth, or a loss
     /// probability outside `[0, 1]`.
-    pub fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
+    fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
         params.validate();
         if let Some(link) = self.link_mut(from, to) {
             *link = Link::new(params);
@@ -263,12 +262,6 @@ impl Network {
         self.link_id(from, to).is_some()
     }
 
-    /// Current parameters of a directed link, if present.
-    #[must_use]
-    pub fn link_params(&self, from: NodeId, to: NodeId) -> Option<LinkParams> {
-        self.link(from, to).map(|l| l.params)
-    }
-
     /// Replace the parameters of an existing directed link at runtime —
     /// the hook the fault injector uses to degrade, partition and heal
     /// wires mid-run. Stats and the transmitter backlog carry over; only
@@ -277,8 +270,8 @@ impl Network {
     /// exist.
     ///
     /// # Panics
-    /// On the parameters [`Network::add_link`] rejects.
-    pub fn set_link_params(
+    /// On the parameters `add_link` rejects.
+    fn set_link_params(
         &mut self,
         from: NodeId,
         to: NodeId,
@@ -290,7 +283,7 @@ impl Network {
         Some(std::mem::replace(&mut link.params, params))
     }
 
-    /// [`Network::set_link_params`] applied to both directions. Returns
+    /// `set_link_params` applied to both directions. Returns
     /// the previous `(a->b, b->a)` parameters if both links exist; if
     /// either is missing nothing is changed.
     pub fn set_duplex_link_params(
@@ -366,20 +359,6 @@ impl Network {
     #[must_use]
     pub fn stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
         self.link(from, to).map(|l| l.stats)
-    }
-
-    /// Aggregate counters over every link.
-    #[must_use]
-    pub fn total_stats(&self) -> LinkStats {
-        let mut agg = LinkStats::default();
-        for l in &self.links {
-            agg.delivered += l.stats.delivered;
-            agg.dropped_queue += l.stats.dropped_queue;
-            agg.dropped_error += l.stats.dropped_error;
-            agg.bytes += l.stats.bytes;
-            agg.busy = agg.busy + l.stats.busy;
-        }
-        agg
     }
 
     /// Utilisation of a directed link over `[0, until]`.
@@ -545,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_and_totals() {
+    fn utilisation_and_counters() {
         let mut n = one_link(LinkParams {
             bandwidth_bps: 1e6,
             propagation: SimDuration::ZERO,
@@ -560,9 +539,9 @@ mod tests {
         let u = n.utilisation(A, B, SimTime::from_secs(1));
         assert!((u - 0.08).abs() < 1e-9, "u={u}");
         assert_eq!(n.utilisation(A, B, SimTime::ZERO), 0.0);
-        let tot = n.total_stats();
-        assert_eq!(tot.delivered, 10);
-        assert_eq!(tot.bytes, 10_000);
+        let s = n.stats(A, B).unwrap();
+        assert_eq!(s.delivered, 10);
+        assert_eq!(s.bytes, 10_000);
     }
 
     /// Every value the validation rejects, through both entry points.
@@ -771,12 +750,11 @@ mod tests {
                 proptest::prop_assert_eq!(link.busy_until, want.1);
                 proptest::prop_assert_eq!((link.params, link.stats), (want.0, want.2));
             }
-            let mut total = LinkStats::default();
             for from in (0..6).map(NodeId) {
                 for to in (0..6).map(NodeId) {
                     let want = model.links.get(&(from, to));
                     proptest::prop_assert_eq!(dense.has_link(from, to), want.is_some());
-                    proptest::prop_assert_eq!(dense.link_params(from, to), want.map(|l| l.0));
+                    proptest::prop_assert_eq!(dense.link(from, to).map(|l| l.params), want.map(|l| l.0));
                     proptest::prop_assert_eq!(dense.stats(from, to), want.map(|l| l.2));
                     let Some(&(_, _, want)) = want else {
                         continue;
@@ -786,14 +764,8 @@ mod tests {
                         dense.utilisation(from, to, until).to_bits(),
                         (want.busy.as_secs_f64() / until.as_secs_f64()).to_bits()
                     );
-                    total.delivered += want.delivered;
-                    total.dropped_queue += want.dropped_queue;
-                    total.dropped_error += want.dropped_error;
-                    total.bytes += want.bytes;
-                    total.busy = total.busy + want.busy;
                 }
             }
-            proptest::prop_assert_eq!(dense.total_stats(), total);
         }
     }
 

@@ -1,7 +1,6 @@
 //! Canned topologies — the paper's Fig. 4 star in particular.
 
 use crate::{LinkId, LinkParams, Network, NodeId};
-use des::SimTime;
 
 /// The Fig. 4 testbed: SIP call-generator client, SIP call-generator
 /// server, and the Asterisk PBX, all attached to one switch.
@@ -90,18 +89,6 @@ impl StarTopology {
         }
         vec![from, self.switch, to]
     }
-
-    /// Aggregate utilisation of the busiest attachment (either direction)
-    /// at time `until` — a proxy for "is the wire the bottleneck?".
-    #[must_use]
-    pub fn peak_utilisation(&self, until: SimTime) -> f64 {
-        let mut peak: f64 = 0.0;
-        for &h in &self.hosts {
-            peak = peak.max(self.network.utilisation(h, self.switch, until));
-            peak = peak.max(self.network.utilisation(self.switch, h, until));
-        }
-        peak
-    }
 }
 
 #[cfg(test)]
@@ -186,22 +173,5 @@ mod tests {
             vec![nodes::PBX, nodes::SWITCH]
         );
         assert_eq!(topo.path(nodes::PBX, nodes::PBX), vec![nodes::PBX]);
-    }
-
-    #[test]
-    fn peak_utilisation_tracks_traffic() {
-        let mut topo = StarTopology::fig4_testbed();
-        let mut rng = StreamRng::seed_from_u64(3);
-        assert_eq!(topo.peak_utilisation(SimTime::from_secs(1)), 0.0);
-        for _ in 0..1000 {
-            topo.network.enqueue(
-                SimTime::ZERO,
-                nodes::SIPP_CLIENT,
-                nodes::SWITCH,
-                1500,
-                &mut rng,
-            );
-        }
-        assert!(topo.peak_utilisation(SimTime::from_secs(1)) > 0.0);
     }
 }

@@ -20,7 +20,7 @@
 //!   the estimated signalling delay crosses a threshold, with hysteresis;
 //! * [`ControlLaw::MosCac`] — 3D-CAC admission: predicts the MOS a new call
 //!   would see from the currently observed link loss/jitter/delay
-//!   ([`predict_mos`], the `voiceq` E-model) and rejects calls that would
+//!   (`predict_mos`, the `voiceq` E-model) and rejects calls that would
 //!   land below the floor, even when free channels remain.
 //!
 //! The set is closed — the PBX is the only caller and the campaign sweeps
@@ -434,7 +434,7 @@ fn feedback_scale(load: f64, target: f64) -> f64 {
 /// 3D-CAC prediction): the `vmon` per-call scorer's E-model rule
 /// ([`EModelInputs::measured_g711`]) with random (non-bursty) loss.
 #[must_use]
-pub fn predict_mos(signals: &LoadSignals) -> f64 {
+fn predict_mos(signals: &LoadSignals) -> f64 {
     estimate_mos(&EModelInputs::measured_g711(
         signals.link_delay_ms,
         signals.link_jitter_ms,

@@ -289,7 +289,7 @@ impl Pbx {
     /// The signal set a control law observes: channel occupancy, the last
     /// completed CPU window, pool headroom and link media quality.
     #[must_use]
-    pub fn load_signals(&self) -> LoadSignals {
+    fn load_signals(&self) -> LoadSignals {
         let occupancy = if self.config.channels == 0 {
             0.0
         } else {

@@ -2,10 +2,9 @@
 //! among the PBX features motivating its selection.
 
 use des::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Final disposition of a call attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Disposition {
     /// Answered and completed normally.
     Answered,
@@ -27,7 +26,7 @@ pub enum Disposition {
 }
 
 /// One call's record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallRecord {
     /// SIP Call-ID.
     pub call_id: String,
@@ -109,22 +108,6 @@ impl CdrLog {
         }
         self.count(Disposition::Blocked) as f64 / self.records.len() as f64
     }
-
-    /// Mean billable seconds over answered calls (NaN if none).
-    #[must_use]
-    pub fn mean_billsec(&self) -> f64 {
-        let answered: Vec<f64> = self
-            .records
-            .iter()
-            .filter(|r| r.disposition == Disposition::Answered)
-            .map(CallRecord::billsec)
-            .collect();
-        if answered.is_empty() {
-            f64::NAN
-        } else {
-            answered.iter().sum::<f64>() / answered.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -196,7 +179,6 @@ mod tests {
         assert_eq!(log.count(Disposition::Blocked), 2);
         assert_eq!(log.count(Disposition::Failed), 0);
         assert!((log.blocking_probability() - 0.2).abs() < 1e-12);
-        assert!((log.mean_billsec() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -204,7 +186,6 @@ mod tests {
         let log = CdrLog::new();
         assert_eq!(log.total(), 0);
         assert_eq!(log.blocking_probability(), 0.0);
-        assert!(log.mean_billsec().is_nan());
         assert!(log.records().is_empty());
     }
 }

@@ -7,10 +7,9 @@
 //! predicts.
 
 use des::{SimTime, TimeWeighted};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an allocated channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChannelId(pub u32);
 
 /// The pool.
@@ -21,7 +20,6 @@ pub struct ChannelPool {
     in_use: u32,
     peak: u32,
     peak_gauge: u32,
-    allocated_total: u64,
     refused_total: u64,
     occupancy: TimeWeighted,
 }
@@ -39,7 +37,6 @@ impl ChannelPool {
             in_use: 0,
             peak: 0,
             peak_gauge: 0,
-            allocated_total: 0,
             refused_total: 0,
             occupancy,
         }
@@ -63,19 +60,13 @@ impl ChannelPool {
         self.peak
     }
 
-    /// Resettable high-water-mark gauge: the highest concurrent
-    /// allocation since the last [`ChannelPool::reset_peak_in_use`].
-    /// Unlike [`ChannelPool::peak`] (all-time, for Table I), this gauge
-    /// can be re-armed mid-run — e.g. right after a crash fault — to read
-    /// how far the pool refills during recovery.
+    /// High-water-mark gauge: the highest concurrent allocation since the
+    /// last [`ChannelPool::flush`]. Unlike [`ChannelPool::peak`] (all-time,
+    /// for Table I), a crash fault re-arms this gauge, so it reads how far
+    /// the pool refills during recovery.
     #[must_use]
     pub fn peak_in_use(&self) -> u32 {
         self.peak_gauge
-    }
-
-    /// Re-arm the [`ChannelPool::peak_in_use`] gauge at the current level.
-    pub fn reset_peak_in_use(&mut self) {
-        self.peak_gauge = self.in_use;
     }
 
     /// Forcibly return every allocated channel to the free list — a PBX
@@ -91,12 +82,6 @@ impl ChannelPool {
         flushed
     }
 
-    /// Total successful allocations.
-    #[must_use]
-    pub fn allocated_total(&self) -> u64 {
-        self.allocated_total
-    }
-
     /// Total refused allocations (pool exhausted).
     #[must_use]
     pub fn refused_total(&self) -> u64 {
@@ -110,7 +95,6 @@ impl ChannelPool {
                 self.in_use += 1;
                 self.peak = self.peak.max(self.in_use);
                 self.peak_gauge = self.peak_gauge.max(self.in_use);
-                self.allocated_total += 1;
                 self.occupancy.set(now, f64::from(self.in_use));
                 Some(ChannelId(id))
             }
@@ -167,7 +151,6 @@ mod tests {
         assert_eq!(pool.in_use(), 3);
         assert!(pool.allocate(t).is_none(), "pool exhausted");
         assert_eq!(pool.refused_total(), 1);
-        assert_eq!(pool.allocated_total(), 3);
         assert_eq!(pool.peak(), 3);
     }
 
@@ -224,24 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_gauge_resets_independently_of_all_time_peak() {
-        let mut pool = ChannelPool::new(5);
-        let t = SimTime::ZERO;
-        let a = pool.allocate(t).unwrap();
-        let b = pool.allocate(t).unwrap();
-        let c = pool.allocate(t).unwrap();
-        assert_eq!(pool.peak_in_use(), 3);
-        pool.release(t, b);
-        pool.release(t, c);
-        pool.reset_peak_in_use();
-        assert_eq!(pool.peak_in_use(), 1, "gauge re-arms at current level");
-        assert_eq!(pool.peak(), 3, "all-time peak untouched");
-        let _d = pool.allocate(t).unwrap();
-        assert_eq!(pool.peak_in_use(), 2);
-        pool.release(t, a);
-    }
-
-    #[test]
     fn flush_empties_pool_and_rearms_gauge() {
         let mut pool = ChannelPool::new(4);
         let t = SimTime::ZERO;
@@ -265,7 +230,7 @@ mod tests {
         // allocated - released == in_use at every step.
         let mut pool = ChannelPool::new(8);
         let mut held = Vec::new();
-        let mut released = 0u64;
+        let (mut allocated, mut released) = (0u64, 0u64);
         for step in 0..100u64 {
             let t = SimTime::from_millis(step * 10);
             if step % 3 == 2 && !held.is_empty() {
@@ -273,8 +238,9 @@ mod tests {
                 released += 1;
             } else if let Some(c) = pool.allocate(t) {
                 held.push(c);
+                allocated += 1;
             }
-            assert_eq!(u64::from(pool.in_use()), pool.allocated_total() - released);
+            assert_eq!(u64::from(pool.in_use()), allocated - released);
             assert!(pool.in_use() <= pool.capacity());
         }
     }

@@ -18,17 +18,16 @@
 //! like the paper does.
 
 use des::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Cost parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CpuCosts {
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CpuCosts {
     /// Service time per SIP message.
-    pub sip_cost: SimDuration,
+    sip_cost: SimDuration,
     /// Service time per relayed RTP packet.
-    pub rtp_cost: SimDuration,
+    rtp_cost: SimDuration,
     /// Constant background utilisation fraction (0..1).
-    pub base_load: f64,
+    base_load: f64,
 }
 
 impl Default for CpuCosts {
@@ -66,7 +65,7 @@ impl CpuModel {
     /// (the paper effectively reads 5–10 s `top` samples; we default the
     /// experiment to 5 s windows).
     #[must_use]
-    pub fn new(costs: CpuCosts, window_len: SimDuration) -> Self {
+    fn new(costs: CpuCosts, window_len: SimDuration) -> Self {
         let mut cpu = CpuModel {
             costs,
             throttle: 1.0,

@@ -4,10 +4,8 @@
 //! `Z` = 1–9, `N` = 2–9, and a trailing `.` matching one-or-more of
 //! anything. First matching rule wins, in priority (insertion) order.
 
-use serde::{Deserialize, Serialize};
-
 /// Where a matched extension routes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Route {
     /// Deliver to a registered local subscriber (lookup in the registrar).
     LocalSubscriber,
@@ -18,16 +16,16 @@ pub enum Route {
 }
 
 /// One dialplan rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Rule {
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rule {
     /// The pattern, e.g. `1XXX` or `0.`.
-    pub pattern: String,
+    pattern: String,
     /// Where matching extensions go.
-    pub route: Route,
+    route: Route,
 }
 
 /// An ordered rule list.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dialplan {
     rules: Vec<Rule>,
 }
@@ -82,7 +80,7 @@ impl Dialplan {
 /// Match one Asterisk-style pattern against an extension, walking both
 /// a character at a time (no allocation: every INVITE tries each rule).
 #[must_use]
-pub fn pattern_matches(pattern: &str, ext: &str) -> bool {
+fn pattern_matches(pattern: &str, ext: &str) -> bool {
     let mut pat = pattern.chars();
     let mut ext = ext.chars();
     while let Some(p) = pat.next() {

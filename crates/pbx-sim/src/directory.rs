@@ -5,12 +5,11 @@
 //! behaviour — a bind (credential check) by uid — so this is a small
 //! uid-keyed store rather than a wire-protocol server.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One directory entry: a distinguished name plus attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirEntry {
     /// Distinguished name, e.g. `uid=1001,ou=people,dc=unb,dc=br`.
     pub dn: String,
@@ -19,7 +18,7 @@ pub struct DirEntry {
 }
 
 /// Result of a bind attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindResult {
     /// Credentials accepted.
     Success,
@@ -190,7 +189,7 @@ impl Directory {
 
     /// The explicit entry for `uid` (the synthetic range has none).
     #[must_use]
-    pub fn find_by_uid(&self, uid: &str) -> Option<&DirEntry> {
+    fn find_by_uid(&self, uid: &str) -> Option<&DirEntry> {
         self.entries.get(uid)
     }
 }

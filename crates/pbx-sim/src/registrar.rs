@@ -11,10 +11,9 @@
 use crate::directory::{BindResult, Directory};
 use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A registered binding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Binding {
     /// Node where the user agent runs.
     pub node: NodeId,
@@ -23,7 +22,7 @@ pub struct Binding {
 }
 
 /// Outcome of a REGISTER attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterOutcome {
     /// Accepted; binding stored.
     Ok,
@@ -42,7 +41,7 @@ pub enum RegisterOutcome {
 /// 8 bytes flat, installs in one call, and its hot paths (refresh,
 /// lookup) never hash or allocate.
 #[derive(Debug, Clone)]
-pub struct PopulationBindings {
+struct PopulationBindings {
     base: u64,
     /// `expires_at[uid - base]`; `SimTime::ZERO` means never/expired.
     expires_at: Vec<SimTime>,

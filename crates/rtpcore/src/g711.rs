@@ -15,8 +15,8 @@
 //! matters on the full-media path where every 20 ms frame is 160
 //! companding operations per direction. The [`ulaw_encode_into`]-style slice kernels
 //! compand whole frames into caller buffers with no per-sample call
-//! overhead and no allocation; the `*_slice` helpers keep the old
-//! allocating signatures on top of them. Exhaustive tests check every
+//! overhead and no allocation; [`ulaw_decode_slice`] expands a μ-law
+//! block into a new buffer. Exhaustive tests check every
 //! `i16` (encode) and every code byte (decode) against
 //! [`reference`](mod@reference).
 
@@ -239,18 +239,6 @@ fn encode_into(table: &[u8; 65536], pcm: &[i16], out: &mut [u8]) {
     }
 }
 
-#[inline]
-fn decode_into(table: &[i16; 256], codes: &[u8], out: &mut [i16]) {
-    assert_eq!(
-        codes.len(),
-        out.len(),
-        "output buffer must match input length"
-    );
-    for (dst, &c) in out.iter_mut().zip(codes) {
-        *dst = table[c as usize];
-    }
-}
-
 /// Compand a PCM block to μ-law into a caller-provided buffer.
 ///
 /// The frame kernel of the media plane: no allocation, one table probe
@@ -263,15 +251,6 @@ pub fn ulaw_encode_into(pcm: &[i16], out: &mut [u8]) {
     encode_into(&ULAW_ENC, pcm, out);
 }
 
-/// Expand a μ-law block to PCM into a caller-provided buffer.
-///
-/// # Panics
-/// If `out.len() != codes.len()`.
-#[inline]
-pub fn ulaw_decode_into(codes: &[u8], out: &mut [i16]) {
-    decode_into(&ULAW_DEC, codes, out);
-}
-
 /// Compand a PCM block to A-law into a caller-provided buffer.
 ///
 /// # Panics
@@ -281,45 +260,10 @@ pub fn alaw_encode_into(pcm: &[i16], out: &mut [u8]) {
     encode_into(&ALAW_ENC, pcm, out);
 }
 
-/// Expand an A-law block to PCM into a caller-provided buffer.
-///
-/// # Panics
-/// If `out.len() != codes.len()`.
-#[inline]
-pub fn alaw_decode_into(codes: &[u8], out: &mut [i16]) {
-    decode_into(&ALAW_DEC, codes, out);
-}
-
-/// Encode a PCM block to μ-law.
-#[must_use]
-pub fn ulaw_encode_slice(pcm: &[i16]) -> Vec<u8> {
-    let mut out = vec![0u8; pcm.len()];
-    ulaw_encode_into(pcm, &mut out);
-    out
-}
-
 /// Decode a μ-law block to PCM.
 #[must_use]
 pub fn ulaw_decode_slice(codes: &[u8]) -> Vec<i16> {
-    let mut out = vec![0i16; codes.len()];
-    ulaw_decode_into(codes, &mut out);
-    out
-}
-
-/// Encode a PCM block to A-law.
-#[must_use]
-pub fn alaw_encode_slice(pcm: &[i16]) -> Vec<u8> {
-    let mut out = vec![0u8; pcm.len()];
-    alaw_encode_into(pcm, &mut out);
-    out
-}
-
-/// Decode an A-law block to PCM.
-#[must_use]
-pub fn alaw_decode_slice(codes: &[u8]) -> Vec<i16> {
-    let mut out = vec![0i16; codes.len()];
-    alaw_decode_into(codes, &mut out);
-    out
+    codes.iter().map(|&c| ulaw_decode(c)).collect()
 }
 
 #[cfg(test)]
@@ -385,13 +329,9 @@ mod tests {
             assert_eq!(acodes[i], reference::alaw_encode(pcm[i]));
         }
         let codes: Vec<u8> = (0..=u8::MAX).collect();
-        let mut upcm = vec![0i16; 256];
-        let mut apcm = vec![0i16; 256];
-        ulaw_decode_into(&codes, &mut upcm);
-        alaw_decode_into(&codes, &mut apcm);
+        let upcm = ulaw_decode_slice(&codes);
         for i in 0..256 {
             assert_eq!(upcm[i], reference::ulaw_decode(codes[i]));
-            assert_eq!(apcm[i], reference::alaw_decode(codes[i]));
         }
     }
 
@@ -537,23 +477,6 @@ mod tests {
             let snr_db = 10.0 * (sig_pow / err_pow).log10();
             assert!(snr_db > 30.0, "{name} SNR {snr_db:.1} dB");
         }
-    }
-
-    #[test]
-    fn slice_helpers_match_scalar() {
-        let pcm: Vec<i16> = (-200..200).step_by(7).collect();
-        let enc = ulaw_encode_slice(&pcm);
-        assert_eq!(enc.len(), pcm.len());
-        for (i, &s) in pcm.iter().enumerate() {
-            assert_eq!(enc[i], ulaw_encode(s));
-        }
-        let dec = ulaw_decode_slice(&enc);
-        for (i, &c) in enc.iter().enumerate() {
-            assert_eq!(dec[i], ulaw_decode(c));
-        }
-        let aenc = alaw_encode_slice(&pcm);
-        let adec = alaw_decode_slice(&aenc);
-        assert_eq!(adec.len(), pcm.len());
     }
 }
 

@@ -4,8 +4,6 @@
 //! These are the quantities VoIPmonitor derives from captured RTP and feeds
 //! into its MOS estimate; the `vmon` crate does the same with this module.
 
-use serde::{Deserialize, Serialize};
-
 /// RFC 3550 interarrival jitter estimator.
 ///
 /// For packets `i` and `j`, the difference in relative transit times is
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// so a two-minute G.711 stream crosses 2³² about once in 4 500 calls);
 /// it is unwrapped to a 64-bit extended timestamp before the subtraction,
 /// so a wrap is 160 units like any other frame, not −2³².
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct JitterEstimator {
     jitter_units: f64,
     last_transit: Option<f64>,
@@ -60,12 +58,6 @@ impl JitterEstimator {
         self.last_transit = Some(transit);
     }
 
-    /// Current jitter in media-clock units (what RTCP reports).
-    #[must_use]
-    pub fn jitter_units(&self) -> f64 {
-        self.jitter_units
-    }
-
     /// Current jitter in milliseconds.
     #[must_use]
     pub fn jitter_ms(&self) -> f64 {
@@ -75,7 +67,7 @@ impl JitterEstimator {
 
 /// Sequence-number tracker: expected/received counts, losses, duplicates
 /// and reorders, with wrap-around handling.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SequenceTracker {
     base_seq: Option<u16>,
     highest_ext: u64,
@@ -235,7 +227,7 @@ impl SequenceTracker {
     /// Late (reordered) arrivals that later fill a gap are not subtracted —
     /// this is the burst structure as a playout buffer experiences it.
     #[must_use]
-    pub fn mean_loss_burst(&self) -> f64 {
+    fn mean_loss_burst(&self) -> f64 {
         if self.gap_count == 0 {
             f64::NAN
         } else {
@@ -341,7 +333,7 @@ mod tests {
                 3_000_000_000 + i * 160,
             );
             if (i + 1) % 250 == 0 {
-                bits.push(j.jitter_units().to_bits());
+                bits.push(j.jitter_units.to_bits());
             }
         }
         let pinned = [
@@ -358,7 +350,7 @@ mod tests {
         let mut j = JitterEstimator::new(8000.0);
         j.record(0.0, 0);
         j.record(0.025, 160); // 5 ms late
-        assert!((j.jitter_ms() - j.jitter_units() / 8.0).abs() < 1e-12);
+        assert!((j.jitter_ms() - j.jitter_units / 8.0).abs() < 1e-12);
         assert!(j.jitter_ms() > 0.0);
     }
 
@@ -587,8 +579,8 @@ mod proptests {
                 tnow += d;
                 j.record(tnow, (i as u32) * 160);
             }
-            prop_assert!(j.jitter_units() >= 0.0);
-            prop_assert!(j.jitter_units().is_finite());
+            prop_assert!(j.jitter_units >= 0.0);
+            prop_assert!(j.jitter_units.is_finite());
         }
     }
 }

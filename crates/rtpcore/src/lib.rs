@@ -26,7 +26,7 @@ pub mod vad;
 pub use g711::{alaw_decode, alaw_encode, ulaw_decode, ulaw_encode};
 pub use jitter::{JitterEstimator, SequenceTracker};
 pub use packet::{RtpDatagram, RtpHeader, RtpPacket, RTP_HEADER_LEN};
-pub use packetizer::{Packetizer, VoiceSource, SAMPLES_PER_FRAME, SAMPLE_RATE_HZ};
+pub use packetizer::{Packetizer, VoiceSource, SAMPLES_PER_FRAME};
 pub use playout::{PlayoutBuffer, PlayoutEvent};
 pub use plc::Concealer;
 pub use vad::TalkspurtSource;

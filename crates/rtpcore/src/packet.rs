@@ -15,17 +15,16 @@
 //! CSRC lists, padding and extensions are not used by the evaluation's
 //! media plane and are rejected on decode if flagged.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Length of the fixed RTP header in bytes.
 pub const RTP_HEADER_LEN: usize = 12;
 
 /// The RTP protocol version carried in every header.
-pub const RTP_VERSION: u8 = 2;
+const RTP_VERSION: u8 = 2;
 
 /// Decoded RTP fixed header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtpHeader {
     /// Marker bit (set on the first packet of a talkspurt).
     pub marker: bool,
@@ -40,7 +39,7 @@ pub struct RtpHeader {
 }
 
 /// A full RTP packet: header plus payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtpPacket {
     /// Fixed header.
     pub header: RtpHeader,

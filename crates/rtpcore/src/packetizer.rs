@@ -9,13 +9,11 @@ use crate::packet::{RtpDatagram, RtpHeader, RtpPacket};
 use std::sync::Arc;
 
 /// Audio sampling rate (Hz).
-pub const SAMPLE_RATE_HZ: u32 = 8000;
+const SAMPLE_RATE_HZ: u32 = 8000;
 /// Packet time in milliseconds.
-pub const PTIME_MS: u32 = 20;
+const PTIME_MS: u32 = 20;
 /// Samples per RTP packet: 8000 Hz × 20 ms.
 pub const SAMPLES_PER_FRAME: usize = (SAMPLE_RATE_HZ as usize * PTIME_MS as usize) / 1000;
-/// Packets per second per direction.
-pub const PACKETS_PER_SECOND: u32 = 1000 / PTIME_MS;
 
 /// Which G.711 law to compand with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -290,12 +288,6 @@ impl Packetizer {
         }
     }
 
-    /// Number of packets required for `duration_s` seconds of audio.
-    #[must_use]
-    pub fn packets_for_duration(duration_s: f64) -> u64 {
-        (duration_s * f64::from(PACKETS_PER_SECOND)).round() as u64
-    }
-
     /// Advance the media clock over one silent (suppressed) frame: the
     /// timestamp moves with wall time but no packet is emitted and the
     /// sequence number stays put — RFC 3550 semantics for discontinuous
@@ -304,38 +296,6 @@ impl Packetizer {
     pub fn skip_frame(&mut self) {
         self.next_timestamp = self.next_timestamp.wrapping_add(SAMPLES_PER_FRAME as u32);
         self.first = true; // next packet starts a talkspurt
-    }
-
-    /// Emit the next packet with an already-companded payload, advancing
-    /// sequence/timestamp exactly like [`Self::packetize`].
-    ///
-    /// This is the large-sweep fast path: the experiment encodes real
-    /// audio every Nth frame and reuses the companded bytes in between, so
-    /// headers/counts stay exact while skipping redundant DSP work
-    /// (`tests/full_stack_media.rs` asserts the counts are unchanged).
-    ///
-    /// # Panics
-    /// If `payload.len() != SAMPLES_PER_FRAME`.
-    pub fn packetize_raw(&mut self, payload: Vec<u8>) -> RtpPacket {
-        assert_eq!(
-            payload.len(),
-            SAMPLES_PER_FRAME,
-            "one 20 ms frame at a time"
-        );
-        let pkt = RtpPacket {
-            header: RtpHeader {
-                marker: self.first,
-                payload_type: self.law.payload_type(),
-                sequence: self.next_sequence,
-                timestamp: self.next_timestamp,
-                ssrc: self.ssrc,
-            },
-            payload,
-        };
-        self.first = false;
-        self.next_sequence = self.next_sequence.wrapping_add(1);
-        self.next_timestamp = self.next_timestamp.wrapping_add(SAMPLES_PER_FRAME as u32);
-        pkt
     }
 }
 
@@ -346,10 +306,10 @@ mod tests {
     #[test]
     fn frame_constants_match_the_paper() {
         assert_eq!(SAMPLES_PER_FRAME, 160);
-        assert_eq!(PACKETS_PER_SECOND, 50);
-        // A 120 s call sends 6000 packets per direction; both directions as
-        // seen by the monitor ≈ 12000 ≈ the paper's 12037/call at A=40.
-        assert_eq!(Packetizer::packets_for_duration(120.0), 6000);
+        // 50 packets per second: a 120 s call sends 6000 per direction;
+        // both directions as seen by the monitor ≈ 12000 ≈ the paper's
+        // 12037/call at A=40.
+        assert_eq!(1000 / PTIME_MS, 50);
     }
 
     #[test]
@@ -491,28 +451,6 @@ mod tests {
         assert!(p1.header.marker, "stream start flagged");
         let p3 = p.packetize(&src.next_samples(160));
         assert!(!p3.header.marker, "mid-spurt packets unmarked");
-    }
-
-    #[test]
-    fn packetize_raw_advances_like_packetize() {
-        let mut src = VoiceSource::new(3);
-        let samples = src.next_samples(160);
-        let mut a = Packetizer::new(5, Law::Mu, 10, 100);
-        let mut b = Packetizer::new(5, Law::Mu, 10, 100);
-        let pa = a.packetize(&samples);
-        let pb = b.packetize_raw(pa.payload.clone());
-        assert_eq!(pa, pb);
-        // Second frames also line up.
-        let pa2 = a.packetize(&samples);
-        let pb2 = b.packetize_raw(pa.payload.clone());
-        assert_eq!(pa2.header, pb2.header);
-    }
-
-    #[test]
-    #[should_panic(expected = "20 ms frame")]
-    fn packetize_raw_rejects_wrong_size() {
-        let mut p = Packetizer::new(1, Law::Mu, 0, 0);
-        let _ = p.packetize_raw(vec![0u8; 10]);
     }
 
     #[test]

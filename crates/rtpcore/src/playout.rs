@@ -18,7 +18,6 @@
 
 use crate::jitter::JitterEstimator;
 use crate::packet::RtpHeader;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Frame period in seconds (20 ms, fixed by the G.711 media plane).
@@ -40,7 +39,7 @@ pub enum PlayoutEvent {
 }
 
 /// Counters over the buffer's lifetime.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PlayoutStats {
     /// Frames played from real packets.
     pub played: u64,

@@ -6,12 +6,10 @@
 //! carry a dozen headers, where a hash map would cost more than it saves
 //! (see the workspace's performance notes on small-collection handling).
 
-use serde::{Deserialize, Serialize};
-
 /// A header field name: well-known names are interned as variants so that
 /// comparisons are integer-cheap on the hot path; anything else is carried
 /// verbatim in `Other`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HeaderName {
     /// `Via` — the response routing stack.
     Via,
@@ -240,7 +238,7 @@ impl HeaderMap {
 
     /// [`HeaderMap::set`] with the value written in place, as in
     /// [`HeaderMap::push_with`].
-    pub fn set_with(&mut self, name: HeaderName, write: impl FnOnce(&mut String)) {
+    fn set_with(&mut self, name: HeaderName, write: impl FnOnce(&mut String)) {
         let (start, end) = self.write_value(write);
         let mut kept = false;
         self.entries.retain_mut(|entry| {
@@ -330,32 +328,6 @@ impl Eq for HeaderMap {}
 impl core::fmt::Debug for HeaderMap {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// The serialized form: the `(name, value)` list the map logically is, in
-/// the shape the one-`String`-per-header storage derived — never arena
-/// offsets.
-#[derive(Serialize, Deserialize)]
-struct Entries {
-    entries: Vec<(HeaderName, String)>,
-}
-
-impl Serialize for HeaderMap {
-    fn to_value(&self) -> serde::Value {
-        let pairs = self.iter().map(|(n, v)| (n.clone(), v.to_owned()));
-        let entries = pairs.collect();
-        Entries { entries }.to_value()
-    }
-}
-
-impl Deserialize for HeaderMap {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let mut map = HeaderMap::new();
-        for (name, value) in Entries::from_value(v)?.entries {
-            map.push(name, value);
-        }
-        Ok(map)
     }
 }
 
@@ -612,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn set_then_clone_compares_equal_and_round_trips_serde() {
+    fn set_then_clone_compares_equal() {
         let mut h = HeaderMap::new();
         h.push(HeaderName::Via, "one");
         h.push(HeaderName::Other("X-Custom".to_owned()), "né");
@@ -626,11 +598,6 @@ mod tests {
         ]);
         assert_agrees(&h, &model);
         assert_eq!(h.clone(), h);
-        // The serialized shape is the model's derived one, not arena offsets.
-        let value = h.to_value();
-        let entries = ("entries".to_owned(), model.0.to_value());
-        assert_eq!(value, serde::Value::Map(vec![entries]));
-        assert_eq!(HeaderMap::from_value(&value).unwrap(), h);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::sdp::wire::{SdpBody, SdpView};
 use crate::sdp::SdpCodec;
 use crate::status::StatusCode;
 use crate::uri::SipUri;
-use serde::{Deserialize, Serialize};
 
 /// The SIP protocol version token used on every start line.
 pub const SIP_VERSION: &str = "SIP/2.0";
@@ -66,15 +65,6 @@ impl Body {
         }
     }
 
-    /// The structured session description, when this body carries one.
-    #[must_use]
-    pub fn as_sdp(&self) -> Option<&SdpBody> {
-        match self {
-            Body::Bytes(_) => None,
-            Body::Sdp(s) => Some(s),
-        }
-    }
-
     /// Serialize into a caller-supplied buffer (appending).
     pub fn write_into(&self, out: &mut Vec<u8>) {
         match self {
@@ -123,15 +113,6 @@ impl Body {
             Body::Sdp(s) => Some(&s.origin_user),
         }
     }
-
-    /// SDP connection address, over either form, without allocating.
-    #[must_use]
-    pub fn sdp_connection(&self) -> Option<&str> {
-        match self {
-            Body::Bytes(b) => SdpView::parse(b)?.connection(),
-            Body::Sdp(s) => Some(&s.connection),
-        }
-    }
 }
 
 impl Default for Body {
@@ -165,22 +146,8 @@ impl PartialEq for Body {
 
 impl Eq for Body {}
 
-impl Serialize for Body {
-    fn to_value(&self) -> serde::Value {
-        // Serialize as the materialized byte array, matching the old
-        // `Vec<u8>` field encoding exactly (pcap/debug dumps are cold).
-        self.to_vec().to_value()
-    }
-}
-
-impl Deserialize for Body {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Body::Bytes(Vec::<u8>::from_value(v)?))
-    }
-}
-
 /// A SIP request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Request method.
     pub method: Method,
@@ -193,7 +160,7 @@ pub struct Request {
 }
 
 /// A SIP response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Status code.
     pub status: StatusCode,
@@ -204,7 +171,7 @@ pub struct Response {
 }
 
 /// Either kind of SIP message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SipMessage {
     /// A request.
     Request(Request),
@@ -486,14 +453,6 @@ impl SipMessage {
         }
     }
 
-    /// Mutable header access.
-    pub fn headers_mut(&mut self) -> &mut HeaderMap {
-        match self {
-            SipMessage::Request(r) => &mut r.headers,
-            SipMessage::Response(r) => &mut r.headers,
-        }
-    }
-
     /// Shared body access.
     #[must_use]
     pub fn body(&self) -> &Body {
@@ -620,11 +579,11 @@ pub fn branch_of(via_value: &str) -> Option<&str> {
 /// Write a Via header value for this protocol hop into a caller-supplied
 /// buffer — the zero-allocation core every Via formatter shares. Reuse
 /// one cleared `String` across calls and retransmissions pay nothing.
-pub fn write_via(out: &mut impl core::fmt::Write, host: &str, port: u16, branch: &str) {
+fn write_via(out: &mut impl core::fmt::Write, host: &str, port: u16, branch: &str) {
     let _ = write!(out, "SIP/2.0/UDP {host}:{port};branch={branch}");
 }
 
-/// Like [`write_via`] but with the branch supplied as preformatted
+/// Like `write_via` but with the branch supplied as preformatted
 /// arguments, so callers composing a branch from parts (`z9hG4bKpbx{n}`)
 /// skip the intermediate `String` entirely.
 pub fn write_via_args(
@@ -637,7 +596,7 @@ pub fn write_via_args(
 }
 
 /// Format a Via header value for this protocol hop. Convenience wrapper
-/// over [`write_via`] for cold paths; hot paths should write into a
+/// over `write_via` for cold paths; hot paths should write into a
 /// reused buffer instead.
 #[must_use]
 pub fn format_via(host: &str, port: u16, branch: &str) -> String {
@@ -816,8 +775,9 @@ mod tests {
         assert!(m.as_request().is_some());
         assert!(m.as_response().is_none());
         assert_eq!(m.call_id(), Some("cid-1@10.0.0.2"));
-        let mut m2: SipMessage = Response::new(StatusCode::OK).into();
-        m2.headers_mut().push(HeaderName::CallId, "x@y");
+        let mut r = Response::new(StatusCode::OK);
+        r.headers.push(HeaderName::CallId, "x@y");
+        let m2: SipMessage = r.into();
         assert_eq!(m2.call_id(), Some("x@y"));
         assert!(m2.as_response().is_some());
         assert_eq!(m.to_wire(), m.as_request().unwrap().to_wire());

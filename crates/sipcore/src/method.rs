@@ -1,9 +1,7 @@
 //! SIP request methods.
 
-use serde::{Deserialize, Serialize};
-
 /// The request methods used by the evaluation (RFC 3261 core set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Initiate a session.
     Invite,
@@ -53,13 +51,6 @@ impl Method {
         self == Method::Invite
     }
 
-    /// ACK is special: it is a standalone request that never elicits a
-    /// response.
-    #[must_use]
-    pub fn expects_response(self) -> bool {
-        self != Method::Ack
-    }
-
     /// All methods (for exhaustive tests/benches).
     pub const ALL: [Method; 6] = [
         Method::Invite,
@@ -104,7 +95,5 @@ mod tests {
     fn classification() {
         assert!(Method::Invite.is_invite());
         assert!(!Method::Bye.is_invite());
-        assert!(!Method::Ack.expects_response());
-        assert!(Method::Bye.expects_response());
     }
 }

@@ -12,12 +12,11 @@
 //! ([`wire::write_sdp`]), so they agree byte-for-byte by construction.
 
 use crate::pool::BufferPool;
-use serde::{Deserialize, Serialize};
 
 pub mod wire;
 
 /// The audio codec offered in an SDP body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SdpCodec {
     /// G.711 μ-law, static payload type 0.
     Pcmu,
@@ -56,7 +55,7 @@ impl SdpCodec {
 }
 
 /// A parsed/built session description for one audio stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionDescription {
     /// Origin username field (`o=`).
     pub origin_user: String,

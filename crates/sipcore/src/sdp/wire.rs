@@ -109,7 +109,7 @@ impl<'a> SdpView<'a> {
 
     /// RTP payload types listed on the winning `m=audio` line, straight
     /// from the wire (tokens that do not parse as `u8` are skipped).
-    pub fn payload_types(&self) -> impl Iterator<Item = u8> + 'a {
+    fn payload_types(&self) -> impl Iterator<Item = u8> + 'a {
         self.audio_media()
             .map(|(_, rest)| rest)
             .unwrap_or("")
@@ -219,18 +219,6 @@ impl SdpSummary {
         buf.reserve(self.body_len(atoms));
         self.write_sdp(atoms, &mut buf);
         buf
-    }
-
-    /// Expand into a self-contained structured body for an outgoing
-    /// message — two refcount bumps, no copies.
-    #[must_use]
-    pub fn to_sdp_body(&self, atoms: &AtomTable) -> SdpBody {
-        SdpBody {
-            origin_user: atoms.resolve_shared(self.origin),
-            connection: atoms.resolve_shared(self.conn),
-            audio_port: self.audio_port,
-            codec: self.codec,
-        }
     }
 }
 
@@ -459,14 +447,6 @@ mod tests {
         assert_eq!(rebuilt.len(), s.body_len(&atoms));
         assert_eq!(rebuilt, body);
         pool.release(rebuilt);
-
-        // Expanding to a structured body preserves the fields.
-        let sdp_body = s.to_sdp_body(&atoms);
-        assert_eq!(sdp_body.len(), body.len());
-        let mut written = Vec::new();
-        sdp_body.write_into(&mut written);
-        assert_eq!(written, body);
-        assert_eq!(sdp_body.to_session(), offer());
     }
 
     #[test]

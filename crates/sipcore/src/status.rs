@@ -1,13 +1,11 @@
 //! SIP response status codes.
 
-use serde::{Deserialize, Serialize};
-
 /// A three-digit SIP status code.
 ///
 /// The constants cover every code the evaluation touches (the paper's
 /// Table I accounts 100 Trying, 180 Ringing, 200 OK and the error classes);
 /// arbitrary codes are representable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {
@@ -15,8 +13,6 @@ impl StatusCode {
     pub const TRYING: StatusCode = StatusCode(100);
     /// 180 Ringing.
     pub const RINGING: StatusCode = StatusCode(180);
-    /// 183 Session Progress.
-    pub const SESSION_PROGRESS: StatusCode = StatusCode(183);
     /// 200 OK.
     pub const OK: StatusCode = StatusCode(200);
     /// 400 Bad Request.
@@ -27,14 +23,10 @@ impl StatusCode {
     pub const FORBIDDEN: StatusCode = StatusCode(403);
     /// 404 Not Found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
-    /// 408 Request Timeout.
-    pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     /// 486 Busy Here — what a callee at capacity answers.
     pub const BUSY_HERE: StatusCode = StatusCode(486);
     /// 487 Request Terminated (answered to a CANCELled INVITE).
     pub const REQUEST_TERMINATED: StatusCode = StatusCode(487);
-    /// 500 Server Internal Error.
-    pub const SERVER_ERROR: StatusCode = StatusCode(500);
     /// 503 Service Unavailable — what an overloaded PBX answers.
     pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
 

@@ -17,10 +17,9 @@
 
 use crate::message::{Request, Response};
 use core::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// RFC 3261 timer base values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerConfig {
     /// RTT estimate; retransmission base (default 500 ms).
     pub t1: Duration,
@@ -41,7 +40,7 @@ impl Default for TimerConfig {
 }
 
 /// Which logical timer fired (names follow RFC 3261 Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimerKind {
     /// INVITE client retransmission.
     A,
@@ -66,7 +65,7 @@ pub enum TimerKind {
 }
 
 /// Why a transaction terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxOutcome {
     /// Completed its job normally.
     Normal,
@@ -94,7 +93,7 @@ pub enum TxAction {
 // ---------------------------------------------------------------------------
 
 /// INVITE client transaction states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InviteClientState {
     /// INVITE sent, nothing heard.
     Calling,
@@ -209,7 +208,7 @@ impl InviteClientTx {
 // ---------------------------------------------------------------------------
 
 /// Non-INVITE client transaction states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientState {
     /// Request sent.
     Trying,
@@ -296,7 +295,7 @@ impl ClientTx {
 // ---------------------------------------------------------------------------
 
 /// INVITE server transaction states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InviteServerState {
     /// INVITE received, sending provisionals.
     Proceeding,
@@ -415,7 +414,7 @@ impl InviteServerTx {
 // ---------------------------------------------------------------------------
 
 /// Non-INVITE server transaction states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerState {
     /// Request received, nothing sent.
     Trying,

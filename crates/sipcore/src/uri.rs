@@ -1,12 +1,10 @@
 //! SIP URIs (`sip:user@host:port;param=value`).
 
-use serde::{Deserialize, Serialize};
-
 /// A SIP URI — the subset used for addressing users and servers in the
 /// evaluation: scheme `sip`, optional user part, host, optional port, and
 /// `;`-separated parameters (e.g. `;transport=udp`, `;tag=...` when embedded
 /// in From/To headers is handled at the header level).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SipUri {
     /// User part (the extension / account), empty for server URIs.
     pub user: String,
@@ -41,23 +39,6 @@ impl SipUri {
     pub fn with_port(mut self, port: u16) -> Self {
         self.port = Some(port);
         self
-    }
-
-    /// Builder: append a parameter.
-    #[must_use]
-    pub fn with_param(mut self, name: &str, value: Option<&str>) -> Self {
-        self.params
-            .push((name.to_owned(), value.map(str::to_owned)));
-        self
-    }
-
-    /// Look up a parameter value (None if absent or valueless).
-    #[must_use]
-    pub fn param(&self, name: &str) -> Option<&str> {
-        self.params
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
     }
 
     /// Parse `sip:user@host:port;params`. Returns `None` on malformed input.
@@ -130,17 +111,6 @@ impl SipUri {
         }
         n
     }
-
-    /// The address-of-record key used for registrar lookups: `user@host`
-    /// without port or parameters.
-    #[must_use]
-    pub fn address_of_record(&self) -> String {
-        if self.user.is_empty() {
-            self.host.clone()
-        } else {
-            format!("{}@{}", self.user, self.host)
-        }
-    }
 }
 
 impl core::fmt::Display for SipUri {
@@ -173,9 +143,11 @@ mod tests {
         assert_eq!(u.user, "1001");
         assert_eq!(u.host, "pbx.unb.br");
         assert_eq!(u.port, Some(5060));
-        assert_eq!(u.param("transport"), Some("udp"));
-        assert_eq!(u.param("lr"), None, "valueless param");
-        assert!(u.params.iter().any(|(n, v)| n == "lr" && v.is_none()));
+        let lr = ("lr".to_owned(), None);
+        assert_eq!(
+            u.params,
+            [("transport".to_owned(), Some("udp".to_owned())), lr]
+        );
     }
 
     #[test]
@@ -223,13 +195,11 @@ mod tests {
     }
 
     #[test]
-    fn builders_and_aor() {
-        let u = SipUri::new("2002", "pbx")
-            .with_port(5062)
-            .with_param("ob", None);
+    fn builders() {
+        let mut u = SipUri::new("2002", "pbx").with_port(5062);
+        u.params.push(("ob".to_owned(), None));
         assert_eq!(u.to_string(), "sip:2002@pbx:5062;ob");
-        assert_eq!(u.address_of_record(), "2002@pbx");
-        assert_eq!(SipUri::server("pbx").address_of_record(), "pbx");
+        assert_eq!(SipUri::server("pbx").to_string(), "sip:pbx");
     }
 }
 

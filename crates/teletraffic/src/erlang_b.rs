@@ -26,9 +26,8 @@ use crate::units::Erlangs;
 /// servers.
 ///
 /// Edge cases: zero load never blocks (unless there are zero channels, in
-/// which case everything blocks); invalid loads yield `NaN`-free behaviour by
-/// saturating — prefer [`try_blocking_probability`] when inputs are
-/// untrusted.
+/// which case everything blocks); an invalid (negative or non-finite) load
+/// yields `NaN`.
 ///
 /// ```
 /// use teletraffic::{erlang_b, Erlangs};
@@ -50,14 +49,6 @@ pub fn blocking_probability(a: Erlangs, channels: u32) -> f64 {
         b = ab / (n as f64 + ab);
     }
     b
-}
-
-/// Fallible variant of [`blocking_probability`] that rejects invalid loads.
-pub fn try_blocking_probability(a: Erlangs, channels: u32) -> Result<f64, TrafficError> {
-    if !a.is_valid() {
-        return Err(TrafficError::InvalidLoad);
-    }
-    Ok(blocking_probability(a, channels))
 }
 
 /// Blocking probabilities for every channel count `0..=max_channels`.
@@ -164,7 +155,7 @@ pub fn load_for(channels: u32, target_pb: f64) -> Result<Erlangs, TrafficError> 
 }
 
 /// [`load_for`] with an explicit absolute tolerance in Erlangs.
-pub fn load_for_tol(channels: u32, target_pb: f64, tol: f64) -> Result<Erlangs, TrafficError> {
+fn load_for_tol(channels: u32, target_pb: f64, tol: f64) -> Result<Erlangs, TrafficError> {
     if !(target_pb > 0.0 && target_pb < 1.0) {
         return Err(TrafficError::InvalidProbability);
     }
@@ -306,20 +297,14 @@ pub fn shared_load_for(channels: u32, target_pb: f64) -> Result<Erlangs, Traffic
         .clone()
 }
 
-/// Carried traffic `A · (1 − B(A, N))` in Erlangs — the load that actually
-/// occupies channels after blocking.
-#[must_use]
-pub fn carried_traffic(a: Erlangs, channels: u32) -> Erlangs {
-    Erlangs(a.value() * (1.0 - blocking_probability(a, channels)))
-}
-
-/// Channel utilisation: carried traffic divided by the number of channels.
+/// Channel utilisation: the carried traffic `A · (1 − B(A, N))` — the load
+/// that actually occupies channels after blocking — divided by `N`.
 #[must_use]
 pub fn utilisation(a: Erlangs, channels: u32) -> f64 {
     if channels == 0 {
         return 0.0;
     }
-    carried_traffic(a, channels).value() / f64::from(channels)
+    a.value() * (1.0 - blocking_probability(a, channels)) / f64::from(channels)
 }
 
 #[cfg(test)]
@@ -392,14 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn invalid_load_is_nan_or_error() {
+    fn invalid_load_is_nan() {
         assert!(blocking_probability(Erlangs(-1.0), 5).is_nan());
         assert!(blocking_probability(Erlangs(f64::NAN), 5).is_nan());
-        assert_eq!(
-            try_blocking_probability(Erlangs(-1.0), 5),
-            Err(TrafficError::InvalidLoad)
-        );
-        assert!(try_blocking_probability(Erlangs(1.0), 5).is_ok());
     }
 
     #[test]
@@ -547,13 +527,11 @@ mod tests {
     }
 
     #[test]
-    fn carried_traffic_and_utilisation() {
+    fn utilisation_of_carried_traffic() {
         // Light load: everything is carried.
-        let c = carried_traffic(Erlangs(1.0), 100);
-        assert!((c.value() - 1.0).abs() < 1e-9);
+        let u = utilisation(Erlangs(1.0), 100);
+        assert!((u - 0.01).abs() < 1e-11);
         // Heavy overload: carried traffic approaches the channel count.
-        let c = carried_traffic(Erlangs(10_000.0), 100);
-        assert!(c.value() < 100.0 && c.value() > 99.0);
         let u = utilisation(Erlangs(10_000.0), 100);
         assert!(u > 0.99 && u <= 1.0);
         assert_eq!(utilisation(Erlangs(5.0), 0), 0.0);
@@ -638,7 +616,7 @@ mod proptests {
         /// Carried traffic can never exceed offered traffic nor channels.
         #[test]
         fn carried_bounds(a in 0.0f64..2000.0, n in 1u32..500) {
-            let c = carried_traffic(Erlangs(a), n).value();
+            let c = utilisation(Erlangs(a), n) * f64::from(n);
             prop_assert!(c <= a + 1e-9);
             prop_assert!(c <= f64::from(n) + 1e-9);
             prop_assert!(c >= -1e-12);

@@ -37,4 +37,4 @@ pub mod units;
 pub use engset::{engset_blocking, engset_blocking_large};
 pub use erlang_b::{blocking_probability, channels_for, load_for, BlockingCurve};
 pub use error::TrafficError;
-pub use units::{CallRate, Erlangs, HoldingTime};
+pub use units::Erlangs;

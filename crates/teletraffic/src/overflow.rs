@@ -35,7 +35,7 @@ impl OverflowMoments {
 
     /// Superpose independent overflow streams (means and variances add).
     #[must_use]
-    pub fn combine(streams: &[OverflowMoments]) -> OverflowMoments {
+    fn combine(streams: &[OverflowMoments]) -> OverflowMoments {
         let mean = streams.iter().map(|s| s.mean).sum();
         let variance = streams.iter().map(|s| s.variance).sum();
         OverflowMoments { mean, variance }
@@ -71,7 +71,7 @@ pub fn overflow_moments(a: Erlangs, channels: u32) -> Result<OverflowMoments, Tr
 /// load `A*` offered to `N*` primary channels that would overflow with
 /// the same mean and variance.
 #[must_use]
-pub fn equivalent_random(moments: OverflowMoments) -> (f64, f64) {
+fn equivalent_random(moments: OverflowMoments) -> (f64, f64) {
     let m = moments.mean;
     let z = moments.peakedness();
     let v = moments.variance;

@@ -9,27 +9,12 @@
 //!
 //! One Erlang is one voice channel continuously occupied for one hour.
 
-use serde::{Deserialize, Serialize};
-
 /// Offered traffic intensity in Erlangs.
 ///
 /// A thin, strongly-typed wrapper over `f64` so that loads, rates and
 /// durations cannot be accidentally interchanged in the experiment harness.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Erlangs(pub f64);
-
-/// Call arrival rate.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct CallRate {
-    /// Calls per second.
-    per_second: f64,
-}
-
-/// Mean call holding time.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct HoldingTime {
-    seconds: f64,
-}
 
 impl Erlangs {
     /// Offered load from a busy-hour call count and a mean call duration.
@@ -45,13 +30,6 @@ impl Erlangs {
     #[must_use]
     pub fn from_calls(calls_per_hour: f64, duration_seconds: f64) -> Self {
         Erlangs(calls_per_hour * duration_seconds / 3600.0)
-    }
-
-    /// Offered load from an arrival rate and a mean holding time
-    /// (`A = λ · h`, Little's law for the offered stream).
-    #[must_use]
-    pub fn from_rate(rate: CallRate, holding: HoldingTime) -> Self {
-        Erlangs(rate.per_second * holding.seconds)
     }
 
     /// Offered load for a calling population: `A = pop · frac · d / 60` with
@@ -70,78 +48,10 @@ impl Erlangs {
         self.0
     }
 
-    /// The arrival rate implied by this load for a given holding time.
-    #[must_use]
-    pub fn rate_for(self, holding: HoldingTime) -> CallRate {
-        CallRate::per_second(self.0 / holding.seconds)
-    }
-
     /// True when the value is a usable traffic intensity (finite, ≥ 0).
     #[must_use]
     pub fn is_valid(self) -> bool {
         self.0.is_finite() && self.0 >= 0.0
-    }
-}
-
-impl CallRate {
-    /// A rate expressed in calls per second.
-    #[must_use]
-    pub fn per_second(cps: f64) -> Self {
-        CallRate { per_second: cps }
-    }
-
-    /// A rate expressed in calls per hour.
-    #[must_use]
-    pub fn per_hour(cph: f64) -> Self {
-        CallRate {
-            per_second: cph / 3600.0,
-        }
-    }
-
-    /// Calls per second.
-    #[must_use]
-    pub fn calls_per_second(self) -> f64 {
-        self.per_second
-    }
-
-    /// Calls per hour.
-    #[must_use]
-    pub fn calls_per_hour(self) -> f64 {
-        self.per_second * 3600.0
-    }
-
-    /// Mean inter-arrival gap in seconds (∞ for a zero rate).
-    #[must_use]
-    pub fn mean_interarrival(self) -> f64 {
-        1.0 / self.per_second
-    }
-}
-
-impl HoldingTime {
-    /// A holding time in seconds.
-    #[must_use]
-    pub fn from_seconds(seconds: f64) -> Self {
-        HoldingTime { seconds }
-    }
-
-    /// A holding time in minutes.
-    #[must_use]
-    pub fn from_minutes(minutes: f64) -> Self {
-        HoldingTime {
-            seconds: minutes * 60.0,
-        }
-    }
-
-    /// Seconds.
-    #[must_use]
-    pub fn seconds(self) -> f64 {
-        self.seconds
-    }
-
-    /// Minutes.
-    #[must_use]
-    pub fn minutes(self) -> f64 {
-        self.seconds / 60.0
     }
 }
 
@@ -179,25 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_times_holding_is_load() {
-        let rate = CallRate::per_second(0.5);
-        let h = HoldingTime::from_seconds(120.0);
-        let a = Erlangs::from_rate(rate, h);
-        assert!((a.value() - 60.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table1_arrival_rates() {
-        // Table I: A Erlangs with h = 120 s over a 180 s window places 1.5·A
-        // calls: λ = A/h, calls = λ·180.
-        for a in [40.0, 80.0, 120.0, 160.0, 200.0, 240.0] {
-            let rate = Erlangs(a).rate_for(HoldingTime::from_seconds(120.0));
-            let calls = rate.calls_per_second() * 180.0;
-            assert!((calls - 1.5 * a).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn population_load_fig7_anchors() {
         // Fig. 7 anchors from the paper's narrative (population 8000, 60%):
         //   2.0 min -> 160 E, 2.5 min -> 200 E, 3.0 min -> 240 E.
@@ -207,17 +98,6 @@ mod tests {
         assert!((e20.value() - 160.0).abs() < 1e-9);
         assert!((e25.value() - 200.0).abs() < 1e-9);
         assert!((e30.value() - 240.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unit_round_trips() {
-        let r = CallRate::per_hour(3600.0);
-        assert!((r.calls_per_second() - 1.0).abs() < 1e-12);
-        assert!((r.calls_per_hour() - 3600.0).abs() < 1e-9);
-        assert!((r.mean_interarrival() - 1.0).abs() < 1e-12);
-        let h = HoldingTime::from_minutes(2.0);
-        assert!((h.seconds() - 120.0).abs() < 1e-12);
-        assert!((h.minutes() - 2.0).abs() < 1e-12);
     }
 
     #[test]

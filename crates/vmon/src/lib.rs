@@ -23,7 +23,7 @@ use des::FastMap;
 use des::Welford;
 use rtpcore::jitter::{JitterEstimator, SequenceTracker};
 use rtpcore::packet::RtpHeader;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use sipcore::SipTally;
 use std::collections::BTreeMap;
 use voiceq::EModelInputs;
@@ -31,7 +31,7 @@ use voiceq::EModelInputs;
 /// Identifies one unidirectional media flow as observed at its receiver.
 /// The experiment layer builds it from (destination node, destination
 /// port), which is unique per leg in this testbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
 impl FlowId {
@@ -95,7 +95,7 @@ impl StreamStats {
 
     /// Mean one-way delay in milliseconds.
     #[must_use]
-    pub fn mean_delay_ms(&self) -> f64 {
+    fn mean_delay_ms(&self) -> f64 {
         if self.mean_delay_s.is_nan() {
             0.0
         } else {
@@ -134,7 +134,7 @@ struct StreamSlot {
 }
 
 /// Aggregate monitor report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MonitorReport {
     /// Total RTP packets observed (the paper's "Msg" row).
     pub rtp_packets: u64,
@@ -459,9 +459,10 @@ impl Monitor {
     }
 
     /// E-model MOS for one call, combining all of its registered flows.
-    /// `None` if the call has no media yet.
-    #[must_use]
-    pub fn call_mos(&self, call_id: &str) -> Option<f64> {
+    /// `None` if the call has no media yet. (The tests' probe; runs read
+    /// MOS through [`Monitor::report`].)
+    #[cfg(test)]
+    fn call_mos(&self, call_id: &str) -> Option<f64> {
         let handle = *self.call_handles.get(call_id)?;
         self.call_mos_by_handle(handle)
     }

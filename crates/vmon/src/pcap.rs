@@ -8,8 +8,6 @@
 //! SIP text and RTP datagrams. A matching reader parses the files back
 //! for round-trip testing without external tools.
 
-use serde::{Deserialize, Serialize};
-
 /// Classic libpcap magic (microsecond timestamps, native byte order).
 const PCAP_MAGIC: u32 = 0xa1b2_c3d4;
 /// Link type LINKTYPE_ETHERNET.
@@ -17,7 +15,7 @@ const LINKTYPE_ETHERNET: u32 = 1;
 
 /// A captured packet: timestamp plus the synthesized L2..L4 addressing
 /// and the application payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedPacket {
     /// Capture time in microseconds since the start of the run.
     pub timestamp_us: u64,

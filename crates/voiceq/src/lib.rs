@@ -23,13 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
-
 /// Default `Ro − Is` baseline R-factor with all G.107 defaults.
-pub const DEFAULT_BASE_R: f64 = 93.2;
+const DEFAULT_BASE_R: f64 = 93.2;
 
 /// Codec parameters for the `Ie,eff` computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecProfile {
     /// Intrinsic equipment impairment `Ie` (0 for G.711).
     pub ie: f64,
@@ -61,20 +59,10 @@ impl CodecProfile {
             codec_delay_ms: 20.0,
         }
     }
-
-    /// G.729A, for comparison studies (Ie = 11, Bpl = 19).
-    #[must_use]
-    pub fn g729a() -> Self {
-        CodecProfile {
-            ie: 11.0,
-            bpl: 19.0,
-            codec_delay_ms: 25.0,
-        }
-    }
 }
 
 /// Inputs to one E-model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EModelInputs {
     /// One-way network delay in milliseconds (propagation + queueing).
     pub network_delay_ms: f64,
@@ -126,7 +114,7 @@ impl EModelInputs {
 
     /// Total one-way mouth-to-ear delay `Ta` in milliseconds.
     #[must_use]
-    pub fn total_delay_ms(&self) -> f64 {
+    fn total_delay_ms(&self) -> f64 {
         self.network_delay_ms + self.jitter_buffer_ms + self.codec.codec_delay_ms
     }
 }
@@ -134,7 +122,7 @@ impl EModelInputs {
 /// Delay impairment `Id` per the widely used G.107 approximation
 /// (Cole & Rosenbluth): `Id = 0.024·Ta + 0.11·(Ta − 177.3)·H(Ta − 177.3)`.
 #[must_use]
-pub fn delay_impairment(ta_ms: f64) -> f64 {
+fn delay_impairment(ta_ms: f64) -> f64 {
     let ta = ta_ms.max(0.0);
     let mut id = 0.024 * ta;
     if ta > 177.3 {
@@ -147,7 +135,7 @@ pub fn delay_impairment(ta_ms: f64) -> f64 {
 /// `Ie,eff = Ie + (95 − Ie) · Ppl / (Ppl/BurstR + Bpl)` with `Ppl` in
 /// percent (G.107 Eq. 7-29).
 #[must_use]
-pub fn equipment_impairment(codec: CodecProfile, packet_loss: f64, burst_ratio: f64) -> f64 {
+fn equipment_impairment(codec: CodecProfile, packet_loss: f64, burst_ratio: f64) -> f64 {
     let ppl = (packet_loss.clamp(0.0, 1.0)) * 100.0;
     let burst = burst_ratio.max(1.0);
     codec.ie + (95.0 - codec.ie) * ppl / (ppl / burst + codec.bpl)
@@ -177,23 +165,6 @@ pub fn r_to_mos(r: f64) -> f64 {
     }
 }
 
-/// Inverse of [`r_to_mos`] by bisection (returns the R in `[0, 100]` whose
-/// MOS is closest to the target).
-#[must_use]
-pub fn mos_to_r(mos: f64) -> f64 {
-    let target = mos.clamp(1.0, 4.5);
-    let (mut lo, mut hi) = (0.0f64, 100.0f64);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if r_to_mos(mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 /// One-call convenience: MOS estimate for the given inputs.
 #[must_use]
 pub fn estimate_mos(inputs: &EModelInputs) -> f64 {
@@ -201,7 +172,7 @@ pub fn estimate_mos(inputs: &EModelInputs) -> f64 {
 }
 
 /// ITU quality categories for an R factor (G.109).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QualityCategory {
     /// R ≥ 90: users very satisfied.
     Best,
@@ -266,20 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn mos_to_r_inverts() {
-        // Below R ≈ 6 the clamped mapping is flat at MOS 1.0 and therefore
-        // not invertible; test the invertible region.
-        for &r in &[10.0, 30.0, 50.0, 70.0, 93.2, 99.0] {
-            let m = r_to_mos(r);
-            let back = mos_to_r(m);
-            assert!((back - r).abs() < 1e-6, "r={r} back={back}");
-        }
-        // Clamped extremes.
-        assert!(mos_to_r(0.5) <= 1e-6);
-        assert!((mos_to_r(5.0) - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn delay_impairment_shape() {
         assert_eq!(delay_impairment(0.0), 0.0);
         assert_eq!(delay_impairment(-10.0), 0.0);
@@ -298,7 +255,6 @@ mod tests {
         assert!((ie - 3.64).abs() < 0.01, "ie={ie}");
         // No loss: intrinsic only.
         assert_eq!(equipment_impairment(CodecProfile::g711(), 0.0, 1.0), 0.0);
-        assert_eq!(equipment_impairment(CodecProfile::g729a(), 0.0, 1.0), 11.0);
         // 100% loss approaches 95.
         let ie = equipment_impairment(CodecProfile::g711(), 1.0, 1.0);
         assert!(ie > 70.0 && ie <= 95.0);

@@ -64,6 +64,6 @@ pub mod prelude {
     pub use faults::{self, FaultKind, FaultSchedule};
     pub use overload::{self, ControlLaw};
     pub use pbx_sim::{self, PbxConfig};
-    pub use teletraffic::{self, erlang_b, CallRate, Erlangs, HoldingTime};
+    pub use teletraffic::{self, erlang_b, Erlangs};
     pub use voiceq::{self, EModelInputs};
 }
