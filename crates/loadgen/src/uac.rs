@@ -90,10 +90,13 @@ fn parse_retry_after(value: &str) -> Option<SimDuration> {
 /// waits in the pacer queue before its first INVITE, rides on the live
 /// call while an INVITE is out, and is parked while a shed call waits out
 /// its backoff; every retry is the same intent with one more shed.
+///
+/// Both users are the UAC's interned text, so an intent, its offer's
+/// origin and its Request-URI share them instead of copying.
 #[derive(Debug, Clone)]
 struct CallIntent {
-    caller: String,
-    callee: String,
+    caller: Arc<str>,
+    callee: Arc<str>,
     hold: SimDuration,
     /// How many times this logical call has been shed and retried.
     shed_retries: u32,
@@ -238,9 +241,27 @@ enum UacState {
 #[derive(Debug, Clone)]
 struct UacCall {
     state: UacState,
-    invite: Request,
+    /// The INVITE's serial: with the intent and the PBX host it spells
+    /// the dialog text the ACK and BYE repeat (see [`dialog`]).
+    serial: u64,
     local_rtp_port: u16,
     intent: CallIntent,
+}
+
+/// The From and To values of the dialog an INVITE with `serial` opens,
+/// as parts: the INVITE writes them, and its ACK and BYE repeat them.
+fn dialog<'a>(
+    intent: &'a CallIntent,
+    host: &'a str,
+    serial: &'a str,
+) -> ([&'a str; 6], [&'a str; 5]) {
+    let from = ["<sip:", &intent.caller, "@", host, ">;tag=uac", serial];
+    (from, ["<sip:", &intent.callee, "@", host, ">"])
+}
+
+/// The INVITE's Via value with `serial`, which its ACK repeats.
+fn invite_via(serial: &str) -> [&str; 2] {
+    ["SIP/2.0/UDP sipp-client:5060;branch=z9hG4bKinv", serial]
 }
 
 /// The uid inside a digest registration's `dreg-<uid>-<tag>` Call-ID.
@@ -256,8 +277,8 @@ pub struct Uac {
     /// The PBX node all signalling goes to.
     pub pbx_node: NodeId,
     /// PBX hostname for request URIs (fixed: the REGISTER caches below
-    /// are derived from it).
-    pbx_host: String,
+    /// are derived from it), shared by every URI this UAC builds.
+    pbx_host: Arc<str>,
     /// Instance tag embedded in Call-IDs — lets several UAC engines share
     /// one host (e.g. one engine per PBX in a server-farm experiment)
     /// while keeping their dialogs distinguishable.
@@ -287,9 +308,10 @@ pub struct Uac {
     pub registrations_confirmed: u64,
     next_serial: u64,
     next_port: u16,
-    /// Interner for SDP origin users: the caller pool is finite, so after
-    /// warmup every offer body's `o=` string is a refcount bump.
-    sdp_origins: AtomTable,
+    /// Interner for the users this UAC writes: callers (SDP `o=` origins)
+    /// and the extensions it dials (Request-URI users). Both pools are
+    /// finite, so after warm-up each is a refcount bump.
+    users: AtomTable,
     /// Shared `c=` connection string for offer bodies.
     sdp_host: Arc<str>,
 }
@@ -308,7 +330,7 @@ impl Uac {
         Uac {
             node,
             pbx_node,
-            pbx_host: pbx_host.to_owned(),
+            pbx_host: Arc::from(pbx_host),
             register_ha2: sipcore::auth::ha2("REGISTER", &register_uri),
             register_uri,
             secret: String::new(),
@@ -324,7 +346,7 @@ impl Uac {
             // Stagger port ranges per instance so several engines sharing
             // one host never collide on local media ports.
             next_port: 20_000 + ((tag as u16) % 16) * 2048,
-            sdp_origins: AtomTable::new(),
+            users: AtomTable::new(),
             sdp_host: Arc::from("sipp-client"),
         }
     }
@@ -341,21 +363,32 @@ impl Uac {
         self.calls.len()
     }
 
-    /// Replace the SDP origin interner with a pre-seeded table (typically
-    /// a clone of a process-wide base table holding the finite caller
-    /// pool). Digest-safe at any point: interning is idempotent and only
-    /// the *resolved strings* ever reach the wire, so a warm table
-    /// changes setup cost, never message bytes. A caller outside the
-    /// seeded pool simply interns cold, as before.
-    pub fn preseed_sdp_origins(&mut self, table: AtomTable) {
-        self.sdp_origins = table;
+    /// Replace the user interner with a pre-seeded table (typically a
+    /// clone of a process-wide base table holding the finite caller and
+    /// callee pools). Digest-safe at any point: interning is idempotent
+    /// and only the *resolved strings* ever reach the wire, so a warm
+    /// table changes setup cost, never message bytes. A user outside the
+    /// seeded pools simply interns cold, as before.
+    pub fn preseed_users(&mut self, table: AtomTable) {
+        self.users = table;
+    }
+
+    /// `user` as this UAC's shared text.
+    fn user(&mut self, user: &str) -> Arc<str> {
+        let atom = self.users.intern(user);
+        self.users.resolve_shared(atom)
+    }
+
+    /// The Request-URI of every REGISTER: `sip:<pbx_host>`.
+    fn registrar(&self) -> SipUri {
+        SipUri::shared(Arc::default(), Arc::clone(&self.pbx_host))
     }
 
     /// Build and send a REGISTER for `uid` (password per the directory's
     /// `pw-<uid>` convention).
     pub fn register(&mut self, uid: &str) -> Vec<UacEvent> {
-        let host = self.pbx_host.as_str();
-        let mut req = Request::new(Method::Register, SipUri::server(host));
+        let host = &*self.pbx_host;
+        let mut req = Request::new(Method::Register, self.registrar());
         req.headers = HeaderMap::from_parts(
             [
                 (
@@ -394,11 +427,11 @@ impl Uac {
         cseq: u32,
         authorization: Option<&CredentialsView<'_>>,
     ) -> Request {
-        let host = self.pbx_host.as_str();
+        let host = &*self.pbx_host;
         let cseq = Decimal::new(cseq.into());
         let authorization = authorization.map(CredentialsView::header_value_parts);
         let auth_bytes = authorization.iter().flatten().map(|part| part.len()).sum();
-        let mut req = Request::new(Method::Register, SipUri::server(host));
+        let mut req = Request::new(Method::Register, self.registrar());
         req.headers = HeaderMap::from_parts(
             [
                 (
@@ -474,8 +507,8 @@ impl Uac {
     ) -> (String, Vec<UacEvent>) {
         self.journal.call_attempted();
         let intent = CallIntent {
-            caller: caller_uid.to_owned(),
-            callee: callee_ext.to_owned(),
+            caller: self.user(caller_uid),
+            callee: self.user(callee_ext),
             hold,
             shed_retries: 0,
         };
@@ -570,36 +603,28 @@ impl Uac {
 
     /// INVITE `intent` now: a fresh Call-ID, media port and offer.
     fn place_invite(&mut self, intent: CallIntent) -> (String, Vec<UacEvent>) {
-        let (caller_uid, callee_ext) = (intent.caller.as_str(), intent.callee.as_str());
-        let serial = self.next_serial;
+        let number = self.next_serial;
         self.next_serial += 1;
-        let serial = Decimal::new(serial);
+        let serial = Decimal::new(number);
         let call_id = ["uac-", &Decimal::new(self.tag.into()), "-", &serial].concat();
         let local_rtp_port = self.next_port;
         self.next_port = self.next_port.wrapping_add(2).max(20_000);
-        // Structured offer: the origin string is interned (the caller pool
-        // is finite), the connection string shared — no SDP text is built
-        // unless the signalling path materializes the wire.
-        let origin = self.sdp_origins.intern(caller_uid);
+        // Structured offer: the origin is the intent's interned caller,
+        // the connection string shared — no SDP text is built unless the
+        // signalling path materializes the wire.
         let sdp = SdpBody::new(
-            self.sdp_origins.resolve_shared(origin),
+            Arc::clone(&intent.caller),
             Arc::clone(&self.sdp_host),
             local_rtp_port,
             SdpCodec::Pcmu,
         );
-        let host = self.pbx_host.as_str();
-        let mut invite = Request::new(Method::Invite, SipUri::new(callee_ext, host));
+        let (from, to) = dialog(&intent, &self.pbx_host, &serial);
+        let mut invite = Request::new(Method::Invite, self.request_uri(&intent));
         invite.headers = HeaderMap::from_parts(
             [
-                (
-                    HeaderName::Via,
-                    &["SIP/2.0/UDP sipp-client:5060;branch=z9hG4bKinv", &serial],
-                ),
-                (
-                    HeaderName::From,
-                    &["<sip:", caller_uid, "@", host, ">;tag=uac", &serial],
-                ),
-                (HeaderName::To, &["<sip:", callee_ext, "@", host, ">"]),
+                (HeaderName::Via, &invite_via(&serial)),
+                (HeaderName::From, &from),
+                (HeaderName::To, &to),
                 (HeaderName::CallId, &[&call_id]),
                 (HeaderName::CSeq, &["1 INVITE"]),
                 (HeaderName::MaxForwards, &["70"]),
@@ -612,8 +637,7 @@ impl Uac {
             call_id.clone(),
             UacCall {
                 state: UacState::Inviting,
-                // An exact-size copy: this one lives as long as the call.
-                invite: invite.clone(),
+                serial: number,
                 local_rtp_port,
                 intent,
             },
@@ -631,16 +655,18 @@ impl Uac {
             return vec![];
         }
         call.state = UacState::ByeSent;
-        let copied = |name, fallback| call.invite.headers.get(&name).unwrap_or(fallback);
-        let mut bye = Request::new(Method::Bye, call.invite.uri.clone());
+        let call = &self.calls[call_id];
+        let serial = Decimal::new(call.serial);
+        let (from, to) = dialog(&call.intent, &self.pbx_host, &serial);
+        let mut bye = Request::new(Method::Bye, self.request_uri(&call.intent));
         bye.headers = HeaderMap::from_parts(
             [
                 (
                     HeaderName::Via,
                     &["SIP/2.0/UDP sipp-client:5060;branch=z9hG4bKbye-", call_id],
                 ),
-                (HeaderName::From, &[copied(HeaderName::From, "<sip:uac>")]),
-                (HeaderName::To, &[copied(HeaderName::To, "<sip:uas>")]),
+                (HeaderName::From, &from),
+                (HeaderName::To, &to),
                 (HeaderName::CallId, &[call_id]),
                 (HeaderName::CSeq, &["2 BYE"]),
             ],
@@ -769,23 +795,27 @@ impl Uac {
     }
 
     fn build_ack(&self, call_id: &str) -> Request {
-        let invite = &self.calls[call_id].invite;
-        let copied = |name, fallback| invite.headers.get(&name).unwrap_or(fallback);
-        let mut ack = Request::new(Method::Ack, invite.uri.clone());
+        let call = &self.calls[call_id];
+        let serial = Decimal::new(call.serial);
+        let (from, to) = dialog(&call.intent, &self.pbx_host, &serial);
+        let mut ack = Request::new(Method::Ack, self.request_uri(&call.intent));
         ack.headers = HeaderMap::from_parts(
             [
-                (
-                    HeaderName::Via,
-                    &[copied(HeaderName::Via, "SIP/2.0/UDP uac")],
-                ),
+                (HeaderName::Via, &invite_via(&serial)),
                 (HeaderName::CallId, &[call_id]),
                 (HeaderName::CSeq, &["1 ACK"]),
-                (HeaderName::From, &[copied(HeaderName::From, "<sip:uac>")]),
-                (HeaderName::To, &[copied(HeaderName::To, "<sip:uas>")]),
+                (HeaderName::From, &from),
+                (HeaderName::To, &to),
             ],
             (0, 0),
         );
         ack
+    }
+
+    /// The Request-URI of every request in `intent`'s dialog: the dialled
+    /// extension at the PBX, both shared.
+    fn request_uri(&self, intent: &CallIntent) -> SipUri {
+        SipUri::shared(Arc::clone(&intent.callee), Arc::clone(&self.pbx_host))
     }
 
     fn send(&self, msg: SipMessage) -> UacEvent {

@@ -151,6 +151,9 @@ struct Call {
     caller_invite: Request,
     /// Call-ID of the PBX-originated callee leg.
     callee_call_id: String,
+    /// The dialled extension, shared with the caller's Request-URI: the
+    /// user of every request the PBX sends on the callee leg.
+    callee_user: Arc<str>,
     /// Which leg initiated teardown (true = caller sent the BYE).
     bye_from_caller: bool,
     record: CallRecord,
@@ -213,8 +216,9 @@ pub struct Pbx {
     sdp_atoms: AtomTable,
     /// Shared `o=` origin string for PBX-built SDP bodies ("asterisk").
     sdp_origin: Arc<str>,
-    /// Shared `c=` connection string for PBX-built SDP bodies (hostname).
-    sdp_host: Arc<str>,
+    /// The hostname, shared: the `c=` connection of PBX-built SDP bodies
+    /// and the host of every Request-URI the PBX builds.
+    host: Arc<str>,
 }
 
 impl Pbx {
@@ -236,7 +240,7 @@ impl Pbx {
         let registrar_uri_str = registrar_uri.to_string();
         let register_ha2 = sipcore::auth::ha2("REGISTER", &registrar_uri_str);
         let law = config.overload_law.map(ControlLaw::build);
-        let sdp_host: Arc<str> = Arc::from(config.hostname.as_str());
+        let host: Arc<str> = Arc::from(config.hostname.as_str());
         Pbx {
             config,
             pool,
@@ -260,7 +264,7 @@ impl Pbx {
             register_ha2,
             sdp_atoms: AtomTable::new(),
             sdp_origin: Arc::from("asterisk"),
-            sdp_host,
+            host,
         }
     }
 
@@ -494,7 +498,7 @@ impl Pbx {
         if let Some(&idx) = self.by_caller_call_id.get(call_id) {
             return self.on_reinvite(from, idx, &req);
         }
-        let extension = req.uri.user.as_str();
+        let extension = &*req.uri.user;
         let record = CallRecord {
             call_id: call_id.to_owned(),
             caller: req
@@ -591,11 +595,13 @@ impl Pbx {
         // crosses a byte-materializing boundary.
         let sdp = SdpBody::new(
             Arc::clone(&self.sdp_origin),
-            Arc::clone(&self.sdp_host),
+            Arc::clone(&self.host),
             pbx_port_for_callee,
             offer_codec,
         );
-        let mut out_invite = Request::new(Method::Invite, SipUri::new(extension, host));
+        let callee_user = Arc::clone(&req.uri.user);
+        let uri = SipUri::shared(Arc::clone(&callee_user), Arc::clone(&self.host));
+        let mut out_invite = Request::new(Method::Invite, uri);
         out_invite.headers = HeaderMap::from_parts(
             [
                 (
@@ -649,6 +655,7 @@ impl Pbx {
             },
             caller_invite: req,
             callee_call_id: callee_call_id.clone(),
+            callee_user,
             bye_from_caller: true,
             record,
             pbx_tag,
@@ -712,7 +719,8 @@ impl Pbx {
         let host = self.config.hostname.as_str();
         let (caller, callee) = (call.record.caller.as_str(), call.record.callee.as_str());
         let slot = Decimal::new(idx as u64);
-        let mut ack = Request::new(Method::Ack, SipUri::new(callee, host));
+        let uri = SipUri::shared(Arc::clone(&call.callee_user), Arc::clone(&self.host));
+        let mut ack = Request::new(Method::Ack, uri);
         ack.headers = HeaderMap::from_parts(
             [
                 (
@@ -756,19 +764,20 @@ impl Pbx {
         let (other_node, other_user, other_call_id) = if from_caller {
             (
                 call.callee.node,
-                call.record.callee.as_str(),
+                Arc::clone(&call.callee_user),
                 call.callee_call_id.as_str(),
             )
         } else {
             (
                 call.caller.node,
-                call.record.caller.as_str(),
+                Arc::from(call.record.caller.as_str()),
                 call.caller_invite.call_id().unwrap_or(""),
             )
         };
         let host = self.config.hostname.as_str();
         let slot = Decimal::new(idx as u64);
-        let mut bye = Request::new(Method::Bye, SipUri::new(other_user, host));
+        let uri = SipUri::shared(other_user, Arc::clone(&self.host));
+        let mut bye = Request::new(Method::Bye, uri);
         bye.headers = HeaderMap::from_parts(
             [
                 (
@@ -935,7 +944,7 @@ impl Pbx {
         let call = self.calls[idx].as_ref().expect("live call");
         let sdp = SdpBody::new(
             Arc::clone(&self.sdp_origin),
-            Arc::clone(&self.sdp_host),
+            Arc::clone(&self.host),
             call.caller.pbx_port,
             call.codec,
         );

@@ -150,7 +150,9 @@ const FIRST_VALUE_BYTES: usize = 256;
 /// `(name, start, end)` span into it, so a message costs two allocations
 /// however many headers it carries, a copy is two `memcpy`s, and a builder
 /// can write a value in place ([`HeaderMap::push_with`]) instead of
-/// formatting a `String` and moving it in.
+/// formatting a `String` and moving it in. The map also keeps the
+/// serialized length of its header lines as it is written, so a
+/// message's wire length is read, not recomputed.
 #[derive(Clone, Default)]
 pub struct HeaderMap {
     /// Value text in the order it was written. Replacing or removing a
@@ -160,6 +162,14 @@ pub struct HeaderMap {
     /// `(name, start, end)` of each header's value in `buf`, in header
     /// order.
     entries: Vec<(HeaderName, u32, u32)>,
+    /// Σ `name: value\r\n` over `entries`.
+    wire: usize,
+}
+
+/// What the header `(name, start, end)` adds to a serialized message:
+/// `name: value\r\n`.
+fn line_len((name, start, end): &(HeaderName, u32, u32)) -> usize {
+    name.as_str().len() + 2 + (end - start) as usize + 2
 }
 
 impl HeaderMap {
@@ -184,6 +194,7 @@ impl HeaderMap {
         let mut map = HeaderMap {
             buf: String::with_capacity(bytes + room.1),
             entries: Vec::with_capacity(N + room.0),
+            wire: 0,
         };
         for (name, parts) in headers {
             map.push_parts(name, parts);
@@ -222,7 +233,9 @@ impl HeaderMap {
     /// must only append.
     pub fn push_with(&mut self, name: HeaderName, write: impl FnOnce(&mut String)) {
         let (start, end) = self.write_value(write);
-        self.entries.push((name, start, end));
+        let entry = (name, start, end);
+        self.wire += line_len(&entry);
+        self.entries.push(entry);
     }
 
     /// Append a header whose value is the concatenation of `parts`.
@@ -240,20 +253,24 @@ impl HeaderMap {
     /// [`HeaderMap::push_with`].
     fn set_with(&mut self, name: HeaderName, write: impl FnOnce(&mut String)) {
         let (start, end) = self.write_value(write);
-        let mut kept = false;
+        let (mut kept, wire) = (false, &mut self.wire);
         self.entries.retain_mut(|entry| {
             if entry.0 != name {
                 return true;
             }
+            *wire -= line_len(entry);
             if kept {
                 return false;
             }
             kept = true;
             (entry.1, entry.2) = (start, end);
+            *wire += line_len(entry);
             true
         });
         if !kept {
-            self.entries.push((name, start, end));
+            let entry = (name, start, end);
+            self.wire += line_len(&entry);
+            self.entries.push(entry);
         }
     }
 
@@ -279,13 +296,16 @@ impl HeaderMap {
     pub fn remove_first(&mut self, name: &HeaderName) -> Option<String> {
         let idx = self.entries.iter().position(|entry| entry.0 == *name)?;
         let entry = self.entries.remove(idx);
+        self.wire -= line_len(&entry);
         Some(self.value(&entry).to_owned())
     }
 
     /// Insert at the front (used to push a Via when forwarding a request).
     pub fn push_front(&mut self, name: HeaderName, value: impl AsRef<str>) {
         let (start, end) = self.write_value(|buf| buf.push_str(value.as_ref()));
-        self.entries.insert(0, (name, start, end));
+        let entry = (name, start, end);
+        self.wire += line_len(&entry);
+        self.entries.insert(0, entry);
     }
 
     /// Number of header fields (counting repeats).
@@ -311,6 +331,11 @@ impl HeaderMap {
     #[must_use]
     pub fn contains(&self, name: &HeaderName) -> bool {
         self.entries.iter().any(|entry| entry.0 == *name)
+    }
+
+    /// Serialized length of the header lines, `name: value\r\n` each.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.wire
     }
 }
 

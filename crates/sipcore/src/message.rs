@@ -634,11 +634,7 @@ pub(crate) fn decimal_len(n: u32) -> usize {
 
 /// Serialized length of the header block, blank line and body.
 fn headers_and_body_wire_len(headers: &HeaderMap, body: &Body) -> usize {
-    let head: usize = headers
-        .iter()
-        .map(|(name, value)| name.as_str().len() + 2 + value.len() + 2)
-        .sum();
-    head + 2 + body.len()
+    headers.wire_len() + 2 + body.len()
 }
 
 fn write_headers_and_body(out: &mut Vec<u8>, headers: &HeaderMap, body: &Body) {

@@ -1,15 +1,21 @@
 //! SIP URIs (`sip:user@host:port;param=value`).
 
+use std::sync::Arc;
+
 /// A SIP URI — the subset used for addressing users and servers in the
 /// evaluation: scheme `sip`, optional user part, host, optional port, and
 /// `;`-separated parameters (e.g. `;transport=udp`, `;tag=...` when embedded
 /// in From/To headers is handled at the header level).
+///
+/// User and host are shared text, as in [`crate::SdpBody`]: an engine
+/// that already holds its hostname and the extensions it dials builds
+/// and clones Request-URIs without allocating.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SipUri {
     /// User part (the extension / account), empty for server URIs.
-    pub user: String,
+    pub user: Arc<str>,
     /// Host (name or IPv4 literal).
-    pub host: String,
+    pub host: Arc<str>,
     /// Explicit port if present.
     pub port: Option<u16>,
     /// URI parameters in order of appearance, as (name, optional value).
@@ -20,9 +26,15 @@ impl SipUri {
     /// `sip:user@host`.
     #[must_use]
     pub fn new(user: &str, host: &str) -> Self {
+        SipUri::shared(shared(user), shared(host))
+    }
+
+    /// `sip:user@host` over text the caller already shares.
+    #[must_use]
+    pub fn shared(user: Arc<str>, host: Arc<str>) -> Self {
         SipUri {
-            user: user.to_owned(),
-            host: host.to_owned(),
+            user,
+            host,
             port: None,
             params: Vec::new(),
         }
@@ -72,9 +84,9 @@ impl SipUri {
                 if u.is_empty() {
                     return None;
                 }
-                (u.to_owned(), hp)
+                (Arc::from(u), hp)
             }
-            None => (String::new(), core),
+            None => (Arc::default(), core),
         };
         let (host, port) = match hostport.rsplit_once(':') {
             Some((h, p)) => (h, Some(p.parse::<u16>().ok()?)),
@@ -85,7 +97,7 @@ impl SipUri {
         }
         Some(SipUri {
             user,
-            host: host.to_owned(),
+            host: Arc::from(host),
             port,
             params,
         })
@@ -110,6 +122,15 @@ impl SipUri {
             }
         }
         n
+    }
+}
+
+/// `text` as shared text; the empty string allocates nothing.
+fn shared(text: &str) -> Arc<str> {
+    if text.is_empty() {
+        Arc::default()
+    } else {
+        Arc::from(text)
     }
 }
 
@@ -140,8 +161,8 @@ mod tests {
     #[test]
     fn parse_full_uri() {
         let u = SipUri::parse("sip:1001@pbx.unb.br:5060;transport=udp;lr").unwrap();
-        assert_eq!(u.user, "1001");
-        assert_eq!(u.host, "pbx.unb.br");
+        assert_eq!(&*u.user, "1001");
+        assert_eq!(&*u.host, "pbx.unb.br");
         assert_eq!(u.port, Some(5060));
         let lr = ("lr".to_owned(), None);
         assert_eq!(
@@ -154,12 +175,12 @@ mod tests {
     fn parse_minimal_forms() {
         let u = SipUri::parse("sip:pbx.unb.br").unwrap();
         assert!(u.user.is_empty());
-        assert_eq!(u.host, "pbx.unb.br");
+        assert_eq!(&*u.host, "pbx.unb.br");
         assert_eq!(u.port, None);
 
         let u = SipUri::parse("sip:alice@10.0.0.1").unwrap();
-        assert_eq!(u.user, "alice");
-        assert_eq!(u.host, "10.0.0.1");
+        assert_eq!(&*u.user, "alice");
+        assert_eq!(&*u.host, "10.0.0.1");
     }
 
     #[test]
@@ -192,6 +213,16 @@ mod tests {
             // And re-parsing yields the identical structure.
             assert_eq!(SipUri::parse(&u.to_string()).unwrap(), u);
         }
+    }
+
+    #[test]
+    fn shared_text_is_not_copied() {
+        let (user, host): (Arc<str>, Arc<str>) = (Arc::from("1501"), Arc::from("pbx"));
+        let uri = SipUri::shared(Arc::clone(&user), Arc::clone(&host));
+        let copy = uri.clone();
+        assert!(Arc::ptr_eq(&copy.user, &user) && Arc::ptr_eq(&copy.host, &host));
+        assert_eq!(uri, SipUri::new("1501", "pbx"));
+        assert_eq!(uri.to_string(), "sip:1501@pbx");
     }
 
     #[test]

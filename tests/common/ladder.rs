@@ -1,7 +1,8 @@
 //! A real `Uac`, `Pbx` and `Uas` wired back to back with no network in
 //! between: messages are handed over directly, in FIFO order. Shared by
-//! `tests/ladder_wire_golden.rs` (which records the wire bytes) and
-//! `tests/call_alloc_gate.rs` (which counts allocations). Pulled in with
+//! `tests/ladder_wire_golden.rs` (which records the wire bytes),
+//! `tests/call_alloc_gate.rs` and `tests/signalling_alloc_budget.rs`
+//! (which count allocations). Pulled in with
 //! `#[path = "common/ladder.rs"] mod ladder;`.
 
 #![allow(dead_code)] // each including test uses a different subset
