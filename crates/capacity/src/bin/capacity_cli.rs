@@ -189,7 +189,7 @@ fn main() {
         }
         Some("policy") => {
             let erlangs = flag("--erlangs", 220.0);
-            let users = flag("--users", 60.0) as u32;
+            let users = count("--users", 60) as u32;
             let reps = count("--reps", 3);
             let limits = [None, Some(4), Some(3), Some(2), Some(1)];
             let rows = policy::policy_study(erlangs, users, &limits, reps, seed);

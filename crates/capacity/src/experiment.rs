@@ -21,18 +21,12 @@ pub enum MediaMode {
     /// No RTP at all — signalling-only runs for blocking-probability
     /// sweeps (Fig. 6), where media adds nothing but wall-clock time.
     Off,
-    /// Every RTP packet is generated, relayed and scored. `encode_every`
-    /// controls how often real G.711 encoding runs (1 = every frame;
-    /// 50 = once a second per stream, headers/counts still exact) —
-    /// where payload bytes are observable: under `capture_traffic` (they
-    /// reach the pcap). A default run with no span port reads only
-    /// headers, so it advances the same refresh schedule and encodes
-    /// nothing.
-    PerPacket {
-        /// Encode real audio every Nth frame; intervening frames reuse
-        /// the cached companded payload.
-        encode_every: u32,
-    },
+    /// Every RTP packet is generated, relayed and scored. Payload bytes
+    /// are observable only under `capture_traffic` (they reach the pcap),
+    /// where each stream re-encodes real G.711 audio every tenth frame and
+    /// the frames between reuse the cached companded payload. A run with
+    /// no span port reads only headers and encodes nothing.
+    PerPacket,
 }
 
 /// Names the future-event-list backend every run uses. No function takes
@@ -117,7 +111,7 @@ impl EmpiricalConfig {
             holding: HoldingDist::Fixed(120.0),
             placement_window_s: 180.0,
             channels: 165,
-            media: MediaMode::PerPacket { encode_every: 50 },
+            media: MediaMode::PerPacket,
             pickup_delay: SimDuration::ZERO,
             // The paper observes wire-level packet errors only at its
             // highest workloads; a small loss ramp above 160 E reproduces
@@ -160,6 +154,10 @@ impl EmpiricalConfig {
     /// Reject configurations the world cannot run as written, where the
     /// configuration enters it ([`World::new`]).
     ///
+    /// Every classic call draws its caller and callee from `user_pool`,
+    /// and every population call its callee, so the pool holds at least
+    /// one user.
+    ///
     /// Every fault must aim inside the farm: a crash or throttle at a
     /// server index below `servers`, a link fault at one of the star's
     /// links (the switch and one of the two SIPp hosts or a PBX). Anything
@@ -172,10 +170,14 @@ impl EmpiricalConfig {
     /// open-loop arrival process, which population mode never reads.
     ///
     /// # Panics
-    /// If a fault aims outside the farm, or if `population` is set
-    /// together with a pacer-arming overload law or with a
-    /// [`FaultKind::FlashCrowd`] in `faults`.
+    /// If `user_pool` is 0, if a fault aims outside the farm, or if
+    /// `population` is set together with a pacer-arming overload law or
+    /// with a [`FaultKind::FlashCrowd`] in `faults`.
     pub fn validate(&self) {
+        assert!(
+            self.user_pool > 0,
+            "user_pool must be >= 1: calls draw users from it"
+        );
         let servers = self.servers.max(1);
         let host = |n| star_hosts(servers).any(|h| h == n);
         let star_link = |a, b| (a == nodes::SWITCH && host(b)) || (b == nodes::SWITCH && host(a));
@@ -226,20 +228,19 @@ impl EmpiricalConfig {
             * self.servers.max(1) as usize;
         let per_call = match self.media {
             MediaMode::Off => 4,
-            MediaMode::PerPacket { .. } => 8,
+            MediaMode::PerPacket => 8,
         };
         concurrent * per_call + 1024
     }
 
     /// A small smoke-test configuration that runs in milliseconds even in
-    /// debug builds (short window, light load, sparse encoding).
+    /// debug builds (short window, light load).
     #[must_use]
     pub fn smoke(seed: u64) -> Self {
         EmpiricalConfig {
             holding: HoldingDist::Fixed(10.0),
             placement_window_s: 20.0,
             channels: 5,
-            media: MediaMode::PerPacket { encode_every: 25 },
             user_pool: 20,
             ..EmpiricalConfig::table1(4.0, seed)
         }
@@ -799,6 +800,16 @@ mod tests {
             pbx: 7,
             factor: 2.0,
         })
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "user_pool must be >= 1")]
+    fn an_empty_user_pool_is_rejected() {
+        EmpiricalConfig {
+            user_pool: 0,
+            ..EmpiricalConfig::smoke(1)
+        }
         .validate();
     }
 

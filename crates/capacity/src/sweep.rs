@@ -17,9 +17,8 @@
 //!   sequential `map` at any worker count and any completion order.
 //!
 //! The executor pairs with the shared immutable precompute hosted around
-//! the workspace ([`teletraffic::erlang_b::shared_curve`], the
-//! [`pbx_sim::Directory::shared_subscribers`] prototype, pre-seeded SDP
-//! origin atoms, [`rtpcore::g711::warm`]): per-replication setup cost is
+//! the workspace ([`teletraffic::erlang_b::shared_curve`], pre-seeded UAC
+//! user atoms, [`rtpcore::g711::warm`]): per-replication setup cost is
 //! paid once per process and amortized across the whole sweep. The
 //! adaptive mode ([`adaptive_sweep`]) adds a sequential stopping rule on
 //! indexed seeds so sweeps stop spending replications where the estimate

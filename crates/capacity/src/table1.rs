@@ -81,7 +81,7 @@ pub fn table1(seed: u64) -> Vec<Table1Row> {
         .collect()
 }
 
-/// A scaled-down Table I (shorter window, sparser encoding) for quick
+/// A scaled-down Table I (shorter holding and placement window) for quick
 /// smoke runs and CI; same workloads, same shape, ~50× less work.
 #[must_use]
 pub fn table1_scaled(seed: u64, scale: f64) -> Vec<Table1Row> {
@@ -91,7 +91,6 @@ pub fn table1_scaled(seed: u64, scale: f64) -> Vec<Table1Row> {
             let mut cfg = EmpiricalConfig::table1(a, seed);
             cfg.holding = loadgen::HoldingDist::Fixed(120.0 * scale);
             cfg.placement_window_s = 180.0 * scale;
-            cfg.media = crate::experiment::MediaMode::PerPacket { encode_every: 250 };
             table1_cell(cfg)
         })
         .collect()

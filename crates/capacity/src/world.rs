@@ -393,12 +393,7 @@ impl World {
             pbx_cfg.max_calls_per_user = config.max_calls_per_user;
             pbx_cfg.overload_law = config.overload_law;
             pbx_cfg.hostname.clone_from(&hostname);
-            // Shared sweep-plane precompute: the subscriber table is a
-            // COW clone of the process-wide prototype and the SDP origin
-            // pool arrives pre-interned — both observationally identical
-            // to cold construction, so digests cannot move.
-            let directory = Directory::shared_subscribers(1000, 1000);
-            pbxes.push(Pbx::new(pbx_cfg, directory));
+            pbxes.push(Pbx::new(pbx_cfg, Directory::with_subscribers(1000, 1000)));
             let mut uac = Uac::with_tag(nodes::SIPP_CLIENT, pbx_node(k), &hostname, k);
             uac.preseed_users(shared_user_atoms(config.user_pool));
             uac.retry_policy = config.retry;
@@ -408,10 +403,7 @@ impl World {
 
         let uas = Uas::new(nodes::SIPP_SERVER, config.pickup_delay);
         let population = config.population.as_ref().map(|pop| {
-            // The population authenticates against the synthetic directory
-            // rule — O(1) memory — while the classic pools keep their
-            // materialized entries (entries win on overlap, and the ranges
-            // are disjoint anyway).
+            // The population is a second uid range next to the campus pool.
             for pbx in &mut pbxes {
                 pbx.directory
                     .set_synthetic_range(POP_UID_BASE, pop.subscribers);

@@ -9,7 +9,7 @@
 //! event, the slot's due streams one by one
 //! ([`next_due`](MediaPlane::next_due), then [`armed`](MediaPlane::armed)).
 
-use crate::experiment::{EmpiricalConfig, MediaMode};
+use crate::experiment::EmpiricalConfig;
 use des::{SimDuration, SimTime, StreamRng};
 use netsim::{LinkId, NodeId};
 use rtpcore::packet::{RtpDatagram, RtpHeader};
@@ -30,6 +30,11 @@ const SUB_SLOTS: usize = 64;
 
 /// Width of one phase sub-slot (312.5 µs).
 const SUB_NS: u64 = FRAME_NS / SUB_SLOTS as u64;
+
+/// One real G.711 encode per this many frames of a stream; the frames
+/// between reuse the cached payload. It matters only where a span port
+/// reads payload bytes: elsewhere no frame is encoded at all.
+const ENCODE_EVERY: u32 = 10;
 
 enum AudioSource {
     /// The paper's setting: continuous speech, 50 pps.
@@ -76,8 +81,7 @@ pub(super) struct MediaSession {
     pub(super) down: Option<DownRoute>,
     cached_payload: Arc<[u8]>,
     /// Frames still to send from `cached_payload` before the next one
-    /// re-encodes it (frames 50, 100, … of the stream at the Table I
-    /// setting of one real encode per second).
+    /// re-encodes it (frames 10, 20, … of the stream).
     refresh_in: u32,
     active: bool,
     /// Next grid-aligned emission time.
@@ -98,8 +102,6 @@ impl MediaSession {
 /// Every live media session and the slot cadence that drives them.
 pub(super) struct MediaPlane {
     rng: StreamRng,
-    /// One real G.711 encode per this many frames of a stream (≥ 1).
-    encode_every: u32,
     silence_suppression: bool,
     /// Whether a span port reads payload bytes. Without one, streams
     /// still advance every clock and counter but no frame is synthesised
@@ -133,10 +135,6 @@ impl MediaPlane {
     pub(super) fn new(config: &EmpiricalConfig, rng: StreamRng) -> Self {
         MediaPlane {
             rng,
-            encode_every: match config.media {
-                MediaMode::Off => 1,
-                MediaMode::PerPacket { encode_every } => encode_every.max(1),
-            },
             silence_suppression: config.silence_suppression,
             observed: config.capture_traffic,
             unobserved_payload: Arc::from([0xFF; SAMPLES_PER_FRAME]),
@@ -209,9 +207,9 @@ impl MediaPlane {
             up,
             down: None,
             cached_payload: cached,
-            // The first packet was frame 0; frame `encode_every` is the
+            // The first packet was frame 0; frame `ENCODE_EVERY` is the
             // first refresh.
-            refresh_in: self.encode_every - 1,
+            refresh_in: ENCODE_EVERY - 1,
             active: true,
             next_due: grid + FRAME_PERIOD,
         };
@@ -292,8 +290,7 @@ impl MediaPlane {
             // scheduled; they start on the next period.
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
-                let (every, observed) = (self.encode_every, self.observed);
-                if let Some(header) = Self::advance(session, &mut self.scratch, every, observed) {
+                if let Some(header) = Self::advance(session, &mut self.scratch, self.observed) {
                     return Some((idx, header));
                 }
             }
@@ -314,24 +311,25 @@ impl MediaPlane {
     /// emit, or `None` for a silence-suppressed slot. The payload the
     /// packet carries is `session.cached_payload` as this leaves it; only
     /// callers that put real octets on a frame clone it (see
-    /// [`MediaSession::datagram`]). On a refresh frame the payload is
-    /// re-synthesised and re-companded only if `observed`; sequence,
-    /// timestamp, refresh countdown and talkspurt state move identically
+    /// [`MediaSession::datagram`]). Only if `observed` does the refresh
+    /// countdown run and a refresh frame re-synthesise and re-compand the
+    /// payload; sequence, timestamp and talkspurt state move identically
     /// either way.
     fn advance(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
-        encode_every: u32,
         observed: bool,
     ) -> Option<RtpHeader> {
-        let refresh = session.refresh_in == 0;
+        // Only a span port reads payload bytes, so only an observed
+        // stream counts down to its next re-encode.
+        let refresh = observed && session.refresh_in == 0;
         // With VAD, a silent slot advances the media clock and sends
         // nothing; the frame cadence continues.
         let talking = match &mut session.source {
             AudioSource::Continuous(_) => true,
             AudioSource::Talkspurt(t) => match t.next_slot() {
                 FrameSlot::Talk { samples, .. } => {
-                    if refresh && observed {
+                    if refresh {
                         session.cached_payload = session.packetizer.encode_shared(&samples);
                     }
                     true
@@ -345,16 +343,16 @@ impl MediaPlane {
         }
         // Refresh the cached payload on encode frames; the voice source
         // only advances when a frame is actually synthesised.
-        if refresh {
-            if let AudioSource::Continuous(voice) = &mut session.source {
-                if observed {
+        if observed {
+            if refresh {
+                if let AudioSource::Continuous(voice) = &mut session.source {
                     voice.fill(scratch);
                     session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
                 }
+                session.refresh_in = ENCODE_EVERY;
             }
-            session.refresh_in = encode_every;
+            session.refresh_in -= 1;
         }
-        session.refresh_in -= 1;
         Some(session.packetizer.next_header())
     }
 }

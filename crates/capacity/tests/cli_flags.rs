@@ -73,6 +73,14 @@ fn counts_and_offered_load_are_checked() {
             "--reps 0 must be a whole number >= 1",
         ),
         (
+            &["policy", "--users", "0"],
+            "--users 0 must be a whole number >= 1",
+        ),
+        (
+            &["policy", "--users", "2.5"],
+            "--users 2.5 must be a whole number >= 1",
+        ),
+        (
             &["fig6", "--max-reps", "0"],
             "--max-reps 0 must be a whole number >= 1",
         ),

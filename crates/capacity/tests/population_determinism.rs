@@ -130,7 +130,7 @@ fn golden_digest_population_media_cell() {
     // The smoke cell (5 channels, 20 s window) with 120 subscribers
     // offering 3 E in 3-s calls over a slightly lossy wire.
     let mut cfg = EmpiricalConfig::smoke(2015);
-    cfg.media = MediaMode::PerPacket { encode_every: 25 };
+    cfg.media = MediaMode::PerPacket;
     cfg.erlangs = 3.0;
     cfg.holding = loadgen::HoldingDist::Fixed(3.0);
     cfg.link_loss_probability = 0.002;

@@ -8,7 +8,7 @@
 //! size in both runs and cancels out of the delta. What remains is the
 //! genuinely per-subscriber state, which by design is one compact SoA
 //! expiry slot in the registrar (8 bytes) plus O(1) engine state
-//! (aggregated sampler, churn wheel, synthetic directory range). The
+//! (aggregated sampler, churn wheel, directory uid range). The
 //! budget below is a loose 64 B/subscriber so allocator rounding and
 //! incidental growth don't flake the gate, while a per-user timer, map
 //! entry, or String (≥ 48 B each, and any regression would add at least

@@ -41,35 +41,24 @@ pub struct PbxConfig {
     pub channels: u32,
     /// Hostname used in Via/Contact headers.
     pub hostname: String,
-    /// Registration lifetime granted.
-    pub registration_expiry: SimDuration,
-    /// Dialplan.
-    pub dialplan: Dialplan,
     /// Optional per-user concurrent-call ceiling — the "effective call
     /// policy" the paper's §IV proposes for protecting a large population
     /// from a few heavy users. `None` = unlimited (the paper's testbed).
     pub max_calls_per_user: Option<u32>,
-    /// Require RFC 2617 digest authentication on REGISTER. When false the
-    /// registrar also accepts the lightweight `Simple` scheme used by the
-    /// bulk experiments (either way the directory is consulted).
-    pub require_digest: bool,
     /// Optional overload-control law from the `overload` crate (`None` =
     /// the paper's testbed, which never sheds and simply saturates).
     pub overload_law: Option<ControlLaw>,
 }
 
 impl PbxConfig {
-    /// The evaluation defaults: 165 channels, campus dialplan.
+    /// The evaluation defaults: 165 channels, host `pbx.unb.br`.
     #[must_use]
     pub fn evaluation_default(node: NodeId) -> Self {
         PbxConfig {
             node,
             channels: 165,
             hostname: "pbx.unb.br".to_owned(),
-            registration_expiry: SimDuration::from_secs(3600),
-            dialplan: Dialplan::campus_default(),
             max_calls_per_user: None,
-            require_digest: false,
             overload_law: None,
         }
     }
@@ -183,6 +172,8 @@ pub struct Pbx {
     pub directory: Directory,
     /// Registrar bindings.
     pub registrar: Registrar,
+    /// The campus dialplan: four-digit extensions are local subscribers.
+    dialplan: Dialplan,
     stats: PbxStats,
     active_per_user: FastMap<String, u32>,
     calls: Vec<Option<Call>>,
@@ -225,7 +216,7 @@ impl Pbx {
     /// Build a PBX with the given configuration and subscriber directory.
     #[must_use]
     pub fn new(config: PbxConfig, directory: Directory) -> Self {
-        let registrar = Registrar::new(config.registration_expiry);
+        let registrar = Registrar::default();
         let pool = ChannelPool::new(config.channels);
         let nonce = format!(
             "nonce-{}",
@@ -248,6 +239,7 @@ impl Pbx {
             cdr: CdrLog::new(),
             directory,
             registrar,
+            dialplan: Dialplan::campus_default(),
             stats: PbxStats::default(),
             active_per_user: FastMap::default(),
             calls: Vec::new(),
@@ -434,8 +426,9 @@ impl Pbx {
     fn on_register(&mut self, now: SimTime, from: NodeId, req: &Request) -> Vec<PbxAction> {
         let auth = req.headers.get(&HeaderName::Authorization);
 
-        // Digest credentials are accepted in either mode; when
-        // `require_digest` is on they are the only way in.
+        // RFC 2617 digest credentials, or the lightweight `Simple` scheme
+        // the bulk experiments register with; either way the directory
+        // is consulted.
         let outcome = if let Some(creds) = auth.and_then(CredentialsView::parse) {
             // RFC 2617 §3.2.2.5: the digest must cover this request's
             // Request-URI. A REGISTER to the registrar's own URI — all
@@ -452,9 +445,9 @@ impl Pbx {
             if !uri_ok || creds.realm != self.config.hostname {
                 RegisterOutcome::AuthFailed
             } else {
-                // The directory lends the secret (stored, or derived on the
-                // stack for the synthetic population range) to the response
-                // check; HA1 is computed on the fly and never stored.
+                // The directory lends the secret (`pw-<uid>`, built on the
+                // stack) to the response check; HA1 is computed on the fly
+                // and never stored.
                 let nonce = &self.nonce;
                 self.registrar
                     .register_with(&self.directory, now, creds.username, from, |pw| {
@@ -462,16 +455,10 @@ impl Pbx {
                     })
             }
         } else {
-            // No usable credentials: the 401 carries a digest challenge
-            // even when digest is not *required*, so a digest-capable
-            // client (the population churn path) can complete REGISTER →
-            // 401 → REGISTER+digest in either mode.
-            let simple = if self.config.require_digest {
-                None
-            } else {
-                auth.and_then(parse_simple_auth)
-            };
-            let Some((uid, password)) = simple else {
+            // No usable credentials: the 401 carries a digest challenge, so
+            // a digest-capable client (the population churn path) completes
+            // REGISTER → 401 → REGISTER+digest.
+            let Some((uid, password)) = auth.and_then(parse_simple_auth) else {
                 let mut resp = req.make_response(StatusCode::UNAUTHORIZED);
                 resp.headers
                     .push(HeaderName::WwwAuthenticate, &self.challenge);
@@ -544,7 +531,7 @@ impl Pbx {
 
         // Route the dialled extension: only a registered local subscriber
         // is reachable.
-        let binding = match self.config.dialplan.route(extension) {
+        let binding = match self.dialplan.route(extension) {
             Some(Route::LocalSubscriber) => self.registrar.lookup(now, extension),
             Some(Route::Trunk(_) | Route::Deny) | None => None,
         };

@@ -35,6 +35,5 @@ pub use b2bua::{Pbx, PbxAction, PbxConfig, PbxStats};
 pub use cdr::{CallRecord, Disposition};
 pub use channels::ChannelPool;
 pub use cpu::CpuModel;
-pub use dialplan::Dialplan;
 pub use directory::Directory;
 pub use registrar::Registrar;

@@ -2,13 +2,13 @@
 //! directory-backed authentication.
 //!
 //! In the paper's deployment users authenticate against LDAP and are then
-//! reachable at their campus extension. Here a REGISTER carries the uid and
-//! password (in an `Authorization: Simple uid password` header — a stand-in
-//! for digest auth that exercises the same directory code path); on success
-//! the registrar records where that extension lives (node + RTP-signalling
-//! coordinates) with an expiry.
+//! reachable at their campus extension. Here a REGISTER proves the uid's
+//! password by RFC 2617 digest or, in the bulk experiments, in an
+//! `Authorization: Simple uid password` header (both reach the same
+//! directory bind); on success the registrar records where that extension
+//! lives (node + RTP-signalling coordinates) for one registration lifetime.
 
-use crate::directory::{BindResult, Directory};
+use crate::directory::{parse_uid, BindResult, Directory};
 use des::{FastMap, SimDuration, SimTime};
 use netsim::NodeId;
 
@@ -53,47 +53,31 @@ struct PopulationBindings {
 impl PopulationBindings {
     /// Does this table own `uid`? Canonical decimal spellings only.
     fn index_of(&self, uid: &str) -> Option<usize> {
-        if uid.is_empty() || !uid.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        if uid.len() > 1 && uid.starts_with('0') {
-            return None;
-        }
-        let u = uid.parse::<u64>().ok()?;
-        let idx = u.checked_sub(self.base)?;
+        let idx = parse_uid(uid)?.checked_sub(self.base)?;
         (idx < self.expires_at.len() as u64).then_some(idx as usize)
     }
 }
 
+/// The registration lifetime granted: the `Expires` every generated
+/// REGISTER asks for.
+const REGISTRATION_EXPIRY: SimDuration = SimDuration::from_secs(3600);
+
 /// The registrar.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Registrar {
     bindings: FastMap<String, Binding>,
     /// Population-scale contiguous range, if installed; checked before
     /// the classic map (the ranges are disjoint by construction — classic
     /// pools live in 1000..2500, populations at 10⁶+).
     population: Option<PopulationBindings>,
-    default_expiry: SimDuration,
     registrations: u64,
     auth_failures: u64,
 }
 
 impl Registrar {
-    /// A registrar granting `default_expiry` per registration.
-    #[must_use]
-    pub fn new(default_expiry: SimDuration) -> Self {
-        Registrar {
-            bindings: FastMap::default(),
-            population: None,
-            default_expiry,
-            registrations: 0,
-            auth_failures: 0,
-        }
-    }
-
     /// Install bindings for a whole contiguous population at once:
-    /// `base..base+count` homed on `node`, each expiring `default_expiry`
-    /// from `now`.
+    /// `base..base+count` homed on `node`, each expiring one registration
+    /// lifetime from `now`.
     ///
     /// This models the steady state a long-lived deployment is always in —
     /// everyone registered, expiries staggered forward by churn — and
@@ -105,7 +89,7 @@ impl Registrar {
         let n = usize::try_from(count).expect("population fits usize");
         self.population = Some(PopulationBindings {
             base,
-            expires_at: vec![now + self.default_expiry; n],
+            expires_at: vec![now + REGISTRATION_EXPIRY; n],
             node,
         });
     }
@@ -135,7 +119,7 @@ impl Registrar {
     ) -> RegisterOutcome {
         match dir.bind_uid(uid, proof) {
             Some(BindResult::Success) => {
-                let expires_at = now + self.default_expiry;
+                let expires_at = now + REGISTRATION_EXPIRY;
                 // Population fast path: an 8-byte store, no key
                 // allocation, no hashing.
                 if let Some(idx) = self.population.as_ref().and_then(|p| p.index_of(uid)) {
@@ -220,11 +204,15 @@ impl Registrar {
 mod tests {
     use super::*;
 
+    /// A directory holding only the population range `base..base+count`.
+    fn synthetic(base: u64, count: u64) -> Directory {
+        let mut dir = Directory::new();
+        dir.set_synthetic_range(base, count);
+        dir
+    }
+
     fn setup() -> (Registrar, Directory) {
-        (
-            Registrar::new(SimDuration::from_secs(3600)),
-            Directory::with_subscribers(1000, 10),
-        )
+        (Registrar::default(), Directory::with_subscribers(1000, 10))
     }
 
     #[test]
@@ -280,8 +268,8 @@ mod tests {
 
     #[test]
     fn bulk_install_registers_a_population_without_a_storm() {
-        let mut reg = Registrar::new(SimDuration::from_secs(3600));
-        let dir = Directory::with_synthetic_range(1_000_000, 1_000_000);
+        let mut reg = Registrar::default();
+        let dir = synthetic(1_000_000, 1_000_000);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 1_000_000, NodeId(3));
         assert_eq!(reg.len(), 1_000_000);
         let b = reg.lookup(SimTime::from_secs(10), "1234567").unwrap();
@@ -307,8 +295,8 @@ mod tests {
 
     #[test]
     fn population_crash_clears_expiries_but_keeps_the_table() {
-        let mut reg = Registrar::new(SimDuration::from_secs(3600));
-        let dir = Directory::with_synthetic_range(1_000_000, 100);
+        let mut reg = Registrar::default();
+        let dir = synthetic(1_000_000, 100);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 100, NodeId(3));
         assert_eq!(reg.clear(), 100);
         assert!(reg.lookup(SimTime::from_secs(1), "1000050").is_none());
@@ -326,17 +314,8 @@ mod tests {
 
     #[test]
     fn classic_and_population_paths_coexist() {
-        let mut reg = Registrar::new(SimDuration::from_secs(3600));
-        let mut dir = Directory::with_subscribers(1000, 10);
-        dir.add(crate::directory::DirEntry {
-            dn: "uid=1003,ou=people,dc=unb,dc=br".to_owned(),
-            attrs: [
-                ("uid".to_owned(), "1003".to_owned()),
-                ("userPassword".to_owned(), "pw-1003".to_owned()),
-            ]
-            .into_iter()
-            .collect(),
-        });
+        let mut reg = Registrar::default();
+        let dir = Directory::with_subscribers(1000, 10);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 10, NodeId(9));
         reg.register(&dir, SimTime::ZERO, "1003", "pw-1003", NodeId(5));
         assert_eq!(reg.len(), 11);

@@ -6,7 +6,7 @@
 //! wireshark /tmp/asterisk-capacity-demo.pcap   # if you have it
 //! ```
 
-use capacity::experiment::{run_world, EmpiricalConfig, MediaMode};
+use capacity::experiment::{run_world, EmpiricalConfig};
 use des::SimTime;
 use loadgen::HoldingDist;
 use vmon::pcap::read_pcap;
@@ -18,7 +18,6 @@ fn main() {
     cfg.placement_window_s = 15.0;
     cfg.channels = 4;
     cfg.user_pool = 4;
-    cfg.media = MediaMode::PerPacket { encode_every: 10 };
     cfg.capture_traffic = true;
 
     let sim = run_world(cfg, SimTime::from_secs(30));

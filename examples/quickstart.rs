@@ -35,7 +35,7 @@ fn main() {
         holding: HoldingDist::Fixed(30.0),
         placement_window_s: 60.0,
         channels: 36,
-        media: MediaMode::PerPacket { encode_every: 10 },
+        media: MediaMode::PerPacket,
         pickup_delay: des::SimDuration::ZERO,
         link_loss_probability: 0.0,
         silence_suppression: false,

@@ -10,7 +10,7 @@
 //! lazy encoding that leaks into a captured run fails here and nowhere
 //! else.
 
-use capacity::experiment::{run_world, EmpiricalConfig, EmpiricalRunner, MediaMode};
+use capacity::experiment::{run_world, EmpiricalConfig, EmpiricalRunner};
 use des::SimTime;
 use loadgen::HoldingDist;
 use netsim::topology::nodes;
@@ -18,7 +18,8 @@ use rtpcore::{RtpHeader, RTP_HEADER_LEN, SAMPLES_PER_FRAME};
 use std::collections::BTreeMap;
 use vmon::pcap::read_pcap;
 
-/// Real encodes per stream: one frame in this many.
+/// The media plane's payload refresh cadence under a span port: one real
+/// encode per stream in this many frames.
 const ENCODE_EVERY: u32 = 10;
 
 fn capture_cfg() -> EmpiricalConfig {
@@ -28,9 +29,6 @@ fn capture_cfg() -> EmpiricalConfig {
     cfg.placement_window_s = 15.0;
     cfg.channels = 4;
     cfg.user_pool = 4;
-    cfg.media = MediaMode::PerPacket {
-        encode_every: ENCODE_EVERY,
-    };
     cfg.capture_traffic = true;
     cfg
 }

@@ -71,7 +71,7 @@ impl Ladder {
         let mut ladder = Ladder {
             uac: Uac::with_tag(CLIENT, PBX_NODE, &host, 0),
             uas: Uas::new(SERVER, SimDuration::ZERO),
-            pbx: Pbx::new(config, Directory::shared_subscribers(1000, 1000)),
+            pbx: Pbx::new(config, Directory::with_subscribers(1000, 1000)),
             now: SimTime::ZERO,
             reparse: false,
             in_flight: VecDeque::new(),

@@ -31,7 +31,7 @@ fn cfg(seed: u64, media: MediaMode) -> EmpiricalConfig {
 
 #[test]
 fn identical_seeds_identical_everything() {
-    let media = MediaMode::PerPacket { encode_every: 20 };
+    let media = MediaMode::PerPacket;
     let a = EmpiricalRunner::run(cfg(99, media));
     let b = EmpiricalRunner::run(cfg(99, media));
     assert_eq!(a.attempted, b.attempted);
@@ -76,7 +76,7 @@ fn heap_and_wheel_backends_produce_identical_results() {
     // leave the same monitor report (floats by bit pattern) and the same
     // PBX counters.
     let run = |kind| {
-        let cfg = cfg(42, MediaMode::PerPacket { encode_every: 20 });
+        let cfg = cfg(42, MediaMode::PerPacket);
         let sched = Scheduler::with_kind_and_capacity(kind, cfg.expected_pending_events());
         let mut sim = Simulation::with_scheduler(World::new(cfg), sched);
         sim.world.prime(&mut sim.sched);

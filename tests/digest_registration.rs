@@ -14,9 +14,10 @@ const CLIENT: NodeId = NodeId(1);
 const PBX_NODE: NodeId = NodeId(3);
 
 fn digest_pbx() -> Pbx {
-    let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
-    cfg.require_digest = true;
-    Pbx::new(cfg, Directory::with_subscribers(1000, 10))
+    Pbx::new(
+        PbxConfig::evaluation_default(PBX_NODE),
+        Directory::with_subscribers(1000, 10),
+    )
 }
 
 /// Pump messages between the UAC and PBX until quiescent; returns the
@@ -91,19 +92,6 @@ fn digest_handshake_registers_the_user() {
 }
 
 #[test]
-fn simple_scheme_is_refused_when_digest_required() {
-    let mut pbx = digest_pbx();
-    let mut uac = Uac::new(CLIENT, PBX_NODE, "pbx.unb.br");
-    // The legacy Simple registration carries credentials the digest-only
-    // registrar will not accept — it answers with a challenge instead.
-    let initial = uac.register("1004");
-    let trace = pump(&mut uac, &mut pbx, initial);
-    assert_eq!(trace[0], "->pbx REGISTER");
-    assert_eq!(trace[1], "->uac 401", "challenged, not accepted");
-    assert!(pbx.registrar.is_empty());
-}
-
-#[test]
 fn wrong_password_fails_digest() {
     let mut pbx = digest_pbx();
     // Hand-craft the flow with a bad password: challenge, then a bogus
@@ -150,7 +138,6 @@ fn digest_replay_against_other_realm_fails() {
     // Credentials computed for one realm must not authenticate against a
     // PBX with a different hostname/realm (nonce and realm both differ).
     let mut cfg = PbxConfig::evaluation_default(PBX_NODE);
-    cfg.require_digest = true;
     cfg.hostname = "other.example.org".to_owned();
     let mut other_pbx = Pbx::new(cfg, Directory::with_subscribers(1000, 10));
 

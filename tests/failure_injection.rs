@@ -56,7 +56,7 @@ fn heavy_wire_loss_degrades_mos_but_not_blocking() {
         holding: HoldingDist::Fixed(15.0),
         placement_window_s: 40.0,
         channels: 20,
-        media: MediaMode::PerPacket { encode_every: 50 },
+        media: MediaMode::PerPacket,
         pickup_delay: SimDuration::ZERO,
         link_loss_probability: 0.0,
         silence_suppression: false,

@@ -17,7 +17,7 @@ fn media_cfg(seed: u64) -> EmpiricalConfig {
         holding: HoldingDist::Fixed(12.0),
         placement_window_s: 30.0,
         channels: 10,
-        media: MediaMode::PerPacket { encode_every: 1 }, // full G.711 every frame
+        media: MediaMode::PerPacket,
         pickup_delay: SimDuration::ZERO,
         link_loss_probability: 0.0,
         silence_suppression: false,
@@ -52,23 +52,6 @@ fn clean_lan_scores_toll_quality_for_every_call() {
     assert!(r.monitor.mos_min > 4.2, "worst call {}", r.monitor.mos_min);
     assert!(r.monitor.mean_loss < 1e-6);
     assert!(r.monitor.mean_jitter_ms < 1.0, "switched LAN jitter tiny");
-}
-
-#[test]
-fn sparse_encoding_matches_full_encoding_counts() {
-    // The encode_every fast path must not change anything observable
-    // except CPU time: same packets, same sequence numbers, same MOS
-    // inputs (payload bytes differ, which nothing downstream reads).
-    let full = EmpiricalRunner::run(media_cfg(33));
-    let sparse = EmpiricalRunner::run(EmpiricalConfig {
-        media: MediaMode::PerPacket { encode_every: 100 },
-        ..media_cfg(33)
-    });
-    assert_eq!(full.monitor.rtp_packets, sparse.monitor.rtp_packets);
-    assert_eq!(full.attempted, sparse.attempted);
-    assert_eq!(full.completed, sparse.completed);
-    assert_eq!(full.monitor.sip_total, sparse.monitor.sip_total);
-    assert!((full.monitor.mos_mean - sparse.monitor.mos_mean).abs() < 1e-9);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration: allocation regression for the RTP media path.
 //!
 //! The zero-copy design moves G.711 payloads as `Arc<[u8]>` — the bytes
-//! are companded once per `encode_every` frames and every subsequent
+//! are companded once per ten frames and every subsequent
 //! packetization, network hop and PBX relay is a refcount bump — and,
 //! with no span port to read them, does not compand them at all. A
 //! counting global allocator makes that claim falsifiable: steady-state
@@ -27,9 +27,6 @@ use counting_alloc::{start_counting, stop_counting};
 /// An allocation of either size during steady-state media is a smoking
 /// gun for a payload copy (the seed code path made three per hop).
 const PAYLOAD_SIZES: [usize; 2] = [160, 172];
-
-/// Real encodes per stream: one frame in this many.
-const ENCODE_EVERY: u32 = 50;
 
 #[test]
 fn relay_path_performs_zero_payload_copies() {
@@ -61,9 +58,7 @@ fn relay_path_performs_zero_payload_copies() {
         holding: HoldingDist::Fixed(30.0),
         placement_window_s: 5.0,
         channels: 20,
-        media: MediaMode::PerPacket {
-            encode_every: ENCODE_EVERY,
-        },
+        media: MediaMode::PerPacket,
         pickup_delay: SimDuration::from_millis(500),
         link_loss_probability: 0.0,
         silence_suppression: false,
@@ -105,15 +100,12 @@ fn relay_path_performs_zero_payload_copies() {
         "payload-sized buffers were allocated during steady-state media \
          ({payload_sized} of {total} allocations) — a copy crept back in"
     );
-    // Nothing observes the payloads (no capture, express emission), so the
-    // window's refresh frames — relayed ÷ ENCODE_EVERY of them — re-encode
-    // nothing, and nothing else on the packet path allocates.
+    // Nothing observes the payloads (no capture, express emission), so no
+    // frame is re-encoded, and nothing else on the packet path allocates.
     assert_eq!(
-        total,
-        0,
-        "{total} allocations for {relayed} relayed packets ({} refresh \
-         frames) — the steady-state media path is allocating",
-        relayed / u64::from(ENCODE_EVERY)
+        total, 0,
+        "{total} allocations for {relayed} relayed packets — the \
+         steady-state media path is allocating"
     );
 
     // --- Part 3: the two per-packet calls, alone, for 10^5 packets. ---
