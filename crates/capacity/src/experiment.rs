@@ -5,7 +5,7 @@
 //! both exchange RTP for `h` seconds through the PBX, and blocking rate +
 //! voice quality are evaluated and registered.
 
-use crate::world::{star_hosts, Ev, World};
+use crate::world::{star_hosts, Ev, World, POP_UID_BASE};
 use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{CallOutcome, HoldingDist, Pacer, RetryPolicy};
@@ -163,6 +163,10 @@ impl EmpiricalConfig {
     /// links (the switch and one of the two SIPp hosts or a PBX). Anything
     /// else would silently run as a healthy testbed.
     ///
+    /// With a population set, the classic pools stay below its first uid
+    /// ([`POP_UID_BASE`]): callers from 1000 and callees above them, two
+    /// ranges of `user_pool` uids.
+    ///
     /// The finite-source population composes with neither caller-side
     /// pacing nor a flash crowd: a paced UAC may defer an INVITE, and the
     /// deferred call has no Call-ID yet to tie its user's busy mark to —
@@ -171,8 +175,9 @@ impl EmpiricalConfig {
     ///
     /// # Panics
     /// If `user_pool` is 0, if a fault aims outside the farm, or if
-    /// `population` is set together with a pacer-arming overload law or
-    /// with a [`FaultKind::FlashCrowd`] in `faults`.
+    /// `population` is set together with a classic pool that reaches
+    /// [`POP_UID_BASE`], a pacer-arming overload law or a
+    /// [`FaultKind::FlashCrowd`] in `faults`.
     pub fn validate(&self) {
         assert!(
             self.user_pool > 0,
@@ -199,6 +204,13 @@ impl EmpiricalConfig {
         if self.population.is_none() {
             return;
         }
+        let classic_end = crate::world::classic_uid_end(self.user_pool);
+        assert!(
+            classic_end <= POP_UID_BASE,
+            "user_pool {} puts classic uids up to {} into the population's range at {POP_UID_BASE}",
+            self.user_pool,
+            classic_end - 1
+        );
         assert!(
             self.pacer().is_none(),
             "population × caller-side pacing is unsupported: {:?} arms a UAC pacer",
@@ -811,6 +823,23 @@ mod tests {
             ..EmpiricalConfig::smoke(1)
         }
         .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "into the population's range")]
+    fn a_classic_pool_reaching_the_population_is_rejected() {
+        let mut cfg = EmpiricalConfig::population_scale(1_000, 5.0, 1);
+        // Callers 1000..500_501, callees 500_501..1_000_002.
+        cfg.user_pool = 499_501;
+        cfg.validate();
+    }
+
+    #[test]
+    fn the_largest_classic_pool_below_the_population_is_accepted() {
+        let mut cfg = EmpiricalConfig::population_scale(1_000, 5.0, 1);
+        // Callers 1000..500_500, callees 500_500..1_000_000.
+        cfg.user_pool = 499_500;
+        cfg.validate();
     }
 
     #[test]

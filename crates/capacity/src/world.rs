@@ -32,8 +32,26 @@ use vmon::{FlowId, Monitor};
 const RTP_WIRE_LEN: usize = RTP_HEADER_LEN + SAMPLES_PER_FRAME + 46;
 
 /// First uid of the finite-source population: caller of global rank `u`
-/// is `POP_UID_BASE + u`, safely above the classic 1000/1500 pools.
+/// is `POP_UID_BASE + u`, above the classic pools
+/// ([`EmpiricalConfig::validate`] keeps them below it).
 pub const POP_UID_BASE: u64 = 1_000_000;
+
+/// First caller uid of the classic pools: caller `i` is `CALLER_BASE + i`.
+const CALLER_BASE: u64 = 1000;
+
+/// First callee extension of the classic pools: callee `i` is
+/// `callee_base(user_pool) + i`. Pools of up to 500 users keep the campus
+/// numbering (1500); a larger pool starts its callees past its last
+/// caller, so no uid is both.
+fn callee_base(user_pool: u32) -> u64 {
+    CALLER_BASE + u64::from(user_pool.max(500))
+}
+
+/// One past the last classic uid. The campus directory covers
+/// `CALLER_BASE..classic_uid_end(user_pool)`, and at least `1000..2000`.
+pub(crate) fn classic_uid_end(user_pool: u32) -> u64 {
+    (callee_base(user_pool) + u64::from(user_pool)).max(2000)
+}
 
 /// How long after a population call ends before its per-call monitor
 /// state is folded and freed — long enough for every tail packet of the
@@ -46,7 +64,7 @@ const CHURN_SLICE: u64 = 64;
 
 /// Process-wide memo of pre-seeded UAC user interners, keyed by the pool
 /// size: caller uids `1000 .. 1000 + user_pool` and callee extensions
-/// `1500 .. 1500 + user_pool`, the exact strings the classic placement
+/// from [`callee_base`], the exact strings the classic placement
 /// path interns on first call from each caller and to each callee.
 /// Every replication clones the base table (the strings are shared
 /// `Arc<str>`s) instead of re-interning the pools from scratch. Interning
@@ -63,7 +81,7 @@ fn shared_user_atoms(user_pool: u32) -> AtomTable {
     map.entry(user_pool)
         .or_insert_with(|| {
             let mut table = AtomTable::new();
-            for base in [1000, 1500] {
+            for base in [CALLER_BASE, callee_base(user_pool)] {
                 for i in 0..u64::from(user_pool) {
                     table.intern(&format!("{}", base + i));
                 }
@@ -380,6 +398,8 @@ impl World {
         let hosts: Vec<NodeId> = star_hosts(servers).collect();
         let topo = StarTopology::new(nodes::SWITCH, &hosts, link);
 
+        let campus = u32::try_from(classic_uid_end(config.user_pool) - CALLER_BASE)
+            .expect("the classic pools fit u32 uids");
         let mut pbxes = Vec::with_capacity(servers as usize);
         let mut uacs = Vec::with_capacity(servers as usize);
         for k in 0..servers {
@@ -393,7 +413,7 @@ impl World {
             pbx_cfg.max_calls_per_user = config.max_calls_per_user;
             pbx_cfg.overload_law = config.overload_law;
             pbx_cfg.hostname.clone_from(&hostname);
-            pbxes.push(Pbx::new(pbx_cfg, Directory::with_subscribers(1000, 1000)));
+            pbxes.push(Pbx::new(pbx_cfg, Directory::with_subscribers(1000, campus)));
             let mut uac = Uac::with_tag(nodes::SIPP_CLIENT, pbx_node(k), &hostname, k);
             uac.preseed_users(shared_user_atoms(config.user_pool));
             uac.retry_policy = config.retry;
@@ -576,25 +596,25 @@ impl World {
         sched: &mut Scheduler<Ev>,
         pbxes: Range<usize>,
     ) {
+        let callees = callee_base(self.config.user_pool);
         let mut frames = Vec::new();
         for k in pbxes {
             // Callee registrations originate from the server node; reuse
             // the UAC message builder via a scratch instance.
             let (node, host) = (pbx_node(k as u32), self.uacs[k].pbx_host());
             let mut callee_side = Uac::with_tag(nodes::SIPP_SERVER, node, host, 9000 + k as u32);
-            for i in 0..self.config.user_pool {
-                let caller = self.uacs[k].register(&format!("{}", 1000 + i));
+            for i in 0..u64::from(self.config.user_pool) {
+                let caller = self.uacs[k].register(&format!("{}", CALLER_BASE + i));
                 frames.extend(register_frames(nodes::SIPP_CLIENT, caller));
-                let callee = callee_side.register(&format!("{}", 1500 + i));
+                let callee = callee_side.register(&format!("{}", callees + i));
                 frames.extend(register_frames(nodes::SIPP_SERVER, callee));
             }
         }
         let spacing_ns = (900_000_000u64 / (frames.len() as u64).max(1)).min(1_000_000);
         // The storm puts every frame in flight at once (200 at prime, the
-        // most any run holds): size the slab for them in one allocation.
-        // Grown by doubling here instead, its freed blocks moved where
-        // glibc places the busy hour's 8 MB registrar table on the next
-        // pass, and peak RSS rose from 13.4 to 21 MiB.
+        // most any run holds): size the slab for them in one allocation,
+        // instead of doubling through a chain of blocks freed mid-prime
+        // that later allocations of the pass would be carved from.
         self.frames.reserve(frames.len());
         for (i, frame) in frames.into_iter().enumerate() {
             let at = start + SimDuration::from_nanos(spacing_ns * i as u64);
@@ -1015,8 +1035,9 @@ impl World {
 
     fn place_call(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if now <= self.placement_end {
-            let i = self.calls_placed % u64::from(self.config.user_pool);
-            self.start_call(now, sched, 1000 + i, 1500 + i);
+            let pool = self.config.user_pool;
+            let i = self.calls_placed % u64::from(pool);
+            self.start_call(now, sched, CALLER_BASE + i, callee_base(pool) + i);
             let next = self.arrivals.next_after(now, &mut self.rng_arrivals);
             if next <= self.placement_end {
                 sched.schedule(next, Ev::PlaceCall);
@@ -1061,7 +1082,8 @@ impl World {
 
     /// Place one population call for the user of rank `rank`.
     fn pop_place(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, rank: u64) {
-        let callee = 1500 + rank % u64::from(self.config.user_pool);
+        let pool = self.config.user_pool;
+        let callee = callee_base(pool) + rank % u64::from(pool);
         // No pacer is armed in population mode (`EmpiricalConfig::validate`),
         // so the INVITE is never deferred and the Call-ID is always real.
         let call_id = self.start_call(now, sched, POP_UID_BASE + rank, callee);
@@ -1216,6 +1238,7 @@ mod tests {
     use crate::experiment::run_world;
     use faults::FaultSchedule;
     use loadgen::HoldingDist;
+    use std::collections::HashSet;
 
     /// Run `config` until no event is left and hand back the world.
     fn drained(config: EmpiricalConfig) -> World {
@@ -1245,6 +1268,55 @@ mod tests {
             .fold((0, 0), |(error, queue), s| {
                 (error + s.dropped_error, queue + s.dropped_queue)
             })
+    }
+
+    #[test]
+    fn a_campus_sized_pool_keeps_callers_and_callees_apart() {
+        // The paper's 8 000-user campus at 100 E: 165 channels block
+        // almost nothing, so every call should complete.
+        let config = EmpiricalConfig {
+            user_pool: 8000,
+            placement_window_s: 120.0,
+            ..EmpiricalConfig::signalling_only(100.0, 2015)
+        };
+        let mut world = drained(config);
+        let until = world.placement_end();
+        let pbx = &mut world.pbxes[0];
+        assert_eq!(
+            pbx.active_calls(),
+            0,
+            "every call ended and freed its channel"
+        );
+        let records = pbx.cdr.records();
+        let callers: HashSet<String> = records.iter().map(|r| r.caller.clone()).collect();
+        let callees: HashSet<String> = records.iter().map(|r| r.callee.clone()).collect();
+        assert!(
+            callers.len() > 50 && callees.len() > 50,
+            "{} calls",
+            records.len()
+        );
+        assert!(
+            callers.is_disjoint(&callees),
+            "a uid is both caller and callee"
+        );
+        for (uids, home) in [
+            (&callers, nodes::SIPP_CLIENT),
+            (&callees, nodes::SIPP_SERVER),
+        ] {
+            for uid in uids {
+                let bound = pbx.registrar.lookup(until, uid).map(|b| b.node);
+                assert_eq!(bound, Some(home), "{uid} is registered where it lives");
+            }
+        }
+        let uac = &mut world.uacs[0];
+        uac.finish();
+        let journal = &uac.journal;
+        let completed = journal.outcome_count(loadgen::CallOutcome::Completed);
+        assert!(
+            completed * 100 >= journal.attempted * 99,
+            "{completed} of {} calls completed",
+            journal.attempted
+        );
     }
 
     #[test]

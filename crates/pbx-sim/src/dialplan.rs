@@ -38,12 +38,15 @@ impl Dialplan {
     }
 
     /// The evaluation's default plan: four-digit campus extensions are
-    /// local subscribers, `0`-prefixed numbers go to the university trunk.
+    /// local subscribers, `0`-prefixed numbers go to the university trunk,
+    /// and longer extensions (the callees of pools above 4 000 users) are
+    /// local subscribers too.
     #[must_use]
     pub fn campus_default() -> Self {
         let mut dp = Dialplan::new();
         dp.add("XXXX", Route::LocalSubscriber);
         dp.add("0.", Route::Trunk("university-exchange".to_owned()));
+        dp.add("XXXX.", Route::LocalSubscriber);
         dp
     }
 
@@ -158,13 +161,14 @@ mod tests {
     #[test]
     fn campus_default_routing() {
         let dp = Dialplan::campus_default();
-        assert_eq!(dp.len(), 2);
+        assert_eq!(dp.len(), 3);
         assert!(!dp.is_empty());
         assert_eq!(dp.route("1234"), Some(&Route::LocalSubscriber));
-        assert_eq!(
-            dp.route("061330720"),
-            Some(&Route::Trunk("university-exchange".to_owned()))
-        );
+        assert_eq!(dp.route("16999"), Some(&Route::LocalSubscriber));
+        assert_eq!(dp.route("1000000"), Some(&Route::LocalSubscriber));
+        let trunk = Some(&Route::Trunk("university-exchange".to_owned()));
+        assert_eq!(dp.route("061330720"), trunk);
+        assert_eq!(dp.route("01234"), trunk, "the trunk rule wins");
         assert_eq!(dp.route("99"), None, "no rule for two digits");
         assert_eq!(dp.route(""), None);
     }

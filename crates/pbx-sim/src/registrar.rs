@@ -30,21 +30,31 @@ pub enum RegisterOutcome {
     AuthFailed,
 }
 
-/// Compact bindings for a contiguous population of subscribers homed on
-/// one node: a structure-of-arrays table indexed by `uid − base`, one
-/// `SimTime` per user.
+/// Bindings for a contiguous population of subscribers homed on one node,
+/// kept per rank `uid − base` in two parts: the expiry every rank got at
+/// install, and a table of the expiries REGISTERs have written since.
 ///
-/// A million-subscriber registrar is legitimately O(population) — each
-/// user *has* a binding — but the classic map prices that at an owned
-/// `String` key plus hash-map overhead per user (~100 B each, and a
-/// million-REGISTER prime storm to fill it). This table prices it at
-/// 8 bytes flat, installs in one call, and its hot paths (refresh,
-/// lookup) never hash or allocate.
+/// A million-subscriber registrar answers for every user, but only the
+/// ranks churn has refreshed hold an expiry of their own. The table grows
+/// on write to the highest rank written (ranks it steps over take the
+/// default), and every rank past its end reads the default. The churn
+/// wheel refreshes contiguous rank ranges in ascending order, so the
+/// written ranks form a prefix of about `N · window / expiry` entries:
+/// resident memory follows the churn volume, not N. The hot paths
+/// (refresh, lookup) never hash, and a refresh allocates only when the
+/// table grows.
 #[derive(Debug, Clone)]
 struct PopulationBindings {
     base: u64,
-    /// `expires_at[uid - base]`; `SimTime::ZERO` means never/expired.
-    expires_at: Vec<SimTime>,
+    /// Ranks `0..count` belong to the population.
+    count: usize,
+    /// The expiry of every rank at or past `written.len()`: one
+    /// registration lifetime after the install, or `SimTime::ZERO`
+    /// (expired) after a crash.
+    default_expiry: SimTime,
+    /// `written[rank]`: expiries written since the install or the last
+    /// crash. `SimTime::ZERO` means never/expired.
+    written: Vec<SimTime>,
     /// All population users are homed on one UA node (the load
     /// generator's), like the classic pool's users.
     node: NodeId,
@@ -54,7 +64,35 @@ impl PopulationBindings {
     /// Does this table own `uid`? Canonical decimal spellings only.
     fn index_of(&self, uid: &str) -> Option<usize> {
         let idx = parse_uid(uid)?.checked_sub(self.base)?;
-        (idx < self.expires_at.len() as u64).then_some(idx as usize)
+        (idx < self.count as u64).then_some(idx as usize)
+    }
+
+    /// The expiry of rank `idx`.
+    fn expires_at(&self, idx: usize) -> SimTime {
+        self.written
+            .get(idx)
+            .copied()
+            .unwrap_or(self.default_expiry)
+    }
+
+    /// Store `expires_at` for rank `idx`, growing the table to reach it.
+    fn write(&mut self, idx: usize, expires_at: SimTime) {
+        if idx >= self.written.len() {
+            self.written.resize(idx + 1, self.default_expiry);
+        }
+        self.written[idx] = expires_at;
+    }
+
+    /// Expire every rank; returns how many held a nonzero expiry.
+    fn clear(&mut self) -> usize {
+        let unwritten = self.count - self.written.len();
+        let mut lost = self.written.iter().filter(|&&t| t > SimTime::ZERO).count();
+        if self.default_expiry > SimTime::ZERO {
+            lost += unwritten;
+        }
+        self.default_expiry = SimTime::ZERO;
+        self.written.clear();
+        lost
     }
 }
 
@@ -68,7 +106,7 @@ pub struct Registrar {
     bindings: FastMap<String, Binding>,
     /// Population-scale contiguous range, if installed; checked before
     /// the classic map (the ranges are disjoint by construction — classic
-    /// pools live in 1000..2500, populations at 10⁶+).
+    /// pools live below 10⁶, populations at 10⁶+).
     population: Option<PopulationBindings>,
     registrations: u64,
     auth_failures: u64,
@@ -81,15 +119,17 @@ impl Registrar {
     ///
     /// This models the steady state a long-lived deployment is always in —
     /// everyone registered, expiries staggered forward by churn — and
-    /// replaces the O(population) REGISTER prime *storm* with an
-    /// O(population) memset-shaped install. Bulk installs do not count as
+    /// replaces the O(population) REGISTER prime *storm* with an O(1)
+    /// install: one shared expiry for every rank, and an empty table that
+    /// churn fills as it refreshes ranks. Bulk installs do not count as
     /// REGISTER transactions in [`Registrar::stats`]; only the ongoing
     /// churn does, because only the churn sends messages.
     pub fn bulk_install(&mut self, now: SimTime, base: u64, count: u64, node: NodeId) {
-        let n = usize::try_from(count).expect("population fits usize");
         self.population = Some(PopulationBindings {
             base,
-            expires_at: vec![now + REGISTRATION_EXPIRY; n],
+            count: usize::try_from(count).expect("population fits usize"),
+            default_expiry: now + REGISTRATION_EXPIRY,
+            written: Vec::new(),
             node,
         });
     }
@@ -123,7 +163,8 @@ impl Registrar {
                 // Population fast path: an 8-byte store, no key
                 // allocation, no hashing.
                 if let Some(idx) = self.population.as_ref().and_then(|p| p.index_of(uid)) {
-                    self.population.as_mut().expect("just matched").expires_at[idx] = expires_at;
+                    let p = self.population.as_mut().expect("just matched");
+                    p.write(idx, expires_at);
                 } else {
                     self.bindings
                         .insert(uid.to_owned(), Binding { node, expires_at });
@@ -139,12 +180,12 @@ impl Registrar {
     }
 
     /// Look up a *live* binding at time `now` (expired map bindings are
-    /// invisible and pruned lazily; expired population slots just read as
-    /// absent — their storage is fixed either way).
+    /// invisible and pruned lazily; expired population ranks just read as
+    /// absent).
     pub fn lookup(&mut self, now: SimTime, uid: &str) -> Option<Binding> {
         if let Some(p) = &self.population {
             if let Some(idx) = p.index_of(uid) {
-                let expires_at = p.expires_at[idx];
+                let expires_at = p.expires_at(idx);
                 return (expires_at > now).then_some(Binding {
                     node: p.node,
                     expires_at,
@@ -162,10 +203,10 @@ impl Registrar {
     }
 
     /// Number of (possibly stale) stored bindings, counting every
-    /// population slot.
+    /// population rank, written or not.
     #[must_use]
     pub fn len(&self) -> usize {
-        let pop = self.population.as_ref().map_or(0, |p| p.expires_at.len());
+        let pop = self.population.as_ref().map_or(0, |p| p.count);
         self.bindings.len() + pop
     }
 
@@ -189,12 +230,11 @@ impl Registrar {
         let mut lost = self.bindings.len();
         self.bindings.clear();
         if let Some(p) = &mut self.population {
-            // Crash semantics for the population table: slots survive (the
-            // allocation is the table, not the registrations) but every
-            // expiry is zeroed, so users read as unregistered until churn
+            // Crash semantics for the population: the range survives (it
+            // is the deployment, not the registrations) but every expiry
+            // is lost, so users read as unregistered until churn
             // re-registers them.
-            lost += p.expires_at.iter().filter(|&&t| t > SimTime::ZERO).count();
-            p.expires_at.fill(SimTime::ZERO);
+            lost += p.clear();
         }
         lost
     }
@@ -203,6 +243,8 @@ impl Registrar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// A directory holding only the population range `base..base+count`.
     fn synthetic(base: u64, count: u64) -> Directory {
@@ -338,5 +380,127 @@ mod tests {
         assert_eq!(b.node, NodeId(7), "newest binding wins");
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.stats(), (2, 0));
+    }
+
+    /// The registrar with the dense population table it kept before: one
+    /// expiry per rank, every one filled at install, every one zeroed by a
+    /// crash. Classic bindings on an ordered map, pruned the same way.
+    #[derive(Default)]
+    struct DenseModel {
+        population: Option<(u64, Vec<SimTime>, NodeId)>,
+        classic: BTreeMap<String, Binding>,
+    }
+
+    impl DenseModel {
+        fn rank(&self, uid: &str) -> Option<usize> {
+            let (base, slots, _) = self.population.as_ref()?;
+            let idx = parse_uid(uid)?.checked_sub(*base)?;
+            (idx < slots.len() as u64).then_some(idx as usize)
+        }
+
+        fn bulk_install(&mut self, now: SimTime, base: u64, count: u64, node: NodeId) {
+            let slots = vec![now + REGISTRATION_EXPIRY; count as usize];
+            self.population = Some((base, slots, node));
+        }
+
+        fn register(&mut self, dir: &Directory, now: SimTime, uid: &str, node: NodeId, ok: bool) {
+            if dir.bind_uid(uid, |_| ok) != Some(BindResult::Success) {
+                return;
+            }
+            let expires_at = now + REGISTRATION_EXPIRY;
+            match self.rank(uid) {
+                Some(idx) => self.population.as_mut().expect("ranked").1[idx] = expires_at,
+                None => {
+                    self.classic
+                        .insert(uid.to_owned(), Binding { node, expires_at });
+                }
+            }
+        }
+
+        fn lookup(&mut self, now: SimTime, uid: &str) -> Option<Binding> {
+            if let Some(idx) = self.rank(uid) {
+                let (_, slots, node) = self.population.as_ref().expect("ranked");
+                let expires_at = slots[idx];
+                return (expires_at > now).then_some(Binding {
+                    node: *node,
+                    expires_at,
+                });
+            }
+            let b = *self.classic.get(uid)?;
+            if b.expires_at > now {
+                return Some(b);
+            }
+            self.classic.remove(uid);
+            None
+        }
+
+        fn len(&self) -> usize {
+            self.classic.len() + self.population.as_ref().map_or(0, |p| p.1.len())
+        }
+
+        fn clear(&mut self) -> usize {
+            let mut lost = self.classic.len();
+            self.classic.clear();
+            if let Some((_, slots, _)) = &mut self.population {
+                lost += slots.iter().filter(|&&t| t > SimTime::ZERO).count();
+                slots.fill(SimTime::ZERO);
+            }
+            lost
+        }
+    }
+
+    const POP: u64 = 1_000_000;
+
+    proptest! {
+        /// Random install/register/lookup/clear sequences against the
+        /// dense table. Refreshes hit ranks in any order, often past the
+        /// end of what the sparse table holds and past the population's
+        /// end; installs come at any time, before or after a crash; time
+        /// runs far enough for install-time and refreshed expiries to
+        /// lapse. Same outcomes, bindings, lengths and lost counts.
+        #[test]
+        fn sparse_table_matches_dense_model(
+            ops in proptest::collection::vec((0u8..14, any::<u16>()), 1..300),
+        ) {
+            let mut dir = Directory::with_subscribers(1000, 10);
+            dir.set_synthetic_range(POP, 96);
+            let mut reg = Registrar::default();
+            let mut model = DenseModel::default();
+            let mut now = SimTime::ZERO;
+            for (op, raw) in ops {
+                // Ranks past the installed count (the directory still
+                // covers them up to 96) and uids no range covers.
+                let uid = match raw % 8 {
+                    0 => format!("{}", 1000 + u64::from(raw) % 12),
+                    _ => format!("{}", POP + u64::from(raw) % 100),
+                };
+                let node = NodeId(raw % 4);
+                match op {
+                    0 => {
+                        let count = u64::from(raw) % 97;
+                        reg.bulk_install(now, POP, count, node);
+                        model.bulk_install(now, POP, count, node);
+                    }
+                    1..=5 => {
+                        let ok = op != 5;
+                        let out = reg.register_with(&dir, now, &uid, node, |_| ok);
+                        model.register(&dir, now, &uid, node, ok);
+                        let bound = ok && dir.bind_uid(&uid, |_| true).is_some();
+                        let want = if bound { RegisterOutcome::Ok } else { RegisterOutcome::AuthFailed };
+                        prop_assert_eq!(out, want);
+                    }
+                    6..=8 => prop_assert_eq!(reg.lookup(now, &uid), model.lookup(now, &uid)),
+                    9 => prop_assert_eq!(reg.clear(), model.clear()),
+                    10 | 11 => now += SimDuration::from_secs(u64::from(raw) % 2000),
+                    _ => {
+                        for rank in 0..100 {
+                            let uid = format!("{}", POP + rank);
+                            prop_assert_eq!(reg.lookup(now, &uid), model.lookup(now, &uid), "rank {}", rank);
+                        }
+                    }
+                }
+                prop_assert_eq!(reg.len(), model.len());
+            }
+        }
     }
 }

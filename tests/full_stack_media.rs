@@ -55,6 +55,52 @@ fn clean_lan_scores_toll_quality_for_every_call() {
 }
 
 #[test]
+fn sparse_encoding_matches_full_encoding_counts() {
+    // A span port (`capture_traffic`) makes every frame hop by hop and
+    // re-encodes a payload every tenth frame; an unobserved run encodes
+    // none. With silence suppression on, the talkspurt source decides
+    // which frames are sent at all, so it must step the same way whether
+    // or not anyone reads the payloads: same calls, same signalling, and
+    // the same packet count on every flow.
+    let vad = |capture_traffic| EmpiricalConfig {
+        silence_suppression: true,
+        capture_traffic,
+        ..media_cfg(33)
+    };
+    // The runner's horizon: placement, the 12 s hold, teardown slack.
+    let horizon = SimTime::from_secs(1 + 30 + 22 + 5);
+    let mut unobserved = capacity::experiment::run_world(vad(false), horizon).world;
+    let mut observed = capacity::experiment::run_world(vad(true), horizon).world;
+    assert!(observed.capture.as_ref().is_some_and(|c| !c.is_empty()));
+    let unobserved_flows = packets_by_flow(&unobserved.monitor);
+    assert!(
+        unobserved_flows.len() >= 20,
+        "{} flows",
+        unobserved_flows.len()
+    );
+    assert_eq!(packets_by_flow(&observed.monitor), unobserved_flows);
+    // Talkspurts suppress about half of the 50 frames a second.
+    let sent: u64 = unobserved_flows.values().sum();
+    let continuous = 12 * 50 * unobserved_flows.len() as u64;
+    assert!(
+        sent < continuous * 8 / 10,
+        "{sent} of {continuous} frames sent"
+    );
+    let (a, b) = (unobserved.monitor.report(), observed.monitor.report());
+    assert_eq!(a.sip_total, b.sip_total);
+    let [a, b] = [&mut unobserved, &mut observed].map(|world| {
+        let uac = &mut world.uacs[0];
+        uac.finish();
+        (
+            uac.journal.attempted,
+            uac.journal.outcome_count(loadgen::CallOutcome::Completed),
+        )
+    });
+    assert!(a.1 >= 10, "{} calls completed", a.1);
+    assert_eq!(a, b, "(attempted, completed)");
+}
+
+#[test]
 fn pbx_relays_media_without_loss_on_a_clean_lan() {
     let r = EmpiricalRunner::run(media_cfg(34));
     // Everything endpoints received passed through the PBX relay; on a
