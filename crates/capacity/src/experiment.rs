@@ -5,7 +5,7 @@
 //! both exchange RTP for `h` seconds through the PBX, and blocking rate +
 //! voice quality are evaluated and registered.
 
-use crate::world::{star_hosts, Ev, World, POP_UID_BASE};
+use crate::world::{star_hosts, Ev, World};
 use des::{Scheduler, SchedulerKind, SimDuration, SimTime, Simulation};
 use faults::{FaultKind, FaultSchedule};
 use loadgen::{CallOutcome, HoldingDist, Pacer, RetryPolicy};
@@ -88,13 +88,13 @@ pub struct EmpiricalConfig {
     pub retry: Option<RetryPolicy>,
     /// Finite-source population workload (`None` = the classic fixed
     /// `user_pool` open-loop arrivals). When set, call arrivals come from
-    /// the aggregated Engset engine over `subscribers` users (callers
-    /// `1_000_000 + u`), registration churn runs as a steady state on the
-    /// expiry wheel, and per-call monitor state is retired after hangup —
-    /// the million-subscriber mode. The classic pool still primes (it
-    /// provides the callee extensions); flash-crowd faults and
-    /// pacer-arming overload laws are rejected by
-    /// [`EmpiricalConfig::validate`].
+    /// the aggregated Engset engine over `subscribers` users (caller `u`
+    /// is uid `1_000_000 + u`, or starts past the last classic callee if
+    /// the callees reach 1 000 000), registration churn runs as a steady
+    /// state on the expiry wheel, and per-call monitor state is retired
+    /// after hangup — the million-subscriber mode. The classic pool still
+    /// primes (it provides the callee extensions); flash-crowd faults are
+    /// rejected by [`EmpiricalConfig::validate`].
     pub population: Option<loadgen::PopulationConfig>,
     /// Master RNG seed: a run is a pure function of this value.
     pub seed: u64,
@@ -163,21 +163,14 @@ impl EmpiricalConfig {
     /// links (the switch and one of the two SIPp hosts or a PBX). Anything
     /// else would silently run as a healthy testbed.
     ///
-    /// With a population set, the classic pools stay below its first uid
-    /// ([`POP_UID_BASE`]): callers from 1000 and callees above them, two
-    /// ranges of `user_pool` uids.
-    ///
-    /// The finite-source population composes with neither caller-side
-    /// pacing nor a flash crowd: a paced UAC may defer an INVITE, and the
-    /// deferred call has no Call-ID yet to tie its user's busy mark to —
-    /// the user would never idle again; a flash crowd scales the
-    /// open-loop arrival process, which population mode never reads.
+    /// The finite-source population does not compose with a flash crowd:
+    /// it scales the open-loop arrival process, which population mode
+    /// never reads.
     ///
     /// # Panics
     /// If `user_pool` is 0, if a fault aims outside the farm, or if
-    /// `population` is set together with a classic pool that reaches
-    /// [`POP_UID_BASE`], a pacer-arming overload law or a
-    /// [`FaultKind::FlashCrowd`] in `faults`.
+    /// `population` is set together with a [`FaultKind::FlashCrowd`] in
+    /// `faults`.
     pub fn validate(&self) {
         assert!(
             self.user_pool > 0,
@@ -201,27 +194,13 @@ impl EmpiricalConfig {
                 "fault aimed outside the {servers}-server farm: {event:?}"
             );
         }
-        if self.population.is_none() {
-            return;
-        }
-        let classic_end = crate::world::classic_uid_end(self.user_pool);
         assert!(
-            classic_end <= POP_UID_BASE,
-            "user_pool {} puts classic uids up to {} into the population's range at {POP_UID_BASE}",
-            self.user_pool,
-            classic_end - 1
-        );
-        assert!(
-            self.pacer().is_none(),
-            "population × caller-side pacing is unsupported: {:?} arms a UAC pacer",
-            self.overload_law
-        );
-        assert!(
-            !self
-                .faults
-                .events()
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::FlashCrowd { .. })),
+            self.population.is_none()
+                || !self
+                    .faults
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e.kind, FaultKind::FlashCrowd { .. })),
             "population × FlashCrowd is unsupported: a flash crowd scales the open-loop \
              arrival rate, which population mode never reads"
         );
@@ -823,23 +802,6 @@ mod tests {
             ..EmpiricalConfig::smoke(1)
         }
         .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "into the population's range")]
-    fn a_classic_pool_reaching_the_population_is_rejected() {
-        let mut cfg = EmpiricalConfig::population_scale(1_000, 5.0, 1);
-        // Callers 1000..500_501, callees 500_501..1_000_002.
-        cfg.user_pool = 499_501;
-        cfg.validate();
-    }
-
-    #[test]
-    fn the_largest_classic_pool_below_the_population_is_accepted() {
-        let mut cfg = EmpiricalConfig::population_scale(1_000, 5.0, 1);
-        // Callers 1000..500_500, callees 500_500..1_000_000.
-        cfg.user_pool = 499_500;
-        cfg.validate();
     }
 
     #[test]

@@ -16,8 +16,10 @@ use serde::Serialize;
 pub struct PolicyRow {
     /// Per-user ceiling (`None` = unlimited).
     pub limit: Option<u32>,
-    /// Calls refused by the policy, % of attempts.
-    pub policy_refused_pct: f64,
+    /// Calls that failed, % of attempts: every final error other than 486
+    /// and 503 ([`crate::experiment::RunResult::failed`]). The policy's
+    /// 403 refusals count here, and so would a 404, 480 or 500.
+    pub failed_pct: f64,
     /// Calls blocked for lack of channels, % of attempts.
     pub channel_blocked_pct: f64,
     /// Calls completed, % of attempts.
@@ -63,8 +65,7 @@ pub fn policy_study(
             let pct = |x: u64, attempted: u64| x as f64 / attempted.max(1) as f64 * 100.0;
             PolicyRow {
                 limit,
-                // 403s surface as Failed at the UAC.
-                policy_refused_pct: mean(&|r| pct(r.failed, r.attempted)),
+                failed_pct: mean(&|r| pct(r.failed, r.attempted)),
                 channel_blocked_pct: mean(&|r| pct(r.blocked, r.attempted)),
                 completed_pct: mean(&|r| pct(r.completed, r.attempted)),
                 carried_erlangs: mean(&|r| r.carried_erlangs),
@@ -95,7 +96,7 @@ pub fn render_policy(rows: &[PolicyRow]) -> String {
     let _ = writeln!(
         out,
         "{:>10} {:>14} {:>16} {:>12} {:>10} {:>8}",
-        "limit", "policy-refused", "channel-blocked", "completed", "carried", "peak-N"
+        "limit", "failed", "channel-blocked", "completed", "carried", "peak-N"
     );
     for r in rows {
         let limit = r.limit.map_or("none".to_owned(), |l| l.to_string());
@@ -103,7 +104,7 @@ pub fn render_policy(rows: &[PolicyRow]) -> String {
             out,
             "{:>10} {:>13.1}% {:>15.1}% {:>11.1}% {:>9.1}E {:>8}",
             limit,
-            r.policy_refused_pct,
+            r.failed_pct,
             r.channel_blocked_pct,
             r.completed_pct,
             r.carried_erlangs,
@@ -127,9 +128,9 @@ mod tests {
         let limit1 = &rows[1];
         // Unlimited: blocking comes from the channel pool.
         assert!(unlimited.channel_blocked_pct > 10.0, "{unlimited:?}");
-        assert!(unlimited.policy_refused_pct < 1.0);
+        assert!(unlimited.failed_pct < 1.0);
         // Limit 1: the policy pre-empts most channel blocking.
-        assert!(limit1.policy_refused_pct > 10.0, "{limit1:?}");
+        assert!(limit1.failed_pct > 10.0, "{limit1:?}");
         assert!(
             limit1.channel_blocked_pct < unlimited.channel_blocked_pct,
             "policy relieves the pool: {limit1:?} vs {unlimited:?}"
@@ -154,7 +155,7 @@ mod tests {
                 let pct = |x: u64| x as f64 / r.attempted.max(1) as f64 * 100.0;
                 PolicyRow {
                     limit,
-                    policy_refused_pct: pct(r.failed),
+                    failed_pct: pct(r.failed),
                     channel_blocked_pct: pct(r.blocked),
                     completed_pct: pct(r.completed),
                     carried_erlangs: r.carried_erlangs,
@@ -169,7 +170,7 @@ mod tests {
         let rows = vec![
             PolicyRow {
                 limit: None,
-                policy_refused_pct: 0.0,
+                failed_pct: 0.0,
                 channel_blocked_pct: 19.0,
                 completed_pct: 81.0,
                 carried_erlangs: 160.0,
@@ -177,7 +178,7 @@ mod tests {
             },
             PolicyRow {
                 limit: Some(2),
-                policy_refused_pct: 12.0,
+                failed_pct: 12.0,
                 channel_blocked_pct: 5.0,
                 completed_pct: 83.0,
                 carried_erlangs: 150.0,

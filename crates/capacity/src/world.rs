@@ -31,26 +31,45 @@ use vmon::{FlowId, Monitor};
 /// payload, and the UDP/IP/Ethernet overhead every frame carries.
 const RTP_WIRE_LEN: usize = RTP_HEADER_LEN + SAMPLES_PER_FRAME + 46;
 
-/// First uid of the finite-source population: caller of global rank `u`
-/// is `POP_UID_BASE + u`, above the classic pools
-/// ([`EmpiricalConfig::validate`] keeps them below it).
+/// First uid of the finite-source population, unless the classic callees
+/// reach it: the population then starts past the last callee.
 pub const POP_UID_BASE: u64 = 1_000_000;
 
-/// First caller uid of the classic pools: caller `i` is `CALLER_BASE + i`.
-const CALLER_BASE: u64 = 1000;
-
-/// First callee extension of the classic pools: callee `i` is
-/// `callee_base(user_pool) + i`. Pools of up to 500 users keep the campus
-/// numbering (1500); a larger pool starts its callees past its last
-/// caller, so no uid is both.
-fn callee_base(user_pool: u32) -> u64 {
-    CALLER_BASE + u64::from(user_pool.max(500))
+/// Who the run's users are, decided once from the configuration: three
+/// disjoint uid ranges, read by everything that names a user. Classic
+/// caller `i` is `callers.start + i` and dials `callees.start + i`;
+/// population rank `u` is `population.start + u`.
+struct SubscriberPlan {
+    /// The classic callers, `1000 .. 1000 + user_pool`.
+    callers: Range<u64>,
+    /// The classic callees: from 1500 for pools of up to 500 users (the
+    /// campus numbering), past the last caller for larger ones.
+    callees: Range<u64>,
+    /// The finite-source population: from [`POP_UID_BASE`], or past the
+    /// last callee if the callees reach it; empty without a population.
+    population: Range<u64>,
 }
 
-/// One past the last classic uid. The campus directory covers
-/// `CALLER_BASE..classic_uid_end(user_pool)`, and at least `1000..2000`.
-pub(crate) fn classic_uid_end(user_pool: u32) -> u64 {
-    (callee_base(user_pool) + u64::from(user_pool)).max(2000)
+impl SubscriberPlan {
+    fn new(config: &EmpiricalConfig) -> Self {
+        let pool = u64::from(config.user_pool);
+        let first_callee = 1000 + pool.max(500);
+        let callees = first_callee..first_callee + pool;
+        let pop_base = POP_UID_BASE.max(callees.end);
+        let subscribers = config.population.as_ref().map_or(0, |p| p.subscribers);
+        SubscriberPlan {
+            callers: 1000..1000 + pool,
+            callees,
+            population: pop_base..pop_base + subscribers,
+        }
+    }
+
+    /// The population rank of the user `uid`, if the population holds it.
+    fn population_rank(&self, uid: &str) -> Option<u64> {
+        let uid: u64 = uid.parse().ok()?;
+        let rank = uid.checked_sub(self.population.start)?;
+        (uid < self.population.end).then_some(rank)
+    }
 }
 
 /// How long after a population call ends before its per-call monitor
@@ -62,29 +81,26 @@ const RETIRE_DELAY: SimDuration = SimDuration::from_secs(1);
 /// frame state to O(slice) no matter how large the population bucket.
 const CHURN_SLICE: u64 = 64;
 
-/// Process-wide memo of pre-seeded UAC user interners, keyed by the pool
-/// size: caller uids `1000 .. 1000 + user_pool` and callee extensions
-/// from [`callee_base`], the exact strings the classic placement
-/// path interns on first call from each caller and to each callee.
-/// Every replication clones the base table (the strings are shared
-/// `Arc<str>`s) instead of re-interning the pools from scratch. Interning
-/// is idempotent and only resolved strings reach the wire, so a warm
-/// table is digest-invisible; population-mode callers (uids ≥
-/// [`POP_UID_BASE`]) simply intern cold on top, as before.
-fn shared_user_atoms(user_pool: u32) -> AtomTable {
+/// Process-wide memo of pre-seeded UAC user interners, keyed by the
+/// plan's classic callers and callees: the exact strings the classic
+/// placement path interns on first call from each caller and to each
+/// callee. Every replication clones the base table (the strings are
+/// shared `Arc<str>`s) instead of re-interning the pools from scratch.
+/// Interning is idempotent and only resolved strings reach the wire, so a
+/// warm table is digest-invisible; population callers simply intern cold
+/// on top.
+fn shared_user_atoms(plan: &SubscriberPlan) -> AtomTable {
     use std::sync::{Mutex, OnceLock};
-    static MEMO: OnceLock<Mutex<HashMap<u32, AtomTable>>> = OnceLock::new();
+    static MEMO: OnceLock<Mutex<HashMap<[Range<u64>; 2], AtomTable>>> = OnceLock::new();
     let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = memo
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    map.entry(user_pool)
+    map.entry([plan.callers.clone(), plan.callees.clone()])
         .or_insert_with(|| {
             let mut table = AtomTable::new();
-            for base in [CALLER_BASE, callee_base(user_pool)] {
-                for i in 0..u64::from(user_pool) {
-                    table.intern(&format!("{}", base + i));
-                }
+            for uid in plan.callers.clone().chain(plan.callees.clone()) {
+                table.intern(&format!("{uid}"));
             }
             table
         })
@@ -329,13 +345,11 @@ impl FrameSlab {
 }
 
 /// Live state of the finite-source population workload: the aggregated
-/// arrival engine, the churn wheel, and the call-id → rank map that turns
-/// a hangup back into an idle user. Everything here is O(active calls).
+/// arrival engine and the churn wheel. A call's end finds its user
+/// through the caller uid ([`SubscriberPlan::population_rank`]).
 struct PopState {
     engine: PopulationArrivals,
     churn: ChurnWheel,
-    /// In-flight population calls: UAC Call-ID → engine rank.
-    call_user: HashMap<String, u64>,
 }
 
 /// The complete experiment world.
@@ -378,6 +392,8 @@ pub struct World {
     answers_per_sec: Vec<u64>,
     /// Finite-source population workload (None = classic open loop).
     population: Option<PopState>,
+    /// The uid ranges of the run's users.
+    plan: SubscriberPlan,
     /// Frames in flight; `Ev::HopArrive` names a slot here.
     frames: FrameSlab,
 }
@@ -398,8 +414,12 @@ impl World {
         let hosts: Vec<NodeId> = star_hosts(servers).collect();
         let topo = StarTopology::new(nodes::SWITCH, &hosts, link);
 
-        let campus = u32::try_from(classic_uid_end(config.user_pool) - CALLER_BASE)
-            .expect("the classic pools fit u32 uids");
+        let plan = SubscriberPlan::new(&config);
+        // Every PBX holds exactly the plan's users, secret `pw-<uid>` each.
+        let mut directory = Directory::new();
+        for uids in [&plan.callers, &plan.callees, &plan.population] {
+            directory.set_synthetic_range(uids.start, uids.end - uids.start);
+        }
         let mut pbxes = Vec::with_capacity(servers as usize);
         let mut uacs = Vec::with_capacity(servers as usize);
         for k in 0..servers {
@@ -413,31 +433,23 @@ impl World {
             pbx_cfg.max_calls_per_user = config.max_calls_per_user;
             pbx_cfg.overload_law = config.overload_law;
             pbx_cfg.hostname.clone_from(&hostname);
-            pbxes.push(Pbx::new(pbx_cfg, Directory::with_subscribers(1000, campus)));
+            pbxes.push(Pbx::new(pbx_cfg, directory.clone()));
             let mut uac = Uac::with_tag(nodes::SIPP_CLIENT, pbx_node(k), &hostname, k);
-            uac.preseed_users(shared_user_atoms(config.user_pool));
+            uac.preseed_users(shared_user_atoms(&plan));
             uac.retry_policy = config.retry;
             uac.pacer = config.pacer();
             uacs.push(uac);
         }
 
         let uas = Uas::new(nodes::SIPP_SERVER, config.pickup_delay);
-        let population = config.population.as_ref().map(|pop| {
-            // The population is a second uid range next to the campus pool.
-            for pbx in &mut pbxes {
-                pbx.directory
-                    .set_synthetic_range(POP_UID_BASE, pop.subscribers);
-            }
-            PopState {
-                // The second argument is unused (a frozen call shape).
-                engine: PopulationArrivals::new(pop, 0),
-                churn: ChurnWheel::new(
-                    pop.subscribers,
-                    SimDuration::from_secs_f64(pop.reg_expiry_s),
-                    pop.churn_buckets,
-                ),
-                call_user: HashMap::new(),
-            }
+        let population = config.population.as_ref().map(|pop| PopState {
+            // The second argument is unused (a frozen call shape).
+            engine: PopulationArrivals::new(pop, 0),
+            churn: ChurnWheel::new(
+                pop.subscribers,
+                SimDuration::from_secs_f64(pop.reg_expiry_s),
+                pop.churn_buckets,
+            ),
         });
         let rate = config.erlangs / config.holding.mean();
         World {
@@ -462,6 +474,7 @@ impl World {
             pbx_down: vec![false; servers as usize],
             answers_per_sec: Vec::new(),
             population,
+            plan,
             frames: FrameSlab::default(),
             config,
         }
@@ -483,13 +496,13 @@ impl World {
         // classic pools above still prime — they provide the callee
         // extensions population callers dial.
         if let Some(pop) = self.population.as_ref() {
-            let subscribers = pop.engine.subscribers();
+            let uids = &self.plan.population;
             let tick_period = pop.churn.tick_period();
             for pbx in &mut self.pbxes {
                 pbx.registrar.bulk_install(
                     SimTime::ZERO,
-                    POP_UID_BASE,
-                    subscribers,
+                    uids.start,
+                    uids.end - uids.start,
                     nodes::SIPP_CLIENT,
                 );
             }
@@ -596,17 +609,17 @@ impl World {
         sched: &mut Scheduler<Ev>,
         pbxes: Range<usize>,
     ) {
-        let callees = callee_base(self.config.user_pool);
+        let pairs = self.plan.callers.clone().zip(self.plan.callees.clone());
         let mut frames = Vec::new();
         for k in pbxes {
             // Callee registrations originate from the server node; reuse
             // the UAC message builder via a scratch instance.
             let (node, host) = (pbx_node(k as u32), self.uacs[k].pbx_host());
             let mut callee_side = Uac::with_tag(nodes::SIPP_SERVER, node, host, 9000 + k as u32);
-            for i in 0..u64::from(self.config.user_pool) {
-                let caller = self.uacs[k].register(&format!("{}", CALLER_BASE + i));
+            for (caller, callee) in pairs.clone() {
+                let caller = self.uacs[k].register(&format!("{caller}"));
                 frames.extend(register_frames(nodes::SIPP_CLIENT, caller));
-                let callee = callee_side.register(&format!("{}", callees + i));
+                let callee = callee_side.register(&format!("{callee}"));
                 frames.extend(register_frames(nodes::SIPP_SERVER, callee));
             }
         }
@@ -715,11 +728,15 @@ impl World {
                     }
                     sched.schedule(now + hangup_after, Ev::Hangup { call_id, uac });
                 }
-                UacEvent::Ended { call_id, .. } => {
+                UacEvent::Ended {
+                    call_id, caller, ..
+                } => {
                     self.media.stop(&call_id, nodes::SIPP_CLIENT);
-                    // Population mode: the caller idles again and the
-                    // call's monitor state is queued for retirement.
-                    self.pop_call_over(now, sched, call_id);
+                    // The caller, not the Call-ID, names a population user:
+                    // a shed call's retries and a paced call keep it.
+                    if let Some(rank) = self.plan.population_rank(&caller) {
+                        self.pop_call_over(now, sched, call_id, rank);
+                    }
                 }
                 UacEvent::RetryAfter { call_id, delay } => {
                     // Honour the backoff plus up to 10% jitter so a shed
@@ -1005,15 +1022,8 @@ impl World {
         }
     }
 
-    /// Place one call from uid `caller` to extension `callee` and return
-    /// its Call-ID.
-    fn start_call(
-        &mut self,
-        now: SimTime,
-        sched: &mut Scheduler<Ev>,
-        caller: u64,
-        callee: u64,
-    ) -> String {
+    /// Place one call from uid `caller` to extension `callee`.
+    fn start_call(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, caller: u64, callee: u64) {
         let hold = self.config.holding.sample(&mut self.rng_holding);
         // Uniform random dispatch across the farm — the discipline a
         // DNS SRV pool gives you. (Random, not round-robin: Bernoulli
@@ -1027,17 +1037,16 @@ impl World {
             self.rng_dispatch.below(self.uacs.len() as u64) as usize
         };
         let (caller, callee) = (Decimal::new(caller), Decimal::new(callee));
-        let (call_id, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
+        let (_, events) = self.uacs[k].start_call(now, &caller, &callee, hold);
         self.calls_placed += 1;
         self.process_uac_events(now, sched, k as u32, events);
-        call_id
     }
 
     fn place_call(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if now <= self.placement_end {
-            let pool = self.config.user_pool;
-            let i = self.calls_placed % u64::from(pool);
-            self.start_call(now, sched, CALLER_BASE + i, callee_base(pool) + i);
+            let i = self.calls_placed % u64::from(self.config.user_pool);
+            let (caller, callee) = (self.plan.callers.start + i, self.plan.callees.start + i);
+            self.start_call(now, sched, caller, callee);
             let next = self.arrivals.next_after(now, &mut self.rng_arrivals);
             if next <= self.placement_end {
                 sched.schedule(next, Ev::PlaceCall);
@@ -1082,28 +1091,19 @@ impl World {
 
     /// Place one population call for the user of rank `rank`.
     fn pop_place(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, rank: u64) {
-        let pool = self.config.user_pool;
-        let callee = callee_base(pool) + rank % u64::from(pool);
-        // No pacer is armed in population mode (`EmpiricalConfig::validate`),
-        // so the INVITE is never deferred and the Call-ID is always real.
-        let call_id = self.start_call(now, sched, POP_UID_BASE + rank, callee);
-        if let Some(pop) = self.population.as_mut() {
-            pop.call_user.insert(call_id, rank);
-        }
+        let callee = self.plan.callees.start + rank % u64::from(self.config.user_pool);
+        self.start_call(now, sched, self.plan.population.start + rank, callee);
     }
 
-    /// A population call reached a terminal outcome: the caller rejoins
-    /// the idle set (which stales any outstanding arrival draw — re-draw),
-    /// and the call's monitor state is retired after the media tail.
-    fn pop_call_over(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, call_id: String) {
-        let Some(pop) = self.population.as_mut() else {
-            return;
-        };
-        let Some(rank) = pop.call_user.remove(&call_id) else {
-            return;
-        };
-        pop.engine.call_ended(rank);
-        sched.schedule(now + RETIRE_DELAY, Ev::RetireCall { call_id });
+    /// The call of population rank `rank` reached a terminal outcome: the
+    /// user rejoins the idle set (which stales any outstanding arrival
+    /// draw — re-draw), and the call's monitor state is retired after the
+    /// media tail.
+    fn pop_call_over(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, call: String, rank: u64) {
+        if let Some(pop) = self.population.as_mut() {
+            pop.engine.call_ended(rank);
+        }
+        sched.schedule(now + RETIRE_DELAY, Ev::RetireCall { call_id: call });
         self.pop_draw_next(now, sched);
     }
 
@@ -1148,10 +1148,11 @@ impl World {
         let due = pop.churn.due_range(tick);
         let servers = self.uacs.len() as u64;
         let end = (start + CHURN_SLICE).min(due.end);
+        let base = self.plan.population.start;
         let mut uid = String::with_capacity(20);
         for rank in start..end {
             uid.clear();
-            let _ = write!(uid, "{}", POP_UID_BASE + rank);
+            let _ = write!(uid, "{}", base + rank);
             // Round-robin the auth load across the farm's client engines.
             let k = (rank % servers) as usize;
             let at = now + SimDuration::from_nanos(spacing_ns * (rank - start));
@@ -1268,6 +1269,81 @@ mod tests {
             .fold((0, 0), |(error, queue), s| {
                 (error + s.dropped_error, queue + s.dropped_queue)
             })
+    }
+
+    #[test]
+    fn the_plan_keeps_its_three_ranges_apart() {
+        for pool in [1, 100, 500, 501, 8_000, 499_500, 499_501] {
+            let mut config = EmpiricalConfig::population_scale(1_000_000, 60.0, 7);
+            config.user_pool = pool;
+            config.validate();
+            let plan = SubscriberPlan::new(&config);
+            let ranges = [&plan.callers, &plan.callees, &plan.population];
+            for (i, a) in ranges.iter().enumerate() {
+                assert_eq!(
+                    a.end - a.start,
+                    [u64::from(pool), u64::from(pool), 1_000_000][i]
+                );
+                for b in &ranges[i + 1..] {
+                    assert!(a.end <= b.start, "pool {pool}: {a:?} overlaps {b:?}");
+                }
+            }
+            assert_eq!(plan.callers.start, 1000, "pool {pool}");
+            if pool <= 500 {
+                assert_eq!(plan.callees.start, 1500, "pool {pool}: campus numbering");
+            }
+            if plan.callees.end <= POP_UID_BASE {
+                assert_eq!(plan.population.start, POP_UID_BASE, "pool {pool}");
+            }
+        }
+    }
+
+    /// A population cell whose PBX sheds with 503 and whose callers retry.
+    fn shedding_population() -> EmpiricalConfig {
+        EmpiricalConfig {
+            channels: 20,
+            overload_law: Some(ControlLaw::hysteresis_default()),
+            retry: Some(loadgen::RetryPolicy::default()),
+            ..EmpiricalConfig::population_scale(2_000, 60.0, 7)
+        }
+    }
+
+    /// Users still marked busy in a drained population run.
+    fn busy_users(world: &World) -> u64 {
+        world
+            .population
+            .as_ref()
+            .map(|pop| pop.engine.active())
+            .unwrap()
+    }
+
+    #[test]
+    fn population_users_idle_after_shed_calls_are_retried() {
+        let world = drained(shedding_population());
+        let shed = world.pbxes[0].stats().calls_shed;
+        let retries = world.uacs[0].journal.retries;
+        assert!(shed > 0 && retries > 0, "{shed} shed, {retries} retried");
+        assert_eq!(busy_users(&world), 0, "a retried call's user stayed busy");
+    }
+
+    #[test]
+    fn a_paced_population_idles_every_user() {
+        let config = EmpiricalConfig {
+            overload_law: Some(ControlLaw::rate_based_for(0.2)),
+            ..shedding_population()
+        };
+        let world = drained(config);
+        // Arrivals stop with the window, so INVITEs after it that are not
+        // retries are intents the pacer deferred.
+        let end = world.placement_end();
+        let records = world.pbxes[0].cdr.records();
+        let late = records.iter().filter(|r| r.start > end).count() as u64;
+        let retries = world.uacs[0].journal.retries;
+        assert!(
+            late > retries,
+            "{late} INVITEs after the window, {retries} retries"
+        );
+        assert_eq!(busy_users(&world), 0, "a paced call's user stayed busy");
     }
 
     #[test]

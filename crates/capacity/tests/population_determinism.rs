@@ -41,17 +41,6 @@ proptest! {
     }
 }
 
-/// A paced UAC may defer an INVITE, and a deferred population call has no
-/// Call-ID to hang its user's busy mark on: rejected where the
-/// configuration enters the world, in every build profile.
-#[test]
-#[should_panic(expected = "population × caller-side pacing")]
-fn population_with_a_pacer_arming_law_is_rejected() {
-    let mut cfg = pop_cfg(7, 100, 4.0, 30.0, 8);
-    cfg.overload_law = Some(overload::ControlLaw::rate_based_for(2.0));
-    let _ = capacity::world::World::new(cfg);
-}
-
 /// A flash crowd scales the open-loop arrival rate, which population mode
 /// never reads: it used to be silently ignored.
 #[test]

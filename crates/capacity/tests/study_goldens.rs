@@ -40,7 +40,7 @@ fn policy_rows_are_pinned() {
         .iter()
         .map(|r| {
             bits([
-                r.policy_refused_pct,
+                r.failed_pct,
                 r.channel_blocked_pct,
                 r.completed_pct,
                 r.carried_erlangs,

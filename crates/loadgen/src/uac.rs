@@ -212,6 +212,9 @@ pub enum UacEvent {
     Ended {
         /// The call's Call-ID.
         call_id: String,
+        /// The intent's caller, the same text across every retry of a
+        /// shed call.
+        caller: Arc<str>,
         /// How it ended.
         outcome: CallOutcome,
     },
@@ -757,22 +760,33 @@ impl Uac {
                         _ => CallOutcome::Failed,
                     };
                     self.journal.call_finished(outcome);
-                    let mut evs = vec![ack, UacEvent::Ended { call_id, outcome }];
+                    let caller = call.intent.caller;
+                    let mut evs = vec![
+                        ack,
+                        UacEvent::Ended {
+                            call_id,
+                            caller,
+                            outcome,
+                        },
+                    ];
                     evs.extend(self.pacer_note_terminal());
                     return evs;
                 }
                 vec![]
             }
             Some(Method::Bye) if resp.status.is_final() => {
-                let shed_retries = call.intent.shed_retries;
-                let (call_id, _) = self.calls.remove_entry(call_id).expect("looked up above");
-                let outcome = if shed_retries > 0 {
+                let (call_id, call) = self.calls.remove_entry(call_id).expect("looked up above");
+                let outcome = if call.intent.shed_retries > 0 {
                     CallOutcome::ShedThenOk
                 } else {
                     CallOutcome::Completed
                 };
                 self.journal.call_finished(outcome);
-                let mut evs = vec![UacEvent::Ended { call_id, outcome }];
+                let mut evs = vec![UacEvent::Ended {
+                    call_id,
+                    caller: call.intent.caller,
+                    outcome,
+                }];
                 evs.extend(self.pacer_note_terminal());
                 evs
             }
@@ -926,6 +940,7 @@ mod tests {
             evs,
             vec![UacEvent::Ended {
                 call_id: cid,
+                caller: Arc::from("1001"),
                 outcome: CallOutcome::Completed
             }]
         );
@@ -948,6 +963,7 @@ mod tests {
             evs[1],
             UacEvent::Ended {
                 call_id: cid,
+                caller: Arc::from("1001"),
                 outcome: CallOutcome::Blocked
             }
         );
@@ -1090,10 +1106,12 @@ mod tests {
             SimTime::from_secs(64),
             respond(&bye, StatusCode::OK, None).into(),
         );
+        // The retry ends under its own Call-ID but the shed intent's caller.
         assert_eq!(
             evs,
             vec![UacEvent::Ended {
                 call_id: retry_cid,
+                caller: Arc::from("1001"),
                 outcome: CallOutcome::ShedThenOk
             }]
         );
@@ -1127,6 +1145,7 @@ mod tests {
             evs[1],
             UacEvent::Ended {
                 call_id: retry_invite.call_id().unwrap().to_owned(),
+                caller: Arc::from("1001"),
                 outcome: CallOutcome::Blocked
             }
         );

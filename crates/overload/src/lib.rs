@@ -555,7 +555,7 @@ mod tests {
         let Some(Feedback::Window(hot)) = d.feedback else {
             panic!("window law must advertise a window");
         };
-        assert!(hot < 10 && hot >= 1, "window shrinks past target: {hot}");
+        assert!((1..10).contains(&hot), "window shrinks past target: {hot}");
         let d = law.on_invite(&signals(1.0, 0.0, 0));
         assert!(!d.admit);
         assert_eq!(d.feedback, Some(Feedback::Window(1)));
