@@ -85,6 +85,15 @@ impl CampaignConfig {
         }
     }
 
+    /// Engineered capacity: the load this pool carries at 1 % blocking
+    /// (memoized process-wide), the unit of the swept multipliers.
+    #[must_use]
+    pub fn engineered_erlangs(&self) -> f64 {
+        teletraffic::erlang_b::shared_load_for(self.channels, 0.01)
+            .map(|e| e.value())
+            .unwrap_or(f64::from(self.channels))
+    }
+
     /// The algorithms under comparison: the uncontrolled baseline plus
     /// every law in the [`overload`] suite, feedback laws sized to this
     /// campaign's engineered capacity.
@@ -152,8 +161,11 @@ pub struct CampaignResult {
     pub curves: Vec<AlgorithmCurve>,
 }
 
-/// Build the [`EmpiricalConfig`] for one campaign cell.
-fn cell_config(cc: &CampaignConfig, erlangs: f64, law: Option<ControlLaw>) -> EmpiricalConfig {
+/// Build the [`EmpiricalConfig`] for one campaign cell offering
+/// `erlangs` under `law` (seeded with the campaign seed; `run_campaign`
+/// re-seeds each cell from its grid position).
+#[must_use]
+pub fn cell_config(cc: &CampaignConfig, erlangs: f64, law: Option<ControlLaw>) -> EmpiricalConfig {
     let mut cfg = EmpiricalConfig::smoke(cc.seed);
     cfg.erlangs = erlangs;
     cfg.channels = cc.channels;
@@ -187,11 +199,7 @@ fn cell_config(cc: &CampaignConfig, erlangs: f64, law: Option<ControlLaw>) -> Em
 /// back into curve order.
 #[must_use]
 pub fn run_campaign(cc: &CampaignConfig) -> CampaignResult {
-    // Engineered capacity is the same Newton solve for every cell of
-    // every campaign at this pool size — memoized process-wide.
-    let engineered = teletraffic::erlang_b::shared_load_for(cc.channels, 0.01)
-        .map(|e| e.value())
-        .unwrap_or(f64::from(cc.channels));
+    let engineered = cc.engineered_erlangs();
     let algorithms = cc.algorithms(engineered);
     let n_mult = cc.multipliers.len();
     // One grid cell per (algorithm, multiplier), flat index ai·n_mult + mi,

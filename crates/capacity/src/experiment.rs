@@ -526,22 +526,13 @@ impl EmpiricalRunner {
             end.as_secs_f64(),
         );
 
-        // Steady-state estimate from the CDRs: discard attempts placed
-        // before the pools could have filled (placement start + one mean
-        // holding time).
-        let warmup = SimTime::from_secs_f64(1.0 + world.config.holding.mean());
-        let mut steady_attempts = 0u64;
-        let mut steady_blocked = 0u64;
-        for pbx in &world.pbxes {
-            for rec in pbx.cdr.records() {
-                if rec.start >= warmup {
-                    steady_attempts += 1;
-                    if rec.disposition == pbx_sim::Disposition::Blocked {
-                        steady_blocked += 1;
-                    }
-                }
-            }
-        }
+        // Steady-state estimate from the CDRs' steady window (see
+        // `World::new`).
+        let (steady_attempts, steady_blocked) = world
+            .pbxes
+            .iter()
+            .map(|p| p.cdr.steady())
+            .fold((0, 0), |(n, b), (dn, db)| (n + dn, b + db));
         let steady_pb = if steady_attempts == 0 {
             0.0
         } else {

@@ -247,24 +247,29 @@ mod tests {
 
         // Interior view: the crash lands on PBX 1 alone, and while it is
         // dark (answering nothing) each of the other three keeps answering.
-        let sim = run_world(cfg.clone(), SimTime::from_secs(40));
-        let answered_in_outage = |k: usize| {
-            let (lo, hi) = (
-                SimTime::from_secs_f64(crash_at),
-                SimTime::from_secs_f64(crash_at + outage),
-            );
-            sim.world.pbxes[k]
-                .cdr
-                .records()
-                .iter()
-                .filter(|r| r.answered.is_some_and(|t| t > lo && t < hi))
-                .count()
+        // Read each PBX's answered-call, sent-SIP and relayed-RTP counters
+        // at the crash and just before the restart.
+        let counters = |world: &crate::world::World| -> Vec<[u64; 3]> {
+            let stats = world.pbxes.iter().map(pbx_sim::Pbx::stats);
+            stats
+                .map(|s| [s.calls_answered, s.sip_out, s.rtp_relayed])
+                .collect()
         };
+        let restart = SimTime::from_secs_f64(crash_at + outage);
+        let mut sim = run_world(cfg.clone(), SimTime::from_secs_f64(crash_at));
+        let before = counters(&sim.world);
+        sim.run_until(SimTime::from_nanos(restart.as_nanos() - 1));
+        let during = counters(&sim.world);
+        sim.run_until(SimTime::from_secs(40));
         for (k, pbx) in sim.world.pbxes.iter().enumerate() {
             assert_eq!(pbx.stats().crashes, u64::from(k == 1), "PBX {k}");
         }
         for k in 0..4 {
-            assert_eq!(answered_in_outage(k) == 0, k == 1, "PBX {k}");
+            let [answered, sent, relayed] = [0, 1, 2].map(|i| during[k][i] - before[k][i]);
+            assert_eq!(answered == 0, k == 1, "PBX {k}");
+            if k == 1 {
+                assert_eq!((sent, relayed), (0, 0), "the dark PBX sent nothing");
+            }
         }
 
         let a = EmpiricalRunner::run(cfg);
@@ -306,7 +311,7 @@ mod tests {
             );
             assert_eq!(auth_failures, 0, "PBX {k}");
             assert!(
-                pbx.cdr.records().iter().any(|r| r.answered.is_some()),
+                pbx.cdr.count(pbx_sim::Disposition::Answered) > 0,
                 "PBX {k} bridged no call"
             );
         }

@@ -17,6 +17,7 @@ use media::{DownRoute, MediaPlane, UpRoute, FRAME_PERIOD};
 use netsim::topology::{nodes, StarTopology};
 use netsim::{LinkId, LinkParams, Network, NodeId, SendOutcome};
 use overload::ControlLaw;
+use pbx_sim::cdr::CdrLog;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
 use rtpcore::packet::{RtpDatagram, RtpHeader, RTP_HEADER_LEN};
 use rtpcore::packetizer::SAMPLES_PER_FRAME;
@@ -420,6 +421,9 @@ impl World {
         for uids in [&plan.callers, &plan.callees, &plan.population] {
             directory.set_synthetic_range(uids.start, uids.end - uids.start);
         }
+        // The CDRs' steady window discards attempts placed before the
+        // pools could have filled: placement start + one mean holding time.
+        let warmup = SimTime::from_secs_f64(1.0 + config.holding.mean());
         let mut pbxes = Vec::with_capacity(servers as usize);
         let mut uacs = Vec::with_capacity(servers as usize);
         for k in 0..servers {
@@ -433,7 +437,9 @@ impl World {
             pbx_cfg.max_calls_per_user = config.max_calls_per_user;
             pbx_cfg.overload_law = config.overload_law;
             pbx_cfg.hostname.clone_from(&hostname);
-            pbxes.push(Pbx::new(pbx_cfg, directory.clone()));
+            let mut pbx = Pbx::new(pbx_cfg, directory.clone());
+            pbx.cdr = CdrLog::since(warmup);
+            pbxes.push(pbx);
             let mut uac = Uac::with_tag(nodes::SIPP_CLIENT, pbx_node(k), &hostname, k);
             uac.preseed_users(shared_user_atoms(&plan));
             uac.retry_policy = config.retry;
@@ -1238,7 +1244,8 @@ mod tests {
     use super::*;
     use crate::experiment::run_world;
     use faults::FaultSchedule;
-    use loadgen::HoldingDist;
+    use loadgen::{CallOutcome, HoldingDist};
+    use pbx_sim::Disposition;
     use std::collections::HashSet;
 
     /// Run `config` until no event is left and hand back the world.
@@ -1317,6 +1324,60 @@ mod tests {
             .unwrap()
     }
 
+    /// The CDR conservation laws. Every new INVITE the PBXes saw files
+    /// exactly one CDR, and every call the PBXes closed as answered is a
+    /// call the callers completed, first time or after a shed. The cell
+    /// is loss-free and fault-free, sheds with 503 and retries, and is
+    /// cut mid-run with calls open at both ends (so `finish` files them)
+    /// at an instant with no frame on the wire (so no INVITE, BYE or 200
+    /// is counted at one end only).
+    #[test]
+    fn cdrs_conserve_invites_and_answers() {
+        let config = EmpiricalConfig {
+            erlangs: 16.0,
+            overload_law: Some(ControlLaw::hysteresis_default()),
+            retry: Some(loadgen::RetryPolicy::default()),
+            ..short_cell(17)
+        };
+        let mut sim = run_world(config, SimTime::ZERO);
+        let mut cut = sim.world.placement_end();
+        loop {
+            sim.run_until(cut);
+            if sim.world.frames.live() == 0 {
+                break;
+            }
+            cut += SimDuration::from_millis(1);
+        }
+        let world = &mut sim.world;
+        let mut journal = loadgen::Journal::new();
+        for uac in &mut world.uacs {
+            uac.finish();
+            journal.merge(&uac.journal);
+        }
+        let sum = |pbxes: &[Pbx], f: fn(&Pbx) -> usize| pbxes.iter().map(f).sum::<usize>() as u64;
+        let open = sum(&world.pbxes, Pbx::active_calls);
+        for pbx in &mut world.pbxes {
+            pbx.finish(cut);
+        }
+        // Only a 503 makes a caller retry.
+        assert!(
+            open > 0 && journal.retries > 0,
+            "{open} calls open, {} retried",
+            journal.retries
+        );
+        assert_eq!(
+            sum(&world.pbxes, |p| p.cdr.total()),
+            journal.attempted + journal.retries,
+            "one CDR per new INVITE"
+        );
+        let outcome = |o| journal.outcome_count(o);
+        assert_eq!(
+            sum(&world.pbxes, |p| p.cdr.count(Disposition::Answered)),
+            outcome(CallOutcome::Completed) + outcome(CallOutcome::ShedThenOk),
+            "answered CDRs are completed calls"
+        );
+    }
+
     #[test]
     fn population_users_idle_after_shed_calls_are_retried() {
         let world = drained(shedding_population());
@@ -1332,12 +1393,19 @@ mod tests {
             overload_law: Some(ControlLaw::rate_based_for(0.2)),
             ..shedding_population()
         };
-        let world = drained(config);
         // Arrivals stop with the window, so INVITEs after it that are not
-        // retries are intents the pacer deferred.
-        let end = world.placement_end();
-        let records = world.pbxes[0].cdr.records();
-        let late = records.iter().filter(|r| r.start > end).count() as u64;
+        // retries are intents the pacer deferred. Every new INVITE files
+        // one CDR when it is refused or its call closes, so the INVITEs
+        // seen so far are the filed CDRs plus the live calls.
+        let seen = |pbx: &Pbx| pbx.cdr.total() + pbx.active_calls();
+        let mut sim = run_world(config, SimTime::ZERO);
+        let end = sim.world.placement_end();
+        sim.run_until(end);
+        let in_window = seen(&sim.world.pbxes[0]);
+        sim.run_until(SimTime::from_secs(100_000));
+        assert!(sim.sched.is_empty(), "the run drains");
+        let world = sim.world;
+        let late = (seen(&world.pbxes[0]) - in_window) as u64;
         let retries = world.uacs[0].journal.retries;
         assert!(
             late > retries,
@@ -1350,38 +1418,61 @@ mod tests {
     fn a_campus_sized_pool_keeps_callers_and_callees_apart() {
         // The paper's 8 000-user campus at 100 E: 165 channels block
         // almost nothing, so every call should complete.
+        // The span port shows which uids the calls drew.
         let config = EmpiricalConfig {
             user_pool: 8000,
             placement_window_s: 120.0,
+            capture_traffic: true,
             ..EmpiricalConfig::signalling_only(100.0, 2015)
         };
         let mut world = drained(config);
         let until = world.placement_end();
+        let pcap = world.capture.as_ref().expect("capture is on").to_bytes();
+        let (mut callers, mut callees) = (HashSet::new(), HashSet::new());
+        for packet in vmon::pcap::read_pcap(&pcap).expect("valid pcap") {
+            let parsed = sipcore::parse_message(&packet.payload);
+            let Ok(SipMessage::Request(invite)) = parsed else {
+                continue;
+            };
+            if packet.src_node != nodes::SIPP_CLIENT.0 || invite.method != sipcore::Method::Invite {
+                continue;
+            }
+            let from = invite.headers.get(&sipcore::HeaderName::From);
+            let caller = from.and_then(|f| f.split_once("sip:")?.1.split_once('@'));
+            let uid = |user: &str| user.parse::<u64>().expect("a numeric uid");
+            callers.insert(uid(caller.expect("From names the caller").0));
+            callees.insert(uid(&invite.uri.user));
+        }
         let pbx = &mut world.pbxes[0];
         assert_eq!(
             pbx.active_calls(),
             0,
             "every call ended and freed its channel"
         );
-        let records = pbx.cdr.records();
-        let callers: HashSet<String> = records.iter().map(|r| r.caller.clone()).collect();
-        let callees: HashSet<String> = records.iter().map(|r| r.callee.clone()).collect();
         assert!(
             callers.len() > 50 && callees.len() > 50,
             "{} calls",
-            records.len()
+            pbx.cdr.total()
         );
+        let plan = &world.plan;
         assert!(
-            callers.is_disjoint(&callees),
+            plan.callers.end <= plan.callees.start,
             "a uid is both caller and callee"
         );
+        assert!(callers.iter().all(|uid| plan.callers.contains(uid)));
+        assert!(callees.iter().all(|uid| plan.callees.contains(uid)));
+        // Every uid a call can name, not only those the calls drew.
         for (uids, home) in [
-            (&callers, nodes::SIPP_CLIENT),
-            (&callees, nodes::SIPP_SERVER),
+            (plan.callers.clone(), nodes::SIPP_CLIENT),
+            (plan.callees.clone(), nodes::SIPP_SERVER),
         ] {
             for uid in uids {
-                let bound = pbx.registrar.lookup(until, uid).map(|b| b.node);
-                assert_eq!(bound, Some(home), "{uid} is registered where it lives");
+                let bound = pbx.registrar.lookup(until, &uid.to_string());
+                assert_eq!(
+                    bound.map(|b| b.node),
+                    Some(home),
+                    "{uid} is registered where it lives"
+                );
             }
         }
         let uac = &mut world.uacs[0];

@@ -11,7 +11,7 @@
 //! datagrams go in, [`PbxAction`]s come out; the surrounding world (the
 //! `capacity` experiment, tests, benches) owns transport and time.
 
-use crate::cdr::{CallRecord, CdrLog, Disposition};
+use crate::cdr::{CdrLog, Disposition};
 use crate::channels::{ChannelId, ChannelPool};
 use crate::cpu::CpuModel;
 use crate::dialplan::{Dialplan, Route};
@@ -98,12 +98,16 @@ pub struct PbxStats {
     pub rtp_relayed: u64,
     /// RTP packets dropped (no session for the port).
     pub rtp_dropped: u64,
-    /// INVITEs refused for lack of a channel.
+    /// INVITEs refused for lack of a channel (the CDR's `Blocked` tally).
     pub calls_blocked: u64,
-    /// INVITEs refused by the per-user call policy.
+    /// INVITEs refused by the per-user call policy (the CDR's
+    /// `PolicyRefused` tally).
     pub calls_policy_refused: u64,
-    /// INVITEs shed by overload control (503 + Retry-After).
+    /// INVITEs shed by overload control, 503 + Retry-After (the CDR's
+    /// `Shed` tally).
     pub calls_shed: u64,
+    /// Calls the callee answered (each counted once, at its first 200).
+    pub calls_answered: u64,
     /// Crash faults this PBX has absorbed.
     pub crashes: u64,
 }
@@ -132,6 +136,9 @@ struct Leg {
 
 #[derive(Debug, Clone)]
 struct Call {
+    /// Admission serial: names the callee leg (`b2b-<serial>`) and the
+    /// branches of the requests the PBX sends on it.
+    serial: u64,
     channel: ChannelId,
     state: CallState,
     caller: Leg,
@@ -143,9 +150,11 @@ struct Call {
     /// The dialled extension, shared with the caller's Request-URI: the
     /// user of every request the PBX sends on the callee leg.
     callee_user: Arc<str>,
+    /// The caller's uid, from its From header: the user of the callee
+    /// leg's From and of a BYE the PBX forwards to the caller.
+    caller_uid: Arc<str>,
     /// Which leg initiated teardown (true = caller sent the BYE).
     bye_from_caller: bool,
-    record: CallRecord,
     /// To-tag the PBX uses on caller-facing responses.
     pbx_tag: String,
     /// Compact summary of the caller's SDP offer (four machine words;
@@ -176,7 +185,9 @@ pub struct Pbx {
     dialplan: Dialplan,
     stats: PbxStats,
     active_per_user: FastMap<String, u32>,
+    /// Live calls; a closed call's slot goes on `vacant_slots` for the next.
     calls: Vec<Option<Call>>,
+    vacant_slots: Vec<usize>,
     by_caller_call_id: FastMap<String, usize>,
     by_callee_call_id: FastMap<String, usize>,
     by_pbx_port: PortTable, // port -> far leg's (node, rtp port)
@@ -243,6 +254,7 @@ impl Pbx {
             stats: PbxStats::default(),
             active_per_user: FastMap::default(),
             calls: Vec::new(),
+            vacant_slots: Vec::new(),
             by_caller_call_id: FastMap::default(),
             by_callee_call_id: FastMap::default(),
             by_pbx_port: PortTable::new(),
@@ -260,14 +272,20 @@ impl Pbx {
         }
     }
 
-    /// Counters.
+    /// Counters; the three refusal counts are the CDR's tallies.
     #[must_use]
     pub fn stats(&self) -> PbxStats {
-        self.stats
+        let tally = |d| self.cdr.count(d) as u64;
+        PbxStats {
+            calls_blocked: tally(Disposition::Blocked),
+            calls_policy_refused: tally(Disposition::PolicyRefused),
+            calls_shed: tally(Disposition::Shed),
+            ..self.stats
+        }
     }
 
     /// Number of live bridged calls, read off the live Call-ID index
-    /// (`calls` keeps a slot for every call ever placed).
+    /// (`calls` also holds the free slots awaiting the next call).
     #[must_use]
     pub fn active_calls(&self) -> usize {
         self.by_caller_call_id.len()
@@ -330,7 +348,7 @@ impl Pbx {
         }
         self.pool.flush(now);
         self.registrar.clear();
-        self.clear_call_indices();
+        self.clear_calls();
         if let Some(law) = self.law.as_mut() {
             law.on_crash();
         }
@@ -343,18 +361,18 @@ impl Pbx {
     pub fn finish(&mut self, now: SimTime) {
         self.cpu.finish(now);
         for slot in &mut self.calls {
-            if let Some(call) = slot.take() {
-                let mut record = call.record;
-                record.disposition = Disposition::InProgress;
-                self.cdr.push(record);
+            if slot.take().is_some() {
+                self.cdr.file(now, Disposition::InProgress);
             }
         }
-        self.clear_call_indices();
+        self.clear_calls();
     }
 
-    /// Forget every index into the call slots — Call-IDs, media ports and
-    /// per-user counts — once the slots themselves have been emptied.
-    fn clear_call_indices(&mut self) {
+    /// Forget the call slots and every index into them — Call-IDs, media
+    /// ports and per-user counts — once each live call has been filed.
+    fn clear_calls(&mut self) {
+        self.calls.clear();
+        self.vacant_slots.clear();
         self.by_caller_call_id.clear();
         self.by_callee_call_id.clear();
         self.by_pbx_port.clear();
@@ -485,20 +503,10 @@ impl Pbx {
         if let Some(&idx) = self.by_caller_call_id.get(call_id) {
             return self.on_reinvite(from, idx, &req);
         }
+        // A new INVITE: it files exactly one CDR, at refusal or when the
+        // call it opens is closed.
+        self.cdr.open(now);
         let extension = &*req.uri.user;
-        let record = CallRecord {
-            call_id: call_id.to_owned(),
-            caller: req
-                .headers
-                .get(&HeaderName::From)
-                .and_then(extract_user)
-                .unwrap_or_default(),
-            callee: extension.to_owned(),
-            start: now,
-            answered: None,
-            end: None,
-            disposition: Disposition::Failed,
-        };
         // Overload control: shed *new* work before spending any routing or
         // channel effort on it (that is the point of shedding). A law may
         // also advertise feedback, which rides on this call's 100 Trying
@@ -524,7 +532,7 @@ impl Pbx {
                         let _ = write!(b, "{fb}");
                     });
                 }
-                return self.refuse(now, from, record, Disposition::Shed, resp);
+                return self.refuse(now, from, Disposition::Shed, resp);
             }
             admit_feedback = decision.feedback;
         }
@@ -537,29 +545,33 @@ impl Pbx {
         };
         let Some(callee_node) = binding.map(|b| b.node) else {
             let resp = req.make_response(StatusCode::NOT_FOUND);
-            return self.refuse(now, from, record, Disposition::Failed, resp);
+            return self.refuse(now, from, Disposition::Failed, resp);
         };
 
+        // The caller's uid keys the policy ceiling and names the caller on
+        // the callee leg.
+        let caller_uid = req
+            .headers
+            .get(&HeaderName::From)
+            .and_then(extract_user)
+            .unwrap_or_default();
         // Call policy: per-user concurrent-call ceiling (paper §IV).
         if let Some(limit) = self.config.max_calls_per_user {
-            let active = self
-                .active_per_user
-                .get(&record.caller)
-                .copied()
-                .unwrap_or(0);
+            let active = self.active_per_user.get(caller_uid).copied().unwrap_or(0);
             if active >= limit {
                 let resp = req.make_response(StatusCode::FORBIDDEN);
-                return self.refuse(now, from, record, Disposition::PolicyRefused, resp);
+                return self.refuse(now, from, Disposition::PolicyRefused, resp);
             }
         }
 
         // Admission control: the finite channel pool.
         let Some(channel) = self.pool.allocate(now) else {
             let resp = req.make_response(StatusCode::BUSY_HERE);
-            return self.refuse(now, from, record, Disposition::Blocked, resp);
+            return self.refuse(now, from, Disposition::Blocked, resp);
         };
         // Admitted: the Call-ID also keys the live-call index.
-        let caller_call_id = record.call_id.clone();
+        let caller_call_id = call_id.to_owned();
+        let caller_uid: Arc<str> = Arc::from(caller_uid);
 
         // Caller's media coordinates and codec from its SDP offer. A
         // structured `Body::Sdp` answers from its fields; a wire body gets
@@ -568,12 +580,12 @@ impl Pbx {
         let caller_rtp_port = caller_sdp.map(|s| s.audio_port).unwrap_or(0);
         let offer_codec = caller_sdp.map(|s| s.codec).unwrap_or(SdpCodec::Pcmu);
 
-        let serial = self.next_call_serial;
+        let admitted = self.next_call_serial;
         self.next_call_serial += 1;
         let pbx_port_for_caller = self.by_pbx_port.alloc();
         let pbx_port_for_callee = self.by_pbx_port.alloc();
         let host = self.config.hostname.as_str();
-        let serial = Decimal::new(serial);
+        let serial = Decimal::new(admitted);
         let callee_call_id = ["b2b-", &serial, "@", host].concat();
 
         // Build the PBX-originated INVITE towards the callee, offering the
@@ -597,7 +609,7 @@ impl Pbx {
                 ),
                 (
                     HeaderName::From,
-                    &["<sip:", &record.caller, "@", host, ">;tag=pbxout", &serial],
+                    &["<sip:", &caller_uid, "@", host, ">;tag=pbxout", &serial],
                 ),
                 (HeaderName::To, &["<sip:", extension, "@", host, ">"]),
                 (HeaderName::CallId, &[&callee_call_id]),
@@ -612,13 +624,12 @@ impl Pbx {
         );
         let out_invite = out_invite.with_sdp(sdp);
 
-        match self.active_per_user.get_mut(&record.caller) {
+        match self.active_per_user.get_mut(&*caller_uid) {
             Some(active) => *active += 1,
             None => {
-                self.active_per_user.insert(record.caller.clone(), 1);
+                self.active_per_user.insert(caller_uid.to_string(), 1);
             }
         }
-        let idx = self.calls.len();
         let pbx_tag = ["pbxuas", &serial].concat();
         // Build the 100 Trying before the INVITE moves into the call slot
         // (the stored original serves every later caller-facing response).
@@ -628,8 +639,8 @@ impl Pbx {
                 let _ = write!(b, "{fb}");
             });
         }
-        self.by_caller_call_id.insert(caller_call_id, idx);
-        self.calls.push(Some(Call {
+        let call = Call {
+            serial: admitted,
             channel,
             state: CallState::Inviting,
             caller: Leg {
@@ -643,12 +654,23 @@ impl Pbx {
             caller_invite: req,
             callee_call_id: callee_call_id.clone(),
             callee_user,
+            caller_uid,
             bye_from_caller: true,
-            record,
             pbx_tag,
             caller_sdp,
             codec: offer_codec,
-        }));
+        };
+        let idx = match self.vacant_slots.pop() {
+            Some(idx) => {
+                self.calls[idx] = Some(call);
+                idx
+            }
+            None => {
+                self.calls.push(Some(call));
+                self.calls.len() - 1
+            }
+        };
+        self.by_caller_call_id.insert(caller_call_id, idx);
         self.by_callee_call_id.insert(callee_call_id, idx);
         // Media from the caller goes to the callee, whose port its 200
         // will name; media from the callee goes back to the caller's offer.
@@ -704,15 +726,15 @@ impl Pbx {
         };
         // Forward the ACK on the callee leg to complete its handshake.
         let host = self.config.hostname.as_str();
-        let (caller, callee) = (call.record.caller.as_str(), call.record.callee.as_str());
-        let slot = Decimal::new(idx as u64);
+        let (caller, callee) = (&*call.caller_uid, &*call.callee_user);
+        let serial = Decimal::new(call.serial);
         let uri = SipUri::shared(Arc::clone(&call.callee_user), Arc::clone(&self.host));
         let mut ack = Request::new(Method::Ack, uri);
         ack.headers = HeaderMap::from_parts(
             [
                 (
                     HeaderName::Via,
-                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbxack", &slot],
+                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbxack", &serial],
                 ),
                 (HeaderName::CallId, &[&call.callee_call_id]),
                 (HeaderName::CSeq, &["1 ACK"]),
@@ -757,19 +779,19 @@ impl Pbx {
         } else {
             (
                 call.caller.node,
-                Arc::from(call.record.caller.as_str()),
+                Arc::clone(&call.caller_uid),
                 call.caller_invite.call_id().unwrap_or(""),
             )
         };
         let host = self.config.hostname.as_str();
-        let slot = Decimal::new(idx as u64);
+        let serial = Decimal::new(call.serial);
         let uri = SipUri::shared(other_user, Arc::clone(&self.host));
         let mut bye = Request::new(Method::Bye, uri);
         bye.headers = HeaderMap::from_parts(
             [
                 (
                     HeaderName::Via,
-                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbxbye", &slot],
+                    &["SIP/2.0/UDP ", host, ":5060;branch=z9hG4bKpbxbye", &serial],
                 ),
                 (HeaderName::CallId, &[other_call_id]),
                 (HeaderName::CSeq, &["2 BYE"]),
@@ -855,8 +877,10 @@ impl Pbx {
                     if let Some(codec) = resp.body.sdp_codec() {
                         call.codec = codec;
                     }
+                    if matches!(call.state, CallState::Inviting | CallState::Ringing) {
+                        self.stats.calls_answered += 1;
+                    }
                     call.state = CallState::Answered;
-                    call.record.answered = Some(now);
                     let caller_node = call.caller.node;
                     let fwd = self.caller_ok_with_sdp(idx);
                     vec![self.reply(caller_node, fwd)]
@@ -938,32 +962,22 @@ impl Pbx {
         self.caller_response(idx, StatusCode::OK).with_sdp(sdp)
     }
 
-    /// Refuse a new INVITE with `resp`: file its CDR as `disposition`,
-    /// ended now, and bump the one counter that disposition has.
+    /// Refuse a new INVITE with `resp`, filing its CDR as `disposition`.
     fn refuse(
         &mut self,
         now: SimTime,
         from: NodeId,
-        mut record: CallRecord,
         disposition: Disposition,
         resp: Response,
     ) -> Vec<PbxAction> {
-        match disposition {
-            Disposition::Shed => self.stats.calls_shed += 1,
-            Disposition::PolicyRefused => self.stats.calls_policy_refused += 1,
-            Disposition::Blocked => self.stats.calls_blocked += 1,
-            _ => {}
-        }
-        record.end = Some(now);
-        record.disposition = disposition;
-        self.cdr.push(record);
+        self.cdr.file(now, disposition);
         vec![self.reply(from, resp)]
     }
 
     fn close_call(&mut self, now: SimTime, idx: usize, disposition: Disposition) {
         if let Some(call) = self.calls[idx].take() {
             self.pool.release(now, call.channel);
-            if let Some(n) = self.active_per_user.get_mut(&call.record.caller) {
+            if let Some(n) = self.active_per_user.get_mut(&*call.caller_uid) {
                 *n = n.saturating_sub(1);
             }
             self.by_pbx_port.remove(call.caller.pbx_port);
@@ -972,10 +986,8 @@ impl Pbx {
                 self.by_caller_call_id.remove(cid);
             }
             self.by_callee_call_id.remove(&call.callee_call_id);
-            let mut record = call.record;
-            record.end = Some(now);
-            record.disposition = disposition;
-            self.cdr.push(record);
+            self.vacant_slots.push(idx);
+            self.cdr.file(now, disposition);
         }
     }
 
@@ -1010,11 +1022,11 @@ fn parse_simple_auth(value: &str) -> Option<(&str, &str)> {
 }
 
 /// Extract the user part from a From/To header value.
-fn extract_user(value: &str) -> Option<String> {
+fn extract_user(value: &str) -> Option<&str> {
     let start = value.find("sip:")? + 4;
     let rest = &value[start..];
     let end = rest.find('@')?;
-    Some(rest[..end].to_owned())
+    Some(&rest[..end])
 }
 
 #[cfg(test)]
@@ -1235,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn answered_call_produces_cdr_with_billsec() {
+    fn answered_call_files_one_answered_cdr() {
         let mut pbx = pbx_with_users();
         establish_call(&mut pbx, "cdr-test");
         let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
@@ -1243,20 +1255,15 @@ mod tests {
             .header(HeaderName::CSeq, "2 BYE");
         let acts = pbx.handle_sip(SimTime::from_secs(123), CALLER_NODE, bye.into());
         let fwd_bye = sip_of(&acts[0]).as_request().unwrap().clone();
+        assert_eq!(&*fwd_bye.uri.user, "1002", "the BYE goes to the callee");
         pbx.handle_sip(
             SimTime::from_secs(123),
             CALLEE_NODE,
             fwd_bye.make_response(StatusCode::OK).into(),
         );
         assert_eq!(pbx.cdr.total(), 1);
-        let rec = &pbx.cdr.records()[0];
-        assert_eq!(rec.disposition, Disposition::Answered);
-        assert!(
-            (rec.billsec() - 120.0).abs() < 1e-9,
-            "answered t=3, ended t=123"
-        );
-        assert_eq!(rec.caller, "1001");
-        assert_eq!(rec.callee, "1002");
+        assert_eq!(pbx.cdr.count(Disposition::Answered), 1);
+        assert_eq!(pbx.stats().calls_answered, 1);
         assert_eq!(pbx.active_calls(), 0);
         assert_eq!(pbx.pool.in_use(), 0, "channel released");
     }
@@ -1413,14 +1420,11 @@ mod tests {
         assert_eq!(resp.status, StatusCode::BUSY_HERE);
         assert_eq!(pbx.stats().calls_blocked, 1);
         assert_eq!(pbx.stats().sip_errors_sent, 1);
+        // A refused call's record is filed when it is refused; the
+        // admitted one stays open.
         assert_eq!(pbx.cdr.count(Disposition::Blocked), 1);
-        // A refused call's record ends when it is refused.
-        let refused = pbx.cdr.records().last().unwrap();
-        assert_eq!(refused.end, Some(SimTime::from_secs(2)));
-        assert!(
-            (pbx.cdr.blocking_probability() - 1.0).abs() < 1e-12,
-            "1 of 1 completed attempts blocked so far"
-        );
+        assert_eq!(pbx.cdr.total(), 1, "1 of 1 filed records blocked so far");
+        assert_eq!(pbx.cdr.steady(), (2, 1));
     }
 
     #[test]
@@ -1559,10 +1563,38 @@ mod tests {
         assert_eq!(pbx.active_calls(), 0);
     }
 
+    /// A closed call's slot serves the next call, and the requests the
+    /// PBX sends on the callee leg still name the admission serial.
+    #[test]
+    fn closed_call_slots_are_reused_and_branches_keep_the_serial() {
+        let mut pbx = pbx_with_users();
+        let hang_up = |pbx: &mut Pbx, cid: &str| {
+            let bye = Request::new(Method::Bye, sipcore::SipUri::new("1002", "pbx.unb.br"))
+                .header(HeaderName::CallId, cid)
+                .header(HeaderName::CSeq, "2 BYE");
+            let acts = pbx.handle_sip(SimTime::from_secs(5), CALLER_NODE, bye.into());
+            let fwd = sip_of(&acts[0]).as_request().unwrap().clone();
+            let via = fwd.headers.get(&HeaderName::Via).unwrap().to_owned();
+            pbx.handle_sip(
+                SimTime::from_secs(5),
+                CALLEE_NODE,
+                fwd.make_response(StatusCode::OK).into(),
+            );
+            via
+        };
+        for (serial, cid) in ["first", "second", "third"].into_iter().enumerate() {
+            establish_call(&mut pbx, cid);
+            let via = hang_up(&mut pbx, cid);
+            assert!(via.ends_with(&format!("z9hG4bKpbxbye{serial}")), "{via}");
+            assert_eq!(pbx.calls.len(), 1, "{cid} reused the one slot");
+        }
+        assert_eq!(pbx.cdr.count(Disposition::Answered), 3);
+    }
+
     #[test]
     fn active_calls_is_the_live_index() {
-        // The O(1) answer equals a scan of the never-shrinking call slab
-        // after every step that opens or closes a call.
+        // The O(1) answer equals a scan of the call slots after every
+        // step that opens or closes a call.
         fn check(pbx: &Pbx, want: usize) {
             let scanned = pbx.calls.iter().filter(|c| c.is_some()).count();
             assert_eq!((pbx.active_calls(), scanned), (want, want));

@@ -1,5 +1,11 @@
 //! Call detail records — Asterisk's CDR facility, which the paper lists
 //! among the PBX features motivating its selection.
+//!
+//! Asterisk hands each record to a backend when the call ends; the
+//! simulated backend keeps what the experiments read of them: a tally per
+//! [`Disposition`] and the steady-window blocking counts. Every new INVITE
+//! files exactly one record, so the journal's size does not grow with the
+//! attempts it has seen.
 
 use des::SimTime;
 
@@ -25,167 +31,114 @@ pub enum Disposition {
     InProgress,
 }
 
-/// One call's record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CallRecord {
-    /// SIP Call-ID.
-    pub call_id: String,
-    /// Caller address-of-record.
-    pub caller: String,
-    /// Dialled destination.
-    pub callee: String,
-    /// INVITE arrival time.
-    pub start: SimTime,
-    /// 200 OK time, if answered.
-    pub answered: Option<SimTime>,
-    /// Teardown time, if ended.
-    pub end: Option<SimTime>,
-    /// Final disposition.
-    pub disposition: Disposition,
-}
-
-impl CallRecord {
-    /// Billable seconds (answer to end), 0 if never answered.
-    #[must_use]
-    pub fn billsec(&self) -> f64 {
-        match (self.answered, self.end) {
-            (Some(a), Some(e)) => e.since(a).as_secs_f64(),
-            _ => 0.0,
-        }
-    }
-
-    /// Total duration from INVITE to teardown.
-    #[must_use]
-    pub fn duration(&self) -> f64 {
-        match self.end {
-            Some(e) => e.since(self.start).as_secs_f64(),
-            None => 0.0,
-        }
-    }
-}
-
-/// Accumulating CDR journal.
+/// The CDR journal: records filed per disposition, plus the attempts and
+/// blocked calls of the steady window — INVITEs arriving at or after an
+/// instant chosen when the journal is made.
 #[derive(Debug, Clone, Default)]
 pub struct CdrLog {
-    records: Vec<CallRecord>,
+    /// Records filed, indexed by `Disposition as usize`.
+    filed: [usize; Disposition::InProgress as usize + 1],
+    steady_from: SimTime,
+    steady_attempts: u64,
+    steady_blocked: u64,
 }
 
 impl CdrLog {
-    /// An empty journal.
+    /// An empty journal whose steady window is the whole run.
     #[must_use]
     pub fn new() -> Self {
         CdrLog::default()
     }
 
-    /// Append a record.
-    pub fn push(&mut self, r: CallRecord) {
-        self.records.push(r);
-    }
-
-    /// All records.
+    /// An empty journal whose steady window opens at `from`.
     #[must_use]
-    pub fn records(&self) -> &[CallRecord] {
-        &self.records
+    pub fn since(from: SimTime) -> Self {
+        CdrLog {
+            steady_from: from,
+            ..CdrLog::default()
+        }
     }
 
-    /// Count records with the given disposition.
+    /// A new INVITE arrived at `now`; it will file exactly one record.
+    pub fn open(&mut self, now: SimTime) {
+        if now >= self.steady_from {
+            self.steady_attempts += 1;
+        }
+    }
+
+    /// File one record as `disposition` at `now`. A [`Disposition::Blocked`]
+    /// record is only ever filed when its INVITE arrives, so `now` is then
+    /// its start and the steady-window blocked count is taken here.
+    pub fn file(&mut self, now: SimTime, disposition: Disposition) {
+        self.filed[disposition as usize] += 1;
+        if disposition == Disposition::Blocked && now >= self.steady_from {
+            self.steady_blocked += 1;
+        }
+    }
+
+    /// Records filed with the given disposition.
     #[must_use]
     pub fn count(&self, d: Disposition) -> usize {
-        self.records.iter().filter(|r| r.disposition == d).count()
+        self.filed[d as usize]
     }
 
-    /// Total attempts.
+    /// Records filed.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.records.len()
+        self.filed.iter().sum()
     }
 
-    /// Blocking probability observed: blocked / total attempts.
+    /// `(attempts, blocked)` among the INVITEs of the steady window.
     #[must_use]
-    pub fn blocking_probability(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.count(Disposition::Blocked) as f64 / self.records.len() as f64
+    pub fn steady(&self) -> (u64, u64) {
+        (self.steady_attempts, self.steady_blocked)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use des::SimDuration;
-
-    fn answered_record(start_s: u64, bill_s: u64) -> CallRecord {
-        let start = SimTime::from_secs(start_s);
-        let ans = start + SimDuration::from_millis(350);
-        CallRecord {
-            call_id: format!("c{start_s}"),
-            caller: "1001@pbx".into(),
-            callee: "2001@pbx".into(),
-            start,
-            answered: Some(ans),
-            end: Some(ans + SimDuration::from_secs(bill_s)),
-            disposition: Disposition::Answered,
-        }
-    }
 
     #[test]
-    fn billsec_and_duration() {
-        let r = answered_record(10, 120);
-        assert!((r.billsec() - 120.0).abs() < 1e-9);
-        assert!((r.duration() - 120.35).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unanswered_has_zero_billsec() {
-        let r = CallRecord {
-            call_id: "x".into(),
-            caller: "a".into(),
-            callee: "b".into(),
-            start: SimTime::from_secs(1),
-            answered: None,
-            end: Some(SimTime::from_secs(2)),
-            disposition: Disposition::Blocked,
-        };
-        assert_eq!(r.billsec(), 0.0);
-        assert!((r.duration() - 1.0).abs() < 1e-12);
-        let r2 = CallRecord {
-            end: None,
-            disposition: Disposition::InProgress,
-            ..r
-        };
-        assert_eq!(r2.duration(), 0.0);
-    }
-
-    #[test]
-    fn journal_counts_and_blocking() {
+    fn journal_counts_per_disposition() {
         let mut log = CdrLog::new();
         for i in 0..8 {
-            log.push(answered_record(i, 100));
+            log.file(SimTime::from_secs(100 + i), Disposition::Answered);
         }
         for i in 0..2 {
-            log.push(CallRecord {
-                call_id: format!("b{i}"),
-                caller: "c".into(),
-                callee: "d".into(),
-                start: SimTime::from_secs(50 + i),
-                answered: None,
-                end: Some(SimTime::from_secs(50 + i)),
-                disposition: Disposition::Blocked,
-            });
+            log.file(SimTime::from_secs(50 + i), Disposition::Blocked);
         }
         assert_eq!(log.total(), 10);
         assert_eq!(log.count(Disposition::Answered), 8);
         assert_eq!(log.count(Disposition::Blocked), 2);
         assert_eq!(log.count(Disposition::Failed), 0);
-        assert!((log.blocking_probability() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn steady_window_counts_arrivals_from_its_start() {
+        let mut log = CdrLog::since(SimTime::from_secs(10));
+        for (at, disposition) in [
+            (9, Disposition::Blocked),
+            (10, Disposition::Blocked),
+            (11, Disposition::Shed),
+            (12, Disposition::Blocked),
+        ] {
+            let now = SimTime::from_secs(at);
+            log.open(now);
+            log.file(now, disposition);
+        }
+        // An admitted call arriving in the window, filed after it.
+        log.open(SimTime::from_secs(13));
+        log.file(SimTime::from_secs(40), Disposition::Answered);
+        assert_eq!(log.steady(), (4, 2));
+        assert_eq!(log.total(), 5);
+        assert_eq!(log.count(Disposition::Blocked), 3);
     }
 
     #[test]
     fn empty_journal() {
         let log = CdrLog::new();
         assert_eq!(log.total(), 0);
-        assert_eq!(log.blocking_probability(), 0.0);
-        assert!(log.records().is_empty());
+        assert_eq!(log.steady(), (0, 0));
     }
 }

@@ -17,6 +17,8 @@ pub struct ChannelId(pub u32);
 pub struct ChannelPool {
     capacity: u32,
     free: Vec<u32>,
+    /// Per channel: allocated and not yet released.
+    busy: Vec<bool>,
     in_use: u32,
     peak: u32,
     peak_gauge: u32,
@@ -34,6 +36,7 @@ impl ChannelPool {
             capacity,
             // Hand out low ids first: pop from the back of a reversed list.
             free: (0..capacity).rev().collect(),
+            busy: vec![false; capacity as usize],
             in_use: 0,
             peak: 0,
             peak_gauge: 0,
@@ -76,6 +79,7 @@ impl ChannelPool {
     pub fn flush(&mut self, now: SimTime) -> u32 {
         let flushed = self.in_use;
         self.free = (0..self.capacity).rev().collect();
+        self.busy.fill(false);
         self.in_use = 0;
         self.peak_gauge = 0;
         self.occupancy.set(now, 0.0);
@@ -92,6 +96,7 @@ impl ChannelPool {
     pub fn allocate(&mut self, now: SimTime) -> Option<ChannelId> {
         match self.free.pop() {
             Some(id) => {
+                self.busy[id as usize] = true;
                 self.in_use += 1;
                 self.peak = self.peak.max(self.in_use);
                 self.peak_gauge = self.peak_gauge.max(self.in_use);
@@ -112,10 +117,9 @@ impl ChannelPool {
     /// accounting bugs worth failing loudly on.
     pub fn release(&mut self, now: SimTime, id: ChannelId) {
         assert!(id.0 < self.capacity, "channel {id:?} out of range");
-        assert!(
-            !self.free.contains(&id.0),
-            "double release of channel {id:?}"
-        );
+        let busy = &mut self.busy[id.0 as usize];
+        assert!(*busy, "double release of channel {id:?}");
+        *busy = false;
         self.free.push(id.0);
         self.in_use -= 1;
         self.occupancy.set(now, f64::from(self.in_use));

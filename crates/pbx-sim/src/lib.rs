@@ -15,7 +15,7 @@
 //!   checks against an LDAP-like in-memory directory (the paper's UnB
 //!   deployment authenticates against LDAP);
 //! * [`dialplan`] — extension-pattern routing;
-//! * [`cdr`] — call detail records with dispositions and billing seconds;
+//! * [`cdr`] — call detail records, tallied per disposition;
 //! * [`cpu`] — a calibrated service-cost model that turns message and
 //!   packet handling into CPU utilisation (documented in DESIGN.md §7).
 
@@ -32,7 +32,7 @@ mod ports;
 pub mod registrar;
 
 pub use b2bua::{Pbx, PbxAction, PbxConfig, PbxStats};
-pub use cdr::{CallRecord, Disposition};
+pub use cdr::Disposition;
 pub use channels::ChannelPool;
 pub use cpu::CpuModel;
 pub use directory::Directory;

@@ -10,7 +10,7 @@
 use des::{SimDuration, SimTime};
 use loadgen::{Uac, UacEvent, Uas, UasEvent};
 use netsim::NodeId;
-use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
+use pbx_sim::{Directory, Disposition, Pbx, PbxAction, PbxConfig};
 use sipcore::SipMessage;
 use std::collections::VecDeque;
 
@@ -127,8 +127,9 @@ fn main() {
         "\ntotal SIP messages on the wire: {ladder} (paper: 9 to set up + 4 to tear down = 13)"
     );
     println!(
-        "CDR: {:?}",
-        pbx.cdr.records().first().map(|r| r.disposition)
+        "CDR: {} filed, {} answered",
+        pbx.cdr.total(),
+        pbx.cdr.count(Disposition::Answered)
     );
 }
 
