@@ -368,13 +368,6 @@ impl<E> Scheduler<E> {
         Self::with_kind_and_capacity(kind, 0)
     }
 
-    /// An empty scheduler on the default backend, pre-sized for roughly
-    /// `cap` concurrently pending events.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self::with_kind_and_capacity(SchedulerKind::default(), cap)
-    }
-
     /// An empty scheduler on the chosen backend, pre-sized for roughly
     /// `cap` concurrently pending events (the heap reserves exactly; the
     /// wheel sizes its overflow, since bucket occupancy is self-limiting).

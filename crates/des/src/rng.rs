@@ -146,6 +146,7 @@ impl RngStream {
 
     /// Derive a generator for a named component plus an index (e.g. one
     /// stream per replication).
+    #[cfg(test)]
     #[must_use]
     pub fn indexed(&self, label: &str, index: u64) -> StreamRng {
         let mut mix = self.master ^ label_hash(label) ^ index.wrapping_mul(0xA24B_AED4_963E_E407);

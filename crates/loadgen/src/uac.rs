@@ -102,62 +102,62 @@ struct CallIntent {
     shed_retries: u32,
 }
 
-/// Which upstream throttling law the pacer enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PacerMode {
-    /// Space INVITEs at least `1/rate` apart (rate-based feedback).
-    Rate,
+/// The allowance a [`Pacer`] enforces, with the state only that law reads.
+#[derive(Debug, Clone)]
+enum Allowance {
+    /// Space INVITEs at least `1/rate_cps` apart (rate-based feedback).
+    Rate {
+        /// Current advertised max call rate, calls/sec.
+        rate_cps: f64,
+        /// Earliest time the next INVITE may leave.
+        next_allowed: SimTime,
+        /// A `PacerWake` is already outstanding.
+        wake_armed: bool,
+    },
     /// Cap the number of concurrently open calls (window-based feedback).
-    Window,
+    Window {
+        /// Current advertised max open calls.
+        window: u32,
+        /// Calls opened through the pacer and not yet terminal.
+        in_flight: u32,
+    },
 }
 
 /// Upstream pacing state driven by downstream `X-Overload-Control`
 /// feedback: the UAC-side half of the rate/window control loops. New call
 /// intents that exceed the current allowance are queued FIFO and released
-/// either on a [`UacEvent::PacerWake`] (rate mode) or when an open call
-/// terminates (window mode). Retries of shed calls bypass the pacer —
+/// either on a [`UacEvent::PacerWake`] (rate law) or when an open call
+/// terminates (window law). Retries of shed calls bypass the pacer —
 /// their backoff is already pacing them.
 #[derive(Debug, Clone)]
 pub struct Pacer {
-    mode: PacerMode,
-    /// Current advertised max call rate, calls/sec (rate mode).
-    rate_cps: f64,
-    /// Current advertised max open calls (window mode).
-    window: u32,
-    /// Calls opened through the pacer and not yet terminal (window mode).
-    in_flight: u32,
-    /// Earliest time the next INVITE may leave (rate mode).
-    next_allowed: SimTime,
-    /// A `PacerWake` is already outstanding.
-    wake_armed: bool,
+    allowance: Allowance,
+    /// Deferred intents, oldest first, under either law.
     queue: VecDeque<CallIntent>,
 }
 
 impl Pacer {
-    /// Rate-mode pacer starting at `initial_cps` calls/sec.
+    /// Rate-law pacer starting at `initial_cps` calls/sec.
     #[must_use]
     pub fn rate(initial_cps: f64) -> Pacer {
         Pacer {
-            mode: PacerMode::Rate,
-            rate_cps: initial_cps.max(0.01),
-            window: u32::MAX,
-            in_flight: 0,
-            next_allowed: SimTime::ZERO,
-            wake_armed: false,
+            allowance: Allowance::Rate {
+                rate_cps: initial_cps.max(0.01),
+                next_allowed: SimTime::ZERO,
+                wake_armed: false,
+            },
             queue: VecDeque::new(),
         }
     }
 
-    /// Window-mode pacer starting with `initial` allowed open calls.
+    /// Window-law pacer starting with `initial` allowed open calls.
     #[must_use]
     pub fn window(initial: u32) -> Pacer {
         Pacer {
-            mode: PacerMode::Window,
-            rate_cps: f64::INFINITY,
-            window: initial.max(1),
-            in_flight: 0,
-            next_allowed: SimTime::ZERO,
-            wake_armed: false,
+            allowance: Allowance::Window {
+                window: initial.max(1),
+                in_flight: 0,
+            },
             queue: VecDeque::new(),
         }
     }
@@ -166,23 +166,24 @@ impl Pacer {
     /// `win=` update a window pacer; mismatched feedback kinds are ignored
     /// (the downstream law and the upstream pacer are configured in pairs).
     pub fn apply(&mut self, feedback: Feedback) {
-        match (self.mode, feedback) {
-            (PacerMode::Rate, Feedback::Rate(r)) => self.rate_cps = r.max(0.01),
-            (PacerMode::Window, Feedback::Window(w)) => self.window = w.max(1),
+        match (&mut self.allowance, feedback) {
+            (Allowance::Rate { rate_cps, .. }, Feedback::Rate(r)) => *rate_cps = r.max(0.01),
+            (Allowance::Window { window, .. }, Feedback::Window(w)) => *window = w.max(1),
             _ => {}
         }
     }
 
-    /// Current INVITE spacing (rate mode).
-    fn spacing(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.rate_cps)
-    }
-
     /// Call intents currently deferred.
+    #[cfg(test)]
     #[must_use]
     pub fn queued(&self) -> usize {
         self.queue.len()
     }
+}
+
+/// The INVITE spacing at `rate_cps` calls/sec.
+fn spacing(rate_cps: f64) -> SimDuration {
+    SimDuration::from_secs_f64(1.0 / rate_cps)
 }
 
 /// Something the UAC asks the world to do or reports.
@@ -518,24 +519,33 @@ impl Uac {
         if let Some(pacer) = self.pacer.as_mut() {
             // Over the allowance, or behind intents already waiting (FIFO):
             // defer. A rate pacer arms one wake for when the next may go.
-            let over_allowance = match pacer.mode {
-                PacerMode::Rate => now < pacer.next_allowed,
-                PacerMode::Window => pacer.in_flight >= pacer.window,
-            };
-            if over_allowance || !pacer.queue.is_empty() {
-                pacer.queue.push_back(intent);
-                let mut evs = Vec::new();
-                if pacer.mode == PacerMode::Rate && !pacer.wake_armed {
-                    pacer.wake_armed = true;
-                    evs.push(UacEvent::PacerWake {
-                        at: pacer.next_allowed.max(now),
-                    });
+            let behind = !pacer.queue.is_empty();
+            match &mut pacer.allowance {
+                Allowance::Rate {
+                    rate_cps,
+                    next_allowed,
+                    wake_armed,
+                } => {
+                    if behind || now < *next_allowed {
+                        pacer.queue.push_back(intent);
+                        let mut evs = Vec::new();
+                        if !*wake_armed {
+                            *wake_armed = true;
+                            evs.push(UacEvent::PacerWake {
+                                at: (*next_allowed).max(now),
+                            });
+                        }
+                        return (String::new(), evs);
+                    }
+                    *next_allowed = now + spacing(*rate_cps);
                 }
-                return (String::new(), evs);
-            }
-            match pacer.mode {
-                PacerMode::Rate => pacer.next_allowed = now + pacer.spacing(),
-                PacerMode::Window => pacer.in_flight += 1,
+                Allowance::Window { window, in_flight } => {
+                    if behind || *in_flight >= *window {
+                        pacer.queue.push_back(intent);
+                        return (String::new(), Vec::new());
+                    }
+                    *in_flight += 1;
+                }
             }
         }
         self.place_invite(intent)
@@ -545,22 +555,26 @@ impl Uac {
     /// [`UacEvent::PacerWake`]). Sends at most one INVITE per wake and
     /// re-arms for the next queued intent.
     pub fn pacer_wake(&mut self, now: SimTime) -> Vec<UacEvent> {
-        let Some(pacer) = self.pacer.as_mut() else {
+        let Some(Pacer {
+            allowance:
+                Allowance::Rate {
+                    rate_cps,
+                    next_allowed,
+                    wake_armed,
+                },
+            queue,
+        }) = self.pacer.as_mut()
+        else {
             return vec![];
         };
-        pacer.wake_armed = false;
-        if pacer.mode != PacerMode::Rate {
-            return vec![];
-        }
-        let Some(next) = pacer.queue.pop_front() else {
+        *wake_armed = false;
+        let Some(next) = queue.pop_front() else {
             return vec![];
         };
-        pacer.next_allowed = now + pacer.spacing();
-        let rearm_at = pacer.next_allowed;
-        let more_queued = !pacer.queue.is_empty();
-        if more_queued {
-            pacer.wake_armed = true;
-        }
+        *next_allowed = now + spacing(*rate_cps);
+        let rearm_at = *next_allowed;
+        let more_queued = !queue.is_empty();
+        *wake_armed = more_queued;
         let (_, mut evs) = self.place_invite(next);
         if more_queued {
             evs.push(UacEvent::PacerWake { at: rearm_at });
@@ -568,22 +582,24 @@ impl Uac {
         evs
     }
 
-    /// Window mode: one open call reached a terminal state — free its slot
+    /// Window law: one open call reached a terminal state — free its slot
     /// and release queued intents that now fit.
     fn pacer_note_terminal(&mut self) -> Vec<UacEvent> {
+        let Some(Pacer {
+            allowance: Allowance::Window { window, in_flight },
+            queue,
+        }) = self.pacer.as_mut()
+        else {
+            return vec![];
+        };
+        *in_flight = in_flight.saturating_sub(1);
         let mut release = Vec::new();
-        match self.pacer.as_mut() {
-            Some(pacer) if pacer.mode == PacerMode::Window => {
-                pacer.in_flight = pacer.in_flight.saturating_sub(1);
-                while pacer.in_flight < pacer.window {
-                    let Some(q) = pacer.queue.pop_front() else {
-                        break;
-                    };
-                    pacer.in_flight += 1;
-                    release.push(q);
-                }
-            }
-            _ => return vec![],
+        while *in_flight < *window {
+            let Some(q) = queue.pop_front() else {
+                break;
+            };
+            *in_flight += 1;
+            release.push(q);
         }
         let mut out = Vec::new();
         for intent in release {
@@ -1310,6 +1326,10 @@ mod tests {
 
     #[test]
     fn rate_pacer_adopts_downstream_feedback() {
+        let assert_rate = |u: &Uac, want: f64| match u.pacer.as_ref().unwrap().allowance {
+            Allowance::Rate { rate_cps, .. } => assert!((rate_cps - want).abs() < 1e-9),
+            Allowance::Window { .. } => panic!("a rate pacer"),
+        };
         let mut u = uac();
         u.pacer = Some(Pacer::rate(10.0));
         let (_, evs) = u.start_call(SimTime::ZERO, "1001", "2001", SimDuration::from_secs(10));
@@ -1320,12 +1340,12 @@ mod tests {
             .headers
             .push(HeaderName::OverloadControl, "rate=1.000");
         u.on_sip(SimTime::ZERO, trying.into());
-        assert!((u.pacer.as_ref().unwrap().rate_cps - 1.0).abs() < 1e-9);
+        assert_rate(&u, 1.0);
         // Malformed feedback is ignored.
         let mut bad = respond(&invite, StatusCode::TRYING, None);
         bad.headers.push(HeaderName::OverloadControl, "rate=???");
         u.on_sip(SimTime::ZERO, bad.into());
-        assert!((u.pacer.as_ref().unwrap().rate_cps - 1.0).abs() < 1e-9);
+        assert_rate(&u, 1.0);
     }
 
     #[test]
@@ -1358,7 +1378,10 @@ mod tests {
         let mut resp = respond(&invite1, StatusCode::TRYING, None);
         resp.headers.push(HeaderName::OverloadControl, "win=1");
         u.on_sip(SimTime::from_secs(1), resp.into());
-        assert_eq!(u.pacer.as_ref().unwrap().window, 1);
+        assert!(matches!(
+            u.pacer.as_ref().unwrap().allowance,
+            Allowance::Window { window: 1, .. }
+        ));
         let (cid4, evs4) = u.start_call(
             SimTime::from_secs(2),
             "1004",

@@ -79,6 +79,7 @@ impl StarTopology {
     }
 
     /// End-to-end path between two hosts.
+    #[cfg(test)]
     #[must_use]
     pub fn path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
         if from == to {

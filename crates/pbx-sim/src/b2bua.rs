@@ -184,6 +184,8 @@ pub struct Pbx {
     /// The campus dialplan: four-digit extensions are local subscribers.
     dialplan: Dialplan,
     stats: PbxStats,
+    /// Live calls per caller uid, kept only under
+    /// `config.max_calls_per_user`; a uid leaves when its count reaches 0.
     active_per_user: FastMap<String, u32>,
     /// Live calls; a closed call's slot goes on `vacant_slots` for the next.
     calls: Vec<Option<Call>>,
@@ -624,10 +626,12 @@ impl Pbx {
         );
         let out_invite = out_invite.with_sdp(sdp);
 
-        match self.active_per_user.get_mut(&*caller_uid) {
-            Some(active) => *active += 1,
-            None => {
-                self.active_per_user.insert(caller_uid.to_string(), 1);
+        if self.config.max_calls_per_user.is_some() {
+            match self.active_per_user.get_mut(&*caller_uid) {
+                Some(active) => *active += 1,
+                None => {
+                    self.active_per_user.insert(caller_uid.to_string(), 1);
+                }
             }
         }
         let pbx_tag = ["pbxuas", &serial].concat();
@@ -978,7 +982,10 @@ impl Pbx {
         if let Some(call) = self.calls[idx].take() {
             self.pool.release(now, call.channel);
             if let Some(n) = self.active_per_user.get_mut(&*call.caller_uid) {
-                *n = n.saturating_sub(1);
+                *n -= 1;
+                if *n == 0 {
+                    self.active_per_user.remove(&*call.caller_uid);
+                }
             }
             self.by_pbx_port.remove(call.caller.pbx_port);
             self.by_pbx_port.remove(call.callee.pbx_port);
@@ -1721,6 +1728,7 @@ mod tests {
             CALLEE_NODE,
             fwd.make_response(StatusCode::OK).into(),
         );
+        assert!(pbx.active_per_user.is_empty(), "an idle caller is dropped");
         let acts = pbx.handle_sip(
             SimTime::from_secs(101),
             CALLER_NODE,
@@ -2038,6 +2046,7 @@ mod tests {
         establish_call(&mut pbx, "crash2");
         assert_eq!(pbx.pool.in_use(), 2);
         assert_eq!(pbx.registrar.len(), 2);
+        assert!(pbx.active_per_user.is_empty(), "no ceiling, no counts");
 
         let dropped = pbx.crash(SimTime::from_secs(50));
         assert_eq!(dropped, 2);

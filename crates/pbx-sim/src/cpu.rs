@@ -57,7 +57,10 @@ pub struct CpuModel {
     window_len: SimDuration,
     window_start: SimTime,
     window_busy: SimDuration,
-    window_peaks: Vec<f64>, // completed-window utilisations
+    /// Utilisation of the most recently completed window.
+    last_window: Option<f64>,
+    /// Running (min, max) over every completed window.
+    band: Option<(f64, f64)>,
 }
 
 impl CpuModel {
@@ -75,7 +78,8 @@ impl CpuModel {
             window_len,
             window_start: SimTime::ZERO,
             window_busy: SimDuration::ZERO,
-            window_peaks: Vec::new(),
+            last_window: None,
+            band: None,
         };
         cpu.set_throttle(1.0);
         cpu
@@ -116,7 +120,7 @@ impl CpuModel {
     /// closes).
     #[must_use]
     pub fn last_window_utilisation(&self) -> Option<f64> {
-        self.window_peaks.last().copied()
+        self.last_window
     }
 
     #[inline]
@@ -124,7 +128,9 @@ impl CpuModel {
         while now.since(self.window_start) >= self.window_len {
             let u = self.window_busy.as_secs_f64() / self.window_len.as_secs_f64()
                 + self.costs.base_load;
-            self.window_peaks.push(u.min(1.0));
+            let u = u.min(1.0);
+            self.last_window = Some(u);
+            self.band = Some(self.band.map_or((u, u), |(lo, hi)| (lo.min(u), hi.max(u))));
             self.window_start += self.window_len;
             self.window_busy = SimDuration::ZERO;
         }
@@ -155,16 +161,8 @@ impl CpuModel {
     /// base load twice when no window has completed.
     #[must_use]
     pub fn utilisation_band(&self) -> (f64, f64) {
-        if self.window_peaks.is_empty() {
-            return (self.costs.base_load, self.costs.base_load);
-        }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &u in &self.window_peaks {
-            lo = lo.min(u);
-            hi = hi.max(u);
-        }
-        (lo, hi)
+        self.band
+            .unwrap_or((self.costs.base_load, self.costs.base_load))
     }
 
     /// Flush any partially-completed window at the end of the experiment.

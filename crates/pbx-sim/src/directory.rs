@@ -84,6 +84,14 @@ impl Directory {
         self.ranges.push(UidRange { base, count });
     }
 
+    /// The base of the range that covers `uid`, and `uid`'s rank in it
+    /// (`uid − base`); `None` when no range covers `uid`.
+    pub(crate) fn range_of(&self, uid: &str) -> Option<(u64, u64)> {
+        let value = parse_uid(uid)?;
+        let range = self.ranges.iter().find(|r| r.contains(value))?;
+        Some((range.base, value - range.base))
+    }
+
     /// Bind by uid, with a caller-supplied proof: the directory lends the
     /// secret `pw-<uid>` to `proof` (password equality for a simple bind,
     /// the RFC 2617 response check for digest). `None` when no range covers
@@ -91,10 +99,7 @@ impl Directory {
     /// allocated per user. The registrar counts the outcomes
     /// ([`crate::Registrar::stats`]).
     pub fn bind_uid(&self, uid: &str, proof: impl FnOnce(&str) -> bool) -> Option<BindResult> {
-        let value = parse_uid(uid)?;
-        if !self.ranges.iter().any(|r| r.contains(value)) {
-            return None;
-        }
+        self.range_of(uid)?;
         // A canonical decimal u64 has at most 20 digits.
         let mut secret = [0u8; 3 + 20];
         let len = 3 + uid.len();

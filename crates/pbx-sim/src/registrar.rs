@@ -6,10 +6,15 @@
 //! password by RFC 2617 digest or, in the bulk experiments, in an
 //! `Authorization: Simple uid password` header (both reach the same
 //! directory bind); on success the registrar records where that extension
-//! lives (node + RTP-signalling coordinates) for one registration lifetime.
+//! lives (the node it registered from) for one registration lifetime.
+//!
+//! Every subscriber is a uid in one of the directory's ranges, so the
+//! location table is one table per range, indexed by the uid's rank in
+//! it: the campus pools and a 10⁶-subscriber population keep their
+//! bindings the same way, and no REGISTER allocates a key.
 
 use crate::directory::{parse_uid, BindResult, Directory};
-use des::{FastMap, SimDuration, SimTime};
+use des::{SimDuration, SimTime};
 use netsim::NodeId;
 
 /// A registered binding.
@@ -30,69 +35,78 @@ pub enum RegisterOutcome {
     AuthFailed,
 }
 
-/// Bindings for a contiguous population of subscribers homed on one node,
-/// kept per rank `uid − base` in two parts: the expiry every rank got at
-/// install, and a table of the expiries REGISTERs have written since.
+/// What a rank holds when it holds no binding.
+const UNBOUND: Binding = Binding {
+    node: NodeId(0),
+    expires_at: SimTime::ZERO,
+};
+
+/// The bindings of one subscriber range, by rank `uid − base`: the
+/// binding a bulk install gave ranks `0..installed`, and the bindings
+/// REGISTERs have written since.
 ///
 /// A million-subscriber registrar answers for every user, but only the
-/// ranks churn has refreshed hold an expiry of their own. The table grows
-/// on write to the highest rank written (ranks it steps over take the
-/// default), and every rank past its end reads the default. The churn
-/// wheel refreshes contiguous rank ranges in ascending order, so the
-/// written ranks form a prefix of about `N · window / expiry` entries:
-/// resident memory follows the churn volume, not N. The hot paths
-/// (refresh, lookup) never hash, and a refresh allocates only when the
-/// table grows.
+/// ranks churn has refreshed hold a binding of their own. The written
+/// columns grow on write to the highest rank written (ranks they step
+/// over keep what they held: the install's binding below `installed`,
+/// none above). The churn wheel refreshes contiguous rank ranges in
+/// ascending order, so the written ranks form a prefix of about
+/// `N · window / expiry` entries: resident memory follows the churn
+/// volume, not N. Refresh and lookup never hash, and a refresh allocates
+/// only when the columns grow.
 #[derive(Debug, Clone)]
-struct PopulationBindings {
+struct RangeTable {
     base: u64,
-    /// Ranks `0..count` belong to the population.
-    count: usize,
-    /// The expiry of every rank at or past `written.len()`: one
-    /// registration lifetime after the install, or `SimTime::ZERO`
-    /// (expired) after a crash.
-    default_expiry: SimTime,
-    /// `written[rank]`: expiries written since the install or the last
-    /// crash. `SimTime::ZERO` means never/expired.
-    written: Vec<SimTime>,
-    /// All population users are homed on one UA node (the load
-    /// generator's), like the classic pool's users.
-    node: NodeId,
+    /// Ranks `0..installed` hold `default` until a REGISTER writes them.
+    installed: usize,
+    default: Binding,
+    /// `expires[rank]` and `nodes[rank]`: the binding written for `rank`
+    /// (`SimTime::ZERO`: none). Two columns, 10 B per written rank where
+    /// a `Binding` would take 16.
+    expires: Vec<SimTime>,
+    nodes: Vec<NodeId>,
 }
 
-impl PopulationBindings {
-    /// Does this table own `uid`? Canonical decimal spellings only.
-    fn index_of(&self, uid: &str) -> Option<usize> {
-        let idx = parse_uid(uid)?.checked_sub(self.base)?;
-        (idx < self.count as u64).then_some(idx as usize)
-    }
-
-    /// The expiry of rank `idx`.
-    fn expires_at(&self, idx: usize) -> SimTime {
-        self.written
-            .get(idx)
-            .copied()
-            .unwrap_or(self.default_expiry)
-    }
-
-    /// Store `expires_at` for rank `idx`, growing the table to reach it.
-    fn write(&mut self, idx: usize, expires_at: SimTime) {
-        if idx >= self.written.len() {
-            self.written.resize(idx + 1, self.default_expiry);
+impl RangeTable {
+    fn new(base: u64) -> Self {
+        RangeTable {
+            base,
+            installed: 0,
+            default: UNBOUND,
+            expires: Vec::new(),
+            nodes: Vec::new(),
         }
-        self.written[idx] = expires_at;
     }
 
-    /// Expire every rank; returns how many held a nonzero expiry.
-    fn clear(&mut self) -> usize {
-        let unwritten = self.count - self.written.len();
-        let mut lost = self.written.iter().filter(|&&t| t > SimTime::ZERO).count();
-        if self.default_expiry > SimTime::ZERO {
-            lost += unwritten;
+    /// The binding `rank` holds, [`UNBOUND`] if none.
+    fn held(&self, rank: usize) -> Binding {
+        match self.expires.get(rank) {
+            Some(&expires_at) => Binding {
+                node: self.nodes[rank],
+                expires_at,
+            },
+            None if rank < self.installed => self.default,
+            None => UNBOUND,
         }
-        self.default_expiry = SimTime::ZERO;
-        self.written.clear();
-        lost
+    }
+
+    /// Store `binding` for `rank`, growing the columns to reach it.
+    fn write(&mut self, rank: usize, binding: Binding) {
+        if rank >= self.expires.len() {
+            let installed_end = self.installed.clamp(self.expires.len(), rank);
+            self.expires.resize(installed_end, self.default.expires_at);
+            self.nodes.resize(installed_end, self.default.node);
+            self.expires.resize(rank + 1, UNBOUND.expires_at);
+            self.nodes.resize(rank + 1, UNBOUND.node);
+        }
+        self.expires[rank] = binding.expires_at;
+        self.nodes[rank] = binding.node;
+    }
+
+    /// How many ranks hold a binding.
+    fn len(&self) -> usize {
+        let written = self.expires.iter().filter(|&&t| t > SimTime::ZERO).count();
+        written + self.installed.saturating_sub(self.expires.len())
     }
 }
 
@@ -103,35 +117,43 @@ const REGISTRATION_EXPIRY: SimDuration = SimDuration::from_secs(3600);
 /// The registrar.
 #[derive(Debug, Clone, Default)]
 pub struct Registrar {
-    bindings: FastMap<String, Binding>,
-    /// Population-scale contiguous range, if installed; checked before
-    /// the classic map (the ranges are disjoint by construction — classic
-    /// pools live below 10⁶, populations at 10⁶+).
-    population: Option<PopulationBindings>,
+    /// One table per subscriber range, keyed by the range's base uid.
+    tables: Vec<RangeTable>,
     registrations: u64,
     auth_failures: u64,
 }
 
 impl Registrar {
+    /// The table keyed `base`, created empty if there is none.
+    fn table_mut(&mut self, base: u64) -> &mut RangeTable {
+        if let Some(idx) = self.tables.iter().position(|t| t.base == base) {
+            return &mut self.tables[idx];
+        }
+        self.tables.push(RangeTable::new(base));
+        self.tables.last_mut().expect("just pushed")
+    }
+
     /// Install bindings for a whole contiguous population at once:
     /// `base..base+count` homed on `node`, each expiring one registration
-    /// lifetime from `now`.
+    /// lifetime from `now`. `base` is the base of the directory range that
+    /// holds them; whatever that range's table held before is replaced.
     ///
     /// This models the steady state a long-lived deployment is always in —
     /// everyone registered, expiries staggered forward by churn — and
     /// replaces the O(population) REGISTER prime *storm* with an O(1)
-    /// install: one shared expiry for every rank, and an empty table that
+    /// install: one shared binding for every rank, and empty columns that
     /// churn fills as it refreshes ranks. Bulk installs do not count as
     /// REGISTER transactions in [`Registrar::stats`]; only the ongoing
     /// churn does, because only the churn sends messages.
     pub fn bulk_install(&mut self, now: SimTime, base: u64, count: u64, node: NodeId) {
-        self.population = Some(PopulationBindings {
-            base,
-            count: usize::try_from(count).expect("population fits usize"),
-            default_expiry: now + REGISTRATION_EXPIRY,
-            written: Vec::new(),
-            node,
-        });
+        *self.table_mut(base) = RangeTable {
+            installed: usize::try_from(count).expect("population fits usize"),
+            default: Binding {
+                node,
+                expires_at: now + REGISTRATION_EXPIRY,
+            },
+            ..RangeTable::new(base)
+        };
     }
 
     /// Process a REGISTER for `uid` with `password`, binding it to `node`.
@@ -157,57 +179,40 @@ impl Registrar {
         node: NodeId,
         proof: impl FnOnce(&str) -> bool,
     ) -> RegisterOutcome {
-        match dir.bind_uid(uid, proof) {
-            Some(BindResult::Success) => {
-                let expires_at = now + REGISTRATION_EXPIRY;
-                // Population fast path: an 8-byte store, no key
-                // allocation, no hashing.
-                if let Some(idx) = self.population.as_ref().and_then(|p| p.index_of(uid)) {
-                    let p = self.population.as_mut().expect("just matched");
-                    p.write(idx, expires_at);
-                } else {
-                    self.bindings
-                        .insert(uid.to_owned(), Binding { node, expires_at });
-                }
-                self.registrations += 1;
-                RegisterOutcome::Ok
-            }
-            _ => {
-                self.auth_failures += 1;
-                RegisterOutcome::AuthFailed
-            }
+        if dir.bind_uid(uid, proof) != Some(BindResult::Success) {
+            self.auth_failures += 1;
+            return RegisterOutcome::AuthFailed;
         }
+        let (base, rank) = dir.range_of(uid).expect("a bound uid lies in a range");
+        let expires_at = now + REGISTRATION_EXPIRY;
+        let rank = usize::try_from(rank).expect("rank fits usize");
+        self.table_mut(base)
+            .write(rank, Binding { node, expires_at });
+        self.registrations += 1;
+        RegisterOutcome::Ok
     }
 
-    /// Look up a *live* binding at time `now` (expired map bindings are
-    /// invisible and pruned lazily; expired population ranks just read as
-    /// absent).
-    pub fn lookup(&mut self, now: SimTime, uid: &str) -> Option<Binding> {
-        if let Some(p) = &self.population {
-            if let Some(idx) = p.index_of(uid) {
-                let expires_at = p.expires_at(idx);
-                return (expires_at > now).then_some(Binding {
-                    node: p.node,
-                    expires_at,
-                });
-            }
-        }
-        match self.bindings.get(uid) {
-            Some(b) if b.expires_at > now => Some(*b),
-            Some(_) => {
-                self.bindings.remove(uid);
-                None
-            }
-            None => None,
-        }
+    /// The binding `uid` holds, if it is live at `now`.
+    #[must_use]
+    pub fn lookup(&self, now: SimTime, uid: &str) -> Option<Binding> {
+        let uid = parse_uid(uid)?;
+        // The directory's ranges are disjoint, so only the table with the
+        // greatest base at or below `uid` can hold it.
+        let table = self
+            .tables
+            .iter()
+            .filter(|t| t.base <= uid)
+            .max_by_key(|t| t.base)?;
+        let rank = usize::try_from(uid - table.base).ok()?;
+        Some(table.held(rank)).filter(|b| b.expires_at > now)
     }
 
-    /// Number of (possibly stale) stored bindings, counting every
-    /// population rank, written or not.
+    /// Number of ranks that hold a binding, written or installed, until
+    /// [`Registrar::clear`] drops them. Expiry hides a binding from
+    /// [`Registrar::lookup`] but does not remove it.
     #[must_use]
     pub fn len(&self) -> usize {
-        let pop = self.population.as_ref().map_or(0, |p| p.count);
-        self.bindings.len() + pop
+        self.tables.iter().map(RangeTable::len).sum()
     }
 
     /// True when no bindings are stored.
@@ -222,20 +227,13 @@ impl Registrar {
         (self.registrations, self.auth_failures)
     }
 
-    /// Drop every binding — a crash losing the in-memory location table.
-    /// Counters survive (they model persistent logs); endpoints must
-    /// re-REGISTER before they are reachable again. Returns how many
-    /// bindings were lost.
+    /// Drop every binding, installed or written — a crash losing the
+    /// in-memory location table. Counters survive (they model persistent
+    /// logs); endpoints must re-REGISTER before they are reachable again.
+    /// Returns how many bindings were lost.
     pub fn clear(&mut self) -> usize {
-        let mut lost = self.bindings.len();
-        self.bindings.clear();
-        if let Some(p) = &mut self.population {
-            // Crash semantics for the population: the range survives (it
-            // is the deployment, not the registrations) but every expiry
-            // is lost, so users read as unregistered until churn
-            // re-registers them.
-            lost += p.clear();
-        }
+        let lost = self.len();
+        self.tables.clear();
         lost
     }
 }
@@ -244,7 +242,6 @@ impl Registrar {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     /// A directory holding only the population range `base..base+count`.
     fn synthetic(base: u64, count: u64) -> Directory {
@@ -291,7 +288,11 @@ mod tests {
         reg.register(&dir, SimTime::ZERO, "1001", "pw-1001", NodeId(2));
         assert!(reg.lookup(SimTime::from_secs(3599), "1001").is_some());
         assert!(reg.lookup(SimTime::from_secs(3600), "1001").is_none());
-        assert_eq!(reg.len(), 0, "expired binding pruned");
+        assert_eq!(
+            reg.len(),
+            1,
+            "expiry hides the binding, it does not drop it"
+        );
     }
 
     #[test]
@@ -319,7 +320,7 @@ mod tests {
         assert_eq!(reg.stats(), (0, 0), "installs are not REGISTER traffic");
         // Expiry: a slot that churn never refreshes goes dark.
         assert!(reg.lookup(SimTime::from_secs(3600), "1234567").is_none());
-        // Churn refresh rides the numeric fast path (same map-free slot).
+        // A churn refresh writes the rank's own binding.
         let out = reg.register(
             &dir,
             SimTime::from_secs(3000),
@@ -330,19 +331,23 @@ mod tests {
         assert_eq!(out, RegisterOutcome::Ok);
         assert!(reg.lookup(SimTime::from_secs(3600), "1234567").is_some());
         assert_eq!(reg.stats(), (1, 0));
-        assert_eq!(reg.len(), 1_000_000, "no map entry was created");
-        // Out-of-range uids still use the classic path untouched.
+        assert_eq!(
+            reg.len(),
+            1_000_000,
+            "the refresh rewrote an installed rank"
+        );
+        // A uid below the range is no one's.
         assert!(reg.lookup(SimTime::from_secs(1), "999").is_none());
     }
 
     #[test]
-    fn population_crash_clears_expiries_but_keeps_the_table() {
+    fn population_crash_drops_the_install() {
         let mut reg = Registrar::default();
         let dir = synthetic(1_000_000, 100);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 100, NodeId(3));
         assert_eq!(reg.clear(), 100);
         assert!(reg.lookup(SimTime::from_secs(1), "1000050").is_none());
-        assert_eq!(reg.len(), 100, "slots survive; registrations do not");
+        assert_eq!(reg.len(), 0, "the install is lost with the rest");
         // Churn re-registers the user after the crash.
         reg.register(
             &dir,
@@ -355,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn classic_and_population_paths_coexist() {
+    fn campus_and_population_ranges_coexist() {
         let mut reg = Registrar::default();
         let dir = Directory::with_subscribers(1000, 10);
         reg.bulk_install(SimTime::ZERO, 1_000_000, 10, NodeId(9));
@@ -382,68 +387,83 @@ mod tests {
         assert_eq!(reg.stats(), (2, 0));
     }
 
-    /// The registrar with the dense population table it kept before: one
-    /// expiry per rank, every one filled at install, every one zeroed by a
-    /// crash. Classic bindings on an ordered map, pruned the same way.
-    #[derive(Default)]
+    #[test]
+    fn each_register_binds_its_own_sender() {
+        let mut reg = Registrar::default();
+        let mut dir = Directory::with_subscribers(1000, 10);
+        dir.set_synthetic_range(1_000_000, 100);
+        reg.bulk_install(SimTime::ZERO, 1_000_000, 100, NodeId(9));
+        let at = SimTime::from_secs(1);
+        for (uid, node) in [
+            ("1001", NodeId(2)),
+            ("1002", NodeId(3)),
+            ("1000007", NodeId(4)),
+            ("1000008", NodeId(5)),
+        ] {
+            reg.register(&dir, SimTime::ZERO, uid, &format!("pw-{uid}"), node);
+        }
+        for (uid, node) in [("1001", 2), ("1002", 3), ("1000007", 4), ("1000008", 5)] {
+            assert_eq!(reg.lookup(at, uid).unwrap().node, NodeId(node), "{uid}");
+        }
+        assert_eq!(reg.lookup(at, "1000006").unwrap().node, NodeId(9));
+        assert_eq!(reg.lookup(at, "1000009").unwrap().node, NodeId(9));
+        assert_eq!(reg.len(), 102);
+    }
+
+    /// The one rule, dense: one `Option<Binding>` per rank of every
+    /// directory range. An install fills its range's first `count` ranks
+    /// and empties the rest, a REGISTER sets its rank, a crash empties
+    /// every rank, and expiry only hides a binding from lookups.
     struct DenseModel {
-        population: Option<(u64, Vec<SimTime>, NodeId)>,
-        classic: BTreeMap<String, Binding>,
+        /// `(base, ranks)` per directory range.
+        ranges: Vec<(u64, Vec<Option<Binding>>)>,
     }
 
     impl DenseModel {
-        fn rank(&self, uid: &str) -> Option<usize> {
-            let (base, slots, _) = self.population.as_ref()?;
-            let idx = parse_uid(uid)?.checked_sub(*base)?;
-            (idx < slots.len() as u64).then_some(idx as usize)
+        fn new(ranges: &[(u64, usize)]) -> Self {
+            let ranges = ranges.iter().map(|&(b, n)| (b, vec![None; n])).collect();
+            DenseModel { ranges }
+        }
+
+        fn slot(&mut self, uid: &str) -> Option<&mut Option<Binding>> {
+            let uid = parse_uid(uid)?;
+            self.ranges.iter_mut().find_map(|(base, ranks)| {
+                let rank = usize::try_from(uid.checked_sub(*base)?).ok()?;
+                ranks.get_mut(rank)
+            })
         }
 
         fn bulk_install(&mut self, now: SimTime, base: u64, count: u64, node: NodeId) {
-            let slots = vec![now + REGISTRATION_EXPIRY; count as usize];
-            self.population = Some((base, slots, node));
+            let expires_at = now + REGISTRATION_EXPIRY;
+            let (_, ranks) = self
+                .ranges
+                .iter_mut()
+                .find(|r| r.0 == base)
+                .expect("a range base");
+            for (rank, b) in ranks.iter_mut().enumerate() {
+                *b = (rank < count as usize).then_some(Binding { node, expires_at });
+            }
         }
 
         fn register(&mut self, dir: &Directory, now: SimTime, uid: &str, node: NodeId, ok: bool) {
-            if dir.bind_uid(uid, |_| ok) != Some(BindResult::Success) {
-                return;
-            }
-            let expires_at = now + REGISTRATION_EXPIRY;
-            match self.rank(uid) {
-                Some(idx) => self.population.as_mut().expect("ranked").1[idx] = expires_at,
-                None => {
-                    self.classic
-                        .insert(uid.to_owned(), Binding { node, expires_at });
-                }
+            if dir.bind_uid(uid, |_| ok) == Some(BindResult::Success) {
+                let expires_at = now + REGISTRATION_EXPIRY;
+                *self.slot(uid).expect("a bound uid") = Some(Binding { node, expires_at });
             }
         }
 
         fn lookup(&mut self, now: SimTime, uid: &str) -> Option<Binding> {
-            if let Some(idx) = self.rank(uid) {
-                let (_, slots, node) = self.population.as_ref().expect("ranked");
-                let expires_at = slots[idx];
-                return (expires_at > now).then_some(Binding {
-                    node: *node,
-                    expires_at,
-                });
-            }
-            let b = *self.classic.get(uid)?;
-            if b.expires_at > now {
-                return Some(b);
-            }
-            self.classic.remove(uid);
-            None
+            (*self.slot(uid)?).filter(|b| b.expires_at > now)
         }
 
         fn len(&self) -> usize {
-            self.classic.len() + self.population.as_ref().map_or(0, |p| p.1.len())
+            self.ranges.iter().flat_map(|r| &r.1).flatten().count()
         }
 
         fn clear(&mut self) -> usize {
-            let mut lost = self.classic.len();
-            self.classic.clear();
-            if let Some((_, slots, _)) = &mut self.population {
-                lost += slots.iter().filter(|&&t| t > SimTime::ZERO).count();
-                slots.fill(SimTime::ZERO);
+            let lost = self.len();
+            for (_, ranks) in &mut self.ranges {
+                ranks.fill(None);
             }
             lost
         }
@@ -453,9 +473,9 @@ mod tests {
 
     proptest! {
         /// Random install/register/lookup/clear sequences against the
-        /// dense table. Refreshes hit ranks in any order, often past the
-        /// end of what the sparse table holds and past the population's
-        /// end; installs come at any time, before or after a crash; time
+        /// dense model. Writes hit ranks in any order, often past the end
+        /// of what the sparse columns hold and past the installed count;
+        /// uids fall in both directory ranges and past their ends; installs come at any time, before or after a crash; time
         /// runs far enough for install-time and refreshed expiries to
         /// lapse. Same outcomes, bindings, lengths and lost counts.
         #[test]
@@ -465,7 +485,7 @@ mod tests {
             let mut dir = Directory::with_subscribers(1000, 10);
             dir.set_synthetic_range(POP, 96);
             let mut reg = Registrar::default();
-            let mut model = DenseModel::default();
+            let mut model = DenseModel::new(&[(1000, 10), (POP, 96)]);
             let mut now = SimTime::ZERO;
             for (op, raw) in ops {
                 // Ranks past the installed count (the directory still
@@ -493,9 +513,9 @@ mod tests {
                     9 => prop_assert_eq!(reg.clear(), model.clear()),
                     10 | 11 => now += SimDuration::from_secs(u64::from(raw) % 2000),
                     _ => {
-                        for rank in 0..100 {
-                            let uid = format!("{}", POP + rank);
-                            prop_assert_eq!(reg.lookup(now, &uid), model.lookup(now, &uid), "rank {}", rank);
+                        for uid in (1000..1012).chain(POP..POP + 100) {
+                            let uid = uid.to_string();
+                            prop_assert_eq!(reg.lookup(now, &uid), model.lookup(now, &uid), "{}", uid);
                         }
                     }
                 }

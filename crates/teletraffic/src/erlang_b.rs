@@ -224,12 +224,14 @@ impl BlockingCurve {
     }
 
     /// Largest channel count the curve covers.
+    #[cfg(test)]
     #[must_use]
     pub fn max_channels(&self) -> u32 {
         (self.values.len() - 1) as u32
     }
 
-    /// `B(A, channels)`; `NaN` beyond [`Self::max_channels`].
+    /// `B(A, channels)`; `NaN` beyond the largest channel count the curve
+    /// was built for.
     #[must_use]
     pub fn at(&self, channels: u32) -> f64 {
         self.values
