@@ -104,6 +104,7 @@ fn population_memory_scales_with_churn_not_subscribers() {
     assert!(
         rise >= 8 * extra_refreshed as usize,
         "peak live bytes rose {rise} B for {extra_refreshed} extra refreshed ranks, \
-         below the registrar's own 8 B per refreshed rank — the measurement is broken"
+         below 8 B per rank where the registrar alone writes 10 B per refreshed rank \
+         — the measurement is broken"
     );
 }

@@ -859,8 +859,8 @@ impl Uac {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sipcore::sdp::SessionDescription;
-    use sipcore::Response;
+    use sipcore::sdp::wire::SdpView;
+    use sipcore::{Body, Response};
 
     const UAC_NODE: NodeId = NodeId(1);
     const PBX_NODE: NodeId = NodeId(3);
@@ -881,7 +881,7 @@ mod tests {
         if let Some(port) = sdp_port {
             r = r.with_body(
                 "application/sdp",
-                SessionDescription::new("pbx", "pbx.unb.br", port, SdpCodec::Pcmu).to_body(),
+                Body::from(SdpBody::new("pbx", "pbx.unb.br", port, SdpCodec::Pcmu)).to_vec(),
             );
         }
         r
@@ -895,7 +895,14 @@ mod tests {
         let invite = sip_of(&evs[0]).as_request().unwrap().clone();
         assert_eq!(invite.method, Method::Invite);
         assert_eq!(invite.call_id(), Some(cid.as_str()));
-        assert!(SessionDescription::parse(&invite.body.to_vec()).is_some());
+        let wire = invite.body.to_vec();
+        let offer = SdpView::parse(&wire).unwrap();
+        assert_eq!(
+            offer.codec(),
+            Some(SdpCodec::Pcmu),
+            "the offer parses off the wire"
+        );
+        assert!(offer.audio_port().is_some());
         assert_eq!(
             invite.body.sdp_origin_user(),
             Some("1001"),

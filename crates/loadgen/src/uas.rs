@@ -229,21 +229,25 @@ mod tests {
     use super::*;
     use sipcore::headers::HeaderName;
     use sipcore::message::format_via;
-    use sipcore::sdp::SessionDescription;
-    use sipcore::SipUri;
+    use sipcore::sdp::wire::SdpBody;
+    use sipcore::{Body, SipUri};
+
+    /// The wire bytes of an offer from the PBX.
+    fn offer(codec: SdpCodec) -> Vec<u8> {
+        Body::from(SdpBody::new("asterisk", "pbx", 10_002, codec)).to_vec()
+    }
 
     const UAS_NODE: NodeId = NodeId(2);
     const PBX_NODE: NodeId = NodeId(3);
 
     fn invite(call_id: &str) -> Request {
-        let sdp = SessionDescription::new("asterisk", "pbx", 10_002, SdpCodec::Pcmu);
         Request::new(Method::Invite, SipUri::new("2001", "pbx.unb.br"))
             .header(HeaderName::Via, format_via("pbx", 5060, "z9hG4bKx"))
             .header(HeaderName::From, "<sip:1001@pbx.unb.br>;tag=pbx")
             .header(HeaderName::To, "<sip:2001@pbx.unb.br>")
             .header(HeaderName::CallId, call_id)
             .header(HeaderName::CSeq, "1 INVITE")
-            .with_body("application/sdp", sdp.to_body())
+            .with_body("application/sdp", offer(SdpCodec::Pcmu))
     }
 
     fn sip_of(ev: &UasEvent) -> &SipMessage {
@@ -267,14 +271,15 @@ mod tests {
         let ok = sip_of(&evs[1]).as_response().unwrap();
         assert_eq!(ok.status, StatusCode::OK);
         assert_eq!(ok.body.sdp_audio_port(), Some(30_000));
-        // The structured answer serializes exactly as the eager builder
-        // would — the Content-Length header already reflects it.
-        let eager =
-            SessionDescription::new("sipp-server", "sipp-server", 30_000, SdpCodec::Pcmu).to_body();
-        assert_eq!(ok.body.to_vec(), eager);
+        // The structured answer serializes to the expected text — and the
+        // Content-Length header already reflects it.
+        let expected: &[u8] = b"v=0\r\no=sipp-server 0 0 IN IP4 sipp-server\r\ns=call\r\n\
+            c=IN IP4 sipp-server\r\nt=0 0\r\nm=audio 30000 RTP/AVP 0\r\n\
+            a=rtpmap:0 PCMU/8000\r\na=ptime:20\r\n";
+        assert_eq!(ok.body.to_vec(), expected);
         assert_eq!(
             ok.headers.get(&HeaderName::ContentLength),
-            Some(eager.len().to_string().as_str())
+            Some(expected.len().to_string().as_str())
         );
         assert_eq!(u.open_calls(), 1);
     }
@@ -282,14 +287,13 @@ mod tests {
     #[test]
     fn answer_echoes_offered_codec() {
         let mut u = Uas::new(UAS_NODE, SimDuration::ZERO);
-        let sdp = SessionDescription::new("asterisk", "pbx", 10_002, SdpCodec::Pcma);
         let inv = Request::new(Method::Invite, SipUri::new("2001", "pbx.unb.br"))
             .header(HeaderName::Via, format_via("pbx", 5060, "z9hG4bKa"))
             .header(HeaderName::From, "<sip:1001@pbx.unb.br>;tag=pbx")
             .header(HeaderName::To, "<sip:2001@pbx.unb.br>")
             .header(HeaderName::CallId, "alaw-1")
             .header(HeaderName::CSeq, "1 INVITE")
-            .with_body("application/sdp", sdp.to_body());
+            .with_body("application/sdp", offer(SdpCodec::Pcma));
         let evs = u.on_sip(SimTime::ZERO, PBX_NODE, inv.into());
         let ok = sip_of(&evs[1]).as_response().unwrap();
         assert_eq!(

@@ -14,7 +14,6 @@
 use crate::cdr::{CdrLog, Disposition};
 use crate::channels::{ChannelId, ChannelPool};
 use crate::cpu::CpuModel;
-use crate::dialplan::{Dialplan, Route};
 use crate::directory::Directory;
 use crate::ports::PortTable;
 use crate::registrar::{RegisterOutcome, Registrar};
@@ -25,9 +24,9 @@ use overload::{ControlLaw, Feedback, LoadSignals};
 use sipcore::auth::{CredentialsView, DigestChallenge, HexDigest};
 use sipcore::headers::{HeaderMap, HeaderName};
 use sipcore::message::{Decimal, Request, Response, SipMessage, SDP_HEADERS_ROOM};
-use sipcore::sdp::wire::{SdpBody, SdpSummary};
+use sipcore::sdp::wire::SdpBody;
 use sipcore::sdp::SdpCodec;
-use sipcore::{AtomTable, Method, SipUri, StatusCode};
+use sipcore::{Method, SipUri, StatusCode};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -157,10 +156,6 @@ struct Call {
     bye_from_caller: bool,
     /// To-tag the PBX uses on caller-facing responses.
     pbx_tag: String,
-    /// Compact summary of the caller's SDP offer (four machine words;
-    /// endpoint strings interned in the PBX's atom table). `None` when
-    /// the INVITE carried no usable offer.
-    caller_sdp: Option<SdpSummary>,
     /// The call's negotiated codec: the caller's offer at admission,
     /// replaced by the callee's answer when it arrives — what the
     /// caller-facing 200 advertises (no hardcoded PCMU).
@@ -168,6 +163,16 @@ struct Call {
 }
 
 /// The PBX.
+///
+/// An INVITE is routed by the registrar alone: the dialled extension
+/// reaches the subscriber [`Registrar::lookup`] binds it to, or gets 404.
+/// Every directory range starts at 1000, so only extensions of four or
+/// more digits can route; a range below 1000 would route shorter
+/// extensions too.
+///
+/// An SDP offer is read like an answer, through the body's accessors:
+/// its port counts only with a known codec, otherwise the caller's media
+/// port stays 0 and the offer codec PCMU.
 pub struct Pbx {
     /// Configuration (public for inspection).
     pub config: PbxConfig,
@@ -181,8 +186,6 @@ pub struct Pbx {
     pub directory: Directory,
     /// Registrar bindings.
     pub registrar: Registrar,
-    /// The campus dialplan: four-digit extensions are local subscribers.
-    dialplan: Dialplan,
     stats: PbxStats,
     /// Live calls per caller uid, kept only under
     /// `config.max_calls_per_user`; a uid leaves when its count reaches 0.
@@ -215,9 +218,6 @@ pub struct Pbx {
     /// user; covers exactly the credentials whose `uri` is
     /// `registrar_uri_str`.
     register_ha2: HexDigest,
-    /// Interner for SDP endpoint strings seen in offers/answers — after
-    /// warmup every summary is allocation-free.
-    sdp_atoms: AtomTable,
     /// Shared `o=` origin string for PBX-built SDP bodies ("asterisk").
     sdp_origin: Arc<str>,
     /// The hostname, shared: the `c=` connection of PBX-built SDP bodies
@@ -252,7 +252,6 @@ impl Pbx {
             cdr: CdrLog::new(),
             directory,
             registrar,
-            dialplan: Dialplan::campus_default(),
             stats: PbxStats::default(),
             active_per_user: FastMap::default(),
             calls: Vec::new(),
@@ -268,7 +267,6 @@ impl Pbx {
             registrar_uri,
             registrar_uri_str,
             register_ha2,
-            sdp_atoms: AtomTable::new(),
             sdp_origin: Arc::from("asterisk"),
             host,
         }
@@ -541,11 +539,7 @@ impl Pbx {
 
         // Route the dialled extension: only a registered local subscriber
         // is reachable.
-        let binding = match self.dialplan.route(extension) {
-            Some(Route::LocalSubscriber) => self.registrar.lookup(now, extension),
-            Some(Route::Trunk(_) | Route::Deny) | None => None,
-        };
-        let Some(callee_node) = binding.map(|b| b.node) else {
+        let Some(callee_node) = self.registrar.lookup(now, extension).map(|b| b.node) else {
             let resp = req.make_response(StatusCode::NOT_FOUND);
             return self.refuse(now, from, Disposition::Failed, resp);
         };
@@ -575,12 +569,13 @@ impl Pbx {
         let caller_call_id = call_id.to_owned();
         let caller_uid: Arc<str> = Arc::from(caller_uid);
 
-        // Caller's media coordinates and codec from its SDP offer. A
-        // structured `Body::Sdp` answers from its fields; a wire body gets
-        // one lazy scan. Either way the summary is four machine words.
-        let caller_sdp = SdpSummary::of_body(&req.body, &mut self.sdp_atoms);
-        let caller_rtp_port = caller_sdp.map(|s| s.audio_port).unwrap_or(0);
-        let offer_codec = caller_sdp.map(|s| s.codec).unwrap_or(SdpCodec::Pcmu);
+        // Caller's media coordinates and codec from its SDP offer, read
+        // like an answer. The port counts only with a known codec.
+        let (offer_codec, caller_rtp_port) = req
+            .body
+            .sdp_codec()
+            .zip(req.body.sdp_audio_port())
+            .unwrap_or((SdpCodec::Pcmu, 0));
 
         let admitted = self.next_call_serial;
         self.next_call_serial += 1;
@@ -661,7 +656,6 @@ impl Pbx {
             caller_uid,
             bye_from_caller: true,
             pbx_tag,
-            caller_sdp,
             codec: offer_codec,
         };
         let idx = match self.vacant_slots.pop() {
@@ -705,11 +699,9 @@ impl Pbx {
         if call.state != CallState::Answered || new_cseq <= old_cseq {
             return vec![];
         }
-        if let Some(summary) = SdpSummary::of_body(&req.body, &mut self.sdp_atoms) {
-            self.by_pbx_port
-                .learn(call.callee.pbx_port, summary.audio_port);
-            call.caller_sdp = Some(summary);
-            call.codec = summary.codec;
+        if let Some((codec, port)) = req.body.sdp_codec().zip(req.body.sdp_audio_port()) {
+            self.by_pbx_port.learn(call.callee.pbx_port, port);
+            call.codec = codec;
         }
         // Later responses (and the BYE 200) must echo the current CSeq.
         call.caller_invite = req.clone();
@@ -1041,7 +1033,7 @@ mod tests {
     use super::*;
     use crate::ports::{FIRST_MEDIA_PORT, MEDIA_PORTS};
     use sipcore::message::format_via;
-    use sipcore::sdp::SessionDescription;
+    use sipcore::Body;
 
     const CALLER_NODE: NodeId = NodeId(1);
     const CALLEE_NODE: NodeId = NodeId(2);
@@ -1083,7 +1075,7 @@ mod tests {
         rtp_port: u16,
         codec: SdpCodec,
     ) -> Request {
-        let sdp = SessionDescription::new(from_uid, "10.0.0.1", rtp_port, codec);
+        let sdp = SdpBody::new(from_uid, "10.0.0.1", rtp_port, codec);
         Request::new(Method::Invite, sipcore::SipUri::new(to_ext, "pbx.unb.br"))
             .header(
                 HeaderName::Via,
@@ -1096,7 +1088,7 @@ mod tests {
             .header(HeaderName::To, format!("<sip:{to_ext}@pbx.unb.br>"))
             .header(HeaderName::CallId, call_id)
             .header(HeaderName::CSeq, "1 INVITE")
-            .with_body("application/sdp", sdp.to_body())
+            .with_body("application/sdp", Body::from(sdp).to_vec())
     }
 
     fn sip_of(a: &PbxAction) -> &SipMessage {
@@ -1119,9 +1111,9 @@ mod tests {
         assert_eq!(trying.status, StatusCode::TRYING);
         let fwd_invite = sip_of(&acts[1]).as_request().unwrap().clone();
         assert_eq!(fwd_invite.method, Method::Invite);
-        let out_sdp = SessionDescription::parse(&fwd_invite.body.to_vec()).unwrap();
+        let callee_facing = fwd_invite.body.sdp_audio_port().unwrap();
         assert!(
-            out_sdp.audio_port >= FIRST_MEDIA_PORT,
+            callee_facing >= FIRST_MEDIA_PORT,
             "PBX offers its own media port"
         );
 
@@ -1135,14 +1127,13 @@ mod tests {
         );
 
         let mut ok = fwd_invite.make_response(StatusCode::OK);
-        let answer =
-            SessionDescription::new("1002", "10.0.0.2", 7000, sipcore::sdp::SdpCodec::Pcmu);
-        ok = ok.with_body("application/sdp", answer.to_body());
+        let answer = SdpBody::new("1002", "10.0.0.2", 7000, SdpCodec::Pcmu);
+        ok = ok.with_body("application/sdp", Body::from(answer).to_vec());
         let acts = pbx.handle_sip(SimTime::from_secs(3), CALLEE_NODE, ok.into());
         assert_eq!(acts.len(), 1);
         let fwd_ok = sip_of(&acts[0]).as_response().unwrap();
         assert_eq!(fwd_ok.status, StatusCode::OK);
-        let caller_facing = SessionDescription::parse(&fwd_ok.body.to_vec()).unwrap();
+        let caller_facing = fwd_ok.body.sdp_audio_port().unwrap();
 
         // Caller ACKs; PBX forwards it to the callee.
         let ack = Request::new(Method::Ack, sipcore::SipUri::new("1002", "pbx.unb.br"))
@@ -1152,7 +1143,7 @@ mod tests {
         assert_eq!(acts.len(), 1);
         assert_eq!(sip_of(&acts[0]).as_request().unwrap().method, Method::Ack);
 
-        (caller_facing.audio_port, out_sdp.audio_port)
+        (caller_facing, callee_facing)
     }
 
     /// Satellite of the SDP fast path: an A-law call stays A-law on both
@@ -1448,16 +1439,62 @@ mod tests {
         assert_eq!(pbx.pool.in_use(), 0, "no channel leaked");
     }
 
+    /// The registrar's lookup is the whole routing rule: anything that is
+    /// not a registered subscriber's uid, written as the directory writes
+    /// it, gets 404 and files one `Failed` CDR.
     #[test]
-    fn non_numeric_uri_is_rejected_by_dialplan() {
+    fn unroutable_extensions_get_404() {
+        for ext in ["y", "", "abcd", "1000x", "01002", "999", "1099"] {
+            let mut pbx = pbx_with_users();
+            let acts = pbx.handle_sip(
+                SimTime::from_secs(1),
+                CALLER_NODE,
+                invite("y", "1001", ext, 6000).into(),
+            );
+            assert_eq!(acts.len(), 1, "{ext:?}: only the refusal goes out");
+            let resp = sip_of(&acts[0]).as_response().unwrap();
+            assert_eq!(resp.status, StatusCode::NOT_FOUND, "{ext:?}");
+            assert_eq!(pbx.cdr.count(Disposition::Failed), 1, "{ext:?}");
+            assert_eq!(pbx.cdr.total(), 1, "{ext:?}: exactly one CDR");
+            assert_eq!(pbx.pool.in_use(), 0, "{ext:?}: no channel taken");
+        }
         let mut pbx = pbx_with_users();
         let acts = pbx.handle_sip(
             SimTime::from_secs(1),
             CALLER_NODE,
-            invite("y", "1001", "alice", 6000).into(),
+            invite("y", "1001", "1002", 6000).into(),
         );
-        let resp = sip_of(&acts[0]).as_response().unwrap();
-        assert_eq!(resp.status, StatusCode::NOT_FOUND);
+        assert_eq!(acts.len(), 2, "the registered callee routes");
+        assert!(matches!(&acts[1], PbxAction::SendSip { to, .. } if *to == CALLEE_NODE));
+    }
+
+    /// An offer whose port parses but whose only payload type is unknown
+    /// counts as no offer: the callee leg is offered PCMU and media from
+    /// the callee has nowhere to go until a usable offer arrives.
+    #[test]
+    fn offer_with_only_an_unknown_codec_is_no_offer() {
+        let offer_with = |pt: u8| {
+            let sdp = format!("c=IN IP4 10.0.0.1\r\nm=audio 6000 RTP/AVP {pt}\r\n");
+            invite("u", "1001", "1002", 0).with_body("application/sdp", sdp.into_bytes())
+        };
+
+        let mut pbx = pbx_with_users();
+        let acts = pbx.handle_sip(SimTime::from_secs(1), CALLER_NODE, offer_with(18).into());
+        let fwd_invite = sip_of(&acts[1]).as_request().unwrap();
+        assert_eq!(fwd_invite.body.sdp_codec(), Some(SdpCodec::Pcmu));
+        let callee_facing = fwd_invite.body.sdp_audio_port().unwrap();
+        assert_eq!(pbx.relay_rtp(SimTime::from_secs(2), callee_facing), None);
+        assert_eq!(pbx.stats().rtp_dropped, 1);
+
+        let mut pbx = pbx_with_users();
+        let acts = pbx.handle_sip(SimTime::from_secs(1), CALLER_NODE, offer_with(0).into());
+        let fwd_invite = sip_of(&acts[1]).as_request().unwrap();
+        let callee_facing = fwd_invite.body.sdp_audio_port().unwrap();
+        assert_eq!(
+            pbx.relay_rtp(SimTime::from_secs(2), callee_facing),
+            Some((CALLER_NODE, 6000))
+        );
+        assert_eq!(pbx.stats().rtp_dropped, 0);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   knob `N`; exhaustion turns new INVITEs into 486 Busy Here;
 //! * [`registrar`] + [`directory`] — REGISTER handling with credential
 //!   checks against an LDAP-like in-memory directory (the paper's UnB
-//!   deployment authenticates against LDAP);
-//! * [`dialplan`] — extension-pattern routing;
+//!   deployment authenticates against LDAP); the registrar's location
+//!   table is also the routing table: a dialled extension reaches a
+//!   registered subscriber or gets 404;
 //! * [`cdr`] — call detail records, tallied per disposition;
 //! * [`cpu`] — a calibrated service-cost model that turns message and
 //!   packet handling into CPU utilisation (documented in DESIGN.md §7).
@@ -26,7 +27,6 @@ pub mod b2bua;
 pub mod cdr;
 pub mod channels;
 pub mod cpu;
-pub mod dialplan;
 pub mod directory;
 mod ports;
 pub mod registrar;

@@ -2,35 +2,28 @@
 //! the session-description counterpart of [`crate::wire::WireMessage`].
 //!
 //! Every INVITE/200 in the stack carries a one-audio-stream session
-//! description. The eager [`SessionDescription`] round-trips it through
-//! owned `String` parse and `Vec<u8>` rebuild per hop — the last per-call
-//! allocation hot spot the zero-alloc signalling plane left uncovered.
-//! This module closes it with three pieces:
+//! description, in one of two forms, each with one way in:
 //!
-//! * [`SdpView`] — a borrowed, zero-allocation view over raw body bytes
-//!   answering the fields signalling actually routes on (origin user,
-//!   connection address, audio port, payload-type list) straight from
-//!   the wire. Tolerant: a non-UTF-8 or malformed line never poisons the
-//!   rest of the body, the affected accessor just skips it.
-//! * [`SdpSummary`] — the `Copy` compact form for dialog state: port and
-//!   codec inline, origin/connection interned through
-//!   [`crate::atoms::AtomTable`]. Four machine words per leg instead of
-//!   two heap strings.
-//! * [`SdpBody`] — a self-contained structured body (shared `Arc<str>`
-//!   endpoints, analytic [`SdpBody::len`]) that a [`crate::message::Body`]
-//!   carries across hops without the text ever being materialized; and
-//!   the allocation-free serializers [`write_sdp`] / [`body_len`] /
-//!   [`SdpSummary::to_body_into`] that write it into pooled buffers when
-//!   bytes are finally needed.
+//! * [`SdpBody`] — the one owned form: a self-contained structured body
+//!   (shared `Arc<str>` endpoints, analytic [`SdpBody::len`]) that a
+//!   [`crate::message::Body`] carries across hops without the text ever
+//!   being materialized. [`write_sdp`] serializes it when bytes are
+//!   finally needed.
+//! * [`SdpView`] — the one reader: a borrowed, zero-allocation view over
+//!   raw body bytes answering origin user, connection address, audio port
+//!   and codec straight from the wire. Tolerant: a non-UTF-8 or malformed
+//!   line never poisons the rest of the body, the affected accessor just
+//!   skips it. The [`crate::message::Body`] accessors scan through it.
 //!
-//! On any body the owned parser accepts, every accessor here agrees with
-//! [`SessionDescription::parse`] field-for-field; a property test below
-//! pins that agreement together with the build→parse round-trip.
+//! [`SdpSummary`] compacts a body into four machine words, endpoints
+//! interned through [`crate::atoms::AtomTable`]. No engine uses it; a
+//! property test below pins it to the accessors on arbitrary bodies,
+//! and another pins the build→view round-trip.
 
 use crate::atoms::{Atom, AtomTable};
 use crate::message::decimal_len;
 use crate::pool::BufferPool;
-use crate::sdp::{SdpCodec, SessionDescription};
+use crate::sdp::SdpCodec;
 use std::sync::Arc;
 
 /// A borrowed, zero-allocation view over one SDP body.
@@ -126,9 +119,9 @@ impl<'a> SdpView<'a> {
     }
 
     /// Compact the view into a [`SdpSummary`], interning the endpoint
-    /// strings. `None` when no usable audio stream is present — the same
-    /// condition under which [`SessionDescription::parse`] returns `None`.
-    /// Steady state (endpoint strings already interned) allocates nothing.
+    /// strings. `None` unless both [`Self::audio_port`] and [`Self::codec`]
+    /// answer. Steady state (endpoint strings already interned) allocates
+    /// nothing.
     #[must_use]
     pub fn summarize(&self, atoms: &mut AtomTable) -> Option<SdpSummary> {
         let (audio_port, _) = self.audio_media()?;
@@ -140,24 +133,12 @@ impl<'a> SdpView<'a> {
             origin: atoms.intern(self.origin_user().unwrap_or("")),
         })
     }
-
-    /// Upgrade to the eager owned form (the fields the view answers,
-    /// copied into `String`s). Agrees with [`SessionDescription::parse`]
-    /// by construction — the owned parser delegates here.
-    #[must_use]
-    pub fn to_session(&self) -> Option<SessionDescription> {
-        let (audio_port, _) = self.audio_media()?;
-        Some(SessionDescription {
-            origin_user: self.origin_user().unwrap_or("").to_owned(),
-            connection: self.connection().unwrap_or("").to_owned(),
-            audio_port,
-            codec: self.codec()?,
-        })
-    }
 }
 
-/// A session description compacted for dialog state: `Copy`, four machine
-/// words, endpoint strings interned through an [`AtomTable`].
+/// A session description compacted to `Copy` state: four machine words,
+/// endpoint strings interned through an [`AtomTable`]. No engine keeps
+/// one; it agrees with the [`crate::message::Body`] accessors on every
+/// body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SdpSummary {
     /// Audio media port (`m=audio <port> ...`).
@@ -189,7 +170,7 @@ impl SdpSummary {
     /// Exact length of the body [`SdpSummary::write_sdp`] produces,
     /// computed without serializing.
     #[must_use]
-    pub fn body_len(&self, atoms: &AtomTable) -> usize {
+    fn body_len(&self, atoms: &AtomTable) -> usize {
         body_len(
             atoms.resolve(self.origin),
             atoms.resolve(self.conn),
@@ -274,8 +255,7 @@ impl SdpBody {
         false
     }
 
-    /// Serialize into a caller-supplied buffer (appending). Byte-identical
-    /// to [`SessionDescription::to_body`] for the same fields.
+    /// Serialize into a caller-supplied buffer (appending).
     pub fn write_into(&self, out: &mut Vec<u8>) {
         write_sdp(
             out,
@@ -285,22 +265,10 @@ impl SdpBody {
             self.codec,
         );
     }
-
-    /// The eager owned form (copies the endpoint strings).
-    #[must_use]
-    pub fn to_session(&self) -> SessionDescription {
-        SessionDescription {
-            origin_user: self.origin_user.to_string(),
-            connection: self.connection.to_string(),
-            audio_port: self.audio_port,
-            codec: self.codec,
-        }
-    }
 }
 
 /// Serialize a one-audio-stream session description into `out`
 /// (appending) — the zero-allocation core every SDP builder shares.
-/// Byte-identical to [`SessionDescription::to_body`].
 pub fn write_sdp(
     out: &mut Vec<u8>,
     origin_user: &str,
@@ -329,7 +297,7 @@ pub fn write_sdp(
 /// Exact length of [`write_sdp`]'s output for these fields, computed
 /// without serializing.
 #[must_use]
-pub fn body_len(origin_user: &str, connection: &str, port: u16, codec: SdpCodec) -> usize {
+fn body_len(origin_user: &str, connection: &str, port: u16, codec: SdpCodec) -> usize {
     let pt_len = decimal_len(u32::from(codec.payload_type()));
     // v=0 | o=<user> 0 0 IN IP4 <conn> | s=call | c=IN IP4 <conn> | t=0 0
     5 + 2 + origin_user.len() + 12 + connection.len() + 2
@@ -375,28 +343,42 @@ fn write_decimal(out: &mut Vec<u8>, n: u32) {
 mod tests {
     use super::*;
 
-    fn offer() -> SessionDescription {
-        SessionDescription::new("1001", "sipp-client", 20_000, SdpCodec::Pcmu)
+    /// The wire bytes of `sdp`.
+    fn bytes(sdp: &SdpBody) -> Vec<u8> {
+        let mut out = Vec::new();
+        sdp.write_into(&mut out);
+        out
+    }
+
+    fn offer() -> Vec<u8> {
+        bytes(&SdpBody::new("1001", "sipp-client", 20_000, SdpCodec::Pcmu))
     }
 
     #[test]
-    fn view_agrees_with_owned_parse_on_built_bodies() {
-        let body = offer().to_body();
+    fn view_reads_built_bodies() {
+        let body = offer();
+        let text = std::str::from_utf8(&body).unwrap();
+        assert!(text.contains("m=audio 20000 RTP/AVP 0\r\n"));
+        assert!(text.contains("a=rtpmap:0 PCMU/8000\r\n"));
         let v = SdpView::parse(&body).unwrap();
         assert_eq!(v.origin_user(), Some("1001"));
         assert_eq!(v.connection(), Some("sipp-client"));
         assert_eq!(v.audio_port(), Some(20_000));
         assert_eq!(v.payload_types().collect::<Vec<_>>(), vec![0]);
         assert_eq!(v.codec(), Some(SdpCodec::Pcmu));
-        assert_eq!(v.to_session(), Some(offer()));
+
+        let alaw = bytes(&SdpBody::new("x", "10.0.0.3", 7000, SdpCodec::Pcma));
+        let v = SdpView::parse(&alaw).unwrap();
+        assert_eq!(v.payload_types().collect::<Vec<_>>(), vec![8]);
+        assert_eq!(v.codec(), Some(SdpCodec::Pcma));
     }
 
     #[test]
     fn view_is_tolerant_of_garbage_lines() {
-        // A non-UTF-8 line and a malformed o= line ride along with a
-        // valid media description: the view (and through it the owned
-        // parser) still answers from the good lines.
-        let mut body = Vec::new();
+        // Non-UTF-8 lines and a malformed o= line ride along with a valid
+        // media description: the view still answers from the good lines.
+        let mut body: Vec<u8> = (0u8..=255).rev().collect();
+        body.push(b'\n');
         body.extend_from_slice(b"o=\r\n");
         body.extend_from_slice(&[0xFF, 0xFE, 0x01, b'\n']);
         body.extend_from_slice(b"o=alice 0 0 IN IP4 h\r\n");
@@ -416,7 +398,11 @@ mod tests {
         let v = SdpView::parse(&[0xFF, 0xFE]).unwrap();
         assert_eq!(v.audio_port(), None);
         assert_eq!(v.codec(), None);
-        assert_eq!(v.to_session(), None);
+        let v = SdpView::parse(b"v=0\r\ns=x\r\n").unwrap();
+        assert_eq!(v.audio_port(), None, "no media line");
+        let v = SdpView::parse(b"m=audio notaport RTP/AVP 0\r\n").unwrap();
+        assert_eq!(v.audio_port(), None, "no parseable port");
+        assert_eq!(v.codec(), None, "a codec needs a usable media line");
     }
 
     #[test]
@@ -424,13 +410,14 @@ mod tests {
         let body = b"c=IN IP4 h\r\nm=audio 5000 RTP/AVP 96 101\r\n";
         let v = SdpView::parse(body).unwrap();
         assert_eq!(v.payload_types().collect::<Vec<_>>(), vec![96, 101]);
+        assert_eq!(v.audio_port(), Some(5000), "the port parses on its own");
         assert_eq!(v.codec(), None, "first listed PT wins, and it is unknown");
-        assert_eq!(v.to_session(), None);
+        assert_eq!(v.summarize(&mut AtomTable::new()), None);
     }
 
     #[test]
     fn summary_interns_and_round_trips() {
-        let body = offer().to_body();
+        let body = offer();
         let mut atoms = AtomTable::new();
         let s = SdpView::parse(&body)
             .unwrap()
@@ -502,21 +489,21 @@ mod proptests {
     }
 
     proptest! {
-        /// Build → parse round-trips exactly, through both the owned
-        /// parser and the wire view, and the analytic length is exact.
+        /// Build → view round-trips every field, and the analytic length
+        /// is exact.
         #[test]
-        fn build_parse_round_trip(
+        fn build_view_round_trip(
             user in "[a-z0-9.@-]{1,12}",
             conn in "[a-z0-9.@-]{1,12}",
             port in 0u16..=u16::MAX,
             alaw in any::<bool>(),
         ) {
             let codec = if alaw { SdpCodec::Pcma } else { SdpCodec::Pcmu };
-            let sdp = SessionDescription::new(&user, &conn, port, codec);
-            let body = sdp.to_body();
+            let sdp = SdpBody::new(user.as_str(), conn.as_str(), port, codec);
+            let mut body = Vec::new();
+            sdp.write_into(&mut body);
             prop_assert_eq!(body.len(), body_len(&user, &conn, port, codec));
-            let reparsed = SessionDescription::parse(&body);
-            prop_assert_eq!(reparsed.as_ref(), Some(&sdp));
+            prop_assert_eq!(body.len(), sdp.len());
             let v = SdpView::parse(&body).unwrap();
             prop_assert_eq!(v.origin_user(), Some(user.as_str()));
             prop_assert_eq!(v.connection(), Some(conn.as_str()));
@@ -525,10 +512,11 @@ mod proptests {
         }
 
         /// On arbitrary line soups — reordered lines, unknown payload
-        /// types, junk bytes — the view and the owned parser agree
-        /// field-for-field and nothing panics.
+        /// types, junk bytes — the interned summary agrees with the
+        /// `Body` accessors field-for-field (a port counts only with a
+        /// known codec) and nothing panics.
         #[test]
-        fn view_agrees_with_owned_parse_on_generated_bodies(
+        fn summary_agrees_with_accessors_on_generated_bodies(
             draws in proptest::collection::vec(
                 (
                     0u8..9,
@@ -541,29 +529,23 @@ mod proptests {
             ),
             junk in proptest::collection::vec(any::<u8>(), 0..16),
         ) {
-            let mut body = Vec::new();
+            let mut bytes = Vec::new();
             for (kind, tok, port, pt, extra) in &draws {
-                body.extend_from_slice(render_line(*kind, tok, *port, *pt, extra).as_bytes());
-                body.extend_from_slice(b"\r\n");
+                bytes.extend_from_slice(render_line(*kind, tok, *port, *pt, extra).as_bytes());
+                bytes.extend_from_slice(b"\r\n");
             }
-            body.extend_from_slice(&junk);
-            let owned = SessionDescription::parse(&body);
-            match SdpView::parse(&body) {
-                None => prop_assert!(owned.is_none()),
-                Some(v) => {
-                    let viewed = v.to_session();
-                    prop_assert_eq!(&owned, &viewed);
-                    if let Some(s) = owned {
-                        prop_assert_eq!(v.origin_user().unwrap_or(""), s.origin_user);
-                        prop_assert_eq!(v.connection().unwrap_or(""), s.connection);
-                        prop_assert_eq!(v.audio_port(), Some(s.audio_port));
-                        prop_assert_eq!(v.codec(), Some(s.codec));
-                        let mut atoms = AtomTable::new();
-                        let sum = v.summarize(&mut atoms).unwrap();
-                        prop_assert_eq!(sum.audio_port, s.audio_port);
-                        prop_assert_eq!(sum.codec, s.codec);
-                    }
-                }
+            bytes.extend_from_slice(&junk);
+            let body = crate::message::Body::Bytes(bytes);
+            let mut atoms = AtomTable::new();
+            let sum = SdpSummary::of_body(&body, &mut atoms);
+            prop_assert_eq!(
+                sum.map(|s| (s.codec, s.audio_port)),
+                body.sdp_codec().zip(body.sdp_audio_port())
+            );
+            if let Some(s) = sum {
+                prop_assert_eq!(atoms.resolve(s.origin), body.sdp_origin_user().unwrap_or(""));
+                let view = SdpView::parse(body.as_bytes().unwrap()).unwrap();
+                prop_assert_eq!(atoms.resolve(s.conn), view.connection().unwrap_or(""));
             }
         }
     }

@@ -11,7 +11,7 @@ use des::{SimDuration, SimTime};
 use loadgen::{Uac, UacEvent, Uas, UasEvent};
 use netsim::NodeId;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
-use sipcore::sdp::SessionDescription;
+use sipcore::sdp::wire::{SdpBody, SdpView};
 use sipcore::{parse_message, Body, SipMessage};
 use std::collections::VecDeque;
 
@@ -25,17 +25,18 @@ pub const CALLER: &str = "1000";
 pub const CALLEE: &str = "1500";
 
 /// What a stack doing real UDP I/O would hand its engine: `msg`
-/// serialized and parsed back, its SDP body rebuilt from an owned
-/// [`SessionDescription`].
+/// serialized and parsed back, its SDP body rebuilt as an [`SdpBody`]
+/// from the fields an [`SdpView`] reads off the bytes.
 fn over_the_wire(msg: &SipMessage) -> SipMessage {
     let mut msg = parse_message(&msg.to_wire()).expect("engines emit parseable SIP");
     let body = msg.body_mut();
-    let sdp = body
-        .as_bytes()
-        .filter(|bytes| !bytes.is_empty())
-        .and_then(SessionDescription::parse);
+    let sdp = body.as_bytes().and_then(SdpView::parse).and_then(|v| {
+        let (codec, port) = v.codec().zip(v.audio_port())?;
+        let (origin, conn) = (v.origin_user().unwrap_or(""), v.connection().unwrap_or(""));
+        Some(SdpBody::new(origin, conn, port, codec))
+    });
     if let Some(sdp) = sdp {
-        *body = Body::Bytes(sdp.to_body());
+        *body = Body::Bytes(Body::from(sdp).to_vec());
     }
     msg
 }

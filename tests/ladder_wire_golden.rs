@@ -11,7 +11,7 @@
 //!
 //! Every scenario runs twice: once handing each engine the message its
 //! peer built, once handing it `parse_message(to_wire())` of that message
-//! (SDP body rebuilt through `SessionDescription`). Both must record the
+//! (SDP body rebuilt as an `SdpBody`). Both must record the
 //! same bytes and leave the same PBX counters — the engines cannot tell a
 //! parsed message from a built one, and a message survives the wire
 //! byte for byte.

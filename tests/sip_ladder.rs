@@ -6,7 +6,10 @@ use capacity::experiment::MediaMode;
 use loadgen::HoldingDist;
 use sipcore::headers::HeaderName;
 use sipcore::message::format_via;
-use sipcore::{parse_message, Method, Request, SipMessage, SipUri, StatusCode};
+use sipcore::sdp::SdpCodec;
+use sipcore::{
+    parse_message, Body, Method, Request, SdpBody, SdpView, SipMessage, SipUri, StatusCode,
+};
 
 /// One call, media off: exactly 13 SIP messages cross the wire
 /// (9 to establish + 4 to tear down), as the paper counts.
@@ -64,19 +67,14 @@ fn one_call_is_thirteen_messages() {
 /// the parser and serializer agree end to end.
 #[test]
 fn emitted_messages_round_trip_the_wire_format() {
-    let sdp = sipcore::sdp::SessionDescription::new(
-        "1001",
-        "10.0.0.2",
-        6000,
-        sipcore::sdp::SdpCodec::Pcmu,
-    );
+    let sdp = SdpBody::new("1001", "10.0.0.2", 6000, SdpCodec::Pcmu);
     let invite = Request::new(Method::Invite, SipUri::new("1002", "pbx.unb.br"))
         .header(HeaderName::Via, format_via("10.0.0.2", 5060, "z9hG4bKit"))
         .header(HeaderName::From, "<sip:1001@pbx.unb.br>;tag=f1")
         .header(HeaderName::To, "<sip:1002@pbx.unb.br>")
         .header(HeaderName::CallId, "it-call-1")
         .header(HeaderName::CSeq, "1 INVITE")
-        .with_body("application/sdp", sdp.to_body());
+        .with_body("application/sdp", Body::from(sdp).to_vec());
     let wire = invite.to_wire();
     let parsed = parse_message(&wire).expect("valid SIP");
     assert_eq!(parsed.as_request().unwrap(), &invite);
@@ -89,8 +87,9 @@ fn emitted_messages_round_trip_the_wire_format() {
 
     // And the SDP body is recoverable from the parsed message.
     let body = &parsed_body(&SipMessage::Request(invite.clone()));
-    let sdp_back = sipcore::sdp::SessionDescription::parse(body).expect("SDP");
-    assert_eq!(sdp_back.audio_port, 6000);
+    let sdp_back = SdpView::parse(body).expect("SDP");
+    assert_eq!(sdp_back.audio_port(), Some(6000));
+    assert_eq!(sdp_back.codec(), Some(SdpCodec::Pcmu));
 }
 
 fn parsed_body(msg: &SipMessage) -> Vec<u8> {
@@ -120,15 +119,14 @@ fn b2bua_uses_distinct_call_ids_per_leg() {
         .header(HeaderName::Authorization, "Simple 1002 pw-1002");
     pbx.handle_sip(des::SimTime::ZERO, NodeId(2), reg.into());
 
-    let sdp =
-        sipcore::sdp::SessionDescription::new("1001", "c", 6000, sipcore::sdp::SdpCodec::Pcmu);
+    let sdp = SdpBody::new("1001", "c", 6000, SdpCodec::Pcmu);
     let invite = Request::new(Method::Invite, SipUri::new("1002", "pbx.unb.br"))
         .header(HeaderName::Via, format_via("c", 5060, "z9hG4bKleg"))
         .header(HeaderName::From, "<sip:1001@pbx.unb.br>;tag=x")
         .header(HeaderName::To, "<sip:1002@pbx.unb.br>")
         .header(HeaderName::CallId, "caller-leg-id")
         .header(HeaderName::CSeq, "1 INVITE")
-        .with_body("application/sdp", sdp.to_body());
+        .with_body("application/sdp", Body::from(sdp).to_vec());
     let actions = pbx.handle_sip(des::SimTime::from_secs(1), NodeId(1), invite.into());
     let forwarded = actions
         .iter()

@@ -148,20 +148,17 @@ fn established_call_signalling_hop_allocates_nothing() {
     // and interner: the pool-stats assertions above must stay untouched.
     let origin: Arc<str> = Arc::from("1001");
     let host: Arc<str> = Arc::from("10.0.0.1");
-    let mut sdp_atoms = AtomTable::new();
+    let mut summary_atoms = AtomTable::new();
     let mut sdp_pool = BufferPool::default();
     // The 200's answer body as the wire delivers it on the interned path
     // after a reference-form hop: raw bytes.
-    let answer_bytes = Body::Bytes(
-        SdpBody::new("1501", "10.0.0.2", 30_000, SdpCodec::Pcmu)
-            .to_session()
-            .to_body(),
-    );
+    let answer_bytes =
+        Body::Bytes(Body::from(SdpBody::new("1501", "10.0.0.2", 30_000, SdpCodec::Pcmu)).to_vec());
     for _ in 0..3 {
         let offer = SdpBody::new(Arc::clone(&origin), Arc::clone(&host), 6000, SdpCodec::Pcmu);
         std::hint::black_box(offer.len());
-        let s = SdpSummary::of_body(&answer_bytes, &mut sdp_atoms).expect("valid answer");
-        let buf = s.to_body_into(&sdp_atoms, &mut sdp_pool);
+        let s = SdpSummary::of_body(&answer_bytes, &mut summary_atoms).expect("valid answer");
+        let buf = s.to_body_into(&summary_atoms, &mut sdp_pool);
         sdp_pool.release(buf);
     }
 
@@ -177,12 +174,12 @@ fn established_call_signalling_hop_allocates_nothing() {
         assert_eq!(view.codec(), Some(SdpCodec::Pcmu));
 
         // Dialog bookkeeping: summarize through the warm interner.
-        let s = SdpSummary::of_body(&answer_bytes, &mut sdp_atoms).expect("valid answer");
+        let s = SdpSummary::of_body(&answer_bytes, &mut summary_atoms).expect("valid answer");
         assert_eq!(s.audio_port, 30_000);
 
         // Relayed answer: serialize into the pooled buffer and release
         // once the bytes are "on the wire".
-        let buf = s.to_body_into(&sdp_atoms, &mut sdp_pool);
+        let buf = s.to_body_into(&summary_atoms, &mut sdp_pool);
         std::hint::black_box(&buf);
         sdp_pool.release(buf);
     }
