@@ -10,7 +10,7 @@
 mod media;
 
 use crate::experiment::{EmpiricalConfig, MediaMode};
-use des::{EventHandler, GenTag, Scheduler, SimDuration, SimTime, StreamRng};
+use des::{EventHandler, GenTag, Scheduler, SimDuration, SimTime, Slab, StreamRng};
 use faults::FaultKind;
 use loadgen::{ArrivalProcess, ChurnWheel, PopulationArrivals, Uac, UacEvent, Uas, UasEvent};
 use media::{DownRoute, MediaPlane, UpRoute, FRAME_PERIOD};
@@ -294,57 +294,6 @@ pub enum Ev {
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
-/// The frames in flight, by slot. A slot is taken where a frame is
-/// emitted and freed where it stops travelling — delivered, dropped by a
-/// link, or dark at a crashed PBX — and freed slots are reused before
-/// the slab grows, so a run holds O(frames in flight) of them and a hop
-/// allocates nothing.
-#[derive(Default)]
-struct FrameSlab {
-    slots: Vec<Option<Frame>>,
-    free: Vec<u32>,
-}
-
-impl FrameSlab {
-    fn insert(&mut self, frame: Frame) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = Some(frame);
-            return slot;
-        }
-        self.slots.push(Some(frame));
-        u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 frames in flight")
-    }
-
-    /// Room for `frames` more without growing.
-    fn reserve(&mut self, frames: usize) {
-        self.slots.reserve(frames);
-    }
-
-    fn get(&self, slot: u32) -> &Frame {
-        self.slots[slot as usize]
-            .as_ref()
-            .expect("a live frame slot")
-    }
-
-    fn get_mut(&mut self, slot: u32) -> &mut Frame {
-        self.slots[slot as usize]
-            .as_mut()
-            .expect("a live frame slot")
-    }
-
-    fn remove(&mut self, slot: u32) -> Frame {
-        let frame = self.slots[slot as usize].take().expect("a live frame slot");
-        self.free.push(slot);
-        frame
-    }
-
-    /// Slots holding a frame.
-    #[cfg(test)]
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
 /// Live state of the finite-source population workload: the aggregated
 /// arrival engine and the churn wheel. A call's end finds its user
 /// through the caller uid ([`SubscriberPlan::population_rank`]).
@@ -395,8 +344,11 @@ pub struct World {
     population: Option<PopState>,
     /// The uid ranges of the run's users.
     plan: SubscriberPlan,
-    /// Frames in flight; `Ev::HopArrive` names a slot here.
-    frames: FrameSlab,
+    /// Frames in flight, by slot: `Ev::HopArrive` names one. A slot is
+    /// taken where a frame is emitted and freed where it stops travelling
+    /// — delivered, dropped by a link, or dark at a crashed PBX — so a run
+    /// holds O(frames in flight) of them and a hop allocates nothing.
+    frames: Slab<Frame>,
 }
 
 impl World {
@@ -481,7 +433,7 @@ impl World {
             answers_per_sec: Vec::new(),
             population,
             plan,
-            frames: FrameSlab::default(),
+            frames: Slab::new(),
             config,
         }
     }
@@ -661,8 +613,7 @@ impl World {
     /// it simply never arrives (its slot is freed); receivers observe the
     /// gap.
     fn forward_frame(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, via: NodeId, slot: u32) {
-        let frame = self.frames.get(slot);
-        let (dst, wire_len) = (frame.dst, frame.wire_len);
+        let Frame { dst, wire_len, .. } = self.frames[slot];
         let hop = self.topo.next_hop(via, dst);
         match self
             .topo
@@ -858,7 +809,7 @@ impl World {
     /// the relay's CPU and counts). Links and the monitor stream are
     /// reached through the handles session `idx` carries. `None` where
     /// the packet dies: a dark PBX, a link drop, no relay target yet.
-    fn emit_media_express(&mut self, now: SimTime, idx: usize, header: &RtpHeader) -> Option<()> {
+    fn emit_media_express(&mut self, now: SimTime, idx: u32, header: &RtpHeader) -> Option<()> {
         let session = self.media.session_mut(idx);
         let (_, remote_node, remote_port) = session.route;
         let up = session.up?;
@@ -969,8 +920,9 @@ impl World {
     /// The frame in `slot` reached its destination: hand it to the node
     /// there and free its slot, unless a PBX relays it onward in it.
     fn deliver(&mut self, now: SimTime, sched: &mut Scheduler<Ev>, slot: u32) {
-        let frame = self.frames.get(slot);
-        let (src, dst, dst_port) = (frame.src, frame.dst, frame.dst_port);
+        let Frame {
+            src, dst, dst_port, ..
+        } = self.frames[slot];
         // A crashed PBX is dark: frames reach its NIC and die there.
         let pbx = self.pbx_index_of(dst);
         if pbx.is_some_and(|k| self.pbx_down[k]) {
@@ -980,7 +932,7 @@ impl World {
         if let Some(cap) = &mut self.capture {
             // The only place RTP wire bytes are materialised: a span port
             // needs real octets; the relay path never does.
-            let payload = match &self.frames.get(slot).payload {
+            let payload = match &self.frames[slot].payload {
                 Payload::Sip(msg) => msg.to_wire(),
                 Payload::Rtp { datagram, .. } => datagram.encode(),
             };
@@ -993,7 +945,7 @@ impl World {
                 payload,
             });
         }
-        if let Payload::Rtp { datagram, sent_at } = &self.frames.get(slot).payload {
+        if let Payload::Rtp { datagram, sent_at } = &self.frames[slot].payload {
             match pbx {
                 // Route-only relay: the frame goes back out of its slot
                 // readdressed, keeping the original emission time so
@@ -1001,7 +953,7 @@ impl World {
                 // byte copy, no re-parse, no new frame.
                 Some(k) => match self.pbxes[k].relay_rtp(now, dst_port) {
                     Some((to, to_port)) => {
-                        let frame = self.frames.get_mut(slot);
+                        let frame = &mut self.frames[slot];
                         (frame.src, frame.dst, frame.dst_port) = (dst, to, to_port);
                         self.forward_frame(now, sched, dst, slot);
                     }
@@ -1023,7 +975,7 @@ impl World {
             }
             return;
         }
-        if let Payload::Sip(msg) = self.frames.remove(slot).payload {
+        if let Some(Payload::Sip(msg)) = self.frames.remove(slot).map(|f| f.payload) {
             self.handle_sip_delivery(now, sched, src, dst, msg);
         }
     }
@@ -1185,7 +1137,7 @@ impl EventHandler<Ev> for World {
         match event {
             Ev::PlaceCall => self.place_call(at, sched),
             Ev::HopArrive { at: node, frame } => {
-                if node == self.frames.get(frame).dst {
+                if node == self.frames[frame].dst {
                     self.deliver(at, sched, frame);
                 } else {
                     self.forward_frame(at, sched, node, frame);
@@ -1343,7 +1295,7 @@ mod tests {
         let mut cut = sim.world.placement_end();
         loop {
             sim.run_until(cut);
-            if sim.world.frames.live() == 0 {
+            if sim.world.frames.is_empty() {
                 break;
             }
             cut += SimDuration::from_millis(1);
@@ -1502,7 +1454,7 @@ mod tests {
             lost > 0 && tail_dropped > 0,
             "{lost} lost, {tail_dropped} tail-dropped"
         );
-        assert_eq!(world.frames.live(), 0, "a dropped frame kept its slot");
+        assert_eq!(world.frames.len(), 0, "a dropped frame kept its slot");
     }
 
     #[test]
@@ -1518,7 +1470,7 @@ mod tests {
         // INVITEs sent during the outage died at the PBX's NIC: their
         // calls are still open at the client.
         assert!(world.uacs[0].open_calls() > 0);
-        assert_eq!(world.frames.live(), 0, "a frame died at a dark PBX");
+        assert_eq!(world.frames.len(), 0, "a frame died at a dark PBX");
     }
 
     #[test]
@@ -1531,6 +1483,6 @@ mod tests {
             .as_ref()
             .map_or(0, vmon::pcap::PcapWriter::len);
         assert!(captured > 0 && world.monitor.rtp_packets() > 0);
-        assert_eq!(world.frames.live(), 0, "a captured frame kept its slot");
+        assert_eq!(world.frames.len(), 0, "a captured frame kept its slot");
     }
 }

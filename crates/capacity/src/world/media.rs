@@ -10,7 +10,7 @@
 //! ([`next_due`](MediaPlane::next_due), then [`armed`](MediaPlane::armed)).
 
 use crate::experiment::EmpiricalConfig;
-use des::{SimDuration, SimTime, StreamRng};
+use des::{SimDuration, SimTime, Slab, StreamRng};
 use netsim::{LinkId, NodeId};
 use rtpcore::packet::{RtpDatagram, RtpHeader};
 use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES_PER_FRAME};
@@ -114,17 +114,16 @@ pub(super) struct MediaPlane {
     /// Reused PCM frame buffer: synthesis fills it in place, companding
     /// reads it — no per-frame sample allocation.
     scratch: [i16; SAMPLES_PER_FRAME],
-    /// Slab of media sessions; `None` slots are free for reuse.
-    sessions: Vec<Option<MediaSession>>,
-    free_sessions: Vec<usize>,
-    /// `(call id, local node)` → slab index (point lookups only — never
+    /// Live media sessions, by slab key.
+    sessions: Slab<MediaSession>,
+    /// `(call id, local node)` → slab key (point lookups only — never
     /// iterated, so the HashMap cannot perturb determinism).
-    index: HashMap<(String, NodeId), usize>,
+    index: HashMap<(String, NodeId), u32>,
     /// Per-phase-slot session lists; emission order within a slot is
     /// insertion order. A slot has a recurring frame event pending exactly
     /// while its list is non-empty (ended sessions stay listed until the
     /// event sweeps them), so there is no armed flag to go stale.
-    phase_buckets: Vec<Vec<usize>>,
+    phase_buckets: Vec<Vec<u32>>,
     /// Cursor of the frame event being served: entries of its slot read so
     /// far and, of those, how many stay (ended sessions are compacted out,
     /// survivors keep insertion order). `(0, 0)` between events.
@@ -139,8 +138,7 @@ impl MediaPlane {
             observed: config.capture_traffic,
             unobserved_payload: Arc::from([0xFF; SAMPLES_PER_FRAME]),
             scratch: [0i16; SAMPLES_PER_FRAME],
-            sessions: Vec::new(),
-            free_sessions: Vec::new(),
+            sessions: Slab::new(),
             index: HashMap::new(),
             phase_buckets: vec![Vec::new(); SUB_SLOTS],
             walk: (0, 0),
@@ -213,20 +211,11 @@ impl MediaPlane {
             active: true,
             next_due: grid + FRAME_PERIOD,
         };
-        let idx = match self.free_sessions.pop() {
-            Some(free) => {
-                self.sessions[free] = Some(session);
-                free
-            }
-            None => {
-                self.sessions.push(Some(session));
-                self.sessions.len() - 1
-            }
-        };
+        let idx = self.sessions.insert(session);
         if let Some(old) = self.index.insert((call, route.0), idx) {
             // A reused Call-ID (shed-then-retried call): the stale session
             // stops; its bucket entry sweeps it out lazily.
-            if let Some(s) = self.sessions[old].as_mut() {
+            if let Some(s) = self.sessions.get_mut(old) {
                 s.active = false;
             }
         }
@@ -247,25 +236,24 @@ impl MediaPlane {
             return;
         }
         let idx = self.index.get(&(call.to_owned(), local_node));
-        if let Some(s) = idx.and_then(|&i| self.sessions[i].as_mut()) {
+        if let Some(s) = idx.and_then(|&i| self.sessions.get_mut(i)) {
             s.active = false;
         }
     }
 
     /// Session `idx`, as handed out by [`MediaPlane::next_due`].
-    pub(super) fn session_mut(&mut self, idx: usize) -> &mut MediaSession {
-        self.sessions[idx].as_mut().expect("a due session is live")
+    pub(super) fn session_mut(&mut self, idx: u32) -> &mut MediaSession {
+        &mut self.sessions[idx]
     }
 
     /// Drop slab entry `idx`, clearing its key mapping unless the key has
     /// already been re-bound to a newer session.
-    fn free_session(&mut self, idx: usize) {
-        if let Some(s) = self.sessions[idx].take() {
+    fn free_session(&mut self, idx: u32) {
+        if let Some(s) = self.sessions.remove(idx) {
             let key = (s.call, s.route.0);
             if self.index.get(&key) == Some(&idx) {
                 self.index.remove(&key);
             }
-            self.free_sessions.push(idx);
         }
     }
 
@@ -274,10 +262,10 @@ impl MediaPlane {
     /// the session's [`MediaSession::datagram`]). Ended sessions met on the
     /// way are freed. `None` once the slot has been walked — ask
     /// [`MediaPlane::armed`] whether the event recurs.
-    pub(super) fn next_due(&mut self, now: SimTime, slot: usize) -> Option<(usize, RtpHeader)> {
+    pub(super) fn next_due(&mut self, now: SimTime, slot: usize) -> Option<(u32, RtpHeader)> {
         while let Some(&idx) = self.phase_buckets[slot].get(self.walk.0) {
             self.walk.0 += 1;
-            let Some(session) = self.sessions[idx].as_mut() else {
+            let Some(session) = self.sessions.get_mut(idx) else {
                 continue;
             };
             if !session.active {

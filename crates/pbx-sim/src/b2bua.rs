@@ -18,7 +18,7 @@ use crate::directory::Directory;
 use crate::ports::PortTable;
 use crate::registrar::{RegisterOutcome, Registrar};
 use des::FastMap;
-use des::{SimDuration, SimTime};
+use des::{SimDuration, SimTime, Slab};
 use netsim::NodeId;
 use overload::{ControlLaw, Feedback, LoadSignals};
 use sipcore::auth::{CredentialsView, DigestChallenge, HexDigest};
@@ -190,11 +190,10 @@ pub struct Pbx {
     /// Live calls per caller uid, kept only under
     /// `config.max_calls_per_user`; a uid leaves when its count reaches 0.
     active_per_user: FastMap<String, u32>,
-    /// Live calls; a closed call's slot goes on `vacant_slots` for the next.
-    calls: Vec<Option<Call>>,
-    vacant_slots: Vec<usize>,
-    by_caller_call_id: FastMap<String, usize>,
-    by_callee_call_id: FastMap<String, usize>,
+    /// Live calls; a closed call's slot is the next call's.
+    calls: Slab<Call>,
+    by_caller_call_id: FastMap<String, u32>,
+    by_callee_call_id: FastMap<String, u32>,
     by_pbx_port: PortTable, // port -> far leg's (node, rtp port)
     next_call_serial: u64,
     /// Overload-control law (built from `config.overload_law`).
@@ -254,8 +253,7 @@ impl Pbx {
             registrar,
             stats: PbxStats::default(),
             active_per_user: FastMap::default(),
-            calls: Vec::new(),
-            vacant_slots: Vec::new(),
+            calls: Slab::new(),
             by_caller_call_id: FastMap::default(),
             by_callee_call_id: FastMap::default(),
             by_pbx_port: PortTable::new(),
@@ -284,11 +282,10 @@ impl Pbx {
         }
     }
 
-    /// Number of live bridged calls, read off the live Call-ID index
-    /// (`calls` also holds the free slots awaiting the next call).
+    /// Number of live bridged calls.
     #[must_use]
     pub fn active_calls(&self) -> usize {
-        self.by_caller_call_id.len()
+        self.calls.len()
     }
 
     /// Map a PBX-originated (callee-leg) Call-ID back to the caller-leg
@@ -297,7 +294,7 @@ impl Pbx {
     #[must_use]
     pub fn peer_call_id(&self, callee_call_id: &str) -> Option<&str> {
         let idx = *self.by_callee_call_id.get(callee_call_id)?;
-        self.calls[idx].as_ref()?.caller_invite.call_id()
+        self.calls.get(idx)?.caller_invite.call_id()
     }
 
     /// The signal set a control law observes: channel occupancy, the last
@@ -340,8 +337,8 @@ impl Pbx {
     /// calls that were dropped.
     pub fn crash(&mut self, now: SimTime) -> u32 {
         let mut dropped = 0u32;
-        for idx in 0..self.calls.len() {
-            if self.calls[idx].is_some() {
+        for idx in 0..self.calls.slots() as u32 {
+            if self.calls.get(idx).is_some() {
                 self.close_call(now, idx, Disposition::Failed);
                 dropped += 1;
             }
@@ -360,10 +357,8 @@ impl Pbx {
     /// record still-open calls as in-progress.
     pub fn finish(&mut self, now: SimTime) {
         self.cpu.finish(now);
-        for slot in &mut self.calls {
-            if slot.take().is_some() {
-                self.cdr.file(now, Disposition::InProgress);
-            }
+        for _ in 0..self.calls.len() {
+            self.cdr.file(now, Disposition::InProgress);
         }
         self.clear_calls();
     }
@@ -372,7 +367,6 @@ impl Pbx {
     /// ports and per-user counts — once each live call has been filed.
     fn clear_calls(&mut self) {
         self.calls.clear();
-        self.vacant_slots.clear();
         self.by_caller_call_id.clear();
         self.by_callee_call_id.clear();
         self.by_pbx_port.clear();
@@ -658,16 +652,7 @@ impl Pbx {
             pbx_tag,
             codec: offer_codec,
         };
-        let idx = match self.vacant_slots.pop() {
-            Some(idx) => {
-                self.calls[idx] = Some(call);
-                idx
-            }
-            None => {
-                self.calls.push(Some(call));
-                self.calls.len() - 1
-            }
-        };
+        let idx = self.calls.insert(call);
         self.by_caller_call_id.insert(caller_call_id, idx);
         self.by_callee_call_id.insert(callee_call_id, idx);
         // Media from the caller goes to the callee, whose port its 200
@@ -690,8 +675,8 @@ impl Pbx {
     /// the endpoint may have moved its media socket — and answers 200 with
     /// its own caller-facing SDP; the callee leg is untouched because the
     /// PBX relays media either way.
-    fn on_reinvite(&mut self, from: NodeId, idx: usize, req: &Request) -> Vec<PbxAction> {
-        let Some(call) = self.calls[idx].as_mut() else {
+    fn on_reinvite(&mut self, from: NodeId, idx: u32, req: &Request) -> Vec<PbxAction> {
+        let Some(call) = self.calls.get_mut(idx) else {
             return vec![];
         };
         let old_cseq = call.caller_invite.cseq_number().unwrap_or(1);
@@ -717,7 +702,7 @@ impl Pbx {
         else {
             return vec![]; // ACK for an errored/unknown call: absorb
         };
-        let Some(call) = self.calls[idx].as_mut() else {
+        let Some(call) = self.calls.get_mut(idx) else {
             return vec![];
         };
         // Forward the ACK on the callee leg to complete its handshake.
@@ -759,7 +744,7 @@ impl Pbx {
             // Unknown call (already gone): answer 200 to stop retransmits.
             return vec![self.reply(from, req.make_response(StatusCode::OK))];
         };
-        let Some(call) = self.calls[idx].as_mut() else {
+        let Some(call) = self.calls.get_mut(idx) else {
             return vec![self.reply(from, req.make_response(StatusCode::OK))];
         };
         call.state = CallState::TearingDown;
@@ -807,7 +792,7 @@ impl Pbx {
         else {
             return vec![];
         };
-        let Some(call) = self.calls[idx].as_ref() else {
+        let Some(call) = self.calls.get(idx) else {
             return vec![];
         };
         if call.state == CallState::Answered {
@@ -852,8 +837,8 @@ impl Pbx {
         vec![]
     }
 
-    fn on_callee_response(&mut self, now: SimTime, idx: usize, resp: Response) -> Vec<PbxAction> {
-        let Some(call) = self.calls[idx].as_mut() else {
+    fn on_callee_response(&mut self, now: SimTime, idx: u32, resp: Response) -> Vec<PbxAction> {
+        let Some(call) = self.calls.get_mut(idx) else {
             return vec![];
         };
         match resp.cseq_method() {
@@ -910,8 +895,8 @@ impl Pbx {
 
     /// The far leg confirmed our forwarded BYE: send the 200 back to the
     /// leg that hung up and close the call.
-    fn on_bye_confirmed(&mut self, now: SimTime, idx: usize) -> Vec<PbxAction> {
-        let Some(call) = self.calls[idx].as_ref() else {
+    fn on_bye_confirmed(&mut self, now: SimTime, idx: u32) -> Vec<PbxAction> {
+        let Some(call) = self.calls.get(idx) else {
             return vec![];
         };
         let (hangup_node, ok) = if call.bye_from_caller {
@@ -933,8 +918,8 @@ impl Pbx {
     // -- helpers ---------------------------------------------------------
 
     /// Build a caller-facing response derived from the stored INVITE.
-    fn caller_response(&self, idx: usize, status: StatusCode) -> Response {
-        let call = self.calls[idx].as_ref().expect("live call");
+    fn caller_response(&self, idx: u32, status: StatusCode) -> Response {
+        let call = &self.calls[idx];
         let invite = &call.caller_invite;
         let mut resp = invite.make_response_tagged(status, &call.pbx_tag);
         let host = self.config.hostname.as_str();
@@ -947,8 +932,8 @@ impl Pbx {
     /// reply), its SDP advertising the PBX's caller-facing port and the
     /// call's negotiated codec (not a hardcoded PCMU — an A-law call stays
     /// A-law end to end).
-    fn caller_ok_with_sdp(&self, idx: usize) -> Response {
-        let call = self.calls[idx].as_ref().expect("live call");
+    fn caller_ok_with_sdp(&self, idx: u32) -> Response {
+        let call = &self.calls[idx];
         let sdp = SdpBody::new(
             Arc::clone(&self.sdp_origin),
             Arc::clone(&self.host),
@@ -970,8 +955,8 @@ impl Pbx {
         vec![self.reply(from, resp)]
     }
 
-    fn close_call(&mut self, now: SimTime, idx: usize, disposition: Disposition) {
-        if let Some(call) = self.calls[idx].take() {
+    fn close_call(&mut self, now: SimTime, idx: u32, disposition: Disposition) {
+        if let Some(call) = self.calls.remove(idx) {
             self.pool.release(now, call.channel);
             if let Some(n) = self.active_per_user.get_mut(&*call.caller_uid) {
                 *n -= 1;
@@ -985,7 +970,6 @@ impl Pbx {
                 self.by_caller_call_id.remove(cid);
             }
             self.by_callee_call_id.remove(&call.callee_call_id);
-            self.vacant_slots.push(idx);
             self.cdr.file(now, disposition);
         }
     }
@@ -1366,8 +1350,7 @@ mod tests {
         let mut live: Vec<u16> = pbx
             .calls
             .iter()
-            .flatten()
-            .flat_map(|c| [c.caller.pbx_port, c.callee.pbx_port])
+            .flat_map(|(_, c)| [c.caller.pbx_port, c.callee.pbx_port])
             .collect();
         live.sort_unstable();
         assert_eq!(
@@ -1630,7 +1613,7 @@ mod tests {
             establish_call(&mut pbx, cid);
             let via = hang_up(&mut pbx, cid);
             assert!(via.ends_with(&format!("z9hG4bKpbxbye{serial}")), "{via}");
-            assert_eq!(pbx.calls.len(), 1, "{cid} reused the one slot");
+            assert_eq!(pbx.calls.slots(), 1, "{cid} reused the one slot");
         }
         assert_eq!(pbx.cdr.count(Disposition::Answered), 3);
     }
@@ -1640,7 +1623,7 @@ mod tests {
         // The O(1) answer equals a scan of the call slots after every
         // step that opens or closes a call.
         fn check(pbx: &Pbx, want: usize) {
-            let scanned = pbx.calls.iter().filter(|c| c.is_some()).count();
+            let scanned = pbx.calls.iter().count();
             assert_eq!((pbx.active_calls(), scanned), (want, want));
         }
         let mut pbx = pbx_with_users();

@@ -6,7 +6,7 @@
 //! INVITEs, which is precisely the "blocked call" the Erlang-B model
 //! predicts.
 
-use des::{SimTime, TimeWeighted};
+use des::{SimTime, Slab, TimeWeighted};
 
 /// Identifier of an allocated channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,10 +16,9 @@ pub struct ChannelId(pub u32);
 #[derive(Debug, Clone)]
 pub struct ChannelPool {
     capacity: u32,
-    free: Vec<u32>,
-    /// Per channel: allocated and not yet released.
-    busy: Vec<bool>,
-    in_use: u32,
+    /// The allocated channels, keyed by id: low ids first, the last
+    /// released one next.
+    busy: Slab<()>,
     peak: u32,
     peak_gauge: u32,
     refused_total: u64,
@@ -34,10 +33,7 @@ impl ChannelPool {
         occupancy.set(SimTime::ZERO, 0.0);
         ChannelPool {
             capacity,
-            // Hand out low ids first: pop from the back of a reversed list.
-            free: (0..capacity).rev().collect(),
-            busy: vec![false; capacity as usize],
-            in_use: 0,
+            busy: Slab::new(),
             peak: 0,
             peak_gauge: 0,
             refused_total: 0,
@@ -54,7 +50,7 @@ impl ChannelPool {
     /// Channels currently allocated.
     #[must_use]
     pub fn in_use(&self) -> u32 {
-        self.in_use
+        self.busy.len() as u32
     }
 
     /// Highest concurrent allocation seen — Table I's "Number of Channels".
@@ -77,10 +73,8 @@ impl ChannelPool {
     /// Outstanding [`ChannelId`]s become invalid; the caller must drop
     /// its call state alongside (releasing one later would double-free).
     pub fn flush(&mut self, now: SimTime) -> u32 {
-        let flushed = self.in_use;
-        self.free = (0..self.capacity).rev().collect();
-        self.busy.fill(false);
-        self.in_use = 0;
+        let flushed = self.in_use();
+        self.busy.clear();
         self.peak_gauge = 0;
         self.occupancy.set(now, 0.0);
         flushed
@@ -94,20 +88,16 @@ impl ChannelPool {
 
     /// Try to allocate a channel at time `now`.
     pub fn allocate(&mut self, now: SimTime) -> Option<ChannelId> {
-        match self.free.pop() {
-            Some(id) => {
-                self.busy[id as usize] = true;
-                self.in_use += 1;
-                self.peak = self.peak.max(self.in_use);
-                self.peak_gauge = self.peak_gauge.max(self.in_use);
-                self.occupancy.set(now, f64::from(self.in_use));
-                Some(ChannelId(id))
-            }
-            None => {
-                self.refused_total += 1;
-                None
-            }
+        if self.in_use() == self.capacity {
+            self.refused_total += 1;
+            return None;
         }
+        let id = self.busy.insert(());
+        let in_use = self.in_use();
+        self.peak = self.peak.max(in_use);
+        self.peak_gauge = self.peak_gauge.max(in_use);
+        self.occupancy.set(now, f64::from(in_use));
+        Some(ChannelId(id))
     }
 
     /// Release a previously allocated channel at time `now`.
@@ -117,12 +107,9 @@ impl ChannelPool {
     /// accounting bugs worth failing loudly on.
     pub fn release(&mut self, now: SimTime, id: ChannelId) {
         assert!(id.0 < self.capacity, "channel {id:?} out of range");
-        let busy = &mut self.busy[id.0 as usize];
-        assert!(*busy, "double release of channel {id:?}");
-        *busy = false;
-        self.free.push(id.0);
-        self.in_use -= 1;
-        self.occupancy.set(now, f64::from(self.in_use));
+        let released = self.busy.remove(id.0);
+        assert!(released.is_some(), "double release of channel {id:?}");
+        self.occupancy.set(now, f64::from(self.in_use()));
     }
 
     /// Time-weighted mean occupancy over `[0, until]` — the *carried
@@ -227,6 +214,25 @@ mod tests {
             assert!(pool.allocate(SimTime::from_secs(2)).is_some());
         }
         assert_eq!(pool.peak_in_use(), 4);
+    }
+
+    #[test]
+    fn hands_out_low_ids_first_then_the_last_released() {
+        let mut pool = ChannelPool::new(4);
+        let t = SimTime::ZERO;
+        let take = |pool: &mut ChannelPool| pool.allocate(t).unwrap().0;
+        assert_eq!(
+            [take(&mut pool), take(&mut pool), take(&mut pool)],
+            [0, 1, 2]
+        );
+        pool.release(t, ChannelId(1));
+        pool.release(t, ChannelId(0));
+        assert_eq!(
+            [take(&mut pool), take(&mut pool), take(&mut pool)],
+            [0, 1, 3]
+        );
+        pool.flush(t);
+        assert_eq!(take(&mut pool), 0, "a flushed pool starts over");
     }
 
     #[test]

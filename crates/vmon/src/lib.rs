@@ -19,8 +19,7 @@
 
 pub mod pcap;
 
-use des::FastMap;
-use des::Welford;
+use des::{FastMap, Slab, Welford};
 use rtpcore::jitter::{JitterEstimator, SequenceTracker};
 use rtpcore::packet::RtpHeader;
 use serde::Serialize;
@@ -124,12 +123,10 @@ pub struct StreamHandle {
     slot: u32,
 }
 
-/// One entry of the monitor's stream slab.
+/// One entry of the monitor's stream slab: a flow and its statistics.
 #[derive(Debug, Clone)]
 struct StreamSlot {
-    /// The flow whose statistics live here; `None` while the slot waits
-    /// on the free list.
-    flow: Option<FlowId>,
+    flow: FlowId,
     stats: StreamStats,
 }
 
@@ -202,22 +199,18 @@ impl MonitorReport {
 /// every registered flow per call.
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
-    /// Stream slab; a slot is live while its `flow` is `Some`.
-    streams: Vec<StreamSlot>,
+    /// Live streams; [`Monitor::retire_call`] frees their slots for the
+    /// next flows.
+    streams: Slab<StreamSlot>,
     /// Flow → live slot in `streams`.
     stream_index: FastMap<FlowId, u32>,
-    /// Slots freed by [`Monitor::retire_call`], reused before the slab
-    /// grows.
-    free_streams: Vec<u32>,
     /// Call-id → handle; only touched at registration and report time.
     call_handles: BTreeMap<String, u32>,
     /// Flow → interned call handle.
     flow_call: FastMap<FlowId, u32>,
-    /// Per-call flow lists, sorted by flow id, indexed by call handle.
-    call_flows: Vec<Vec<FlowId>>,
-    /// Retired call-handle slots awaiting reuse (see
-    /// [`Monitor::retire_call`]).
-    free_calls: Vec<u32>,
+    /// Per-call flow lists, sorted by flow id, keyed by call handle; a
+    /// retired call's handle is the next call's.
+    call_flows: Slab<Vec<FlowId>>,
     /// Streaming accumulator for calls scored-and-freed by
     /// [`Monitor::retire_call`]; empty (and digest-invisible) unless
     /// retirement is used.
@@ -321,23 +314,20 @@ impl Monitor {
         let handle = match self.call_handles.get(call_id) {
             Some(&h) => h,
             None => {
-                // Recycle a retired call's slot before growing the table:
-                // under steady churn with retirement the live table stays
-                // O(active calls) rather than O(calls ever observed).
-                let h = self.free_calls.pop().unwrap_or_else(|| {
-                    self.call_flows.push(Vec::new());
-                    u32::try_from(self.call_flows.len() - 1).expect("fewer than 2^32 calls")
-                });
+                // A retired call's slot first: under steady churn with
+                // retirement the live table stays O(active calls) rather
+                // than O(calls ever observed).
+                let h = self.call_flows.insert(Vec::new());
                 self.call_handles.insert(call_id.to_owned(), h);
                 h
             }
         };
         if let Some(old) = self.flow_call.insert(flow, handle) {
             if old != handle {
-                self.call_flows[old as usize].retain(|&f| f != flow);
+                self.call_flows[old].retain(|&f| f != flow);
             }
         }
-        let flows = &mut self.call_flows[handle as usize];
+        let flows = &mut self.call_flows[handle];
         if let Err(pos) = flows.binary_search(&flow) {
             flows.insert(pos, flow);
         }
@@ -351,17 +341,12 @@ impl Monitor {
     /// The slot holding `flow`'s statistics, opened (on a recycled slot
     /// if one is free) when the flow has none.
     fn resolve(&mut self, flow: FlowId) -> StreamHandle {
-        let (streams, free) = (&mut self.streams, &mut self.free_streams);
+        let streams = &mut self.streams;
         let slot = *self.stream_index.entry(flow).or_insert_with(|| {
-            if let Some(slot) = free.pop() {
-                streams[slot as usize].flow = Some(flow);
-                return slot;
-            }
-            streams.push(StreamSlot {
-                flow: Some(flow),
+            streams.insert(StreamSlot {
+                flow,
                 stats: StreamStats::default(),
-            });
-            u32::try_from(streams.len() - 1).expect("fewer than 2^32 streams")
+            })
         });
         StreamHandle { flow, slot }
     }
@@ -393,27 +378,25 @@ impl Monitor {
         delay_s: f64,
         header: &RtpHeader,
     ) {
-        let slot = match self.streams.get(handle.slot as usize) {
-            Some(s) if s.flow == Some(handle.flow) => handle.slot,
+        let slot = match self.streams.get(handle.slot) {
+            Some(s) if s.flow == handle.flow => handle.slot,
             _ => self.resolve(handle.flow).slot,
         };
         self.rtp_packets += 1;
-        self.streams[slot as usize]
-            .stats
-            .record(arrival_s, delay_s, header);
+        self.streams[slot].stats.record(arrival_s, delay_s, header);
     }
 
     /// Statistics of one flow, if observed.
     #[must_use]
     pub fn stream(&self, flow: FlowId) -> Option<&StreamStats> {
         let &slot = self.stream_index.get(&flow)?;
-        Some(&self.streams[slot as usize].stats)
+        Some(&self.streams[slot].stats)
     }
 
     /// Every live stream, sorted by flow id — the one order float folds
     /// over streams may use.
     fn streams_by_flow(&self) -> Vec<&StreamStats> {
-        let mut live: Vec<&StreamSlot> = self.streams.iter().filter(|s| s.flow.is_some()).collect();
+        let mut live: Vec<&StreamSlot> = self.streams.iter().map(|(_, s)| s).collect();
         live.sort_unstable_by_key(|s| s.flow);
         live.into_iter().map(|s| &s.stats).collect()
     }
@@ -448,7 +431,7 @@ impl Monitor {
     /// The streams of one interned call, in flow-id order, restricted to
     /// flows that have actually carried media.
     fn call_streams(&self, handle: u32) -> Vec<&StreamStats> {
-        self.call_flows[handle as usize]
+        self.call_flows[handle]
             .iter()
             .filter_map(|&flow| self.stream(flow))
             .collect()
@@ -502,20 +485,16 @@ impl Monitor {
         if let Some(m) = self.call_mos_by_handle(handle) {
             self.retired.mos.record(m);
         }
-        let flows = std::mem::take(&mut self.call_flows[handle as usize]);
+        let flows = self.call_flows.remove(handle).unwrap_or_default();
         for flow in flows {
             self.flow_call.remove(&flow);
             if let Some(slot) = self.stream_index.remove(&flow) {
-                let freed = &mut self.streams[slot as usize];
-                let s = std::mem::take(&mut freed.stats);
-                freed.flow = None;
-                self.free_streams.push(slot);
+                let s = self.streams.remove(slot).expect("an indexed stream").stats;
                 self.retired.loss_sum += s.loss();
                 self.retired.jitter_sum += s.jitter_ms();
                 self.retired.flows += 1;
             }
         }
-        self.free_calls.push(handle);
         true
     }
 
@@ -532,7 +511,7 @@ impl Monitor {
         let mut flow_handles: Vec<(FlowId, u32)> =
             self.flow_call.iter().map(|(&f, &h)| (f, h)).collect();
         flow_handles.sort_unstable_by_key(|&(f, _)| f);
-        let mut scored = vec![false; self.call_flows.len()];
+        let mut scored = vec![false; self.call_flows.slots()];
         for (_, handle) in flow_handles {
             if !std::mem::replace(&mut scored[handle as usize], true) {
                 if let Some(m) = self.call_mos_by_handle(handle) {
@@ -793,11 +772,11 @@ mod tests {
             feed_clean_stream(&mut mon, flow, 50);
             assert!(mon.retire_call(&call));
         }
-        assert_eq!(mon.call_flows.len(), 1, "one slot, recycled 100 times");
-        assert_eq!(mon.free_calls.len(), 1);
+        assert_eq!(mon.call_flows.slots(), 1, "one slot, recycled 100 times");
+        assert!(mon.call_flows.is_empty());
         assert!(mon.stream_index.is_empty(), "per-flow stats freed");
-        assert_eq!(mon.streams.len(), 1, "one stream slot, recycled too");
-        assert_eq!(mon.free_streams, [0]);
+        assert_eq!(mon.streams.slots(), 1, "one stream slot, recycled too");
+        assert!(mon.streams.is_empty());
         assert!(mon.flow_call.is_empty());
         let r = mon.report();
         assert_eq!(r.calls_scored, 100);
@@ -1009,7 +988,7 @@ mod tests {
                 proptest::prop_assert_eq!(slab.per_call_csv(), model.per_call_csv());
             }
             // The slab never outgrows the flows that were live at once.
-            proptest::prop_assert!(slab.streams.len() <= flows.len());
+            proptest::prop_assert!(slab.streams.slots() <= flows.len());
         }
     }
 
@@ -1032,7 +1011,7 @@ mod tests {
         mon.tap_rtp_on(stale, 0.041, 0.001, &header(1, 160));
         assert_eq!(mon.stream(new).unwrap().packets(), 1);
         assert_eq!(mon.stream(old).unwrap().packets(), 1);
-        assert_eq!(mon.streams.len(), 2);
+        assert_eq!(mon.streams.slots(), 2);
         // A handle made up for a slot that was never allocated probes too.
         let wild = StreamHandle { slot: 99, ..stale };
         mon.tap_rtp_on(wild, 0.061, 0.001, &header(2, 320));
