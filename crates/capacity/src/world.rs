@@ -688,7 +688,7 @@ impl World {
                 UacEvent::Ended {
                     call_id, caller, ..
                 } => {
-                    self.media.stop(&call_id, nodes::SIPP_CLIENT);
+                    self.media.stop(&call_id);
                     // The caller, not the Call-ID, names a population user:
                     // a shed call's retries and a paced call keep it.
                     if let Some(rank) = self.plan.population_rank(&caller) {
@@ -747,7 +747,7 @@ impl World {
                 }
                 // With media off no RTP can reach the monitor: no flow.
                 UasEvent::MediaReady { .. } => {}
-                UasEvent::Ended { call_id } => self.media.stop(&call_id, nodes::SIPP_SERVER),
+                UasEvent::Ended { call_id } => self.media.stop(&call_id),
             }
         }
     }
@@ -1145,7 +1145,7 @@ impl EventHandler<Ev> for World {
             }
             Ev::MediaFrame { slot } => self.on_media_frame(at, sched, slot),
             Ev::Hangup { call_id, uac } => {
-                self.media.stop(&call_id, nodes::SIPP_CLIENT);
+                self.media.stop(&call_id);
                 let events = self.uacs[uac as usize].hangup(at, &call_id);
                 self.process_uac_events(at, sched, uac, events);
             }

@@ -10,12 +10,11 @@
 //! ([`next_due`](MediaPlane::next_due), then [`armed`](MediaPlane::armed)).
 
 use crate::experiment::EmpiricalConfig;
-use des::{SimDuration, SimTime, Slab, StreamRng};
+use des::{FastMap, SimDuration, SimTime, Slab, StreamRng};
 use netsim::{LinkId, NodeId};
 use rtpcore::packet::{RtpDatagram, RtpHeader};
-use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES_PER_FRAME};
-use rtpcore::vad::{FrameSlot, TalkspurtSource};
-use std::collections::HashMap;
+use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, SAMPLES_PER_FRAME};
+use rtpcore::vad::TalkspurtSource;
 use std::sync::Arc;
 use vmon::StreamHandle;
 
@@ -35,13 +34,6 @@ const SUB_NS: u64 = FRAME_NS / SUB_SLOTS as u64;
 /// between reuse the cached payload. It matters only where a span port
 /// reads payload bytes: elsewhere no frame is encoded at all.
 const ENCODE_EVERY: u32 = 10;
-
-enum AudioSource {
-    /// The paper's setting: continuous speech, 50 pps.
-    Continuous(FastVoiceSource),
-    /// Silence-suppressed talkspurt model (the VAD ablation).
-    Talkspurt(TalkspurtSource),
-}
 
 /// What a stream's packets cross to reach its PBX — fixed for the life
 /// of the stream, resolved once when it starts.
@@ -74,7 +66,11 @@ pub(super) struct MediaSession {
     /// `(local node, remote node, remote port)` of the stream.
     pub(super) route: (NodeId, NodeId, u16),
     packetizer: Packetizer,
-    source: AudioSource,
+    /// The stream's one voice source; it advances only on refresh frames.
+    voice: FastVoiceSource,
+    /// The talkspurt gate in front of `voice` when silence suppression is
+    /// on (the VAD ablation); `None` is the paper's continuous speech.
+    talkspurts: Option<TalkspurtSource>,
     /// `None` if the star cannot reach the remote node as a PBX: the
     /// express path then sends nothing.
     pub(super) up: Option<UpRoute>,
@@ -116,9 +112,11 @@ pub(super) struct MediaPlane {
     scratch: [i16; SAMPLES_PER_FRAME],
     /// Live media sessions, by slab key.
     sessions: Slab<MediaSession>,
-    /// `(call id, local node)` → slab key (point lookups only — never
-    /// iterated, so the HashMap cannot perturb determinism).
-    index: HashMap<(String, NodeId), u32>,
+    /// Call-ID → slab key. A caller leg's `uac-<tag>-<n>` and a callee
+    /// leg's `b2b-<n>@host` never collide, so the Call-ID alone names a
+    /// stream. Point lookups only — never iterated, so the map cannot
+    /// perturb determinism.
+    index: FastMap<String, u32>,
     /// Per-phase-slot session lists; emission order within a slot is
     /// insertion order. A slot has a recurring frame event pending exactly
     /// while its list is non-empty (ended sessions stay listed until the
@@ -139,7 +137,7 @@ impl MediaPlane {
             unobserved_payload: Arc::from([0xFF; SAMPLES_PER_FRAME]),
             scratch: [0i16; SAMPLES_PER_FRAME],
             sessions: Slab::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
             phase_buckets: vec![Vec::new(); SUB_SLOTS],
             walk: (0, 0),
         }
@@ -160,36 +158,21 @@ impl MediaPlane {
         let first_seq = (self.rng.next_raw() & 0xFFFF) as u16;
         let first_ts = self.rng.next_raw() as u32;
         let source_seed = self.rng.next_raw();
-        let mut source = if self.silence_suppression {
-            AudioSource::Talkspurt(TalkspurtSource::conversational(source_seed))
-        } else {
-            AudioSource::Continuous(FastVoiceSource::new(source_seed))
-        };
+        let mut voice = FastVoiceSource::new(source_seed);
+        let mut talkspurts = self
+            .silence_suppression
+            .then(|| TalkspurtSource::conversational(source_seed));
+        // The first packet is sent whatever the gate says of its slot.
+        if let Some(gate) = &mut talkspurts {
+            gate.next_slot();
+        }
         let mut packetizer = Packetizer::new(ssrc, Law::Mu, first_seq, first_ts);
-        // Pre-encode one real frame to seed the cached payload. (With VAD
-        // the session may start silent; seed from a scratch voice then.)
+        // Pre-encode one real frame to seed the cached payload, if anyone
+        // can read it.
         let cached = if self.observed {
-            match &mut source {
-                AudioSource::Continuous(v) => {
-                    v.fill(&mut self.scratch);
-                    packetizer.encode_shared(&self.scratch)
-                }
-                AudioSource::Talkspurt(t) => {
-                    let samples = match t.next_slot() {
-                        FrameSlot::Talk { samples, .. } => samples,
-                        FrameSlot::Silence => {
-                            VoiceSource::new(source_seed).next_samples(SAMPLES_PER_FRAME)
-                        }
-                    };
-                    packetizer.encode_shared(&samples)
-                }
-            }
+            voice.fill(&mut self.scratch);
+            packetizer.encode_shared(&self.scratch)
         } else {
-            // Nobody can read the bytes: the talkspurt state machine
-            // still takes its first step, no audio is synthesised for it.
-            if let AudioSource::Talkspurt(t) = &mut source {
-                t.next_slot();
-            }
             self.unobserved_payload.clone()
         };
         let first_packet = packetizer.packetize_shared(cached.clone());
@@ -201,7 +184,8 @@ impl MediaPlane {
             call: call.clone(),
             route,
             packetizer,
-            source,
+            voice,
+            talkspurts,
             up,
             down: None,
             cached_payload: cached,
@@ -212,7 +196,7 @@ impl MediaPlane {
             next_due: grid + FRAME_PERIOD,
         };
         let idx = self.sessions.insert(session);
-        if let Some(old) = self.index.insert((call, route.0), idx) {
+        if let Some(old) = self.index.insert(call, idx) {
             // A reused Call-ID (shed-then-retried call): the stale session
             // stops; its bucket entry sweeps it out lazily.
             if let Some(s) = self.sessions.get_mut(old) {
@@ -228,14 +212,10 @@ impl MediaPlane {
         (first_packet, arm)
     }
 
-    /// End the stream of `call` that `local_node` sends; its slot entry is
-    /// swept out when its frame event next comes round.
-    pub(super) fn stop(&mut self, call: &str, local_node: NodeId) {
-        // No session was ever started (media off): no key worth building.
-        if self.index.is_empty() {
-            return;
-        }
-        let idx = self.index.get(&(call.to_owned(), local_node));
+    /// End the stream of `call`; its slot entry is swept out when its
+    /// frame event next comes round.
+    pub(super) fn stop(&mut self, call: &str) {
+        let idx = self.index.get(call);
         if let Some(s) = idx.and_then(|&i| self.sessions.get_mut(i)) {
             s.active = false;
         }
@@ -250,9 +230,8 @@ impl MediaPlane {
     /// already been re-bound to a newer session.
     fn free_session(&mut self, idx: u32) {
         if let Some(s) = self.sessions.remove(idx) {
-            let key = (s.call, s.route.0);
-            if self.index.get(&key) == Some(&idx) {
-                self.index.remove(&key);
+            if self.index.get(&s.call) == Some(&idx) {
+                self.index.remove(&s.call);
             }
         }
     }
@@ -308,35 +287,19 @@ impl MediaPlane {
         scratch: &mut [i16; SAMPLES_PER_FRAME],
         observed: bool,
     ) -> Option<RtpHeader> {
-        // Only a span port reads payload bytes, so only an observed
-        // stream counts down to its next re-encode.
-        let refresh = observed && session.refresh_in == 0;
         // With VAD, a silent slot advances the media clock and sends
-        // nothing; the frame cadence continues.
-        let talking = match &mut session.source {
-            AudioSource::Continuous(_) => true,
-            AudioSource::Talkspurt(t) => match t.next_slot() {
-                FrameSlot::Talk { samples, .. } => {
-                    if refresh {
-                        session.cached_payload = session.packetizer.encode_shared(&samples);
-                    }
-                    true
-                }
-                FrameSlot::Silence => false,
-            },
-        };
-        if !talking {
+        // nothing; the frame cadence continues and the packetizer marks
+        // the next packet.
+        if session.talkspurts.as_mut().is_some_and(|g| !g.next_slot()) {
             session.packetizer.skip_frame();
             return None;
         }
-        // Refresh the cached payload on encode frames; the voice source
-        // only advances when a frame is actually synthesised.
+        // Only a span port reads payload bytes, so only an observed
+        // stream counts down to its next re-encode.
         if observed {
-            if refresh {
-                if let AudioSource::Continuous(voice) = &mut session.source {
-                    voice.fill(scratch);
-                    session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
-                }
+            if session.refresh_in == 0 {
+                session.voice.fill(scratch);
+                session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
                 session.refresh_in = ENCODE_EVERY;
             }
             session.refresh_in -= 1;

@@ -1,7 +1,7 @@
 //! The one counting global allocator behind the allocation-regression
-//! tests (`tests/rtp_zero_copy.rs`, `tests/sip_zero_alloc.rs`,
-//! `tests/call_alloc_gate.rs`, `tests/register_alloc_gate.rs`,
-//! `tests/signalling_alloc_budget.rs`,
+//! tests (`tests/rtp_zero_copy.rs`, `tests/vad_zero_alloc.rs`,
+//! `tests/sip_zero_alloc.rs`, `tests/call_alloc_gate.rs`,
+//! `tests/register_alloc_gate.rs`, `tests/signalling_alloc_budget.rs`,
 //! `crates/capacity/tests/population_memory.rs`). Each test binary pulls
 //! this file in with `#[path = "…/common/counting_alloc.rs"] mod
 //! counting_alloc;`, which also installs the allocator for that binary.
