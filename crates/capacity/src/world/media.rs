@@ -66,8 +66,9 @@ pub(super) struct MediaSession {
     /// `(local node, remote node, remote port)` of the stream.
     pub(super) route: (NodeId, NodeId, u16),
     packetizer: Packetizer,
-    /// The stream's one voice source; it advances only on refresh frames.
-    voice: FastVoiceSource,
+    /// The stream's one voice source, only where a span port reads
+    /// payload bytes; it advances only on refresh frames.
+    voice: Option<Box<FastVoiceSource>>,
     /// The talkspurt gate in front of `voice` when silence suppression is
     /// on (the VAD ablation); `None` is the paper's continuous speech.
     talkspurts: Option<TalkspurtSource>,
@@ -83,6 +84,9 @@ pub(super) struct MediaSession {
     /// Next grid-aligned emission time.
     next_due: SimTime,
 }
+
+// The 96 B voice source rides behind a pointer that only observed runs fill.
+const _: () = assert!(std::mem::size_of::<MediaSession>() <= 208);
 
 impl MediaSession {
     /// The packet `header` belongs to, as a frame payload: the cached
@@ -158,7 +162,9 @@ impl MediaPlane {
         let first_seq = (self.rng.next_raw() & 0xFFFF) as u16;
         let first_ts = self.rng.next_raw() as u32;
         let source_seed = self.rng.next_raw();
-        let mut voice = FastVoiceSource::new(source_seed);
+        let mut voice = self
+            .observed
+            .then(|| Box::new(FastVoiceSource::new(source_seed)));
         let mut talkspurts = self
             .silence_suppression
             .then(|| TalkspurtSource::conversational(source_seed));
@@ -169,7 +175,7 @@ impl MediaPlane {
         let mut packetizer = Packetizer::new(ssrc, Law::Mu, first_seq, first_ts);
         // Pre-encode one real frame to seed the cached payload, if anyone
         // can read it.
-        let cached = if self.observed {
+        let cached = if let Some(voice) = &mut voice {
             voice.fill(&mut self.scratch);
             packetizer.encode_shared(&self.scratch)
         } else {
@@ -257,7 +263,7 @@ impl MediaPlane {
             // scheduled; they start on the next period.
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
-                if let Some(header) = Self::advance(session, &mut self.scratch, self.observed) {
+                if let Some(header) = Self::advance(session, &mut self.scratch) {
                     return Some((idx, header));
                 }
             }
@@ -278,14 +284,13 @@ impl MediaPlane {
     /// emit, or `None` for a silence-suppressed slot. The payload the
     /// packet carries is `session.cached_payload` as this leaves it; only
     /// callers that put real octets on a frame clone it (see
-    /// [`MediaSession::datagram`]). Only if `observed` does the refresh
-    /// countdown run and a refresh frame re-synthesise and re-compand the
-    /// payload; sequence, timestamp and talkspurt state move identically
-    /// either way.
+    /// [`MediaSession::datagram`]). Only an observed stream (one with a
+    /// voice source) runs the refresh countdown and re-synthesises and
+    /// re-compands the payload on a refresh frame; sequence, timestamp and
+    /// talkspurt state move identically either way.
     fn advance(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
-        observed: bool,
     ) -> Option<RtpHeader> {
         // With VAD, a silent slot advances the media clock and sends
         // nothing; the frame cadence continues and the packetizer marks
@@ -296,9 +301,9 @@ impl MediaPlane {
         }
         // Only a span port reads payload bytes, so only an observed
         // stream counts down to its next re-encode.
-        if observed {
+        if let Some(voice) = &mut session.voice {
             if session.refresh_in == 0 {
-                session.voice.fill(scratch);
+                voice.fill(scratch);
                 session.cached_payload = session.packetizer.encode_shared(&scratch[..]);
                 session.refresh_in = ENCODE_EVERY;
             }

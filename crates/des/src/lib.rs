@@ -9,7 +9,8 @@
 //!   streams mean a run is a pure function of its seed. Parallel parameter
 //!   sweeps (the shared-cursor executor in the `capacity` crate) therefore
 //!   reproduce bit-identical journals regardless of thread scheduling.
-//! * **Throughput** — a hierarchical timing wheel with far-future overflow
+//! * **Throughput** — a hierarchical timing wheel (a ≈ 67 ms ring of
+//!   128 buckets: 20 ms media re-arms and LAN hops) with far-future overflow
 //!   as the future-event list of every run (the `BinaryHeap` backend beside
 //!   it is the model the tests compare pop order against, [`SchedulerKind`]),
 //!   no per-event boxing for the common case, and O(1) statistics

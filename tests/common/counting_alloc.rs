@@ -1,6 +1,6 @@
 //! The one counting global allocator behind the allocation-regression
 //! tests (`tests/rtp_zero_copy.rs`, `tests/vad_zero_alloc.rs`,
-//! `tests/sip_zero_alloc.rs`, `tests/call_alloc_gate.rs`,
+//! `tests/scheduler_memory.rs`, `tests/sip_zero_alloc.rs`, `tests/call_alloc_gate.rs`,
 //! `tests/register_alloc_gate.rs`, `tests/signalling_alloc_budget.rs`,
 //! `crates/capacity/tests/population_memory.rs`). Each test binary pulls
 //! this file in with `#[path = "…/common/counting_alloc.rs"] mod

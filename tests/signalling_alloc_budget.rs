@@ -37,10 +37,11 @@ const LADDER_BUDGET: f64 = 58.0;
 /// Allocations per digest registration handshake (16 measured).
 const REGISTER_BUDGET: f64 = 22.0;
 
-/// Allocations per attempted call of [`cell`], whole run included (67.17
-/// measured; 68.10 while the registrar keyed campus bindings by `String`
-/// and the PBX counted every caller's live calls, 70.15 while it kept a
-/// record per call; see the module doc).
+/// Allocations per attempted call of [`cell`], whole run included (54.32
+/// measured; 66.83 while the event wheel pre-seeded 4 096 buckets, 68.10
+/// while the registrar keyed campus bindings by `String` and the PBX
+/// counted every caller's live calls, 70.15 while it kept a record per
+/// call; see the module doc).
 const CELL_BUDGET: f64 = 68.2;
 
 #[test]
