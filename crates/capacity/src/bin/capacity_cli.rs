@@ -12,7 +12,7 @@
 //!
 //! Append `--json` to any subcommand for machine-readable output.
 
-use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MAX_PLACEMENT_WINDOW_S};
+use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, RunResult};
 use capacity::sweep::{self, AdaptivePolicy};
 use capacity::world::pbx_node;
 use capacity::{farm, figures, policy, report, table1};
@@ -21,6 +21,7 @@ use faults::{FaultKind, FaultSchedule};
 use loadgen::RetryPolicy;
 use netsim::topology::nodes;
 use overload::ControlLaw;
+use std::str::FromStr;
 
 /// Every flag the parser reads is named here, one with a value by an
 /// upper-case placeholder after it: [`usage_flag`] answers from this text,
@@ -77,8 +78,69 @@ fn emit<T: serde::Serialize>(json: bool, value: &T, render: impl FnOnce(&T) -> S
     }
 }
 
+/// The command line, read flag by flag: each value is parsed as what it
+/// means or refused. Ranges are [`EmpiricalConfig::validate`]'s.
+struct Flags(Vec<String>);
+
+impl Flags {
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
+    }
+
+    /// The value after `name` as a `T` that `ok` accepts, or `default`
+    /// without the flag; any other value is refused ("`name` `v` must be
+    /// `what`"). A whole-number flag so refuses `-3` and `2.5` instead of
+    /// casting them to 0 or 2.
+    fn get<T: FromStr>(&self, name: &str, default: T, what: &str, ok: impl Fn(&T) -> bool) -> T {
+        let Some(i) = self.0.iter().position(|a| a == name) else {
+            return default;
+        };
+        let v = self.0.get(i + 1).map_or("", String::as_str);
+        match v.parse() {
+            Ok(n) if ok(&n) => n,
+            _ => reject(&format!("{name} {v} must be {what}")),
+        }
+    }
+
+    fn num(&self, name: &str, default: f64) -> f64 {
+        self.get(name, default, "a number", |_| true)
+    }
+
+    /// Seconds: finite and >= 0 (`SimDuration::from_secs_f64` would
+    /// silently turn a negative or NaN into 0).
+    fn secs(&self, name: &str, default: f64) -> f64 {
+        self.get(name, default, "finite and >= 0 s", |v| {
+            v.is_finite() && *v >= 0.0
+        })
+    }
+
+    fn duration(&self, name: &str, default: f64) -> SimDuration {
+        SimDuration::from_secs_f64(self.secs(name, default))
+    }
+
+    fn int<T: FromStr>(&self, name: &str, default: T) -> T {
+        let what = format!("a whole number that fits a {}", std::any::type_name::<T>());
+        self.get(name, default, &what, |_| true)
+    }
+
+    /// A count: `--reps 0` would print a NaN table and `--threads 0`
+    /// would mean every core.
+    fn count<T: FromStr + PartialOrd + From<u8>>(&self, name: &str, default: T) -> T {
+        self.get(name, default, "a whole number >= 1", |n| *n >= T::from(1))
+    }
+}
+
+/// Run `cfg` if [`EmpiricalConfig::validate`] accepts it; refuse it otherwise.
+fn run(cfg: EmpiricalConfig) -> RunResult {
+    if let Err(refused) = cfg.validate() {
+        reject(&refused.to_string());
+    }
+    EmpiricalRunner::run(cfg)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = Flags(std::env::args().skip(1).collect());
+    let args = &flags.0;
     // A typo must not run the defaults: every flag is one the usage text
     // names, and a flag that takes a value is followed by a number.
     for (i, arg) in args.iter().enumerate().filter(|(_, a)| a.starts_with("--")) {
@@ -89,54 +151,24 @@ fn main() {
             Some(_) => {}
         }
     }
-    let json = args.iter().any(|a| a == "--json");
-    let has = |name: &str| args.iter().any(|a| a == name);
-    let flag = |name: &str, default: f64| -> f64 {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    // A count is a whole number >= 1: `--reps 0` would print a NaN table,
-    // `--reps 2.5` would run 2 and `--threads -3` would mean every core.
-    let count = |name: &str, default: u64| -> u64 {
-        let v = flag(name, default as f64);
-        if v < 1.0 || v.fract() != 0.0 {
-            reject(&format!("{name} {v} must be a whole number >= 1"));
-        }
-        v as u64
-    };
-    // A load, multiplier or duration of zero or less has no arrival
-    // process to draw from: a zero rate re-fires one arrival at the same
-    // instant forever, and a negative window places nothing.
-    for name in [
-        "--erlangs",
-        "--flash-mult",
-        "--scale",
-        "--holding",
-        "--window",
-    ] {
-        let v = flag(name, 1.0);
-        if has(name) && !(v > 0.0 && v.is_finite()) {
-            reject(&format!("{name} {v} must be > 0 and finite"));
-        }
+    let json = flags.has("--json");
+    // The sweep studies build their configurations inside the library, so
+    // the loads, windows and scales they take are checked here: a zero
+    // rate re-fires one arrival at the same instant forever, and a
+    // negative window places nothing.
+    let positive = |v: &f64| *v > 0.0 && v.is_finite();
+    for name in ["--erlangs", "--scale", "--window"] {
+        flags.get(name, 1.0, "> 0 and finite", positive);
     }
-    let window = flag("--window", 1.0);
-    if window > MAX_PLACEMENT_WINDOW_S {
-        reject(&format!(
-            "--window {window} must be at most {MAX_PLACEMENT_WINDOW_S:e} s"
-        ));
-    }
-    let seed = flag("--seed", 2015.0) as u64;
+    let seed = flags.int("--seed", 2015u64);
     // Sweep subcommands: --threads N sets how many threads the sweep
     // executor runs on; the numbers are identical at any value.
     // --progress prints per-cell lines to stderr, off by default so JSON
     // pipelines stay clean.
-    if has("--threads") {
-        des::pool::configure(count("--threads", 1) as usize);
+    if flags.has("--threads") {
+        des::pool::configure(flags.count("--threads", 1usize));
     }
-    sweep::show_progress(has("--progress"));
+    sweep::show_progress(flags.has("--progress"));
 
     match args.first().map(String::as_str) {
         Some("fig3") => {
@@ -144,7 +176,7 @@ fn main() {
             emit(json, &curves, |c| report::render_fig3(c, 10));
         }
         Some("table1") => {
-            let scale = flag("--scale", 1.0);
+            let scale = flags.num("--scale", 1.0);
             let rows = if (scale - 1.0).abs() < 1e-9 {
                 table1::table1(seed)
             } else {
@@ -156,18 +188,18 @@ fn main() {
             // --smoke shrinks the sweep to a CI-scale grid; --ci-target
             // switches to adaptive replication (reps becomes the minimum,
             // --max-reps the per-point budget).
-            let smoke = has("--smoke");
+            let smoke = flags.has("--smoke");
             let loads = if smoke {
                 vec![140.0, 200.0, 260.0]
             } else {
                 figures::fig6_default_loads()
             };
-            let reps = count("--reps", if smoke { 2 } else { 5 });
-            let max_reps = count("--max-reps", reps.max(2) * 16);
+            let reps = flags.count("--reps", if smoke { 2 } else { 5 });
+            let max_reps = flags.count("--max-reps", reps.max(2) * 16);
             if max_reps < reps {
                 reject(&format!("--max-reps {max_reps} must be >= --reps {reps}"));
             }
-            let ci_target = flag("--ci-target", 0.0);
+            let ci_target = flags.num("--ci-target", 0.0);
             let points = if ci_target > 0.0 {
                 let policy = AdaptivePolicy {
                     ci_target,
@@ -181,38 +213,36 @@ fn main() {
             emit(json, &points, |p| report::render_fig6(p));
         }
         Some("fig7") => {
-            let pop = count("--population", 8000);
-            let channels = flag("--channels", 165.0) as u32;
+            let pop = flags.count("--population", 8000);
+            let channels = flags.int("--channels", 165);
             let curves = figures::fig7(pop, channels);
             emit(json, &curves, |c| report::render_fig7(c, pop, channels, 5));
         }
         Some("campaign") => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let mut cc = if smoke {
+            let mut cc = if flags.has("--smoke") {
                 capacity::campaign::CampaignConfig::smoke(seed)
             } else {
                 capacity::campaign::CampaignConfig::evaluation_default(seed)
             };
-            let channels = flag("--channels", 0.0) as u32;
-            if channels > 0 {
-                cc.channels = channels;
-            }
-            cc.placement_window_s = flag("--window", cc.placement_window_s);
+            // The engineered capacity is a load the pool carries at 1 %
+            // blocking, so the pool holds at least one channel.
+            cc.channels = flags.count("--channels", cc.channels);
+            cc.placement_window_s = flags.secs("--window", cc.placement_window_s);
             let result = capacity::campaign::run_campaign(&cc);
             emit(json, &result, capacity::campaign::render_campaign);
         }
         Some("policy") => {
-            let erlangs = flag("--erlangs", 220.0);
-            let users = count("--users", 60) as u32;
-            let reps = count("--reps", 3);
+            let erlangs = flags.num("--erlangs", 220.0);
+            let users = flags.count("--users", 60);
+            let reps = flags.count("--reps", 3);
             let limits = [None, Some(4), Some(3), Some(2), Some(1)];
             let rows = policy::policy_study(erlangs, users, &limits, reps, seed);
             emit(json, &rows, |r| policy::render_policy(r));
         }
         Some("farm") => {
-            let erlangs = flag("--erlangs", 150.0);
-            let total = flag("--channels", 164.0) as u32;
-            let reps = count("--reps", 5);
+            let erlangs = flags.num("--erlangs", 150.0);
+            let total = flags.int("--channels", 164);
+            let reps = flags.count("--reps", 5);
             let rows = farm::farm_study(erlangs, total, &[1, 2, 4], reps, seed);
             emit(json, &rows, |r| farm::render_farm(erlangs, r));
         }
@@ -220,9 +250,9 @@ fn main() {
             // Population-scale cell: finite-source arrivals over N
             // subscribers with registration churn, closed against the
             // log-space Engset analytics.
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let subs = count("--subs", if smoke { 20_000 } else { 1_000_000 });
-            let erlangs = flag("--erlangs", if smoke { 20.0 } else { 150.0 });
+            let smoke = flags.has("--smoke");
+            let subs = flags.count("--subs", if smoke { 20_000 } else { 1_000_000 });
+            let erlangs = flags.num("--erlangs", if smoke { 20.0 } else { 150.0 });
             let mut cfg = EmpiricalConfig::population_scale(subs, erlangs, seed);
             if smoke {
                 // Compressed cell: short holds and window, a wheel that
@@ -236,8 +266,8 @@ fn main() {
                 pop.reg_expiry_s = 60.0;
                 pop.churn_buckets = 16;
             }
-            cfg.channels = flag("--channels", f64::from(cfg.channels)) as u32;
-            emit(json, &EmpiricalRunner::run(cfg.clone()), |result| {
+            cfg.channels = flags.int("--channels", cfg.channels);
+            emit(json, &run(cfg.clone()), |result| {
                 let engset = teletraffic::engset::engset_blocking_for_load_large(
                     subs,
                     cfg.channels,
@@ -268,103 +298,70 @@ fn main() {
         Some("run") => {
             // A known flag, but not here: the old sharded invocation must
             // not become a silent single-thread run.
-            if has("--threads") {
+            if flags.has("--threads") {
                 reject("run: within-run sharding is retired; --threads sizes sweep workers on fig6/campaign/policy/farm");
             }
-            let erlangs = flag("--erlangs", 40.0);
-            let mut cfg = EmpiricalConfig::table1(erlangs, seed);
-            cfg.channels = flag("--channels", f64::from(cfg.channels)) as u32;
-            if has("--holding") {
-                cfg.holding = loadgen::HoldingDist::Fixed(flag("--holding", 0.0));
+            let mut cfg = EmpiricalConfig::table1(flags.num("--erlangs", 40.0), seed);
+            cfg.channels = flags.int("--channels", cfg.channels);
+            if flags.has("--holding") {
+                cfg.holding = loadgen::HoldingDist::Fixed(flags.secs("--holding", 0.0));
             }
-            cfg.placement_window_s = flag("--window", cfg.placement_window_s);
-            cfg.servers = count("--servers", u64::from(cfg.servers)) as u32;
+            cfg.placement_window_s = flags.secs("--window", cfg.placement_window_s);
+            cfg.servers = flags.count("--servers", cfg.servers);
 
             // Overload control: --shed-high enables PBX shedding.
-            // Load is capped at 1, and the watermarks must leave a dead band
-            // or the law engages and releases on alternate INVITEs.
-            let shed_high = flag("--shed-high", 0.0);
+            let shed_high = flags.num("--shed-high", 0.0);
             if shed_high > 0.0 {
-                let shed_low = flag("--shed-low", (shed_high - 0.2).max(0.0));
-                if shed_high > 1.0 {
-                    reject(&format!(
-                        "--shed-high {shed_high} is above 1: load never reaches it"
-                    ));
-                }
-                if shed_low >= shed_high {
-                    reject(&format!(
-                        "--shed-low {shed_low} must be below --shed-high {shed_high}"
-                    ));
-                }
                 cfg.overload_law = Some(ControlLaw::Hysteresis {
                     high_watermark: shed_high,
-                    low_watermark: shed_low,
-                    retry_after: SimDuration::from_secs_f64(flag("--retry-after", 2.0)),
+                    low_watermark: flags.num("--shed-low", (shed_high - 0.2).max(0.0)),
+                    retry_after: flags.duration("--retry-after", 2.0),
                 });
             }
             // UAC retry: --retry-max enables 503 retries with backoff.
-            let retry_max = flag("--retry-max", 0.0) as u32;
+            let retry_max = flags.int("--retry-max", 0u32);
             if retry_max > 0 {
                 cfg.retry = Some(RetryPolicy {
                     max_retries: retry_max,
-                    base_backoff: SimDuration::from_secs_f64(flag("--retry-base", 2.0)),
-                    max_backoff: SimDuration::from_secs_f64(flag("--retry-cap", 32.0)),
+                    base_backoff: flags.duration("--retry-base", 2.0),
+                    max_backoff: flags.duration("--retry-cap", 32.0),
                 });
             }
             // Scheduled faults (0 = not scheduled).
             let mut sched = FaultSchedule::new();
-            let partition_at = flag("--partition-at", 0.0);
+            let partition_at = flags.secs("--partition-at", 0.0);
             if partition_at > 0.0 {
-                sched = sched.at(
-                    partition_at,
-                    FaultKind::LinkPartition {
-                        a: pbx_node(0),
-                        b: nodes::SWITCH,
-                    },
-                );
-                let heal_at = flag("--heal-at", partition_at + 15.0);
-                sched = sched.at(
-                    heal_at,
-                    FaultKind::LinkHeal {
-                        a: pbx_node(0),
-                        b: nodes::SWITCH,
-                    },
-                );
+                let (a, b) = (pbx_node(0), nodes::SWITCH);
+                let heal_at = flags.secs("--heal-at", partition_at + 15.0);
+                sched = sched
+                    .at(partition_at, FaultKind::LinkPartition { a, b })
+                    .at(heal_at, FaultKind::LinkHeal { a, b });
             }
-            let crash_at = flag("--crash-at", 0.0);
+            let crash_at = flags.secs("--crash-at", 0.0);
             if crash_at > 0.0 {
-                sched = sched.at(
-                    crash_at,
-                    FaultKind::PbxCrash {
-                        pbx: 0,
-                        restart_after: SimDuration::from_secs_f64(flag("--restart-after", 5.0)),
-                    },
-                );
+                let restart_after = flags.duration("--restart-after", 5.0);
+                let pbx = 0;
+                sched = sched.at(crash_at, FaultKind::PbxCrash { pbx, restart_after });
             }
-            let flash_at = flag("--flash-at", 0.0);
+            let flash_at = flags.secs("--flash-at", 0.0);
             if flash_at > 0.0 {
-                sched = sched.at(
-                    flash_at,
-                    FaultKind::FlashCrowd {
-                        rate_multiplier: flag("--flash-mult", 4.0),
-                        duration: SimDuration::from_secs_f64(flag("--flash-dur", 10.0)),
-                    },
-                );
+                let rate_multiplier = flags.num("--flash-mult", 4.0);
+                let duration = flags.duration("--flash-dur", 10.0);
+                let flash = FaultKind::FlashCrowd {
+                    rate_multiplier,
+                    duration,
+                };
+                sched = sched.at(flash_at, flash);
             }
-            let storm = flag("--storm", 0.0) as usize;
+            let storm = flags.int("--storm", 0usize);
             if storm > 0 {
-                let pbx_nodes: Vec<_> = (0..cfg.servers).map(pbx_node).collect();
-                sched = FaultSchedule::random_storm(
-                    seed,
-                    cfg.placement_window_s,
-                    storm,
-                    &pbx_nodes,
-                    nodes::SWITCH,
-                );
+                let pbxes: Vec<_> = (0..cfg.servers).map(pbx_node).collect();
+                let window = cfg.placement_window_s;
+                sched = FaultSchedule::random_storm(seed, window, storm, &pbxes, nodes::SWITCH);
             }
             let robustness = !sched.is_empty() || cfg.overload_law.is_some() || cfg.retry.is_some();
             cfg.faults = sched;
-            emit(json || !robustness, &EmpiricalRunner::run(cfg), |r| {
+            emit(json || !robustness, &run(cfg), |r| {
                 report::render_robustness(r) + &report::render_throughput(r)
             });
         }

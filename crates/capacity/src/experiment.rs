@@ -39,8 +39,85 @@ pub struct SimOptions {
 }
 
 /// Longest placement window [`EmpiricalConfig::validate`] accepts, in
-/// seconds (≈ 32 years; `SimTime` holds ≈ 584 years of nanoseconds).
+/// seconds (≈ 32 years; `SimTime` holds ≈ 584 years of nanoseconds). It
+/// bounds every other configured timer too.
 pub const MAX_PLACEMENT_WINDOW_S: f64 = 1e9;
+
+/// Largest farm: PBX `k` is node `3 + k`, and node ids are `u16`.
+const MAX_SERVERS: u32 = 65_532;
+
+/// Fastest arrival process a run accepts, in calls/s: one arrival per
+/// clock nanosecond. A shorter mean gap rounds to 0.
+const MAX_ARRIVAL_RATE: f64 = 1e9;
+
+/// Largest CPU throttle factor. At 1e6 a 19 µs RTP relay costs 19 s, so
+/// every 5 s utilisation window already reads 1; a larger factor only
+/// overflows the CPU model's nanosecond busy counter.
+const MAX_THROTTLE_FACTOR: f64 = 1e6;
+
+/// Why [`EmpiricalConfig::validate`] refused a configuration: the rule it
+/// breaks, worded as one line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` if `holds`, else the [`ConfigError`] that `message` words.
+fn rule(holds: bool, message: impl FnOnce() -> String) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(ConfigError(message()))
+    }
+}
+
+/// The timer rule: `secs` of simulated time is at most
+/// [`MAX_PLACEMENT_WINDOW_S`], so a timer armed with it fits the clock.
+fn timer(name: &str, secs: f64) -> Result<(), ConfigError> {
+    rule(secs <= MAX_PLACEMENT_WINDOW_S, || {
+        format!("{name} {secs:?} s must be at most {MAX_PLACEMENT_WINDOW_S:e} s")
+    })
+}
+
+/// The overload-law rules of [`EmpiricalConfig::validate`].
+fn check_law(law: ControlLaw) -> Result<(), ConfigError> {
+    let retry_after = match law {
+        ControlLaw::Hysteresis {
+            high_watermark: high,
+            low_watermark: low,
+            retry_after,
+        } => {
+            rule((0.0..high).contains(&low) && high <= 1.0, || {
+                format!(
+                    "hysteresis watermarks must keep 0 <= low < high <= 1 (load is capped \
+                     at 1): low {low:?}, high {high:?}"
+                )
+            })?;
+            retry_after
+        }
+        ControlLaw::WindowBased {
+            max_window,
+            min_window,
+            retry_after,
+            ..
+        } => {
+            rule(min_window <= max_window, || {
+                format!("window law: min_window {min_window} > max_window {max_window}")
+            })?;
+            retry_after
+        }
+        ControlLaw::RateBased { retry_after, .. }
+        | ControlLaw::SignalBased { retry_after, .. }
+        | ControlLaw::MosCac { retry_after, .. } => retry_after,
+    };
+    timer("Retry-After", retry_after.as_secs_f64())
+}
 
 /// Configuration for one empirical run.
 #[derive(Debug, Clone)]
@@ -118,9 +195,11 @@ impl EmpiricalConfig {
             media: MediaMode::PerPacket,
             pickup_delay: SimDuration::ZERO,
             // The paper observes wire-level packet errors only at its
-            // highest workloads; a small loss ramp above 160 E reproduces
-            // the reported MOS dip and error counts.
-            link_loss_probability: ((erlangs - 160.0).max(0.0) / 80.0) * 2e-3,
+            // highest workloads; a small loss ramp from 160 E reproduces
+            // the reported MOS dip and error counts. It stops rising at
+            // the paper's highest load, 240 E (0.2 %): the same straight
+            // line, continued, reaches 100 % loss at 40 160 E.
+            link_loss_probability: ((erlangs.min(240.0) - 160.0).max(0.0) / 80.0) * 2e-3,
             silence_suppression: false,
             capture_traffic: false,
             user_pool: 100,
@@ -155,52 +234,150 @@ impl EmpiricalConfig {
         }
     }
 
-    /// Reject configurations the world cannot run as written, where the
-    /// configuration enters it ([`World::new`]).
+    /// Check that the world can run this configuration as written; where
+    /// it cannot, say which rule it breaks. [`World::new`] panics with the
+    /// same text, and `capacity-cli` refuses it (exit 2).
     ///
-    /// Every classic call draws its caller and callee from `user_pool`,
-    /// and every population call its callee, so the pool holds at least
-    /// one user.
+    /// Each rule names the failure it prevents:
     ///
-    /// Every fault must aim inside the farm: a crash or throttle at a
-    /// server index below `servers`, a link fault at one of the star's
-    /// links (the switch and one of the two SIPp hosts or a PBX). Anything
-    /// else would silently run as a healthy testbed.
+    /// - **Farm size**: `servers` in `1..=65 532`. PBX `k` is node
+    ///   `3 + k`, a `u16`, and a run with no server has nowhere to send a
+    ///   call.
+    /// - **User pool**: at least one user. Every classic call draws its
+    ///   caller and callee from `user_pool`, and every population call
+    ///   its callee.
+    /// - **Offered load**: `erlangs` finite and > 0. The arrival rate is
+    ///   `erlangs / holding.mean()`, and a zero, NaN or negative rate
+    ///   re-fires one arrival at the same instant forever.
+    /// - **Holding mean**: finite and > 0 (the same rate argument), and at
+    ///   most [`MAX_PLACEMENT_WINDOW_S`] so the run's horizon fits
+    ///   [`SimTime`].
+    /// - **Placement window**: finite, > 0 and at most
+    ///   [`MAX_PLACEMENT_WINDOW_S`], so the run places calls and its end
+    ///   fits [`SimTime`].
+    /// - **Link loss**: `link_loss_probability` in `[0, 1]`; `netsim`
+    ///   panics on any other probability when it builds the star.
+    /// - **Timers**: the pickup delay, the retry cap, a law's
+    ///   `Retry-After`, the population's registration expiry, and every
+    ///   fault's instant, restart delay, flash duration and degraded
+    ///   propagation and queue bound are at most
+    ///   [`MAX_PLACEMENT_WINDOW_S`], so no timer the run arms overflows
+    ///   the clock. The retry base is at most its cap.
+    /// - **Overload law**: a hysteresis law keeps `0 <= low < high <= 1`
+    ///   (load is capped at 1, and without a dead band the law engages and
+    ///   releases on alternate INVITEs); a window law keeps
+    ///   `min_window <= max_window` (`overload` panics otherwise).
+    /// - **Population**: at least one subscriber, and a per-user rate and
+    ///   registration expiry that are finite and > 0 (the engine panics on
+    ///   an empty population or a zero rate; a zero expiry churns every
+    ///   nanosecond).
+    /// - **Faults inside the farm**, checked first for each fault: a crash
+    ///   or throttle at a server index below `servers`, a link fault at
+    ///   one of the star's links (the switch and one of the two SIPp hosts
+    ///   or a PBX). Anything else would silently run as a healthy testbed.
+    /// - **Fault parameters**: a `LinkDegrade` bandwidth finite and at
+    ///   least 1 bit/s (below it one frame's serialisation can outlast the
+    ///   clock) and a loss in `[0, 1]` (`netsim` panics otherwise); a
+    ///   `CpuThrottle` factor finite, > 0 and at most 1e6 (at 1e6 every 5 s
+    ///   utilisation window already reads 1, and more overflows the CPU
+    ///   model's nanosecond busy counter); a flash crowd's rate multiplier
+    ///   finite and > 0 (the zero-rate loop again).
+    /// - **Heals follow cuts**: a `LinkHeal` needs an earlier
+    ///   `LinkPartition` or `LinkDegrade` of the same link, in either node
+    ///   order; a heal before its partition leaves the link cut for the
+    ///   rest of the run.
+    /// - **Population × flash crowd**: unsupported. A flash crowd scales
+    ///   the open-loop arrival process, which population mode never reads.
+    /// - **Arrival rate**: the base rate (`erlangs / holding.mean()`, or a
+    ///   population's `subscribers × per_user_rate ×` its profile's peak)
+    ///   times every flash-crowd multiplier above 1 is at most 1e9 calls/s.
+    ///   That is one arrival per clock nanosecond; a shorter gap rounds to
+    ///   0 and places calls at one instant until memory runs out.
     ///
-    /// The finite-source population does not compose with a flash crowd:
-    /// it scales the open-loop arrival process, which population mode
-    /// never reads.
-    ///
-    /// The arrival rate is `erlangs / holding.mean()`, so the holding mean
-    /// and every flash crowd's rate multiplier are finite and > 0: a zero,
-    /// infinite or negative rate would re-fire one arrival at the same
-    /// instant forever. The placement window is finite, > 0 and at most
-    /// [`MAX_PLACEMENT_WINDOW_S`], so the run places calls and its end
-    /// fits [`SimTime`].
-    ///
-    /// # Panics
-    /// If `user_pool` is 0, if the holding mean, the placement window or a
-    /// flash crowd's rate multiplier is out of range, if a fault aims
-    /// outside the farm, or if `population` is set together with a
-    /// [`FaultKind::FlashCrowd`] in `faults`.
-    pub fn validate(&self) {
-        assert!(
-            self.user_pool > 0,
-            "user_pool must be >= 1: calls draw users from it"
-        );
+    /// # Errors
+    /// The [`ConfigError`] of the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let servers = self.servers;
+        rule((1..=MAX_SERVERS).contains(&servers), || {
+            format!("servers {servers} must be in 1..={MAX_SERVERS}: PBX k is node 3 + k, a u16")
+        })?;
+        rule(self.user_pool > 0, || {
+            "user_pool must be >= 1: calls draw users from it".to_owned()
+        })?;
+        let erlangs = self.erlangs;
+        rule(erlangs.is_finite() && erlangs > 0.0, || {
+            format!("offered load {erlangs:?} E must be finite and > 0")
+        })?;
         let holding = self.holding.mean();
-        assert!(
-            holding.is_finite() && holding > 0.0,
-            "holding mean {holding} s must be finite and > 0"
-        );
+        rule(holding.is_finite() && holding > 0.0, || {
+            format!("holding mean {holding} s must be finite and > 0")
+        })?;
+        timer("holding mean", holding)?;
         let window = self.placement_window_s;
-        assert!(
+        rule(
             window.is_finite() && window > 0.0 && window <= MAX_PLACEMENT_WINDOW_S,
-            "placement window {window} s must be in (0, {MAX_PLACEMENT_WINDOW_S:e}]"
-        );
-        let servers = self.servers.max(1);
+            || format!("placement window {window} s must be in (0, {MAX_PLACEMENT_WINDOW_S:e}]"),
+        )?;
+        let loss = self.link_loss_probability;
+        rule((0.0..=1.0).contains(&loss), || {
+            format!("link loss probability {loss:?} must be in [0, 1]")
+        })?;
+        timer("pickup delay", self.pickup_delay.as_secs_f64())?;
+        if let Some(retry) = &self.retry {
+            let (base, cap) = (retry.base_backoff, retry.max_backoff);
+            timer("retry cap", cap.as_secs_f64())?;
+            rule(base <= cap, || {
+                format!("retry base {base} must be at most the retry cap {cap}")
+            })?;
+        }
+        if let Some(law) = self.overload_law {
+            check_law(law)?;
+        }
+        let mut arrival_rate = erlangs / holding;
+        if let Some(pop) = &self.population {
+            rule(pop.subscribers > 0, || {
+                "population must have at least one subscriber".to_owned()
+            })?;
+            let (rate, expiry) = (pop.per_user_rate, pop.reg_expiry_s);
+            rule(rate.is_finite() && rate > 0.0, || {
+                format!("per-user call rate {rate:?}/s must be finite and > 0")
+            })?;
+            rule(expiry.is_finite() && expiry > 0.0, || {
+                format!("registration expiry {expiry:?} s must be finite and > 0")
+            })?;
+            timer("registration expiry", expiry)?;
+            arrival_rate = pop.subscribers as f64 * rate * pop.profile.max_multiplier();
+        }
+        self.check_faults(&mut arrival_rate)?;
+        rule(
+            self.population.is_none()
+                || !self
+                    .faults
+                    .events()
+                    .iter()
+                    .any(|e| matches!(e.kind, FaultKind::FlashCrowd { .. })),
+            || {
+                "population × FlashCrowd is unsupported: a flash crowd scales the open-loop \
+                 arrival rate, which population mode never reads"
+                    .to_owned()
+            },
+        )?;
+        rule(arrival_rate <= MAX_ARRIVAL_RATE, || {
+            format!(
+                "arrival rate {arrival_rate:?} calls/s (with every flash crowd above 1x) must be \
+                 at most {MAX_ARRIVAL_RATE:e}: one arrival per clock nanosecond"
+            )
+        })
+    }
+
+    /// The fault rules of [`EmpiricalConfig::validate`], in schedule order;
+    /// scales `arrival_rate` by every flash-crowd multiplier above 1.
+    fn check_faults(&self, arrival_rate: &mut f64) -> Result<(), ConfigError> {
+        let servers = self.servers;
         let host = |n| star_hosts(servers).any(|h| h == n);
         let star_link = |a, b| (a == nodes::SWITCH && host(b)) || (b == nodes::SWITCH && host(a));
+        // Links an earlier partition or degrade has cut, as written.
+        let mut cut = Vec::new();
         for event in self.faults.events() {
             let in_farm = match event.kind {
                 FaultKind::LinkDegrade { a, b, .. }
@@ -209,31 +386,71 @@ impl EmpiricalConfig {
                 FaultKind::PbxCrash { pbx, .. } | FaultKind::CpuThrottle { pbx, .. } => {
                     pbx < servers
                 }
-                FaultKind::FlashCrowd {
-                    rate_multiplier, ..
-                } => {
-                    assert!(
-                        rate_multiplier.is_finite() && rate_multiplier > 0.0,
-                        "flash crowd rate multiplier {rate_multiplier} must be finite and > 0"
-                    );
-                    true
-                }
+                FaultKind::FlashCrowd { .. } => true,
             };
-            assert!(
-                in_farm,
-                "fault aimed outside the {servers}-server farm: {event:?}"
-            );
+            rule(in_farm, || {
+                format!("fault aimed outside the {servers}-server farm: {event:?}")
+            })?;
+            timer("fault instant", event.at.as_secs_f64())?;
+            match event.kind {
+                FaultKind::LinkDegrade { a, b, params } => {
+                    let (bandwidth, loss) = (params.bandwidth_bps, params.loss_probability);
+                    rule(bandwidth.is_finite() && bandwidth >= 1.0, || {
+                        format!(
+                            "degraded link bandwidth {bandwidth:?} bit/s must be finite and >= 1"
+                        )
+                    })?;
+                    rule((0.0..=1.0).contains(&loss), || {
+                        format!("degraded link loss probability {loss:?} must be in [0, 1]")
+                    })?;
+                    timer(
+                        "degraded link propagation",
+                        params.propagation.as_secs_f64(),
+                    )?;
+                    timer(
+                        "degraded link queue bound",
+                        params.max_queue_delay.as_secs_f64(),
+                    )?;
+                    cut.push((a, b));
+                }
+                FaultKind::LinkPartition { a, b } => cut.push((a, b)),
+                FaultKind::LinkHeal { a, b } => {
+                    rule(cut.contains(&(a, b)) || cut.contains(&(b, a)), || {
+                        format!(
+                            "link heal at {} of {a:?}-{b:?} follows no partition or degrade \
+                             of that link",
+                            event.at
+                        )
+                    })?;
+                }
+                FaultKind::PbxCrash { restart_after, .. } => {
+                    timer("restart delay", restart_after.as_secs_f64())?;
+                }
+                FaultKind::CpuThrottle { factor, .. } => {
+                    rule(
+                        factor.is_finite() && factor > 0.0 && factor <= MAX_THROTTLE_FACTOR,
+                        || {
+                            format!("CPU throttle factor {factor:?} must be in (0, {MAX_THROTTLE_FACTOR:e}]")
+                        },
+                    )?;
+                }
+                FaultKind::FlashCrowd {
+                    rate_multiplier,
+                    duration,
+                } => {
+                    rule(rate_multiplier.is_finite() && rate_multiplier > 0.0, || {
+                        format!(
+                            "flash crowd rate multiplier {rate_multiplier} must be finite and > 0"
+                        )
+                    })?;
+                    timer("flash crowd duration", duration.as_secs_f64())?;
+                    if rate_multiplier > 1.0 {
+                        *arrival_rate *= rate_multiplier;
+                    }
+                }
+            }
         }
-        assert!(
-            self.population.is_none()
-                || !self
-                    .faults
-                    .events()
-                    .iter()
-                    .any(|e| matches!(e.kind, FaultKind::FlashCrowd { .. })),
-            "population × FlashCrowd is unsupported: a flash crowd scales the open-loop \
-             arrival rate, which population mode never reads"
-        );
+        Ok(())
     }
 
     /// Rough estimate of concurrently pending scheduler events, used to
@@ -246,12 +463,29 @@ impl EmpiricalConfig {
         let concurrent = (self.erlangs.ceil() as usize)
             .min(self.channels as usize)
             .max(1)
-            * self.servers.max(1) as usize;
+            * self.servers as usize;
         let per_call = match self.media {
             MediaMode::Off => 4,
             MediaMode::PerPacket => 8,
         };
         concurrent * per_call + 1024
+    }
+
+    /// When [`EmpiricalRunner::run`] stops the clock: placement, the
+    /// longest plausible holding time and teardown slack, and past the
+    /// last fault effect room for re-registration, retried calls and the
+    /// recovery window to be observable.
+    #[must_use]
+    pub fn horizon(&self) -> SimTime {
+        let hold_slack = match self.holding {
+            HoldingDist::Fixed(h) => h + 10.0,
+            _ => self.holding.mean() * 8.0 + 30.0,
+        };
+        let mut horizon_s = 1.0 + self.placement_window_s + hold_slack + 5.0;
+        if let Some(last) = self.faults.last_effect_time() {
+            horizon_s = horizon_s.max(last.as_secs_f64() + hold_slack + 15.0);
+        }
+        SimTime::from_secs_f64(horizon_s)
     }
 
     /// A small smoke-test configuration that runs in milliseconds even in
@@ -512,18 +746,7 @@ impl EmpiricalRunner {
     pub fn run(config: EmpiricalConfig) -> RunResult {
         let erlangs = config.erlangs;
         let channels = config.channels;
-        // Horizon: placement + longest plausible holding + teardown slack.
-        let hold_slack = match config.holding {
-            HoldingDist::Fixed(h) => h + 10.0,
-            _ => config.holding.mean() * 8.0 + 30.0,
-        };
-        let mut horizon_s = 1.0 + config.placement_window_s + hold_slack + 5.0;
-        if let Some(last) = config.faults.last_effect_time() {
-            // Leave room after the last fault effect for re-registration,
-            // retried calls and the recovery window to be observable.
-            horizon_s = horizon_s.max(last.as_secs_f64() + hold_slack + 15.0);
-        }
-        let horizon = SimTime::from_secs_f64(horizon_s);
+        let horizon = config.horizon();
 
         let started = std::time::Instant::now();
         let mut sim = run_world(config, horizon);
@@ -757,128 +980,276 @@ mod tests {
             cfg.faults = cfg.faults.at(6.0, FaultKind::LinkPartition { a, b });
             cfg.faults = cfg.faults.at(7.0, FaultKind::LinkHeal { a: b, b: a });
         }
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
-    #[test]
-    #[should_panic(expected = "fault aimed outside the 2-server farm")]
-    fn a_link_degrade_off_the_star_is_rejected() {
-        farm_with_fault(FaultKind::LinkDegrade {
-            a: nodes::SIPP_CLIENT,
-            b: crate::world::pbx_node(0),
-            params: netsim::LinkParams::fast_ethernet(),
-        })
-        .validate();
+    /// A schedule holding the one fault `kind`, 5 s in.
+    fn at5(kind: FaultKind) -> FaultSchedule {
+        FaultSchedule::new().at(5.0, kind)
     }
 
-    #[test]
-    #[should_panic(expected = "fault aimed outside the 2-server farm")]
-    fn a_link_partition_of_a_missing_pbx_is_rejected() {
-        farm_with_fault(FaultKind::LinkPartition {
-            a: crate::world::pbx_node(2),
-            b: nodes::SWITCH,
-        })
-        .validate();
+    fn crash(pbx: u32, restart_s: u64) -> FaultKind {
+        let restart_after = SimDuration::from_secs(restart_s);
+        FaultKind::PbxCrash { pbx, restart_after }
     }
 
-    #[test]
-    #[should_panic(expected = "fault aimed outside the 2-server farm")]
-    fn a_link_heal_of_a_missing_pbx_is_rejected() {
-        farm_with_fault(FaultKind::LinkHeal {
-            a: nodes::SWITCH,
-            b: crate::world::pbx_node(5),
-        })
-        .validate();
+    fn degrade(a: netsim::NodeId, params: netsim::LinkParams) -> FaultKind {
+        let b = nodes::SWITCH;
+        FaultKind::LinkDegrade { a, b, params }
     }
 
-    #[test]
-    #[should_panic(expected = "fault aimed outside the 2-server farm")]
-    fn a_crash_of_a_missing_pbx_is_rejected() {
-        farm_with_fault(FaultKind::PbxCrash {
-            pbx: 2,
-            restart_after: SimDuration::from_secs(1),
-        })
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "fault aimed outside the 2-server farm")]
-    fn a_throttle_of_a_missing_pbx_is_rejected() {
-        farm_with_fault(FaultKind::CpuThrottle {
-            pbx: 7,
-            factor: 2.0,
-        })
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "user_pool must be >= 1")]
-    fn an_empty_user_pool_is_rejected() {
-        EmpiricalConfig {
-            user_pool: 0,
-            ..EmpiricalConfig::smoke(1)
+    fn flash(rate_multiplier: f64) -> FaultKind {
+        let duration = SimDuration::from_secs(10);
+        FaultKind::FlashCrowd {
+            rate_multiplier,
+            duration,
         }
-        .validate();
     }
 
-    #[test]
-    #[should_panic(expected = "holding mean 0 s must be finite and > 0")]
-    fn a_zero_holding_mean_is_rejected() {
-        EmpiricalConfig {
-            holding: HoldingDist::Fixed(0.0),
-            ..EmpiricalConfig::smoke(1)
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "holding mean -3 s must be finite and > 0")]
-    fn a_negative_holding_mean_is_rejected() {
-        EmpiricalConfig {
-            holding: HoldingDist::Exponential(-3.0),
-            ..EmpiricalConfig::smoke(1)
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "placement window -5 s must be in (0, 1e9]")]
-    fn a_negative_placement_window_is_rejected() {
-        EmpiricalConfig {
-            placement_window_s: -5.0,
-            ..EmpiricalConfig::smoke(1)
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "placement window 1000000000000 s must be in (0, 1e9]")]
-    fn a_placement_window_past_the_clock_is_rejected() {
-        EmpiricalConfig {
-            placement_window_s: 1e12,
-            ..EmpiricalConfig::smoke(1)
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "flash crowd rate multiplier 0 must be finite and > 0")]
-    fn a_zero_flash_crowd_multiplier_is_rejected() {
-        farm_with_fault(FaultKind::FlashCrowd {
-            rate_multiplier: 0.0,
-            duration: SimDuration::from_secs(10),
+    fn hysteresis(low_watermark: f64, high_watermark: f64) -> Option<ControlLaw> {
+        let retry_after = SimDuration::from_secs(2);
+        Some(ControlLaw::Hysteresis {
+            high_watermark,
+            low_watermark,
+            retry_after,
         })
-        .validate();
     }
 
+    /// Each rule of `validate`, broken once on a valid two-server smoke
+    /// cell: the mutation and the start of the message it must produce.
     #[test]
-    #[should_panic(expected = "flash crowd rate multiplier -2 must be finite and > 0")]
-    fn a_negative_flash_crowd_multiplier_is_rejected() {
-        farm_with_fault(FaultKind::FlashCrowd {
-            rate_multiplier: -2.0,
-            duration: SimDuration::from_secs(10),
-        })
-        .validate();
+    fn validate_refuses_each_rule_with_its_message() {
+        use crate::world::pbx_node;
+        use netsim::LinkParams;
+        type Mutation = fn(&mut EmpiricalConfig);
+        let cases: [(Mutation, &str); 35] = [
+            (|c| c.servers = 0, "servers 0 must be in 1..=65532"),
+            (|c| c.servers = 65_533, "servers 65533 must be in 1..=65532"),
+            (|c| c.user_pool = 0, "user_pool must be >= 1"),
+            (
+                |c| c.erlangs = 0.0,
+                "offered load 0.0 E must be finite and > 0",
+            ),
+            (|c| c.erlangs = f64::NAN, "offered load NaN E must be"),
+            (|c| c.erlangs = -5.0, "offered load -5.0 E must be"),
+            (
+                |c| c.holding = HoldingDist::Fixed(0.0),
+                "holding mean 0 s must be finite and > 0",
+            ),
+            (
+                |c| c.holding = HoldingDist::Exponential(-3.0),
+                "holding mean -3 s must be finite",
+            ),
+            (
+                |c| c.holding = HoldingDist::Fixed(2e9),
+                "holding mean 2000000000.0 s must be at most 1e9 s",
+            ),
+            (
+                |c| c.placement_window_s = -5.0,
+                "placement window -5 s must be in (0, 1e9]",
+            ),
+            (
+                |c| c.placement_window_s = 1e12,
+                "placement window 1000000000000 s must be in (0, 1e9]",
+            ),
+            (
+                |c| c.link_loss_probability = 1.5,
+                "link loss probability 1.5 must be in [0, 1]",
+            ),
+            (
+                |c| c.link_loss_probability = -0.5,
+                "link loss probability -0.5 must be in [0, 1]",
+            ),
+            (
+                |c| c.pickup_delay = SimDuration::from_secs(2_000_000_000),
+                "pickup delay 2000000000.0 s",
+            ),
+            (
+                |c| {
+                    let (base_backoff, max_backoff) =
+                        (SimDuration::from_secs(4), SimDuration::from_secs(2));
+                    c.retry = Some(RetryPolicy {
+                        max_retries: 2,
+                        base_backoff,
+                        max_backoff,
+                    });
+                },
+                "retry base 4.000000s must be at most the retry cap 2.000000s",
+            ),
+            (
+                |c| c.overload_law = hysteresis(0.95, 0.9),
+                "hysteresis watermarks must keep 0 <= low < high",
+            ),
+            (
+                |c| c.overload_law = hysteresis(0.7, 1.5),
+                "hysteresis watermarks must keep 0 <= low < high",
+            ),
+            (
+                |c| {
+                    let (max_window, min_window) = (4, 5);
+                    let retry_after = SimDuration::from_secs(2);
+                    let target_load = 0.85;
+                    c.overload_law = Some(ControlLaw::WindowBased {
+                        target_load,
+                        max_window,
+                        min_window,
+                        retry_after,
+                    });
+                },
+                "window law: min_window 5 > max_window 4",
+            ),
+            (
+                |c| c.faults = at5(crash(2, 1)),
+                "fault aimed outside the 2-server farm",
+            ),
+            (
+                |c| {
+                    c.faults = at5(FaultKind::CpuThrottle {
+                        pbx: 7,
+                        factor: 2.0,
+                    })
+                },
+                "fault aimed outside the 2-server farm",
+            ),
+            (
+                |c| c.faults = at5(degrade(pbx_node(2), LinkParams::fast_ethernet())),
+                "fault aimed outside the 2-server farm",
+            ),
+            (
+                |c| {
+                    let (a, b) = (pbx_node(2), nodes::SWITCH);
+                    c.faults = at5(FaultKind::LinkPartition { a, b });
+                },
+                "fault aimed outside the 2-server farm",
+            ),
+            (
+                |c| {
+                    let (a, b) = (nodes::SIPP_CLIENT, pbx_node(0));
+                    c.faults = at5(FaultKind::LinkDegrade {
+                        a,
+                        b,
+                        params: LinkParams::fast_ethernet(),
+                    });
+                },
+                "fault aimed outside the 2-server farm",
+            ),
+            (
+                |c| {
+                    c.faults = at5(FaultKind::LinkHeal {
+                        a: nodes::SWITCH,
+                        b: pbx_node(5),
+                    })
+                },
+                "fault aimed outside the 2-server farm",
+            ),
+            (
+                |c| c.faults = FaultSchedule::new().at(1e300, crash(0, 1)),
+                "fault instant 18446744073.709553 s must be at most 1e9 s",
+            ),
+            (
+                |c| c.faults = at5(crash(0, 2_000_000_000)),
+                "restart delay 2000000000.0 s must be at most",
+            ),
+            (
+                |c| {
+                    c.faults = at5(degrade(
+                        pbx_node(0),
+                        LinkParams {
+                            bandwidth_bps: 0.0,
+                            ..LinkParams::fast_ethernet()
+                        },
+                    ))
+                },
+                "degraded link bandwidth 0.0 bit/s must be finite and >= 1",
+            ),
+            (
+                |c| {
+                    let params = LinkParams {
+                        loss_probability: f64::NAN,
+                        ..LinkParams::fast_ethernet()
+                    };
+                    c.faults = at5(degrade(pbx_node(0), params));
+                },
+                "degraded link loss probability NaN must be in [0, 1]",
+            ),
+            (
+                |c| {
+                    c.faults = at5(FaultKind::CpuThrottle {
+                        pbx: 0,
+                        factor: f64::INFINITY,
+                    })
+                },
+                "CPU throttle factor inf must be in (0, 1e6]",
+            ),
+            (
+                |c| {
+                    let (a, b) = (pbx_node(0), nodes::SWITCH);
+                    c.faults = FaultSchedule::new()
+                        .at(10.0, FaultKind::LinkPartition { a, b })
+                        .at(5.0, FaultKind::LinkHeal { a: b, b: a });
+                },
+                "link heal at 5.000000s of NodeId(0)-NodeId(3) follows no partition",
+            ),
+            (
+                |c| c.faults = at5(flash(0.0)),
+                "flash crowd rate multiplier 0 must be finite and > 0",
+            ),
+            (
+                |c| c.faults = at5(flash(-2.0)),
+                "flash crowd rate multiplier -2 must be finite and > 0",
+            ),
+            (|c| c.faults = at5(flash(1e10)), "arrival rate 40000000"),
+            (
+                |c| {
+                    let mut pop = loadgen::PopulationConfig::new(200, 0.01);
+                    pop.reg_expiry_s = 0.0;
+                    c.population = Some(pop);
+                },
+                "registration expiry 0.0 s must be finite and > 0",
+            ),
+            (
+                |c| c.population = Some(loadgen::PopulationConfig::new(0, 0.01)),
+                "population must have at least one subscriber",
+            ),
+        ];
+        let base = || EmpiricalConfig {
+            servers: 2,
+            ..EmpiricalConfig::smoke(1)
+        };
+        assert_eq!(base().validate(), Ok(()));
+        for (mutate, expected) in cases {
+            let mut cfg = base();
+            mutate(&mut cfg);
+            let refused = cfg.validate().expect_err(expected).to_string();
+            assert!(
+                refused.starts_with(expected),
+                "{refused:?} for {expected:?}"
+            );
+            assert!(!refused.contains('\n'), "one line: {refused:?}");
+        }
+    }
+
+    /// The rules' edges are inside: a farm as large as node ids allow, a
+    /// link that loses everything, a heal at its partition's instant, a
+    /// zero-channel pool and a load far past the paper's, whose loss ramp
+    /// stops at the 240 E value.
+    #[test]
+    fn validate_accepts_the_edges_of_its_rules() {
+        let mut cfg = EmpiricalConfig::table1(50_000.0, 1);
+        assert_eq!(cfg.link_loss_probability, 0.002);
+        assert_eq!(
+            cfg.link_loss_probability,
+            EmpiricalConfig::table1(240.0, 1).link_loss_probability
+        );
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.servers = 65_532;
+        cfg.channels = 0;
+        cfg.link_loss_probability = 1.0;
+        let (a, b) = (crate::world::pbx_node(0), nodes::SWITCH);
+        cfg.faults = FaultSchedule::new()
+            .at(10.0, FaultKind::LinkPartition { a, b })
+            .at(10.0, FaultKind::LinkHeal { a: b, b: a });
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -328,12 +328,14 @@ impl World {
     /// Build a world from an experiment configuration.
     ///
     /// # Panics
-    /// If the configuration combines features the world cannot compose
-    /// (see [`EmpiricalConfig::validate`]).
+    /// With the [`ConfigError`](crate::experiment::ConfigError)'s text, if
+    /// [`EmpiricalConfig::validate`] refuses the configuration.
     #[must_use]
     pub fn new(config: EmpiricalConfig) -> Self {
-        config.validate();
-        let servers = config.servers.max(1);
+        if let Err(refused) = config.validate() {
+            panic!("{refused}");
+        }
+        let servers = config.servers;
         let streams = des::RngStream::new(config.seed);
         let mut link = LinkParams::fast_ethernet();
         link.loss_probability = config.link_loss_probability;
@@ -1207,7 +1209,7 @@ mod tests {
         for pool in [1, 100, 500, 501, 8_000, 499_500, 499_501] {
             let mut config = EmpiricalConfig::population_scale(1_000_000, 60.0, 7);
             config.user_pool = pool;
-            config.validate();
+            assert_eq!(config.validate(), Ok(()));
             let plan = SubscriberPlan::new(&config);
             let ranges = [&plan.callers, &plan.callees, &plan.population];
             for (i, a) in ranges.iter().enumerate() {

@@ -1,7 +1,8 @@
 //! `capacity-cli` refuses a command line it cannot parse — a typo used to
 //! run the defaults and exit 0.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_capacity-cli"))
@@ -37,13 +38,14 @@ fn shed_watermarks_are_checked() {
     assert_eq!(inverted.status.code(), Some(2));
     let message = String::from_utf8_lossy(&inverted.stderr);
     assert!(
-        message.contains("--shed-low 0.95 must be below"),
+        message.contains("hysteresis watermarks must keep 0 <= low < high <= 1"),
         "{message}"
     );
+    assert!(message.contains("low 0.95, high 0.9"), "{message}");
 
     let unreachable = cli(&["run", "--shed-high", "1.5"]);
     assert_eq!(unreachable.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&unreachable.stderr).contains("--shed-high 1.5"));
+    assert!(String::from_utf8_lossy(&unreachable.stderr).contains("high 1.5"));
 
     let small = ["--erlangs", "4", "--window", "10", "--holding", "5"];
     let valid = cli(&[&["run", "--shed-high", "0.9", "--json"], &small[..]].concat());
@@ -120,11 +122,11 @@ fn counts_and_offered_load_are_checked() {
                 "--window",
                 "20",
             ],
-            "--flash-mult 0 must be > 0",
+            "flash crowd rate multiplier 0 must be finite and > 0",
         ),
         (
-            &["run", "--flash-mult", "-2"],
-            "--flash-mult -2 must be > 0",
+            &["run", "--flash-at", "5", "--flash-mult", "-2"],
+            "flash crowd rate multiplier -2 must be finite and > 0",
         ),
         (&["table1", "--scale", "0"], "--scale 0 must be > 0"),
         (&["table1", "--scale", "-1"], "--scale -1 must be > 0"),
@@ -132,12 +134,15 @@ fn counts_and_offered_load_are_checked() {
         (&["run", "--window", "0"], "--window 0 must be > 0"),
         (
             &["run", "--window", "1e12"],
-            "--window 1000000000000 must be at most 1e9 s",
+            "placement window 1000000000000 s must be in (0, 1e9]",
         ),
-        (&["run", "--holding", "-3"], "--holding -3 must be > 0"),
+        (
+            &["run", "--holding", "-3"],
+            "--holding -3 must be finite and >= 0 s",
+        ),
         (
             &["run", "--holding", "inf"],
-            "--holding inf must be > 0 and finite",
+            "--holding inf must be finite and >= 0 s",
         ),
         (&["campaign", "--window", "-5"], "--window -5 must be > 0"),
         (&["campaign", "--window", "0"], "--window 0 must be > 0"),
@@ -191,4 +196,132 @@ fn fig7_title_names_its_population_and_pool() {
         String::from_utf8_lossy(&out.stdout).lines().next(),
         Some("Figure 7: blocking vs calling population share (2000 users, N=100)")
     );
+}
+
+/// The invocations a nonsense value used to run to exit 0, and the one
+/// whose loss ramp built a link loss above 1 and panicked: each now exits
+/// 2 with one line, or runs.
+#[test]
+fn nonsense_run_flags_are_refused() {
+    for args in [
+        &["run", "--channels", "-3"][..],
+        &["run", "--seed", "-4"],
+        &["run", "--partition-at", "10", "--heal-at", "5"],
+        &["run", "--crash-at", "10", "--restart-after", "-5"],
+        &["run", "--flash-at", "10", "--flash-dur", "-5"],
+        &["run", "--retry-max", "2", "--retry-base", "-1"],
+        &["run", "--channels", "2.5"],
+        &["fig7", "--channels", "-5"],
+        &["campaign", "--smoke", "--channels", "-2"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+    }
+    let past_the_paper = cli(&[
+        "run",
+        "--erlangs",
+        "50000",
+        "--window",
+        "1",
+        "--holding",
+        "5",
+    ]);
+    assert_eq!(past_the_paper.status.code(), Some(0));
+    let zero_channels = cli(&["run", "--channels", "0", "--erlangs", "2", "--window", "5"]);
+    assert_eq!(zero_channels.status.code(), Some(0));
+}
+
+/// `capacity-cli` with `args`, killed at `deadline`: `None` if it had to
+/// be.
+fn cli_within(args: &[&str], deadline: Duration) -> Option<Output> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_capacity-cli"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("capacity-cli starts");
+    let started = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if started.elapsed() > deadline {
+            child.kill().expect("kill");
+            child.wait().expect("reaped");
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    Some(child.wait_with_output().expect("output"))
+}
+
+/// Every value-taking flag `run` and `scale` read, at 0, -1, NaN, inf and
+/// 1e300 on a small cell (with the flag that enables it, where one does):
+/// each either runs (exit 0) or is refused with exactly one stderr line
+/// and no stdout (exit 2). A panic (101), an abort when memory runs out
+/// (134) or a run past the deadline fails.
+#[test]
+fn every_run_and_scale_flag_runs_or_is_refused_at_its_edges() {
+    let run_base = [
+        "--erlangs",
+        "2",
+        "--window",
+        "5",
+        "--holding",
+        "2",
+        "--channels",
+        "4",
+    ];
+    let scale_base = ["--smoke", "--subs", "500", "--erlangs", "2"];
+    let run_flags: [(&str, &[&str]); 20] = [
+        ("--erlangs", &[]),
+        ("--channels", &[]),
+        ("--holding", &[]),
+        ("--window", &[]),
+        ("--servers", &[]),
+        ("--seed", &[]),
+        ("--shed-high", &[]),
+        ("--shed-low", &["--shed-high", "0.9"]),
+        ("--retry-after", &["--shed-high", "0.9"]),
+        ("--retry-max", &["--shed-high", "0.5"]),
+        ("--retry-base", &["--retry-max", "2", "--shed-high", "0.5"]),
+        ("--retry-cap", &["--retry-max", "2", "--shed-high", "0.5"]),
+        ("--partition-at", &[]),
+        ("--heal-at", &["--partition-at", "2"]),
+        ("--crash-at", &[]),
+        ("--restart-after", &["--crash-at", "2"]),
+        ("--flash-at", &[]),
+        ("--flash-mult", &["--flash-at", "2"]),
+        ("--flash-dur", &["--flash-at", "2"]),
+        ("--storm", &[]),
+    ];
+    let scale_flags = ["--subs", "--erlangs", "--channels", "--seed"];
+    let cases = run_flags
+        .iter()
+        .map(|&(flag, enable)| ("run", &run_base[..], flag, enable))
+        .chain(scale_flags.map(|flag| ("scale", &scale_base[..], flag, &[][..])));
+    for (command, base, flag, enable) in cases {
+        for value in ["0", "-1", "NaN", "inf", "1e300"] {
+            // The flag under test replaces its base value.
+            let mut args = vec![command];
+            for pair in base.chunks(2) {
+                if pair[0] != flag {
+                    args.extend_from_slice(pair);
+                }
+            }
+            args.extend_from_slice(enable);
+            args.extend([flag, value]);
+            let out = cli_within(&args, Duration::from_secs(60))
+                .unwrap_or_else(|| panic!("{args:?}: killed at the deadline"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            match out.status.code() {
+                Some(0) => {}
+                Some(2) => {
+                    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+                    assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+                }
+                code => panic!("{args:?}: exit {code:?}: {stderr}"),
+            }
+        }
+    }
 }

@@ -126,10 +126,11 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Integer multiplication.
+    /// Integer multiplication, saturating at the end of the clock (a
+    /// retry backoff doubled past it).
     #[must_use]
     pub const fn times(self, k: u64) -> SimDuration {
-        SimDuration(self.0 * k)
+        SimDuration(self.0.saturating_mul(k))
     }
 }
 

@@ -113,6 +113,11 @@ impl FaultSchedule {
         self.events.insert(idx, FaultEvent { at, kind });
     }
 
+    /// Add a fault at the end, leaving the schedule to be sorted.
+    fn append(&mut self, at: SimTime, kind: FaultKind) {
+        self.events.push(FaultEvent { at, kind });
+    }
+
     /// The scheduled events, soonest first.
     #[must_use]
     pub fn events(&self) -> &[FaultEvent] {
@@ -139,8 +144,8 @@ impl FaultSchedule {
         self.events
             .iter()
             .map(|e| match &e.kind {
-                FaultKind::PbxCrash { restart_after, .. } => e.at + *restart_after,
-                FaultKind::FlashCrowd { duration, .. } => e.at + *duration,
+                FaultKind::PbxCrash { restart_after, .. } => e.at.saturating_add(*restart_after),
+                FaultKind::FlashCrowd { duration, .. } => e.at.saturating_add(*duration),
                 _ => e.at,
             })
             .max()
@@ -169,17 +174,17 @@ impl FaultSchedule {
             match rng.below(4) {
                 0 => {
                     let outage = rng.exp_mean(5.0).clamp(1.0, 20.0);
-                    schedule.push(
+                    schedule.append(
                         SimTime::from_secs_f64(t),
                         FaultKind::LinkPartition { a: node, b: switch },
                     );
-                    schedule.push(
+                    schedule.append(
                         SimTime::from_secs_f64(t + outage),
                         FaultKind::LinkHeal { a: node, b: switch },
                     );
                 }
                 1 => {
-                    schedule.push(
+                    schedule.append(
                         SimTime::from_secs_f64(t),
                         FaultKind::PbxCrash {
                             pbx,
@@ -189,20 +194,20 @@ impl FaultSchedule {
                 }
                 2 => {
                     let heal_after = rng.uniform_f64(5.0, 15.0);
-                    schedule.push(
+                    schedule.append(
                         SimTime::from_secs_f64(t),
                         FaultKind::CpuThrottle {
                             pbx,
                             factor: rng.uniform_f64(1.5, 4.0),
                         },
                     );
-                    schedule.push(
+                    schedule.append(
                         SimTime::from_secs_f64(t + heal_after),
                         FaultKind::CpuThrottle { pbx, factor: 1.0 },
                     );
                 }
                 _ => {
-                    schedule.push(
+                    schedule.append(
                         SimTime::from_secs_f64(t),
                         FaultKind::FlashCrowd {
                             rate_multiplier: rng.uniform_f64(2.0, 8.0),
@@ -212,6 +217,9 @@ impl FaultSchedule {
                 }
             }
         }
+        // A stable sort keeps the order `push` would have built, with
+        // insertion order breaking ties, in O(n log n) rather than O(n²).
+        schedule.events.sort_by_key(|e| e.at);
         schedule
     }
 }

@@ -27,9 +27,10 @@ impl ArrivalProcess {
         self.rate *= factor;
     }
 
-    /// Time of the next arrival strictly after `now`.
+    /// Time of the next arrival strictly after `now`, or [`SimTime::MAX`]
+    /// when the gap runs past the end of the clock: no further arrival.
     pub fn next_after(&mut self, now: SimTime, rng: &mut StreamRng) -> SimTime {
-        now + SimDuration::from_secs_f64(rng.exp_mean(1.0 / self.rate))
+        now.saturating_add(SimDuration::from_secs_f64(rng.exp_mean(1.0 / self.rate)))
     }
 }
 
@@ -101,6 +102,16 @@ mod tests {
         );
         assert_eq!(a1, a2, "same seed, same schedule");
         assert!(a1.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// A gap past the end of the clock saturates instead of wrapping to
+    /// an instant in the past. From the placement start (t = 1 s), as the
+    /// world draws: from t = 0 the saturated gap alone is `SimTime::MAX`.
+    #[test]
+    fn a_gap_past_the_clock_is_no_further_arrival() {
+        let mut p = ArrivalProcess::poisson(1e-300);
+        let placement_start = SimTime::from_secs(1);
+        assert_eq!(p.next_after(placement_start, &mut rng()), SimTime::MAX);
     }
 
     #[test]

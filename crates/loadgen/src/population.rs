@@ -116,7 +116,7 @@ impl DiurnalProfile {
 
     /// The largest multiplier — the thinning envelope `φ_max`.
     #[must_use]
-    fn max_multiplier(&self) -> f64 {
+    pub fn max_multiplier(&self) -> f64 {
         self.multipliers.iter().fold(0.0_f64, |a, &b| a.max(b))
     }
 }
@@ -265,10 +265,12 @@ impl PopulationArrivals {
         // pairs from the stream.
         let phi_max = self.profile.max_multiplier();
         let envelope = idle as f64 * self.rate * phi_max;
+        // A gap past the end of the clock saturates there: an arrival at
+        // `SimTime::MAX` is no further arrival.
         let mut at = now;
         loop {
-            at += SimDuration::from_secs_f64(rng.exp_mean(1.0 / envelope));
-            if rng.unit_f64() * phi_max <= self.profile.multiplier_at(at) {
+            at = at.saturating_add(SimDuration::from_secs_f64(rng.exp_mean(1.0 / envelope)));
+            if rng.unit_f64() * phi_max <= self.profile.multiplier_at(at) || at == SimTime::MAX {
                 break;
             }
         }
@@ -405,6 +407,18 @@ mod tests {
     #[should_panic(expected = "positive rate")]
     fn all_zero_profile_rejected() {
         let _ = DiurnalProfile::new(10.0, vec![0.0, 0.0]);
+    }
+
+    /// A gap past the end of the clock is no further arrival, even where
+    /// the profile is silent at `SimTime::MAX` (the phase there is 1/4 of
+    /// the period, in the zero segment), so thinning cannot reject forever.
+    #[test]
+    fn a_gap_past_the_clock_is_no_further_arrival() {
+        let mut cfg = PopulationConfig::new(10, 1e-300);
+        cfg.profile = DiurnalProfile::new(4.0 * SimTime::MAX.as_secs_f64(), vec![0.0, 1.0]);
+        let mut eng = PopulationArrivals::new(&cfg, 1);
+        let arrival = eng.next_arrival(SimTime::from_secs(1), &mut rng(3));
+        assert_eq!(arrival.map(|a| a.at), Some(SimTime::MAX));
     }
 
     #[test]

@@ -1068,6 +1068,14 @@ mod tests {
             p.delay(2, Some(SimDuration::from_secs(5))),
             SimDuration::from_secs(8)
         );
+        // A long base doubled 16 times passes the end of the clock: the
+        // backoff saturates there, and the cap still applies.
+        let long = RetryPolicy {
+            base_backoff: SimDuration::from_secs(1_000_000_000),
+            max_backoff: SimDuration::from_secs(1_000_000_000),
+            ..p
+        };
+        assert_eq!(long.delay(16, None), long.max_backoff);
     }
 
     #[test]
