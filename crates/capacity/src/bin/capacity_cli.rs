@@ -12,7 +12,7 @@
 //!
 //! Append `--json` to any subcommand for machine-readable output.
 
-use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, RunResult};
+use capacity::experiment::{ConfigError, EmpiricalConfig, EmpiricalRunner, RunResult};
 use capacity::sweep::{self, AdaptivePolicy};
 use capacity::world::pbx_node;
 use capacity::{farm, figures, policy, report, table1};
@@ -33,7 +33,7 @@ usage: capacity-cli <fig3|table1|fig6|fig7|policy|farm|campaign|scale|run> [--js
          [--smoke]          CI-scale grid (3 loads, 2 reps)
          [--ci-target P]    adaptive reps until the 95% CI half-width <= P pp
          [--max-reps R]     per-point budget for --ci-target
-  sweeps (fig6/campaign/policy/farm) also take [--threads N] (worker threads)
+  sweeps (table1/fig6/campaign/policy/farm) also take [--threads N] (worker threads)
          and [--progress]   per-cell progress lines on stderr
   fig7   [--population P] [--channels N]
   policy [--erlangs A] [--users U] [--reps R]   per-user call-limit study
@@ -130,11 +130,16 @@ impl Flags {
     }
 }
 
+/// The value of a library call that checks its configurations, or the
+/// refusal: a range is [`EmpiricalConfig::validate`]'s to state, never the
+/// command line's.
+fn accepted<T>(result: Result<T, ConfigError>) -> T {
+    result.unwrap_or_else(|refused| reject(&refused.to_string()))
+}
+
 /// Run `cfg` if [`EmpiricalConfig::validate`] accepts it; refuse it otherwise.
 fn run(cfg: EmpiricalConfig) -> RunResult {
-    if let Err(refused) = cfg.validate() {
-        reject(&refused.to_string());
-    }
+    accepted(cfg.validate());
     EmpiricalRunner::run(cfg)
 }
 
@@ -152,14 +157,6 @@ fn main() {
         }
     }
     let json = flags.has("--json");
-    // The sweep studies build their configurations inside the library, so
-    // the loads, windows and scales they take are checked here: a zero
-    // rate re-fires one arrival at the same instant forever, and a
-    // negative window places nothing.
-    let positive = |v: &f64| *v > 0.0 && v.is_finite();
-    for name in ["--erlangs", "--scale", "--window"] {
-        flags.get(name, 1.0, "> 0 and finite", positive);
-    }
     let seed = flags.int("--seed", 2015u64);
     // Sweep subcommands: --threads N sets how many threads the sweep
     // executor runs on; the numbers are identical at any value.
@@ -176,12 +173,7 @@ fn main() {
             emit(json, &curves, |c| report::render_fig3(c, 10));
         }
         Some("table1") => {
-            let scale = flags.num("--scale", 1.0);
-            let rows = if (scale - 1.0).abs() < 1e-9 {
-                table1::table1(seed)
-            } else {
-                table1::table1_scaled(seed, scale)
-            };
+            let rows = accepted(table1::table1(seed, flags.num("--scale", 1.0)));
             emit(json, &rows, |r| report::render_table1(r));
         }
         Some("fig6") => {
@@ -228,6 +220,7 @@ fn main() {
             // blocking, so the pool holds at least one channel.
             cc.channels = flags.count("--channels", cc.channels);
             cc.placement_window_s = flags.secs("--window", cc.placement_window_s);
+            accepted(cc.validate());
             let result = capacity::campaign::run_campaign(&cc);
             emit(json, &result, capacity::campaign::render_campaign);
         }
@@ -236,14 +229,14 @@ fn main() {
             let users = flags.count("--users", 60);
             let reps = flags.count("--reps", 3);
             let limits = [None, Some(4), Some(3), Some(2), Some(1)];
-            let rows = policy::policy_study(erlangs, users, &limits, reps, seed);
+            let rows = accepted(policy::policy_study(erlangs, users, &limits, reps, seed));
             emit(json, &rows, |r| policy::render_policy(r));
         }
         Some("farm") => {
             let erlangs = flags.num("--erlangs", 150.0);
             let total = flags.int("--channels", 164);
             let reps = flags.count("--reps", 5);
-            let rows = farm::farm_study(erlangs, total, &[1, 2, 4], reps, seed);
+            let rows = accepted(farm::farm_study(erlangs, total, &[1, 2, 4], reps, seed));
             emit(json, &rows, |r| farm::render_farm(erlangs, r));
         }
         Some("scale") => {
@@ -299,7 +292,7 @@ fn main() {
             // A known flag, but not here: the old sharded invocation must
             // not become a silent single-thread run.
             if flags.has("--threads") {
-                reject("run: within-run sharding is retired; --threads sizes sweep workers on fig6/campaign/policy/farm");
+                reject("run: within-run sharding is retired; --threads sizes sweep workers on table1/fig6/campaign/policy/farm");
             }
             let mut cfg = EmpiricalConfig::table1(flags.num("--erlangs", 40.0), seed);
             cfg.channels = flags.int("--channels", cfg.channels);

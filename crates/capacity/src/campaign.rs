@@ -17,7 +17,7 @@
 //! ([`teletraffic::erlang_b::load_for`]). Sweeping multipliers of that
 //! anchor makes curves comparable across pool sizes.
 
-use crate::experiment::{EmpiricalConfig, MediaMode};
+use crate::experiment::{ConfigError, EmpiricalConfig, MediaMode};
 use crate::sweep;
 use des::SimDuration;
 use faults::{FaultKind, FaultSchedule};
@@ -111,6 +111,35 @@ impl CampaignConfig {
         out.extend(laws.map(|law| (law.name().to_owned(), Some(law))));
         out
     }
+
+    /// Refuse a campaign with a cell [`EmpiricalConfig::validate`] refuses,
+    /// before any cell runs.
+    ///
+    /// # Errors
+    /// The first refused cell's [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.cell_configs()
+            .iter()
+            .try_for_each(EmpiricalConfig::validate)
+    }
+
+    /// Every cell's configuration, algorithm by algorithm, multiplier by
+    /// multiplier: cell `ai·n_mult + mi` offers multiplier `mi` under
+    /// algorithm `ai`. Each cell's seed is a pure function of the campaign
+    /// seed and its grid position, so cells are decorrelated and still
+    /// reproducible.
+    fn cell_configs(&self) -> Vec<EmpiricalConfig> {
+        let engineered = self.engineered_erlangs();
+        let mut configs = Vec::new();
+        for (ai, (_, law)) in self.algorithms(engineered).into_iter().enumerate() {
+            for (mi, &multiplier) in self.multipliers.iter().enumerate() {
+                let mut cfg = cell_config(self, engineered * multiplier, law);
+                cfg.seed = des::stream_seed(self.seed, (ai * 1000 + mi) as u64);
+                configs.push(cfg);
+            }
+        }
+        configs
+    }
 }
 
 /// One swept point of one algorithm's curve.
@@ -162,8 +191,8 @@ pub struct CampaignResult {
 }
 
 /// Build the [`EmpiricalConfig`] for one campaign cell offering
-/// `erlangs` under `law` (seeded with the campaign seed; `run_campaign`
-/// re-seeds each cell from its grid position).
+/// `erlangs` under `law` (seeded with the campaign seed; the campaign's
+/// grid re-seeds each cell from its position).
 #[must_use]
 pub fn cell_config(cc: &CampaignConfig, erlangs: f64, law: Option<ControlLaw>) -> EmpiricalConfig {
     let mut cfg = EmpiricalConfig::smoke(cc.seed);
@@ -197,28 +226,24 @@ pub fn cell_config(cc: &CampaignConfig, erlangs: f64, law: Option<ControlLaw>) -
 /// fanned out through the shared-cursor executor ([`crate::sweep`]),
 /// each cell a pure function of `(seed, algorithm, multiplier)` collected
 /// back into curve order.
+///
+/// # Panics
+/// With the [`ConfigError`]'s text, if [`CampaignConfig::validate`]
+/// refuses the campaign.
 #[must_use]
 pub fn run_campaign(cc: &CampaignConfig) -> CampaignResult {
     let engineered = cc.engineered_erlangs();
     let algorithms = cc.algorithms(engineered);
     let n_mult = cc.multipliers.len();
-    // One grid cell per (algorithm, multiplier), flat index ai·n_mult + mi,
-    // one replication each; heavier multipliers cost proportionally more
-    // events, which the cost model picks up from the cell's own config.
+    // One replication per cell; heavier multipliers cost proportionally
+    // more events, which the cost model picks up from the cell's config.
+    let configs = cc.cell_configs();
     let offered = |cell: usize| engineered * cc.multipliers[cell % n_mult];
     let mut points = sweep::run_grid(
-        algorithms.len() * n_mult,
+        configs.len(),
         1,
         cc.seed,
-        |cell, _, _| {
-            let (ai, mi) = (cell / n_mult, cell % n_mult);
-            let mut cfg = cell_config(cc, offered(cell), algorithms[ai].1);
-            // Decorrelate cells without losing reproducibility: the cell
-            // seed is a pure function of the campaign seed and the
-            // cell's grid position.
-            cfg.seed = des::stream_seed(cc.seed, (ai * 1000 + mi) as u64);
-            cfg
-        },
+        |cell, _, _| configs[cell].clone(),
         |cell, r| CampaignPoint {
             multiplier: cc.multipliers[cell % n_mult],
             offered_erlangs: offered(cell),
@@ -232,6 +257,7 @@ pub fn run_campaign(cc: &CampaignConfig) -> CampaignResult {
             digest: r.digest(),
         },
     )
+    .unwrap_or_else(|refused| panic!("{refused}"))
     .into_iter();
     let curves = algorithms
         .iter()

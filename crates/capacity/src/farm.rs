@@ -8,7 +8,7 @@
 //! against the analytical prediction, so a deployer can weigh "buy a
 //! bigger box" against "add more boxes + policy".
 
-use crate::experiment::EmpiricalConfig;
+use crate::experiment::{ConfigError, EmpiricalConfig};
 use crate::sweep;
 use serde::Serialize;
 use teletraffic::{blocking_probability, Erlangs};
@@ -47,14 +47,17 @@ fn farm_cfg(erlangs: f64, servers: u32, channels_each: u32, seed: u64) -> Empiri
 /// Blocking is averaged over `reps` independent replications per layout;
 /// the `(layout, rep)` grid fans out through the shared-cursor executor
 /// ([`crate::sweep`]).
-#[must_use]
+///
+/// # Errors
+/// The [`ConfigError`] of the first layout's configuration
+/// [`EmpiricalConfig::validate`] refuses; nothing runs then.
 pub fn farm_study(
     erlangs: f64,
     total_channels: u32,
     layouts: &[u32],
     reps: u64,
     seed: u64,
-) -> Vec<FarmRow> {
+) -> Result<Vec<FarmRow>, ConfigError> {
     let reps = reps.max(1);
     let all_runs = sweep::run_grid(
         layouts.len(),
@@ -62,8 +65,8 @@ pub fn farm_study(
         seed,
         |cell, _, seed| farm_cfg(erlangs, layouts[cell], total_channels / layouts[cell], seed),
         |_, run| run,
-    );
-    layouts
+    )?;
+    Ok(layouts
         .iter()
         .enumerate()
         .map(|(cell, &servers)| {
@@ -86,7 +89,7 @@ pub fn farm_study(
                 busiest_peak,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Render the study.

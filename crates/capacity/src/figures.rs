@@ -88,6 +88,10 @@ fn fig6_point(a: f64, pbs: &[f64]) -> Fig6Point {
 /// ([`crate::sweep`]) on [`des::pool::total`] threads and, thanks to
 /// per-run RNG streams plus index-keyed collection, produces identical
 /// numbers at any thread count.
+///
+/// # Panics
+/// With the [`ConfigError`](crate::experiment::ConfigError)'s text, if
+/// [`EmpiricalConfig::validate`] refuses a load's configuration.
 #[must_use]
 pub fn fig6(loads: &[f64], replications: u64, base_seed: u64) -> Vec<Fig6Point> {
     let pbs = sweep::run_grid(
@@ -96,7 +100,8 @@ pub fn fig6(loads: &[f64], replications: u64, base_seed: u64) -> Vec<Fig6Point> 
         base_seed,
         |cell, _, seed| fig6_cfg(loads[cell], seed),
         |_, run| run.steady_pb * 100.0,
-    );
+    )
+    .unwrap_or_else(|refused| panic!("{refused}"));
     loads
         .iter()
         .enumerate()

@@ -7,7 +7,7 @@
 //! measure how channel blocking, policy refusals and carried traffic
 //! trade off.
 
-use crate::experiment::EmpiricalConfig;
+use crate::experiment::{ConfigError, EmpiricalConfig};
 use crate::sweep;
 use serde::Serialize;
 
@@ -37,14 +37,17 @@ pub struct PolicyRow {
 /// percentages averaged, so adjacent rows differ by policy effect rather
 /// than a single seed's arrival luck. The `(ceiling, rep)` grid fans out
 /// through the shared-cursor executor ([`crate::sweep`]).
-#[must_use]
+///
+/// # Errors
+/// The [`ConfigError`] of the first ceiling's configuration
+/// [`EmpiricalConfig::validate`] refuses; nothing runs then.
 pub fn policy_study(
     erlangs: f64,
     user_pool: u32,
     limits: &[Option<u32>],
     reps: u64,
     seed: u64,
-) -> Vec<PolicyRow> {
+) -> Result<Vec<PolicyRow>, ConfigError> {
     let reps = reps.max(1);
     let all_runs = sweep::run_grid(
         limits.len(),
@@ -52,8 +55,8 @@ pub fn policy_study(
         seed,
         |cell, _, seed| policy_cfg(erlangs, user_pool, limits[cell], seed),
         |_, run| run,
-    );
-    limits
+    )?;
+    Ok(limits
         .iter()
         .enumerate()
         .map(|(cell, &limit)| {
@@ -72,7 +75,7 @@ pub fn policy_study(
                 peak_channels: runs.iter().map(|r| r.peak_channels).max().unwrap_or(0),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// The configuration one policy replication runs.

@@ -23,7 +23,7 @@
 //! indexed seeds so sweeps stop spending replications where the estimate
 //! has already converged.
 
-use crate::experiment::{EmpiricalConfig, EmpiricalRunner, RunResult};
+use crate::experiment::{ConfigError, EmpiricalConfig, EmpiricalRunner, RunResult};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -152,25 +152,36 @@ where
 /// seeding rule — the campaign — ignores it); a cell's scheduling cost is
 /// [`run_cost`] of its replication-0 configuration.
 ///
+/// Before any task runs, every cell's replication-0 configuration must
+/// pass [`EmpiricalConfig::validate`]; the first [`ConfigError`] is
+/// returned instead of a sweep that panics part-way.
+///
 /// Cell-major task order: cell `c`'s `reps` measurements are the
 /// contiguous slice [`grid_row`] returns, in replication order, at any
 /// worker count. (One flat vector on purpose: regrouping into a `Vec` per
 /// cell left `overload_campaign`'s resident set 0.7 MiB higher.)
-pub fn run_grid<T, C, M>(cells: usize, reps: u64, base_seed: u64, config: C, measure: M) -> Vec<T>
+pub fn run_grid<T, C, M>(
+    cells: usize,
+    reps: u64,
+    base_seed: u64,
+    config: C,
+    measure: M,
+) -> Result<Vec<T>, ConfigError>
 where
     T: Send + Sync,
     C: Fn(usize, u64, u64) -> EmpiricalConfig + Sync,
     M: Fn(usize, RunResult) -> T + Sync,
 {
     let cfg = |cell, rep| config(cell, rep, des::stream_seed(base_seed, rep));
-    let tasks: Vec<SweepTask> = (0..cells)
-        .flat_map(|cell| {
-            let cost = run_cost(&cfg(cell, 0));
-            (0..reps).map(move |rep| SweepTask { cell, rep, cost })
-        })
-        .collect();
+    let mut tasks = Vec::new();
+    for cell in 0..cells {
+        let first = cfg(cell, 0);
+        first.validate()?;
+        let cost = run_cost(&first);
+        tasks.extend((0..reps).map(|rep| SweepTask { cell, rep, cost }));
+    }
     let run = |t: SweepTask| measure(t.cell, EmpiricalRunner::run(cfg(t.cell, t.rep)));
-    run_sweep(&tasks, run)
+    Ok(run_sweep(&tasks, run))
 }
 
 /// Cell `cell`'s measurements in a [`run_grid`] result of `reps`
@@ -377,13 +388,26 @@ mod tests {
         };
         for width in [1, 4] {
             des::pool::configure(width);
-            let got = run_grid(3, 2, 77, config, |cell, run| (cell, run.erlangs));
+            let got = run_grid(3, 2, 77, config, |cell, run| (cell, run.erlangs)).unwrap();
             for cell in 0..3 {
                 let first = (10 * cell + 1) as f64;
                 let want = [(cell, first), (cell, first + 1.0)];
                 assert_eq!(grid_row(&got, 2, cell), want, "width {width}");
             }
         }
+    }
+
+    #[test]
+    fn grid_refuses_an_invalid_cell_before_running_any() {
+        let config = |cell: usize, _, seed| {
+            let mut cfg = EmpiricalConfig::smoke(seed);
+            cfg.erlangs = if cell == 1 { 0.0 } else { 1.0 };
+            cfg
+        };
+        let refused: Result<Vec<()>, _> =
+            run_grid(2, 3, 7, config, |_, _| unreachable!("no cell runs"));
+        let message = refused.unwrap_err().to_string();
+        assert_eq!(message, "offered load 0.0 E must be finite and > 0");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! percentage, and SIP message counts by type. [`table1`] regenerates all
 //! of it from empirical runs.
 
-use crate::experiment::{EmpiricalConfig, EmpiricalRunner};
+use crate::experiment::{ConfigError, EmpiricalConfig, RunResult};
+use crate::sweep;
 use serde::{Deserialize, Serialize};
 
 /// The paper's six workloads, in Erlangs.
@@ -48,10 +49,8 @@ pub struct Table1Row {
     pub completed: u64,
 }
 
-/// Run one Table-I cell.
-#[must_use]
-pub fn table1_cell(config: EmpiricalConfig) -> Table1Row {
-    let r = EmpiricalRunner::run(config);
+/// The Table-I column a run measured.
+fn table1_row(r: &RunResult) -> Table1Row {
     Table1Row {
         erlangs: r.erlangs,
         channels_used: r.peak_channels,
@@ -72,39 +71,40 @@ pub fn table1_cell(config: EmpiricalConfig) -> Table1Row {
     }
 }
 
-/// Regenerate the full Table I at the paper's workloads.
-#[must_use]
-pub fn table1(seed: u64) -> Vec<Table1Row> {
-    PAPER_WORKLOADS
-        .iter()
-        .map(|&a| table1_cell(EmpiricalConfig::table1(a, seed)))
-        .collect()
-}
-
-/// A scaled-down Table I (shorter holding and placement window) for quick
-/// smoke runs and CI; same workloads, same shape, ~50× less work.
-#[must_use]
-pub fn table1_scaled(seed: u64, scale: f64) -> Vec<Table1Row> {
-    PAPER_WORKLOADS
-        .iter()
-        .map(|&a| {
-            let mut cfg = EmpiricalConfig::table1(a, seed);
+/// Regenerate Table I at the paper's workloads, with holding time and
+/// placement window scaled by `scale` (1 is the paper's 120 s and 180 s;
+/// 0.05 is a quick smoke run with ~50× less work). The six cells fan out
+/// through the shared-cursor executor ([`crate::sweep`]), one replication
+/// each, all seeded with `seed`.
+///
+/// # Errors
+/// The [`ConfigError`] of the first cell [`EmpiricalConfig::validate`]
+/// refuses; no cell runs then.
+pub fn table1(seed: u64, scale: f64) -> Result<Vec<Table1Row>, ConfigError> {
+    sweep::run_grid(
+        PAPER_WORKLOADS.len(),
+        1,
+        seed,
+        |cell, _, _| {
+            let mut cfg = EmpiricalConfig::table1(PAPER_WORKLOADS[cell], seed);
             cfg.holding = loadgen::HoldingDist::Fixed(120.0 * scale);
             cfg.placement_window_s = 180.0 * scale;
-            table1_cell(cfg)
-        })
-        .collect()
+            cfg
+        },
+        |_, r| table1_row(&r),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::EmpiricalRunner;
 
     #[test]
     fn scaled_table_has_paper_shape() {
         // 1/20th scale: 9 s placement, 6 s calls. Still hundreds of calls
         // at the top workloads.
-        let rows = table1_scaled(11, 0.05);
+        let rows = table1(11, 0.05).unwrap();
         assert_eq!(rows.len(), 6);
 
         // Zero blocking at A ≤ 120 (the paper's key observation).
@@ -159,7 +159,7 @@ mod tests {
         cfg.erlangs = 20.0;
         cfg.channels = 5;
         cfg.media = crate::experiment::MediaMode::Off;
-        let row = table1_cell(cfg);
+        let row = table1_row(&EmpiricalRunner::run(cfg));
         assert!(row.blocked_pct > 0.0);
         assert!(row.error_msgs > 0, "486s were counted");
     }

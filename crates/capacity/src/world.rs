@@ -706,11 +706,11 @@ impl World {
                     remote_node,
                     remote_rtp_port,
                 } if self.config.media != MediaMode::Off => {
-                    // Account this leg's received flow to the bridged call.
+                    // Account this leg's received flow to the bridged call,
+                    // which the PBX that placed this leg knows.
                     let owner = self
-                        .pbxes
-                        .iter()
-                        .find_map(|p| p.peer_call_id(&call_id))
+                        .pbx_index_of(remote_node)
+                        .and_then(|k| self.pbxes[k].peer_call_id(&call_id))
                         .unwrap_or(call_id.as_str());
                     self.monitor.register_flow(
                         FlowId::from_node_port(nodes::SIPP_SERVER.0, local_rtp_port),

@@ -58,7 +58,8 @@ fn shed_watermarks_are_checked() {
 /// So are a rate multiplier, scale, holding time and placement window: a
 /// zero or negative arrival rate used to re-fire one call at the same
 /// instant forever, and a negative or overflowing window ran nothing and
-/// exited 0.
+/// exited 0. A sweep study refuses what `validate` refuses in any of its
+/// cells; it used to panic inside the sweep and exit 101.
 #[test]
 fn counts_and_offered_load_are_checked() {
     for (args, message) in [
@@ -102,8 +103,14 @@ fn counts_and_offered_load_are_checked() {
             &["run", "--servers", "1.5"],
             "--servers 1.5 must be a whole number >= 1",
         ),
-        (&["run", "--erlangs", "0"], "--erlangs 0 must be > 0"),
-        (&["scale", "--erlangs", "-5"], "--erlangs -5 must be > 0"),
+        (
+            &["run", "--erlangs", "0"],
+            "offered load 0.0 E must be finite and > 0",
+        ),
+        (
+            &["scale", "--erlangs", "-5"],
+            "offered load -5.0 E must be finite and > 0",
+        ),
         (
             &["scale", "--subs", "0"],
             "--subs 0 must be a whole number >= 1",
@@ -128,10 +135,22 @@ fn counts_and_offered_load_are_checked() {
             &["run", "--flash-at", "5", "--flash-mult", "-2"],
             "flash crowd rate multiplier -2 must be finite and > 0",
         ),
-        (&["table1", "--scale", "0"], "--scale 0 must be > 0"),
-        (&["table1", "--scale", "-1"], "--scale -1 must be > 0"),
-        (&["run", "--window", "-5"], "--window -5 must be > 0"),
-        (&["run", "--window", "0"], "--window 0 must be > 0"),
+        (
+            &["table1", "--scale", "0"],
+            "holding mean 0 s must be finite and > 0",
+        ),
+        (
+            &["table1", "--scale", "-1"],
+            "holding mean -120 s must be finite and > 0",
+        ),
+        (
+            &["run", "--window", "-5"],
+            "--window -5 must be finite and >= 0 s",
+        ),
+        (
+            &["run", "--window", "0"],
+            "placement window 0 s must be in (0, 1e9]",
+        ),
         (
             &["run", "--window", "1e12"],
             "placement window 1000000000000 s must be in (0, 1e9]",
@@ -144,8 +163,31 @@ fn counts_and_offered_load_are_checked() {
             &["run", "--holding", "inf"],
             "--holding inf must be finite and >= 0 s",
         ),
-        (&["campaign", "--window", "-5"], "--window -5 must be > 0"),
-        (&["campaign", "--window", "0"], "--window 0 must be > 0"),
+        (
+            &["campaign", "--window", "-5"],
+            "--window -5 must be finite and >= 0 s",
+        ),
+        (
+            &["campaign", "--window", "0"],
+            "placement window 0 s must be in (0, 1e9]",
+        ),
+        // The sweep studies check every cell before the first one runs.
+        (
+            &["table1", "--scale", "1e300"],
+            "holding mean 1.2e302 s must be at most 1e9 s",
+        ),
+        (
+            &["policy", "--erlangs", "1e300", "--reps", "1"],
+            "arrival rate 8.333333333333334e297 calls/s",
+        ),
+        (
+            &["farm", "--erlangs", "1e300", "--reps", "1"],
+            "arrival rate 8.333333333333334e297 calls/s",
+        ),
+        (
+            &["campaign", "--smoke", "--window", "1e300"],
+            "must be in (0, 1e9]",
+        ),
     ] {
         let out = cli(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

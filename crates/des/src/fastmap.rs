@@ -3,16 +3,17 @@
 //! `std`'s default hasher (SipHash behind `RandomState`) costs tens of
 //! nanoseconds per lookup and is seeded randomly per process. The maps
 //! probed on the hot paths — the monitor's flows (once per RTP packet),
-//! the PBX's Call-ID and per-user tables (several times per SIP message)
-//! — are keyed by word-sized integers or short strings, so both
-//! properties are wrong there: the cost shows in the event loop and the
-//! seeding makes iteration order vary across processes. This multiply-xor
-//! hasher (the rustc `FxHash` construction) is deterministic and an order
-//! of magnitude cheaper on integer keys.
+//! the PBX's Call-ID and per-user tables (several times per SIP message),
+//! the network's directed links (once per SIP hop) — are keyed by
+//! word-sized integers or short strings, so both properties are wrong
+//! there: the cost shows in the event loop and the seeding makes
+//! iteration order vary across processes. This multiply-xor hasher (the
+//! rustc `FxHash` construction) is deterministic and an order of
+//! magnitude cheaper on integer keys.
 //!
-//! Directed links and PBX media ports used to live here too; their keys
-//! are small dense integers, so they are plain arrays now
-//! (`netsim::Network`, `pbx_sim`'s port table — DESIGN.md §10).
+//! PBX media ports used to live here too; their keys are small dense
+//! integers, so they are a plain array now (`pbx_sim`'s port table —
+//! DESIGN.md §10).
 //!
 //! Iteration order of a [`FastMap`] is still arbitrary (bucket order).
 //! Callers that fold floats out of one must sort the keys first — see the

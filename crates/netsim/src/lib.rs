@@ -11,6 +11,10 @@
 //! ask it *when* a packet would be delivered ([`Network::enqueue`]) and
 //! schedule their own delivery events, so the same model serves the DES
 //! world, unit tests, and the benches.
+//!
+//! A [`Network`] finds a link by `(from, to)` in a map that holds only the
+//! links installed, so a star of N hosts costs O(N);
+//! [`topology::StarTopology`] answers the next hop from the star's shape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +22,7 @@
 pub mod topology;
 
 use des::rng::Distributions;
-use des::{SimDuration, SimTime, StreamRng};
+use des::{FastMap, SimDuration, SimTime, StreamRng};
 
 /// A node on the network (host or switch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,8 +100,6 @@ pub struct LinkStats {
     pub dropped_error: u64,
     /// Payload+overhead bytes carried.
     pub bytes: u64,
-    /// Cumulative busy (transmitting) time.
-    pub busy: SimDuration,
 }
 
 #[derive(Debug, Clone)]
@@ -154,9 +156,6 @@ pub enum SendOutcome {
     NoRoute,
 }
 
-/// Marks a `(from, to)` pair with no link in [`Network::index`].
-const NO_LINK: u32 = u32::MAX;
-
 /// A directed link of one [`Network`], resolved once by
 /// [`Network::link_id`] so a caller that sends many packets down the same
 /// wire can skip the `(from, to)` lookup ([`Network::enqueue_on`]).
@@ -172,19 +171,15 @@ pub struct LinkId(u32);
 
 /// The directed-link network.
 ///
-/// Node ids are small dense integers (`0..3 + servers` in the Fig. 4
-/// star), so links live in a `Vec` in insertion order and a `side × side`
-/// table maps `(from, to)` to a position in it: the per-packet lookup is
-/// one multiply and two loads, and whole-network folds visit links in an
-/// order that does not depend on a hash.
+/// Links live in a `Vec` in insertion order, so whole-network folds visit
+/// them in an order that does not depend on a hash, and a map from
+/// `(from, to)` to a position in it holds only the links that exist: a
+/// star of N hosts costs O(N), whatever its node ids.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
     links: Vec<Link>,
-    /// `index[from · side + to]` is the link's position in `links`, or
-    /// [`NO_LINK`].
-    index: Vec<u32>,
-    /// One more than the largest node id any link mentions.
-    side: usize,
+    /// Each installed link's position in `links`.
+    index: FastMap<(NodeId, NodeId), LinkId>,
 }
 
 impl Network {
@@ -198,14 +193,7 @@ impl Network {
     #[inline]
     #[must_use]
     pub fn link_id(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
-        let (from, to) = (usize::from(from.0), usize::from(to.0));
-        if from >= self.side || to >= self.side {
-            return None;
-        }
-        match self.index[from * self.side + to] {
-            NO_LINK => None,
-            at => Some(LinkId(at)),
-        }
+        self.index.get(&(from, to)).copied()
     }
 
     #[inline]
@@ -217,17 +205,6 @@ impl Network {
     fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
         self.link_id(from, to)
             .map(|id| &mut self.links[id.0 as usize])
-    }
-
-    /// Widen the index table to hold node ids below `side`.
-    fn grow(&mut self, side: usize) {
-        let mut index = vec![NO_LINK; side * side];
-        for from in 0..self.side {
-            index[from * side..from * side + self.side]
-                .copy_from_slice(&self.index[from * self.side..(from + 1) * self.side]);
-        }
-        self.index = index;
-        self.side = side;
     }
 
     /// Install a directed link; installing over an existing one replaces
@@ -242,11 +219,8 @@ impl Network {
             *link = Link::new(params);
             return;
         }
-        let needed = usize::from(from.0.max(to.0)) + 1;
-        if needed > self.side {
-            self.grow(needed);
-        }
-        self.index[usize::from(from.0) * self.side + usize::from(to.0)] = self.links.len() as u32;
+        self.index
+            .insert((from, to), LinkId(self.links.len() as u32));
         self.links.push(Link::new(params));
     }
 
@@ -349,7 +323,6 @@ impl Network {
         link.busy_until = done;
         link.stats.delivered += 1;
         link.stats.bytes += wire_bytes as u64;
-        link.stats.busy = link.stats.busy + tx;
         SendOutcome::Delivered {
             at: done + link.params.propagation,
         }
@@ -359,17 +332,6 @@ impl Network {
     #[must_use]
     pub fn stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
         self.link(from, to).map(|l| l.stats)
-    }
-
-    /// Utilisation of a directed link over `[0, until]`.
-    #[must_use]
-    pub fn utilisation(&self, from: NodeId, to: NodeId, until: SimTime) -> f64 {
-        let span = until.as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.stats(from, to)
-            .map_or(0.0, |s| s.busy.as_secs_f64() / span)
     }
 }
 
@@ -524,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_and_counters() {
+    fn counters_count_packets_and_bytes() {
         let mut n = one_link(LinkParams {
             bandwidth_bps: 1e6,
             propagation: SimDuration::ZERO,
@@ -532,13 +494,9 @@ mod tests {
             loss_probability: 0.0,
         });
         let mut r = rng();
-        // 10 packets × 8 ms = 80 ms busy in 1 s: 8% utilisation.
         for i in 0..10u64 {
             n.enqueue(SimTime::from_millis(i * 100), A, B, 1000, &mut r);
         }
-        let u = n.utilisation(A, B, SimTime::from_secs(1));
-        assert!((u - 0.08).abs() < 1e-9, "u={u}");
-        assert_eq!(n.utilisation(A, B, SimTime::ZERO), 0.0);
         let s = n.stats(A, B).unwrap();
         assert_eq!(s.delivered, 10);
         assert_eq!(s.bytes, 10_000);
@@ -612,8 +570,8 @@ mod tests {
             SendOutcome::DroppedError
         );
         n.set_link_params(A, B, LinkParams::ethernet_10());
-        // Re-adding over the pair replaces in place; a link to a far node
-        // regrows the index table. Neither moves the slot.
+        // Re-adding over the pair replaces in place, and a link to a far
+        // node is appended: neither moves the slot.
         n.add_link(A, B, LinkParams::fast_ethernet());
         n.add_link(NodeId(9), A, LinkParams::fast_ethernet());
         assert_eq!(n.link_id(A, B), Some(id));
@@ -624,8 +582,8 @@ mod tests {
         assert_eq!(n.stats(A, B).unwrap().delivered, 1, "fresh counters");
     }
 
-    /// The map-of-links `Network` this crate shipped before the dense
-    /// tables, recomputing the serialisation time on every packet.
+    /// A `BTreeMap` of links, recomputing the serialisation time on every
+    /// packet.
     #[derive(Default)]
     struct ModelNetwork {
         links: std::collections::BTreeMap<(NodeId, NodeId), (LinkParams, SimTime, LinkStats)>,
@@ -672,7 +630,6 @@ mod tests {
             *busy_until = start + tx;
             stats.delivered += 1;
             stats.bytes += wire_bytes as u64;
-            stats.busy = stats.busy + tx;
             SendOutcome::Delivered {
                 at: *busy_until + params.propagation,
             }
@@ -681,14 +638,14 @@ mod tests {
 
     proptest::proptest! {
         /// Random build/retune/send sequences over a handful of nodes:
-        /// the dense network and the map model agree on every outcome
+        /// the network and the map model agree on every outcome
         /// and every counter. Sizes repeat (memo hits), change (memo
         /// misses) and straddle retunes (memo resets); re-adding a live
         /// link resets it in both. Half the sends go through a
         /// [`LinkId`] resolved the first time the pair was seen and held
         /// from then on — across every later retune and re-add.
         #[test]
-        fn dense_network_matches_map_model(
+        fn network_matches_map_model(
             ops in proptest::collection::vec(
                 (0u8..10, 0u16..6, 0u16..6, 0usize..4, 0usize..4, 0u64..400),
                 1..200,
@@ -706,38 +663,38 @@ mod tests {
                 },
                 LinkParams { loss_probability: 1.0, ..LinkParams::fast_ethernet() },
             ];
-            let mut dense = Network::new();
+            let mut net = Network::new();
             let mut model = ModelNetwork::default();
-            let (mut rng_dense, mut rng_model) = (rng(), rng());
+            let (mut rng_net, mut rng_model) = (rng(), rng());
             let mut held = std::collections::BTreeMap::new();
             let mut now = SimTime::ZERO;
             for (op, a, b, tuning, size, gap_us) in ops {
                 let (a, b, params) = (NodeId(a), NodeId(b), tunings[tuning]);
                 match op {
                     0 => {
-                        dense.add_link(a, b, params);
+                        net.add_link(a, b, params);
                         model.add_link(a, b, params);
                     }
                     1 => {
-                        dense.add_duplex_link(a, b, params);
+                        net.add_duplex_link(a, b, params);
                         model.add_link(a, b, params);
                         model.add_link(b, a, params);
                     }
                     2 => {
-                        let was = dense.set_link_params(a, b, params);
+                        let was = net.set_link_params(a, b, params);
                         proptest::prop_assert_eq!(was, model.set_link_params(a, b, params));
                     }
                     _ => {
                         now += SimDuration::from_micros(gap_us);
-                        let id = dense.link_id(a, b);
+                        let id = net.link_id(a, b);
                         if let Some(id) = id {
                             proptest::prop_assert_eq!(*held.entry((a, b)).or_insert(id), id);
                         }
                         let got = match held.get(&(a, b)) {
                             Some(&id) if op % 2 == 0 => {
-                                dense.enqueue_on(id, now, SIZES[size], &mut rng_dense)
+                                net.enqueue_on(id, now, SIZES[size], &mut rng_net)
                             }
-                            _ => dense.enqueue(now, a, b, SIZES[size], &mut rng_dense),
+                            _ => net.enqueue(now, a, b, SIZES[size], &mut rng_net),
                         };
                         let want = model.enqueue(now, a, b, SIZES[size], &mut rng_model);
                         proptest::prop_assert_eq!(got, want);
@@ -746,24 +703,16 @@ mod tests {
             }
             for (&(a, b), &id) in &held {
                 let want = model.links[&(a, b)];
-                let link = &dense.links[id.0 as usize];
+                let link = &net.links[id.0 as usize];
                 proptest::prop_assert_eq!(link.busy_until, want.1);
                 proptest::prop_assert_eq!((link.params, link.stats), (want.0, want.2));
             }
             for from in (0..6).map(NodeId) {
                 for to in (0..6).map(NodeId) {
                     let want = model.links.get(&(from, to));
-                    proptest::prop_assert_eq!(dense.has_link(from, to), want.is_some());
-                    proptest::prop_assert_eq!(dense.link(from, to).map(|l| l.params), want.map(|l| l.0));
-                    proptest::prop_assert_eq!(dense.stats(from, to), want.map(|l| l.2));
-                    let Some(&(_, _, want)) = want else {
-                        continue;
-                    };
-                    let until = now + SimDuration::from_secs(1);
-                    proptest::prop_assert_eq!(
-                        dense.utilisation(from, to, until).to_bits(),
-                        (want.busy.as_secs_f64() / until.as_secs_f64()).to_bits()
-                    );
+                    proptest::prop_assert_eq!(net.has_link(from, to), want.is_some());
+                    proptest::prop_assert_eq!(net.link(from, to).map(|l| l.params), want.map(|l| l.0));
+                    proptest::prop_assert_eq!(net.stats(from, to), want.map(|l| l.2));
                 }
             }
         }

@@ -8,8 +8,6 @@ use crate::{LinkId, LinkParams, Network, NodeId};
 pub struct StarTopology {
     /// The switch at the centre.
     pub switch: NodeId,
-    /// All attached hosts.
-    pub hosts: Vec<NodeId>,
     /// The network with all host↔switch links installed.
     pub network: Network,
 }
@@ -19,9 +17,9 @@ pub mod nodes {
     use crate::NodeId;
     /// The switch.
     pub const SWITCH: NodeId = NodeId(0);
-    /// SIPp call-generator client (UAC side).
+    /// SIPp call-generator client (the UAC).
     pub const SIPP_CLIENT: NodeId = NodeId(1);
-    /// SIPp call-generator server (UAS side).
+    /// SIPp call-generator server (the UAS).
     pub const SIPP_SERVER: NodeId = NodeId(2);
     /// The Asterisk PBX.
     pub const PBX: NodeId = NodeId(3);
@@ -36,11 +34,7 @@ impl StarTopology {
         for &h in hosts {
             network.add_duplex_link(h, switch, params);
         }
-        StarTopology {
-            switch,
-            hosts: hosts.to_vec(),
-            network,
-        }
+        StarTopology { switch, network }
     }
 
     /// The paper's testbed: three hosts on a 100 Mb/s switch.
@@ -53,11 +47,13 @@ impl StarTopology {
         )
     }
 
-    /// Next hop from `from` towards `dst`: the destination itself if a
-    /// direct link exists (host → switch), otherwise via the switch.
+    /// Next hop from `from` towards `dst`, from the star's shape alone:
+    /// the switch forwards to `dst`, and a host sends everything to the
+    /// switch. Whether that link exists is [`Network::enqueue`]'s to say.
+    #[inline]
     #[must_use]
     pub fn next_hop(&self, from: NodeId, dst: NodeId) -> NodeId {
-        if self.network.has_link(from, dst) {
+        if from == self.switch {
             dst
         } else {
             self.switch
@@ -77,19 +73,6 @@ impl StarTopology {
             self.network.link_id(via, to)?,
         ])
     }
-
-    /// End-to-end path between two hosts.
-    #[cfg(test)]
-    #[must_use]
-    pub fn path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        if from == to {
-            return vec![from];
-        }
-        if self.network.has_link(from, to) {
-            return vec![from, to];
-        }
-        vec![from, self.switch, to]
-    }
 }
 
 #[cfg(test)]
@@ -100,8 +83,7 @@ mod tests {
     #[test]
     fn fig4_testbed_wiring() {
         let topo = StarTopology::fig4_testbed();
-        assert_eq!(topo.hosts.len(), 3);
-        for &h in &topo.hosts {
+        for h in [nodes::SIPP_CLIENT, nodes::SIPP_SERVER, nodes::PBX] {
             assert!(topo.network.has_link(h, nodes::SWITCH));
             assert!(topo.network.has_link(nodes::SWITCH, h));
         }
@@ -120,6 +102,20 @@ mod tests {
             nodes::SWITCH
         );
         assert_eq!(topo.next_hop(nodes::SWITCH, nodes::PBX), nodes::PBX);
+        // The switch has no link to a node not in the star.
+        let mut topo = topo;
+        let stranger = NodeId(77);
+        let hop = topo.next_hop(nodes::SWITCH, stranger);
+        assert_eq!(
+            topo.network.enqueue(
+                SimTime::ZERO,
+                nodes::SWITCH,
+                hop,
+                218,
+                &mut StreamRng::seed_from_u64(1)
+            ),
+            crate::SendOutcome::NoRoute
+        );
     }
 
     #[test]
@@ -160,19 +156,5 @@ mod tests {
             }
         }
         assert_eq!(at, want);
-    }
-
-    #[test]
-    fn paths() {
-        let topo = StarTopology::fig4_testbed();
-        assert_eq!(
-            topo.path(nodes::SIPP_CLIENT, nodes::PBX),
-            vec![nodes::SIPP_CLIENT, nodes::SWITCH, nodes::PBX]
-        );
-        assert_eq!(
-            topo.path(nodes::PBX, nodes::SWITCH),
-            vec![nodes::PBX, nodes::SWITCH]
-        );
-        assert_eq!(topo.path(nodes::PBX, nodes::PBX), vec![nodes::PBX]);
     }
 }

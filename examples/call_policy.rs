@@ -12,7 +12,7 @@ fn main() {
     // 165-channel server (≈3.7 concurrent calls each, unconstrained).
     println!("offered load 220 E from 60 users onto 165 channels\n");
     let limits = [None, Some(4), Some(3), Some(2), Some(1)];
-    let rows = policy_study(220.0, 60, &limits, 3, 42);
+    let rows = policy_study(220.0, 60, &limits, 3, 42).expect("valid ceilings");
     print!("{}", render_policy(&rows));
 
     println!();

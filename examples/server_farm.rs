@@ -13,7 +13,7 @@ use teletraffic::{blocking_probability, Erlangs};
 fn main() {
     // 150 E (the UnB busy hour) onto 164 total channels, three layouts,
     // averaged over 6 replications each.
-    let rows = farm_study(150.0, 164, &[1, 2, 4], 6, 7);
+    let rows = farm_study(150.0, 164, &[1, 2, 4], 6, 7).expect("valid layouts");
     print!("{}", render_farm(150.0, &rows));
     println!();
     println!("Pooling wins: one big server always blocks least at equal total");

@@ -2,7 +2,7 @@
 //! tests (`tests/rtp_zero_copy.rs`, `tests/vad_zero_alloc.rs`,
 //! `tests/scheduler_memory.rs`, `tests/sip_zero_alloc.rs`, `tests/call_alloc_gate.rs`,
 //! `tests/register_alloc_gate.rs`, `tests/signalling_alloc_budget.rs`,
-//! `crates/capacity/tests/population_memory.rs`). Each test binary pulls
+//! `tests/star_memory.rs`, `crates/capacity/tests/population_memory.rs`). Each test binary pulls
 //! this file in with `#[path = "…/common/counting_alloc.rs"] mod
 //! counting_alloc;`, which also installs the allocator for that binary.
 //!
